@@ -29,7 +29,7 @@ from .generators import (
     truncate,
 )
 from .models.polys import column_rank
-from .terms import Element, Leaf, Node, binom, parity
+from .terms import Element, Leaf, Node, binom, falling, parity
 
 Q = Fraction
 
@@ -47,14 +47,6 @@ def _par(x: Element, what: str) -> int:
 
 def _koszul(x: Element, y: Element) -> int:
     return _sg(_par(x, "bridge arg") * _par(y, "bridge arg"))
-
-
-def _ff(p: int, i: int) -> int:
-    """Falling factorial p(p-1)...(p-i+1); 1 at i = 0."""
-    out = 1
-    for t in range(i):
-        out *= p - t
-    return out
 
 
 def _shared_bound(policy: TruncationPolicy, *indices: int) -> int:
@@ -80,13 +72,12 @@ def _eb(x: Element, y: Element, n: int, K: int):
     """e as a qa value plus i-family corrections; exact once K >= |n| - 1."""
     one = Element.unit(x.alphabet)
     lhs = fam_e(x, y, n)
-    rhs = fam_qa(x, one, y, -2, n, None, K=K, certify=False)
+    acc = dict(fam_qa(x, one, y, -2, n, None, K=K, certify=False).terms)
     for k in range(K + 1):
         c = binom(-2, k) * _sg(k)  # = k + 1
-        rhs = rhs + c * (
-            x.o(-2 - k, fam_i(y, n + k)) - fam_i(x.o(k, y), -2 + n - k)
-        )
-    return lhs, rhs
+        fix = x.o(-2 - k, fam_i(y, n + k)) - fam_i(x.o(k, y), -2 + n - k)
+        fix._add_into(acc, c)
+    return lhs, Element._trusted(x.alphabet, acc)
 
 
 def _di(x: Element, y: Element, n: int, K: int):
@@ -123,9 +114,11 @@ def _qci(x: Element, y: Element, n: int, K: int):
     kosz = _koszul(x, y)
     lhs = n * fam_qc(x, y, n - 1, None, K=K, certify=False)
     rhs = -fam_qc(x.D(), y, n, None, K=K, certify=False) + fam_e(x, y, n)
+    acc = dict(rhs.terms)
     for k in range(K + 1):
-        rhs = rhs - kosz * Q(_sg(n + k), factorial(k)) * fam_f(y, x, n + k).D_pow(k)
-    return lhs, rhs
+        c = -kosz * Q(_sg(n + k), factorial(k))
+        fam_f(y, x, n + k).D_pow(k)._add_into(acc, c)
+    return lhs, Element._trusted(x.alphabet, acc)
 
 
 def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int):
@@ -136,15 +129,14 @@ def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int):
         x, y, m
     ).o(n, z)
     sp = _sg(m + _par(x, "qa arg x") * _par(y, "qa arg y"))
+    acc = dict(rhs.terms)
     for k in range(K + 1):
         c = binom(m, k) * _sg(k)
         if c == 0:
             continue
-        rhs = rhs - c * (
-            fam_e(x, y.o(n + k, z), m - k)
-            - sp * y.o(m + n - k, fam_e(x, z, k))
-        )
-    return lhs, rhs
+        term = fam_e(x, y.o(n + k, z), m - k) - sp * y.o(m + n - k, fam_e(x, z, k))
+        term._add_into(acc, -c)
+    return lhs, Element._trusted(x.alphabet, acc)
 
 
 def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int):
@@ -156,28 +148,27 @@ def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int):
         + fam_f(x.o(m, y), z, n)
     )
     sp = _sg(m + _par(x, "qa arg x") * _par(y, "qa arg y"))
+    acc = dict(rhs.terms)
     for k in range(K + 1):
         c = binom(m, k) * _sg(k)
         if c == 0:
             continue
-        rhs = rhs - c * (
-            fam_f(x, y.o(n + k, z), m - k) - sp * fam_f(y, x.o(k, z), m + n - k)
-        )
-        rhs = rhs - c * (
-            x.o(m - k, fam_f(y, z, n + k)) - sp * y.o(m + n - k, fam_f(x, z, k))
-        )
-    return lhs, rhs
+        outer = fam_f(x, y.o(n + k, z), m - k) - sp * fam_f(y, x.o(k, z), m + n - k)
+        inner = x.o(m - k, fam_f(y, z, n + k)) - sp * y.o(m + n - k, fam_f(x, z, k))
+        outer._add_into(acc, -c)
+        inner._add_into(acc, -c)
+    return lhs, Element._trusted(x.alphabet, acc)
 
 
 def _qcs(x: Element, y: Element, n: int, K: int):
     """n-symmetry: y o_n x recovered from the qc generator minus its tail.
     Definitionally exact at any shared K."""
     lhs = y.o(n, x)
-    rhs = fam_qc(y, x, n, None, K=K, certify=False)
+    acc = dict(fam_qc(y, x, n, None, K=K, certify=False).terms)
     sp = _koszul(x, y)
     for k in range(K + 1):
-        rhs = rhs - sp * Q(_sg(n + k), factorial(k)) * x.o(n + k, y).D_pow(k)
-    return lhs, rhs
+        x.o(n + k, y).D_pow(k)._add_into(acc, -sp * Q(_sg(n + k), factorial(k)))
+    return lhs, Element._trusted(x.alphabet, acc)
 
 
 def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
@@ -188,45 +179,44 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
     m = -1 regimes carry tails that die under truncation.
     """
     kosz = _koszul(x, y)
-    lhs = x.o(m, y.o(n, z)) - kosz * y.o(n, x.o(m, z))
-    rhs = Element.zero(x.alphabet)
+    al = x.alphabet
+    lhs = dict((x.o(m, y.o(n, z)) - kosz * y.o(n, x.o(m, z))).terms)
+    rhs = {}
     if m >= 0:
         for k in range(m + 1):
             c = binom(m, k)
-            lhs = lhs - c * x.o(k, y).o(m + n - k, z)
-            rhs = rhs - c * fam_qa(x, y, z, k, m + n - k, None, K=K, certify=False)
-        return lhs, rhs
+            x.o(k, y).o(m + n - k, z)._add_into(lhs, -c)
+            qa = fam_qa(x, y, z, k, m + n - k, None, K=K, certify=False)
+            qa._add_into(rhs, -c)
+        return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n == -1:
         for k in range(K + 1):
-            lhs = lhs - _sg(k) * x.o(k, y).o(-2 - k, z)
-        rhs = (
+            x.o(k, y).o(-2 - k, z)._add_into(lhs, -_sg(k))
+        rhs = dict((
             -fam_qa(x, y, z, -1, -1, None, K=K, certify=False)
             + kosz * fam_qa(y, x, z, -1, -1, None, K=K, certify=False)
             - kosz * fam_qc(y, x, -1, None, K=K, certify=False).o(-1, z)
-        )
+        ).terms)
         for j in range(K + 1):
             for i in range(j + 1):
                 c = Q(_sg(j + 1) * factorial(i), factorial(j + 1))
-                rhs = rhs - c * fam_e(x.o(j, y).D_pow(j - i), z, -1 - i)
-        return lhs, rhs
+                fam_e(x.o(j, y).D_pow(j - i), z, -1 - i)._add_into(rhs, -c)
+        return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n >= 0:
         for k in range(K + 1):
-            lhs = lhs - _sg(k) * x.o(k, y).o(n - 1 - k, z)
+            x.o(k, y).o(n - 1 - k, z)._add_into(lhs, -_sg(k))
         for k in range(n + 1):
             ck = binom(n, k)
-            rhs = rhs + kosz * ck * fam_qa(
-                y, x, z, k, n - 1 - k, None, K=K, certify=False
-            )
-            rhs = rhs - kosz * ck * fam_qc(y, x, k, None, K=K, certify=False).o(
-                n - 1 - k, z
-            )
+            qa = fam_qa(y, x, z, k, n - 1 - k, None, K=K, certify=False)
+            qa._add_into(rhs, kosz * ck)
+            qc = fam_qc(y, x, k, None, K=K, certify=False)
+            qc.o(n - 1 - k, z)._add_into(rhs, -kosz * ck)
             for j in range(1, K + 1):
                 for i in range(j):
-                    c = Q(ck * _sg(k + j + i) * _ff(n - 1 - k, i), factorial(j))
-                    rhs = rhs + c * fam_e(
-                        x.o(k + j, y).D_pow(j - 1 - i), z, n - 1 - k - i
-                    )
-        return lhs, rhs
+                    c = Q(ck * _sg(k + j + i) * falling(n - 1 - k, i), factorial(j))
+                    e = fam_e(x.o(k + j, y).D_pow(j - 1 - i), z, n - 1 - k - i)
+                    e._add_into(rhs, c)
+        return Element._trusted(al, lhs), Element._trusted(al, rhs)
     raise ValueError("commutator decomposition covers m >= -1 only")
 
 
@@ -308,12 +298,12 @@ def dong_rank(M: int, m: int) -> int:
 
 def dong_row(x: Element, y: Element, z: Element, M: int, m: int, j: int):
     """Row j of the vanishing system: sum_k binom(m-j, k) (x_k y) o_{2m-M-k} z."""
-    out = Element.zero(x.alphabet)
+    acc = {}
     for k in range(M):
         c = binom(m - j, k)
         if c:
-            out = out + c * x.o(k, y).o(2 * m - M - k, z)
-    return out
+            x.o(k, y).o(2 * m - M - k, z)._add_into(acc, c)
+    return Element._trusted(x.alphabet, acc)
 
 
 class DongTable:

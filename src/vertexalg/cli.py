@@ -355,6 +355,9 @@ def main(argv=None) -> int:
             ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input nests too deeply to process", file=sys.stderr)
+        return 2
 
 
 cli_main = main

@@ -7,6 +7,7 @@ at or past its locality threshold, so dropping it agrees with truncate().
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from .terms import Element, Leaf, binom, parity
 
@@ -185,18 +186,10 @@ def fam_qc(
             raise CertificationError(
                 f"qc: bound K={K} keeps alive dropped terms; need K>={needed}"
             )
-    out = x.o(n, y)
+    acc = dict(x.o(n, y).terms)
     for k in range(K + 1):
-        coeff = Q(sign * _sign(n + k), _factorial(k))
-        out = out + coeff * y.o(n + k, x).D_pow(k)
-    return out
-
-
-def _factorial(k: int) -> int:
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
+        y.o(n + k, x).D_pow(k)._add_into(acc, Q(sign * _sign(n + k), factorial(k)))
+    return Element._trusted(x.alphabet, acc)
 
 
 def fam_qa(
@@ -239,14 +232,14 @@ def fam_qa(
         raise CertificationError(
             f"qa: bound K={K} keeps alive dropped terms; need K>={needed}"
         )
-    out = x.o(m, y).o(n, z)
+    acc = dict(x.o(m, y).o(n, z).terms)
     for k in range(K + 1):
         c = binom(m, k) * _sign(k)
         if c == 0:
             continue
-        out = out - c * x.o(m - k, y.o(n + k, z))
-        out = out + c * sign_xy * y.o(m + n - k, x.o(k, z))
-    return out
+        x.o(m - k, y.o(n + k, z))._add_into(acc, -c)
+        y.o(m + n - k, x.o(k, z))._add_into(acc, c * sign_xy)
+    return Element._trusted(x.alphabet, acc)
 
 
 def fam_s(s: Element, t: Element, model) -> Element:

@@ -86,13 +86,13 @@ class Model:
     # bilinear extensions ----------------------------------------------
 
     def _bilinear(self, x: Element, y: Element, table) -> Element:
-        out = Element.zero(self.alphabet)
+        acc = {}
         for t1, c1 in x.terms.items():
             for t2, c2 in y.terms.items():
                 if not (isinstance(t1, Leaf) and isinstance(t2, Leaf)):
                     raise ValueError("model tables apply to leaf combinations")
-                out = out + (c1 * c2) * table(t1.symbol, t2.symbol)
-        return out
+                table(t1.symbol, t2.symbol)._add_into(acc, c1 * c2)
+        return Element._trusted(self.alphabet, acc)
 
     def bracket_elem(self, x: Element, y: Element) -> Element:
         return self._bilinear(x, y, self.bracket)

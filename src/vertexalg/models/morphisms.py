@@ -23,6 +23,10 @@ class Morphism:
         implicit and must not appear as a key."""
         if source.alphabet.unit.name in table:
             raise ValueError("the unit maps to the unit; leave it out")
+        # apply() accumulates images in place, which checks no alphabets
+        foreign = [n for n, img in table.items() if img.alphabet is not target.alphabet]
+        if foreign:
+            raise ValueError(f"images of {foreign} are not over the target alphabet")
         self.name = name
         self.source = source
         self.target = target
@@ -37,10 +41,10 @@ class Morphism:
             raise KeyError(f"morphism {self.name} has no image for {sym.name!r}")
 
     def apply(self, x: Element) -> Element:
-        out = Element.zero(self.target.alphabet)
+        acc = {}
         for t, c in x.terms.items():
-            out = out + c * self._apply_term(t)
-        return out
+            self._apply_term(t)._add_into(acc, c)
+        return Element._trusted(self.target.alphabet, acc)
 
     def _apply_term(self, t) -> Element:
         if isinstance(t, Leaf):

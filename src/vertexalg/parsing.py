@@ -111,7 +111,10 @@ class _Parser:
         den = 1
         if self.peek()[0] == "op" and self.peek()[1] == "/":
             self.next()
-            den = int(self.expect("num")[1])
+            _, value, pos = self.expect("num")
+            den = int(value)
+            if den == 0:
+                raise ParseError("zero denominator", pos)
         val = Q(num, den)
         return -val if negative else val
 

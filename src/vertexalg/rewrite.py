@@ -125,10 +125,10 @@ class RuleSet:
 
 
 def _one_pass(x: Element, rules: RuleSet, counter: list) -> Element:
-    out = Element.zero(x.alphabet)
+    acc = {}
     for t, c in x.sorted_terms():
-        out = out + c * _pass_term(t, x.alphabet, rules, counter)
-    return out
+        _pass_term(t, x.alphabet, rules, counter)._add_into(acc, c)
+    return Element._trusted(x.alphabet, acc)
 
 
 def _pass_term(t, al, rules: RuleSet, counter: list) -> Element:
@@ -136,17 +136,17 @@ def _pass_term(t, al, rules: RuleSet, counter: list) -> Element:
         return Element.of_term(al, t)
     left = _pass_term(t.left, al, rules, counter)
     right = _pass_term(t.right, al, rules, counter)
-    out = Element.zero(al)
+    acc = {}
     for lt, lc in left.sorted_terms():
         for rt, rc in right.sorted_terms():
             node = Node(t.index, lt, rt)
             hit = rules.apply_at_root(node, al)
             if hit is None:
-                out = out + (lc * rc) * Element.of_term(al, node)
+                Element.of_term(al, node)._add_into(acc, lc * rc)
             else:
                 counter[0] += 1
-                out = out + (lc * rc) * hit[1]
-    return out
+                hit[1]._add_into(acc, lc * rc)
+    return Element._trusted(al, acc)
 
 
 def reduce_element(
@@ -174,10 +174,10 @@ def reduce_element(
 def r_step(x: Element, model) -> Element:
     """One structural pass: children first, then fold leaf pairs at 0/-1
     into the model tables and strip unit factors at -1."""
-    out = Element.zero(x.alphabet)
+    acc = {}
     for t, c in x.sorted_terms():
-        out = out + c * _r_term(t, x.alphabet, model)
-    return out
+        _r_term(t, x.alphabet, model)._add_into(acc, c)
+    return Element._trusted(x.alphabet, acc)
 
 
 def _r_term(t, al, model) -> Element:
@@ -185,11 +185,11 @@ def _r_term(t, al, model) -> Element:
         return Element.of_term(al, t)
     left = _r_term(t.left, al, model)
     right = _r_term(t.right, al, model)
-    out = Element.zero(al)
+    acc = {}
     for lt, lc in left.sorted_terms():
         for rt, rc in right.sorted_terms():
-            out = out + (lc * rc) * _r_root(lt, t.index, rt, al, model)
-    return out
+            _r_root(lt, t.index, rt, al, model)._add_into(acc, lc * rc)
+    return Element._trusted(al, acc)
 
 
 def _r_root(lt, n, rt, al, model) -> Element:

@@ -367,12 +367,12 @@ def sigma_star(sigma, x: Element, context: SheafContext) -> Element:
             return None
         return Node(tree.index, left, right)
 
-    out = Element.zero(x.alphabet)
+    acc = {}
     for tree, coeff in x.terms.items():
         dressed = dress(tree)
         if dressed is not None:
-            out = out + Element.of_term(x.alphabet, dressed, coeff)
-    return out
+            Element.of_term(x.alphabet, dressed)._add_into(acc, coeff)
+    return Element._trusted(x.alphabet, acc)
 
 
 def restrict(x: Element, window: SupportSet, context: SheafContext) -> Element:
@@ -396,12 +396,12 @@ def restrict(x: Element, window: SupportSet, context: SheafContext) -> Element:
             return None
         return Node(tree.index, left, right)
 
-    out = Element.zero(x.alphabet)
+    acc = {}
     for tree, coeff in x.terms.items():
         moved = rewindow(tree)
         if moved is not None:
-            out = out + Element.of_term(x.alphabet, moved, coeff)
-    return pi(out, context)
+            Element.of_term(x.alphabet, moved)._add_into(acc, coeff)
+    return pi(Element._trusted(x.alphabet, acc), context)
 
 
 # -- covers, gluing, axiom check ------------------------------------------------

@@ -4,10 +4,27 @@ Elements are Fraction-linear combinations of binary trees.  A leaf is a
 named symbol; an inner node o_n(x, y) is the n-th product of its children.
 The formal derivative is Dx := o_{-2}(x, 1) where 1 is the unit leaf.
 Everything is immutable; operations build new objects.
+
+Cached hashes.  Symbol, Leaf and Node compute their hash once, at
+construction, with exactly the formula a frozen dataclass would use:
+hash((name, parity, degree, kind, support)), hash((symbol,)) and
+hash((index, left, right)).  The children's hashes are already cached, so
+hashing a tree is O(1) and the values are the dataclass values bit for
+bit; dict and set iteration order is unchanged.  Equality short-cuts on
+identity, then on the cached hash, then compares fields; Node equality
+and leaves() walk the tree with an explicit stack, so deep trees cost
+time but never raise RecursionError.
+
+Coefficients.  Element(alphabet, terms) accepts any exact coefficient and
+drops zeros.  Element._trusted(alphabet, terms) takes the dict as it is:
+every coefficient must already be a nonzero Fraction.  Sums are
+accumulated in place with x._add_into(acc, scale), which keeps acc in that
+trusted form, so a loop of n additions costs O(total terms), not O(n^2).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .intervals import SupportSet
 
@@ -15,17 +32,11 @@ Q = Fraction
 
 
 def binom(m: int, k: int) -> int:
-    """Binomial coefficient for arbitrary integer m, k (0 for k < 0)."""
+    """Binomial coefficient for arbitrary integer m, k (0 for k < 0).
+    k! divides any k consecutive integers, so the division is exact."""
     if k < 0:
         return 0
-    num = 1
-    for i in range(k):
-        num *= m - i
-    val = Q(num, 1)
-    for i in range(2, k + 1):
-        val /= i
-    assert val.denominator == 1
-    return val.numerator
+    return falling(m, k) // factorial(k)
 
 
 def falling(p: int, i: int) -> int:
@@ -50,18 +61,75 @@ class Symbol:
         if self.kind not in ("unit", "algebra", "lie", "generic"):
             raise ValueError(f"unknown symbol kind {self.kind!r}")
         object.__setattr__(self, "degree", Q(self.degree))
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self) -> tuple:
+        return (self.name, self.parity, self.degree, self.kind, self.support)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Symbol:
+            return NotImplemented
+        return self._hash == other._hash and self._fields() == other._fields()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Leaf:
     symbol: Symbol
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.symbol,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Leaf:
+            return NotImplemented
+        return self._hash == other._hash and self.symbol == other.symbol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     index: int
     left: object
     right: object
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.index, self.left, self.right)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if other.__class__ is not Node:
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            a, b = stack.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__ or a._hash != b._hash:
+                return False
+            if a.__class__ is Leaf:
+                if a.symbol != b.symbol:
+                    return False
+            elif a.index != b.index:
+                return False
+            else:
+                stack.append((a.right, b.right))
+                stack.append((a.left, b.left))
+        return True
 
 
 Term = (Leaf, Node)
@@ -74,11 +142,15 @@ def sort_key(t):
 
 
 def leaves(t):
-    if isinstance(t, Leaf):
-        yield t.symbol
-    else:
-        yield from leaves(t.left)
-        yield from leaves(t.right)
+    """Leaf symbols, left to right."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Leaf:
+            yield t.symbol
+        else:
+            stack.append(t.right)
+            stack.append(t.left)
 
 
 def term_length(t) -> int:
@@ -149,6 +221,8 @@ class Alphabet:
 
 
 def _as_coeff(c) -> Fraction:
+    if isinstance(c, Fraction):
+        return c
     if isinstance(c, float):
         raise TypeError("float coefficients are not allowed; use Fraction")
     return Q(c)
@@ -168,6 +242,35 @@ class Element:
                 if c != 0:
                     clean[t] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, alphabet: Alphabet, terms: dict) -> "Element":
+        """Wrap terms without copying; every coefficient must already be a
+        nonzero Fraction."""
+        out = object.__new__(cls)
+        out.alphabet = alphabet
+        out.terms = terms
+        return out
+
+    def _add_into(self, acc: dict, scale=1) -> None:
+        """acc += scale * self, in place.  Terms that cancel are deleted at
+        once, so acc stays trusted and keeps the key order of repeated +."""
+        scale = _as_coeff(scale)
+        if not scale:
+            return
+        items = self.terms.items()
+        if scale != 1:
+            items = [(t, c * scale) for t, c in items]
+        for t, c in items:
+            old = acc.get(t)
+            if old is None:
+                acc[t] = c
+            else:
+                c += old
+                if c:
+                    acc[t] = c
+                else:
+                    del acc[t]
 
     # construction helpers
 
@@ -196,19 +299,25 @@ class Element:
     def __add__(self, other: "Element") -> "Element":
         self._check(other)
         out = dict(self.terms)
-        for t, c in other.terms.items():
-            out[t] = out.get(t, Q(0)) + c
-        return Element(self.alphabet, out)
+        other._add_into(out)
+        return Element._trusted(self.alphabet, out)
 
     def __sub__(self, other: "Element") -> "Element":
-        return self + (-other)
+        self._check(other)
+        out = dict(self.terms)
+        other._add_into(out, -1)
+        return Element._trusted(self.alphabet, out)
 
     def __neg__(self) -> "Element":
-        return Element(self.alphabet, {t: -c for t, c in self.terms.items()})
+        return Element._trusted(self.alphabet, {t: -c for t, c in self.terms.items()})
 
     def __mul__(self, c) -> "Element":
         c = _as_coeff(c)
-        return Element(self.alphabet, {t: v * c for t, v in self.terms.items()})
+        if not c:
+            return Element.zero(self.alphabet)
+        return Element._trusted(
+            self.alphabet, {t: v * c for t, v in self.terms.items()}
+        )
 
     __rmul__ = __mul__
 
@@ -216,29 +325,32 @@ class Element:
         return self * (Q(1) / _as_coeff(c))
 
     def o(self, n: int, other: "Element") -> "Element":
-        """n-th product, extended bilinearly."""
+        """n-th product, extended bilinearly.  Distinct (t1, t2) pairs give
+        distinct trees, so nothing collects or cancels."""
         self._check(other)
-        out = {}
-        for t1, c1 in self.terms.items():
-            for t2, c2 in other.terms.items():
-                t = Node(n, t1, t2)
-                out[t] = out.get(t, Q(0)) + c1 * c2
-        return Element(self.alphabet, out)
+        return Element._trusted(
+            self.alphabet,
+            {
+                Node(n, t1, t2): c1 * c2
+                for t1, c1 in self.terms.items()
+                for t2, c2 in other.terms.items()
+            },
+        )
 
     def D(self) -> "Element":
-        return self.o(-2, Element.unit(self.alphabet))
+        """x o_{-2} 1; the unit's coefficient is 1, so coefficients carry over."""
+        unit = Leaf(self.alphabet.unit)
+        return Element._trusted(
+            self.alphabet, {Node(-2, t, unit): c for t, c in self.terms.items()}
+        )
 
     def D_pow(self, k: int, divide_factorial: bool = False) -> "Element":
         if k < 0:
             raise ValueError("negative derivative power")
         out = self
-        fact = 1
-        for i in range(k):
+        for _ in range(k):
             out = out.D()
-            fact *= i + 1
-        if divide_factorial:
-            out = out / fact
-        return out
+        return out / factorial(k) if divide_factorial else out
 
     # predicates and views
 

@@ -91,6 +91,11 @@ class TestImages:
         assert psi.apply(one) == one
 
 
+    def test_images_must_be_over_the_target(self, diffpoly, weyl):
+        with pytest.raises(ValueError):
+            Morphism("bad", weyl, weyl, {"b": Element.sym(diffpoly.alphabet, "b")})
+
+
 class TestComposition:
     def test_identity_fixes_everything(self, diffpoly):
         ident = identity_morphism(diffpoly)

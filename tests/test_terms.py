@@ -5,6 +5,8 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
+from vertexalg.models.factory import shipped_model
+from vertexalg.models.morphisms import shipped_morphisms
 from vertexalg.terms import (
     Alphabet,
     Element,
@@ -219,3 +221,174 @@ class TestRingProperties:
     @given(elements())
     def test_negation(self, a):
         assert (a + (-a)).is_zero()
+
+
+class TestDeepTrees:
+    def test_deep_derivative_tower(self, al):
+        # a 1500-deep left spine: construction, equality between separately
+        # built copies, leaves() and parity() must not recurse per level
+        u = E(al, "x")
+        deep, again = u.D_pow(1500), u.D_pow(1500)
+        assert deep == again
+        (t,) = deep.terms
+        assert term_length(t) == 1501
+        assert parity(deep) == 0
+
+
+# cached hashes and the trusted coefficient form ------------------------------
+
+
+class TestCachedHash:
+    @given(monomials(max_len=4))
+    def test_hash_is_the_dataclass_formula(self, m):
+        # the formula a frozen dataclass uses; it fixes dict iteration order
+        (t,) = m.terms
+        stack = [t]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Leaf):
+                assert hash(t) == hash((t.symbol,))
+                s = t.symbol
+                assert hash(s) == hash((s.name, s.parity, s.degree, s.kind, s.support))
+            else:
+                assert hash(t) == hash((t.index, t.left, t.right))
+                stack += [t.left, t.right]
+
+    @given(monomials(max_len=4), monomials(max_len=4))
+    def test_equality_is_structural(self, a, b):
+        def rebuild(t):
+            if isinstance(t, Leaf):
+                return Leaf(t.symbol)
+            return Node(t.index, rebuild(t.left), rebuild(t.right))
+
+        (s,), (t,) = a.terms, b.terms
+        copy = rebuild(s)
+        assert copy is not s and copy == s and hash(copy) == hash(s)
+        assert (s == t) == (sort_key(s) == sort_key(t))
+
+
+    def test_colliding_hashes_still_compare_fields(self, al):
+        # hash(-1) == hash(-2) in CPython, so o_{-1} and o_{-2} over the same
+        # children share a hash, however deep they sit; equality and dict
+        # keys must still tell them apart
+        x, y = E(al, "x"), E(al, "y")
+        (s,) = x.o(-1, y).o(0, x).terms
+        (t,) = x.o(-2, y).o(0, x).terms
+        assert hash(s) == hash(t)
+        assert s != t
+        assert len(Element(al, {s: 1, t: 1})) == 2
+
+
+_weyl = shipped_model("weyl1")
+_scale, _shift = shipped_morphisms(_weyl)
+_pool = [s.name for s in _weyl.sample_symbols()]
+
+
+def _trusted(x: Element) -> bool:
+    return all(type(c) is Q and c != 0 for c in x.terms.values())
+
+
+def _fold(al, pairs) -> Element:
+    """sum of c * x over (c, x) pairs, through a plain dict and the public
+    constructor: the reference every fast path must agree with."""
+    acc = {}
+    for c, x in pairs:
+        for t, v in x.terms.items():
+            acc[t] = acc.get(t, 0) + Q(c) * v
+    return Element(al, acc)
+
+
+def _fold_o(x: Element, n: int, y: Element) -> Element:
+    al = x.alphabet
+    return _fold(
+        al,
+        [
+            (c1 * c2, Element(al, {Node(n, t1, t2): 1}))
+            for t1, c1 in x.terms.items()
+            for t2, c2 in y.terms.items()
+        ],
+    )
+
+
+def _fold_apply(phi, t) -> Element:
+    if isinstance(t, Leaf):
+        return phi.image_of_symbol(t.symbol)
+    return _fold_o(_fold_apply(phi, t.left), t.index, _fold_apply(phi, t.right))
+
+
+@st.composite
+def weyl_elements(draw, max_len=3):
+    """Combinations over weyl1 with integer coefficients, some cancelling."""
+    al = _weyl.alphabet
+
+    def tree(k):
+        if k == 1:
+            return Leaf(al.symbol(draw(st.sampled_from(_pool))))
+        split = draw(st.integers(1, k - 1))
+        return Node(draw(st.integers(-3, 2)), tree(split), tree(k - split))
+
+    pairs = [
+        (draw(st.integers(-2, 2)), tree(draw(st.integers(1, max_len))))
+        for _ in range(draw(st.integers(0, 3)))
+    ]
+    return _fold(al, [(c, Element(al, {t: 1})) for c, t in pairs])
+
+
+@st.composite
+def weyl_leaves(draw):
+    al = _weyl.alphabet
+    names = draw(st.lists(st.sampled_from(_pool), max_size=3))
+    return Element(al, {Leaf(al.symbol(nm)): draw(st.integers(-2, 2)) for nm in names})
+
+
+class TestTrustedResults:
+    @given(weyl_elements(), weyl_elements(), st.integers(-2, 2))
+    def test_linear_operations(self, a, b, k):
+        al = _weyl.alphabet
+        cases = [
+            (a + b, _fold(al, [(1, a), (1, b)])),
+            (a - b, _fold(al, [(1, a), (-1, b)])),
+            (a + (-a), Element.zero(al)),
+            (-a, _fold(al, [(-1, a)])),
+            (k * a, _fold(al, [(k, a)])),
+            (a * Q(k, 3), _fold(al, [(Q(k, 3), a)])),
+        ]
+        for got, want in cases:
+            assert _trusted(got)
+            assert got == want
+
+    @given(weyl_elements(), weyl_elements(), st.integers(-3, 2), st.integers(0, 4))
+    def test_products_and_derivatives(self, a, b, n, k):
+        al = _weyl.alphabet
+        got = a.o(n, b)
+        assert _trusted(got)
+        assert got == _fold_o(a, n, b)
+        want = a
+        for _ in range(k):
+            want = _fold_o(want, -2, Element.unit(al))
+        for got in (a.D_pow(k), a.D_pow(k, divide_factorial=True)):
+            assert _trusted(got)
+        assert a.D_pow(k) == want
+
+    @given(weyl_elements())
+    def test_morphism_apply(self, x):
+        al = _weyl.alphabet
+        for phi in (_scale, _shift):
+            got = phi.apply(x)
+            assert _trusted(got)
+            want = _fold(al, [(c, _fold_apply(phi, t)) for t, c in x.terms.items()])
+            assert got == want
+
+    @given(weyl_leaves(), weyl_leaves())
+    def test_bracket_elem(self, x, y):
+        got = _weyl.bracket_elem(x, y)
+        assert _trusted(got)
+        want = _fold(
+            _weyl.alphabet,
+            [
+                (c1 * c2, _weyl.bracket(s.symbol, t.symbol))
+                for s, c1 in x.terms.items()
+                for t, c2 in y.terms.items()
+            ],
+        )
+        assert got == want
