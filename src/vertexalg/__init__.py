@@ -16,15 +16,11 @@ from .terms import (
     Node,
     Symbol,
     binom,
-    canonicalize,
-    derivation_D,
-    D_power,
     falling,
     grade,
     is_homogeneous,
     is_monomial,
     parity,
-    product,
 )
 
 __all__ = [
@@ -38,9 +34,6 @@ __all__ = [
     "SupportSet",
     "Symbol",
     "binom",
-    "canonicalize",
-    "derivation_D",
-    "D_power",
     "falling",
     "grade",
     "is_homogeneous",
@@ -49,6 +42,5 @@ __all__ = [
     "parity",
     "parse",
     "piece",
-    "product",
     "to_text",
 ]

@@ -20,6 +20,7 @@ from typing import Mapping
 from .generators import (
     CertificationError,
     TruncationPolicy,
+    _parity_of,
     fam_d,
     fam_e,
     fam_f,
@@ -29,24 +30,13 @@ from .generators import (
     truncate,
 )
 from .models.polys import column_rank
-from .terms import Element, Leaf, Node, binom, falling, parity
+from .terms import Element, Leaf, Node, binom, falling, minus_one_pow
 
 Q = Fraction
 
 
-def _sg(e: int) -> int:
-    return -1 if e % 2 else 1
-
-
-def _par(x: Element, what: str) -> int:
-    p = parity(x)
-    if p is None:
-        raise ValueError(f"{what} is parity-inhomogeneous")
-    return p
-
-
 def _koszul(x: Element, y: Element) -> int:
-    return _sg(_par(x, "bridge arg") * _par(y, "bridge arg"))
+    return minus_one_pow(_parity_of(x, "bridge arg") * _parity_of(y, "bridge arg"))
 
 
 def _shared_bound(policy: TruncationPolicy, *indices: int) -> int:
@@ -74,7 +64,7 @@ def _eb(x: Element, y: Element, n: int, K: int):
     lhs = fam_e(x, y, n)
     acc = dict(fam_qa(x, one, y, -2, n, None, K=K, certify=False).terms)
     for k in range(K + 1):
-        c = binom(-2, k) * _sg(k)  # = k + 1
+        c = binom(-2, k) * minus_one_pow(k)  # = k + 1
         fix = x.o(-2 - k, fam_i(y, n + k)) - fam_i(x.o(k, y), -2 + n - k)
         fix._add_into(acc, c)
     return lhs, Element._trusted(x.alphabet, acc)
@@ -116,7 +106,7 @@ def _qci(x: Element, y: Element, n: int, K: int):
     rhs = -fam_qc(x.D(), y, n, None, K=K, certify=False) + fam_e(x, y, n)
     acc = dict(rhs.terms)
     for k in range(K + 1):
-        c = -kosz * Q(_sg(n + k), factorial(k))
+        c = -kosz * Q(minus_one_pow(n + k), factorial(k))
         fam_f(y, x, n + k).D_pow(k)._add_into(acc, c)
     return lhs, Element._trusted(x.alphabet, acc)
 
@@ -128,10 +118,10 @@ def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int):
     rhs = -fam_qa(x.D(), y, z, m, n, None, K=K, certify=False) + fam_e(
         x, y, m
     ).o(n, z)
-    sp = _sg(m + _par(x, "qa arg x") * _par(y, "qa arg y"))
+    sp = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
     acc = dict(rhs.terms)
     for k in range(K + 1):
-        c = binom(m, k) * _sg(k)
+        c = binom(m, k) * minus_one_pow(k)
         if c == 0:
             continue
         term = fam_e(x, y.o(n + k, z), m - k) - sp * y.o(m + n - k, fam_e(x, z, k))
@@ -147,10 +137,10 @@ def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int):
         + fam_qa(x, y, z.D(), m, n, None, K=K, certify=False)
         + fam_f(x.o(m, y), z, n)
     )
-    sp = _sg(m + _par(x, "qa arg x") * _par(y, "qa arg y"))
+    sp = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
     acc = dict(rhs.terms)
     for k in range(K + 1):
-        c = binom(m, k) * _sg(k)
+        c = binom(m, k) * minus_one_pow(k)
         if c == 0:
             continue
         outer = fam_f(x, y.o(n + k, z), m - k) - sp * fam_f(y, x.o(k, z), m + n - k)
@@ -167,7 +157,8 @@ def _qcs(x: Element, y: Element, n: int, K: int):
     acc = dict(fam_qc(y, x, n, None, K=K, certify=False).terms)
     sp = _koszul(x, y)
     for k in range(K + 1):
-        x.o(n + k, y).D_pow(k)._add_into(acc, -sp * Q(_sg(n + k), factorial(k)))
+        c = -sp * Q(minus_one_pow(n + k), factorial(k))
+        x.o(n + k, y).D_pow(k)._add_into(acc, c)
     return lhs, Element._trusted(x.alphabet, acc)
 
 
@@ -191,7 +182,7 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n == -1:
         for k in range(K + 1):
-            x.o(k, y).o(-2 - k, z)._add_into(lhs, -_sg(k))
+            x.o(k, y).o(-2 - k, z)._add_into(lhs, -minus_one_pow(k))
         rhs = dict((
             -fam_qa(x, y, z, -1, -1, None, K=K, certify=False)
             + kosz * fam_qa(y, x, z, -1, -1, None, K=K, certify=False)
@@ -199,12 +190,12 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
         ).terms)
         for j in range(K + 1):
             for i in range(j + 1):
-                c = Q(_sg(j + 1) * factorial(i), factorial(j + 1))
+                c = Q(minus_one_pow(j + 1) * factorial(i), factorial(j + 1))
                 fam_e(x.o(j, y).D_pow(j - i), z, -1 - i)._add_into(rhs, -c)
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n >= 0:
         for k in range(K + 1):
-            x.o(k, y).o(n - 1 - k, z)._add_into(lhs, -_sg(k))
+            x.o(k, y).o(n - 1 - k, z)._add_into(lhs, -minus_one_pow(k))
         for k in range(n + 1):
             ck = binom(n, k)
             qa = fam_qa(y, x, z, k, n - 1 - k, None, K=K, certify=False)
@@ -213,7 +204,8 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
             qc.o(n - 1 - k, z)._add_into(rhs, -kosz * ck)
             for j in range(1, K + 1):
                 for i in range(j):
-                    c = Q(ck * _sg(k + j + i) * falling(n - 1 - k, i), factorial(j))
+                    sgn = minus_one_pow(k + j + i)
+                    c = Q(ck * sgn * falling(n - 1 - k, i), factorial(j))
                     e = fam_e(x.o(k + j, y).D_pow(j - 1 - i), z, n - 1 - k - i)
                     e._add_into(rhs, c)
         return Element._trusted(al, lhs), Element._trusted(al, rhs)

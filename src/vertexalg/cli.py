@@ -7,12 +7,12 @@ is unusable.
 """
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction as Q
 
 from .generators import (
+    FAMILY_ARITY,
     FAMILY_IDS,
     CertificationError,
     GeneratorSpec,
@@ -125,13 +125,9 @@ def _cmd_reduce(ns) -> int:
     return 0
 
 
-_GEN_ARITY = {"i": 1, "c": 2, "d": 2, "e": 2, "qc": 2, "qa": 3,
-              "s": 2, "a": 2, "am": 3, "k": 1}
-
-
 def _cmd_gen(ns) -> int:
     fam = ns.family
-    want = _GEN_ARITY[fam]
+    want = FAMILY_ARITY[fam]
     if len(ns.args) != want:
         raise ValueError(f"family {fam} takes {want} --args, got {len(ns.args)}")
     model = _get_model(ns.model)
@@ -359,8 +355,6 @@ def main(argv=None) -> int:
         print("error: input nests too deeply to process", file=sys.stderr)
         return 2
 
-
-cli_main = main
 
 if __name__ == "__main__":
     sys.exit(main())

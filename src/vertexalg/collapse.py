@@ -37,15 +37,11 @@ from .generators import (
 )
 from .models.factory import shipped_model
 from .rewrite import RuleSet, reduce_element
-from .terms import Element, binom
+from .terms import Element, binom, minus_one_pow
 
 Q = Fraction
 
 COLLAPSE_RULES = ("unit_left", "bracket", "scalar", "unit_strip", "right_scalar")
-
-
-def _sgn(e: int) -> int:
-    return -1 if e % 2 else 1
 
 
 # right-multiplication collapse ------------------------------------------------
@@ -72,7 +68,7 @@ def _right_mult_total(model, K: int, corrected: bool = True) -> Element:
     acc = dict(total.terms)
     for k in range(2, K + 1):
         w = g.o(k - 1, a)
-        coeff = Q(_sgn(k - 1), factorial(k))
+        coeff = Q(minus_one_pow(k - 1), factorial(k))
         piece = fam_e(w.D_pow(k - 1), g, 1) + inner * fam_e(w.D_pow(k - 2), g, 0)
         piece._add_into(acc, -coeff)
     return Element._trusted(al, acc)
@@ -206,11 +202,12 @@ def punctured_checks(N: int, level: int = None) -> list:
         for k in range(1, K + 1):
             if k == N:
                 continue
-            fam_c(a, g, k, pol).D_pow(k)._add_into(acc, Q(_sgn(k), factorial(k)))
+            c = Q(minus_one_pow(k), factorial(k))
+            fam_c(a, g, k, pol).D_pow(k)._add_into(acc, c)
         return Element._trusted(al, acc)
 
     inner2 = scalar_power_inner()
-    factor = _sgn(N + 1) * factorial(N)
+    factor = minus_one_pow(N + 1) * factorial(N)
     ok2 = aNg.D_pow(N) - factor * inner2 == zero
     checks.append(
         {
@@ -239,9 +236,9 @@ def punctured_checks(N: int, level: int = None) -> list:
     def transfer_rhs(m: int, x: Element) -> Element:
         acc = dict(aNg.D_pow(N).o(m + N, x).terms)
         for k in range(N):
-            c = _sgn(k) * factorial(k) * binom(m + N, k)
+            c = minus_one_pow(k) * factorial(k) * binom(m + N, k)
             fam_e(aNg.D_pow(N - 1 - k), x, m + N - k)._add_into(acc, -c)
-        return Q(_sgn(N), factorial(N)) * Element._trusted(al, acc)
+        return Q(minus_one_pow(N), factorial(N)) * Element._trusted(al, acc)
 
     ok3, cases3 = True, 0
     for x in (g, a):
@@ -291,9 +288,9 @@ def punctured_checks(N: int, level: int = None) -> list:
         total = total + fam_qa(a, aNg, g, -N - 2, 1, pol, K=bound, certify=False)
         acc = dict(total.terms)
         for k in range(bound + 1):
-            c = binom(-N - 2, k) * _sgn(k)
+            c = binom(-N - 2, k) * minus_one_pow(k)
             a.o(-N - 2 - k, aNg.o(1 + k, g))._add_into(acc, c)
-            aNg.o(-N - 1 - k, a.o(k, g))._add_into(acc, -c * _sgn(N))
+            aNg.o(-N - 1 - k, a.o(k, g))._add_into(acc, -c * minus_one_pow(N))
         return Element._trusted(al, acc)
 
     ok4 = unit_total(K) == unit and unit_total(K + 2) == unit

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .terms import Element, Leaf, binom, parity
+from .terms import Element, Leaf, binom, minus_one_pow, parity
 
 Q = Fraction
 
@@ -88,10 +88,6 @@ def _parity_of(x: Element, what: str) -> int:
     return p
 
 
-def _sign(exponent: int) -> int:
-    return -1 if exponent % 2 else 1
-
-
 def _leaf_symbols(x: Element):
     """Leaf symbols of x if every monomial is a leaf, else None."""
     syms = []
@@ -166,7 +162,7 @@ def fam_qc(
     K: int = None,
     certify: bool = True,
 ) -> Element:
-    sign = _sign(_parity_of(x, "qc arg x") * _parity_of(y, "qc arg y"))
+    sign = minus_one_pow(_parity_of(x, "qc arg x") * _parity_of(y, "qc arg y"))
     if K is None or certify:
         ys, xs = _leaf_symbols(y), _leaf_symbols(x)
         if ys is None or xs is None:
@@ -188,7 +184,8 @@ def fam_qc(
             )
     acc = dict(x.o(n, y).terms)
     for k in range(K + 1):
-        y.o(n + k, x).D_pow(k)._add_into(acc, Q(sign * _sign(n + k), factorial(k)))
+        c = Q(sign * minus_one_pow(n + k), factorial(k))
+        y.o(n + k, x).D_pow(k)._add_into(acc, c)
     return Element._trusted(x.alphabet, acc)
 
 
@@ -202,7 +199,7 @@ def fam_qa(
     K: int = None,
     certify: bool = True,
 ) -> Element:
-    sign_xy = _sign(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
+    sign_xy = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
     if m >= 0:
         needed = m  # binomial support is finite
     elif certify or K is None:
@@ -234,7 +231,7 @@ def fam_qa(
         )
     acc = dict(x.o(m, y).o(n, z).terms)
     for k in range(K + 1):
-        c = binom(m, k) * _sign(k)
+        c = binom(m, k) * minus_one_pow(k)
         if c == 0:
             continue
         x.o(m - k, y.o(n + k, z))._add_into(acc, -c)
@@ -272,7 +269,9 @@ class BuildResult:
     bound: int = None
 
 
-FAMILY_IDS = ("i", "c", "d", "e", "qc", "qa", "s", "a", "am", "k")
+FAMILY_ARITY = {"i": 1, "c": 2, "d": 2, "e": 2, "qc": 2, "qa": 3,
+                "s": 2, "a": 2, "am": 3, "k": 1}
+FAMILY_IDS = tuple(FAMILY_ARITY)
 
 
 def build_generator(

@@ -27,9 +27,6 @@ class Piece:
             return not (self.lo_closed and self.hi_closed)
         return False
 
-    def is_point(self) -> bool:
-        return self.lo == self.hi and self.lo_closed and self.hi_closed
-
     def contains_point(self, p) -> bool:
         p = _frac(p)
         if self.lo < p < self.hi:

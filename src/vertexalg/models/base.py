@@ -5,9 +5,10 @@ bilinear extensions, validation, commutative evaluation, module laws.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from ..generators import TruncationPolicy, fam_am, fam_qa, fam_s
-from ..terms import Element, Leaf, Symbol, parity
+from ..terms import Element, Leaf, Symbol, minus_one_pow
 
 Q = Fraction
 
@@ -144,10 +145,7 @@ class Model:
         left = self._comm_term(t.left, cs)
         for _ in range(k):
             left = cs.diff(left)
-        fact = 1
-        for i in range(2, k + 1):
-            fact *= i
-        left = cs.scale(Q(1, fact), left)
+        left = cs.scale(Q(1, factorial(k)), left)
         return cs.mul(left, self._comm_term(t.right, cs))
 
 
@@ -165,10 +163,6 @@ def evaluate(x: Element, model: Model, semantics: str = "commutative", **kw):
 
 
 # validation ----------------------------------------------------------------
-
-
-def _sign(p: int) -> int:
-    return -1 if p % 2 else 1
 
 
 def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> list:
@@ -214,12 +208,13 @@ def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> 
         return [(a, b, c) for a in xs for b in ys for c in zs]
 
     def bracket_antisym(s, t):
-        return model.bracket(s, t) == -_sign(s.parity * t.parity) * model.bracket(t, s)
+        koszul = minus_one_pow(s.parity * t.parity)
+        return model.bracket(s, t) == -koszul * model.bracket(t, s)
 
     bracket_antisym.cases = lambda: pairs(syms, syms)
 
     def product_comm(a, b):
-        return model.mul(a, b) == _sign(a.parity * b.parity) * model.mul(b, a)
+        return model.mul(a, b) == minus_one_pow(a.parity * b.parity) * model.mul(b, a)
 
     product_comm.cases = lambda: pairs(comm, comm)
 
@@ -229,7 +224,7 @@ def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> 
         )
         rhs = model.bracket_elem(
             model.bracket(s, t), Element.of_term(model.alphabet, Leaf(u))
-        ) + _sign(s.parity * t.parity) * model.bracket_elem(
+        ) + minus_one_pow(s.parity * t.parity) * model.bracket_elem(
             Element.of_term(model.alphabet, Leaf(t)), model.bracket(s, u)
         )
         return lhs == rhs
@@ -243,7 +238,7 @@ def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> 
         )
         rhs = model.act_elem(
             model.bracket(g, a), Element.of_term(model.alphabet, Leaf(x))
-        ) + _sign(g.parity * a.parity) * model.act_elem(
+        ) + minus_one_pow(g.parity * a.parity) * model.act_elem(
             Element.of_term(model.alphabet, Leaf(a)), model.bracket(g, x)
         )
         return lhs == rhs
@@ -317,7 +312,7 @@ def check_module_laws(
         return node.o(rng.randrange(-3, 2), leaf(rng.choice(everything)))
 
     def koszul(s, t):
-        return _sign(s.parity * t.parity)
+        return minus_one_pow(s.parity * t.parity)
 
     law1_reduced = law1_exact = law2_reduced = law2_exact = skipped = 0
     failures = []

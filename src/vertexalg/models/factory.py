@@ -10,7 +10,7 @@ DeRham2Conn built in the geometry module.
 import json
 from fractions import Fraction
 
-from ..terms import Alphabet, Element, Leaf, Symbol
+from ..terms import Alphabet, Element, Symbol
 from .base import CommutativeSemantics, Model, ModelDegreeError
 from .polys import Poly1, Poly2
 

@@ -14,6 +14,8 @@ error.  Symbol-table brackets are built from one structural rule
 valid because every basic operator satisfies the graded Leibniz rule over
 wedge with a form-level symbol (contraction, exterior derivative, Lie
 derivative; the connection with symbol d; the euler counter with symbol 0).
+The rule, with the wedge product and the action, is written once in
+_form_model; each maker passes it that model's form algebra and operators.
 The geometry checks then confirm the tables against honest operator
 commutators on section batteries, with independent oracles for the Lie
 derivative, the curvature two-form, and the vector-field bracket.
@@ -21,7 +23,7 @@ derivative, the curvature two-form, and the vector-field bracket.
 
 from fractions import Fraction
 
-from ..terms import Alphabet, Element, Symbol
+from ..terms import Alphabet, Element, Symbol, minus_one_pow
 from .base import Model, ModelDegreeError
 from .polys import Poly1, Poly2
 
@@ -222,6 +224,60 @@ OPS2 = {
 }
 
 
+def _form_model(
+    name, al, max_degree, meta, *, wedge, scale, form_val, split_op, act_form,
+    pure_bracket, op_parity, form_to_elem, op_to_elem,
+) -> Model:
+    """The structural bracket rule of the module docstring, written once.
+
+    A form-multiple operator symbol splits as (w, P): split_op gives its
+    form value and basic-operator id.  act_form(P, v) applies the basic
+    operator's form-level symbol to a form value, pure_bracket(P, Q) lists
+    [P, Q] as (form, op) summands or gives None, and form_to_elem /
+    op_to_elem re-express values in the alphabet (or raise the degree-cap
+    error)."""
+
+    def bracket(s, t):
+        s_op, t_op = s.kind == "lie", t.kind == "lie"
+        if not s_op and not t_op:
+            return Element.zero(al)
+        if s_op and not t_op:
+            w, p = split_op(s.name)
+            return form_to_elem(wedge(w, act_form(p, form_val(t.name))))
+        koszul = minus_one_pow(s.parity * t.parity)
+        if t_op and not s_op:
+            return (-koszul) * bracket(t, s)
+        w, p = split_op(s.name)
+        e, q = split_op(t.name)
+        e_par = (t.parity - op_parity[q]) % 2
+        pairs = [
+            (wedge(w, act_form(p, e)), q),
+            (scale(-koszul, wedge(e, act_form(q, w))), p),
+        ]
+        sign = minus_one_pow(op_parity[p] * e_par)
+        for pq_form, pq_op in pure_bracket(p, q) or ():
+            pairs.append((scale(sign, wedge(wedge(w, e), pq_form)), pq_op))
+        return op_to_elem(pairs)
+
+    def product(a, b):
+        return form_to_elem(wedge(form_val(a.name), form_val(b.name)))
+
+    def action(a, g):
+        w, p = split_op(g.name)
+        return op_to_elem([(wedge(form_val(a.name), w), p)])
+
+    return Model(
+        name,
+        al,
+        bracket,
+        product,
+        action,
+        max_degree=max_degree,
+        commutative=None,
+        meta=meta,
+    )
+
+
 def _mono1_name(k: int) -> str:
     return "" if k == 0 else ("b" if k == 1 else f"b{k}")
 
@@ -229,6 +285,16 @@ def _mono1_name(k: int) -> str:
 def _form1_name(k: int, has_db: bool) -> str:
     base = _mono1_name(k)
     return (base + "db") if has_db else base
+
+
+def _form1_val(name: str):
+    if name in ("", "1"):
+        return (Poly1.const(1), Poly1())
+    has_db = name.endswith("db")
+    core = name[:-2] if has_db else name
+    k = 0 if core == "" else (1 if core == "b" else int(core[1:]))
+    mono = Poly1.mono(k)
+    return (Poly1(), mono) if has_db else (mono, Poly1())
 
 
 def make_derham1(max_degree: int = 3) -> Model:
@@ -250,19 +316,9 @@ def make_derham1(max_degree: int = 3) -> Model:
 
     one = Poly1.const(1)
 
-    def form_val(name: str):
-        if name == "1" or name == "":
-            return (one, Poly1())
-        has_db = name.endswith("db")
-        core = name[:-2] if has_db else name
-        k = 0 if core == "" else (1 if core == "b" else int(core[1:]))
-        mono = Poly1.mono(k)
-        return (Poly1(), mono) if has_db else (mono, Poly1())
-
     def split_op(name: str):
         # "<form><op>" with op one of OPS1
-        op = name[-2:]
-        return form_val(name[:-2]), op
+        return _form1_val(name[:-2]), name[-2:]
 
     def form_to_elem(v) -> Element:
         out = Element.zero(al)
@@ -297,51 +353,23 @@ def make_derham1(max_degree: int = 3) -> Model:
     # pure-operator super-brackets: only [dd, iX] = [iX, dd] = lX survives
     def pure_bracket(p: str, q: str):
         if {p, q} == {"dd", "iX"}:
-            return (((one, Poly1())), "lX")
+            return [((one, Poly1()), "lX")]
         return None
 
-    def parity_of(name: str) -> int:
-        return al.symbol(name).parity if name else 0
-
-    def bracket(s, t):
-        s_op, t_op = s.kind == "lie", t.kind == "lie"
-        if not s_op and not t_op:
-            return Element.zero(al)
-        if s_op and not t_op:
-            w, p = split_op(s.name)
-            return form_to_elem(w1_wedge(w, act_form(p, form_val(t.name))))
-        if t_op and not s_op:
-            sign = -1 if (s.parity * t.parity) % 2 else 1
-            return (-sign) * bracket(t, s)
-        w, p = split_op(s.name)
-        e, q = split_op(t.name)
-        p_par, q_par = OPS1[p][1], OPS1[q][1]
-        w_par, e_par = (s.parity - p_par) % 2, (t.parity - q_par) % 2
-        pairs = [(w1_wedge(w, act_form(p, e)), q)]
-        sign1 = -1 if (s.parity * t.parity) % 2 else 1
-        pairs.append((w1_scale(-sign1, w1_wedge(e, act_form(q, w))), p))
-        pq = pure_bracket(p, q)
-        if pq is not None:
-            sign2 = -1 if (p_par * e_par) % 2 else 1
-            pairs.append((w1_scale(sign2, w1_wedge(w1_wedge(w, e), pq[0])), pq[1]))
-        return op_to_elem(pairs)
-
-    def product(a, b):
-        return form_to_elem(w1_wedge(form_val(a.name), form_val(b.name)))
-
-    def action(a, g):
-        w, p = split_op(g.name)
-        return op_to_elem([(w1_wedge(form_val(a.name), w), p)])
-
-    return Model(
+    return _form_model(
         "derham1",
         al,
-        bracket,
-        product,
-        action,
-        max_degree=max_degree,
-        commutative=None,
-        meta={"kind": "DeRham1", "locality": 2},
+        max_degree,
+        {"kind": "DeRham1", "locality": 2},
+        wedge=w1_wedge,
+        scale=w1_scale,
+        form_val=_form1_val,
+        split_op=split_op,
+        act_form=act_form,
+        pure_bracket=pure_bracket,
+        op_parity={op: par for op, (_, par) in OPS1.items()},
+        form_to_elem=form_to_elem,
+        op_to_elem=op_to_elem,
     )
 
 
@@ -355,6 +383,16 @@ def _mono2_name(i: int, j: int, suffix: str) -> str:
     if i == 0 == j and suffix == "":
         return ""
     return f"m{i}{j}{suffix}"
+
+
+def _form2_val(name: str):
+    if name in ("", "1"):
+        return (Poly2.const(1), Poly2(), Poly2(), Poly2())
+    i, j = int(name[1]), int(name[2])
+    sfx = name[3:]
+    out = [Poly2(), Poly2(), Poly2(), Poly2()]
+    out[_SUFFIXES.index(sfx)] = Poly2.mono(i, j)
+    return tuple(out)
 
 
 def make_derham2(
@@ -389,21 +427,11 @@ def make_derham2(
     a_form = (Poly2(), a1, a2, Poly2())
     f_form = w2_d(a_form)  # engine curvature; oracle checked in the suite
 
-    def form_val(fname: str):
-        if fname in ("", "1"):
-            return (Poly2.const(1), Poly2(), Poly2(), Poly2())
-        i, j = int(fname[1]), int(fname[2])
-        sfx = fname[3:]
-        slot = _SUFFIXES.index(sfx)
-        out = [Poly2(), Poly2(), Poly2(), Poly2()]
-        out[slot] = Poly2.mono(i, j)
-        return tuple(out)
-
     def split_op(sym_name: str):
         if sym_name in OPS2:
-            return form_val(""), sym_name
+            return _form2_val(""), sym_name
         # "<form>ee"
-        return form_val(sym_name[:-2]), "ee"
+        return _form2_val(sym_name[:-2]), "ee"
 
     def form_to_elem(v) -> Element:
         out = Element.zero(al)
@@ -454,7 +482,7 @@ def make_derham2(
             return w2_d(v)
         return w2_zero()  # euler kills pure forms
 
-    one2 = form_val("")
+    one2 = _form2_val("")
 
     def pure_bracket(p: str, q: str):
         # [p, q] for the ORDERED pair, as a list of (form, op) summands.
@@ -479,56 +507,25 @@ def make_derham2(
             return [(w2_scale(-1 if p == "nabla" else 1, la), "ee")]
         return None
 
-    def parity_of_op(op: str) -> int:
-        return OPS2[op][1] if op in OPS2 else 0
-
-    def bracket(s, t):
-        s_op, t_op = s.kind == "lie", t.kind == "lie"
-        if not s_op and not t_op:
-            return Element.zero(al)
-        if s_op and not t_op:
-            w, p = split_op(s.name)
-            return form_to_elem(w2_wedge(w, act_form(p, form_val(t.name))))
-        if t_op and not s_op:
-            sign = -1 if (s.parity * t.parity) % 2 else 1
-            return (-sign) * bracket(t, s)
-        w, p = split_op(s.name)
-        e, q = split_op(t.name)
-        p_par, q_par = parity_of_op(p), parity_of_op(q)
-        e_par = (t.parity - q_par) % 2
-        pairs = [(w2_wedge(w, act_form(p, e)), q)]
-        sign1 = -1 if (s.parity * t.parity) % 2 else 1
-        pairs.append((w2_scale(-sign1, w2_wedge(e, act_form(q, w))), p))
-        pq = pure_bracket(p, q)
-        if pq:
-            sign2 = -1 if (p_par * e_par) % 2 else 1
-            for pq_form, pq_op in pq:
-                pairs.append(
-                    (w2_scale(sign2, w2_wedge(w2_wedge(w, e), pq_form)), pq_op)
-                )
-        return op_to_elem(pairs)
-
-    def product(a, b):
-        return form_to_elem(w2_wedge(form_val(a.name), form_val(b.name)))
-
-    def action(a, g):
-        w, p = split_op(g.name)
-        return op_to_elem([(w2_wedge(form_val(a.name), w), p)])
-
-    return Model(
+    return _form_model(
         name,
         al,
-        bracket,
-        product,
-        action,
-        max_degree=max_degree,
-        commutative=None,
-        meta={
+        max_degree,
+        {
             "kind": "DeRham2Conn",
             "locality": 2,
             "connection": (a1, a2),
             "curvature": f_form,
         },
+        wedge=w2_wedge,
+        scale=w2_scale,
+        form_val=_form2_val,
+        split_op=split_op,
+        act_form=act_form,
+        pure_bracket=pure_bracket,
+        op_parity={op: par for op, (_, par, _) in OPS2.items()},
+        form_to_elem=form_to_elem,
+        op_to_elem=op_to_elem,
     )
 
 
@@ -647,16 +644,6 @@ def _apply_sym1(model, sym, u):
     else:
         acted = w1_d(u)
     return w1_wedge(w, acted)
-
-
-def _form1_val(name: str):
-    if name in ("", "1"):
-        return (Poly1.const(1), Poly1())
-    has_db = name.endswith("db")
-    core = name[:-2] if has_db else name
-    k = 0 if core == "" else (1 if core == "b" else int(core[1:]))
-    mono = Poly1.mono(k)
-    return (Poly1(), mono) if has_db else (mono, Poly1())
 
 
 def _apply_elem1(model, elem: Element, u):
@@ -787,16 +774,6 @@ def _derham2_checks(model: Model) -> list:
         }
     )
     return checks
-
-
-def _form2_val(name: str):
-    if name in ("", "1"):
-        return (Poly2.const(1), Poly2(), Poly2(), Poly2())
-    i, j = int(name[1]), int(name[2])
-    sfx = name[3:]
-    out = [Poly2(), Poly2(), Poly2(), Poly2()]
-    out[_SUFFIXES.index(sfx)] = Poly2.mono(i, j)
-    return tuple(out)
 
 
 def _op_value2(model, sym) -> Op:

@@ -11,7 +11,7 @@ import random
 from fractions import Fraction
 
 from ..generators import fam_a, fam_i, fam_s
-from ..terms import Element, Leaf, Node
+from ..terms import Element, Leaf
 from .base import Model, ModelDegreeError
 
 Q = Fraction

@@ -191,9 +191,6 @@ class PolyVars:
             out = out + piece
         return out
 
-    def variables(self) -> set:
-        return {nm for k in self.c for nm, _ in k}
-
     def is_zero(self) -> bool:
         return not self.c
 

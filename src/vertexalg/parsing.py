@@ -12,7 +12,7 @@ The printer orders monomials canonically, so print/parse round-trips exactly.
 
 from fractions import Fraction
 
-from .terms import Alphabet, Element, Leaf, Node
+from .terms import Alphabet, Element, Leaf
 
 Q = Fraction
 
@@ -160,9 +160,18 @@ def parse(text: str, alphabet: Alphabet) -> Element:
 
 
 def _atom_text(t) -> str:
-    if isinstance(t, Leaf):
-        return t.symbol.name
-    return f"o{{{t.index}}}({_atom_text(t.left)}, {_atom_text(t.right)})"
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is str:
+            out.append(t)
+        elif t.__class__ is Leaf:
+            out.append(t.symbol.name)
+        else:
+            out.append(f"o{{{t.index}}}(")
+            stack += (")", t.right, ", ", t.left)
+    return "".join(out)
 
 
 def to_text(x: Element) -> str:

@@ -1,11 +1,17 @@
-"""Projection to normal form and bounded rule-driven reduction.
+"""Rule-driven reduction and the structural projection, on one pass engine.
 
-Two engines share the plumbing here.  R_project implements the structural
-projection r and its fixpoint R: leaf-pair products at indices 0 and -1
-fold into the model tables, unit factors at -1 strip, everything else is
-left alone.  reduce is the general bounded engine: a RuleSet picks which
-orientations are active, passes run innermost-first with the rules tried
-in a fixed order, and the truncation policy is applied after every pass.
+A RuleSet picks which root rules are active.  One pass rewrites every
+node innermost-first, trying the enabled rules in the fixed RULE_ORDER.
+reduce_element repeats passes to a fixpoint, bounded by a firing budget,
+and applies the truncation policy after every pass.
+
+R_project is the same engine under the named rule set PROJECTION_RULES:
+the structural projection r of the polynomial-coefficient setting and its
+fixpoint R.  Leaf-pair products at indices 0 and -1 fold into the model
+tables and unit factors at -1 strip; everything else is left alone.  It
+differs from the stock rules in one rule only: unit_left imposes the
+vacuum axiom 1_(n) x = delta_{n,-1} x, while unit_identity rewrites
+1 o_{-1} x to x and keeps 1 o_n x for n != -1.
 
 A result of 0 certifies ideal membership; a nonzero normal form certifies
 nothing (no confluence claim is made).
@@ -18,6 +24,7 @@ from .terms import Element, Leaf, Node, term_length
 
 RULE_ORDER = (
     "unit_left",
+    "unit_identity",
     "bracket",
     "scalar",
     "unit_strip",
@@ -27,6 +34,8 @@ RULE_ORDER = (
 )
 
 STOCK_RULES = ("unit_left", "bracket", "scalar", "unit_strip", "locality_kill")
+
+PROJECTION_RULES = ("unit_identity", "bracket", "scalar", "unit_strip")
 
 
 @dataclass
@@ -71,6 +80,13 @@ class RuleSet:
                     if t.index == -1:
                         return rule, Element.of_term(al, t.right)
                     return rule, Element.zero(al)
+            elif rule == "unit_identity":
+                if (
+                    t.index == -1
+                    and isinstance(t.left, Leaf)
+                    and t.left.symbol.kind == "unit"
+                ):
+                    return rule, Element.of_term(al, t.right)
             elif rule == "bracket":
                 if (
                     t.index == 0
@@ -137,8 +153,8 @@ def _pass_term(t, al, rules: RuleSet, counter: list) -> Element:
     left = _pass_term(t.left, al, rules, counter)
     right = _pass_term(t.right, al, rules, counter)
     acc = {}
-    for lt, lc in left.sorted_terms():
-        for rt, rc in right.sorted_terms():
+    for lt, lc in left.terms.items():
+        for rt, rc in right.terms.items():
             node = Node(t.index, lt, rt)
             hit = rules.apply_at_root(node, al)
             if hit is None:
@@ -168,50 +184,13 @@ def reduce_element(
             return ReductionReport(current, counter[0], "budget-exhausted")
 
 
-# the structural projection of the polynomial-coefficient setting -------------
-
-
-def r_step(x: Element, model) -> Element:
-    """One structural pass: children first, then fold leaf pairs at 0/-1
-    into the model tables and strip unit factors at -1."""
-    acc = {}
-    for t, c in x.sorted_terms():
-        _r_term(t, x.alphabet, model)._add_into(acc, c)
-    return Element._trusted(x.alphabet, acc)
-
-
-def _r_term(t, al, model) -> Element:
-    if isinstance(t, Leaf):
-        return Element.of_term(al, t)
-    left = _r_term(t.left, al, model)
-    right = _r_term(t.right, al, model)
-    acc = {}
-    for lt, lc in left.sorted_terms():
-        for rt, rc in right.sorted_terms():
-            _r_root(lt, t.index, rt, al, model)._add_into(acc, lc * rc)
-    return Element._trusted(al, acc)
-
-
-def _r_root(lt, n, rt, al, model) -> Element:
-    if n == -1 and isinstance(lt, Leaf) and lt.symbol.kind == "unit":
-        return Element.of_term(al, rt)
-    if n == -1 and isinstance(rt, Leaf) and rt.symbol.kind == "unit":
-        return Element.of_term(al, lt)
-    if isinstance(lt, Leaf) and isinstance(rt, Leaf):
-        if n == 0:
-            return model.bracket(lt.symbol, rt.symbol)
-        if n == -1 and lt.symbol.kind in ("algebra", "unit"):
-            return model.act(lt.symbol, rt.symbol)
-    return Element.of_term(al, Node(n, lt, rt))
-
-
 def R_project(x: Element, model, budget: int = 1000) -> ReductionReport:
-    """Fixpoint of r_step.  Terminates: every fold strictly drops the total
-    leaf count of the terms it touches."""
-    current = x
-    steps = 0
+    """Fixpoint of the projection rules; steps and budget count passes.
+    Terminates: every firing strictly drops the leaf count of its term."""
+    rules = RuleSet(model, None, PROJECTION_RULES)
+    current, steps = x, 0
     while steps < budget:
-        nxt = r_step(current, model)
+        nxt = _one_pass(current, rules, [0])
         steps += 1
         if nxt == current:
             return ReductionReport(current, steps, "normal-form")

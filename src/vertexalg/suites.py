@@ -28,13 +28,12 @@ from .bridges import (
 )
 from .collapse import punctured_checks, right_mult_checks
 from .generators import (
+    FAMILY_ARITY,
     CertificationError,
+    GeneratorSpec,
     TruncationPolicy,
+    build_generator,
     fam_d,
-    fam_e,
-    fam_i,
-    fam_qa,
-    fam_qc,
     truncate,
 )
 from .intervals import SupportSet
@@ -154,6 +153,13 @@ def _rand_element(model, rng, max_len: int, window: int) -> Element:
     return out
 
 
+def _uncertified(fam_id, args, m, n, K) -> Element:
+    """fam_id's generator on its leading args; qc/qa tails cut at K unchecked."""
+    idx = (m, n) if fam_id == "qa" else (n,)
+    spec = GeneratorSpec(fam_id, tuple(args[: FAMILY_ARITY[fam_id]]), idx, K)
+    return build_generator(spec, None, certify=False).element
+
+
 # -- commutative-model suite -----------------------------------------------------
 
 
@@ -175,16 +181,7 @@ def _suite_commutative(cfg: SuiteConfig) -> list:
             z = _rand_element(model, rng, cfg.max_len, cfg.index_window)
             n = rng.randint(-cfg.index_window, cfg.index_window)
             m = rng.randint(-cfg.index_window, cfg.index_window)
-            if fam_id == "i":
-                gen = fam_i(x, n)
-            elif fam_id == "d":
-                gen = fam_d(x, y, n)
-            elif fam_id == "e":
-                gen = fam_e(x, y, n)
-            elif fam_id == "qc":
-                gen = fam_qc(x, y, n, None, K=K, certify=False)
-            else:
-                gen = fam_qa(x, y, z, m, n, None, K=K, certify=False)
+            gen = _uncertified(fam_id, (x, y, z), m, n, K)
             try:
                 val = model.evaluate_commutative(gen)
             except ModelDegreeError:
@@ -473,16 +470,8 @@ def _suite_injectivity(cfg: SuiteConfig) -> list:
         for _ in range(per_fam):
             n = rng.randint(-cfg.index_window, cfg.index_window)
             m = rng.randint(-cfg.index_window, cfg.index_window)
-            if fam_id == "i":
-                gen = fam_i(leaf(), n)
-            elif fam_id == "d":
-                gen = fam_d(leaf(), leaf(), n)
-            elif fam_id == "e":
-                gen = fam_e(leaf(), leaf(), n)
-            elif fam_id == "qc":
-                gen = fam_qc(leaf(), leaf(), n, None, K=K, certify=False)
-            else:
-                gen = fam_qa(leaf(), leaf(), leaf(), m, n, None, K=K, certify=False)
+            args = [leaf() for _ in range(FAMILY_ARITY[fam_id])]
+            gen = _uncertified(fam_id, args, m, n, K)
             try:
                 image = R_project(gen, model, budget=cfg.budget).result
             except ModelDegreeError:
@@ -692,14 +681,8 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
         args = [Element.of_term(al, Leaf(sa)), Element.of_term(al, Leaf(sb))]
         n = rng.randint(-3, 3)
         fam = "d" if trial < len(forced) else rng.choice(("i", "d", "e", "qc"))
-        if fam == "i":
-            gen = fam_i(args[0], n)
-        elif fam == "d":
-            gen = fam_d(args[0], args[1], n)
-        elif fam == "e":
-            gen = fam_e(args[0], args[1], n)
-        else:
-            gen = fam_qc(args[0], args[1], n, pol)
+        spec = GeneratorSpec(fam, tuple(args[: FAMILY_ARITY[fam]]), (n,))
+        gen = build_generator(spec, pol).element
         p = pi(gen, ctx)
         if p == gen:
             keeps += 1

@@ -11,9 +11,9 @@ hash((name, parity, degree, kind, support)), hash((symbol,)) and
 hash((index, left, right)).  The children's hashes are already cached, so
 hashing a tree is O(1) and the values are the dataclass values bit for
 bit; dict and set iteration order is unchanged.  Equality short-cuts on
-identity, then on the cached hash, then compares fields; Node equality
-and leaves() walk the tree with an explicit stack, so deep trees cost
-time but never raise RecursionError.
+identity, then on the cached hash, then compares fields.  Node equality,
+leaves(), sort_key, term_degree and shape_key walk the tree with an
+explicit stack, so deep trees cost time but never raise RecursionError.
 
 Coefficients.  Element(alphabet, terms) accepts any exact coefficient and
 drops zeros.  Element._trusted(alphabet, terms) takes the dict as it is:
@@ -37,6 +37,11 @@ def binom(m: int, k: int) -> int:
     if k < 0:
         return 0
     return falling(m, k) // factorial(k)
+
+
+def minus_one_pow(e: int) -> int:
+    """(-1)^e for any integer e."""
+    return -1 if e % 2 else 1
 
 
 def falling(p: int, i: int) -> int:
@@ -135,10 +140,21 @@ class Node:
 Term = (Leaf, Node)
 
 
-def sort_key(t):
-    if isinstance(t, Leaf):
-        return (0, t.symbol.name)
-    return (1, t.index, sort_key(t.left), sort_key(t.right))
+def sort_key(t) -> tuple:
+    """Flat preorder key: (0, name) for a leaf, (1, index) then both
+    children's keys for a node.  The encoding is prefix-free, so it orders
+    trees exactly as the nested key (1, index, key(left), key(right))."""
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Leaf:
+            out += (0, t.symbol.name)
+        else:
+            out += (1, t.index)
+            stack.append(t.right)
+            stack.append(t.left)
+    return tuple(out)
 
 
 def leaves(t):
@@ -163,23 +179,33 @@ def term_parity(t) -> int:
 
 def term_degree(t) -> Fraction:
     # |o_n(x, y)| = |x| + (-n - 1) + |y|
-    if isinstance(t, Leaf):
-        return t.symbol.degree
-    return term_degree(t.left) + Q(-t.index - 1) + term_degree(t.right)
+    total = Q(0)
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Leaf:
+            total += t.symbol.degree
+        else:
+            total += -t.index - 1
+            stack.append(t.left)
+            stack.append(t.right)
+    return total
 
 
 def shape_key(t) -> str:
     """Canonical string of the product shape including indices."""
-    if isinstance(t, Leaf):
-        return "*"
-    return f"({shape_key(t.left)}o{t.index}{shape_key(t.right)})"
-
-
-def bare_shape(t) -> str:
-    """Product shape with indices erased."""
-    if isinstance(t, Leaf):
-        return "*"
-    return f"({bare_shape(t.left)}{bare_shape(t.right)})"
+    out = []
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is str:
+            out.append(t)
+        elif t.__class__ is Leaf:
+            out.append("*")
+        else:
+            out.append("(")
+            stack += (")", t.right, f"o{t.index}", t.left)
+    return "".join(out)
 
 
 class Alphabet:
@@ -383,23 +409,6 @@ class Element:
         from .parsing import to_text
 
         return f"<Element {to_text(self)}>"
-
-
-def product(x: Element, n: int, y: Element) -> Element:
-    return x.o(n, y)
-
-
-def derivation_D(x: Element) -> Element:
-    return x.D()
-
-
-def D_power(x: Element, k: int, divide_factorial: bool = False) -> Element:
-    return x.D_pow(k, divide_factorial)
-
-
-def canonicalize(x: Element) -> Element:
-    # maps are canonical by construction; kept for API symmetry
-    return Element(x.alphabet, dict(x.terms))
 
 
 def parity(x: Element):

@@ -3,9 +3,10 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from vertexalg.generators import TruncationPolicy, truncate
+from vertexalg.models.base import ModelDegreeError
 from vertexalg.models.factory import make_model
 from vertexalg.parsing import parse
 from vertexalg.rewrite import (
@@ -166,6 +167,21 @@ class TestProjection:
         x = parse("o{-1}(1, o{-1}(b, 1))", al)
         assert R_project(x, diff).result == Element.sym(al, "b")
 
+    def test_unit_off_minus_one_survives(self, diff):
+        # the projection keeps 1 o_n x for n != -1; the stock vacuum axiom
+        # 1_(n) x = delta_{n,-1} x kills it
+        al = diff.alphabet
+        x = parse("o{2}(1, b)", al)
+        rep = R_project(x, diff)
+        assert rep.status == "normal-form"
+        assert rep.result == x
+        assert reduce_element(x, RuleSet.stock(diff)).result.is_zero()
+
+    def test_unit_at_minus_one_over_a_kept_node(self, diff):
+        al = diff.alphabet
+        x = parse("o{-1}(1, o{1}(b, b2))", al)
+        assert R_project(x, diff).result == parse("o{1}(b, b2)", al)
+
     def test_leaves_are_fixed(self, diff):
         al = diff.alphabet
         for nm in ("b", "b3", "b6"):
@@ -189,7 +205,13 @@ class TestProjection:
             return tree(depth - 1).o(rng.choice([-1, 0]), tree(depth - 1))
 
         x = tree(2) + tree(2)
-        once = R_project(x, diff).result
+        try:
+            once = R_project(x, diff).result
+        except ModelDegreeError:
+            # a product passed the degree cap (b2 o_{-1} b2 ... reaches b^8),
+            # which the model reports instead of projecting; the suites
+            # skip these draws too
+            assume(False)
         twice = R_project(once, diff).result
         assert once == twice
 

@@ -23,6 +23,7 @@ from vertexalg.terms import (
     sort_key,
     term_length,
 )
+from vertexalg.parsing import to_text
 
 
 @pytest.fixture
@@ -233,6 +234,33 @@ class TestDeepTrees:
         (t,) = deep.terms
         assert term_length(t) == 1501
         assert parity(deep) == 0
+
+    def test_deep_tower_prints_sorts_and_grades(self, al):
+        u = E(al, "x")
+        deep = u.D_pow(1500)
+        text = to_text(deep)
+        assert text.count("o{-2}(") == 1500
+        assert repr(deep) == f"<Element {text}>"
+        assert [t for t, _ in deep.sorted_terms()] == list(deep.terms)
+        g = grade(deep)
+        assert g.degree == Q(1500)  # each D adds -(-2) - 1 = 1
+        assert g.lengths == (1501,)
+        assert g.shape_keys[0].count("o-2") == 1500
+
+
+def _nested_key(t):
+    # the recursive reference the flat sort_key must order identically to
+    if isinstance(t, Leaf):
+        return (0, t.symbol.name)
+    return (1, t.index, _nested_key(t.left), _nested_key(t.right))
+
+
+class TestSortKey:
+    @given(monomials(max_len=5), monomials(max_len=5))
+    def test_flat_key_orders_like_nested(self, x, y):
+        ((s, _),), ((t, _),) = x.terms.items(), y.terms.items()
+        assert (sort_key(s) < sort_key(t)) == (_nested_key(s) < _nested_key(t))
+        assert (sort_key(s) == sort_key(t)) == (s == t)
 
 
 # cached hashes and the trusted coefficient form ------------------------------
