@@ -226,7 +226,7 @@ OPS2 = {
 
 def _form_model(
     name, al, max_degree, meta, *, wedge, scale, form_val, split_op, act_form,
-    pure_bracket, op_parity, form_to_elem, op_to_elem,
+    pure_bracket, form_to_elem, op_to_elem,
 ) -> Model:
     """The structural bracket rule of the module docstring, written once.
 
@@ -235,7 +235,8 @@ def _form_model(
     operator's form-level symbol to a form value, pure_bracket(P, Q) lists
     [P, Q] as (form, op) summands or gives None, and form_to_elem /
     op_to_elem re-express values in the alphabet (or raise the degree-cap
-    error)."""
+    error).  The alphabet holds each basic operator under its own id, which
+    gives its parity."""
 
     def bracket(s, t):
         s_op, t_op = s.kind == "lie", t.kind == "lie"
@@ -249,12 +250,12 @@ def _form_model(
             return (-koszul) * bracket(t, s)
         w, p = split_op(s.name)
         e, q = split_op(t.name)
-        e_par = (t.parity - op_parity[q]) % 2
+        e_par = (t.parity - al.symbol(q).parity) % 2
         pairs = [
             (wedge(w, act_form(p, e)), q),
             (scale(-koszul, wedge(e, act_form(q, w))), p),
         ]
-        sign = minus_one_pow(op_parity[p] * e_par)
+        sign = minus_one_pow(al.symbol(p).parity * e_par)
         for pq_form, pq_op in pure_bracket(p, q) or ():
             pairs.append((scale(sign, wedge(wedge(w, e), pq_form)), pq_op))
         return op_to_elem(pairs)
@@ -367,7 +368,6 @@ def make_derham1(max_degree: int = 3) -> Model:
         split_op=split_op,
         act_form=act_form,
         pure_bracket=pure_bracket,
-        op_parity={op: par for op, (_, par) in OPS1.items()},
         form_to_elem=form_to_elem,
         op_to_elem=op_to_elem,
     )
@@ -523,7 +523,6 @@ def make_derham2(
         split_op=split_op,
         act_form=act_form,
         pure_bracket=pure_bracket,
-        op_parity={op: par for op, (_, par, _) in OPS2.items()},
         form_to_elem=form_to_elem,
         op_to_elem=op_to_elem,
     )

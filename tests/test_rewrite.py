@@ -3,10 +3,9 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from vertexalg.generators import TruncationPolicy, truncate
-from vertexalg.models.base import ModelDegreeError
 from vertexalg.models.factory import make_model
 from vertexalg.parsing import parse
 from vertexalg.rewrite import (
@@ -28,6 +27,13 @@ def weyl():
 @pytest.fixture(scope="module")
 def diff():
     return make_model("DiffPoly")
+
+
+@pytest.fixture(scope="module")
+def diff8():
+    # depth-2 trees over b, b2, 1 multiply at most four leaves, so they reach
+    # b^8 at most; a cap of 8 keeps every such product inside the model
+    return make_model("DiffPoly", {"max_degree": 8})
 
 
 @pytest.fixture
@@ -166,6 +172,8 @@ class TestProjection:
         al = diff.alphabet
         x = parse("o{-1}(1, o{-1}(b, 1))", al)
         assert R_project(x, diff).result == Element.sym(al, "b")
+        x = parse("o{-1}(1, o{1}(b, b2))", al)
+        assert R_project(x, diff).result == parse("o{1}(b, b2)", al)
 
     def test_unit_off_minus_one_survives(self, diff):
         # the projection keeps 1 o_n x for n != -1; the stock vacuum axiom
@@ -177,11 +185,6 @@ class TestProjection:
         assert rep.result == x
         assert reduce_element(x, RuleSet.stock(diff)).result.is_zero()
 
-    def test_unit_at_minus_one_over_a_kept_node(self, diff):
-        al = diff.alphabet
-        x = parse("o{-1}(1, o{1}(b, b2))", al)
-        assert R_project(x, diff).result == parse("o{1}(b, b2)", al)
-
     def test_leaves_are_fixed(self, diff):
         al = diff.alphabet
         for nm in ("b", "b3", "b6"):
@@ -192,11 +195,11 @@ class TestProjection:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 30))
-    def test_idempotent(self, diff, seed):
+    def test_idempotent(self, diff8, seed):
         import random
 
         rng = random.Random(seed)
-        al = diff.alphabet
+        al = diff8.alphabet
         pool = ["b", "b2", "1"]
 
         def tree(depth):
@@ -205,14 +208,8 @@ class TestProjection:
             return tree(depth - 1).o(rng.choice([-1, 0]), tree(depth - 1))
 
         x = tree(2) + tree(2)
-        try:
-            once = R_project(x, diff).result
-        except ModelDegreeError:
-            # a product passed the degree cap (b2 o_{-1} b2 ... reaches b^8),
-            # which the model reports instead of projecting; the suites
-            # skip these draws too
-            assume(False)
-        twice = R_project(once, diff).result
+        once = R_project(x, diff8).result
+        twice = R_project(once, diff8).result
         assert once == twice
 
 
