@@ -202,10 +202,10 @@ def _cmd_sheaf(ns) -> int:
     results = sheaf_axiom_check(cover, sections, context)
     failed = 0
     for r in results:
-        mark = "ok  " if r["ok"] else "FAIL"
+        ok = r["status"] == "pass"
         detail = f"  ({r['detail']})" if r.get("detail") else ""
-        print(f"{mark} {r['id']}{detail}")
-        failed += not r["ok"]
+        print(f"{'ok  ' if ok else 'FAIL'} {r['id']}{detail}")
+        failed += not ok
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return 0 if failed == 0 else 1
 

@@ -35,6 +35,7 @@ from .generators import (
     fam_s,
     truncate,
 )
+from .models.base import check
 from .models.factory import shipped_model
 from .rewrite import RuleSet, reduce_element
 from .terms import Element, binom, minus_one_pow
@@ -98,24 +99,15 @@ def right_mult_checks(levels=(2, 3, 6), budget: int = 20000) -> list:
     residuals_ok = all(
         _right_mult_total(model, K) == expected for K in levels
     )
-    checks.append(
-        {
-            "id": "right-mult-exact-residual",
-            "status": "pass" if residuals_ok else "fail",
-            "levels": list(levels),
-        }
-    )
+    checks.append(check("right-mult-exact-residual", residuals_ok, levels=list(levels)))
 
     rules = RuleSet(model=model, enabled=COLLAPSE_RULES)
     rep = reduce_element(_right_mult_total(model, max(levels)), rules, budget=budget)
     ok = rep.status == "normal-form" and rep.result == unit
     checks.append(
-        {
-            "id": "right-mult-unit-reduction",
-            "status": "pass" if ok else "fail",
-            "steps": rep.steps,
-            "rules": list(COLLAPSE_RULES),
-        }
+        check(
+            "right-mult-unit-reduction", ok, steps=rep.steps, rules=list(COLLAPSE_RULES)
+        )
     )
 
     # the flipped-sign tail variant must not close; its failure certifies
@@ -124,12 +116,12 @@ def right_mult_checks(levels=(2, 3, 6), budget: int = 20000) -> list:
     vrep = reduce_element(variant, rules, budget=budget)
     differs = (variant != expected) and (vrep.result != unit)
     checks.append(
-        {
-            "id": "right-mult-variant-necessity",
-            "kind": "variant-necessity",
-            "status": "pass" if differs else "fail",
-            "variant_residual_terms": len((variant - expected).terms),
-        }
+        check(
+            "right-mult-variant-necessity",
+            differs,
+            kind="variant-necessity",
+            variant_residual_terms=len((variant - expected).terms),
+        )
     )
     return checks
 
@@ -173,24 +165,18 @@ def punctured_checks(N: int, level: int = None) -> list:
     rhs1 = Element._trusted(al, acc)
     completion = Q(1, 2) * (fam_a(a, a, model).o(-1, g) + fam_am(a, a, g, model))
     ok1 = truncate(lhs1 - rhs1 + completion, pol) == zero
-    checks.append(
-        {
-            "id": f"derivative-transfer-{tag}",
-            "status": "pass" if ok1 else "fail",
-            "level": K,
-        }
-    )
+    checks.append(check(f"derivative-transfer-{tag}", ok1, level=K))
 
     # without the completion the residual is exactly -completion (alive, so
     # the two extra ideal members are necessary)
     vres = truncate(lhs1 - rhs1, pol)
     checks.append(
-        {
-            "id": f"derivative-transfer-variant-{tag}",
-            "kind": "variant-necessity",
-            "status": "pass" if vres == -1 * completion and vres != zero else "fail",
-            "residual_terms": len(vres.terms),
-        }
+        check(
+            f"derivative-transfer-variant-{tag}",
+            vres == -1 * completion and vres != zero,
+            kind="variant-necessity",
+            residual_terms=len(vres.terms),
+        )
     )
 
     # identity 2: D^N(a_N g) equals (-1)^{N+1} N! times an ideal combination,
@@ -209,25 +195,18 @@ def punctured_checks(N: int, level: int = None) -> list:
     inner2 = scalar_power_inner()
     factor = minus_one_pow(N + 1) * factorial(N)
     ok2 = aNg.D_pow(N) - factor * inner2 == zero
-    checks.append(
-        {
-            "id": f"scalar-power-{tag}",
-            "status": "pass" if ok2 else "fail",
-            "factor": str(Q(factor)),
-            "level": K,
-        }
-    )
+    checks.append(check(f"scalar-power-{tag}", ok2, factor=str(Q(factor)), level=K))
 
     # with factor 1 the combination closes only at N = 1
     vres2 = aNg.D_pow(N) - inner2
     expect_closed = N == 1
     checks.append(
-        {
-            "id": f"scalar-power-variant-{tag}",
-            "kind": "variant-necessity",
-            "status": "pass" if (vres2 == zero) == expect_closed else "fail",
-            "residual_terms": len(vres2.terms),
-        }
+        check(
+            f"scalar-power-variant-{tag}",
+            (vres2 == zero) == expect_closed,
+            kind="variant-necessity",
+            residual_terms=len(vres2.terms),
+        )
     )
 
     # identity 3: index transfer.  C(m+N, N) (a_N g)_m x equals the scaled
@@ -246,22 +225,10 @@ def punctured_checks(N: int, level: int = None) -> list:
             cases3 += 1
             if binom(m + N, N) * aNg.o(m, x) != transfer_rhs(m, x):
                 ok3 = False
-    checks.append(
-        {
-            "id": f"index-transfer-{tag}",
-            "status": "pass" if ok3 else "fail",
-            "cases": cases3,
-        }
-    )
+    checks.append(check(f"index-transfer-{tag}", ok3, cases=cases3))
 
     window_ok = all(binom(m + N, N) == 0 for m in range(-N, 0))
-    checks.append(
-        {
-            "id": f"binom-window-{tag}",
-            "status": "pass" if window_ok else "fail",
-            "window": [m for m in range(-N, 0)],
-        }
-    )
+    checks.append(check(f"binom-window-{tag}", window_ok, window=list(range(-N, 0))))
 
     # dropping the per-term (-1)^k k! weights and the overall scale breaks it
     m_wit = 1
@@ -271,13 +238,11 @@ def punctured_checks(N: int, level: int = None) -> list:
         e._add_into(acc, -binom(m_wit + N, k))
     plain = Element._trusted(al, acc)
     checks.append(
-        {
-            "id": f"index-transfer-variant-{tag}",
-            "kind": "variant-necessity",
-            "status": "pass"
-            if plain != binom(m_wit + N, N) * aNg.o(m_wit, g)
-            else "fail",
-        }
+        check(
+            f"index-transfer-variant-{tag}",
+            plain != binom(m_wit + N, N) * aNg.o(m_wit, g),
+            kind="variant-necessity",
+        )
     )
 
     # identity 4: the unit itself, exactly as an ideal combination.  The qa
@@ -294,13 +259,7 @@ def punctured_checks(N: int, level: int = None) -> list:
         return Element._trusted(al, acc)
 
     ok4 = unit_total(K) == unit and unit_total(K + 2) == unit
-    checks.append(
-        {
-            "id": f"unit-exact-{tag}",
-            "status": "pass" if ok4 else "fail",
-            "levels": [K, K + 2],
-        }
-    )
+    checks.append(check(f"unit-exact-{tag}", ok4, levels=[K, K + 2]))
 
     # classify every right-side piece by why it sits in the ideal
     pieces = [
@@ -319,11 +278,11 @@ def punctured_checks(N: int, level: int = None) -> list:
         ("tail products (a_N g)_m x, m >= 0 or m <= -N-1", "ideal by identity 3")
     )
     checks.append(
-        {
-            "id": f"piece-classification-{tag}",
-            "status": "pass" if ranges_ok else "fail",
-            "pieces": [{"piece": p, "why": w} for p, w in pieces],
-        }
+        check(
+            f"piece-classification-{tag}",
+            ranges_ok,
+            pieces=[{"piece": p, "why": w} for p, w in pieces],
+        )
     )
     return checks
 

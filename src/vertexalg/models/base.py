@@ -5,16 +5,41 @@ bilinear extensions, validation, commutative evaluation, module laws.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 from ..generators import TruncationPolicy, fam_am, fam_qa, fam_s
-from ..terms import Element, Leaf, Symbol, minus_one_pow
+from ..terms import Element, Leaf, Node, Symbol, minus_one_pow
 
 Q = Fraction
 
 
 class ModelDegreeError(ValueError):
     """A table result left the finite basis (degree cap)."""
+
+
+def check(cid: str, ok, **extra) -> dict:
+    """The one check record: {"id", "status", **extra}, status pass or
+    fail, extras in call order and left out when their value is None."""
+    status = "pass" if ok else "fail"
+    kept = {k: v for k, v in extra.items() if v is not None}
+    return {"id": cid, "status": status, **kept}
+
+
+def law_check(cid: str, cases, holds) -> dict:
+    """holds(*args) on every case of symbols; degree-cap cases are skipped
+    and counted, and the first failing case is the witness."""
+    total = skipped = 0
+    witness = None
+    for args in cases:
+        total += 1
+        try:
+            if not holds(*args):
+                witness = ", ".join(s.name for s in args)
+                break
+        except ModelDegreeError:
+            skipped += 1
+    return check(cid, witness is None, cases=total, skipped=skipped, witness=witness)
 
 
 @dataclass
@@ -136,17 +161,29 @@ class Model:
         return cs.to_element(total)
 
     def _comm_term(self, t, cs):
-        if isinstance(t, Leaf):
-            return cs.value(t.symbol)
-        n = t.index
-        if n >= 0:
-            return cs.zero()
-        k = -1 - n
-        left = self._comm_term(t.left, cs)
-        for _ in range(k):
-            left = cs.diff(left)
-        left = cs.scale(Q(1, factorial(k)), left)
-        return cs.mul(left, self._comm_term(t.right, cs))
+        # post-order walk with an explicit stack; products at n >= 0 vanish
+        # and their subtrees are never evaluated
+        order, stack = [], [t]
+        while stack:
+            s = stack.pop()
+            order.append(s)
+            if isinstance(s, Node) and s.index < 0:
+                stack.append(s.left)
+                stack.append(s.right)
+        vals = []
+        for s in reversed(order):
+            if isinstance(s, Leaf):
+                vals.append(cs.value(s.symbol))
+            elif s.index >= 0:
+                vals.append(cs.zero())
+            else:
+                right = vals.pop()
+                left = vals.pop()
+                k = -1 - s.index
+                for _ in range(k):
+                    left = cs.diff(left)
+                vals.append(cs.mul(cs.scale(Q(1, factorial(k)), left), right))
+        return vals[0]
 
 
 def evaluate(x: Element, model: Model, semantics: str = "commutative", **kw):
@@ -168,106 +205,59 @@ def evaluate(x: Element, model: Model, semantics: str = "commutative", **kw):
 def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> list:
     """Exhaustive symbol-level law checks; cap-exceeding cases are skipped
     and counted.  case_cap, when set, stride-samples each check's case list
-    down to that many (large alphabets).  Returns {id, status, ...} dicts."""
+    down to that many (large alphabets).  Returns check records."""
     syms = model.symbols()
     if pair_cap is not None:
         syms = syms[:pair_cap]
     lie = [s for s in syms if s.kind == "lie"]
     comm = [s for s in syms if s.kind in ("algebra", "unit")]
-    checks = []
 
-    def run(check_id, fn):
-        ok, skipped, total, witness = True, 0, 0, None
-        cases = fn.cases()
-        if case_cap is not None and len(cases) > case_cap:
-            stride = len(cases) // case_cap + 1
-            cases = cases[::stride]
-        for args in cases:
-            total += 1
-            try:
-                if not fn(*args):
-                    ok = False
-                    witness = ", ".join(s.name for s in args)
-                    break
-            except ModelDegreeError:
-                skipped += 1
-        checks.append(
-            {
-                "id": check_id,
-                "status": "pass" if ok else "fail",
-                "cases": total,
-                "skipped": skipped,
-                **({"witness": witness} if witness else {}),
-            }
-        )
-
-    def pairs(xs, ys):
-        return [(a, b) for a in xs for b in ys]
-
-    def triples(xs, ys, zs):
-        return [(a, b, c) for a in xs for b in ys for c in zs]
+    def leaf(s):
+        return Element.of_term(model.alphabet, Leaf(s))
 
     def bracket_antisym(s, t):
         koszul = minus_one_pow(s.parity * t.parity)
         return model.bracket(s, t) == -koszul * model.bracket(t, s)
 
-    bracket_antisym.cases = lambda: pairs(syms, syms)
-
     def product_comm(a, b):
         return model.mul(a, b) == minus_one_pow(a.parity * b.parity) * model.mul(b, a)
 
-    product_comm.cases = lambda: pairs(comm, comm)
-
     def jacobi(s, t, u):
-        lhs = model.bracket_elem(
-            Element.of_term(model.alphabet, Leaf(s)), model.bracket(t, u)
-        )
-        rhs = model.bracket_elem(
-            model.bracket(s, t), Element.of_term(model.alphabet, Leaf(u))
-        ) + minus_one_pow(s.parity * t.parity) * model.bracket_elem(
-            Element.of_term(model.alphabet, Leaf(t)), model.bracket(s, u)
-        )
+        lhs = model.bracket_elem(leaf(s), model.bracket(t, u))
+        rhs = model.bracket_elem(model.bracket(s, t), leaf(u)) + minus_one_pow(
+            s.parity * t.parity
+        ) * model.bracket_elem(leaf(t), model.bracket(s, u))
         return lhs == rhs
-
-    jacobi.cases = lambda: triples(syms, syms, syms)
 
     def compat(g, a, x):
         # bracket is a superderivation over the action/product
-        lhs = model.bracket_elem(
-            Element.of_term(model.alphabet, Leaf(g)), model.act(a, x)
-        )
-        rhs = model.act_elem(
-            model.bracket(g, a), Element.of_term(model.alphabet, Leaf(x))
-        ) + minus_one_pow(g.parity * a.parity) * model.act_elem(
-            Element.of_term(model.alphabet, Leaf(a)), model.bracket(g, x)
-        )
+        lhs = model.bracket_elem(leaf(g), model.act(a, x))
+        rhs = model.act_elem(model.bracket(g, a), leaf(x)) + minus_one_pow(
+            g.parity * a.parity
+        ) * model.act_elem(leaf(a), model.bracket(g, x))
         return lhs == rhs
-
-    compat.cases = lambda: triples(lie, comm, syms)
 
     def action_assoc(a, b, x):
-        lhs = model.act_elem(
-            model.mul(a, b), Element.of_term(model.alphabet, Leaf(x))
+        return model.act_elem(model.mul(a, b), leaf(x)) == model.act_elem(
+            leaf(a), model.act(b, x)
         )
-        rhs = model.act_elem(
-            Element.of_term(model.alphabet, Leaf(a)), model.act(b, x)
-        )
-        return lhs == rhs
-
-    action_assoc.cases = lambda: triples(comm, comm, syms)
 
     def unit_laws(x):
-        one = model.alphabet.unit
-        return model.act(one, x) == Element.of_term(model.alphabet, Leaf(x))
+        return model.act(model.alphabet.unit, x) == leaf(x)
 
-    unit_laws.cases = lambda: [(s,) for s in syms]
-
-    run("bracket-antisymmetry", bracket_antisym)
-    run("product-commutativity", product_comm)
-    run("jacobi", jacobi)
-    run("bracket-derivation-compat", compat)
-    run("action-associativity", action_assoc)
-    run("unit-action", unit_laws)
+    checks = []
+    for cid, holds, cases in (
+        ("bracket-antisymmetry", bracket_antisym, product(syms, syms)),
+        ("product-commutativity", product_comm, product(comm, comm)),
+        ("jacobi", jacobi, product(syms, syms, syms)),
+        ("bracket-derivation-compat", compat, product(lie, comm, syms)),
+        ("action-associativity", action_assoc, product(comm, comm, syms)),
+        ("unit-action", unit_laws, product(syms)),
+    ):
+        cases = list(cases)
+        if case_cap is not None and len(cases) > case_cap:
+            cases = cases[:: len(cases) // case_cap + 1]
+        checks.append(law_check(cid, cases, holds))
     return checks
 
 

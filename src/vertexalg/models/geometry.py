@@ -24,7 +24,7 @@ derivative, the curvature two-form, and the vector-field bracket.
 from fractions import Fraction
 
 from ..terms import Alphabet, Element, Symbol, minus_one_pow
-from .base import Model, ModelDegreeError
+from .base import Model, ModelDegreeError, check
 from .polys import Poly1, Poly2
 
 Q = Fraction
@@ -169,7 +169,7 @@ class Op:
         return sec_clean(self.fn(s))
 
     def commutator(self, other) -> "Op":
-        sign = -1 if (self.parity * other.parity) % 2 else 1
+        sign = minus_one_pow(self.parity * other.parity)
 
         def fn(s):
             return sec_add(self(other(s)), sec_scale(-sign, other(self(s))))
@@ -573,7 +573,7 @@ def _derham1_checks(model: Model) -> list:
             lhs = w1_add(w1_d(w1_iota(p, u)), w1_iota(p, w1_d(u)))
             if lhs != w1_lie_oracle(p, u):
                 ok = False
-    checks.append({"id": "cartan", "status": "pass" if ok else "fail", "cases": cases})
+    checks.append(check("cartan", ok, cases=cases))
 
     # contraction squares to zero
     ok, cases = True, 0
@@ -582,9 +582,7 @@ def _derham1_checks(model: Model) -> list:
             cases += 1
             if w1_iota(p, w1_iota(p, u)) != w1_zero():
                 ok = False
-    checks.append(
-        {"id": "iota-squared", "status": "pass" if ok else "fail", "cases": cases}
-    )
+    checks.append(check("iota-squared", ok, cases=cases))
 
     # Koszul antisymmetry of the wedge on odd symbol pairs
     odd = [s for s in model.symbols(("algebra",)) if s.parity == 1]
@@ -594,9 +592,7 @@ def _derham1_checks(model: Model) -> list:
             cases += 1
             if model.mul(a, b) != -1 * model.mul(b, a):
                 ok = False
-    checks.append(
-        {"id": "koszul-odd-pairs", "status": "pass" if ok else "fail", "cases": cases}
-    )
+    checks.append(check("koszul-odd-pairs", ok, cases=cases))
 
     # symbol-table brackets match operator commutators on the form battery
     ok, cases, skipped = True, 0, 0
@@ -614,19 +610,14 @@ def _derham1_checks(model: Model) -> list:
                 rhs = w1_add(
                     _apply_sym1(model, s, _apply_sym1(model, t, u)),
                     w1_scale(
-                        1 if (s.parity * t.parity) % 2 else -1,
+                        -minus_one_pow(s.parity * t.parity),
                         _apply_sym1(model, t, _apply_sym1(model, s, u)),
                     ),
                 )
                 if lhs != rhs:
                     ok = False
     checks.append(
-        {
-            "id": "bracket-table-vs-operators",
-            "status": "pass" if ok else "fail",
-            "cases": cases,
-            "skipped": skipped,
-        }
+        check("bracket-table-vs-operators", ok, cases=cases, skipped=skipped)
     )
     return checks
 
@@ -682,12 +673,9 @@ def _derham2_checks(model: Model) -> list:
         if not sec_eq(nab(nab(s)), sec_clean(expect)):
             ok = False
     checks.append(
-        {
-            "id": "curvature",
-            "status": "pass" if (ok and ok_engine) else "fail",
-            "cases": cases,
-            "oracle_matches_engine": ok_engine,
-        }
+        check(
+            "curvature", ok and ok_engine, cases=cases, oracle_matches_engine=ok_engine
+        )
     )
 
     # the twisted-derivative formula: which variant equals [nabla, iota_X]
@@ -710,11 +698,11 @@ def _derham2_checks(model: Model) -> list:
                 break
         variant_results[variant] = all_ok
     checks.append(
-        {
-            "id": "twisted-derivative-variants",
-            "status": "pass" if any(variant_results.values()) else "fail",
-            "holds": variant_results,
-        }
+        check(
+            "twisted-derivative-variants",
+            any(variant_results.values()),
+            holds=variant_results,
+        )
     )
 
     # [twisted_X, iota_Y] = iota_[X,Y] with the vector-field oracle
@@ -735,13 +723,7 @@ def _derham2_checks(model: Model) -> list:
                 cases += 1
                 if not sec_eq(got(s), expect(s)):
                     ok = False
-    checks.append(
-        {
-            "id": "twisted-contraction-bracket",
-            "status": "pass" if ok else "fail",
-            "cases": cases,
-        }
-    )
+    checks.append(check("twisted-contraction-bracket", ok, cases=cases))
 
     # symbol-table brackets match operator commutators on sections
     ok, cases, skipped = True, 0, 0
@@ -765,12 +747,7 @@ def _derham2_checks(model: Model) -> list:
             if not sec_eq(comm(sec), _apply_elem2(model, table, sec)):
                 ok = False
     checks.append(
-        {
-            "id": "bracket-table-vs-operators",
-            "status": "pass" if ok else "fail",
-            "cases": cases,
-            "skipped": skipped,
-        }
+        check("bracket-table-vs-operators", ok, cases=cases, skipped=skipped)
     )
     return checks
 

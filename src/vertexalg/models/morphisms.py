@@ -9,10 +9,11 @@ generator-family instances of the images.
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from ..generators import fam_a, fam_i, fam_s
 from ..terms import Element, Leaf
-from .base import Model, ModelDegreeError
+from .base import Model, ModelDegreeError, law_check
 
 Q = Fraction
 
@@ -74,59 +75,33 @@ def identity_morphism(model: Model) -> Morphism:
 def validate_morphism(phi: Morphism) -> list:
     """Symbol-level law checks; degree-cap cases are skipped and counted."""
     src, tgt = phi.source, phi.target
+    img = phi.image_of_symbol
     syms = src.symbols()
     lie = [s for s in syms if s.kind == "lie"]
     comm = [s for s in syms if s.kind in ("algebra", "unit")]
-    checks = []
-
-    def law(check_id, cases, lhs_fn, rhs_fn):
-        ok, skipped, total, witness = True, 0, 0, None
-        for args in cases:
-            total += 1
-            try:
-                if lhs_fn(*args) != rhs_fn(*args):
-                    ok = False
-                    witness = ", ".join(s.name for s in args)
-                    break
-            except ModelDegreeError:
-                skipped += 1
-        checks.append(
-            {
-                "id": check_id,
-                "status": "pass" if ok else "fail",
-                "cases": total,
-                "skipped": skipped,
-                **({"witness": witness} if witness else {}),
-            }
-        )
-
-    law(
-        "unit",
-        [(src.alphabet.unit,)],
-        lambda s: phi.image_of_symbol(s),
-        lambda s: Element.unit(tgt.alphabet),
-    )
-    law(
-        "bracket",
-        [(s, t) for s in syms for t in syms],
-        lambda s, t: phi.apply(src.bracket(s, t)),
-        lambda s, t: tgt.bracket_elem(
-            phi.image_of_symbol(s), phi.image_of_symbol(t)
+    return [
+        law_check(
+            "unit",
+            [(src.alphabet.unit,)],
+            lambda s: img(s) == Element.unit(tgt.alphabet),
         ),
-    )
-    law(
-        "product",
-        [(a, b) for a in comm for b in comm],
-        lambda a, b: phi.apply(src.mul(a, b)),
-        lambda a, b: tgt.mul_elem(phi.image_of_symbol(a), phi.image_of_symbol(b)),
-    )
-    law(
-        "action",
-        [(a, g) for a in comm for g in lie],
-        lambda a, g: phi.apply(src.act(a, g)),
-        lambda a, g: tgt.act_elem(phi.image_of_symbol(a), phi.image_of_symbol(g)),
-    )
-    return checks
+        law_check(
+            "bracket",
+            product(syms, syms),
+            lambda s, t: phi.apply(src.bracket(s, t))
+            == tgt.bracket_elem(img(s), img(t)),
+        ),
+        law_check(
+            "product",
+            product(comm, comm),
+            lambda a, b: phi.apply(src.mul(a, b)) == tgt.mul_elem(img(a), img(b)),
+        ),
+        law_check(
+            "action",
+            product(comm, lie),
+            lambda a, g: phi.apply(src.act(a, g)) == tgt.act_elem(img(a), img(g)),
+        ),
+    ]
 
 
 def random_element(model: Model, rng, max_length: int = 4) -> Element:

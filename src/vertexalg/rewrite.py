@@ -18,6 +18,7 @@ nothing (no confluence claim is made).
 """
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .generators import TruncationPolicy, _term_is_dead, truncate
 from .terms import Element, Leaf, Node, term_length
@@ -36,6 +37,8 @@ RULE_ORDER = (
 STOCK_RULES = ("unit_left", "bracket", "scalar", "unit_strip", "locality_kill")
 
 PROJECTION_RULES = ("unit_identity", "bracket", "scalar", "unit_strip")
+
+_ONE = Fraction(1)
 
 
 @dataclass
@@ -148,21 +151,35 @@ def _one_pass(x: Element, rules: RuleSet, counter: list) -> Element:
 
 
 def _pass_term(t, al, rules: RuleSet, counter: list) -> Element:
-    if isinstance(t, Leaf):
-        return Element.of_term(al, t)
-    left = _pass_term(t.left, al, rules, counter)
-    right = _pass_term(t.right, al, rules, counter)
-    acc = {}
-    for lt, lc in left.terms.items():
-        for rt, rc in right.terms.items():
-            node = Node(t.index, lt, rt)
-            hit = rules.apply_at_root(node, al)
-            if hit is None:
-                Element.of_term(al, node)._add_into(acc, lc * rc)
-            else:
-                counter[0] += 1
-                hit[1]._add_into(acc, lc * rc)
-    return Element._trusted(al, acc)
+    # post-order walk with an explicit stack: the left subtree, then the
+    # right one, then the rules at every node of the children's product
+    order, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        order.append(s)
+        if isinstance(s, Node):
+            stack.append(s.left)
+            stack.append(s.right)
+    vals = []
+    for s in reversed(order):
+        if isinstance(s, Leaf):
+            vals.append(Element._trusted(al, {s: _ONE}))
+            continue
+        right = vals.pop()
+        left = vals.pop()
+        acc = {}
+        for lt, lc in left.terms.items():
+            for rt, rc in right.terms.items():
+                node = Node(s.index, lt, rt)
+                hit = rules.apply_at_root(node, al)
+                if hit is None:
+                    image = Element._trusted(al, {node: _ONE})
+                else:
+                    counter[0] += 1
+                    image = hit[1]
+                image._add_into(acc, lc * rc)
+        vals.append(Element._trusted(al, acc))
+    return vals[0]
 
 
 def reduce_element(

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction as Q
 
 from .intervals import SupportSet, overlap_core
+from .models.base import check
 from .models.polys import PolyVars
 from .rewrite import ReductionReport, RuleSet, reduce_element
 from .terms import Alphabet, Element, Leaf, Node, Symbol, leaves
@@ -484,13 +485,8 @@ def sheaf_axiom_check(cover, sections, context: SheafContext,
     difference rho o (x - sigma*x)) has empty semantic support, so pi
     kills it and k returns it whole.
     """
-    checks = []
-
-    def add(cid, ok, detail=""):
-        checks.append({"id": cid, "ok": bool(ok), "detail": detail})
-
     problems = check_cover(cover, context)
-    add("cover-geometry", not problems, "; ".join(problems))
+    checks = [check("cover-geometry", not problems, detail="; ".join(problems))]
 
     for i in range(len(cover)):
         for j in range(i + 1, len(cover)):
@@ -499,10 +495,10 @@ def sheaf_axiom_check(cover, sections, context: SheafContext,
                 continue
             a = restrict(sections[i], meet, context)
             b = restrict(sections[j], meet, context)
-            add(f"overlap-{cover[i].name}-{cover[j].name}", a == b,
-                f"on {meet}")
+            checks.append(check(f"overlap-{cover[i].name}-{cover[j].name}",
+                                a == b, detail=f"on {meet}"))
 
-    if any(not c["ok"] for c in checks):
+    if any(c["status"] == "fail" for c in checks):
         return checks
 
     al = context.alphabet
@@ -517,34 +513,38 @@ def sheaf_axiom_check(cover, sections, context: SheafContext,
     g0 = glued
     g1 = rho_sum([sigma_star(p.sigma, x, context)
                   for p, x in zip(cover, sections)])
-    add("glue-definition", g0 == g1)
+    checks.append(check("glue-definition", g0 == g1))
 
     g2 = rho_sum(sections)
-    add("strip-sigma", semantic_support(g1 - g2, context).is_empty(),
-        "rho kills x - sigma*x")
+    checks.append(check("strip-sigma", semantic_support(g1 - g2, context).is_empty(),
+                        detail="rho kills x - sigma*x"))
 
     for i, p in enumerate(cover):
         gi2 = rho_sum([sections[i]] * len(cover))
         d = restrict(g2 - gi2, p.window, context)
-        add(f"swap-to-{p.name}", semantic_support(d, context).is_empty(),
-            "neighbour sections agree under each rho inside this window")
+        checks.append(check(
+            f"swap-to-{p.name}", semantic_support(d, context).is_empty(),
+            detail="neighbour sections agree under each rho inside this window"))
 
         gi3 = Element.unit(al).o(-1, sections[i])
-        add(f"partition-collapse-{p.name}",
+        checks.append(check(
+            f"partition-collapse-{p.name}",
             semantic_support(gi2 - gi3, context).is_empty(),
-            "sum of rhos is 1")
+            detail="sum of rhos is 1"))
 
         rep = _unit_reduce(restrict(gi3, p.window, context)
                            - restrict(sections[i], p.window, context))
-        add(f"unit-strip-{p.name}",
+        checks.append(check(
+            f"unit-strip-{p.name}",
             bool(rep) and rep.result == Element.zero(al),
-            f"{rep.steps} rewrite steps")
+            detail=f"{rep.steps} rewrite steps"))
 
-        hops = [c["ok"] for c in checks if c["id"] in
+        hops = [c["status"] == "pass" for c in checks if c["id"] in
                 ("glue-definition", "strip-sigma", f"swap-to-{p.name}",
                  f"partition-collapse-{p.name}", f"unit-strip-{p.name}")]
-        add(f"restricts-to-{p.name}", all(hops),
-            "restrict(glue) = local section modulo the kernel ideal")
+        checks.append(check(
+            f"restricts-to-{p.name}", all(hops),
+            detail="restrict(glue) = local section modulo the kernel ideal"))
 
     if probe is None:
         p0 = cover[0]
@@ -554,8 +554,8 @@ def sheaf_axiom_check(cover, sections, context: SheafContext,
     empty = semantic_support(probe, context).is_empty()
     killed = pi(probe, context) == Element.zero(al)
     whole = k_generator(probe, context) == probe
-    add("uniqueness-probe", empty and killed and whole,
-        "empty support forces membership in the kernel ideal")
+    checks.append(check("uniqueness-probe", empty and killed and whole,
+                        detail="empty support forces membership in the kernel ideal"))
     return checks
 
 
@@ -563,18 +563,16 @@ def sheaf_axiom_check(cover, sections, context: SheafContext,
 
 
 def bump_support_check(sigma, x: Element, window: SupportSet,
-                       core: SupportSet, context: SheafContext):
+                       core: SupportSet, context: SheafContext) -> bool:
     """x - sigma*x lives on cl(int(window) - core) when every slot of x
     lives inside the window and sigma is 1 on the core."""
     diff = x - sigma_star(sigma, x, context)
     region = window.interior().minus(core).closure()
-    got = semantic_support(diff, context)
-    return {"ok": got.subset_of(region), "support": str(got),
-            "region": str(region)}
+    return semantic_support(diff, context).subset_of(region)
 
 
 def rho_transfer_check(rho, sigma, x: Element, n: int,
-                       context: SheafContext):
+                       context: SheafContext) -> bool:
     """rho o_n x = rho o_n (sigma*x) modulo the kernel ideal, when rho
     lives inside sigma's plateau."""
     al = context.alphabet
@@ -582,7 +580,7 @@ def rho_transfer_check(rho, sigma, x: Element, n: int,
     diff = r.o(n, x) - r.o(n, sigma_star(sigma, x, context))
     empty = semantic_support(diff, context).is_empty()
     killed = pi(diff, context) == Element.zero(al)
-    return {"ok": empty and killed, "support": str(semantic_support(diff, context))}
+    return empty and killed
 
 
 # -- shipped covers -------------------------------------------------------------

@@ -2,14 +2,33 @@
 
 Each suite replays one battery of checks at desk scale: random instances
 are drawn from a seeded generator, every comparison is exact rational
-arithmetic, and the outcome is a JSON-ready report.  A check ends in one
-of three states: pass, fail, or budget (a reduction ran out of steps
-without deciding anything; listed, never a failure by itself).
+arithmetic, and the outcome is a JSON-ready report.  Report counts have
+three states: pass, fail, or budget (a reduction ran out of steps without
+deciding anything; listed, never a failure by itself).
+
+Check records.  Every check in every report is one dict built by
+models.base.check, the same constructor the model, morphism, collapse,
+geometry and sheaf checks use.  Required fields, in this order:
+
+  id       name of the check, unique within its suite
+  status   "pass" or "fail"
+  millis   wall milliseconds of the smallest unit that produced it
+
+Optional fields follow, present only where they apply:
+
+  samples, cases   how many random instances or enumerated cases ran
+  skipped          cases left out because a product passed a degree cap
+  witness          the first failing input: a term in the term grammar,
+                   symbol names, or a list of failed laws
+  kind             errata-candidate, display-variant or variant-necessity
+  counts           per-law tallies of a sampled battery
+
+and check-specific details (levels, steps, rules, ranks, bounds, ...).
 
 Reports are deterministic per seed up to the millis fields.  Checks are
 ordered by id.  millis is measured around the smallest unit that
-produced the check, so pass-through batteries (collapse, geometry) share
-one timing across their batch.
+produced the check, so batteries produced by one call (model and
+morphism laws, collapse, geometry) share one timing across their batch.
 """
 
 import json
@@ -37,7 +56,7 @@ from .generators import (
     truncate,
 )
 from .intervals import SupportSet
-from .models.base import ModelDegreeError, check_module_laws, validate_model
+from .models.base import ModelDegreeError, check, check_module_laws, validate_model
 from .models.factory import shipped_model
 from .models.geometry import classical_geometry_checks
 from .models.morphisms import shipped_morphisms, validate_morphism
@@ -106,10 +125,16 @@ def _ms(t0: float) -> int:
     return int((time.perf_counter() - t0) * 1000)
 
 
-def _check(cid: str, ok, t0: float, **extra) -> dict:
-    out = {"id": cid, "status": "pass" if ok else "fail", "millis": _ms(t0)}
-    out.update(extra)
-    return out
+def _batch(prefix: str, produce, *args, **kw) -> list:
+    """Time one producer of check records, prefix their ids, and give each
+    record the batch's millis."""
+    t0 = time.perf_counter()
+    batch = produce(*args, **kw)
+    ms = _ms(t0)
+    for c in batch:
+        c["id"] = prefix + c["id"]
+        c["millis"] = ms
+    return batch
 
 
 def _witness(lhs: Element, rhs: Element) -> str:
@@ -191,10 +216,16 @@ def _suite_commutative(cfg: SuiteConfig) -> list:
             if not val.is_zero():
                 witness = to_text(gen)
                 break
-        extra = {"samples": done, "skipped": skipped}
-        if witness:
-            extra["witness"] = witness
-        checks.append(_check(f"commutative-{fam_id}", witness is None, t0, **extra))
+        checks.append(
+            check(
+                f"commutative-{fam_id}",
+                witness is None,
+                millis=_ms(t0),
+                samples=done,
+                skipped=skipped,
+                witness=witness,
+            )
+        )
     return checks
 
 
@@ -237,10 +268,9 @@ def _suite_borcherds(cfg: SuiteConfig) -> list:
             if lhs != rhs:
                 witness = _witness(lhs, rhs)
                 break
-        extra = {"samples": per}
-        if witness:
-            extra["witness"] = witness
-        checks.append(_check(ident, witness is None, t0, **extra))
+        checks.append(
+            check(ident, witness is None, millis=_ms(t0), samples=per, witness=witness)
+        )
 
     # the other published reading of the i lowering: fails syntactically,
     # holds under the commutative oracle; reported per the errata contract
@@ -269,17 +299,17 @@ def _suite_borcherds(cfg: SuiteConfig) -> list:
             break
     is_errata = syn_fails > 0 and sem_ok
     accepted = is_errata and "i-induction" in cfg.errata_ok
-    extra = {
-        "samples": trials,
-        "syntactic_failures": syn_fails,
-        "semantic_oracle": "pass" if sem_ok else "fail",
-    }
-    if is_errata:
-        extra["kind"] = "errata-candidate"
-    if witness:
-        extra["witness"] = witness
     checks.append(
-        _check("i-induction-reading-1", syn_fails == 0 or accepted, t0, **extra)
+        check(
+            "i-induction-reading-1",
+            syn_fails == 0 or accepted,
+            millis=_ms(t0),
+            samples=trials,
+            syntactic_failures=syn_fails,
+            semantic_oracle="pass" if sem_ok else "fail",
+            kind="errata-candidate" if is_errata else None,
+            witness=witness,
+        )
     )
     return checks
 
@@ -305,11 +335,14 @@ def _suite_commutator(cfg: SuiteConfig) -> list:
                 if lhs != rhs:
                     witness = _witness(lhs, rhs)
                     break
-            extra = {"samples": per}
-            if witness:
-                extra["witness"] = witness
             checks.append(
-                _check(f"commutator-m{m}-n{n}", witness is None, t0, **extra)
+                check(
+                    f"commutator-m{m}-n{n}",
+                    witness is None,
+                    millis=_ms(t0),
+                    samples=per,
+                    witness=witness,
+                )
             )
 
     # semantic form of the same decomposition in the polynomial model
@@ -335,10 +368,15 @@ def _suite_commutator(cfg: SuiteConfig) -> list:
         if not d.is_zero():
             witness = f"m={m} n={n}: " + to_text(lhs - rhs)
             break
-    extra = {"samples": done}
-    if witness:
-        extra["witness"] = witness
-    checks.append(_check("commutator-semantic-diffpoly", witness is None, t0, **extra))
+    checks.append(
+        check(
+            "commutator-semantic-diffpoly",
+            witness is None,
+            millis=_ms(t0),
+            samples=done,
+            witness=witness,
+        )
+    )
     return checks
 
 
@@ -355,16 +393,16 @@ def _suite_dong(cfg: SuiteConfig) -> list:
             r = dong_rank(M, m)
             table[f"M{M}-m{m}"] = r
             ok = ok and r == M
-    checks.append(_check("dong-rank-grid", ok, t0, ranks=table))
+    checks.append(check("dong-rank-grid", ok, millis=_ms(t0), ranks=table))
 
     t0 = time.perf_counter()
     frozen = [[Q(1), Q(4)], [Q(1), Q(3)], [Q(1), Q(2)]]
     got = dong_matrix(2, 4)
     checks.append(
-        _check(
+        check(
             "dong-matrix-frozen",
             [list(row) for row in got] == frozen,
-            t0,
+            millis=_ms(t0),
             matrix=[[str(v) for v in row] for row in got],
         )
     )
@@ -391,7 +429,7 @@ def _suite_dong(cfg: SuiteConfig) -> list:
         if truncate(lhs, pol) != truncate(-1 * row, pol):
             ok = False
             break
-    checks.append(_check("dong-row-commutator-tie", ok, t0, M=M, m=m))
+    checks.append(check("dong-row-commutator-tie", ok, millis=_ms(t0), M=M, m=m))
 
     t0 = time.perf_counter()
     dt = DongTable(pol)
@@ -404,7 +442,9 @@ def _suite_dong(cfg: SuiteConfig) -> list:
         bounds[f"r{r}"] = got_bound
         if got_bound != max(0, 3 * cfg.locality - r):
             ok = False
-    checks.append(_check("dong-derived-locality-table", ok, t0, bounds=bounds))
+    checks.append(
+        check("dong-derived-locality-table", ok, millis=_ms(t0), bounds=bounds)
+    )
 
     t0 = time.perf_counter()
     ok = True
@@ -419,7 +459,9 @@ def _suite_dong(cfg: SuiteConfig) -> list:
         except CertificationError:
             sharp = True
         ok = ok and sharp and cert.get("generator") == 1
-    checks.append(_check("dong-tail-certificates", ok, t0, certificates=detail))
+    checks.append(
+        check("dong-tail-certificates", ok, millis=_ms(t0), certificates=detail)
+    )
     return checks
 
 
@@ -451,7 +493,9 @@ def _suite_injectivity(cfg: SuiteConfig) -> list:
             ok = False
             break
     checks.append(
-        _check("projection-idempotent", ok, t0, samples=done, skipped=skipped)
+        check(
+            "projection-idempotent", ok, millis=_ms(t0), samples=done, skipped=skipped
+        )
     )
 
     t0 = time.perf_counter()
@@ -459,7 +503,7 @@ def _suite_injectivity(cfg: SuiteConfig) -> list:
         R_project(Element.sym(al, nm), model).result == Element.sym(al, nm)
         for nm in al.names()
     )
-    checks.append(_check("projection-fixes-leaves", ok, t0))
+    checks.append(check("projection-fixes-leaves", ok, millis=_ms(t0)))
 
     t0 = time.perf_counter()
     witness = None
@@ -483,10 +527,16 @@ def _suite_injectivity(cfg: SuiteConfig) -> list:
                 break
         if witness:
             break
-    extra = {"samples": count, "skipped": skipped}
-    if witness:
-        extra["witness"] = witness
-    checks.append(_check("generator-images-no-length-one", witness is None, t0, **extra))
+    checks.append(
+        check(
+            "generator-images-no-length-one",
+            witness is None,
+            millis=_ms(t0),
+            samples=count,
+            skipped=skipped,
+            witness=witness,
+        )
+    )
 
     # the published image table's n=0 row under its string reading vs the
     # structural projection; structural wins, recorded as a variant
@@ -494,10 +544,10 @@ def _suite_injectivity(cfg: SuiteConfig) -> list:
     gen = fam_d(Element.sym(al, "b"), Element.sym(al, "b2"), 0)
     image = R_project(gen, model).result
     checks.append(
-        _check(
+        check(
             "display-variant-n0-row",
             length_one_component(image).is_zero(),
-            t0,
+            millis=_ms(t0),
             kind="display-variant",
             structural_image=to_text(image),
         )
@@ -513,34 +563,23 @@ def _suite_souped(cfg: SuiteConfig) -> list:
     per = cfg.n_samples(100)
     for name in ("diffpoly", "weyl1", "current2", "current3"):
         model = shipped_model(name)
-        t0 = time.perf_counter()
-        batch = validate_model(model, pair_cap=40, case_cap=200)
-        ms = _ms(t0)
-        for c in batch:
-            c["id"] = f"{name}-{c['id']}"
-            c.setdefault("millis", ms)
-        checks.extend(batch)
+        checks.extend(
+            _batch(f"{name}-", validate_model, model, pair_cap=40, case_cap=200)
+        )
         t0 = time.perf_counter()
         laws = check_module_laws(
             model, policy=cfg.policy(), samples=per, seed=cfg.seed
         )
-        extra = {
-            "samples": per,
-            "counts": {
-                k: laws[k]
-                for k in (
-                    "law1_reduced",
-                    "law1_exact",
-                    "law2_reduced",
-                    "law2_exact",
-                    "skipped",
-                )
-            },
-        }
-        if laws["failures"]:
-            extra["witness"] = str(laws["failures"][:2])
+        counts = ("law1_reduced", "law1_exact", "law2_reduced", "law2_exact", "skipped")
         checks.append(
-            _check(f"{name}-module-laws", laws["status"] == "pass", t0, **extra)
+            check(
+                f"{name}-module-laws",
+                laws["status"] == "pass",
+                millis=_ms(t0),
+                samples=per,
+                counts={k: laws[k] for k in counts},
+                witness=str(laws["failures"][:2]) if laws["failures"] else None,
+            )
         )
     return checks
 
@@ -549,20 +588,11 @@ def _suite_souped(cfg: SuiteConfig) -> list:
 
 
 def _suite_collapse(cfg: SuiteConfig) -> list:
-    checks = []
-    t0 = time.perf_counter()
-    batch = right_mult_checks(levels=(2, 3, 6), budget=cfg.budget)
-    ms = _ms(t0)
-    for c in batch:
-        c.setdefault("millis", ms)
-    checks.extend(batch)
+    checks = _batch("", right_mult_checks, levels=(2, 3, 6), budget=cfg.budget)
     for N in (1, 2):
-        t0 = time.perf_counter()
-        batch = punctured_checks(N, level=max(N + 6, cfg.trunc_level))
-        ms = _ms(t0)
-        for c in batch:
-            c.setdefault("millis", ms)
-        checks.extend(batch)
+        checks.extend(
+            _batch("", punctured_checks, N, level=max(N + 6, cfg.trunc_level))
+        )
     return checks
 
 
@@ -576,20 +606,19 @@ def _suite_functor(cfg: SuiteConfig) -> list:
         model = shipped_model(name)
         phi, psi = shipped_morphisms(model)
         for mor in (phi, psi):
-            t0 = time.perf_counter()
-            batch = validate_morphism(mor)
-            ms = _ms(t0)
-            for c in batch:
-                c["id"] = f"{name}-{mor.name}-{c['id']}"
-                c.setdefault("millis", ms)
-            checks.extend(batch)
+            checks.extend(_batch(f"{name}-{mor.name}-", validate_morphism, mor))
         t0 = time.perf_counter()
         laws = _functor_laws(phi, psi, samples=per, seed=cfg.seed)
-        extra = {"samples": per, "counts": laws["counts"], "skipped": laws["skipped"]}
-        if laws["failures"]:
-            extra["witness"] = str(laws["failures"][:2])
         checks.append(
-            _check(f"functor-laws-{name}", laws["status"] == "pass", t0, **extra)
+            check(
+                f"functor-laws-{name}",
+                laws["status"] == "pass",
+                millis=_ms(t0),
+                samples=per,
+                counts=laws["counts"],
+                skipped=laws["skipped"],
+                witness=str(laws["failures"][:2]) if laws["failures"] else None,
+            )
         )
     return checks
 
@@ -653,7 +682,7 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
         if pi(p, ctx) != p or pi(k_generator(x, ctx), ctx) != Element.zero(al):
             ok = False
             break
-    checks.append(_check("projection-idempotent", ok, t0, samples=per))
+    checks.append(check("projection-idempotent", ok, millis=_ms(t0), samples=per))
 
     # all-or-nothing on instances over two distinct sections; same-base
     # windowed pairs can cancel class-by-class and are a different statement
@@ -693,7 +722,7 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
             break
     ok = ok and kills > 0 and keeps > 0
     checks.append(
-        _check("generator-all-or-nothing", ok, t0, kept=keeps, killed=kills)
+        check("generator-all-or-nothing", ok, millis=_ms(t0), kept=keeps, killed=kills)
     )
 
     for tag, (ctx_i, cover_i) in covers.items():
@@ -704,14 +733,18 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
         for p in cover_i:
             for _ in range(per_patch):
                 x = _rand_windowed(ctx_i, names, p.window, rng, 5)
-                r = bump_support_check(p.sigma, x, p.window, p.core, ctx_i)
-                if not r["ok"]:
+                if not bump_support_check(p.sigma, x, p.window, p.core, ctx_i):
                     ok = False
                     break
             if not ok:
                 break
         checks.append(
-            _check(f"bump-difference-inclusion-{tag}", ok, t0, per_patch=per_patch)
+            check(
+                f"bump-difference-inclusion-{tag}",
+                ok,
+                millis=_ms(t0),
+                per_patch=per_patch,
+            )
         )
 
         t0 = time.perf_counter()
@@ -719,15 +752,15 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
         for p in cover_i:
             for n in (-2, -1, 0, 2):
                 x = _rand_windowed(ctx_i, names, p.window, rng, 4)
-                if not rho_transfer_check(p.rho, p.sigma, x, n, ctx_i)["ok"]:
+                if not rho_transfer_check(p.rho, p.sigma, x, n, ctx_i):
                     ok = False
                     break
             x_glob = _rand_tagged(ctx_i, _tagged_pool(ctx_i, cover_i), rng, 3)
-            if not rho_transfer_check(p.rho, p.sigma, x_glob, -1, ctx_i)["ok"]:
+            if not rho_transfer_check(p.rho, p.sigma, x_glob, -1, ctx_i):
                 ok = False
             if not ok:
                 break
-        checks.append(_check(f"core-weight-transfer-{tag}", ok, t0))
+        checks.append(check(f"core-weight-transfer-{tag}", ok, millis=_ms(t0)))
 
         t0 = time.perf_counter()
         sub = []
@@ -738,12 +771,12 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
             )
             secs = [restrict(glob, p.window, ctx_i) for p in cover_i]
             sub.extend(sheaf_axiom_check(cover_i, secs, ctx_i))
-        bad = [c["id"] for c in sub if not c["ok"]]
+        bad = [c["id"] for c in sub if c["status"] == "fail"]
         checks.append(
-            _check(
+            check(
                 f"existence-chain-{tag}",
                 not bad,
-                t0,
+                millis=_ms(t0),
                 hops=len(sub),
                 failing=bad[:6],
             )
@@ -761,7 +794,7 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
         ):
             ok = False
             break
-    checks.append(_check("uniqueness-kernel-probes", ok, t0, samples=per))
+    checks.append(check("uniqueness-kernel-probes", ok, millis=_ms(t0), samples=per))
     return checks
 
 
@@ -771,14 +804,9 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
 def _suite_geometry(cfg: SuiteConfig) -> list:
     checks = []
     for name in ("derham1", "derham2_b2", "derham2_lin"):
-        model = shipped_model(name)
-        t0 = time.perf_counter()
-        batch = classical_geometry_checks(model)
-        ms = _ms(t0)
-        for c in batch:
-            c["id"] = f"{name}-{c['id']}"
-            c.setdefault("millis", ms)
-        checks.extend(batch)
+        checks.extend(
+            _batch(f"{name}-", classical_geometry_checks, shipped_model(name))
+        )
     return checks
 
 

@@ -10,8 +10,10 @@ import pytest
 from vertexalg.generators import TruncationPolicy
 from vertexalg.models.base import (
     ModelDegreeError,
+    check,
     check_module_laws,
     evaluate,
+    law_check,
     validate_model,
 )
 from vertexalg.models.factory import (
@@ -55,6 +57,29 @@ def test_validate_model_green(name):
     assert not bad, bad
 
 
+def test_check_record_drops_none_extras():
+    assert check("x", True, cases=0, witness=None) == {
+        "id": "x", "status": "pass", "cases": 0,
+    }
+    assert list(check("y", 0, millis=3, kind="k")) == ["id", "status", "millis", "kind"]
+    assert check("y", 0)["status"] == "fail"
+
+
+def test_law_check_skips_degree_cap_and_names_witness():
+    model = shipped_model("diffpoly")
+    b, b2, b3 = (model.alphabet.symbol(n) for n in ("b", "b2", "b3"))
+
+    def holds(s, t):
+        if s is b2:
+            raise ModelDegreeError("over the cap")
+        return s is not b3
+
+    got = law_check("law", [(b, b), (b2, b), (b3, b2), (b, b)], holds)
+    assert got == {
+        "id": "law", "status": "fail", "cases": 3, "skipped": 1, "witness": "b3, b2",
+    }
+
+
 @pytest.fixture(scope="module")
 def diffpoly():
     return make_model("DiffPoly")
@@ -95,6 +120,13 @@ class TestDiffPoly:
         want = Element.sym(al, "b4")
         assert model.evaluate_commutative(left) == want
         assert model.evaluate_commutative(right) == want
+
+    def test_commutative_evaluation_of_deep_tower(self):
+        # D^1500 b is zero in the commutative model; the evaluation must not
+        # recurse once per tree level
+        model = shipped_model("diffpoly")
+        x = Element.sym(model.alphabet, "b").D_pow(1500)
+        assert model.evaluate_commutative(x).is_zero()
 
     def test_evaluate_dispatch(self, model):
         al = model.alphabet

@@ -48,6 +48,17 @@ class TestShippedPairs:
             assert not bad, (phi.name, bad)
 
 
+    def test_wrong_image_fails_with_symbol_witness(self, diffpoly):
+        # the identity except b -> 2b: b*b = b2 maps to b2, not (2b)(2b)
+        table = dict(identity_morphism(diffpoly).table)
+        table["b"] = 2 * Element.sym(diffpoly.alphabet, "b")
+        bad = Morphism("bad", diffpoly, diffpoly, table)
+        checks = {c["id"]: c for c in validate_morphism(bad)}
+        assert checks["product"]["status"] == "fail"
+        assert checks["product"]["witness"] == "b, b"
+        assert [c["status"] for c in checks.values()].count("fail") == 1
+
+
 class TestImages:
     def test_doubling_scales_powers(self, diffpoly):
         phi, _ = shipped_morphisms(diffpoly)

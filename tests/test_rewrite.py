@@ -213,6 +213,16 @@ class TestProjection:
         assert once == twice
 
 
+class TestDeepTerms:
+    def test_deep_tower_reduces_and_projects(self, diff):
+        # a 1500-deep D tower: no rule fires on o_{-2}(x, 1), and the pass
+        # engine must not recurse per level to find that out
+        x = Element.sym(diff.alphabet, "b").D_pow(1500)
+        for rep in (R_project(x, diff), reduce_element(x, RuleSet.stock(diff))):
+            assert rep.status == "normal-form"
+            assert rep.result == x
+
+
 class TestLengthOne:
     def test_filters_by_leaf_count(self, diff):
         al = diff.alphabet
