@@ -31,10 +31,14 @@ Q = Fraction
 
 
 # 1-D forms: value = (f, g) meaning f + g db ----------------------------------
+#
+# Polynomials are immutable, so every zero slot can share one zero polynomial.
+
+_Z1 = Poly1()
 
 
 def w1_zero():
-    return (Poly1(), Poly1())
+    return (_Z1, _Z1)
 
 
 def w1_add(u, v):
@@ -50,12 +54,12 @@ def w1_wedge(u, v):
 
 
 def w1_d(u):
-    return (Poly1(), u[0].diff())
+    return (_Z1, u[0].diff())
 
 
 def w1_iota(p: Poly1, u):
     # contraction with the field p(b) d/db
-    return (p * u[1], Poly1())
+    return (p * u[1], _Z1)
 
 
 def w1_lie(p: Poly1, u):
@@ -68,21 +72,37 @@ def w1_lie_oracle(p: Poly1, u):
 
 
 # 2-D forms: value = (c0, c1, c2, c12) over db1, db2 ---------------------------
+#
+# Most slots of the forms met in the checks are zero, so the helpers hand a
+# zero operand back as it is instead of working through its slots.
+
+_Z2 = Poly2()
+_W2_ZERO = (_Z2, _Z2, _Z2, _Z2)
 
 
 def w2_zero():
-    return (Poly2(), Poly2(), Poly2(), Poly2())
+    return _W2_ZERO
+
+
+def w2_is_zero(u):
+    return not (u[0].c or u[1].c or u[2].c or u[3].c)
 
 
 def w2_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
 
 
 def w2_scale(c, u):
-    return tuple(a * c for a in u)
+    if w2_is_zero(u):
+        return u
+    return (u[0] * c, u[1] * c, u[2] * c, u[3] * c)
 
 
 def w2_wedge(u, v):
+    if w2_is_zero(u):
+        return u
+    if w2_is_zero(v):
+        return v
     return (
         u[0] * v[0],
         u[0] * v[1] + u[1] * v[0],
@@ -92,8 +112,10 @@ def w2_wedge(u, v):
 
 
 def w2_d(u):
+    if w2_is_zero(u):
+        return u
     return (
-        Poly2(),
+        _Z2,
         u[0].diff(0),
         u[0].diff(1),
         u[2].diff(0) - u[1].diff(1),
@@ -102,16 +124,14 @@ def w2_d(u):
 
 def w2_iota(field, u):
     # field = (p, q) meaning p d/db1 + q d/db2
+    if w2_is_zero(u):
+        return u
     p, q = field
-    return (p * u[1] + q * u[2], -1 * (q * u[3]), p * u[3], Poly2())
+    return (p * u[1] + q * u[2], -(q * u[3]), p * u[3], _Z2)
 
 
 def w2_lie(field, u):
     return w2_add(w2_d(w2_iota(field, u)), w2_iota(field, w2_d(u)))
-
-
-def w2_is_zero(u):
-    return all(c.is_zero() for c in u)
 
 
 def field_bracket(x, y):

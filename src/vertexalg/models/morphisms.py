@@ -12,10 +12,14 @@ from fractions import Fraction
 from itertools import product
 
 from ..generators import fam_a, fam_i, fam_s
-from ..terms import Element, Leaf
+from ..terms import Element, Leaf, fold_tree
 from .base import Model, ModelDegreeError, law_check
 
 Q = Fraction
+
+
+def _product(node, left: Element, right: Element) -> Element:
+    return left.o(node.index, right)
 
 
 class Morphism:
@@ -43,14 +47,13 @@ class Morphism:
 
     def apply(self, x: Element) -> Element:
         acc = {}
+        leaf_image = self._leaf_image
         for t, c in x.terms.items():
-            self._apply_term(t)._add_into(acc, c)
+            fold_tree(t, leaf_image, _product)._add_into(acc, c)
         return Element._trusted(self.target.alphabet, acc)
 
-    def _apply_term(self, t) -> Element:
-        if isinstance(t, Leaf):
-            return self.image_of_symbol(t.symbol)
-        return self._apply_term(t.left).o(t.index, self._apply_term(t.right))
+    def _leaf_image(self, leaf) -> Element:
+        return self.image_of_symbol(leaf.symbol)
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """self after inner."""

@@ -1,67 +1,153 @@
 """Exact polynomial scratchpads: one and two variables, plus Fraction
 Gaussian elimination and a tiny named-variable polynomial for relation
 checking.  Dict-backed, no dense arrays, no floats.
+
+Coefficients.  Every stored coefficient is an int or a Fraction, never a
+float and never zero.  The public constructors, const, mono, var and
+scalar * keep ints as ints and Fractions as they are, turn any other exact
+number into a Fraction, and raise TypeError on a float.  Integer arithmetic
+stays integer until a Fraction enters it.  An int compares and hashes equal
+to the Fraction of the same value and prints the same, so equality,
+hashing and printing cannot tell the two apart.
+
+Trusted construction.  cls._trusted(c) wraps the dict c without copying or
+checking it; every result of +, -, negation, *, diff and substitute is
+built that way.  _add_into accumulates (key, coefficient) pairs into such a
+dict and deletes a key as soon as it cancels, so the dict stays trusted.
 """
 
 from fractions import Fraction
+from operator import add
 
 Q = Fraction
 
 
-class Poly1:
-    """Polynomial in one variable over Q, as {exponent: coefficient}."""
+def _coeff(v):
+    """An exact coefficient: int and Fraction as given, float refused."""
+    if v.__class__ is int or isinstance(v, Fraction):
+        return v
+    if isinstance(v, float):
+        raise TypeError("float coefficients are not allowed; use int or Fraction")
+    return Q(v)
+
+
+def _add_into(acc: dict, items) -> None:
+    """acc[k] += v for each (k, v) in items; cancelled keys are deleted."""
+    get = acc.get
+    for k, v in items:
+        old = get(k)
+        if old is None:
+            acc[k] = v
+        else:
+            v += old
+            if v:
+                acc[k] = v
+            else:
+                del acc[k]
+
+
+class _Poly:
+    """Construction, comparison and the ring operations.  Each subclass
+    defines + and * itself, as calls of _plus and _times with its own rule
+    for multiplying monomial keys."""
 
     __slots__ = ("c",)
 
     def __init__(self, c=None):
-        self.c = {k: Q(v) for k, v in (c or {}).items() if v != 0}
+        clean = {}
+        for k, v in (c or {}).items():
+            v = _coeff(v)
+            if v:
+                clean[k] = v
+        self.c = clean
 
-    @staticmethod
-    def const(v) -> "Poly1":
-        return Poly1({0: Q(v)})
+    @classmethod
+    def _trusted(cls, c: dict):
+        """Wrap c as it is: every value must be a nonzero int or Fraction."""
+        out = object.__new__(cls)
+        out.c = c
+        return out
 
-    @staticmethod
-    def mono(k: int, v=1) -> "Poly1":
-        return Poly1({k: Q(v)})
-
-    def __add__(self, other):
+    def _plus(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if not other.c:
+            return self
+        if not self.c:
+            return other
         out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, Q(0)) + v
-        return Poly1(out)
+        _add_into(out, other.c.items())
+        return self._trusted(out)
+
+    def _times(self, other, merge):
+        """self * other, where merge(k1, k2) is the key of the product of
+        two monomials; a number other scales self."""
+        if other.__class__ is not self.__class__:
+            return self._scaled(other)
+        if not self.c:
+            return self
+        if not other.c:
+            return other
+        out = {}
+        _add_into(out, (
+            (merge(k1, k2), v1 * v2)
+            for k1, v1 in self.c.items()
+            for k2, v2 in other.c.items()
+        ))
+        return self._trusted(out)
+
+    def _scaled(self, v):
+        v = _coeff(v)
+        if v == 1 or not self.c:
+            return self
+        if not v:
+            return self._trusted({})
+        return self._trusted({k: c * v for k, c in self.c.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return Poly1({k: -v for k, v in self.c.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, Poly1):
-            out = {}
-            for k1, v1 in self.c.items():
-                for k2, v2 in other.c.items():
-                    k = k1 + k2
-                    out[k] = out.get(k, Q(0)) + v1 * v2
-            return Poly1(out)
-        return Poly1({k: v * Q(other) for k, v in self.c.items()})
-
-    __rmul__ = __mul__
-
-    def diff(self) -> "Poly1":
-        return Poly1({k - 1: v * k for k, v in self.c.items() if k != 0})
-
-    def degree(self) -> int:
-        return max(self.c) if self.c else -1
+        if not self.c:
+            return self
+        return self._trusted({k: -v for k, v in self.c.items()})
 
     def is_zero(self) -> bool:
         return not self.c
 
     def __eq__(self, other):
-        return isinstance(other, Poly1) and self.c == other.c
+        return other.__class__ is self.__class__ and self.c == other.c
 
     def __hash__(self):
         return hash(frozenset(self.c.items()))
+
+
+class Poly1(_Poly):
+    """Polynomial in one variable over Q, as {exponent: coefficient}."""
+
+    __slots__ = ()
+
+    @staticmethod
+    def const(v) -> "Poly1":
+        return Poly1({0: v})
+
+    @staticmethod
+    def mono(k: int, v=1) -> "Poly1":
+        return Poly1({k: v})
+
+    def __add__(self, other):
+        return self._plus(other)
+
+    def __mul__(self, other):
+        return self._times(other, add)
+
+    __rmul__ = __mul__
+
+    def diff(self) -> "Poly1":
+        return Poly1._trusted({k - 1: v * k for k, v in self.c.items() if k != 0})
+
+    def degree(self) -> int:
+        return max(self.c) if self.c else -1
 
     def __repr__(self):
         if not self.c:
@@ -69,43 +155,24 @@ class Poly1:
         return " + ".join(f"{v}*x^{k}" for k, v in sorted(self.c.items()))
 
 
-class Poly2:
+class Poly2(_Poly):
     """Polynomial in two variables over Q, as {(i, j): coefficient}."""
 
-    __slots__ = ("c",)
-
-    def __init__(self, c=None):
-        self.c = {k: Q(v) for k, v in (c or {}).items() if v != 0}
+    __slots__ = ()
 
     @staticmethod
     def const(v) -> "Poly2":
-        return Poly2({(0, 0): Q(v)})
+        return Poly2({(0, 0): v})
 
     @staticmethod
     def mono(i: int, j: int, v=1) -> "Poly2":
-        return Poly2({(i, j): Q(v)})
+        return Poly2({(i, j): v})
 
     def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, Q(0)) + v
-        return Poly2(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Poly2({k: -v for k, v in self.c.items()})
+        return self._plus(other)
 
     def __mul__(self, other):
-        if isinstance(other, Poly2):
-            out = {}
-            for (i1, j1), v1 in self.c.items():
-                for (i2, j2), v2 in other.c.items():
-                    k = (i1 + i2, j1 + j2)
-                    out[k] = out.get(k, Q(0)) + v1 * v2
-            return Poly2(out)
-        return Poly2({k: v * Q(other) for k, v in self.c.items()})
+        return self._times(other, _add_pairs)
 
     __rmul__ = __mul__
 
@@ -116,19 +183,10 @@ class Poly2:
                 out[(i - 1, j)] = v * i
             elif var == 1 and j != 0:
                 out[(i, j - 1)] = v * j
-        return Poly2(out)
+        return Poly2._trusted(out)
 
     def total_degree(self) -> int:
         return max((i + j for i, j in self.c), default=-1)
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __eq__(self, other):
-        return isinstance(other, Poly2) and self.c == other.c
-
-    def __hash__(self):
-        return hash(frozenset(self.c.items()))
 
     def __repr__(self):
         if not self.c:
@@ -138,64 +196,39 @@ class Poly2:
         )
 
 
-class PolyVars:
+class PolyVars(_Poly):
     """Polynomial over named commuting variables, for relation checking.
 
     Monomial keys are sorted tuples of (name, exponent).
     """
 
-    __slots__ = ("c",)
-
-    def __init__(self, c=None):
-        self.c = {k: Q(v) for k, v in (c or {}).items() if v != 0}
+    __slots__ = ()
 
     @staticmethod
     def const(v) -> "PolyVars":
-        return PolyVars({(): Q(v)})
+        return PolyVars({(): v})
 
     @staticmethod
     def var(name: str) -> "PolyVars":
-        return PolyVars({((name, 1),): Q(1)})
+        return PolyVars._trusted({((name, 1),): 1})
 
     def __add__(self, other):
-        out = dict(self.c)
-        for k, v in other.c.items():
-            out[k] = out.get(k, Q(0)) + v
-        return PolyVars(out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return PolyVars({k: -v for k, v in self.c.items()})
+        return self._plus(other)
 
     def __mul__(self, other):
-        if isinstance(other, PolyVars):
-            out = {}
-            for k1, v1 in self.c.items():
-                for k2, v2 in other.c.items():
-                    k = _merge_mono(k1, k2)
-                    out[k] = out.get(k, Q(0)) + v1 * v2
-            return PolyVars(out)
-        return PolyVars({k: v * Q(other) for k, v in self.c.items()})
+        return self._times(other, _merge_mono)
 
     __rmul__ = __mul__
 
     def substitute(self, name: str, value: "PolyVars") -> "PolyVars":
-        out = PolyVars()
+        out = {}
         for k, v in self.c.items():
-            piece = PolyVars({tuple(p for p in k if p[0] != name): v})
+            piece = PolyVars._trusted({tuple(p for p in k if p[0] != name): v})
             power = sum(e for nm, e in k if nm == name)
             for _ in range(power):
                 piece = piece * value
-            out = out + piece
-        return out
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __eq__(self, other):
-        return isinstance(other, PolyVars) and self.c == other.c
+            _add_into(out, piece.c.items())
+        return PolyVars._trusted(out)
 
     def __repr__(self):
         if not self.c:
@@ -203,7 +236,15 @@ class PolyVars:
         return " + ".join(f"{v}*{dict(k)}" for k, v in self.c.items())
 
 
+def _add_pairs(k1: tuple, k2: tuple) -> tuple:
+    return (k1[0] + k2[0], k1[1] + k2[1])
+
+
 def _merge_mono(k1: tuple, k2: tuple) -> tuple:
+    if not k1:
+        return k2
+    if not k2:
+        return k1
     acc = {}
     for nm, e in k1 + k2:
         acc[nm] = acc.get(nm, 0) + e
@@ -211,8 +252,9 @@ def _merge_mono(k1: tuple, k2: tuple) -> tuple:
 
 
 def column_rank(rows) -> int:
-    """Column rank of a matrix of Fractions, by exact Gaussian elimination."""
-    mat = [list(map(Q, row)) for row in rows]
+    """Column rank of a matrix of exact numbers, by Fraction Gaussian
+    elimination; a float entry raises TypeError."""
+    mat = [[Q(_coeff(v)) for v in row] for row in rows]
     if not mat:
         return 0
     ncols = len(mat[0])

@@ -1,4 +1,4 @@
-"""Text form of elements: tokenizer, recursive-descent parser, printer.
+"""Text form of elements: tokenizer, parser, printer.
 
 Grammar:
     element  := term (("+" | "-") term)*
@@ -8,6 +8,8 @@ Grammar:
 
 "0" is accepted for the zero element and is what the printer emits for it.
 The printer orders monomials canonically, so print/parse round-trips exactly.
+Neither the parser nor the printer recurses on nesting depth: a deep tree
+costs time, never RecursionError.
 """
 
 from fractions import Fraction
@@ -80,13 +82,48 @@ class _Parser:
         return tok
 
     def parse_element(self) -> Element:
-        out = self.parse_term()
-        while self.peek()[0] == "op" and self.peek()[1] in "+-":
-            sign = 1 if self.next()[1] == "+" else -1
-            out = out + sign * self.parse_term()
-        return out
+        """element := term (("+" | "-") term)*, with every product operand
+        parsed on an explicit stack rather than by recursion.
 
-    def parse_term(self) -> Element:
+        Each open o{n}( pushes a frame holding the sum and sign of the
+        element it interrupts, the product term's coefficient, its index
+        and, once the comma is passed, its left operand."""
+        frames = []
+        total, sign = None, 1
+        while True:
+            coeff = self.parse_coefficient()
+            kind, value, pos = self.next()
+            if kind == "prod":
+                index = self.parse_index()
+                self.expect("op", "}")
+                self.expect("op", "(")
+                frames.append([total, sign, coeff, index, None])
+                total, sign = None, 1
+                continue
+            term = self.parse_leaf_atom(kind, value, pos)
+            while True:
+                if coeff is not None:
+                    term = coeff * term
+                total = term if total is None else total + sign * term
+                tok = self.peek()
+                if tok[0] == "op" and tok[1] in "+-":
+                    sign = 1 if self.next()[1] == "+" else -1
+                    break
+                if not frames:
+                    return total
+                frame = frames[-1]
+                if frame[4] is None:
+                    self.expect("op", ",")
+                    frame[4] = total
+                    total, sign = None, 1
+                    break
+                self.expect("op", ")")
+                outer, sign, coeff, index, left = frames.pop()
+                term = left.o(index, total)
+                total = outer
+
+    def parse_coefficient(self):
+        """The optional leading 'rational *' of a term, or None."""
         kind, value, _ = self.peek()
         negative = False
         if kind == "op" and value == "-" and self.peek(1)[0] == "num":
@@ -102,9 +139,8 @@ class _Parser:
             if is_coeff:
                 coeff = self.parse_rational(negative)
                 self.expect("op", "*")
-                return coeff * self.parse_atom()
-        atom = self.parse_atom()
-        return atom
+                return coeff
+        return None
 
     def parse_rational(self, negative: bool) -> Fraction:
         num = int(self.expect("num")[1])
@@ -118,8 +154,8 @@ class _Parser:
         val = Q(num, den)
         return -val if negative else val
 
-    def parse_atom(self) -> Element:
-        kind, value, pos = self.next()
+    def parse_leaf_atom(self, kind: str, value: str, pos: int) -> Element:
+        """Every atom but a product, from its already-consumed token."""
         if kind == "num":
             if value == "1":
                 return Element.unit(self.alphabet)
@@ -130,15 +166,6 @@ class _Parser:
             if not self.alphabet.has(value):
                 raise ParseError(f"unknown symbol {value!r}", pos)
             return Element.sym(self.alphabet, value)
-        if kind == "prod":
-            index = self.parse_index()
-            self.expect("op", "}")
-            self.expect("op", "(")
-            left = self.parse_element()
-            self.expect("op", ",")
-            right = self.parse_element()
-            self.expect("op", ")")
-            return left.o(index, right)
         raise ParseError(f"expected an atom, got {value!r}", pos)
 
     def parse_index(self) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .generators import TruncationPolicy, _term_is_dead, truncate
-from .terms import Element, Leaf, Node, term_length
+from .terms import Element, Leaf, Node, fold_tree, term_length
 
 RULE_ORDER = (
     "unit_left",
@@ -151,35 +151,26 @@ def _one_pass(x: Element, rules: RuleSet, counter: list) -> Element:
 
 
 def _pass_term(t, al, rules: RuleSet, counter: list) -> Element:
-    # post-order walk with an explicit stack: the left subtree, then the
-    # right one, then the rules at every node of the children's product
-    order, stack = [], [t]
-    while stack:
-        s = stack.pop()
-        order.append(s)
-        if isinstance(s, Node):
-            stack.append(s.left)
-            stack.append(s.right)
-    vals = []
-    for s in reversed(order):
-        if isinstance(s, Leaf):
-            vals.append(Element._trusted(al, {s: _ONE}))
-            continue
-        right = vals.pop()
-        left = vals.pop()
+    # bottom-up: the left subtree, then the right one, then the rules at
+    # every node of the children's product
+    def leaf(s):
+        return Element._trusted(al, {s: _ONE})
+
+    def node(s, left, right):
         acc = {}
         for lt, lc in left.terms.items():
             for rt, rc in right.terms.items():
-                node = Node(s.index, lt, rt)
-                hit = rules.apply_at_root(node, al)
+                product = Node(s.index, lt, rt)
+                hit = rules.apply_at_root(product, al)
                 if hit is None:
-                    image = Element._trusted(al, {node: _ONE})
+                    image = Element._trusted(al, {product: _ONE})
                 else:
                     counter[0] += 1
                     image = hit[1]
                 image._add_into(acc, lc * rc)
-        vals.append(Element._trusted(al, acc))
-    return vals[0]
+        return Element._trusted(al, acc)
+
+    return fold_tree(t, leaf, node)
 
 
 def reduce_element(

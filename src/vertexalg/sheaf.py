@@ -31,7 +31,7 @@ from .intervals import SupportSet, overlap_core
 from .models.base import check
 from .models.polys import PolyVars
 from .rewrite import ReductionReport, RuleSet, reduce_element
-from .terms import Alphabet, Element, Leaf, Node, Symbol, leaves
+from .terms import Alphabet, Element, Leaf, Node, Symbol, fold_tree, leaves
 
 
 class SupportError(ValueError):
@@ -257,10 +257,20 @@ class SheafContext:
 
 
 def _class_key(tree, context):
-    if isinstance(tree, Leaf):
-        return ("s", context.info(tree.symbol).base)
-    return ("n", tree.index,
-            _class_key(tree.left, context), _class_key(tree.right, context))
+    """Flat preorder key: ("n", index) for a node, ("s", base) for a leaf.
+    The encoding is prefix-free, so two trees share a key exactly when
+    they have the same shape, indices and leaf bases."""
+    out = []
+    stack = [tree]
+    while stack:
+        t = stack.pop()
+        if t.__class__ is Leaf:
+            out += ("s", context.info(t.symbol).base)
+        else:
+            out += ("n", t.index)
+            stack.append(t.right)
+            stack.append(t.left)
+    return tuple(out)
 
 
 def _monomial_poly(tree, mid, context) -> PolyVars:
@@ -299,10 +309,11 @@ def _classes(x: Element, context):
 
 
 def _term_support(tree, context) -> SupportSet:
-    if isinstance(tree, Leaf):
-        return context.window_of(tree.symbol)
-    return overlap_core(_term_support(tree.left, context),
-                        _term_support(tree.right, context))
+    return fold_tree(
+        tree,
+        lambda leaf: context.window_of(leaf.symbol),
+        lambda node, left, right: overlap_core(left, right),
+    )
 
 
 def support(x: Element, context: SheafContext) -> SupportSet:
@@ -356,24 +367,13 @@ def sigma_star(sigma, x: Element, context: SheafContext) -> Element:
         raise SupportError(f"{name} is not a declared bump")
     bd = context._bumps[name]
 
-    def dress(tree):
-        if isinstance(tree, Leaf):
-            info = context.info(tree.symbol)
-            sym = context._mint(info.base, info.bumps + (name,),
-                                info.window.intersect(bd.support))
-            return Leaf(sym) if sym is not None else None
-        left = dress(tree.left)
-        right = dress(tree.right)
-        if left is None or right is None:
-            return None
-        return Node(tree.index, left, right)
+    def dress(leaf):
+        info = context.info(leaf.symbol)
+        sym = context._mint(info.base, info.bumps + (name,),
+                            info.window.intersect(bd.support))
+        return Leaf(sym) if sym is not None else None
 
-    acc = {}
-    for tree, coeff in x.terms.items():
-        dressed = dress(tree)
-        if dressed is not None:
-            Element.of_term(x.alphabet, dressed)._add_into(acc, coeff)
-    return Element._trusted(x.alphabet, acc)
+    return _map_leaves(x, dress)
 
 
 def restrict(x: Element, window: SupportSet, context: SheafContext) -> Element:
@@ -383,26 +383,33 @@ def restrict(x: Element, window: SupportSet, context: SheafContext) -> Element:
     if not window.subset_of(context.universe):
         raise SupportError("restriction target leaves the universe")
 
-    def rewindow(tree):
-        if isinstance(tree, Leaf):
-            if tree.symbol.name == context.alphabet.unit.name:
-                return tree
-            info = context.info(tree.symbol)
-            sym = context._mint(info.base, info.bumps,
-                                info.window.intersect(window))
-            return Leaf(sym) if sym is not None else None
-        left = rewindow(tree.left)
-        right = rewindow(tree.right)
-        if left is None or right is None:
-            return None
-        return Node(tree.index, left, right)
+    def rewindow(leaf):
+        if leaf.symbol.name == context.alphabet.unit.name:
+            return leaf
+        info = context.info(leaf.symbol)
+        sym = context._mint(info.base, info.bumps,
+                            info.window.intersect(window))
+        return Leaf(sym) if sym is not None else None
 
+    return pi(_map_leaves(x, rewindow), context)
+
+
+def _map_leaves(x: Element, leaf_map) -> Element:
+    """Rebuild every monomial of x with each leaf replaced by leaf_map(leaf);
+    a monomial with a leaf mapped to None drops out.  Monomials that meet
+    after the map are summed."""
     acc = {}
     for tree, coeff in x.terms.items():
-        moved = rewindow(tree)
+        moved = fold_tree(tree, leaf_map, _node_unless_dead)
         if moved is not None:
             Element.of_term(x.alphabet, moved)._add_into(acc, coeff)
-    return pi(Element._trusted(x.alphabet, acc), context)
+    return Element._trusted(x.alphabet, acc)
+
+
+def _node_unless_dead(node, left, right):
+    if left is None or right is None:
+        return None
+    return Node(node.index, left, right)
 
 
 # -- covers, gluing, axiom check ------------------------------------------------

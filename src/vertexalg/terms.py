@@ -12,8 +12,9 @@ hash((index, left, right)).  The children's hashes are already cached, so
 hashing a tree is O(1) and the values are the dataclass values bit for
 bit; dict and set iteration order is unchanged.  Equality short-cuts on
 identity, then on the cached hash, then compares fields.  Node equality,
-leaves(), sort_key, term_degree and shape_key walk the tree with an
-explicit stack, so deep trees cost time but never raise RecursionError.
+leaves(), fold_tree, sort_key, term_degree and shape_key walk the tree
+with an explicit stack, so deep trees cost time but never raise
+RecursionError.
 
 Coefficients.  Element(alphabet, terms) accepts any exact coefficient and
 drops zeros.  Element._trusted(alphabet, terms) takes the dict as it is:
@@ -167,6 +168,29 @@ def leaves(t):
         else:
             stack.append(t.right)
             stack.append(t.left)
+
+
+def fold_tree(t, leaf, node):
+    """Fold t bottom-up: leaf(s) at each Leaf s, then node(n, a, b) at each
+    Node n whose left and right subtrees folded to a and b.  The walk keeps
+    an explicit stack, so a deep tree costs time, never RecursionError."""
+    if t.__class__ is Leaf:
+        return leaf(t)
+    order, stack = [], [t]
+    while stack:
+        s = stack.pop()
+        order.append(s)
+        if s.__class__ is Node:
+            stack.append(s.left)
+            stack.append(s.right)
+    vals = []
+    for s in reversed(order):
+        if s.__class__ is Leaf:
+            vals.append(leaf(s))
+        else:
+            right = vals.pop()
+            vals[-1] = node(s, vals[-1], right)
+    return vals[0]
 
 
 def term_length(t) -> int:

@@ -21,10 +21,20 @@ def test_zero_denominator_is_a_parse_error(capsys):
     assert "Traceback" not in err
 
 
-def test_too_deep_input_is_an_error_line(capsys):
+def test_deep_input_reduces(capsys):
+    # parsing, reduction and printing all walk the tree without recursion
     depth = 2000
     text = "o{0}(" * depth + "u" + ", v)" * depth
-    assert main(["reduce", text]) == 2
+    assert main(["reduce", text]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == text
+
+
+def test_recursion_error_is_an_error_line(capsys, monkeypatch):
+    def too_deep(text, alphabet):
+        raise RecursionError
+
+    monkeypatch.setattr("vertexalg.cli.parse", too_deep)
+    assert main(["reduce", "u"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err

@@ -95,6 +95,14 @@ class TestImages:
         # image of a product is the product of images at the same index
         assert phi.apply(x) == 3 * (2 * b).o(1, 2 * b) - 2 * b
 
+    def test_deep_tower_maps(self, diffpoly):
+        # the induced map walks the tree without recursion
+        phi, psi = shipped_morphisms(diffpoly)
+        al = diffpoly.alphabet
+        b, one = Element.sym(al, "b"), Element.unit(al)
+        assert phi.apply(b.D_pow(1500)) == 2 * b.D_pow(1500)
+        assert psi.apply(b.D_pow(1500)) == b.D_pow(1500) + one.D_pow(1500)
+
     def test_unit_fixed(self, diffpoly):
         phi, psi = shipped_morphisms(diffpoly)
         one = Element.unit(diffpoly.alphabet)

@@ -123,3 +123,58 @@ class TestRoundTrip:
         a, b = Element.sym(_al, "a"), Element.sym(_al, "b")
         x = a.o(1, b) - 2 * b.o(1, a) + Element.unit(_al)
         assert to_text(x) == to_text(a.o(1, b) - 2 * b.o(1, a) + Element.unit(_al))
+
+
+# messages and positions of the recursive-descent parser the explicit-stack
+# parser replaced
+_ERRORS = [
+    ("nope", "unknown symbol 'nope' (at position 0)"),
+    ("o{1}(a b)", "expected ',', got 'b' (at position 7)"),
+    ("a +", "expected an atom, got '' (at position 3)"),
+    ("o{}(a, b)", "expected an integer product index (at position 2)"),
+    ("-a", "expected an atom, got '-' (at position 0)"),
+    ("a $ b", "unexpected character '$' (at position 2)"),
+    ("2 a", "bare number '2' is not an atom (at position 0)"),
+    ("-2 a", "expected '*' after coefficient (at position 3)"),
+    ("1/0*a", "zero denominator (at position 2)"),
+    ("o{1}(a, b", "expected ')', got '' (at position 9)"),
+    ("o{1}(a, b))", "trailing input ')' (at position 10)"),
+    ("o{1}a, b)", "expected '(', got 'a' (at position 4)"),
+    ("o{1(a, b)", "expected '}', got '(' (at position 3)"),
+    ("o{1}(a, o{2}(b, )", "expected an atom, got ')' (at position 16)"),
+    ("o{1}(a,, b)", "expected an atom, got ',' (at position 7)"),
+    ("", "expected an atom, got '' (at position 0)"),
+    ("2/*a", "expected 'num', got '*' (at position 2)"),
+    ("o{0}(o{1}(a, b) c, a)", "expected ',', got 'c' (at position 16)"),
+    (
+        "o{0}(a, o{1}(b, a) + 2 * o{2}(a, nope))",
+        "unknown symbol 'nope' (at position 33)",
+    ),
+    ("1/2", "expected '*', got '' (at position 3)"),
+]
+
+
+@pytest.mark.parametrize("text,message", _ERRORS)
+def test_error_messages(al, text, message):
+    with pytest.raises(ParseError) as info:
+        parse(text, al)
+    assert str(info.value) == message
+
+
+class TestDeep:
+    # the parser keeps its own stack, so nesting depth only costs time
+
+    def test_deep_tower_round_trips(self, al):
+        a, b = Element.sym(al, "a"), Element.sym(al, "b")
+        x = a.D_pow(1500)
+        assert parse(to_text(x), al) == x
+        y = Q(2, 3) * b.o(-1, x) - x + Element.unit(al)
+        assert parse(to_text(y), al) == y
+
+    def test_deep_right_nesting(self, al):
+        depth = 1500
+        text = "o{1}(a, " * depth + "2*b - a" + ")" * depth
+        want = 2 * Element.sym(al, "b") - Element.sym(al, "a")
+        for _ in range(depth):
+            want = Element.sym(al, "a").o(1, want)
+        assert parse(text, al) == want

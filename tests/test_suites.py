@@ -1,5 +1,9 @@
-"""The verify suites: every suite passes at reduced samples, and the
-errata contract accepts exactly the listed identities."""
+"""The verify suites: every suite passes at reduced samples, the form and
+sheaf reports are frozen, and the errata contract accepts exactly the
+listed identities."""
+
+import hashlib
+import json
 
 import pytest
 
@@ -18,6 +22,33 @@ def test_suite_passes(suite, seed):
     report = run_suite(suite, seed=seed, samples=5)
     bad = [c for c in report["checks"] if c["status"] != "pass"]
     assert report["status"] == "pass", bad
+
+
+def _strip_millis(obj):
+    if isinstance(obj, dict):
+        return {k: _strip_millis(v) for k, v in obj.items() if k != "millis"}
+    if isinstance(obj, list):
+        return [_strip_millis(v) for v in obj]
+    return obj
+
+
+def _report_digest(report) -> str:
+    text = json.dumps(_strip_millis(report), sort_keys=True, default=str)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# frozen before the polynomial core kept int coefficients as ints: the form
+# and sheaf reports must not see the difference
+_FROZEN_REPORTS = {
+    ("geometry", ()): "8a53640d2932e8fa",
+    ("sheaf", (("samples", 5),)): "e4634ffbf506b35a",
+}
+
+
+@pytest.mark.parametrize("suite,extra", sorted(_FROZEN_REPORTS))
+def test_form_and_sheaf_reports_frozen(suite, extra):
+    report = run_suite(suite, seed=0, **dict(extra))
+    assert _report_digest(report) == _FROZEN_REPORTS[(suite, extra)]
 
 
 def _errata_check(**kw):
