@@ -19,7 +19,6 @@ from .terms import (
     falling,
     grade,
     is_homogeneous,
-    is_monomial,
     parity,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "falling",
     "grade",
     "is_homogeneous",
-    "is_monomial",
     "overlap_core",
     "parity",
     "parse",

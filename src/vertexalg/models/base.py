@@ -49,7 +49,7 @@ class CommutativeSemantics:
     add: callable  # (V, V) -> V
     mul: callable  # (V, V) -> V
     diff: callable  # V -> V
-    scale: callable  # (Fraction, V) -> V
+    scale: callable  # (int or Fraction, V) -> V
     to_element: callable  # V -> Element
     is_zero: callable
 

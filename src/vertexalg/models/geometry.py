@@ -213,10 +213,6 @@ def op_lie2(field, name="lie"):
     return op_componentwise(name, 0, lambda v: w2_lie(field, v))
 
 
-def op_mform(form, parity, name="mul"):
-    return op_componentwise(name, parity, lambda v: w2_wedge(form, v))
-
-
 def op_euler():
     return Op("E", 0, lambda s: {k: w2_scale(k, v) for k, v in s.items()})
 

@@ -200,24 +200,19 @@ def shipped_morphisms(model: Model) -> tuple:
 
     def poly_image(k: int, vf: bool, scale_b: Fraction, shift: bool, scale_del=1):
         # image of b^k (or b^k del) under b -> scale_b*b + (shift ? 1 : 0)
-        out = Element.zero(al)
         base = Element.sym(al, pow_name(1), scale_b)
         if shift:
             base = base + Element.unit(al)
         img = Element.unit(al)
         for _ in range(k):
-            prod = Element.zero(al)
-            for t1, c1 in img.terms.items():
-                for t2, c2 in base.terms.items():
-                    prod = prod + (c1 * c2) * model.mul(t1.symbol, t2.symbol)
-            img = prod
+            img = model.mul_elem(img, base)
         if not vf:
             return img
-        out = Element.zero(al)
+        out = {}
         for t, c in img.terms.items():
             e = _name_exp(t.symbol.name)[0]
-            out = out + Element.sym(al, vf_name(e), c * scale_del)
-        return out
+            Element.sym(al, vf_name(e))._add_into(out, c * scale_del)
+        return Element._trusted(al, out)
 
     if model.name == "diffpoly":
         doubling = {

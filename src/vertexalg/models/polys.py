@@ -146,9 +146,6 @@ class Poly1(_Poly):
     def diff(self) -> "Poly1":
         return Poly1._trusted({k - 1: v * k for k, v in self.c.items() if k != 0})
 
-    def degree(self) -> int:
-        return max(self.c) if self.c else -1
-
     def __repr__(self):
         if not self.c:
             return "0"

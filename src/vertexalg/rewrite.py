@@ -18,7 +18,6 @@ nothing (no confluence claim is made).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .generators import TruncationPolicy, _term_is_dead, truncate
 from .terms import Element, Leaf, Node, fold_tree, term_length
@@ -37,8 +36,6 @@ RULE_ORDER = (
 STOCK_RULES = ("unit_left", "bracket", "scalar", "unit_strip", "locality_kill")
 
 PROJECTION_RULES = ("unit_identity", "bracket", "scalar", "unit_strip")
-
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -154,7 +151,7 @@ def _pass_term(t, al, rules: RuleSet, counter: list) -> Element:
     # bottom-up: the left subtree, then the right one, then the rules at
     # every node of the children's product
     def leaf(s):
-        return Element._trusted(al, {s: _ONE})
+        return Element._trusted(al, {s: 1})
 
     def node(s, left, right):
         acc = {}
@@ -163,7 +160,7 @@ def _pass_term(t, al, rules: RuleSet, counter: list) -> Element:
                 product = Node(s.index, lt, rt)
                 hit = rules.apply_at_root(product, al)
                 if hit is None:
-                    image = Element._trusted(al, {product: _ONE})
+                    image = Element._trusted(al, {product: 1})
                 else:
                     counter[0] += 1
                     image = hit[1]

@@ -78,6 +78,7 @@ class SheafContext:
         self._tags = {}        # symbol name -> TaggedInfo
         self._bumps = {}       # bump name -> BumpDeclaration
         self._partitions = []  # tuples of bump names summing to 1 on the universe
+        self._cells = None     # cells() memo; every writer of _tags or _bumps drops it
 
     # -- declarations ------------------------------------------------------
 
@@ -89,6 +90,7 @@ class SheafContext:
         sym = Symbol(name, parity, Q(degree), kind, support)
         self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(name, (), support)
+        self._cells = None
         return sym
 
     def declare_bump(self, name: str, support: SupportSet,
@@ -100,6 +102,7 @@ class SheafContext:
             raise SupportError(f"plateau of bump {name} leaves its support")
         support = support.closure()
         self._bumps[name] = BumpDeclaration(name, support, plateau.closure())
+        self._cells = None
         # the pure bump is the unit dressed by one factor
         sym = Symbol(name, 0, Q(0), "algebra", support)
         self.alphabet.add(sym)
@@ -121,7 +124,7 @@ class SheafContext:
             cover = cover.union(self._bumps[m].support)
         if not self.universe.subset_of(cover):
             raise SupportError("partition members do not cover the universe")
-        for lo, hi in self._cells_raw(extra=()):
+        for lo, hi in self.cells():
             mid = (lo + hi) / 2
             ones = sum(1 for m in members
                        if self._bumps[m].plateau.contains_point(mid))
@@ -186,6 +189,7 @@ class SheafContext:
             sym = Symbol(name, 0, Q(0), "algebra", window)
         self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(base, bumps, window)
+        self._cells = None
         return sym
 
     def restricted_symbol(self, name: str, window: SupportSet):
@@ -194,27 +198,28 @@ class SheafContext:
 
     # -- cells and pointwise values ------------------------------------------
 
-    def _cells_raw(self, extra=()):
+    def _cells_raw(self) -> tuple:
         pts = set(self.universe.breakpoints())
         for bd in self._bumps.values():
             pts.update(bd.support.breakpoints())
             pts.update(bd.plateau.breakpoints())
         for info in self._tags.values():
             pts.update(info.window.breakpoints())
-        for s in extra:
-            pts.update(s.breakpoints())
         pts = sorted(pts)
-        out = []
-        for lo, hi in zip(pts, pts[1:]):
-            if lo < hi and self.universe.contains_point((lo + hi) / 2):
-                out.append((lo, hi))
-        return out
+        return tuple(
+            (lo, hi)
+            for lo, hi in zip(pts, pts[1:])
+            if lo < hi and self.universe.contains_point((lo + hi) / 2)
+        )
 
-    def cells(self):
+    def cells(self) -> tuple:
         """Open intervals between consecutive declared breakpoints, inside
         the universe.  No declared set has a boundary point inside a cell,
-        so one midpoint decides membership for the whole cell."""
-        return self._cells_raw()
+        so one midpoint decides membership for the whole cell.  Computed
+        once per state of the declarations."""
+        if self._cells is None:
+            self._cells = self._cells_raw()
+        return self._cells
 
     def _leaf_value(self, name: str, mid) -> PolyVars:
         if name == self.alphabet.unit.name:

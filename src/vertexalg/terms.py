@@ -1,9 +1,9 @@
 """Free integer-indexed nonassociative algebra with exact coefficients.
 
-Elements are Fraction-linear combinations of binary trees.  A leaf is a
-named symbol; an inner node o_n(x, y) is the n-th product of its children.
-The formal derivative is Dx := o_{-2}(x, 1) where 1 is the unit leaf.
-Everything is immutable; operations build new objects.
+Elements are exact rational linear combinations of binary trees.  A leaf
+is a named symbol; an inner node o_n(x, y) is the n-th product of its
+children.  The formal derivative is Dx := o_{-2}(x, 1) where 1 is the unit
+leaf.  Everything is immutable; operations build new objects.
 
 Cached hashes.  Symbol, Leaf and Node compute their hash once, at
 construction, with exactly the formula a frozen dataclass would use:
@@ -16,11 +16,17 @@ leaves(), fold_tree, sort_key, term_degree and shape_key walk the tree
 with an explicit stack, so deep trees cost time but never raise
 RecursionError.
 
-Coefficients.  Element(alphabet, terms) accepts any exact coefficient and
-drops zeros.  Element._trusted(alphabet, terms) takes the dict as it is:
-every coefficient must already be a nonzero Fraction.  Sums are
-accumulated in place with x._add_into(acc, scale), which keeps acc in that
-trusted form, so a loop of n additions costs O(total terms), not O(n^2).
+Coefficients.  Every stored coefficient is a nonzero int or Fraction,
+never a float.  Element(alphabet, terms), scalar * and / and every scale
+accept any exact number: ints stay ints, a Fraction with denominator 1
+becomes its int numerator, other exact numbers become Fractions, and a
+float raises TypeError.  Integer arithmetic stays integer until a Fraction
+enters it.  An int compares and hashes equal to the Fraction of the same
+value and prints the same, so equality, hashing and printing cannot tell
+the two apart.  Element._trusted(alphabet, terms) takes the dict as it is:
+every coefficient must already follow the rule.  Sums are accumulated in
+place with x._add_into(acc, scale), which keeps acc in that trusted form,
+so a loop of n additions costs O(total terms), not O(n^2).
 """
 
 from dataclasses import dataclass, field
@@ -270,12 +276,16 @@ class Alphabet:
         return list(self._by_name)
 
 
-def _as_coeff(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _as_coeff(c):
+    """An exact coefficient: an int, or a Fraction whose denominator is not
+    1; any other exact number is converted, a float refused."""
+    if c.__class__ is int:
         return c
-    if isinstance(c, float):
-        raise TypeError("float coefficients are not allowed; use Fraction")
-    return Q(c)
+    if not isinstance(c, Fraction):
+        if isinstance(c, float):
+            raise TypeError("float coefficients are not allowed; use int or Fraction")
+        c = Q(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class Element:
@@ -296,7 +306,7 @@ class Element:
     @classmethod
     def _trusted(cls, alphabet: Alphabet, terms: dict) -> "Element":
         """Wrap terms without copying; every coefficient must already be a
-        nonzero Fraction."""
+        nonzero int or Fraction."""
         out = object.__new__(cls)
         out.alphabet = alphabet
         out.terms = terms
@@ -308,11 +318,12 @@ class Element:
         scale = _as_coeff(scale)
         if not scale:
             return
-        items = self.terms.items()
-        if scale != 1:
-            items = [(t, c * scale) for t, c in items]
-        for t, c in items:
-            old = acc.get(t)
+        scaled = scale != 1
+        get = acc.get
+        for t, c in self.terms.items():
+            if scaled:
+                c *= scale
+            old = get(t)
             if old is None:
                 acc[t] = c
             else:
@@ -423,8 +434,8 @@ class Element:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda tc: sort_key(tc[0]))
 
-    def coeff(self, t) -> Fraction:
-        return self.terms.get(t, Q(0))
+    def coeff(self, t) -> "int | Fraction":
+        return self.terms.get(t, 0)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -462,34 +473,3 @@ def grade(x: Element) -> GradeReport:
 
 def is_homogeneous(x: Element) -> bool:
     return grade(x).degree is not None or x.is_zero()
-
-
-def is_monomial(x: Element) -> bool:
-    """True iff x is a scalar multiple of a single factorizable tensor.
-
-    All trees must share one product-shape key and the coefficient tensor
-    over the leaf slots must have rank one (checked by pivot division).
-    """
-    if not x.terms:
-        return True
-    shapes = {shape_key(t) for t in x.terms}
-    if len(shapes) > 1:
-        return False
-    entries = {tuple(s.name for s in leaves(t)): c for t, c in x.terms.items()}
-    nslots = len(next(iter(entries)))
-    pivot = min(entries)
-    cp = entries[pivot]
-    slot_ratio = [{} for _ in range(nslots)]
-    for tup in entries:
-        for k in range(nslots):
-            hybrid = pivot[:k] + (tup[k],) + pivot[k + 1 :]
-            if hybrid not in entries:
-                return False
-            slot_ratio[k][tup[k]] = entries[hybrid] / cp
-    for tup, c in entries.items():
-        acc = cp
-        for k in range(nslots):
-            acc *= slot_ratio[k][tup[k]]
-        if acc != c:
-            return False
-    return True

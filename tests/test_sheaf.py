@@ -3,7 +3,7 @@
 from fractions import Fraction as Q
 
 from vertexalg.intervals import SupportSet
-from vertexalg.sheaf import make_cover_two, restrict, sigma_star
+from vertexalg.sheaf import make_cover_three, make_cover_two, restrict, sigma_star
 from vertexalg.terms import Element
 
 DEPTH = 1500
@@ -38,3 +38,18 @@ def test_sigma_star_deep_tower():
     for _ in range(DEPTH):
         want = want.o(-2, bump)
     assert sigma_star(sigma, f.D_pow(DEPTH), ctx) == want
+
+
+def test_cells_follow_every_declaration():
+    # each step adds a breakpoint, so a cells() memo left stale would differ
+    ctx, _ = make_cover_three()
+    assert ctx.cells() == ctx._cells_raw()
+    steps = (
+        lambda: ctx.declare_section("k", SupportSet.closed(Q(1, 5), 4)),
+        lambda: ctx.declare_bump("s4", SupportSet.closed(Q(1, 7), 4)),
+        lambda: ctx.restricted_symbol("f", SupportSet.closed(Q(1, 9), Q(7, 2))),
+    )
+    for step in steps:
+        before = ctx.cells()
+        step()
+        assert ctx.cells() == ctx._cells_raw() != before

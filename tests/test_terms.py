@@ -1,6 +1,7 @@
 """Core free-algebra layer: symbols, trees, exact linear combinations."""
 
 from fractions import Fraction as Q
+from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
@@ -313,7 +314,12 @@ _pool = [s.name for s in _weyl.sample_symbols()]
 
 
 def _trusted(x: Element) -> bool:
-    return all(type(c) is Q and c != 0 for c in x.terms.values())
+    """The coefficient rule: every coefficient is a nonzero int or Fraction."""
+    return all(type(c) in (int, Q) and c != 0 for c in x.terms.values())
+
+
+def _ints(x: Element) -> bool:
+    return all(type(c) is int for c in x.terms.values())
 
 
 def _fold(al, pairs) -> Element:
@@ -420,3 +426,52 @@ class TestTrustedResults:
             ],
         )
         assert got == want
+
+
+class TestIntCoefficients:
+    """Int inputs stay int; division stays exact; floats are refused."""
+
+    @given(weyl_elements(), weyl_elements(), st.integers(-3, 3), st.integers(-3, 2),
+           st.integers(0, 4))
+    def test_int_inputs_give_int_coefficients(self, a, b, k, n, p):
+        assert _ints(a) and _ints(b)
+        for got in (a + b, a - b, -a, k * a, a * k, a.o(n, b), a.D_pow(p)):
+            assert _trusted(got) and _ints(got)
+
+    @given(weyl_elements())
+    def test_morphism_apply_keeps_int_images_int(self, x):
+        # b -> b + 1 sends every symbol to an integer combination
+        assert all(_ints(img) for img in _shift.table.values())
+        assert _ints(_shift.apply(x))
+
+    @given(st.integers(-5, 5).filter(bool), st.integers(1, 7))
+    def test_integral_fraction_is_stored_as_int(self, n, d):
+        al = _weyl.alphabet
+        t = Leaf(al.symbol(_pool[0]))
+        (c,) = Element(al, {t: Q(n * d, d)}).terms.values()
+        assert type(c) is int and c == n
+        (c,) = (Element.of_term(al, t) * Q(n * d, d)).terms.values()
+        assert type(c) is int and c == n
+
+    @given(weyl_elements(), st.integers(0, 4))
+    def test_division_stays_exact(self, x, k):
+        third = x / 3
+        assert _trusted(third)
+        assert all(third.coeff(t) == Q(c, 3) for t, c in x.terms.items())
+        assert third * 3 == x
+        got = x.D_pow(k, divide_factorial=True)
+        assert _trusted(got)
+        assert got * factorial(k) == x.D_pow(k)
+
+    @given(weyl_elements(), st.floats(allow_nan=False))
+    def test_floats_are_refused(self, x, f):
+        al = _weyl.alphabet
+        t = Leaf(al.symbol(_pool[0]))
+        with pytest.raises(TypeError):
+            Element(al, {t: f})
+        with pytest.raises(TypeError):
+            x * f
+        acc = dict(x.terms)
+        with pytest.raises(TypeError):
+            Element.of_term(al, t)._add_into(acc, f)
+        assert acc == x.terms
