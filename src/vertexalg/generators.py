@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .terms import Element, Leaf, binom, minus_one_pow, parity
+from .terms import Element, Leaf, binom, fold_tree, minus_one_pow, parity
 
 Q = Fraction
 
@@ -67,13 +67,24 @@ class TruncationPolicy:
 
 
 def _term_is_dead(t, policy: TruncationPolicy) -> bool:
-    if isinstance(t, Leaf):
-        return False
-    if isinstance(t.left, Leaf) and isinstance(t.right, Leaf):
-        if policy.is_dead(t.left.symbol, t.right.symbol, t.index):
+    """Whether t holds a leaf-pair product that policy truncates; one
+    fold_tree walk, so deep trees cost time, never RecursionError."""
+
+    def node(n, left_dead, right_dead):
+        if left_dead or right_dead:
             return True
-        return False
-    return _term_is_dead(t.left, policy) or _term_is_dead(t.right, policy)
+        u, v = n.left, n.right
+        return (
+            u.__class__ is Leaf
+            and v.__class__ is Leaf
+            and policy.is_dead(u.symbol, v.symbol, n.index)
+        )
+
+    return fold_tree(t, _alive, node)
+
+
+def _alive(leaf) -> bool:
+    return False
 
 
 def truncate(x: Element, policy: TruncationPolicy) -> Element:
@@ -109,13 +120,39 @@ def _tail_bound_for_pairs(pairs, offset: int, policy: TruncationPolicy) -> int:
     return need
 
 
-def _certify(pairs, offset: int, K: int, policy: TruncationPolicy, what: str):
-    needed = _tail_bound_for_pairs(pairs, offset, policy)
-    if K < needed:
+def _certified_bound(what, K, policy, certify, groups, finite=None) -> int:
+    """The tail bound of a qc/qa family: K, or max(policy.level, needed)
+    when K is None.
+
+    needed is the smallest bound past which every dropped summand is
+    truncation-dead: `finite` when the tail is finite, else the largest
+    _tail_bound_for_pairs over groups of (left args, right args, offset),
+    which must be leaf combinations.  With certify set, compound arguments
+    or K < needed raise CertificationError."""
+    needed = finite
+    if needed is None and (K is None or certify):
+        needed = 0
+        for left, right, offset in groups:
+            us, vs = _leaf_symbols(left), _leaf_symbols(right)
+            if us is None or vs is None:
+                if certify:
+                    raise CertificationError(
+                        f"{what} tail over compound arguments has no leaf-pair "
+                        "certificate"
+                    )
+                needed = None
+                break
+            pairs = [(u, v) for u in us for v in vs]
+            needed = max(needed, _tail_bound_for_pairs(pairs, offset, policy))
+    if K is None:
+        if needed is None:
+            raise CertificationError(f"{what} needs an explicit bound K here")
+        return max(policy.level, needed)
+    if certify and needed is not None and K < needed:
         raise CertificationError(
             f"{what}: bound K={K} keeps alive dropped terms; need K>={needed}"
         )
-    return needed
+    return K
 
 
 # family builders ------------------------------------------------------------
@@ -163,25 +200,7 @@ def fam_qc(
     certify: bool = True,
 ) -> Element:
     sign = minus_one_pow(_parity_of(x, "qc arg x") * _parity_of(y, "qc arg y"))
-    if K is None or certify:
-        ys, xs = _leaf_symbols(y), _leaf_symbols(x)
-        if ys is None or xs is None:
-            if certify:
-                raise CertificationError(
-                    "qc tail over compound arguments has no leaf-pair certificate"
-                )
-            needed = None
-        else:
-            pairs = [(a, b) for a in ys for b in xs]
-            needed = _tail_bound_for_pairs(pairs, n, policy)
-        if K is None:
-            if needed is None:
-                raise CertificationError("qc needs an explicit bound K here")
-            K = max(policy.level, needed)
-        elif needed is not None and K < needed:
-            raise CertificationError(
-                f"qc: bound K={K} keeps alive dropped terms; need K>={needed}"
-            )
+    K = _certified_bound("qc", K, policy, certify, [(y, x, n)])
     acc = dict(x.o(n, y).terms)
     for k in range(K + 1):
         c = Q(sign * minus_one_pow(n + k), factorial(k))
@@ -200,35 +219,11 @@ def fam_qa(
     certify: bool = True,
 ) -> Element:
     sign_xy = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
-    if m >= 0:
-        needed = m  # binomial support is finite
-    elif certify or K is None:
-        ys, zs = _leaf_symbols(y), _leaf_symbols(z)
-        xs = _leaf_symbols(x)
-        if ys is None or zs is None or xs is None:
-            if certify:
-                raise CertificationError(
-                    "qa tail over compound arguments has no leaf-pair certificate"
-                )
-            needed = None
-        else:
-            k1 = _tail_bound_for_pairs(
-                [(a, b) for a in ys for b in zs], n, policy
-            )
-            k2 = _tail_bound_for_pairs(
-                [(a, b) for a in xs for b in zs], 0, policy
-            )
-            needed = max(k1, k2)
-    else:
-        needed = None
-    if K is None:
-        if needed is None:
-            raise CertificationError("qa needs an explicit bound K here")
-        K = max(policy.level, needed)
-    elif certify and needed is not None and K < needed:
-        raise CertificationError(
-            f"qa: bound K={K} keeps alive dropped terms; need K>={needed}"
-        )
+    groups = [(y, z, n), (x, z, 0)]
+    # a tail with m >= 0 is finite: binom(m, k) vanishes past k = m
+    K = _certified_bound(
+        "qa", K, policy, certify, groups, finite=m if m >= 0 else None
+    )
     acc = dict(x.o(m, y).o(n, z).terms)
     for k in range(K + 1):
         c = binom(m, k) * minus_one_pow(k)

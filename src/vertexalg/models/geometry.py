@@ -1,12 +1,22 @@
 """Differential-form models: forms on a line, and a rank-one twisted module
 over two coordinates with a polynomial connection.
 
-The value level is exact: forms are tuples of rational polynomials, one per
-component of the exterior-algebra basis, and operators are closures on
-those values.  The symbol level re-expresses values in a finite alphabet
-(form monomials and form-multiples of the basic operators) so the generic
-Model machinery applies; values outside the alphabet raise the degree-cap
-error.  Symbol-table brackets are built from one structural rule
+The value level is exact and has one exterior algebra, Forms(n), over the
+coordinates b_1..b_n.  A form is a dict from basis bitmask to nonzero
+polynomial: bit i stands for db_{i+1}, mask 0b11 is db1 ^ db2, and {} is the
+zero form.  A basis element is the wedge of its differentials in increasing
+order, so every sign is a bit count: db_i ^ e_a, and db_i contracted out of
+e_a, carry one -1 per bit of a below i; e_a ^ e_b carries one -1 per pair
+i in a, j in b with i > j.  Forms(n) tabulates these signs when it is
+built, and writes add, scale, wedge, d, iota and lie once for every n.  A
+vector field is a tuple of n polynomials.  DeRham1 computes in Forms(1)
+over Poly1, DeRham2Conn in Forms(2) over Poly2; operators on sections are
+closures on those values.
+
+The symbol level re-expresses values in a finite alphabet (form monomials
+and form-multiples of the basic operators) so the generic Model machinery
+applies; values outside the alphabet raise the degree-cap error.
+Symbol-table brackets are built from one structural rule
 
     [w P, e Q] = w ^ P(e) . Q - (-1)^{(|w|+|P|)(|e|+|Q|)} e ^ Q(w) . P
                  + (-1)^{|P||e|} (w ^ e) . [P, Q]
@@ -14,9 +24,9 @@ error.  Symbol-table brackets are built from one structural rule
 valid because every basic operator satisfies the graded Leibniz rule over
 wedge with a form-level symbol (contraction, exterior derivative, Lie
 derivative; the connection with symbol d; the euler counter with symbol 0).
-The rule, with the wedge product and the action, is written once in
-_form_model; each maker passes it that model's form algebra and operators.
-The geometry checks then confirm the tables against honest operator
+The rule, the form table and the encoders are written once in _form_model;
+each maker passes it that model's one-monomial forms and operators.  The
+geometry checks then confirm the tables against honest operator
 commutators on section batteries, with independent oracles for the Lie
 derivative, the curvature two-form, and the vector-field bracket.
 """
@@ -30,108 +40,104 @@ from .polys import Poly1, Poly2
 Q = Fraction
 
 
-# 1-D forms: value = (f, g) meaning f + g db ----------------------------------
-#
-# Polynomials are immutable, so every zero slot can share one zero polynomial.
-
-_Z1 = Poly1()
-
-
-def w1_zero():
-    return (_Z1, _Z1)
-
-
-def w1_add(u, v):
-    return (u[0] + v[0], u[1] + v[1])
+def _put(form: dict, mask: int, p) -> None:
+    """form[mask] += p for a nonzero p; a slot that cancels is deleted."""
+    old = form.get(mask)
+    if old is not None:
+        p = old + p
+        if not p.c:
+            del form[mask]
+            return
+    form[mask] = p
 
 
-def w1_scale(c, u):
-    return (u[0] * c, u[1] * c)
+class Forms:
+    """The exterior algebra over n coordinates of the module docstring.
+    A form is never mutated once returned, so results may share operands."""
+
+    def __init__(self, n: int):
+        masks = range(1 << n)
+        bits = [[i for i in range(n) if a >> i & 1] for a in masks]
+
+        def below(i, a):
+            return (a & ((1 << i) - 1)).bit_count()
+
+        # the steps of d and iota on e_a: (coordinate, result mask, sign)
+        self._d_steps = [
+            [(i, a | 1 << i, minus_one_pow(below(i, a))) for i in range(n)
+             if i not in bits[a]]
+            for a in masks
+        ]
+        self._iota_steps = [
+            [(i, a ^ 1 << i, minus_one_pow(below(i, a))) for i in bits[a]]
+            for a in masks
+        ]
+        # the sign of e_a ^ e_b, 0 when they share a differential
+        self._wedge_sign = [
+            [0 if a & b else minus_one_pow(sum(below(i, b) for i in bits[a]))
+             for b in masks]
+            for a in masks
+        ]
+
+    def add(self, u, v):
+        if not u:
+            return v
+        out = dict(u)
+        for mask, p in v.items():
+            _put(out, mask, p)
+        return out
+
+    def scale(self, c, u):
+        if not c:
+            return {}
+        return {mask: p * c for mask, p in u.items()}
+
+    def wedge(self, u, v):
+        out = {}
+        for a, p in u.items():
+            signs = self._wedge_sign[a]
+            for b, q in v.items():
+                if signs[b]:
+                    pq = p * q
+                    _put(out, a | b, pq if signs[b] > 0 else -pq)
+        return out
+
+    def d(self, u):
+        out = {}
+        for a, p in u.items():
+            for i, b, sign in self._d_steps[a]:
+                dp = p.diff(i)
+                if dp.c:
+                    _put(out, b, dp if sign > 0 else -dp)
+        return out
+
+    def iota(self, field, u):
+        """Contraction with the vector field sum_i field[i] d/db_{i+1}."""
+        out = {}
+        for a, p in u.items():
+            for i, b, sign in self._iota_steps[a]:
+                if field[i].c:
+                    fp = field[i] * p
+                    _put(out, b, fp if sign > 0 else -fp)
+        return out
+
+    def lie(self, field, u):
+        """Cartan's formula: L_X = d iota_X + iota_X d."""
+        return self.add(self.d(self.iota(field, u)), self.iota(field, self.d(u)))
 
 
-def w1_wedge(u, v):
-    return (u[0] * v[0], u[0] * v[1] + u[1] * v[0])
+F1 = Forms(1)
+F2 = Forms(2)
 
 
-def w1_d(u):
-    return (_Z1, u[0].diff())
-
-
-def w1_iota(p: Poly1, u):
-    # contraction with the field p(b) d/db
-    return (p * u[1], _Z1)
-
-
-def w1_lie(p: Poly1, u):
-    return w1_add(w1_d(w1_iota(p, u)), w1_iota(p, w1_d(u)))
+# independent oracles, on raw polynomial partials -------------------------------
 
 
 def w1_lie_oracle(p: Poly1, u):
     # coefficient differentiation: L_{p d/db}(f + g db) = p f' + (p g' + p' g) db
-    return (p * u[0].diff(), p * u[1].diff() + p.diff() * u[1])
-
-
-# 2-D forms: value = (c0, c1, c2, c12) over db1, db2 ---------------------------
-#
-# Most slots of the forms met in the checks are zero, so the helpers hand a
-# zero operand back as it is instead of working through its slots.
-
-_Z2 = Poly2()
-_W2_ZERO = (_Z2, _Z2, _Z2, _Z2)
-
-
-def w2_zero():
-    return _W2_ZERO
-
-
-def w2_is_zero(u):
-    return not (u[0].c or u[1].c or u[2].c or u[3].c)
-
-
-def w2_add(u, v):
-    return (u[0] + v[0], u[1] + v[1], u[2] + v[2], u[3] + v[3])
-
-
-def w2_scale(c, u):
-    if w2_is_zero(u):
-        return u
-    return (u[0] * c, u[1] * c, u[2] * c, u[3] * c)
-
-
-def w2_wedge(u, v):
-    if w2_is_zero(u):
-        return u
-    if w2_is_zero(v):
-        return v
-    return (
-        u[0] * v[0],
-        u[0] * v[1] + u[1] * v[0],
-        u[0] * v[2] + u[2] * v[0],
-        u[0] * v[3] + u[3] * v[0] + u[1] * v[2] - u[2] * v[1],
-    )
-
-
-def w2_d(u):
-    if w2_is_zero(u):
-        return u
-    return (
-        _Z2,
-        u[0].diff(0),
-        u[0].diff(1),
-        u[2].diff(0) - u[1].diff(1),
-    )
-
-
-def w2_iota(field, u):
-    # field = (p, q) meaning p d/db1 + q d/db2
-    if w2_is_zero(u):
-        return u
-    p, q = field
-    return (p * u[1] + q * u[2], -(q * u[3]), p * u[3], _Z2)
-
-
-def w2_lie(field, u):
-    return w2_add(w2_d(w2_iota(field, u)), w2_iota(field, w2_d(u)))
+    f, g = u.get(0, Poly1()), u.get(1, Poly1())
+    out = {0: p * f.diff(), 1: p * g.diff() + p.diff() * g}
+    return {mask: c for mask, c in out.items() if c.c}
 
 
 def field_bracket(x, y):
@@ -144,37 +150,33 @@ def field_bracket(x, y):
 
 def curvature_oracle(a1: Poly2, a2: Poly2):
     # F = dA by formal partials, independent of the form engine
-    return (Poly2(), Poly2(), Poly2(), a2.diff(0) - a1.diff(1))
+    f12 = a2.diff(0) - a1.diff(1)
+    return {0b11: f12} if f12.c else {}
 
 
-# sections: dict e-power -> 2-D form value ------------------------------------
-
-
-def sec_zero():
-    return {}
+# sections: dict e-power -> Forms(2) value ---------------------------------------
+#
+# Only Op.__call__ and sec_eq drop zero forms; sec_add and sec_scale may
+# leave them in.
 
 
 def sec_clean(s):
-    return {k: v for k, v in s.items() if not w2_is_zero(v)}
+    return {k: v for k, v in s.items() if v}
 
 
 def sec_add(s, t):
     out = dict(s)
     for k, v in t.items():
-        out[k] = w2_add(out[k], v) if k in out else v
-    return sec_clean(out)
+        out[k] = F2.add(out[k], v) if k in out else v
+    return out
 
 
 def sec_scale(c, s):
-    return sec_clean({k: w2_scale(c, v) for k, v in s.items()})
+    return {k: F2.scale(c, v) for k, v in s.items()}
 
 
 def sec_eq(s, t):
     return sec_clean(s) == sec_clean(t)
-
-
-def sec_of(form, k=0):
-    return sec_clean({k: form})
 
 
 class Op:
@@ -202,86 +204,131 @@ def op_componentwise(name, parity, form_fn):
 
 
 def op_d2():
-    return op_componentwise("d", 1, w2_d)
+    return op_componentwise("d", 1, F2.d)
 
 
 def op_iota2(field, name="iota"):
-    return op_componentwise(name, 1, lambda v: w2_iota(field, v))
+    return op_componentwise(name, 1, lambda v: F2.iota(field, v))
 
 
 def op_lie2(field, name="lie"):
-    return op_componentwise(name, 0, lambda v: w2_lie(field, v))
+    return op_componentwise(name, 0, lambda v: F2.lie(field, v))
 
 
 def op_euler():
-    return Op("E", 0, lambda s: {k: w2_scale(k, v) for k, v in s.items()})
+    return Op("E", 0, lambda s: {k: F2.scale(k, v) for k, v in s.items()})
 
 
 def op_nabla(a_form):
     def fn(s):
         return {
-            k: w2_add(w2_d(v), w2_scale(k, w2_wedge(a_form, v))) for k, v in s.items()
+            k: F2.add(F2.d(v), F2.scale(k, F2.wedge(a_form, v))) for k, v in s.items()
         }
 
     return Op("nabla", 1, fn)
 
 
-# symbol grids ------------------------------------------------------------------
+# the form table and the bracket rule ---------------------------------------------
 
-OPS1 = {"iX": ("iota", 1), "lX": ("lie", 0), "dd": ("d", 1)}
-OPS2 = {
-    "iota1": ("iota", 1, (0,)),
-    "iota2": ("iota", 1, (1,)),
-    "dd": ("d", 1, None),
-    "nabla": ("nabla", 1, None),
-    "lie1": ("lie", 0, (0,)),
-    "lie2": ("lie", 0, (1,)),
-    "ee": ("euler", 0, None),
-}
+# basic operator ids and their parities
+OPS1 = {"iX": 1, "lX": 0, "dd": 1}
+OPS2 = {"iota1": 1, "iota2": 1, "dd": 1, "nabla": 1, "lie1": 0, "lie2": 0, "ee": 0}
+
+
+def _form_parity(form) -> int:
+    (mask,) = form
+    return mask.bit_count() % 2
 
 
 def _form_model(
-    name, al, max_degree, meta, *, wedge, scale, form_val, split_op, act_form,
-    pure_bracket, form_to_elem, op_to_elem,
+    name, algebra, forms, ops, multiples, max_degree, meta, *, act_form, pure_bracket
 ) -> Model:
-    """The structural bracket rule of the module docstring, written once.
+    """The structural bracket rule of the module docstring, written once,
+    over the form table.
 
-    A form-multiple operator symbol splits as (w, P): split_op gives its
-    form value and basic-operator id.  act_form(P, v) applies the basic
-    operator's form-level symbol to a form value, pure_bracket(P, Q) lists
-    [P, Q] as (form, op) summands or gives None, and form_to_elem /
-    op_to_elem re-express values in the alphabet (or raise the degree-cap
-    error).  The alphabet holds each basic operator under its own id, which
-    gives its parity."""
+    forms maps each form name to its one-monomial form, in alphabet order;
+    "" names the unit form, and the alphabet's unit name decodes to it too.
+    ops maps each basic operator id to its parity.  The alphabet holds the
+    non-unit form names, then each basic operator under its own id, then
+    "<form><op>" for every non-unit form and every op in multiples.  The
+    index (bitmask, monomial) -> form name re-expresses values: a monomial
+    outside the table, or a "<form><op>" name outside the alphabet, raises
+    the degree-cap error.  act_form(P, v) applies basic operator P's
+    form-level symbol to a form, and pure_bracket(P, Q) lists [P, Q] as
+    (form, op) summands or gives None.  The model's meta["forms"] is the
+    decoding table."""
+    al = Alphabet()
+    for fname, form in forms.items():
+        if fname:
+            al.add(Symbol(fname, _form_parity(form), Q(0), "algebra"))
+    split = {}  # operator symbol -> (its form, its basic operator id)
+    for fname, form in forms.items():
+        for op in multiples if fname else ops:
+            split[fname + op] = (form, op)
+            parity = (_form_parity(form) + ops[op]) % 2
+            al.add(Symbol(fname + op, parity, Q(0), "lie"))
+    index = {
+        (mask, mono): fname
+        for fname, form in forms.items()
+        for mask, p in form.items()
+        for mono in p.c
+    }
+    table = {**forms, al.unit.name: forms[""]}
+    elems = {s: Element.sym(al, s) for s in al.names()}
+    elems[""] = elems[al.unit.name]
+    wedge, scale = algebra.wedge, algebra.scale
+
+    def op_to_elem(pairs) -> Element:
+        # the sum of form ^ op over (form, op id) pairs; op "" is the form itself
+        acc = {}
+        for v, op in pairs:
+            for mask, p in v.items():
+                for mono, c in p.c.items():
+                    fname = index.get((mask, mono))
+                    if fname is None:
+                        degree = sum(mono) if isinstance(mono, tuple) else mono
+                        raise ModelDegreeError(
+                            f"degree {degree} exceeds cap {max_degree}"
+                        )
+                    elem = elems.get(fname + op)
+                    if elem is None:
+                        raise ModelDegreeError(
+                            f"form-multiple of {op} is outside the operator alphabet"
+                        )
+                    elem._add_into(acc, c)
+        return Element._trusted(al, acc)
+
+    def form_to_elem(v) -> Element:
+        return op_to_elem([(v, "")])
 
     def bracket(s, t):
         s_op, t_op = s.kind == "lie", t.kind == "lie"
         if not s_op and not t_op:
             return Element.zero(al)
         if s_op and not t_op:
-            w, p = split_op(s.name)
-            return form_to_elem(wedge(w, act_form(p, form_val(t.name))))
+            w, p = split[s.name]
+            return form_to_elem(wedge(w, act_form(p, table[t.name])))
         koszul = minus_one_pow(s.parity * t.parity)
         if t_op and not s_op:
             return (-koszul) * bracket(t, s)
-        w, p = split_op(s.name)
-        e, q = split_op(t.name)
-        e_par = (t.parity - al.symbol(q).parity) % 2
+        w, p = split[s.name]
+        e, q = split[t.name]
+        e_par = (t.parity - ops[q]) % 2
         pairs = [
             (wedge(w, act_form(p, e)), q),
             (scale(-koszul, wedge(e, act_form(q, w))), p),
         ]
-        sign = minus_one_pow(al.symbol(p).parity * e_par)
+        sign = minus_one_pow(ops[p] * e_par)
         for pq_form, pq_op in pure_bracket(p, q) or ():
             pairs.append((scale(sign, wedge(wedge(w, e), pq_form)), pq_op))
         return op_to_elem(pairs)
 
     def product(a, b):
-        return form_to_elem(wedge(form_val(a.name), form_val(b.name)))
+        return form_to_elem(wedge(table[a.name], table[b.name]))
 
     def action(a, g):
-        w, p = split_op(g.name)
-        return op_to_elem([(wedge(form_val(a.name), w), p)])
+        w, p = split[g.name]
+        return op_to_elem([(wedge(table[a.name], w), p)])
 
     return Model(
         name,
@@ -291,124 +338,50 @@ def _form_model(
         action,
         max_degree=max_degree,
         commutative=None,
-        meta=meta,
+        meta={**meta, "forms": table},
     )
-
-
-def _mono1_name(k: int) -> str:
-    return "" if k == 0 else ("b" if k == 1 else f"b{k}")
-
-
-def _form1_name(k: int, has_db: bool) -> str:
-    base = _mono1_name(k)
-    return (base + "db") if has_db else base
-
-
-def _form1_val(name: str):
-    if name in ("", "1"):
-        return (Poly1.const(1), Poly1())
-    has_db = name.endswith("db")
-    core = name[:-2] if has_db else name
-    k = 0 if core == "" else (1 if core == "b" else int(core[1:]))
-    mono = Poly1.mono(k)
-    return (Poly1(), mono) if has_db else (mono, Poly1())
 
 
 def make_derham1(max_degree: int = 3) -> Model:
     """Forms f + g db with polynomial coefficients up to the degree cap, and
     the operator family of one vector field: contraction iX, Lie derivative
     lX, exterior derivative dd, with all form-multiples."""
-    al = Alphabet()
-    forms = []  # (name, k, has_db); name "" is the unit
+    forms = {}
     for k in range(max_degree + 1):
-        for has_db in (False, True):
-            name = _form1_name(k, has_db)
-            forms.append((name, k, has_db))
-            if name:
-                al.add(Symbol(name, 1 if has_db else 0, Q(0), "algebra"))
-    for fname, k, has_db in forms:
-        fpar = 1 if has_db else 0
-        for op, (_, opar) in OPS1.items():
-            al.add(Symbol(fname + op, (fpar + opar) % 2, Q(0), "lie"))
-
-    one = Poly1.const(1)
-
-    def split_op(name: str):
-        # "<form><op>" with op one of OPS1
-        return _form1_val(name[:-2]), name[-2:]
-
-    def form_to_elem(v) -> Element:
-        out = Element.zero(al)
-        for poly, has_db in ((v[0], False), (v[1], True)):
-            for k, c in poly.c.items():
-                if k > max_degree:
-                    raise ModelDegreeError(f"degree {k} exceeds cap {max_degree}")
-                name = _form1_name(k, has_db)
-                out = out + (
-                    Element.unit(al, c) if not name else Element.sym(al, name, c)
-                )
-        return out
-
-    def op_to_elem(pairs) -> Element:
-        # pairs: iterable of (form value, op id)
-        out = Element.zero(al)
-        for v, op in pairs:
-            for poly, has_db in ((v[0], False), (v[1], True)):
-                for k, c in poly.c.items():
-                    if k > max_degree:
-                        raise ModelDegreeError(f"degree {k} exceeds cap {max_degree}")
-                    out = out + Element.sym(al, _form1_name(k, has_db) + op, c)
-        return out
+        mono = "" if k == 0 else ("b" if k == 1 else f"b{k}")
+        forms[mono] = {0: Poly1.mono(k)}
+        forms[mono + "db"] = {1: Poly1.mono(k)}
+    one = (Poly1.const(1),)
 
     def act_form(op: str, v):
         if op == "iX":
-            return w1_iota(one, v)
+            return F1.iota(one, v)
         if op == "lX":
-            return w1_lie(one, v)
-        return w1_d(v)
+            return F1.lie(one, v)
+        return F1.d(v)
 
     # pure-operator super-brackets: only [dd, iX] = [iX, dd] = lX survives
     def pure_bracket(p: str, q: str):
         if {p, q} == {"dd", "iX"}:
-            return [((one, Poly1()), "lX")]
+            return [(forms[""], "lX")]
         return None
 
     return _form_model(
-        "derham1",
-        al,
-        max_degree,
+        "derham1", F1, forms, OPS1, OPS1, max_degree,
         {"kind": "DeRham1", "locality": 2},
-        wedge=w1_wedge,
-        scale=w1_scale,
-        form_val=_form1_val,
-        split_op=split_op,
-        act_form=act_form,
-        pure_bracket=pure_bracket,
-        form_to_elem=form_to_elem,
-        op_to_elem=op_to_elem,
+        act_form=act_form, pure_bracket=pure_bracket,
     )
 
 
 # 2-D connection model -----------------------------------------------------------
 
-_SUFFIXES = ("", "w1", "w2", "w12")
-_SUFFIX_PARITY = {"": 0, "w1": 1, "w2": 1, "w12": 0}
+_SUFFIXES = ("", "w1", "w2", "w12")  # indexed by bitmask
+_FIELDS2 = {"1": (Poly2.const(1), Poly2()), "2": (Poly2(), Poly2.const(1))}
 
 
-def _mono2_name(i: int, j: int, suffix: str) -> str:
-    if i == 0 == j and suffix == "":
-        return ""
-    return f"m{i}{j}{suffix}"
-
-
-def _form2_val(name: str):
-    if name in ("", "1"):
-        return (Poly2.const(1), Poly2(), Poly2(), Poly2())
-    i, j = int(name[1]), int(name[2])
-    sfx = name[3:]
-    out = [Poly2(), Poly2(), Poly2(), Poly2()]
-    out[_SUFFIXES.index(sfx)] = Poly2.mono(i, j)
-    return tuple(out)
+def _one_form(a1: Poly2, a2: Poly2):
+    """The Forms(2) value a1 db1 + a2 db2."""
+    return {mask: p for mask, p in ((1, a1), (2, a2)) if p.c}
 
 
 def make_derham2(
@@ -419,128 +392,54 @@ def make_derham2(
     all form-multiples of the euler counter (the bracket closure)."""
     if max(a1.total_degree(), a2.total_degree(), 1) > max_degree:
         raise ValueError("connection coefficients exceed the degree cap")
-    al = Alphabet()
-    monos = [
-        (i, j)
-        for i in range(max_degree + 1)
-        for j in range(max_degree + 1)
-        if i + j <= max_degree
-    ]
-    form_names = []
-    for i, j in monos:
-        for sfx in _SUFFIXES:
-            fname = _mono2_name(i, j, sfx)
-            form_names.append(fname)
-            if fname:
-                al.add(Symbol(fname, _SUFFIX_PARITY[sfx], Q(0), "algebra"))
-    for op, (_, opar, _) in OPS2.items():
-        al.add(Symbol(op, opar, Q(0), "lie"))
-    for fname in form_names:
-        if fname:
-            fpar = al.symbol(fname).parity
-            al.add(Symbol(fname + "ee", fpar, Q(0), "lie"))
-
-    a_form = (Poly2(), a1, a2, Poly2())
-    f_form = w2_d(a_form)  # engine curvature; oracle checked in the suite
-
-    def split_op(sym_name: str):
-        if sym_name in OPS2:
-            return _form2_val(""), sym_name
-        # "<form>ee"
-        return _form2_val(sym_name[:-2]), "ee"
-
-    def form_to_elem(v) -> Element:
-        out = Element.zero(al)
-        for slot, sfx in enumerate(_SUFFIXES):
-            for (i, j), c in v[slot].c.items():
-                if i + j > max_degree:
-                    raise ModelDegreeError(f"degree {i+j} exceeds cap {max_degree}")
-                fname = _mono2_name(i, j, sfx)
-                out = out + (
-                    Element.unit(al, c) if not fname else Element.sym(al, fname, c)
-                )
-        return out
-
-    def op_to_elem(pairs) -> Element:
-        out = Element.zero(al)
-        for v, op in pairs:
-            if op != "ee":
-                # only euler multiples are in the alphabet
-                scalar = v[0].c.get((0, 0), Q(0))
-                rest = w2_add(v, w2_scale(-1, (Poly2.const(scalar), Poly2(), Poly2(), Poly2())))
-                if not w2_is_zero(rest):
-                    raise ModelDegreeError(
-                        f"form-multiple of {op} is outside the operator alphabet"
-                    )
-                if scalar:
-                    out = out + Element.sym(al, op, scalar)
-                continue
-            for slot, sfx in enumerate(_SUFFIXES):
-                for (i, j), c in v[slot].c.items():
-                    if i + j > max_degree:
-                        raise ModelDegreeError(
-                            f"degree {i+j} exceeds cap {max_degree}"
-                        )
-                    fname = _mono2_name(i, j, sfx)
-                    out = out + Element.sym(al, (fname + "ee") if fname else "ee", c)
-        return out
-
-    fields = {(0,): (Poly2.const(1), Poly2()), (1,): (Poly2(), Poly2.const(1))}
+    forms = {}
+    for i in range(max_degree + 1):
+        for j in range(max_degree + 1 - i):
+            for mask, sfx in enumerate(_SUFFIXES):
+                fname = "" if i == j == mask == 0 else f"m{i}{j}{sfx}"
+                forms[fname] = {mask: Poly2.mono(i, j)}
+    a_form = _one_form(a1, a2)
+    f_form = F2.d(a_form)  # engine curvature; oracle checked in the suite
 
     def act_form(op: str, v):
-        kind = OPS2[op][0] if op in OPS2 else "euler"
-        if kind == "iota":
-            return w2_iota(fields[OPS2[op][2]], v)
-        if kind == "lie":
-            return w2_lie(fields[OPS2[op][2]], v)
-        if kind in ("d", "nabla"):
+        if op in ("dd", "nabla"):
             # the connection acts on forms through its exterior-derivative symbol
-            return w2_d(v)
-        return w2_zero()  # euler kills pure forms
+            return F2.d(v)
+        if op == "ee":
+            return {}  # euler kills pure forms
+        act = F2.iota if op.startswith("iota") else F2.lie
+        return act(_FIELDS2[op[-1]], v)
 
-    one2 = _form2_val("")
+    one = forms[""]
 
     def pure_bracket(p: str, q: str):
         # [p, q] for the ORDERED pair, as a list of (form, op) summands.
         # All cases except nabla/lie pair super-symmetrically, so unordered
         # lookup covers them; [lie_i, nabla] = (lie_i A) ee is antisymmetric.
         key = frozenset((p, q))
-        if key == frozenset(("dd", "iota1")):
-            return [(one2, "lie1")]
-        if key == frozenset(("dd", "iota2")):
-            return [(one2, "lie2")]
-        if key == frozenset(("dd", "nabla")):
+        if key == {"nabla"}:
+            return [(F2.scale(2, f_form), "ee")]
+        if key == {"dd", "nabla"}:
             return [(f_form, "ee")]
-        if key == frozenset(("nabla",)):
-            return [(w2_scale(2, f_form), "ee")]
-        if key == frozenset(("nabla", "iota1")):
-            return [(one2, "lie1"), (w2_iota(fields[(0,)], a_form), "ee")]
-        if key == frozenset(("nabla", "iota2")):
-            return [(one2, "lie2"), (w2_iota(fields[(1,)], a_form), "ee")]
-        if key in (frozenset(("nabla", "lie1")), frozenset(("nabla", "lie2"))):
-            fld = fields[(0,)] if "lie1" in key else fields[(1,)]
-            la = w2_lie(fld, a_form)
-            return [(w2_scale(-1 if p == "nabla" else 1, la), "ee")]
+        for i, fld in _FIELDS2.items():
+            if key == {"dd", "iota" + i}:
+                return [(one, "lie" + i)]
+            if key == {"nabla", "iota" + i}:
+                return [(one, "lie" + i), (F2.iota(fld, a_form), "ee")]
+            if key == {"nabla", "lie" + i}:
+                la = F2.lie(fld, a_form)
+                return [(F2.scale(-1 if p == "nabla" else 1, la), "ee")]
         return None
 
+    meta = {
+        "kind": "DeRham2Conn",
+        "locality": 2,
+        "connection": (a1, a2),
+        "curvature": f_form,
+    }
     return _form_model(
-        name,
-        al,
-        max_degree,
-        {
-            "kind": "DeRham2Conn",
-            "locality": 2,
-            "connection": (a1, a2),
-            "curvature": f_form,
-        },
-        wedge=w2_wedge,
-        scale=w2_scale,
-        form_val=_form2_val,
-        split_op=split_op,
-        act_form=act_form,
-        pure_bracket=pure_bracket,
-        form_to_elem=form_to_elem,
-        op_to_elem=op_to_elem,
+        name, F2, forms, OPS2, ("ee",), max_degree, meta,
+        act_form=act_form, pure_bracket=pure_bracket,
     )
 
 
@@ -548,23 +447,13 @@ def make_derham2(
 
 
 def _sections_battery(max_degree: int = 2):
-    out = []
-    for i in range(max_degree + 1):
-        for j in range(max_degree + 1 - i):
-            for slot in range(4):
-                v = [Poly2(), Poly2(), Poly2(), Poly2()]
-                v[slot] = Poly2.mono(i, j)
-                for k in (0, 1, 2):
-                    out.append(sec_of(tuple(v), k))
-    return out
-
-
-def _forms1_battery(max_degree: int = 3):
-    out = []
-    for k in range(max_degree + 1):
-        out.append((Poly1.mono(k), Poly1()))
-        out.append((Poly1(), Poly1.mono(k)))
-    return out
+    return [
+        {k: {mask: Poly2.mono(i, j)}}
+        for i in range(max_degree + 1)
+        for j in range(max_degree + 1 - i)
+        for mask in range(4)
+        for k in (0, 1, 2)
+    ]
 
 
 def classical_geometry_checks(model: Model) -> list:
@@ -578,25 +467,27 @@ def classical_geometry_checks(model: Model) -> list:
 
 def _derham1_checks(model: Model) -> list:
     checks = []
-    battery = _forms1_battery(model.max_degree)
-    field_polys = [Poly1.const(1), Poly1.mono(1), Poly1.mono(2)]
+    forms = model.meta["forms"]
+    battery = [
+        {mask: Poly1.mono(k)} for k in range(model.max_degree + 1) for mask in (0, 1)
+    ]
+    fields = [(Poly1.const(1),), (Poly1.mono(1),), (Poly1.mono(2),)]
 
     # Cartan formula, with the Lie derivative given by the coefficient oracle
     ok, cases = True, 0
-    for p in field_polys:
+    for x in fields:
         for u in battery:
             cases += 1
-            lhs = w1_add(w1_d(w1_iota(p, u)), w1_iota(p, w1_d(u)))
-            if lhs != w1_lie_oracle(p, u):
+            if F1.lie(x, u) != w1_lie_oracle(x[0], u):
                 ok = False
     checks.append(check("cartan", ok, cases=cases))
 
     # contraction squares to zero
     ok, cases = True, 0
-    for p in field_polys:
+    for x in fields:
         for u in battery:
             cases += 1
-            if w1_iota(p, w1_iota(p, u)) != w1_zero():
+            if F1.iota(x, F1.iota(x, u)):
                 ok = False
     checks.append(check("iota-squared", ok, cases=cases))
 
@@ -622,12 +513,12 @@ def _derham1_checks(model: Model) -> list:
                 continue
             for u in battery:
                 cases += 1
-                lhs = _apply_elem1(model, table, u)
-                rhs = w1_add(
-                    _apply_sym1(model, s, _apply_sym1(model, t, u)),
-                    w1_scale(
+                lhs = _apply_elem1(forms, table, u)
+                rhs = F1.add(
+                    _apply_sym1(forms, s, _apply_sym1(forms, t, u)),
+                    F1.scale(
                         -minus_one_pow(s.parity * t.parity),
-                        _apply_sym1(model, t, _apply_sym1(model, s, u)),
+                        _apply_sym1(forms, t, _apply_sym1(forms, s, u)),
                     ),
                 )
                 if lhs != rhs:
@@ -638,41 +529,38 @@ def _derham1_checks(model: Model) -> list:
     return checks
 
 
-def _apply_sym1(model, sym, u):
-    # the operator value of a lie symbol, applied to a 1-D form value
+def _apply_sym1(forms, sym, u):
+    # the operator value of a lie symbol, applied to a Forms(1) value
     op = sym.name[-2:]
-    w_name = sym.name[:-2]
-    w = _form1_val(w_name)
+    one = (Poly1.const(1),)
     if op == "iX":
-        acted = w1_iota(Poly1.const(1), u)
+        acted = F1.iota(one, u)
     elif op == "lX":
-        acted = w1_lie(Poly1.const(1), u)
+        acted = F1.lie(one, u)
     else:
-        acted = w1_d(u)
-    return w1_wedge(w, acted)
+        acted = F1.d(u)
+    return F1.wedge(forms[sym.name[:-2]], acted)
 
 
-def _apply_elem1(model, elem: Element, u):
-    out = w1_zero()
+def _apply_elem1(forms, elem: Element, u):
+    out = {}
     for t, c in elem.terms.items():
         sym = t.symbol
         if sym.kind == "lie":
-            out = w1_add(out, w1_scale(c, _apply_sym1(model, sym, u)))
+            v = _apply_sym1(forms, sym, u)
         else:
-            out = w1_add(out, w1_scale(c, w1_wedge(_form1_val(sym.name), u)))
+            v = F1.wedge(forms[sym.name], u)
+        out = F1.add(out, F1.scale(c, v))
     return out
 
 
 def _derham2_checks(model: Model) -> list:
     checks = []
     a1, a2 = model.meta["connection"]
-    a_form = (Poly2(), a1, a2, Poly2())
+    a_form = _one_form(a1, a2)
     battery = _sections_battery(min(model.max_degree, 2))
     nab = op_nabla(a_form)
-    d_op = op_d2()
-    euler = op_euler()
-    f1 = (Poly2.const(1), Poly2())
-    f2 = (Poly2(), Poly2.const(1))
+    f1, f2 = _FIELDS2.values()
 
     # curvature: nabla^2 = (1/2)[nabla, nabla], and nabla^2 = k F wedge -
     # with F from the formal-partials oracle
@@ -685,8 +573,8 @@ def _derham2_checks(model: Model) -> list:
         two_sq = sec_scale(2, nab(nab(s)))
         if not sec_eq(half_sq(s), two_sq):
             ok = False
-        expect = {k: w2_scale(k, w2_wedge(f_oracle, v)) for k, v in s.items()}
-        if not sec_eq(nab(nab(s)), sec_clean(expect)):
+        expect = {k: F2.scale(k, F2.wedge(f_oracle, v)) for k, v in s.items()}
+        if not sec_eq(nab(nab(s)), expect):
             ok = False
     checks.append(
         check(
@@ -701,13 +589,13 @@ def _derham2_checks(model: Model) -> list:
         for fld in (f1, f2, (Poly2.mono(0, 1), Poly2()), (Poly2(), Poly2.mono(1, 0))):
             ring = nab.commutator(op_iota2(fld))
             for s in battery:
-                lie_part = {k: w2_lie(fld, v) for k, v in s.items()}
+                lie_part = {k: F2.lie(fld, v) for k, v in s.items()}
                 if variant == "literal":
-                    extra = {k: w2_scale(k, w2_wedge(v, a_form)) for k, v in s.items()}
+                    extra = {k: F2.scale(k, F2.wedge(v, a_form)) for k, v in s.items()}
                 else:
-                    ia = w2_iota(fld, a_form)
-                    extra = {k: w2_scale(k, w2_wedge(ia, v)) for k, v in s.items()}
-                if not sec_eq(ring(s), sec_add(sec_clean(lie_part), sec_clean(extra))):
+                    ia = F2.iota(fld, a_form)
+                    extra = {k: F2.scale(k, F2.wedge(ia, v)) for k, v in s.items()}
+                if not sec_eq(ring(s), sec_add(lie_part, extra)):
                     all_ok = False
                     break
             if not all_ok:
@@ -743,24 +631,22 @@ def _derham2_checks(model: Model) -> list:
 
     # symbol-table brackets match operator commutators on sections
     ok, cases, skipped = True, 0, 0
+    op_values = _operators2(model, a_form)
     pure = [model.alphabet.symbol(n) for n in OPS2]
-    euler_mults = [
-        s for s in model.symbols(("lie",)) if s.name not in OPS2
-    ]
+    euler_mults = [s for s in model.symbols(("lie",)) if s.name not in OPS2]
+    euler_mults = euler_mults[:: max(1, len(euler_mults) // 8)]
     pairs = [(s, t) for s in pure for t in pure]
-    pairs += [(s, t) for s in pure for t in euler_mults[:: max(1, len(euler_mults) // 8)]]
+    pairs += [(s, t) for s in pure for t in euler_mults]
     for s, t in pairs:
         try:
             table = model.bracket(s, t)
         except ModelDegreeError:
             skipped += 1
             continue
-        s_op = _op_value2(model, s)
-        t_op = _op_value2(model, t)
-        comm = s_op.commutator(t_op)
+        comm = op_values[s.name].commutator(op_values[t.name])
         for sec in battery[:: max(1, len(battery) // 24)]:
             cases += 1
-            if not sec_eq(comm(sec), _apply_elem2(model, table, sec)):
+            if not sec_eq(comm(sec), _apply_elem2(model, op_values, table, sec)):
                 ok = False
     checks.append(
         check("bracket-table-vs-operators", ok, cases=cases, skipped=skipped)
@@ -768,12 +654,10 @@ def _derham2_checks(model: Model) -> list:
     return checks
 
 
-def _op_value2(model, sym) -> Op:
-    a1, a2 = model.meta["connection"]
-    a_form = (Poly2(), a1, a2, Poly2())
-    f1 = (Poly2.const(1), Poly2())
-    f2 = (Poly2(), Poly2.const(1))
-    table = {
+def _operators2(model, a_form) -> dict:
+    """The operator value of every lie symbol of a DeRham2Conn model."""
+    f1, f2 = _FIELDS2.values()
+    out = {
         "iota1": op_iota2(f1, "iota1"),
         "iota2": op_iota2(f2, "iota2"),
         "dd": op_d2(),
@@ -782,27 +666,27 @@ def _op_value2(model, sym) -> Op:
         "lie2": op_lie2(f2, "lie2"),
         "ee": op_euler(),
     }
-    if sym.name in table:
-        return table[sym.name]
-    w = _form2_val(sym.name[:-2])
-    inner = table["ee"]
-    fpar = sym.parity  # euler is even, so the multiple's parity is the form's
-    return Op(
-        sym.name,
-        fpar,
-        lambda s: {k: w2_wedge(w, v) for k, v in inner(s).items()},
-    )
+    forms, euler = model.meta["forms"], out["ee"]
+    for sym in model.symbols(("lie",)):
+        if sym.name not in out:
+            # euler is even, so the multiple's parity is the form's
+            w = forms[sym.name[:-2]]
+            out[sym.name] = Op(
+                sym.name,
+                sym.parity,
+                lambda s, w=w: {k: F2.wedge(w, v) for k, v in euler(s).items()},
+            )
+    return out
 
 
-def _apply_elem2(model, elem: Element, sec):
-    out = sec_zero()
+def _apply_elem2(model, op_values, elem: Element, sec):
+    out = {}
     for t, c in elem.terms.items():
         sym = t.symbol
         if sym.kind == "lie":
-            out = sec_add(out, sec_scale(c, _op_value2(model, sym)(sec)))
+            v = op_values[sym.name](sec)
         else:
-            w = _form2_val(sym.name)
-            out = sec_add(
-                out, sec_scale(c, {k: w2_wedge(w, v) for k, v in sec.items()})
-            )
+            w = model.meta["forms"][sym.name]
+            v = {k: F2.wedge(w, f) for k, f in sec.items()}
+        out = sec_add(out, sec_scale(c, v))
     return out

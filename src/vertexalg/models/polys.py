@@ -143,7 +143,9 @@ class Poly1(_Poly):
 
     __rmul__ = __mul__
 
-    def diff(self) -> "Poly1":
+    def diff(self, var: int = 0) -> "Poly1":
+        """d/dx; var is 0, the only variable, so Poly1 and Poly2 both
+        answer diff(i)."""
         return Poly1._trusted({k - 1: v * k for k, v in self.c.items() if k != 0})
 
     def __repr__(self):

@@ -70,3 +70,46 @@ def test_verify_report_records(tmp_path, capsys):
         for c in rep["checks"]:
             assert {"id", "status", "millis"} <= set(c), c
             assert c["status"] == "pass"
+
+
+def test_models_lists_shipped_models(capsys):
+    assert main(["models"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "derham1: 32 symbols (algebra, lie, unit)" in lines
+    assert "diffpoly: 7 symbols (algebra, unit); morphisms double, shift" in lines
+    assert len(lines) == 7
+
+
+def test_grade_prints_degree_lengths_shapes(capsys):
+    assert main(["grade", "o{-1}(b,b)", "--model", "diffpoly"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "degree: 0", "lengths: 2", "shapes: 1",
+    ]
+
+
+def test_gen_builds_one_generator(capsys):
+    assert main(["gen", "e", "--args", "u", "--args", "v", "--n", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "o{0}(u, v) + o{1}(o{-2}(u, 1), v)"
+
+
+def test_gen_tail_bound_below_certificate_is_an_error_line(capsys):
+    argv = ["gen", "qc", "--args", "u", "--args", "v", "--n", "0", "--k-bound", "0"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: qc: bound K=0 keeps alive dropped terms; need K>=2"
+    ]
+    argv = ["gen", "qa", "--args", "u", "--args", "v", "--args", "w"]
+    assert main(argv + ["--m", "-1", "--n", "0", "--k-bound", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: qa: bound K=0 keeps alive dropped terms; need K>=2"
+    ]
+
+
+def test_support_prints_syntactic_and_semantic(capsys):
+    assert main(["support", "o{-1}(f,g)", "--cover", COVER_TWO]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "support: [0, 2]", "semantic: [0, 2]",
+    ]

@@ -241,3 +241,13 @@ class TestDispatch:
     def test_k_family_needs_context(self, al):
         with pytest.raises(ValueError, match="context"):
             build_generator(GeneratorSpec("k", (E(al, "x"),)), POL)
+
+
+def test_truncate_walks_deep_towers_without_recursion(al):
+    # a D tower 1500 levels deep over a live and over a dead leaf pair
+    pol = TruncationPolicy(level=8)
+    live = E(al, "x").D_pow(1500)
+    assert truncate(live, pol) == live
+    dead = E(al, "x").o(1, E(al, "y")).D_pow(1500)
+    assert truncate(dead, pol).is_zero()
+    assert truncate(dead + live, pol) == live
