@@ -212,29 +212,19 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
     raise ValueError("commutator decomposition covers m >= -1 only")
 
 
-_SIGNATURES = {
-    "e-bridge": ("x", "y", "n"),
-    "d-induction": ("x", "y", "n"),
-    "i-induction": ("x", "n", "reading"),
-    "qc-induction": ("x", "y", "n"),
-    "qa-m-induction": ("x", "y", "z", "m", "n"),
-    "qa-n-induction": ("x", "y", "z", "m", "n"),
-    "qc-symmetry": ("x", "y", "n"),
-    "commutator": ("x", "y", "z", "m", "n"),
+# identity id -> (argument slots in order, builder)
+BRIDGES = {
+    "e-bridge": (("x", "y", "n"), _eb),
+    "d-induction": (("x", "y", "n"), _di),
+    "i-induction": (("x", "n", "reading"), _ii),
+    "qc-induction": (("x", "y", "n"), _qci),
+    "qa-m-induction": (("x", "y", "z", "m", "n"), _qami),
+    "qa-n-induction": (("x", "y", "z", "m", "n"), _qani),
+    "qc-symmetry": (("x", "y", "n"), _qcs),
+    "commutator": (("x", "y", "z", "m", "n"), _comm),
 }
 
-_BUILDERS = {
-    "e-bridge": _eb,
-    "d-induction": _di,
-    "i-induction": _ii,
-    "qc-induction": _qci,
-    "qa-m-induction": _qami,
-    "qa-n-induction": _qani,
-    "qc-symmetry": _qcs,
-    "commutator": _comm,
-}
-
-BRIDGE_IDS = tuple(_SIGNATURES)
+BRIDGE_IDS = tuple(BRIDGES)
 
 
 def borcherds_bridge(identity_id, args, policy, K=None):
@@ -247,7 +237,7 @@ def borcherds_bridge(identity_id, args, policy, K=None):
     and the index sizes.  Returns (lhs, rhs).
     """
     try:
-        names = _SIGNATURES[identity_id]
+        names, build = BRIDGES[identity_id]
     except KeyError:
         raise ValueError(f"unknown bridge identity {identity_id!r}") from None
     if isinstance(args, Mapping):
@@ -267,7 +257,7 @@ def borcherds_bridge(identity_id, args, policy, K=None):
         raise ValueError(f"{identity_id} got unknown args: {', '.join(extra)}")
     if K is None:
         K = _shared_bound(policy, *(got[nm] for nm in names if nm in ("m", "n")))
-    lhs, rhs = _BUILDERS[identity_id](K=K, **got)
+    lhs, rhs = build(K=K, **got)
     if policy is not None:
         lhs, rhs = truncate(lhs, policy), truncate(rhs, policy)
     return lhs, rhs

@@ -14,6 +14,7 @@ from fractions import Fraction as Q
 from .generators import (
     FAMILY_ARITY,
     FAMILY_IDS,
+    FAMILY_INDICES,
     CertificationError,
     GeneratorSpec,
     TruncationPolicy,
@@ -22,7 +23,7 @@ from .generators import (
 from .models.base import ModelDegreeError
 from .models.factory import load_model, shipped_model, shipped_model_names
 from .models.morphisms import shipped_morphisms
-from .parsing import ParseError, parse, to_text
+from .parsing import ParseError, parse, to_text, tokens
 from .rewrite import RULE_ORDER, RuleSet, reduce_element
 from .sheaf import (
     SupportError,
@@ -35,7 +36,6 @@ from .sheaf import (
 from .suites import SUITE_IDS, SuiteConfig, emit_report, exit_status, run_suite
 from .terms import Alphabet, Symbol, grade
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _LIE_NAME = re.compile(r"^g[0-9]*$")
 
 
@@ -52,7 +52,8 @@ def _parse_assignments(text, cast):
 
 
 def free_alphabet(texts, degrees=None, parities=None) -> Alphabet:
-    """Alphabet for model-less terms: identifiers are declared on sight.
+    """Alphabet for model-less terms: each identifier the parser would
+    read is declared on sight.
 
     Names g, g1, g2, ... are degree-1 Lie slots by convention (matching
     the usual letter for the Lie part); everything else is a degree-0
@@ -62,11 +63,8 @@ def free_alphabet(texts, degrees=None, parities=None) -> Alphabet:
     parities = parities or {}
     al = Alphabet()
     for text in texts:
-        for m in _IDENT.finditer(text):
-            name = m.group()
-            if text[m.end() : m.end() + 1] == "{":
-                continue  # the o{n} product operator
-            if al.has(name):
+        for kind, name, _ in tokens(text):
+            if kind != "ident" or al.has(name):
                 continue
             if name in degrees or name in parities:
                 deg = degrees.get(name, Q(0))
@@ -145,16 +143,11 @@ def _cmd_gen(ns) -> int:
         alphabet = free_alphabet(ns.args, _parse_assignments(ns.degrees, Q),
                                  _parse_assignments(ns.parities, int))
     args = tuple(parse(t, alphabet) for t in ns.args)
-    if fam in ("i", "c", "d", "e", "qc"):
-        if ns.n is None:
-            raise ValueError(f"family {fam} needs --n")
-        indices = (ns.n,)
-    elif fam == "qa":
-        if ns.n is None or ns.m is None:
-            raise ValueError("family qa needs --m and --n")
-        indices = (ns.m, ns.n)
-    else:
-        indices = ()
+    given = {"m": ns.m, "n": ns.n}
+    indices = tuple(given[nm] for nm in FAMILY_INDICES[fam])
+    if None in indices:
+        flags = " and ".join(f"--{nm}" for nm in FAMILY_INDICES[fam])
+        raise ValueError(f"family {fam} needs {flags}")
     spec = GeneratorSpec(fam, args, indices, ns.k_bound)
     built = build_generator(spec, _policy(ns), model=model, context=context,
                             certify=not ns.no_certify)
@@ -234,8 +227,7 @@ def _cmd_verify(ns) -> int:
                 line += f"\n       witness: {c['witness']}"
             print(line)
         print(f"suite {sid}: {rep['status']} "
-              f"({rep['counts']['pass']} pass, {rep['counts']['fail']} fail, "
-              f"{rep['counts']['budget']} budget)")
+              f"({rep['counts']['pass']} pass, {rep['counts']['fail']} fail)")
     if ns.report:
         payload = reports[0] if len(reports) == 1 else {
             "suites": reports,

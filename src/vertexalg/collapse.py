@@ -247,6 +247,12 @@ def punctured_checks(N: int, level: int = None) -> list:
 
     # identity 4: the unit itself, exactly as an ideal combination.  The qa
     # tail and the explicit sum cancel term by term at the shared bound.
+    # Each right-side piece sits in the ideal for one of these reasons:
+    #   s-family term, e-family term          generators
+    #   derivative-transfer product with g    ideal by identity 1
+    #   qa-family term (compound middle slot) generator
+    #   tail products (a_N g)_m x, m >= 0 or m <= -N-1
+    #                                         ideal by identity 3
     def unit_total(bound: int) -> Element:
         total = fam_s(a, g, model) - fam_e(a, g, 1)
         total = total + (a.D() - a.o(-N - 2, aNg)).o(1, g)
@@ -260,30 +266,6 @@ def punctured_checks(N: int, level: int = None) -> list:
 
     ok4 = unit_total(K) == unit and unit_total(K + 2) == unit
     checks.append(check(f"unit-exact-{tag}", ok4, levels=[K, K + 2]))
-
-    # classify every right-side piece by why it sits in the ideal
-    pieces = [
-        ("s-family term", "generator"),
-        ("e-family term", "generator"),
-        ("derivative-transfer product with g", "ideal by identity 1"),
-        ("qa-family term (compound middle slot)", "generator"),
-    ]
-    ranges_ok = True
-    for k in range(K + 1):
-        if not (1 + k >= 0):
-            ranges_ok = False
-        if not (-N - 1 - k <= -N - 1):
-            ranges_ok = False
-    pieces.append(
-        ("tail products (a_N g)_m x, m >= 0 or m <= -N-1", "ideal by identity 3")
-    )
-    checks.append(
-        check(
-            f"piece-classification-{tag}",
-            ranges_ok,
-            pieces=[{"piece": p, "why": w} for p, w in pieces],
-        )
-    )
     return checks
 
 

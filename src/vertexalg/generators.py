@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .terms import Element, Leaf, binom, fold_tree, minus_one_pow, parity
+from .terms import Element, Leaf, binom, minus_one_pow, parity
 
 Q = Fraction
 
@@ -67,23 +67,21 @@ class TruncationPolicy:
 
 
 def _term_is_dead(t, policy: TruncationPolicy) -> bool:
-    """Whether t holds a leaf-pair product that policy truncates; one
-    fold_tree walk, so deep trees cost time, never RecursionError."""
-
-    def node(n, left_dead, right_dead):
-        if left_dead or right_dead:
-            return True
+    """Whether t holds a leaf-pair product that policy truncates.  A
+    depth-first search on an explicit stack that stops at the first such
+    product, so deep trees cost time, never RecursionError."""
+    stack = [t]
+    while stack:
+        n = stack.pop()
+        if n.__class__ is Leaf:
+            continue
         u, v = n.left, n.right
-        return (
-            u.__class__ is Leaf
-            and v.__class__ is Leaf
-            and policy.is_dead(u.symbol, v.symbol, n.index)
-        )
-
-    return fold_tree(t, _alive, node)
-
-
-def _alive(leaf) -> bool:
+        if u.__class__ is Leaf and v.__class__ is Leaf:
+            if policy.is_dead(u.symbol, v.symbol, n.index):
+                return True
+        else:
+            stack.append(v)
+            stack.append(u)
     return False
 
 
@@ -267,6 +265,9 @@ class BuildResult:
 FAMILY_ARITY = {"i": 1, "c": 2, "d": 2, "e": 2, "qc": 2, "qa": 3,
                 "s": 2, "a": 2, "am": 3, "k": 1}
 FAMILY_IDS = tuple(FAMILY_ARITY)
+# the names of each family's indices, in GeneratorSpec.indices order
+FAMILY_INDICES = {"i": ("n",), "c": ("n",), "d": ("n",), "e": ("n",), "qc": ("n",),
+                  "qa": ("m", "n"), "s": (), "a": (), "am": (), "k": ()}
 
 
 def build_generator(

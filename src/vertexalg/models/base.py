@@ -270,7 +270,8 @@ def check_module_laws(
     samples: int = 100,
     seed: int = 0,
 ) -> dict:
-    """Both module laws, two ways per law.
+    """Both module laws, two ways per law, as one check record with the
+    per-law tallies and the first failures.
 
     Leaf samples are closed by the rewrite rules alone; compound samples are
     certified by an exact generator-combination identity.
@@ -304,7 +305,9 @@ def check_module_laws(
     def koszul(s, t):
         return minus_one_pow(s.parity * t.parity)
 
-    law1_reduced = law1_exact = law2_reduced = law2_exact = skipped = 0
+    counts = dict.fromkeys(
+        ("law1_reduced", "law1_exact", "law2_reduced", "law2_exact", "skipped"), 0
+    )
     failures = []
     for _ in range(samples):
         s, t = rng.choice(lie), rng.choice(lie)
@@ -320,7 +323,7 @@ def check_module_laws(
             )
             report = reduce_element(lhs - rhs, rules, budget=10000)
             if report.status == "normal-form" and report.result.is_zero():
-                law1_reduced += 1
+                counts["law1_reduced"] += 1
             else:
                 failures.append(("law1-reduction", s.name, t.name))
 
@@ -334,25 +337,25 @@ def check_module_laws(
                 leaf(s), leaf(t), model
             ).o(0, x_cmp)
             if diff == cert:
-                law1_exact += 1
+                counts["law1_exact"] += 1
             else:
                 failures.append(("law1-certificate", s.name, t.name))
         except ModelDegreeError:
-            skipped += 1
+            counts["skipped"] += 1
 
         # law 2, leaf closure: (ab)_{-1} x = a_{-1}(b_{-1} x)
         try:
             ab = model.mul(a, b)
         except ModelDegreeError:
             ab = None
-            skipped += 1
+            counts["skipped"] += 1
         if ab is not None:
             try:
                 lhs2 = ab.o(-1, x_leaf)
                 rhs2 = leaf(a).o(-1, leaf(b).o(-1, x_leaf))
                 report2 = reduce_element(lhs2 - rhs2, rules, budget=10000)
                 if report2.status == "normal-form" and report2.result.is_zero():
-                    law2_reduced += 1
+                    counts["law2_reduced"] += 1
                 else:
                     failures.append(("law2-reduction", a.name, b.name))
 
@@ -360,20 +363,16 @@ def check_module_laws(
                 diff2 = ab.o(-1, x_cmp) - leaf(a).o(-1, leaf(b).o(-1, x_cmp))
                 cert2 = fam_am(leaf(a), leaf(b), x_cmp, model)
                 if diff2 == cert2:
-                    law2_exact += 1
+                    counts["law2_exact"] += 1
                 else:
                     failures.append(("law2-certificate", a.name, b.name))
             except ModelDegreeError:
-                skipped += 1
+                counts["skipped"] += 1
 
-    return {
-        "model": model.name,
-        "samples": samples,
-        "law1_reduced": law1_reduced,
-        "law1_exact": law1_exact,
-        "law2_reduced": law2_reduced,
-        "law2_exact": law2_exact,
-        "skipped": skipped,
-        "failures": failures[:5],
-        "status": "pass" if not failures else "fail",
-    }
+    return check(
+        f"{model.name}-module-laws",
+        not failures,
+        samples=samples,
+        counts=counts,
+        witness=str(failures[:2]) if failures else None,
+    )

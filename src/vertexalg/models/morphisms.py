@@ -13,7 +13,7 @@ from itertools import product
 
 from ..generators import fam_a, fam_i, fam_s
 from ..terms import Element, Leaf, fold_tree
-from .base import Model, ModelDegreeError, law_check
+from .base import Model, ModelDegreeError, check, law_check
 
 Q = Fraction
 
@@ -107,24 +107,29 @@ def validate_morphism(phi: Morphism) -> list:
     ]
 
 
+def random_tree(al, syms, rng, length: int, lo: int, hi: int) -> Element:
+    """Random monomial with `length` leaves drawn from syms and product
+    indices from lo..hi.  Draws, in order: the split, the left tree, the
+    index, the right tree."""
+    if length == 1:
+        return Element.of_term(al, Leaf(rng.choice(syms)))
+    split = rng.randrange(1, length)
+    left = random_tree(al, syms, rng, split, lo, hi)
+    n = rng.randint(lo, hi)
+    return left.o(n, random_tree(al, syms, rng, length - split, lo, hi))
+
+
 def random_element(model: Model, rng, max_length: int = 4) -> Element:
-    """Random monomial over the model alphabet with the given leaf count."""
-    al = model.alphabet
-    syms = model.symbols()
-
-    def rand_tree(length):
-        if length == 1:
-            return Element.of_term(al, Leaf(rng.choice(syms)))
-        split = rng.randrange(1, length)
-        return rand_tree(split).o(rng.randrange(-3, 3), rand_tree(length - split))
-
-    return rand_tree(rng.randrange(1, max_length + 1))
+    """Random monomial over the model alphabet with at most max_length leaves."""
+    length = rng.randrange(1, max_length + 1)
+    return random_tree(model.alphabet, model.symbols(), rng, length, -3, 2)
 
 
 def functor_laws(
     phi: Morphism, psi: Morphism, samples: int = 100, seed: int = 0
 ) -> dict:
-    """Identity, composition, and generator-instance mapping on samples."""
+    """Identity, composition, and generator-instance mapping on samples;
+    one check record with the per-law tallies and the first failures."""
     if not (phi.source is phi.target is psi.source is psi.target):
         raise ValueError("functor_laws expects endomorphisms of one model")
     model = phi.source
@@ -178,15 +183,14 @@ def functor_laws(
                 failures.append(("a-family", a.name + "," + s.name))
         except ModelDegreeError:
             skipped += 1
-    return {
-        "morphisms": [phi.name, psi.name],
-        "model": model.name,
-        "samples": samples,
-        "counts": counts,
-        "skipped": skipped,
-        "failures": failures[:5],
-        "status": "pass" if not failures else "fail",
-    }
+    return check(
+        f"functor-laws-{model.name}",
+        not failures,
+        samples=samples,
+        counts=counts,
+        skipped=skipped,
+        witness=str(failures[:2]) if failures else None,
+    )
 
 
 # shipped endomorphism pairs -----------------------------------------------------

@@ -25,7 +25,8 @@ class ParseError(ValueError):
         self.pos = pos
 
 
-def _tokens(text: str):
+def tokens(text: str):
+    """(kind, text, position) triples; kind is num, ident, prod, op or end."""
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -61,7 +62,7 @@ def _tokens(text: str):
 
 class _Parser:
     def __init__(self, text: str, alphabet: Alphabet):
-        self.toks = list(_tokens(text))
+        self.toks = list(tokens(text))
         self.pos = 0
         self.alphabet = alphabet
 

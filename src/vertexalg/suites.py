@@ -2,9 +2,8 @@
 
 Each suite replays one battery of checks at desk scale: random instances
 are drawn from a seeded generator, every comparison is exact rational
-arithmetic, and the outcome is a JSON-ready report.  Report counts have
-three states: pass, fail, or budget (a reduction ran out of steps without
-deciding anything; listed, never a failure by itself).
+arithmetic, and the outcome is a JSON-ready report.  A check passes or
+fails; a check whose reduction runs out of its budget fails.
 
 Check records.  Every check in every report is one dict built by
 models.base.check, the same constructor the model, morphism, collapse,
@@ -12,7 +11,7 @@ geometry and sheaf checks use.  Required fields, in this order:
 
   id       name of the check, unique within its suite
   status   "pass" or "fail"
-  millis   wall milliseconds of the smallest unit that produced it
+  millis   wall milliseconds since the suite yielded its previous item
 
 Optional fields follow, present only where they apply:
 
@@ -25,10 +24,11 @@ Optional fields follow, present only where they apply:
 
 and check-specific details (levels, steps, rules, ranks, bounds, ...).
 
-Reports are deterministic per seed up to the millis fields.  Checks are
-ordered by id.  millis is measured around the smallest unit that
-produced the check, so batteries produced by one call (model and
-morphism laws, collapse, geometry) share one timing across their batch.
+Each suite is a generator.  It yields one check record, or the list of
+records one producer call returned (model and morphism laws, collapse,
+geometry); run_suite stamps millis on every record of the item, so a
+batch shares one timing.  Reports are deterministic per seed up to the
+millis fields, and checks are ordered by id.
 """
 
 import json
@@ -38,6 +38,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction as Q
 
 from .bridges import (
+    BRIDGES,
     DongTable,
     borcherds_bridge,
     dong_matrix,
@@ -48,6 +49,7 @@ from .bridges import (
 from .collapse import punctured_checks, right_mult_checks
 from .generators import (
     FAMILY_ARITY,
+    FAMILY_INDICES,
     CertificationError,
     GeneratorSpec,
     TruncationPolicy,
@@ -59,8 +61,12 @@ from .intervals import SupportSet
 from .models.base import ModelDegreeError, check, check_module_laws, validate_model
 from .models.factory import shipped_model
 from .models.geometry import classical_geometry_checks
-from .models.morphisms import shipped_morphisms, validate_morphism
-from .models.morphisms import functor_laws as _functor_laws
+from .models.morphisms import (
+    functor_laws,
+    random_tree,
+    shipped_morphisms,
+    validate_morphism,
+)
 from .parsing import to_text
 from .rewrite import R_project, length_one_component
 from .sheaf import (
@@ -121,20 +127,10 @@ class SuiteConfig:
         return self.samples if self.samples > 0 else default
 
 
-def _ms(t0: float) -> int:
-    return int((time.perf_counter() - t0) * 1000)
-
-
-def _batch(prefix: str, produce, *args, **kw) -> list:
-    """Time one producer of check records, prefix their ids, and give each
-    record the batch's millis."""
-    t0 = time.perf_counter()
-    batch = produce(*args, **kw)
-    ms = _ms(t0)
-    for c in batch:
+def _prefixed(prefix: str, records: list) -> list:
+    for c in records:
         c["id"] = prefix + c["id"]
-        c["millis"] = ms
-    return batch
+    return records
 
 
 def _witness(lhs: Element, rhs: Element) -> str:
@@ -158,29 +154,19 @@ def _bridge_alphabet() -> Alphabet:
     return al
 
 
-def _rand_tree(al, syms, rng, length: int, window: int) -> Element:
-    if length == 1:
-        return Element.of_term(al, Leaf(rng.choice(syms)))
-    split = rng.randrange(1, length)
-    return _rand_tree(al, syms, rng, split, window).o(
-        rng.randint(-window, window),
-        _rand_tree(al, syms, rng, length - split, window),
-    )
-
-
 def _rand_element(model, rng, max_len: int, window: int) -> Element:
-    syms = model.sample_symbols()
-    out = _rand_tree(model.alphabet, syms, rng, rng.randint(1, max_len), window)
+    al, syms = model.alphabet, model.sample_symbols()
+    out = random_tree(al, syms, rng, rng.randint(1, max_len), -window, window)
     if rng.random() < 0.3:
-        out = out + rng.choice((-1, 1, 2)) * _rand_tree(
-            model.alphabet, syms, rng, rng.randint(1, max_len), window
+        out = out + rng.choice((-1, 1, 2)) * random_tree(
+            al, syms, rng, rng.randint(1, max_len), -window, window
         )
     return out
 
 
 def _uncertified(fam_id, args, m, n, K) -> Element:
     """fam_id's generator on its leading args; qc/qa tails cut at K unchecked."""
-    idx = (m, n) if fam_id == "qa" else (n,)
+    idx = tuple({"m": m, "n": n}[nm] for nm in FAMILY_INDICES[fam_id])
     spec = GeneratorSpec(fam_id, tuple(args[: FAMILY_ARITY[fam_id]]), idx, K)
     return build_generator(spec, None, certify=False).element
 
@@ -188,14 +174,12 @@ def _uncertified(fam_id, args, m, n, K) -> Element:
 # -- commutative-model suite -----------------------------------------------------
 
 
-def _suite_commutative(cfg: SuiteConfig) -> list:
+def _suite_commutative(cfg: SuiteConfig):
     model = shipped_model("diffpoly")
     rng = random.Random(cfg.seed)
     per = max(40, cfg.n_samples(250) // 5)
     K = cfg.index_window + 2
-    checks = []
     for fam_id in ("i", "d", "e", "qc", "qa"):
-        t0 = time.perf_counter()
         witness = None
         done = skipped = 0
         attempts = 0
@@ -216,65 +200,48 @@ def _suite_commutative(cfg: SuiteConfig) -> list:
             if not val.is_zero():
                 witness = to_text(gen)
                 break
-        checks.append(
-            check(
-                f"commutative-{fam_id}",
-                witness is None,
-                millis=_ms(t0),
-                samples=done,
-                skipped=skipped,
-                witness=witness,
-            )
+        yield check(
+            f"commutative-{fam_id}",
+            witness is None,
+            samples=done,
+            skipped=skipped,
+            witness=witness,
         )
-    return checks
 
 
 # -- bridge-identity suite ---------------------------------------------------
 
 
-_BRIDGE_SLOTS = {
-    "e-bridge": ("x", "y"),
-    "d-induction": ("x", "y"),
-    "i-induction": ("x",),
-    "qc-induction": ("x", "y"),
-    "qa-m-induction": ("x", "y", "z"),
-    "qa-n-induction": ("x", "y", "z"),
-    "qc-symmetry": ("x", "y"),
-}
-
-
-def _bridge_args(ident, rng, leaf, window):
-    args = {nm: leaf() for nm in _BRIDGE_SLOTS[ident]}
+def _bridge_args(slots, rng, leaf, window):
+    """Random leaves for the element slots, then n, then m if it is a slot."""
+    args = {nm: leaf() for nm in slots if nm in ("x", "y", "z")}
     args["n"] = rng.randint(-window, window)
-    if ident.startswith("qa-"):
+    if "m" in slots:
         args["m"] = rng.randint(-window, window)
     return args
 
 
-def _suite_borcherds(cfg: SuiteConfig) -> list:
+def _suite_borcherds(cfg: SuiteConfig):
     al = _bridge_alphabet()
     names = [nm for nm in al.names() if al.symbol(nm).kind != "unit"]
     pol = cfg.policy()
     rng = random.Random(cfg.seed)
     per = cfg.n_samples(100)
     leaf = lambda: Element.sym(al, rng.choice(names))
-    checks = []
-    for ident in _BRIDGE_SLOTS:
-        t0 = time.perf_counter()
+    for ident, (slots, _) in BRIDGES.items():
+        if ident == "commutator":
+            continue  # its own suite, on a fixed index grid
         witness = None
         for _ in range(per):
-            args = _bridge_args(ident, rng, leaf, cfg.index_window)
+            args = _bridge_args(slots, rng, leaf, cfg.index_window)
             lhs, rhs = borcherds_bridge(ident, args, pol)
             if lhs != rhs:
                 witness = _witness(lhs, rhs)
                 break
-        checks.append(
-            check(ident, witness is None, millis=_ms(t0), samples=per, witness=witness)
-        )
+        yield check(ident, witness is None, samples=per, witness=witness)
 
     # the other published reading of the i lowering: fails syntactically,
     # holds under the commutative oracle; reported per the errata contract
-    t0 = time.perf_counter()
     syn_fails = 0
     witness = None
     trials = 40
@@ -299,35 +266,29 @@ def _suite_borcherds(cfg: SuiteConfig) -> list:
             break
     is_errata = syn_fails > 0 and sem_ok
     accepted = is_errata and "i-induction" in cfg.errata_ok
-    checks.append(
-        check(
-            "i-induction-reading-1",
-            syn_fails == 0 or accepted,
-            millis=_ms(t0),
-            samples=trials,
-            syntactic_failures=syn_fails,
-            semantic_oracle="pass" if sem_ok else "fail",
-            kind="errata-candidate" if is_errata else None,
-            witness=witness,
-        )
+    yield check(
+        "i-induction-reading-1",
+        syn_fails == 0 or accepted,
+        samples=trials,
+        syntactic_failures=syn_fails,
+        semantic_oracle="pass" if sem_ok else "fail",
+        kind="errata-candidate" if is_errata else None,
+        witness=witness,
     )
-    return checks
 
 
 # -- commutator suite -----------------------------------------------------------
 
 
-def _suite_commutator(cfg: SuiteConfig) -> list:
+def _suite_commutator(cfg: SuiteConfig):
     al = _bridge_alphabet()
     names = [nm for nm in al.names() if al.symbol(nm).kind != "unit"]
     pol = cfg.policy()
     rng = random.Random(cfg.seed)
     per = max(3, cfg.n_samples(48) // 16)
     leaf = lambda: Element.sym(al, rng.choice(names))
-    checks = []
     for m in (-1, 0, 1, 2):
         for n in (-1, 0, 1, 2):
-            t0 = time.perf_counter()
             witness = None
             for _ in range(per):
                 args = {"x": leaf(), "y": leaf(), "z": leaf(), "m": m, "n": n}
@@ -335,19 +296,12 @@ def _suite_commutator(cfg: SuiteConfig) -> list:
                 if lhs != rhs:
                     witness = _witness(lhs, rhs)
                     break
-            checks.append(
-                check(
-                    f"commutator-m{m}-n{n}",
-                    witness is None,
-                    millis=_ms(t0),
-                    samples=per,
-                    witness=witness,
-                )
+            yield check(
+                f"commutator-m{m}-n{n}", witness is None, samples=per, witness=witness
             )
 
     # semantic form of the same decomposition in the polynomial model
     model = shipped_model("diffpoly")
-    t0 = time.perf_counter()
     witness = None
     syms = model.sample_symbols()
     mal = model.alphabet
@@ -368,24 +322,15 @@ def _suite_commutator(cfg: SuiteConfig) -> list:
         if not d.is_zero():
             witness = f"m={m} n={n}: " + to_text(lhs - rhs)
             break
-    checks.append(
-        check(
-            "commutator-semantic-diffpoly",
-            witness is None,
-            millis=_ms(t0),
-            samples=done,
-            witness=witness,
-        )
+    yield check(
+        "commutator-semantic-diffpoly", witness is None, samples=done, witness=witness
     )
-    return checks
 
 
 # -- locality-propagation suite ---------------------------------------------------
 
 
-def _suite_dong(cfg: SuiteConfig) -> list:
-    checks = []
-    t0 = time.perf_counter()
+def _suite_dong(cfg: SuiteConfig):
     table = {}
     ok = True
     for M in (1, 2, 3):
@@ -393,30 +338,23 @@ def _suite_dong(cfg: SuiteConfig) -> list:
             r = dong_rank(M, m)
             table[f"M{M}-m{m}"] = r
             ok = ok and r == M
-    checks.append(check("dong-rank-grid", ok, millis=_ms(t0), ranks=table))
+    yield check("dong-rank-grid", ok, ranks=table)
 
-    t0 = time.perf_counter()
     frozen = [[Q(1), Q(4)], [Q(1), Q(3)], [Q(1), Q(2)]]
     got = dong_matrix(2, 4)
-    checks.append(
-        check(
-            "dong-matrix-frozen",
-            [list(row) for row in got] == frozen,
-            millis=_ms(t0),
-            matrix=[[str(v) for v in row] for row in got],
-        )
+    yield check(
+        "dong-matrix-frozen",
+        [list(row) for row in got] == frozen,
+        matrix=[[str(v) for v in row] for row in got],
     )
 
     al = _bridge_alphabet()
     pol = cfg.policy()
-    rng = random.Random(cfg.seed)
-    names = ("u", "v", "w")
     leaf = lambda nm: Element.sym(al, nm)
 
     # each matrix row is one commutator decomposition: with both bracket
     # indices past the locality bound the truncated remainder is exactly
     # minus the row
-    t0 = time.perf_counter()
     ok = True
     M, m = 3, 7
     x, y, z = leaf("u"), leaf("v"), leaf("w")
@@ -429,9 +367,8 @@ def _suite_dong(cfg: SuiteConfig) -> list:
         if truncate(lhs, pol) != truncate(-1 * row, pol):
             ok = False
             break
-    checks.append(check("dong-row-commutator-tie", ok, millis=_ms(t0), M=M, m=m))
+    yield check("dong-row-commutator-tie", ok, M=M, m=m)
 
-    t0 = time.perf_counter()
     dt = DongTable(pol)
     ok = True
     bounds = {}
@@ -442,11 +379,8 @@ def _suite_dong(cfg: SuiteConfig) -> list:
         bounds[f"r{r}"] = got_bound
         if got_bound != max(0, 3 * cfg.locality - r):
             ok = False
-    checks.append(
-        check("dong-derived-locality-table", ok, millis=_ms(t0), bounds=bounds)
-    )
+    yield check("dong-derived-locality-table", ok, bounds=bounds)
 
-    t0 = time.perf_counter()
     ok = True
     detail = {}
     for r in (-1, -2, -3):
@@ -459,53 +393,59 @@ def _suite_dong(cfg: SuiteConfig) -> list:
         except CertificationError:
             sharp = True
         ok = ok and sharp and cert.get("generator") == 1
-    checks.append(
-        check("dong-tail-certificates", ok, millis=_ms(t0), certificates=detail)
-    )
-    return checks
+    yield check("dong-tail-certificates", ok, certificates=detail)
 
 
 # -- projection-injectivity suite ----------------------------------------------
 
 
-def _suite_injectivity(cfg: SuiteConfig) -> list:
+def _suite_injectivity(cfg: SuiteConfig):
     model = shipped_model("diffpoly")
     rng = random.Random(cfg.seed)
     al = model.alphabet
     syms = model.sample_symbols()
     leaf = lambda: Element.of_term(al, Leaf(rng.choice(syms)))
-    checks = []
 
-    t0 = time.perf_counter()
-    ok = True
+    def project(x):
+        """R_project's result under the suite budget; None if it ran out."""
+        rep = R_project(x, model, budget=cfg.budget)
+        return rep.result if rep.status == "normal-form" else None
+
+    def ran_out(x):
+        return f"projection budget {cfg.budget} ran out on {to_text(x)}"
+
+    witness = None
     per = cfg.n_samples(200)
     done = skipped = 0
     while done < per and skipped < 10 * per:
         x = _rand_element(model, rng, 4, 3)
         try:
-            once = R_project(x, model, budget=cfg.budget).result
-            again = R_project(once, model, budget=cfg.budget).result
+            once = project(x)
+            again = None if once is None else project(once)
         except ModelDegreeError:
             skipped += 1
             continue
         done += 1
-        if again != once:
-            ok = False
+        if again is None:
+            witness = ran_out(x if once is None else once)
             break
-    checks.append(
-        check(
-            "projection-idempotent", ok, millis=_ms(t0), samples=done, skipped=skipped
-        )
+        if again != once:
+            witness = to_text(x)
+            break
+    yield check(
+        "projection-idempotent",
+        witness is None,
+        samples=done,
+        skipped=skipped,
+        witness=witness,
     )
 
-    t0 = time.perf_counter()
     ok = all(
         R_project(Element.sym(al, nm), model).result == Element.sym(al, nm)
         for nm in al.names()
     )
-    checks.append(check("projection-fixes-leaves", ok, millis=_ms(t0)))
+    yield check("projection-fixes-leaves", ok)
 
-    t0 = time.perf_counter()
     witness = None
     per_fam = max(40, cfg.n_samples(200) // 5)
     K = cfg.index_window + 2
@@ -517,110 +457,69 @@ def _suite_injectivity(cfg: SuiteConfig) -> list:
             args = [leaf() for _ in range(FAMILY_ARITY[fam_id])]
             gen = _uncertified(fam_id, args, m, n, K)
             try:
-                image = R_project(gen, model, budget=cfg.budget).result
+                image = project(gen)
             except ModelDegreeError:
                 skipped += 1
                 continue
             count += 1
+            if image is None:
+                witness = f"{fam_id}: " + ran_out(gen)
+                break
             if not length_one_component(image).is_zero():
                 witness = f"{fam_id}: " + to_text(image)
                 break
         if witness:
             break
-    checks.append(
-        check(
-            "generator-images-no-length-one",
-            witness is None,
-            millis=_ms(t0),
-            samples=count,
-            skipped=skipped,
-            witness=witness,
-        )
+    yield check(
+        "generator-images-no-length-one",
+        witness is None,
+        samples=count,
+        skipped=skipped,
+        witness=witness,
     )
 
     # the published image table's n=0 row under its string reading vs the
     # structural projection; structural wins, recorded as a variant
-    t0 = time.perf_counter()
     gen = fam_d(Element.sym(al, "b"), Element.sym(al, "b2"), 0)
     image = R_project(gen, model).result
-    checks.append(
-        check(
-            "display-variant-n0-row",
-            length_one_component(image).is_zero(),
-            millis=_ms(t0),
-            kind="display-variant",
-            structural_image=to_text(image),
-        )
+    yield check(
+        "display-variant-n0-row",
+        length_one_component(image).is_zero(),
+        kind="display-variant",
+        structural_image=to_text(image),
     )
-    return checks
 
 
 # -- module-law suite ------------------------------------------------------------
 
 
-def _suite_souped(cfg: SuiteConfig) -> list:
-    checks = []
+def _suite_souped(cfg: SuiteConfig):
     per = cfg.n_samples(100)
     for name in ("diffpoly", "weyl1", "current2", "current3"):
         model = shipped_model(name)
-        checks.extend(
-            _batch(f"{name}-", validate_model, model, pair_cap=40, case_cap=200)
-        )
-        t0 = time.perf_counter()
-        laws = check_module_laws(
-            model, policy=cfg.policy(), samples=per, seed=cfg.seed
-        )
-        counts = ("law1_reduced", "law1_exact", "law2_reduced", "law2_exact", "skipped")
-        checks.append(
-            check(
-                f"{name}-module-laws",
-                laws["status"] == "pass",
-                millis=_ms(t0),
-                samples=per,
-                counts={k: laws[k] for k in counts},
-                witness=str(laws["failures"][:2]) if laws["failures"] else None,
-            )
-        )
-    return checks
+        yield _prefixed(f"{name}-", validate_model(model, pair_cap=40, case_cap=200))
+        yield check_module_laws(model, policy=cfg.policy(), samples=per, seed=cfg.seed)
 
 
 # -- collapse suite ---------------------------------------------------------------
 
 
-def _suite_collapse(cfg: SuiteConfig) -> list:
-    checks = _batch("", right_mult_checks, levels=(2, 3, 6), budget=cfg.budget)
+def _suite_collapse(cfg: SuiteConfig):
+    yield right_mult_checks(levels=(2, 3, 6), budget=cfg.budget)
     for N in (1, 2):
-        checks.extend(
-            _batch("", punctured_checks, N, level=max(N + 6, cfg.trunc_level))
-        )
-    return checks
+        yield punctured_checks(N, level=max(N + 6, cfg.trunc_level))
 
 
 # -- functor suite ----------------------------------------------------------------
 
 
-def _suite_functor(cfg: SuiteConfig) -> list:
-    checks = []
+def _suite_functor(cfg: SuiteConfig):
     per = cfg.n_samples(100)
     for name in ("diffpoly", "weyl1"):
-        model = shipped_model(name)
-        phi, psi = shipped_morphisms(model)
+        phi, psi = shipped_morphisms(shipped_model(name))
         for mor in (phi, psi):
-            checks.extend(_batch(f"{name}-{mor.name}-", validate_morphism, mor))
-        t0 = time.perf_counter()
-        laws = _functor_laws(phi, psi, samples=per, seed=cfg.seed)
-        checks.append(
-            check(
-                f"functor-laws-{name}",
-                laws["status"] == "pass",
-                millis=_ms(t0),
-                samples=per,
-                counts=laws["counts"],
-                skipped=laws["skipped"],
-                witness=str(laws["failures"][:2]) if laws["failures"] else None,
-            )
-        )
-    return checks
+            yield _prefixed(f"{name}-{mor.name}-", validate_morphism(mor))
+        yield functor_laws(phi, psi, samples=per, seed=cfg.seed)
 
 
 # -- sheaf suite ------------------------------------------------------------------
@@ -641,15 +540,7 @@ def _tagged_pool(ctx, cover):
 
 
 def _rand_tagged(ctx, pool, rng, max_len: int) -> Element:
-    al = ctx.alphabet
-
-    def tree(length):
-        if length == 1:
-            return Element.of_term(al, Leaf(rng.choice(pool)))
-        split = rng.randrange(1, length)
-        return tree(split).o(rng.randint(-3, 3), tree(length - split))
-
-    return tree(rng.randint(1, max_len))
+    return random_tree(ctx.alphabet, pool, rng, rng.randint(1, max_len), -3, 3)
 
 
 def _rand_windowed(ctx, names, window, rng, max_len: int) -> Element:
@@ -664,16 +555,14 @@ def _rand_windowed(ctx, names, window, rng, max_len: int) -> Element:
     return out
 
 
-def _suite_sheaf(cfg: SuiteConfig) -> list:
+def _suite_sheaf(cfg: SuiteConfig):
     rng = random.Random(cfg.seed)
-    checks = []
     covers = {"two": make_cover_two(), "three": make_cover_three()}
 
     ctx, cover = covers["two"]
     pool = _tagged_pool(ctx, cover)
     al = ctx.alphabet
 
-    t0 = time.perf_counter()
     ok = True
     per = cfg.n_samples(40)
     for _ in range(per):
@@ -682,11 +571,10 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
         if pi(p, ctx) != p or pi(k_generator(x, ctx), ctx) != Element.zero(al):
             ok = False
             break
-    checks.append(check("projection-idempotent", ok, millis=_ms(t0), samples=per))
+    yield check("projection-idempotent", ok, samples=per)
 
     # all-or-nothing on instances over two distinct sections; same-base
     # windowed pairs can cancel class-by-class and are a different statement
-    t0 = time.perf_counter()
     ok = True
     kills = keeps = 0
     pol = cfg.policy()
@@ -721,12 +609,9 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
             ok = False
             break
     ok = ok and kills > 0 and keeps > 0
-    checks.append(
-        check("generator-all-or-nothing", ok, millis=_ms(t0), kept=keeps, killed=kills)
-    )
+    yield check("generator-all-or-nothing", ok, kept=keeps, killed=kills)
 
     for tag, (ctx_i, cover_i) in covers.items():
-        t0 = time.perf_counter()
         ok = True
         names = ("f", "g", "h")
         per_patch = max(10, cfg.n_samples(25))
@@ -738,16 +623,8 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
                     break
             if not ok:
                 break
-        checks.append(
-            check(
-                f"bump-difference-inclusion-{tag}",
-                ok,
-                millis=_ms(t0),
-                per_patch=per_patch,
-            )
-        )
+        yield check(f"bump-difference-inclusion-{tag}", ok, per_patch=per_patch)
 
-        t0 = time.perf_counter()
         ok = True
         for p in cover_i:
             for n in (-2, -1, 0, 2):
@@ -760,9 +637,8 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
                 ok = False
             if not ok:
                 break
-        checks.append(check(f"core-weight-transfer-{tag}", ok, millis=_ms(t0)))
+        yield check(f"core-weight-transfer-{tag}", ok)
 
-        t0 = time.perf_counter()
         sub = []
         for trial in range(3):
             gl_names = ("f",) if trial == 0 else ("f", "g", "h")
@@ -772,17 +648,8 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
             secs = [restrict(glob, p.window, ctx_i) for p in cover_i]
             sub.extend(sheaf_axiom_check(cover_i, secs, ctx_i))
         bad = [c["id"] for c in sub if c["status"] == "fail"]
-        checks.append(
-            check(
-                f"existence-chain-{tag}",
-                not bad,
-                millis=_ms(t0),
-                hops=len(sub),
-                failing=bad[:6],
-            )
-        )
+        yield check(f"existence-chain-{tag}", not bad, hops=len(sub), failing=bad[:6])
 
-    t0 = time.perf_counter()
     ok = True
     per = cfg.n_samples(20)
     for _ in range(per):
@@ -794,20 +661,15 @@ def _suite_sheaf(cfg: SuiteConfig) -> list:
         ):
             ok = False
             break
-    checks.append(check("uniqueness-kernel-probes", ok, millis=_ms(t0), samples=per))
-    return checks
+    yield check("uniqueness-kernel-probes", ok, samples=per)
 
 
 # -- geometry suite ---------------------------------------------------------------
 
 
-def _suite_geometry(cfg: SuiteConfig) -> list:
-    checks = []
+def _suite_geometry(cfg: SuiteConfig):
     for name in ("derham1", "derham2_b2", "derham2_lin"):
-        checks.extend(
-            _batch(f"{name}-", classical_geometry_checks, shipped_model(name))
-        )
-    return checks
+        yield _prefixed(f"{name}-", classical_geometry_checks(shipped_model(name)))
 
 
 # -- assembly ---------------------------------------------------------------------
@@ -830,32 +692,33 @@ _DISPATCH = {
 def run_suite(suite_id: str, config: SuiteConfig = None, **kw) -> dict:
     """Execute one suite and return its report dict.
 
-    Checks are sorted by id.  Overall status: fail if any check failed,
-    else budget if any check was budget-limited, else pass.
+    Every record of an item the suite yields gets millis, the wall
+    milliseconds since the previous item, as its third key.  Checks are
+    sorted by id; the report fails iff one of them does.
     """
     if config is None:
         config = SuiteConfig(suite=suite_id, **kw)
     if config.suite != suite_id:
         raise ValueError("config.suite does not match suite_id")
-    t0 = time.perf_counter()
-    checks = sorted(_DISPATCH[suite_id](config), key=lambda c: c["id"])
-    statuses = {c["status"] for c in checks}
-    status = "fail" if "fail" in statuses else (
-        "budget" if "budget" in statuses else "pass"
-    )
+    checks = []
+    start = last = time.perf_counter()
+    for item in _DISPATCH[suite_id](config):
+        now = time.perf_counter()
+        ms = int((now - last) * 1000)
+        last = now
+        for c in [item] if isinstance(item, dict) else item:
+            checks.append({"id": c["id"], "status": c["status"], "millis": ms, **c})
+    checks.sort(key=lambda c: c["id"])
+    counts = {s: sum(c["status"] == s for c in checks) for s in ("pass", "fail")}
     cfg = asdict(config)
     cfg["errata_ok"] = list(cfg["errata_ok"])
     return {
         "suite": suite_id,
         "config": cfg,
-        "status": status,
-        "counts": {
-            "pass": sum(c["status"] == "pass" for c in checks),
-            "fail": sum(c["status"] == "fail" for c in checks),
-            "budget": sum(c["status"] == "budget" for c in checks),
-        },
+        "status": "fail" if counts["fail"] else "pass",
+        "counts": counts,
         "checks": checks,
-        "millis": _ms(t0),
+        "millis": int((time.perf_counter() - start) * 1000),
     }
 
 

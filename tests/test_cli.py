@@ -61,7 +61,9 @@ def test_verify_report_records(tmp_path, capsys):
     path = tmp_path / "report.json"
     argv = ["verify", "dong", "sheaf", "--samples", "5", "--report", str(path)]
     assert main(argv) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == f"report written to {path}"
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == f"report written to {path}"
+    assert "suite dong: pass (5 pass, 0 fail)" in out
     report = json.loads(path.read_text())
     assert report["status"] == "pass"
     assert [r["suite"] for r in report["suites"]] == ["dong", "sheaf"]
@@ -70,6 +72,26 @@ def test_verify_report_records(tmp_path, capsys):
         for c in rep["checks"]:
             assert {"id", "status", "millis"} <= set(c), c
             assert c["status"] == "pass"
+
+
+def test_free_symbols_are_the_parser_identifiers(capsys):
+    # any identifier the parser reads is declared, not only ASCII names
+    assert main(["grade", "é + x"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "degree: 0", "lengths: 1, 1", "shapes: 1",
+    ]
+    assert main(["reduce", "o{0}(é, x)"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "o{0}(é, x)"
+
+
+def test_gen_missing_indices_is_an_error_line(capsys):
+    assert main(["gen", "e", "--args", "u", "--args", "v"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: family e needs --n"]
+    argv = ["gen", "qa", "--args", "u", "--args", "v", "--args", "w", "--n", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: family qa needs --m and --n"
+    ]
 
 
 def test_models_lists_shipped_models(capsys):

@@ -25,7 +25,6 @@ PUNCTURED_STEMS = (
     "binom-window",
     "index-transfer-variant",
     "unit-exact",
-    "piece-classification",
 )
 
 

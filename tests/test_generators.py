@@ -9,6 +9,7 @@ from vertexalg.generators import (
     CertificationError,
     GeneratorSpec,
     TruncationPolicy,
+    _term_is_dead,
     build_generator,
     fam_c,
     fam_d,
@@ -19,7 +20,15 @@ from vertexalg.generators import (
     fam_qc,
     truncate,
 )
-from vertexalg.terms import Alphabet, Element, Symbol, is_homogeneous
+from vertexalg.terms import (
+    Alphabet,
+    Element,
+    Leaf,
+    Node,
+    Symbol,
+    fold_tree,
+    is_homogeneous,
+)
 
 
 @pytest.fixture
@@ -251,3 +260,50 @@ def test_truncate_walks_deep_towers_without_recursion(al):
     dead = E(al, "x").o(1, E(al, "y")).D_pow(1500)
     assert truncate(dead, pol).is_zero()
     assert truncate(dead + live, pol) == live
+
+
+def _dead_by_fold(t, policy) -> bool:
+    """Reference: fold the whole tree, a node is dead if a subtree is or
+    it is itself a truncated leaf-pair product."""
+
+    def node(n, left_dead, right_dead):
+        u, v = n.left, n.right
+        pair = isinstance(u, Leaf) and isinstance(v, Leaf)
+        return (
+            left_dead
+            or right_dead
+            or (pair and policy.is_dead(u.symbol, v.symbol, n.index))
+        )
+
+    return fold_tree(t, lambda leaf: False, node)
+
+
+_SEARCH_LEAVES = [Leaf(Symbol(nm, 0, Q(0), "generic")) for nm in ("x", "y", "z")]
+
+
+@st.composite
+def _trees(draw, max_leaves=6):
+    def tree(k):
+        if k == 1:
+            return draw(st.sampled_from(_SEARCH_LEAVES))
+        split = draw(st.integers(1, k - 1))
+        return Node(draw(st.integers(-3, 4)), tree(split), tree(k - split))
+
+    return tree(draw(st.integers(1, max_leaves)))
+
+
+_names = st.sampled_from(("x", "y", "z"))
+_policies = st.builds(
+    TruncationPolicy,
+    default_locality=st.integers(0, 4),
+    overrides=st.lists(st.tuples(_names, _names, st.integers(0, 4)), max_size=2).map(
+        tuple
+    ),
+    exempt=st.frozensets(st.tuples(_names, _names, st.integers(0, 4)), max_size=2),
+)
+
+
+@given(_trees(), _policies)
+@settings(max_examples=200, deadline=None)
+def test_term_is_dead_matches_the_reference_fold(t, policy):
+    assert _term_is_dead(t, policy) == _dead_by_fold(t, policy)

@@ -145,8 +145,10 @@ class TestFunctorLaws:
         model = shipped_model(model_name)
         phi, psi = shipped_morphisms(model)
         report = functor_laws(phi, psi, samples=25, seed=4)
+        assert report["id"] == f"functor-laws-{model_name}"
         assert report["status"] == "pass"
-        assert report["failures"] == []
+        assert "witness" not in report
+        assert report["samples"] == 25
         assert report["counts"]["identity"] == 25
         assert report["counts"]["composition"] == 25
         assert report["counts"]["i"] == 25
