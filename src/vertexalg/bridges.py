@@ -162,12 +162,22 @@ def _qcs(x: Element, y: Element, n: int, K: int):
     return lhs, Element._trusted(x.alphabet, acc)
 
 
+def _tower(w: Element, k: int) -> list:
+    """[w, Dw, ..., D^k w], each level one memoised D of the one before."""
+    out = [w]
+    for _ in range(k):
+        out.append(out[-1].D())
+    return out
+
+
 def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
     """Commutator decomposition in three index regimes.
 
     The left side is [x_m, y_n]z minus the binomial sum of products; the
     right side exhibits it inside the ideal.  m >= 0 is closed-form; the
-    m = -1 regimes carry tails that die under truncation.
+    m = -1 regimes carry tails that die under truncation.  Their double
+    sums read D^{j-i}(x o_j y) for every i <= j, so each regime builds the
+    derivative tower of x o_j y once and indexes into it.
     """
     kosz = _koszul(x, y)
     al = x.alphabet
@@ -189,9 +199,10 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
             - kosz * fam_qc(y, x, -1, None, K=K, certify=False).o(-1, z)
         ).terms)
         for j in range(K + 1):
+            tower = _tower(x.o(j, y), j)
             for i in range(j + 1):
                 c = Q(minus_one_pow(j + 1) * factorial(i), factorial(j + 1))
-                fam_e(x.o(j, y).D_pow(j - i), z, -1 - i)._add_into(rhs, -c)
+                fam_e(tower[j - i], z, -1 - i)._add_into(rhs, -c)
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n >= 0:
         for k in range(K + 1):
@@ -203,10 +214,11 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
             qc = fam_qc(y, x, k, None, K=K, certify=False)
             qc.o(n - 1 - k, z)._add_into(rhs, -kosz * ck)
             for j in range(1, K + 1):
+                tower = _tower(x.o(k + j, y), j - 1)
                 for i in range(j):
                     sgn = minus_one_pow(k + j + i)
                     c = Q(ck * sgn * falling(n - 1 - k, i), factorial(j))
-                    e = fam_e(x.o(k + j, y).D_pow(j - 1 - i), z, n - 1 - k - i)
+                    e = fam_e(tower[j - 1 - i], z, n - 1 - k - i)
                     e._add_into(rhs, c)
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     raise ValueError("commutator decomposition covers m >= -1 only")

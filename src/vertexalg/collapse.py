@@ -37,6 +37,7 @@ from .generators import (
 )
 from .models.base import check
 from .models.factory import shipped_model
+from .parsing import to_text
 from .rewrite import RuleSet, reduce_element
 from .terms import Element, binom, minus_one_pow
 
@@ -104,9 +105,19 @@ def right_mult_checks(levels=(2, 3, 6), budget: int = 20000) -> list:
     rules = RuleSet(model=model, enabled=COLLAPSE_RULES)
     rep = reduce_element(_right_mult_total(model, max(levels)), rules, budget=budget)
     ok = rep.status == "normal-form" and rep.result == unit
+    witness = None
+    if not ok:
+        witness = (
+            f"{rep.status} after {rep.steps} steps (budget {budget}), "
+            f"residual {to_text(rep.result)}"
+        )
     checks.append(
         check(
-            "right-mult-unit-reduction", ok, steps=rep.steps, rules=list(COLLAPSE_RULES)
+            "right-mult-unit-reduction",
+            ok,
+            steps=rep.steps,
+            rules=list(COLLAPSE_RULES),
+            witness=witness,
         )
     )
 

@@ -269,12 +269,15 @@ def check_module_laws(
     policy: TruncationPolicy = None,
     samples: int = 100,
     seed: int = 0,
+    budget: int = 10000,
 ) -> dict:
     """Both module laws, two ways per law, as one check record with the
     per-law tallies and the first failures.
 
-    Leaf samples are closed by the rewrite rules alone; compound samples are
-    certified by an exact generator-combination identity.
+    Leaf samples are closed by the rewrite rules alone, each reduction
+    within `budget` steps; a reduction that runs out fails its law.
+    Compound samples are certified by an exact generator-combination
+    identity.
     """
     from ..rewrite import RuleSet, reduce_element
 
@@ -321,7 +324,7 @@ def check_module_laws(
             rhs = leaf(s).o(0, leaf(t).o(0, x_leaf)) - koszul(s, t) * leaf(t).o(
                 0, leaf(s).o(0, x_leaf)
             )
-            report = reduce_element(lhs - rhs, rules, budget=10000)
+            report = reduce_element(lhs - rhs, rules, budget=budget)
             if report.status == "normal-form" and report.result.is_zero():
                 counts["law1_reduced"] += 1
             else:
@@ -353,7 +356,7 @@ def check_module_laws(
             try:
                 lhs2 = ab.o(-1, x_leaf)
                 rhs2 = leaf(a).o(-1, leaf(b).o(-1, x_leaf))
-                report2 = reduce_element(lhs2 - rhs2, rules, budget=10000)
+                report2 = reduce_element(lhs2 - rhs2, rules, budget=budget)
                 if report2.status == "normal-form" and report2.result.is_zero():
                     counts["law2_reduced"] += 1
                 else:

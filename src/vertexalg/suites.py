@@ -498,7 +498,9 @@ def _suite_souped(cfg: SuiteConfig):
     for name in ("diffpoly", "weyl1", "current2", "current3"):
         model = shipped_model(name)
         yield _prefixed(f"{name}-", validate_model(model, pair_cap=40, case_cap=200))
-        yield check_module_laws(model, policy=cfg.policy(), samples=per, seed=cfg.seed)
+        yield check_module_laws(
+            model, policy=cfg.policy(), samples=per, seed=cfg.seed, budget=cfg.budget
+        )
 
 
 # -- collapse suite ---------------------------------------------------------------

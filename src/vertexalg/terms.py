@@ -27,6 +27,16 @@ the two apart.  Element._trusted(alphabet, terms) takes the dict as it is:
 every coefficient must already follow the rule.  Sums are accumulated in
 place with x._add_into(acc, scale), which keeps acc in that trusted form,
 so a loop of n additions costs O(total terms), not O(n^2).
+
+Derivatives.  x.D() is built once: the Element keeps it in its _d slot
+and every later call returns that same object, so callers that
+differentiate one Element share one derivative, and equal trees built
+from it share subtrees, which Node equality skips on identity.  The memo
+takes no part in ==, hash or repr; it is sound because no Element's terms
+change after construction.  x.D_pow(k) wraps each term k times in
+o_{-2}(., 1) in one pass, without the k - 1 intermediate Elements; the
+result is not memoised.  A caller that needs a whole tower
+x, Dx, ..., D^k x builds it with D, one step per level.
 """
 
 from dataclasses import dataclass, field
@@ -291,10 +301,11 @@ def _as_coeff(c):
 class Element:
     """Exact linear combination of trees over a fixed alphabet."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ("alphabet", "terms", "_d")
 
     def __init__(self, alphabet: Alphabet, terms=None):
         self.alphabet = alphabet
+        self._d = None
         clean = {}
         if terms:
             for t, c in terms.items():
@@ -310,6 +321,7 @@ class Element:
         out = object.__new__(cls)
         out.alphabet = alphabet
         out.terms = terms
+        out._d = None
         return out
 
     def _add_into(self, acc: dict, scale=1) -> None:
@@ -399,18 +411,31 @@ class Element:
         )
 
     def D(self) -> "Element":
-        """x o_{-2} 1; the unit's coefficient is 1, so coefficients carry over."""
-        unit = Leaf(self.alphabet.unit)
-        return Element._trusted(
-            self.alphabet, {Node(-2, t, unit): c for t, c in self.terms.items()}
-        )
+        """x o_{-2} 1; the unit's coefficient is 1, so coefficients carry over.
+        Built once per Element: every later call returns the same object."""
+        d = self._d
+        if d is None:
+            unit = Leaf(self.alphabet.unit)
+            d = self._d = Element._trusted(
+                self.alphabet, {Node(-2, t, unit): c for t, c in self.terms.items()}
+            )
+        return d
 
     def D_pow(self, k: int, divide_factorial: bool = False) -> "Element":
+        """D applied k times, in one pass: each term is wrapped k times in
+        o_{-2}(., 1), with no intermediate Elements and the term order of k
+        calls of D."""
         if k < 0:
             raise ValueError("negative derivative power")
         out = self
-        for _ in range(k):
-            out = out.D()
+        if k:
+            unit = Leaf(self.alphabet.unit)
+            terms = {}
+            for t, c in self.terms.items():
+                for _ in range(k):
+                    t = Node(-2, t, unit)
+                terms[t] = c
+            out = Element._trusted(self.alphabet, terms)
         return out / factorial(k) if divide_factorial else out
 
     # predicates and views

@@ -46,6 +46,18 @@ class TestRightMult:
         assert v["kind"] == "variant-necessity"
         assert v["variant_residual_terms"] > 0
 
+    def test_unit_reduction_failure_has_a_witness(self):
+        checks = right_mult_checks(budget=0)
+        byid = {c["id"]: c for c in checks}
+        red = byid["right-mult-unit-reduction"]
+        assert red["status"] == "fail"
+        # one pass already reaches the unit; the pass that would confirm
+        # the fixpoint is past the budget
+        assert red["witness"] == (
+            f"budget-exhausted after {red['steps']} steps (budget 0), residual 1"
+        )
+        assert "witness" not in right_mult_checks()[1]
+
     def test_rule_inventory_excludes_locality(self):
         assert "locality_kill" not in COLLAPSE_RULES
         assert "right_scalar" in COLLAPSE_RULES

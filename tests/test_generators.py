@@ -1,10 +1,12 @@
 """Ideal generator families, truncation, and certified tail bounds."""
 
 from fractions import Fraction as Q
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vertexalg import generators
 from vertexalg.generators import (
     CertificationError,
     GeneratorSpec,
@@ -307,3 +309,91 @@ _policies = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_term_is_dead_matches_the_reference_fold(t, policy):
     assert _term_is_dead(t, policy) == _dead_by_fold(t, policy)
+
+
+# Certified truncation at its tight bound.  With level 0 the certificate
+# alone sets K, so the tests below see the bound the certificate derives:
+# every summand the builder drops past it must be truncation-dead, and
+# past K = 0 the last summand it keeps must be alive.
+_TIGHT_POLICIES = (
+    TruncationPolicy(default_locality=3, level=0),
+    TruncationPolicy(default_locality=1, overrides=(("x", "z", 4), ("y", "z", 2)), level=0),
+    TruncationPolicy(default_locality=2, exempt=frozenset({("x", "y", 3)}), level=0),
+)
+
+# (family, leaf names, indices): qc, and qa with its infinite tail (m < 0)
+_TIGHT_CASES = [
+    ("qc", names, (n,))
+    for names in (("x", "y"), ("y", "x"), ("x", "z"), ("p", "q"))
+    for n in range(-3, 3)
+] + [
+    ("qa", names, (m, n))
+    for names in (("x", "y", "z"), ("y", "x", "z"), ("p", "q", "z"))
+    for m in (-1, -2, -3)
+    for n in range(-2, 2)
+]
+
+
+def _tight_build(al, fam, names, idx, policy, K, certify):
+    builder = fam_qc if fam == "qc" else fam_qa
+    args = [E(al, nm) for nm in names]
+    return builder(*args, *idx, policy, K=K, certify=certify)
+
+
+def _smallest_certified_bound(build, policy):
+    for K in range(20):
+        try:
+            build(policy, K, True)
+        except CertificationError:
+            continue
+        return K
+    raise AssertionError("no bound below 20 certifies")
+
+
+def _tight_bound_faults(al):
+    """Every way the builders' certified bounds misstate the tail at
+    level 0, as (fault, case, K) triples."""
+    faults = []
+    for pol in _TIGHT_POLICIES:
+        for case in _TIGHT_CASES:
+            build = partial(_tight_build, al, *case)
+            K = _smallest_certified_bound(build, pol)
+            where = (case, pol, K)
+            if build(pol, None, True) != build(None, K, False):
+                faults.append(("the default build is not cut at K", where))
+
+            def summand(k):
+                # the k-th tail summand: the build at bound k minus at k - 1
+                head = build(None, k, False)
+                return head - build(None, k - 1, False) if k else head
+
+            for k in range(K + 1, K + 5):
+                if not truncate(summand(k), pol).is_zero():
+                    faults.append((f"dropped summand k={k} is alive", where))
+            if K > 0 and truncate(summand(K), pol).is_zero():
+                faults.append(("the last kept summand is dead", where))
+    return faults
+
+
+def test_certified_bounds_are_tight(al):
+    assert _tight_bound_faults(al) == []
+
+
+def _bound_one_short(monkeypatch):
+    honest = generators._tail_bound_for_pairs
+    monkeypatch.setattr(
+        generators, "_tail_bound_for_pairs", lambda *a: honest(*a) - 1
+    )
+
+
+def _dead_one_early(monkeypatch):
+    honest = TruncationPolicy.is_dead
+    monkeypatch.setattr(
+        TruncationPolicy, "is_dead", lambda self, u, v, n: honest(self, u, v, n + 1)
+    )
+
+
+@pytest.mark.parametrize("mutant", (_bound_one_short, _dead_one_early))
+def test_certificate_mutants_are_caught(al, monkeypatch, mutant):
+    mutant(monkeypatch)
+    assert _tight_bound_faults(al)

@@ -53,6 +53,31 @@ def test_form_and_sheaf_reports_frozen(suite, extra):
     assert _report_digest(report) == _FROZEN_REPORTS[(suite, extra)]
 
 
+# frozen before the deep-tail builders shared their derivative towers: the
+# qc/qa tails at the benchmark's truncation level must not see the change
+_FROZEN_DEEP_TAILS = {
+    "borcherds": "88db0cbbfe10db05",
+    "commutator": "e96e870d244faf8a",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_FROZEN_DEEP_TAILS))
+def test_deep_tail_reports_frozen(suite):
+    report = run_suite(suite, trunc_level=16, samples=5, seed=0)
+    assert _report_digest(report) == _FROZEN_DEEP_TAILS[suite]
+
+
+def test_souped_reductions_obey_the_budget():
+    # with no rewrite steps allowed the leaf-closure reductions cannot
+    # finish, so every model's module laws fail
+    report = run_suite("souped", budget=0, samples=5)
+    laws = [c for c in report["checks"] if c["id"].endswith("-module-laws")]
+    assert len(laws) == 4
+    for c in laws:
+        assert c["status"] == "fail", c
+        assert "-reduction'" in c["witness"], c
+
+
 def test_report_schema():
     for suite in SUITE_IDS:
         report = run_suite(suite, seed=0, samples=5)

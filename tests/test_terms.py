@@ -428,6 +428,33 @@ class TestTrustedResults:
         assert got == want
 
 
+class TestDerivativeTowers:
+    @given(weyl_elements(), st.integers(0, 5), st.booleans())
+    def test_one_pass_power_is_repeated_derivative(self, x, k, divided):
+        want = x
+        for _ in range(k):
+            want = want.D()
+        if divided:
+            want = want / factorial(k)
+        got = x.D_pow(k, divide_factorial=divided)
+        assert got == want
+        # same terms in the same order, with the same coefficient types
+        assert [(t, c, type(c)) for t, c in got.terms.items()] == [
+            (t, c, type(c)) for t, c in want.terms.items()
+        ]
+
+    @given(weyl_elements())
+    def test_derivative_is_built_once(self, x):
+        d = x.D()
+        assert x.D() is d
+        assert d.D() is x.D().D()
+        # the memo is invisible to equality, hashing and printing
+        fresh = Element(x.alphabet, x.terms)
+        assert fresh == x
+        assert hash(fresh) == hash(x)
+        assert repr(fresh) == repr(x)
+
+
 class TestIntCoefficients:
     """Int inputs stay int; division stays exact; floats are refused."""
 
