@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .terms import Element, Leaf, binom, minus_one_pow, parity
+from .terms import Element, Leaf, Node, binom, minus_one_pow, parity, preorder
 
 Q = Fraction
 
@@ -67,21 +67,14 @@ class TruncationPolicy:
 
 
 def _term_is_dead(t, policy: TruncationPolicy) -> bool:
-    """Whether t holds a leaf-pair product that policy truncates.  A
-    depth-first search on an explicit stack that stops at the first such
-    product, so deep trees cost time, never RecursionError."""
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if n.__class__ is Leaf:
-            continue
-        u, v = n.left, n.right
-        if u.__class__ is Leaf and v.__class__ is Leaf:
-            if policy.is_dead(u.symbol, v.symbol, n.index):
+    """Whether t holds a leaf-pair product that policy truncates; the
+    preorder search stops at the first such product."""
+    for n in preorder(t):
+        if n.__class__ is Node:
+            u, v = n.left, n.right
+            if (u.__class__ is Leaf and v.__class__ is Leaf
+                    and policy.is_dead(u.symbol, v.symbol, n.index)):
                 return True
-        else:
-            stack.append(v)
-            stack.append(u)
     return False
 
 

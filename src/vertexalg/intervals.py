@@ -159,9 +159,6 @@ class SupportSet:
             result = [SupportSet(tuple(nxt))]
         return result[0]
 
-    def complement_within(self, universe: "SupportSet") -> "SupportSet":
-        return universe.minus(self)
-
     def interior(self) -> "SupportSet":
         opened = tuple(Piece(p.lo, p.hi, False, False) for p in self.pieces)
         return SupportSet(opened)

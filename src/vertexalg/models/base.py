@@ -9,7 +9,7 @@ from itertools import product
 from math import factorial
 
 from ..generators import TruncationPolicy, fam_am, fam_qa, fam_s
-from ..terms import Element, Leaf, Node, Symbol, minus_one_pow
+from ..terms import Element, Leaf, Symbol, fold_tree, minus_one_pow
 
 Q = Fraction
 
@@ -51,7 +51,6 @@ class CommutativeSemantics:
     diff: callable  # V -> V
     scale: callable  # (int or Fraction, V) -> V
     to_element: callable  # V -> Element
-    is_zero: callable
 
 
 class Model:
@@ -161,42 +160,16 @@ class Model:
         return cs.to_element(total)
 
     def _comm_term(self, t, cs):
-        # post-order walk with an explicit stack; products at n >= 0 vanish
-        # and their subtrees are never evaluated
-        order, stack = [], [t]
-        while stack:
-            s = stack.pop()
-            order.append(s)
-            if isinstance(s, Node) and s.index < 0:
-                stack.append(s.left)
-                stack.append(s.right)
-        vals = []
-        for s in reversed(order):
-            if isinstance(s, Leaf):
-                vals.append(cs.value(s.symbol))
-            elif s.index >= 0:
-                vals.append(cs.zero())
-            else:
-                right = vals.pop()
-                left = vals.pop()
-                k = -1 - s.index
-                for _ in range(k):
-                    left = cs.diff(left)
-                vals.append(cs.mul(cs.scale(Q(1, factorial(k)), left), right))
-        return vals[0]
+        # products at n >= 0 vanish in the commutative quotient
+        def node(n, left, right):
+            if n.index >= 0:
+                return cs.zero()
+            k = -1 - n.index
+            for _ in range(k):
+                left = cs.diff(left)
+            return cs.mul(cs.scale(Q(1, factorial(k)), left), right)
 
-
-def evaluate(x: Element, model: Model, semantics: str = "commutative", **kw):
-    if semantics == "commutative":
-        return model.evaluate_commutative(x)
-    if semantics == "reduction":
-        from ..rewrite import RuleSet, reduce_element
-
-        policy = kw.get("policy") or TruncationPolicy()
-        rules = kw.get("rules") or RuleSet.stock(model, policy)
-        budget = kw.get("budget", 10000)
-        return reduce_element(x, rules, budget=budget).result
-    raise ValueError(f"unknown semantics {semantics!r}")
+        return fold_tree(t, lambda s: cs.value(s.symbol), node)
 
 
 # validation ----------------------------------------------------------------

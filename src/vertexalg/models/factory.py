@@ -86,7 +86,6 @@ def make_diffpoly(max_degree: int = 6) -> Model:
         diff=lambda u: u.diff(),
         scale=lambda c, u: u * c,
         to_element=poly_to_elem,
-        is_zero=lambda u: u.is_zero(),
     )
     low = [pow_name(k) for k in range(1, max_degree // 2 + 1)]
     return Model(

@@ -14,7 +14,7 @@ costs time, never RecursionError.
 
 from fractions import Fraction
 
-from .terms import Alphabet, Element, Leaf
+from .terms import Alphabet, Element, render
 
 Q = Fraction
 
@@ -188,18 +188,7 @@ def parse(text: str, alphabet: Alphabet) -> Element:
 
 
 def _atom_text(t) -> str:
-    out = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is str:
-            out.append(t)
-        elif t.__class__ is Leaf:
-            out.append(t.symbol.name)
-        else:
-            out.append(f"o{{{t.index}}}(")
-            stack += (")", t.right, ", ", t.left)
-    return "".join(out)
+    return render(t, lambda s: s.symbol.name, lambda n: (f"o{{{n.index}}}(", ", "))
 
 
 def to_text(x: Element) -> str:

@@ -69,9 +69,6 @@ class RuleSet:
         )
         return RuleSet(model, policy, enabled)
 
-    def with_rules(self, *names) -> "RuleSet":
-        return RuleSet(self.model, self.policy, tuple(set(self.enabled) | set(names)))
-
     # one root-level rule application; None when no rule matches
     def apply_at_root(self, t: Node, al):
         for rule in self.enabled:

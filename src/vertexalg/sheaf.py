@@ -31,7 +31,7 @@ from .intervals import SupportSet, overlap_core
 from .models.base import check
 from .models.polys import PolyVars
 from .rewrite import ReductionReport, RuleSet, reduce_element
-from .terms import Alphabet, Element, Leaf, Node, Symbol, fold_tree, leaves
+from .terms import Alphabet, Element, Leaf, Node, Symbol, fold_tree, leaves, preorder
 
 
 class SupportError(ValueError):
@@ -266,15 +266,8 @@ def _class_key(tree, context):
     The encoding is prefix-free, so two trees share a key exactly when
     they have the same shape, indices and leaf bases."""
     out = []
-    stack = [tree]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is Leaf:
-            out += ("s", context.info(t.symbol).base)
-        else:
-            out += ("n", t.index)
-            stack.append(t.right)
-            stack.append(t.left)
+    for t in preorder(tree):
+        out += ("s", context.info(t.symbol).base) if t.__class__ is Leaf else ("n", t.index)
     return tuple(out)
 
 
@@ -346,14 +339,8 @@ def pi(x: Element, context: SheafContext) -> Element:
     open cells.  Idempotent, and on a single generator instance it acts
     all-or-nothing because the monomials share one class."""
     kept = {}
-    classes = {}
-    for tree, coeff in x.terms.items():
-        if isinstance(tree, Leaf):
-            kept[tree] = coeff
-        else:
-            classes.setdefault(_class_key(tree, context), []).append((tree, coeff))
-    for members in classes.values():
-        if _class_cells(members, context):
+    for members in _classes(x, context).values():
+        if members[0][0].__class__ is Leaf or _class_cells(members, context):
             for tree, coeff in members:
                 kept[tree] = coeff
     return Element(x.alphabet, kept)
@@ -391,9 +378,7 @@ def restrict(x: Element, window: SupportSet, context: SheafContext) -> Element:
     def rewindow(leaf):
         if leaf.symbol.name == context.alphabet.unit.name:
             return leaf
-        info = context.info(leaf.symbol)
-        sym = context._mint(info.base, info.bumps,
-                            info.window.intersect(window))
+        sym = context.restricted_symbol(leaf.symbol.name, window)
         return Leaf(sym) if sym is not None else None
 
     return pi(_map_leaves(x, rewindow), context)
@@ -451,6 +436,19 @@ def check_cover(cover, context: SheafContext):
     return problems
 
 
+def _overlaps(cover, sections, context: SheafContext):
+    """(patch, patch, meet, agree) for each pair of patches whose windows
+    meet in a set with interior, in cover order; agree says whether the
+    two sections restrict to the same element on the meet."""
+    for i in range(len(cover)):
+        for j in range(i + 1, len(cover)):
+            meet = cover[i].window.intersect(cover[j].window)
+            if not meet.interior().is_empty():
+                agree = (restrict(sections[i], meet, context)
+                         == restrict(sections[j], meet, context))
+                yield cover[i], cover[j], meet, agree
+
+
 def glue(cover, sections, context: SheafContext) -> Element:
     """sum_j rho_j o_{-1} (sigma_j * x_j); raises on a broken cover or on
     sections that disagree on an overlap."""
@@ -459,17 +457,10 @@ def glue(cover, sections, context: SheafContext) -> Element:
         raise SupportError("; ".join(problems))
     if len(sections) != len(cover):
         raise SupportError("one section per patch required")
-    for i in range(len(cover)):
-        for j in range(i + 1, len(cover)):
-            meet = cover[i].window.intersect(cover[j].window)
-            if meet.interior().is_empty():
-                continue
-            a = restrict(sections[i], meet, context)
-            b = restrict(sections[j], meet, context)
-            if a != b:
-                raise SupportError(
-                    f"overlap disagreement between {cover[i].name} "
-                    f"and {cover[j].name} on {meet}")
+    for p, q, meet, agree in _overlaps(cover, sections, context):
+        if not agree:
+            raise SupportError(
+                f"overlap disagreement between {p.name} and {q.name} on {meet}")
     al = context.alphabet
     out = Element.zero(al)
     for p, x in zip(cover, sections):
@@ -500,15 +491,8 @@ def sheaf_axiom_check(cover, sections, context: SheafContext,
     problems = check_cover(cover, context)
     checks = [check("cover-geometry", not problems, detail="; ".join(problems))]
 
-    for i in range(len(cover)):
-        for j in range(i + 1, len(cover)):
-            meet = cover[i].window.intersect(cover[j].window)
-            if meet.interior().is_empty():
-                continue
-            a = restrict(sections[i], meet, context)
-            b = restrict(sections[j], meet, context)
-            checks.append(check(f"overlap-{cover[i].name}-{cover[j].name}",
-                                a == b, detail=f"on {meet}"))
+    for p, q, meet, agree in _overlaps(cover, sections, context):
+        checks.append(check(f"overlap-{p.name}-{q.name}", agree, detail=f"on {meet}"))
 
     if any(c["status"] == "fail" for c in checks):
         return checks

@@ -11,10 +11,15 @@ hash((name, parity, degree, kind, support)), hash((symbol,)) and
 hash((index, left, right)).  The children's hashes are already cached, so
 hashing a tree is O(1) and the values are the dataclass values bit for
 bit; dict and set iteration order is unchanged.  Equality short-cuts on
-identity, then on the cached hash, then compares fields.  Node equality,
-leaves(), fold_tree, sort_key, term_degree and shape_key walk the tree
-with an explicit stack, so deep trees cost time but never raise
-RecursionError.
+identity, then on the cached hash, then compares fields.
+
+Tree walks.  Three primitives walk a tree, each on an explicit stack, so
+deep trees cost time but never raise RecursionError: preorder(t) yields
+the subtrees node, left, right; fold_tree(t, leaf, node) folds bottom-up;
+render(t, leaf, node) builds the in-order text.  sort_key, leaves,
+term_degree and shape_key are built on them; Node equality, which walks
+two trees in pairs, keeps a loop of its own.  No other module walks a
+tree: the rest of the package calls these.
 
 Coefficients.  Every stored coefficient is a nonzero int or Fraction,
 never a float.  Element(alphabet, terms), scalar * and / and every scale
@@ -157,33 +162,31 @@ class Node:
 Term = (Leaf, Node)
 
 
+def preorder(t):
+    """Every subtree of t in preorder: a node, then its left subtree, then
+    its right subtree."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if t.__class__ is Node:
+            stack.append(t.right)
+            stack.append(t.left)
+
+
 def sort_key(t) -> tuple:
     """Flat preorder key: (0, name) for a leaf, (1, index) then both
     children's keys for a node.  The encoding is prefix-free, so it orders
     trees exactly as the nested key (1, index, key(left), key(right))."""
     out = []
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is Leaf:
-            out += (0, t.symbol.name)
-        else:
-            out += (1, t.index)
-            stack.append(t.right)
-            stack.append(t.left)
+    for s in preorder(t):
+        out += (0, s.symbol.name) if s.__class__ is Leaf else (1, s.index)
     return tuple(out)
 
 
 def leaves(t):
     """Leaf symbols, left to right."""
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is Leaf:
-            yield t.symbol
-        else:
-            stack.append(t.right)
-            stack.append(t.left)
+    return (s.symbol for s in preorder(t) if s.__class__ is Leaf)
 
 
 def fold_tree(t, leaf, node):
@@ -217,23 +220,10 @@ def term_parity(t) -> int:
     return sum(s.parity for s in leaves(t)) % 2
 
 
-def term_degree(t) -> Fraction:
-    # |o_n(x, y)| = |x| + (-n - 1) + |y|
-    total = Q(0)
-    stack = [t]
-    while stack:
-        t = stack.pop()
-        if t.__class__ is Leaf:
-            total += t.symbol.degree
-        else:
-            total += -t.index - 1
-            stack.append(t.left)
-            stack.append(t.right)
-    return total
-
-
-def shape_key(t) -> str:
-    """Canonical string of the product shape including indices."""
+def render(t, leaf, node) -> str:
+    """In-order text of t: leaf(s) at each Leaf s, and at each Node n, with
+    (opening, separator) = node(n), the text opening + left + separator +
+    right + ")"."""
     out = []
     stack = [t]
     while stack:
@@ -241,11 +231,25 @@ def shape_key(t) -> str:
         if t.__class__ is str:
             out.append(t)
         elif t.__class__ is Leaf:
-            out.append("*")
+            out.append(leaf(t))
         else:
-            out.append("(")
-            stack += (")", t.right, f"o{t.index}", t.left)
+            opening, separator = node(t)
+            out.append(opening)
+            stack += (")", t.right, separator, t.left)
     return "".join(out)
+
+
+def term_degree(t) -> Fraction:
+    # |o_n(x, y)| = |x| + (-n - 1) + |y|
+    return sum(
+        (s.symbol.degree if s.__class__ is Leaf else -s.index - 1 for s in preorder(t)),
+        Q(0),
+    )
+
+
+def shape_key(t) -> str:
+    """Canonical string of the product shape including indices."""
+    return render(t, lambda s: "*", lambda n: ("(", f"o{n.index}"))
 
 
 class Alphabet:
@@ -421,22 +425,21 @@ class Element:
             )
         return d
 
-    def D_pow(self, k: int, divide_factorial: bool = False) -> "Element":
+    def D_pow(self, k: int) -> "Element":
         """D applied k times, in one pass: each term is wrapped k times in
         o_{-2}(., 1), with no intermediate Elements and the term order of k
         calls of D."""
         if k < 0:
             raise ValueError("negative derivative power")
-        out = self
-        if k:
-            unit = Leaf(self.alphabet.unit)
-            terms = {}
-            for t, c in self.terms.items():
-                for _ in range(k):
-                    t = Node(-2, t, unit)
-                terms[t] = c
-            out = Element._trusted(self.alphabet, terms)
-        return out / factorial(k) if divide_factorial else out
+        if not k:
+            return self
+        unit = Leaf(self.alphabet.unit)
+        terms = {}
+        for t, c in self.terms.items():
+            for _ in range(k):
+                t = Node(-2, t, unit)
+            terms[t] = c
+        return Element._trusted(self.alphabet, terms)
 
     # predicates and views
 

@@ -73,11 +73,6 @@ class TestAlgebra:
         assert not got.contains_point(Q(1))
         assert got.contains_point(Q(3))
 
-    def test_complement_within(self):
-        got = spans(1, 2).complement_within(spans(0, 3))
-        assert got.contains_point(Q(0))
-        assert not got.contains_point(Q(3, 2))
-
     def test_interior_closure(self):
         s = spans(0, 1)
         assert s.interior() == SupportSet.open(0, 1)

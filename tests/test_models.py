@@ -2,17 +2,19 @@
 
 import hashlib
 import json
+import random
 from fractions import Fraction as Q
 from importlib import resources
+from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from vertexalg.generators import TruncationPolicy
 from vertexalg.models.base import (
     ModelDegreeError,
     check,
     check_module_laws,
-    evaluate,
     law_check,
     validate_model,
 )
@@ -22,8 +24,10 @@ from vertexalg.models.factory import (
     shipped_model,
     shipped_model_names,
 )
+from vertexalg.models.morphisms import random_tree
+from vertexalg.models.polys import Poly1
 from vertexalg.parsing import parse, to_text
-from vertexalg.terms import Element
+from vertexalg.terms import Element, Leaf
 
 SHIPPED = (
     "current2",
@@ -90,6 +94,23 @@ def weyl():
     return make_model("Weyl1")
 
 
+def _comm_ref(t) -> Poly1:
+    """The commutative value of one DiffPoly tree, by recursion: b^k is the
+    monomial of degree k, a product at n >= 0 is zero and its subtrees are
+    never evaluated, and at n < 0 it is (d/db)^k(left) / k! * right with
+    k = -1 - n."""
+    if isinstance(t, Leaf):
+        name = t.symbol.name
+        return Poly1.mono(0 if name == "1" else 1 if name == "b" else int(name[1:]))
+    if t.index >= 0:
+        return Poly1()
+    k = -1 - t.index
+    left = _comm_ref(t.left)
+    for _ in range(k):
+        left = left.diff()
+    return left * Q(1, factorial(k)) * _comm_ref(t.right)
+
+
 class TestDiffPoly:
     @pytest.fixture
     def model(self, diffpoly):
@@ -121,19 +142,25 @@ class TestDiffPoly:
         assert model.evaluate_commutative(left) == want
         assert model.evaluate_commutative(right) == want
 
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(-3, 3).filter(bool))
+    def test_commutative_evaluation_matches_reference(self, diffpoly, seed, length, c):
+        al = diffpoly.alphabet
+        (t,) = random_tree(al, diffpoly.symbols(), random.Random(seed), length, -3, 3).terms
+        x = Element.of_term(al, t, c)
+        try:
+            want = diffpoly.commutative.to_element(_comm_ref(t) * c)
+        except ModelDegreeError:
+            with pytest.raises(ModelDegreeError):
+                diffpoly.evaluate_commutative(x)
+        else:
+            assert diffpoly.evaluate_commutative(x) == want
+
     def test_commutative_evaluation_of_deep_tower(self):
         # D^1500 b is zero in the commutative model; the evaluation must not
         # recurse once per tree level
         model = shipped_model("diffpoly")
         x = Element.sym(model.alphabet, "b").D_pow(1500)
         assert model.evaluate_commutative(x).is_zero()
-
-    def test_evaluate_dispatch(self, model):
-        al = model.alphabet
-        x = parse("o{-1}(b, b)", al)
-        assert evaluate(x, model) == Element.sym(al, "b2")
-        with pytest.raises(ValueError, match="semantics"):
-            evaluate(x, model, semantics="quantum")
 
 
 class TestWeyl1:

@@ -136,10 +136,8 @@ class TestRuleSetValidation:
         with pytest.raises(ValueError, match="model"):
             RuleSet(enabled=("bracket",))
 
-    def test_with_rules_extends(self, diff):
-        rs = RuleSet.stock(diff).with_rules("e_orient")
-        assert "e_orient" in rs.enabled
-        # order stays canonical
+    def test_constructor_orders_rules_canonically(self, diff):
+        rs = RuleSet(diff, None, ("e_orient", "scalar", "unit_left"))
         assert rs.enabled == tuple(r for r in RULE_ORDER if r in rs.enabled)
 
     def test_stock_rule_inventory(self):

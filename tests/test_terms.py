@@ -1,13 +1,13 @@
 """Core free-algebra layer: symbols, trees, exact linear combinations."""
 
+import random
 from fractions import Fraction as Q
-from math import factorial
 
 import pytest
 from hypothesis import given, strategies as st
 
 from vertexalg.models.factory import shipped_model
-from vertexalg.models.morphisms import shipped_morphisms
+from vertexalg.models.morphisms import random_tree, shipped_morphisms
 from vertexalg.terms import (
     Alphabet,
     Element,
@@ -21,7 +21,10 @@ from vertexalg.terms import (
     is_homogeneous,
     leaves,
     parity,
+    preorder,
+    shape_key,
     sort_key,
+    term_degree,
     term_length,
 )
 from vertexalg.parsing import to_text
@@ -125,10 +128,6 @@ class TestElementArithmetic:
         x = E(al, "x")
         assert x.D_pow(3) == x.D().D().D()
         assert x.D_pow(0) == x
-
-    def test_divided_powers(self, al):
-        x = E(al, "x")
-        assert x.D_pow(3, divide_factorial=True) == Q(1, 6) * x.D_pow(3)
 
 
 class TestTreeShape:
@@ -262,6 +261,72 @@ class TestSortKey:
         ((s, _),), ((t, _),) = x.terms.items(), y.terms.items()
         assert (sort_key(s) < sort_key(t)) == (_nested_key(s) < _nested_key(t))
         assert (sort_key(s) == sort_key(t)) == (s == t)
+
+
+# the derived walks against recursive references ------------------------------
+
+# graded symbols, so the degree rule is exercised, plus the unit
+_gal = Alphabet()
+_gsyms = [
+    _gal.add(Symbol("x", 0, Q(0), "generic")),
+    _gal.add(Symbol("y", 1, Q(1, 2), "generic")),
+    _gal.add(Symbol("z", 0, Q(2), "generic")),
+    _gal.unit,
+]
+
+
+@st.composite
+def tree_monomials(draw, max_len=6):
+    """One monomial from morphisms.random_tree, seeded by hypothesis."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    x = random_tree(_gal, _gsyms, rng, draw(st.integers(1, max_len)), -3, 3)
+    ((t, _),) = x.terms.items()
+    return t
+
+
+def _degree_ref(t):
+    if isinstance(t, Leaf):
+        return t.symbol.degree
+    return _degree_ref(t.left) + (-t.index - 1) + _degree_ref(t.right)
+
+
+def _shape_ref(t):
+    if isinstance(t, Leaf):
+        return "*"
+    return f"({_shape_ref(t.left)}o{t.index}{_shape_ref(t.right)})"
+
+
+def _text_ref(t):
+    if isinstance(t, Leaf):
+        return t.symbol.name
+    return f"o{{{t.index}}}({_text_ref(t.left)}, {_text_ref(t.right)})"
+
+
+class TestDerivedWalks:
+    @given(tree_monomials())
+    def test_preorder_is_node_left_right(self, t):
+        def ref(t):
+            if isinstance(t, Leaf):
+                return [t]
+            return [t] + ref(t.left) + ref(t.right)
+
+        got = list(preorder(t))
+        assert len(got) == len(ref(t))
+        assert all(a is b for a, b in zip(got, ref(t)))
+
+    @given(tree_monomials())
+    def test_term_degree(self, t):
+        assert term_degree(t) == _degree_ref(t)
+
+    @given(tree_monomials())
+    def test_shape_key(self, t):
+        assert shape_key(t) == _shape_ref(t)
+
+    @given(tree_monomials(), st.integers(-3, 3).filter(bool))
+    def test_to_text_of_one_term(self, t, c):
+        ref = _text_ref(t)
+        assert to_text(Element.of_term(_gal, t)) == ref
+        assert to_text(Element.of_term(_gal, t, c)) == (ref if c == 1 else f"{c}*{ref}")
 
 
 # cached hashes and the trusted coefficient form ------------------------------
@@ -400,9 +465,9 @@ class TestTrustedResults:
         want = a
         for _ in range(k):
             want = _fold_o(want, -2, Element.unit(al))
-        for got in (a.D_pow(k), a.D_pow(k, divide_factorial=True)):
-            assert _trusted(got)
-        assert a.D_pow(k) == want
+        got = a.D_pow(k)
+        assert _trusted(got)
+        assert got == want
 
     @given(weyl_elements())
     def test_morphism_apply(self, x):
@@ -429,14 +494,12 @@ class TestTrustedResults:
 
 
 class TestDerivativeTowers:
-    @given(weyl_elements(), st.integers(0, 5), st.booleans())
-    def test_one_pass_power_is_repeated_derivative(self, x, k, divided):
+    @given(weyl_elements(), st.integers(0, 5))
+    def test_one_pass_power_is_repeated_derivative(self, x, k):
         want = x
         for _ in range(k):
             want = want.D()
-        if divided:
-            want = want / factorial(k)
-        got = x.D_pow(k, divide_factorial=divided)
+        got = x.D_pow(k)
         assert got == want
         # same terms in the same order, with the same coefficient types
         assert [(t, c, type(c)) for t, c in got.terms.items()] == [
@@ -480,15 +543,12 @@ class TestIntCoefficients:
         (c,) = (Element.of_term(al, t) * Q(n * d, d)).terms.values()
         assert type(c) is int and c == n
 
-    @given(weyl_elements(), st.integers(0, 4))
-    def test_division_stays_exact(self, x, k):
+    @given(weyl_elements())
+    def test_division_stays_exact(self, x):
         third = x / 3
         assert _trusted(third)
         assert all(third.coeff(t) == Q(c, 3) for t, c in x.terms.items())
         assert third * 3 == x
-        got = x.D_pow(k, divide_factorial=True)
-        assert _trusted(got)
-        assert got * factorial(k) == x.D_pow(k)
 
     @given(weyl_elements(), st.floats(allow_nan=False))
     def test_floats_are_refused(self, x, f):
