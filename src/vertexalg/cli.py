@@ -107,9 +107,6 @@ def _cmd_reduce(ns) -> int:
     x = _element(ns.term, model)
     if ns.rules:
         wanted = tuple(r.strip() for r in ns.rules.split(","))
-        unknown = [r for r in wanted if r not in RULE_ORDER]
-        if unknown:
-            raise ValueError(f"unknown rules: {', '.join(unknown)}")
         rules = RuleSet(model, _policy(ns) if "locality_kill" in wanted else None,
                         wanted)
     elif model is not None:

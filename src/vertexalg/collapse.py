@@ -278,10 +278,3 @@ def punctured_checks(N: int, level: int = None) -> list:
     ok4 = unit_total(K) == unit and unit_total(K + 2) == unit
     checks.append(check(f"unit-exact-{tag}", ok4, levels=[K, K + 2]))
     return checks
-
-
-def collapse_checks(Ns=(1, 2), levels=(2, 3, 6)) -> list:
-    out = right_mult_checks(levels=levels)
-    for N in Ns:
-        out.extend(punctured_checks(N))
-    return out

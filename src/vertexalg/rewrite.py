@@ -137,20 +137,18 @@ class RuleSet:
         return None
 
 
-def _one_pass(x: Element, rules: RuleSet, counter: list) -> Element:
-    acc = {}
-    for t, c in x.sorted_terms():
-        _pass_term(t, x.alphabet, rules, counter)._add_into(acc, c)
-    return Element._trusted(x.alphabet, acc)
+def _one_pass(x: Element, rules: RuleSet):
+    """One innermost pass over every term: (result, rule firings)."""
+    al = x.alphabet
+    fired = 0
 
-
-def _pass_term(t, al, rules: RuleSet, counter: list) -> Element:
     # bottom-up: the left subtree, then the right one, then the rules at
     # every node of the children's product
     def leaf(s):
         return Element._trusted(al, {s: 1})
 
     def node(s, left, right):
+        nonlocal fired
         acc = {}
         for lt, lc in left.terms.items():
             for rt, rc in right.terms.items():
@@ -159,42 +157,47 @@ def _pass_term(t, al, rules: RuleSet, counter: list) -> Element:
                 if hit is None:
                     image = Element._trusted(al, {product: 1})
                 else:
-                    counter[0] += 1
+                    fired += 1
                     image = hit[1]
                 image._add_into(acc, lc * rc)
         return Element._trusted(al, acc)
 
-    return fold_tree(t, leaf, node)
+    acc = {}
+    for t, c in x.terms.items():
+        fold_tree(t, leaf, node)._add_into(acc, c)
+    return Element._trusted(al, acc), fired
 
 
 def reduce_element(
     x: Element, rules: RuleSet, budget: int = 10000
 ) -> ReductionReport:
-    """Innermost fixpoint under the enabled rules; truncation after every
-    pass when the rule set carries a policy."""
-    counter = [0]
+    """Innermost fixpoint under the enabled rules, reached at the first
+    pass that fires none; truncation after every pass when the rule set
+    carries a policy."""
+    steps = 0
     current = truncate(x, rules.policy) if rules.policy else x
     while True:
-        before = counter[0]
-        nxt = _one_pass(current, rules, counter)
-        if rules.policy:
-            nxt = truncate(nxt, rules.policy)
-        if counter[0] == before and nxt == current:
-            return ReductionReport(current, counter[0], "normal-form")
-        current = nxt
-        if counter[0] > budget:
-            return ReductionReport(current, counter[0], "budget-exhausted")
+        nxt, fired = _one_pass(current, rules)
+        if fired == 0:
+            return ReductionReport(current, steps, "normal-form")
+        steps += fired
+        current = truncate(nxt, rules.policy) if rules.policy else nxt
+        if steps > budget:
+            return ReductionReport(current, steps, "budget-exhausted")
 
 
 def R_project(x: Element, model, budget: int = 1000) -> ReductionReport:
     """Fixpoint of the projection rules; steps and budget count passes.
-    Terminates: every firing strictly drops the leaf count of its term."""
+    Every firing strictly drops the leaf count of its term, so the loop
+    terminates, and a pass that fires cannot return its input (the largest
+    term it rewrote loses its coefficient): the first pass with no firing
+    is the fixpoint."""
     rules = RuleSet(model, None, PROJECTION_RULES)
     current, steps = x, 0
     while steps < budget:
-        nxt = _one_pass(current, rules, [0])
+        nxt, fired = _one_pass(current, rules)
         steps += 1
-        if nxt == current:
+        if fired == 0:
             return ReductionReport(current, steps, "normal-form")
         current = nxt
     return ReductionReport(current, steps, "budget-exhausted")

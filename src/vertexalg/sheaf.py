@@ -582,48 +582,44 @@ def rho_transfer_check(rho, sigma, x: Element, n: int,
 # -- shipped covers -------------------------------------------------------------
 
 
-def _closed(a, b) -> SupportSet:
-    return SupportSet.closed(Q(a), Q(b))
-
-
 def make_cover_two():
     """Universe [0,3], two patches overlapping on [1,2], cores split at
     3/2.  Sections f (global), g on [0,2], h on [1,3]."""
-    ctx = SheafContext(_closed(0, 3))
-    ctx.declare_section("f", _closed(0, 3))
-    ctx.declare_section("g", _closed(0, 2))
-    ctx.declare_section("h", _closed(1, 3))
-    ctx.declare_bump("s1", _closed(0, 2), _closed(0, Q(3, 2)))
-    ctx.declare_bump("s2", _closed(1, 3), _closed(Q(3, 2), 3))
-    ctx.declare_bump("r1", _closed(0, Q(3, 2)))
-    ctx.declare_bump("r2", _closed(Q(3, 2), 3))
-    ctx.declare_partition(("r1", "r2"))
-    cover = (
-        CoverPatch("U1", _closed(0, 2), _closed(0, Q(3, 2)), "s1", "r1"),
-        CoverPatch("U2", _closed(1, 3), _closed(Q(3, 2), 3), "s2", "r2"),
-    )
-    return ctx, cover
+    return load_cover({
+        "universe": [0, 3],
+        "sections": [
+            {"name": "f", "support": [0, 3]},
+            {"name": "g", "support": [0, 2]},
+            {"name": "h", "support": [1, 3]},
+        ],
+        "patches": [
+            {"name": "U1", "window": [0, 2], "core": [0, "3/2"],
+             "sigma": "s1", "rho": "r1"},
+            {"name": "U2", "window": [1, 3], "core": ["3/2", 3],
+             "sigma": "s2", "rho": "r2"},
+        ],
+    })
 
 
 def make_cover_three():
     """Universe [0,4], three patches in a chain, cores split at 3/2 and
     5/2.  Sections f (global), g on [0,8/3], h on [4/3,4]."""
-    ctx = SheafContext(_closed(0, 4))
-    ctx.declare_section("f", _closed(0, 4))
-    ctx.declare_section("g", _closed(0, Q(8, 3)))
-    ctx.declare_section("h", _closed(Q(4, 3), 4))
-    pieces = (
-        ("1", _closed(0, Q(5, 3)), _closed(0, Q(3, 2))),
-        ("2", _closed(Q(4, 3), Q(8, 3)), _closed(Q(3, 2), Q(5, 2))),
-        ("3", _closed(Q(7, 3), 4), _closed(Q(5, 2), 4)),
-    )
-    cover = []
-    for tag, window, core in pieces:
-        ctx.declare_bump("s" + tag, window, core)
-        ctx.declare_bump("r" + tag, core)
-        cover.append(CoverPatch("U" + tag, window, core, "s" + tag, "r" + tag))
-    ctx.declare_partition(tuple("r" + tag for tag, _, _ in pieces))
-    return ctx, tuple(cover)
+    return load_cover({
+        "universe": [0, 4],
+        "sections": [
+            {"name": "f", "support": [0, 4]},
+            {"name": "g", "support": [0, "8/3"]},
+            {"name": "h", "support": ["4/3", 4]},
+        ],
+        "patches": [
+            {"name": "U1", "window": [0, "5/3"], "core": [0, "3/2"],
+             "sigma": "s1", "rho": "r1"},
+            {"name": "U2", "window": ["4/3", "8/3"], "core": ["3/2", "5/2"],
+             "sigma": "s2", "rho": "r2"},
+            {"name": "U3", "window": ["7/3", 4], "core": ["5/2", 4],
+             "sigma": "s3", "rho": "r3"},
+        ],
+    })
 
 
 def load_cover(source):

@@ -15,14 +15,19 @@ geometry and sheaf checks use.  Required fields, in this order:
 
 Optional fields follow, present only where they apply:
 
-  samples, cases   how many random instances or enumerated cases ran
-  skipped          cases left out because a product passed a degree cap
+  samples, cases   how many random instances or enumerated cases ran;
+                   a failing check stops at its first witness
+  skipped          cases left out because a product passed a degree cap;
+                   present only when nonzero
   witness          the first failing input: a term in the term grammar,
                    symbol names, or a list of failed laws
   kind             errata-candidate, display-variant or variant-necessity
   counts           per-law tallies of a sampled battery
 
 and check-specific details (levels, steps, rules, ranks, bounds, ...).
+
+Every random-draw check is one sampled_check call, the one draw loop:
+its cases are a lazy generator over the suite's seeded rng.
 
 Each suite is a generator.  It yields one check record, or the list of
 records one producer call returned (model and morphism laws, collapse,
@@ -133,13 +138,36 @@ def _prefixed(prefix: str, records: list) -> list:
     return records
 
 
-def _witness(lhs: Element, rhs: Element) -> str:
-    """Smallest monomial of the difference, in term grammar."""
+def _witness(lhs: Element, rhs: Element):
+    """Smallest monomial of the difference, in term grammar; None when the
+    two sides agree."""
+    if lhs == rhs:
+        return None
     diff = lhs - rhs
-    if diff.is_zero():
-        return "0"
     t = min(diff.terms, key=sort_key)
     return to_text(Element.of_term(diff.alphabet, t, diff.terms[t]))
+
+
+def sampled_check(cid: str, cases, probe, limit: int = None, **extra) -> dict:
+    """The one draw loop.  probe(case) is None when the case holds and the
+    witness text when it does not; a case whose probe raises
+    ModelDegreeError is skipped.  The loop stops at the first witness or
+    once limit cases have run, so lazy cases draw nothing unprobed.  The
+    check passes iff no witness was found and at least one case ran."""
+    samples = skipped = 0
+    for case in cases:
+        try:
+            witness = probe(case)
+        except ModelDegreeError:
+            skipped += 1
+            continue
+        samples += 1
+        if witness is not None:
+            return check(cid, False, samples=samples, skipped=skipped or None,
+                         witness=witness, **extra)
+        if samples == limit:
+            break
+    return check(cid, samples > 0, samples=samples, skipped=skipped or None, **extra)
 
 
 # -- sampling helpers ----------------------------------------------------------
@@ -179,34 +207,21 @@ def _suite_commutative(cfg: SuiteConfig):
     rng = random.Random(cfg.seed)
     per = max(40, cfg.n_samples(250) // 5)
     K = cfg.index_window + 2
-    for fam_id in ("i", "d", "e", "qc", "qa"):
-        witness = None
-        done = skipped = 0
-        attempts = 0
-        while done < per and attempts < 10 * per:
-            attempts += 1
-            x = _rand_element(model, rng, cfg.max_len, cfg.index_window)
-            y = _rand_element(model, rng, cfg.max_len, cfg.index_window)
-            z = _rand_element(model, rng, cfg.max_len, cfg.index_window)
-            n = rng.randint(-cfg.index_window, cfg.index_window)
-            m = rng.randint(-cfg.index_window, cfg.index_window)
-            gen = _uncertified(fam_id, (x, y, z), m, n, K)
-            try:
-                val = model.evaluate_commutative(gen)
-            except ModelDegreeError:
-                skipped += 1
-                continue
-            done += 1
-            if not val.is_zero():
-                witness = to_text(gen)
-                break
-        yield check(
-            f"commutative-{fam_id}",
-            witness is None,
-            samples=done,
-            skipped=skipped,
-            witness=witness,
+
+    def draw(fam_id):
+        x, y, z = (
+            _rand_element(model, rng, cfg.max_len, cfg.index_window) for _ in range(3)
         )
+        n = rng.randint(-cfg.index_window, cfg.index_window)
+        m = rng.randint(-cfg.index_window, cfg.index_window)
+        return _uncertified(fam_id, (x, y, z), m, n, K)
+
+    def probe(gen):
+        return None if model.evaluate_commutative(gen).is_zero() else to_text(gen)
+
+    for fam_id in ("i", "d", "e", "qc", "qa"):
+        cases = (draw(fam_id) for _ in range(10 * per))
+        yield sampled_check(f"commutative-{fam_id}", cases, probe, limit=per)
 
 
 # -- bridge-identity suite ---------------------------------------------------
@@ -231,39 +246,35 @@ def _suite_borcherds(cfg: SuiteConfig):
     for ident, (slots, _) in BRIDGES.items():
         if ident == "commutator":
             continue  # its own suite, on a fixed index grid
-        witness = None
-        for _ in range(per):
-            args = _bridge_args(slots, rng, leaf, cfg.index_window)
-            lhs, rhs = borcherds_bridge(ident, args, pol)
-            if lhs != rhs:
-                witness = _witness(lhs, rhs)
-                break
-        yield check(ident, witness is None, samples=per, witness=witness)
+        cases = (_bridge_args(slots, rng, leaf, cfg.index_window) for _ in range(per))
+        yield sampled_check(
+            ident, cases, lambda args: _witness(*borcherds_bridge(ident, args, pol))
+        )
 
     # the other published reading of the i lowering: fails syntactically,
     # holds under the commutative oracle; reported per the errata contract
-    syn_fails = 0
-    witness = None
     trials = 40
-    for k in range(trials):
-        args = {"x": leaf(), "n": (k % 7) - 3, "reading": 1}
-        lhs, rhs = borcherds_bridge("i-induction", args, pol)
-        if lhs != rhs:
-            syn_fails += 1
-            if witness is None:
-                witness = _witness(lhs, rhs)
+    sides = (
+        borcherds_bridge(
+            "i-induction", {"x": leaf(), "n": (k % 7) - 3, "reading": 1}, pol
+        )
+        for k in range(trials)
+    )
+    failed = [(lhs, rhs) for lhs, rhs in sides if lhs != rhs]
+    syn_fails = len(failed)
+    witness = _witness(*failed[0]) if failed else None
     model = shipped_model("diffpoly")
-    sem_ok = True
-    for _ in range(20):
+
+    def oracle_holds():
         x = _rand_element(model, rng, 2, 3)
         n = rng.randint(-3, 3)
         lhs, rhs = borcherds_bridge(
             "i-induction", {"x": x, "n": n, "reading": 1}, None,
             K=cfg.trunc_level,
         )
-        if model.evaluate_commutative(lhs - rhs).is_zero() is False:
-            sem_ok = False
-            break
+        return model.evaluate_commutative(lhs - rhs).is_zero()
+
+    sem_ok = all(oracle_holds() for _ in range(20))
     is_errata = syn_fails > 0 and sem_ok
     accepted = is_errata and "i-induction" in cfg.errata_ok
     yield check(
@@ -287,43 +298,40 @@ def _suite_commutator(cfg: SuiteConfig):
     rng = random.Random(cfg.seed)
     per = max(3, cfg.n_samples(48) // 16)
     leaf = lambda: Element.sym(al, rng.choice(names))
+    probe = lambda args: _witness(*borcherds_bridge("commutator", args, pol))
     for m in (-1, 0, 1, 2):
         for n in (-1, 0, 1, 2):
-            witness = None
-            for _ in range(per):
-                args = {"x": leaf(), "y": leaf(), "z": leaf(), "m": m, "n": n}
-                lhs, rhs = borcherds_bridge("commutator", args, pol)
-                if lhs != rhs:
-                    witness = _witness(lhs, rhs)
-                    break
-            yield check(
-                f"commutator-m{m}-n{n}", witness is None, samples=per, witness=witness
+            cases = (
+                {"x": leaf(), "y": leaf(), "z": leaf(), "m": m, "n": n}
+                for _ in range(per)
             )
+            yield sampled_check(f"commutator-m{m}-n{n}", cases, probe)
 
     # semantic form of the same decomposition in the polynomial model
     model = shipped_model("diffpoly")
-    witness = None
     syms = model.sample_symbols()
     mal = model.alphabet
-    done = 0
-    while done < cfg.n_samples(48):
+
+    def draw():
         x, y, z = (Element.of_term(mal, Leaf(rng.choice(syms))) for _ in range(3))
-        m = rng.choice((-1, 0, 1, 2))
-        n = rng.choice((-1, 0, 1, 2))
+        return x, y, z, rng.choice((-1, 0, 1, 2)), rng.choice((-1, 0, 1, 2))
+
+    def semantic_probe(case):
+        x, y, z, m, n = case
         lhs = x.o(m, y.o(n, z)) - y.o(n, x.o(m, z))
         rhs = Element.zero(mal)
         for k in range(max(m, 0) + 1):
             rhs = rhs + binom(m, k) * x.o(k, y).o(m + n - k, z)
-        try:
-            d = model.evaluate_commutative(lhs - rhs)
-        except ModelDegreeError:
-            continue
-        done += 1
-        if not d.is_zero():
-            witness = f"m={m} n={n}: " + to_text(lhs - rhs)
-            break
-    yield check(
-        "commutator-semantic-diffpoly", witness is None, samples=done, witness=witness
+        if model.evaluate_commutative(lhs - rhs).is_zero():
+            return None
+        return f"m={m} n={n}: " + to_text(lhs - rhs)
+
+    sem_per = cfg.n_samples(48)
+    yield sampled_check(
+        "commutator-semantic-diffpoly",
+        (draw() for _ in range(10 * sem_per)),
+        semantic_probe,
+        limit=sem_per,
     )
 
 
@@ -414,30 +422,19 @@ def _suite_injectivity(cfg: SuiteConfig):
     def ran_out(x):
         return f"projection budget {cfg.budget} ran out on {to_text(x)}"
 
-    witness = None
-    per = cfg.n_samples(200)
-    done = skipped = 0
-    while done < per and skipped < 10 * per:
-        x = _rand_element(model, rng, 4, 3)
-        try:
-            once = project(x)
-            again = None if once is None else project(once)
-        except ModelDegreeError:
-            skipped += 1
-            continue
-        done += 1
+    def idempotent(x):
+        once = project(x)
+        again = None if once is None else project(once)
         if again is None:
-            witness = ran_out(x if once is None else once)
-            break
-        if again != once:
-            witness = to_text(x)
-            break
-    yield check(
+            return ran_out(x if once is None else once)
+        return None if again == once else to_text(x)
+
+    per = cfg.n_samples(200)
+    yield sampled_check(
         "projection-idempotent",
-        witness is None,
-        samples=done,
-        skipped=skipped,
-        witness=witness,
+        (_rand_element(model, rng, 4, 3) for _ in range(10 * per)),
+        idempotent,
+        limit=per,
     )
 
     ok = all(
@@ -446,37 +443,27 @@ def _suite_injectivity(cfg: SuiteConfig):
     )
     yield check("projection-fixes-leaves", ok)
 
-    witness = None
     per_fam = max(40, cfg.n_samples(200) // 5)
     K = cfg.index_window + 2
-    count = skipped = 0
-    for fam_id in ("i", "d", "e", "qc", "qa"):
-        for _ in range(per_fam):
-            n = rng.randint(-cfg.index_window, cfg.index_window)
-            m = rng.randint(-cfg.index_window, cfg.index_window)
-            args = [leaf() for _ in range(FAMILY_ARITY[fam_id])]
-            gen = _uncertified(fam_id, args, m, n, K)
-            try:
-                image = project(gen)
-            except ModelDegreeError:
-                skipped += 1
-                continue
-            count += 1
-            if image is None:
-                witness = f"{fam_id}: " + ran_out(gen)
-                break
-            if not length_one_component(image).is_zero():
-                witness = f"{fam_id}: " + to_text(image)
-                break
-        if witness:
-            break
-    yield check(
-        "generator-images-no-length-one",
-        witness is None,
-        samples=count,
-        skipped=skipped,
-        witness=witness,
-    )
+
+    def generators():
+        for fam_id in ("i", "d", "e", "qc", "qa"):
+            for _ in range(per_fam):
+                n = rng.randint(-cfg.index_window, cfg.index_window)
+                m = rng.randint(-cfg.index_window, cfg.index_window)
+                args = [leaf() for _ in range(FAMILY_ARITY[fam_id])]
+                yield fam_id, _uncertified(fam_id, args, m, n, K)
+
+    def no_length_one(case):
+        fam_id, gen = case
+        image = project(gen)
+        if image is None:
+            return f"{fam_id}: " + ran_out(gen)
+        if length_one_component(image).is_zero():
+            return None
+        return f"{fam_id}: " + to_text(image)
+
+    yield sampled_check("generator-images-no-length-one", generators(), no_length_one)
 
     # the published image table's n=0 row under its string reading vs the
     # structural projection; structural wins, recorded as a variant
@@ -565,15 +552,18 @@ def _suite_sheaf(cfg: SuiteConfig):
     pool = _tagged_pool(ctx, cover)
     al = ctx.alphabet
 
-    ok = True
-    per = cfg.n_samples(40)
-    for _ in range(per):
-        x = _rand_tagged(ctx, pool, rng, 4)
+    def idempotent(x):
         p = pi(x, ctx)
-        if pi(p, ctx) != p or pi(k_generator(x, ctx), ctx) != Element.zero(al):
-            ok = False
-            break
-    yield check("projection-idempotent", ok, samples=per)
+        if pi(p, ctx) == p and pi(k_generator(x, ctx), ctx) == Element.zero(al):
+            return None
+        return to_text(x)
+
+    per = cfg.n_samples(40)
+    yield sampled_check(
+        "projection-idempotent",
+        (_rand_tagged(ctx, pool, rng, 4) for _ in range(per)),
+        idempotent,
+    )
 
     # all-or-nothing on instances over two distinct sections; same-base
     # windowed pairs can cancel class-by-class and are a different statement
@@ -613,33 +603,38 @@ def _suite_sheaf(cfg: SuiteConfig):
     ok = ok and kills > 0 and keeps > 0
     yield check("generator-all-or-nothing", ok, kept=keeps, killed=kills)
 
+    names = ("f", "g", "h")
+    per_patch = max(10, cfg.n_samples(25))
     for tag, (ctx_i, cover_i) in covers.items():
-        ok = True
-        names = ("f", "g", "h")
-        per_patch = max(10, cfg.n_samples(25))
-        for p in cover_i:
-            for _ in range(per_patch):
-                x = _rand_windowed(ctx_i, names, p.window, rng, 5)
-                if not bump_support_check(p.sigma, x, p.window, p.core, ctx_i):
-                    ok = False
-                    break
-            if not ok:
-                break
-        yield check(f"bump-difference-inclusion-{tag}", ok, per_patch=per_patch)
 
-        ok = True
-        for p in cover_i:
-            for n in (-2, -1, 0, 2):
-                x = _rand_windowed(ctx_i, names, p.window, rng, 4)
-                if not rho_transfer_check(p.rho, p.sigma, x, n, ctx_i):
-                    ok = False
-                    break
-            x_glob = _rand_tagged(ctx_i, _tagged_pool(ctx_i, cover_i), rng, 3)
-            if not rho_transfer_check(p.rho, p.sigma, x_glob, -1, ctx_i):
-                ok = False
-            if not ok:
-                break
-        yield check(f"core-weight-transfer-{tag}", ok)
+        def windowed():
+            for p in cover_i:
+                for _ in range(per_patch):
+                    yield p, _rand_windowed(ctx_i, names, p.window, rng, 5)
+
+        def bump_difference(case):
+            p, x = case
+            if bump_support_check(p.sigma, x, p.window, p.core, ctx_i):
+                return None
+            return f"{p.name}: {to_text(x)}"
+
+        yield sampled_check(
+            f"bump-difference-inclusion-{tag}", windowed(), bump_difference
+        )
+
+        def transfers():
+            for p in cover_i:
+                for n in (-2, -1, 0, 2):
+                    yield p, n, _rand_windowed(ctx_i, names, p.window, rng, 4)
+                yield p, -1, _rand_tagged(ctx_i, _tagged_pool(ctx_i, cover_i), rng, 3)
+
+        def transfer(case):
+            p, n, x = case
+            if rho_transfer_check(p.rho, p.sigma, x, n, ctx_i):
+                return None
+            return f"{p.name} n={n}: {to_text(x)}"
+
+        yield sampled_check(f"core-weight-transfer-{tag}", transfers(), transfer)
 
         sub = []
         for trial in range(3):
@@ -652,18 +647,22 @@ def _suite_sheaf(cfg: SuiteConfig):
         bad = [c["id"] for c in sub if c["status"] == "fail"]
         yield check(f"existence-chain-{tag}", not bad, hops=len(sub), failing=bad[:6])
 
-    ok = True
-    per = cfg.n_samples(20)
-    for _ in range(per):
-        z = k_generator(_rand_tagged(ctx, pool, rng, 4), ctx)
-        if not (
+    def in_kernel(x):
+        z = k_generator(x, ctx)
+        if (
             semantic_support(z, ctx).is_empty()
             and pi(z, ctx) == Element.zero(al)
             and k_generator(z, ctx) == z
         ):
-            ok = False
-            break
-    yield check("uniqueness-kernel-probes", ok, samples=per)
+            return None
+        return f"k({to_text(x)})"
+
+    per = cfg.n_samples(20)
+    yield sampled_check(
+        "uniqueness-kernel-probes",
+        (_rand_tagged(ctx, pool, rng, 4) for _ in range(per)),
+        in_kernel,
+    )
 
 
 # -- geometry suite ---------------------------------------------------------------

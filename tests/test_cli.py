@@ -21,6 +21,13 @@ def test_zero_denominator_is_a_parse_error(capsys):
     assert "Traceback" not in err
 
 
+def test_unknown_rule_is_an_error_line(capsys):
+    assert main(["reduce", "x", "--rules", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown rules")
+    assert "Traceback" not in err
+
+
 def test_deep_input_reduces(capsys):
     # parsing, reduction and printing all walk the tree without recursion
     depth = 2000

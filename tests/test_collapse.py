@@ -4,11 +4,11 @@ import pytest
 
 from vertexalg.collapse import (
     COLLAPSE_RULES,
-    collapse_checks,
     punctured_checks,
     punctured_policy,
     right_mult_checks,
 )
+from vertexalg.suites import run_suite
 
 RIGHT_MULT_IDS = (
     "right-mult-exact-residual",
@@ -94,7 +94,7 @@ class TestPunctured:
 
 
 def test_full_battery():
-    checks = collapse_checks()
+    checks = run_suite("collapse")["checks"]
     assert len(checks) == len(RIGHT_MULT_IDS) + 2 * len(PUNCTURED_STEMS)
     ids = [c["id"] for c in checks]
     assert len(set(ids)) == len(ids)

@@ -7,7 +7,8 @@ import json
 
 import pytest
 
-from vertexalg.suites import SUITE_IDS, run_suite
+from vertexalg.models.base import Model, ModelDegreeError
+from vertexalg.suites import SUITE_IDS, run_suite, sampled_check
 
 # geometry ignores `samples` and is the slowest suite, so it runs once
 CASES = [
@@ -40,10 +41,13 @@ def _report_digest(report) -> str:
 # frozen before the polynomial core kept int coefficients as ints: the form
 # and sheaf reports must not see the difference.  Re-frozen when the report
 # counts lost their always-zero "budget" entry, as the digests of the
-# earlier reports with that entry removed.
+# earlier reports with that entry removed.  The sheaf digest was re-frozen
+# when its sampled checks went through sampled_check: the bump-difference
+# records report samples in place of per_patch and the core-weight-transfer
+# records gain samples; every other field is unchanged.
 _FROZEN_REPORTS = {
     ("geometry", ()): "05a5470e3cc9c60d",
-    ("sheaf", (("samples", 5),)): "6440c0d6d8d6cef7",
+    ("sheaf", (("samples", 5),)): "80515d4ccb13906d",
 }
 
 
@@ -117,3 +121,90 @@ def test_errata_needs_exact_identity_id():
     # a substring of the identity id is not an acceptance
     assert _errata_check(errata_ok=("induction",))["status"] == "fail"
     assert _errata_check(errata_ok=())["status"] == "fail"
+
+
+# -- the one draw loop ---------------------------------------------------------
+
+
+def _over_three(k):
+    return f"k={k}" if k > 3 else None
+
+
+def test_sampled_check_stops_at_first_witness():
+    cases = iter(range(10))
+    rec = sampled_check("c", cases, _over_three)
+    assert rec == {"id": "c", "status": "fail", "samples": 5, "witness": "k=4"}
+    assert next(cases) == 5  # no case drawn past the witness
+
+
+def test_sampled_check_counts_skips():
+    def odd_skips(k):
+        if k % 2:
+            raise ModelDegreeError("past the cap")
+        return _over_three(k)
+
+    rec = sampled_check("c", range(4), odd_skips, detail="d")
+    assert rec == {
+        "id": "c", "status": "pass", "samples": 2, "skipped": 2, "detail": "d"
+    }
+    rec = sampled_check("c", range(9), odd_skips)
+    assert rec == {
+        "id": "c", "status": "fail", "samples": 3, "skipped": 2, "witness": "k=4"
+    }
+    assert "skipped" not in sampled_check("c", range(3), _over_three)
+
+
+def test_sampled_check_limit_stops_the_loop():
+    cases = iter(range(100))
+    rec = sampled_check("c", cases, lambda k: None, limit=5)
+    assert rec == {"id": "c", "status": "pass", "samples": 5}
+    assert next(cases) == 5
+
+
+def test_sampled_check_finite_cases_run_out():
+    rec = sampled_check("c", [0, 1, 2], _over_three, limit=10)
+    assert rec == {"id": "c", "status": "pass", "samples": 3}
+
+
+def test_sampled_check_all_skipped_fails():
+    def always_skips(k):
+        raise ModelDegreeError("past the cap")
+
+    rec = sampled_check("c", range(4), always_skips)
+    assert rec == {"id": "c", "status": "fail", "samples": 0, "skipped": 4}
+    assert sampled_check("c", [], _over_three)["status"] == "fail"
+
+
+# each sampled sheaf check, with the statement it probes broken, fails and
+# names the input it failed on
+SHEAF_MUTANTS = [
+    ("bump_support_check", lambda *a: False, "bump-difference-inclusion-two"),
+    ("bump_support_check", lambda *a: False, "bump-difference-inclusion-three"),
+    ("rho_transfer_check", lambda *a: False, "core-weight-transfer-two"),
+    ("rho_transfer_check", lambda *a: False, "core-weight-transfer-three"),
+    ("pi", lambda x, ctx: 2 * x, "projection-idempotent"),
+    ("k_generator", lambda x, ctx: x, "uniqueness-kernel-probes"),
+]
+
+
+@pytest.mark.parametrize("name,mutant,cid", SHEAF_MUTANTS)
+def test_sheaf_sampled_checks_name_their_witness(monkeypatch, name, mutant, cid):
+    monkeypatch.setattr(f"vertexalg.suites.{name}", mutant)
+    report = run_suite("sheaf", seed=0, samples=5)
+    (rec,) = [c for c in report["checks"] if c["id"] == cid]
+    assert rec["status"] == "fail", rec
+    assert isinstance(rec["witness"], str) and rec["witness"], rec
+
+
+def test_all_skipped_semantic_commutator_fails(monkeypatch):
+    # every draw past the degree cap: the check gives up after ten draws
+    # per sample and fails, rather than looping or passing on no cases
+    def past_the_cap(self, x):
+        raise ModelDegreeError("past the cap")
+
+    monkeypatch.setattr(Model, "evaluate_commutative", past_the_cap)
+    report = run_suite("commutator", samples=5)
+    (rec,) = [c for c in report["checks"] if c["id"] == "commutator-semantic-diffpoly"]
+    assert rec["status"] == "fail"
+    assert rec["samples"] == 0
+    assert rec["skipped"] == 50
