@@ -68,6 +68,18 @@ class SheafContext:
     and bump dressing mint derived symbols with canonical names, so the
     same section restricted along two different paths to the same window
     is the same Symbol and element equality stays exact.
+
+    Two caches live on the context, each kept for one state of the
+    declarations it reads:
+
+      cell table  the cells, each symbol's value on every cell and each
+                  cell's partition plan (see cells()).  declare_section,
+                  declare_bump, declare_partition and a _mint that mints
+                  a new symbol drop it.
+      mint memo   (base, sorted bumps, window) -> the Symbol _mint
+                  returns, or None.  Only declare_section and
+                  declare_bump drop it: a minted symbol or a partition
+                  changes no answer of _mint.
     """
 
     def __init__(self, universe: SupportSet, alphabet: Alphabet = None):
@@ -78,7 +90,8 @@ class SheafContext:
         self._tags = {}        # symbol name -> TaggedInfo
         self._bumps = {}       # bump name -> BumpDeclaration
         self._partitions = []  # tuples of bump names summing to 1 on the universe
-        self._cells = None     # cells() memo; every writer of _tags or _bumps drops it
+        self._table = None     # the _CellTable of the current declarations
+        self._minted = {}      # the mint memo
 
     # -- declarations ------------------------------------------------------
 
@@ -90,7 +103,8 @@ class SheafContext:
         sym = Symbol(name, parity, Q(degree), kind, support)
         self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(name, (), support)
-        self._cells = None
+        self._table = None
+        self._minted = {}
         return sym
 
     def declare_bump(self, name: str, support: SupportSet,
@@ -102,7 +116,8 @@ class SheafContext:
             raise SupportError(f"plateau of bump {name} leaves its support")
         support = support.closure()
         self._bumps[name] = BumpDeclaration(name, support, plateau.closure())
-        self._cells = None
+        self._table = None
+        self._minted = {}
         # the pure bump is the unit dressed by one factor
         sym = Symbol(name, 0, Q(0), "algebra", support)
         self.alphabet.add(sym)
@@ -124,17 +139,14 @@ class SheafContext:
             cover = cover.union(self._bumps[m].support)
         if not self.universe.subset_of(cover):
             raise SupportError("partition members do not cover the universe")
-        for lo, hi in self.cells():
-            mid = (lo + hi) / 2
-            ones = sum(1 for m in members
-                       if self._bumps[m].plateau.contains_point(mid))
-            free = [m for m in members
-                    if not self._bumps[m].plateau.contains_point(mid)
-                    and self._bumps[m].support.contains_point(mid)]
+        table = self._cell_table()
+        for i, (lo, hi) in enumerate(table.cells):
+            ones, free = table.split(members, i)
             if ones > 1 or (not free and ones != 1):
                 raise SupportError(
-                    f"partition {members} cannot sum to 1 near {mid}")
+                    f"partition {members} cannot sum to 1 near {(lo + hi) / 2}")
         self._partitions.append(members)
+        self._table = None
 
     # -- tagged symbol minting ---------------------------------------------
 
@@ -160,8 +172,16 @@ class SheafContext:
         """Return the Symbol for a dressed, windowed section, or None when
         the window is degenerate (the section is already zero there).
         Bumps whose plateau covers the whole window are dropped: they are
-        identically 1 there, so the dressed symbol is the bare one."""
-        bumps = tuple(sorted(bumps))
+        identically 1 there, so the dressed symbol is the bare one.
+        Answers come from the mint memo once computed."""
+        key = (base, tuple(sorted(bumps)), window)
+        try:
+            return self._minted[key]
+        except KeyError:
+            sym = self._minted[key] = self._mint_uncached(*key)
+            return sym
+
+    def _mint_uncached(self, base: str, bumps: tuple, window: SupportSet):
         window = window.intersect(self._natural_window(base, bumps))
         if window.interior().is_empty():
             return None
@@ -189,7 +209,7 @@ class SheafContext:
             sym = Symbol(name, 0, Q(0), "algebra", window)
         self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(base, bumps, window)
-        self._cells = None
+        self._table = None
         return sym
 
     def restricted_symbol(self, name: str, window: SupportSet):
@@ -215,47 +235,99 @@ class SheafContext:
     def cells(self) -> tuple:
         """Open intervals between consecutive declared breakpoints, inside
         the universe.  No declared set has a boundary point inside a cell,
-        so one midpoint decides membership for the whole cell.  Computed
-        once per state of the declarations."""
-        if self._cells is None:
-            self._cells = self._cells_raw()
-        return self._cells
+        so one midpoint decides membership for the whole cell.
 
-    def _leaf_value(self, name: str, mid) -> PolyVars:
-        if name == self.alphabet.unit.name:
-            return PolyVars.const(1)
-        info = self.info(name)
-        if not info.window.contains_point(mid):
-            return PolyVars.const(0)
-        out = PolyVars.const(1)
-        for b in info.bumps:
-            bd = self._bumps[b]
-            if bd.plateau.contains_point(mid):
-                continue
-            if bd.support.contains_point(mid):
-                out = out * PolyVars.var(b)
-            else:
-                return PolyVars.const(0)
-        return out
+        The cells are the first entry of the cell table, which is built
+        once per state of the declarations and also holds each symbol's
+        value on every cell and each cell's partition plan.  Every writer
+        of _tags, _bumps or _partitions drops the table: declare_section,
+        declare_bump, declare_partition (the plans read the partitions,
+        the cells do not) and a _mint that mints a new symbol."""
+        return self._cell_table().cells
 
-    def _impose(self, poly: PolyVars, mid) -> PolyVars:
-        """Eliminate one unknown per partition family using sum = 1 on the
-        cell around mid; declaration time already checked solvability."""
-        for fam in self._partitions:
-            ones = 0
-            free = []
-            for m in fam:
-                bd = self._bumps[m]
-                if bd.plateau.contains_point(mid):
-                    ones += 1
-                elif bd.support.contains_point(mid):
-                    free.append(m)
+    def _cell_table(self) -> "_CellTable":
+        if self._table is None:
+            self._table = _CellTable(self)
+        return self._table
+
+
+_ONE = PolyVars.const(1)
+_ZERO = PolyVars.const(0)
+
+
+class _CellTable:
+    """Per-cell facts of one state of the declarations, read at each
+    cell's midpoint:
+
+      cells   the cells, in order
+      plans   per cell, one (eliminated bump, replacement) pair for each
+              partition family with a member free to vary there, in
+              declaration order; substituting them imposes sum = 1
+      values  per symbol name, its PolyVars value on each cell, filled in
+              on the first values(name)
+
+    Every bump is classed once per cell as "one" (on its plateau), "free"
+    (inside its support, off the plateau) or "off"; the leaf values, the
+    plans and declare_partition's solvability check all read that class."""
+
+    def __init__(self, context: SheafContext):
+        self._context = context
+        self.cells = context._cells_raw()
+        self._mids = tuple((lo + hi) / 2 for lo, hi in self.cells)
+        self._class = {
+            name: tuple("one" if bd.plateau.contains_point(mid)
+                        else "free" if bd.support.contains_point(mid)
+                        else "off" for mid in self._mids)
+            for name, bd in context._bumps.items()
+        }
+        self.plans = tuple(self._plan(i) for i in range(len(self.cells)))
+        self._values = {}
+
+    def split(self, members, i: int):
+        """(how many members sit on their plateau, the members free to
+        vary) on cell i."""
+        ones, free = 0, []
+        for m in members:
+            c = self._class[m][i]
+            if c == "one":
+                ones += 1
+            elif c == "free":
+                free.append(m)
+        return ones, free
+
+    def _plan(self, i: int) -> tuple:
+        plan = []
+        for fam in self._context._partitions:
+            ones, free = self.split(fam, i)
             if free:
                 repl = PolyVars.const(1 - ones)
                 for m in free[:-1]:
                     repl = repl - PolyVars.var(m)
-                poly = poly.substitute(free[-1], repl)
-        return poly
+                plan.append((free[-1], repl))
+        return tuple(plan)
+
+    def values(self, name: str) -> tuple:
+        vals = self._values.get(name)
+        if vals is None:
+            if name == self._context.alphabet.unit.name:
+                vals = (_ONE,) * len(self.cells)
+            else:
+                info = self._context.info(name)
+                vals = tuple(self._value(info, i) for i in range(len(self.cells)))
+            self._values[name] = vals
+        return vals
+
+    def _value(self, info: TaggedInfo, i: int) -> PolyVars:
+        if not info.window.contains_point(self._mids[i]):
+            return _ZERO
+        val = _ONE
+        for b in info.bumps:
+            c = self._class[b][i]
+            if c == "off":
+                return _ZERO
+            if c == "free":
+                val = val * PolyVars.var(b)
+        return val
 
 
 # -- class grouping -----------------------------------------------------------
@@ -271,27 +343,27 @@ def _class_key(tree, context):
     return tuple(out)
 
 
-def _monomial_poly(tree, mid, context) -> PolyVars:
-    out = PolyVars.const(1)
-    for leaf in leaves(tree):
-        out = out * context._leaf_value(leaf.name, mid)
-        if not out.c:
-            break
-    return out
-
-
 def _class_cells(members, context):
     """Open cells where the class polynomial survives the partition
     relations.  members is a list of (tree, coeff)."""
+    table = context._cell_table()
+    rows = [(coeff, [table.values(s.name) for s in leaves(tree)])
+            for tree, coeff in members]
     alive = []
-    for lo, hi in context.cells():
-        mid = (lo + hi) / 2
+    for i, plan in enumerate(table.plans):
         poly = PolyVars()
-        for tree, coeff in members:
-            poly = poly + coeff * _monomial_poly(tree, mid, context)
-        poly = context._impose(poly, mid)
+        for coeff, columns in rows:
+            mono = _ONE
+            for col in columns:
+                mono = mono * col[i]
+                if not mono.c:
+                    break
+            else:
+                poly = poly + coeff * mono
+        for b, repl in plan:
+            poly = poly.substitute(b, repl)
         if not poly.is_zero():
-            alive.append((lo, hi))
+            alive.append(table.cells[i])
     return alive
 
 

@@ -566,8 +566,10 @@ def _suite_sheaf(cfg: SuiteConfig):
     )
 
     # all-or-nothing on instances over two distinct sections; same-base
-    # windowed pairs can cancel class-by-class and are a different statement
-    ok = True
+    # windowed pairs can cancel class-by-class and are a different statement.
+    # Not a sampled_check: passing also needs both outcomes to occur, and a
+    # failure names the first instance pi split, or the outcome never seen
+    split = None
     kills = keeps = 0
     pol = cfg.policy()
     lo = ctx.universe.pieces[0].lo
@@ -598,10 +600,13 @@ def _suite_sheaf(cfg: SuiteConfig):
         elif p.is_zero():
             kills += 1
         else:
-            ok = False
+            names = ", ".join(to_text(a) for a in spec.args)
+            split = f"pi({fam}({names}; n={n})) is neither the instance nor 0"
             break
-    ok = ok and kills > 0 and keeps > 0
-    yield check("generator-all-or-nothing", ok, kept=keeps, killed=kills)
+    if split is None and not (kills and keeps):
+        split = "no instance was " + ("killed" if not kills else "kept whole")
+    yield check("generator-all-or-nothing", split is None,
+                kept=keeps, killed=kills, witness=split)
 
     names = ("f", "g", "h")
     per_patch = max(10, cfg.n_samples(25))

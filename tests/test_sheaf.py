@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from vertexalg.intervals import SupportSet
 from vertexalg.models.morphisms import random_tree
+from vertexalg.models.polys import PolyVars
 from vertexalg.sheaf import (
     _class_key,
     make_cover_three,
@@ -55,19 +56,96 @@ def test_sigma_star_deep_tower():
     assert sigma_star(sigma, f.D_pow(DEPTH), ctx) == want
 
 
+def _value_at(ctx, name, mid):
+    """name's value at mid, read off the declarations."""
+    if name == ctx.alphabet.unit.name:
+        return PolyVars.const(1)
+    info = ctx.info(name)
+    if not info.window.contains_point(mid):
+        return PolyVars.const(0)
+    out = PolyVars.const(1)
+    for b in info.bumps:
+        bd = ctx._bumps[b]
+        if bd.plateau.contains_point(mid):
+            continue
+        if not bd.support.contains_point(mid):
+            return PolyVars.const(0)
+        out = out * PolyVars.var(b)
+    return out
+
+
+def _plan_at(ctx, mid):
+    """One (eliminated bump, replacement) per partition family with a free
+    member at mid: the last free member is 1 - ones - the other free ones."""
+    plan = []
+    for fam in ctx._partitions:
+        ones = [m for m in fam if ctx._bumps[m].plateau.contains_point(mid)]
+        free = [m for m in fam
+                if m not in ones and ctx._bumps[m].support.contains_point(mid)]
+        if free:
+            repl = PolyVars.const(1 - len(ones))
+            for m in free[:-1]:
+                repl = repl - PolyVars.var(m)
+            plan.append((free[-1], repl))
+    return tuple(plan)
+
+
+def _assert_table_is_fresh(ctx):
+    table = ctx._cell_table()
+    assert table.cells == ctx.cells() == ctx._cells_raw()
+    mids = [(lo + hi) / 2 for lo, hi in table.cells]
+    assert table.plans == tuple(_plan_at(ctx, m) for m in mids)
+    for name in (ctx.alphabet.unit.name, *ctx._tags):
+        assert table.values(name) == tuple(_value_at(ctx, name, m) for m in mids), name
+
+
 def test_cells_follow_every_declaration():
-    # each step adds a breakpoint, so a cells() memo left stale would differ
+    # each step adds a breakpoint or a partition family, so a cell table
+    # left stale would differ from the midpoint evaluation
     ctx, _ = make_cover_three()
-    assert ctx.cells() == ctx._cells_raw()
+    _assert_table_is_fresh(ctx)
     steps = (
         lambda: ctx.declare_section("k", SupportSet.closed(Q(1, 5), 4)),
         lambda: ctx.declare_bump("s4", SupportSet.closed(Q(1, 7), 4)),
         lambda: ctx.restricted_symbol("f", SupportSet.closed(Q(1, 9), Q(7, 2))),
+        lambda: ctx.declare_partition(("s1", "s4")),
     )
     for step in steps:
-        before = ctx.cells()
+        before = (ctx.cells(), ctx._cell_table().plans)
         step()
-        assert ctx.cells() == ctx._cells_raw() != before
+        assert (ctx.cells(), ctx._cell_table().plans) != before
+        _assert_table_is_fresh(ctx)
+
+
+def test_restricted_symbol_comes_from_the_mint_memo(monkeypatch):
+    ctx, _ = make_cover_three()
+    minted = []
+    mint = ctx._mint_uncached
+    monkeypatch.setattr(ctx, "_mint_uncached", lambda *key: minted.append(key) or mint(*key))
+    u = SupportSet.closed(Q(1, 3), Q(5, 2))
+    first = ctx.restricted_symbol("g", u)
+    assert first is not None and ctx.restricted_symbol("g", u) is first
+    # g lives on [0, 8/3], so it meets [8/3, 4] in one point only
+    degenerate = SupportSet.closed(Q(8, 3), 4)
+    assert ctx.restricted_symbol("g", degenerate) is None
+    assert ctx.restricted_symbol("g", degenerate) is None
+    assert len(minted) == 2
+
+
+def test_mint_memo_follows_declare_bump():
+    # s2 varies on [4/3, 3/2) until it is re-declared with a plateau over
+    # its whole support; a bump's support is pinned by its symbol, so the
+    # plateau is what a declare_bump can change
+    window = SupportSet.closed(Q(4, 3), 2)
+    s2 = SupportSet.closed(Q(4, 3), Q(8, 3))
+    ctx, _ = make_cover_three()
+    assert ctx._mint("f", ("s2",), window).name == "s2*f|4/3..2"
+    ctx.declare_bump("s2", s2, s2)
+    fresh, _ = make_cover_three()
+    fresh.declare_bump("s2", s2, s2)
+    want = fresh._mint("f", ("s2",), window)
+    assert want.name == "f|4/3..2"
+    assert ctx._mint("f", ("s2",), window) == want
 
 
 def test_semantic_support_and_pi_of_a_deep_tower():
@@ -86,18 +164,31 @@ EXAMPLES = settings(max_examples=40, deadline=None)
 
 
 @st.composite
-def tagged(draw, max_terms=3, max_len=4):
-    """A fresh cover_three context and a sum of random_tree monomials over
-    the sheaf suite's tagged pool.  The pool holds no bare unit: restrict
-    keeps the unit whole, so the unit alone lives on the whole universe."""
-    ctx, cover = make_cover_three()
+def recipes(draw, max_terms=3):
+    """A seed and one coefficient per monomial for _tagged_on."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, max_terms))
+    return seed, [draw(st.sampled_from((-2, -1, 1, 2))) for _ in range(n)]
+
+
+def _tagged_on(ctx, cover, recipe, max_len=4):
+    """A sum of random_tree monomials over the sheaf suite's tagged pool.
+    The pool holds no bare unit: restrict keeps the unit whole, so the unit
+    alone lives on the whole universe."""
+    seed, coeffs = recipe
     pool = _tagged_pool(ctx, cover)
-    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    rng = random.Random(seed)
     x = Element.zero(ctx.alphabet)
-    for _ in range(draw(st.integers(1, max_terms))):
-        c = draw(st.sampled_from((-2, -1, 1, 2)))
+    for c in coeffs:
         x = x + c * random_tree(ctx.alphabet, pool, rng, rng.randint(1, max_len), -3, 3)
-    return ctx, x
+    return x
+
+
+@st.composite
+def tagged(draw, max_terms=3, max_len=4):
+    """A fresh cover_three context and a tagged element on it."""
+    ctx, cover = make_cover_three()
+    return ctx, _tagged_on(ctx, cover, draw(recipes(max_terms)), max_len)
 
 
 @st.composite
@@ -151,3 +242,20 @@ def test_restriction_lives_inside_its_window(cx, u):
 def test_semantic_support_inside_support(cx):
     ctx, x = cx
     assert semantic_support(x, ctx).subset_of(support(x, ctx))
+
+
+@EXAMPLES
+@given(recipes(), recipes(), windows())
+def test_a_built_cell_table_agrees_with_a_fresh_context(rx, ry, u):
+    # evaluate y and restrict it, which may mint symbols and drop the
+    # table, then build the table; x must read as on a context that saw
+    # only x
+    ctx, cover = make_cover_three()
+    x, y = _tagged_on(ctx, cover, rx), _tagged_on(ctx, cover, ry)
+    semantic_support(y, ctx)
+    restrict(y, u, ctx)
+    ctx.cells()
+    got = semantic_support(x, ctx), pi(x, ctx).terms
+    fresh, fresh_cover = make_cover_three()
+    x0 = _tagged_on(fresh, fresh_cover, rx)
+    assert got == (semantic_support(x0, fresh), pi(x0, fresh).terms)

@@ -44,10 +44,13 @@ def _report_digest(report) -> str:
 # earlier reports with that entry removed.  The sheaf digest was re-frozen
 # when its sampled checks went through sampled_check: the bump-difference
 # records report samples in place of per_patch and the core-weight-transfer
-# records gain samples; every other field is unchanged.
+# records gain samples; every other field is unchanged.  The samples-40
+# sheaf digest is the benchmark's forms-sheaf shape, frozen before the
+# sheaf context tabulated its cells.
 _FROZEN_REPORTS = {
     ("geometry", ()): "05a5470e3cc9c60d",
     ("sheaf", (("samples", 5),)): "80515d4ccb13906d",
+    ("sheaf", (("samples", 40),)): "dafb65bf5faaf85e",
 }
 
 
@@ -183,6 +186,7 @@ SHEAF_MUTANTS = [
     ("rho_transfer_check", lambda *a: False, "core-weight-transfer-two"),
     ("rho_transfer_check", lambda *a: False, "core-weight-transfer-three"),
     ("pi", lambda x, ctx: 2 * x, "projection-idempotent"),
+    ("pi", lambda x, ctx: 2 * x, "generator-all-or-nothing"),
     ("k_generator", lambda x, ctx: x, "uniqueness-kernel-probes"),
 ]
 
@@ -194,6 +198,20 @@ def test_sheaf_sampled_checks_name_their_witness(monkeypatch, name, mutant, cid)
     (rec,) = [c for c in report["checks"] if c["id"] == cid]
     assert rec["status"] == "fail", rec
     assert isinstance(rec["witness"], str) and rec["witness"], rec
+
+
+@pytest.mark.parametrize("mutant,never", [
+    (lambda x, ctx: x, "killed"),
+    (lambda x, ctx: 0 * x, "kept whole"),
+])
+def test_all_or_nothing_needs_both_outcomes(monkeypatch, mutant, never):
+    # a pi that keeps every instance whole, or kills every one, splits none;
+    # the check fails and says which outcome never occurred
+    monkeypatch.setattr("vertexalg.suites.pi", mutant)
+    report = run_suite("sheaf", seed=0, samples=5)
+    (rec,) = [c for c in report["checks"] if c["id"] == "generator-all-or-nothing"]
+    assert rec["status"] == "fail", rec
+    assert rec["witness"] == f"no instance was {never}", rec
 
 
 def test_all_skipped_semantic_commutator_fails(monkeypatch):
