@@ -10,8 +10,7 @@ e_a, carry one -1 per bit of a below i; e_a ^ e_b carries one -1 per pair
 i in a, j in b with i > j.  Forms(n) tabulates these signs when it is
 built, and writes add, scale, wedge, d, iota and lie once for every n.  A
 vector field is a tuple of n polynomials.  DeRham1 computes in Forms(1)
-over Poly1, DeRham2Conn in Forms(2) over Poly2; operators on sections are
-closures on those values.
+over Poly1, DeRham2Conn in Forms(2) over Poly2.
 
 The symbol level re-expresses values in a finite alphabet (form monomials
 and form-multiples of the basic operators) so the generic Model machinery
@@ -25,13 +24,21 @@ valid because every basic operator satisfies the graded Leibniz rule over
 wedge with a form-level symbol (contraction, exterior derivative, Lie
 derivative; the connection with symbol d; the euler counter with symbol 0).
 The rule, the form table and the encoders are written once in _form_model;
-each maker passes it that model's one-monomial forms and operators.  The
-geometry checks then confirm the tables against honest operator
-commutators on section batteries, with independent oracles for the Lie
-derivative, the curvature two-form, and the vector-field bracket.
+each maker passes it that model's one-monomial forms and operators.
+
+A section is a pair (k, v), e^k times the form v (k is 0 on the line).
+Every operator keeps the e-power, so an Op's closure maps (k, v) to the
+image's form; forms store no zero slot, so sections compare with ==.  The
+geometry checks confirm the tables against operator commutators on section
+batteries, with independent oracles for the Lie derivative, the curvature
+two-form and the vector-field bracket.  Both models take one path:
+_operators gives every symbol its Op, and one bracket-table check compares
+each table bracket with the commutator of those Ops.  Each check stops at
+its first failing case and names it as the record's witness.
 """
 
 from fractions import Fraction
+from itertools import product
 
 from ..terms import Alphabet, Element, Symbol, minus_one_pow
 from .base import Model, ModelDegreeError, check
@@ -53,7 +60,8 @@ def _put(form: dict, mask: int, p) -> None:
 
 class Forms:
     """The exterior algebra over n coordinates of the module docstring.
-    A form is never mutated once returned, so results may share operands."""
+    A form is never mutated once returned, so results may share operands.
+    add and scale do not read n, so they serve every Forms(n)."""
 
     def __init__(self, n: int):
         masks = range(1 << n)
@@ -79,7 +87,8 @@ class Forms:
             for a in masks
         ]
 
-    def add(self, u, v):
+    @staticmethod
+    def add(u, v):
         if not u:
             return v
         out = dict(u)
@@ -87,7 +96,8 @@ class Forms:
             _put(out, mask, p)
         return out
 
-    def scale(self, c, u):
+    @staticmethod
+    def scale(c, u):
         if not c:
             return {}
         return {mask: p * c for mask, p in u.items()}
@@ -154,78 +164,27 @@ def curvature_oracle(a1: Poly2, a2: Poly2):
     return {0b11: f12} if f12.c else {}
 
 
-# sections: dict e-power -> Forms(2) value ---------------------------------------
-#
-# Only Op.__call__ and sec_eq drop zero forms; sec_add and sec_scale may
-# leave them in.
-
-
-def sec_clean(s):
-    return {k: v for k, v in s.items() if v}
-
-
-def sec_add(s, t):
-    out = dict(s)
-    for k, v in t.items():
-        out[k] = F2.add(out[k], v) if k in out else v
-    return out
-
-
-def sec_scale(c, s):
-    return {k: F2.scale(c, v) for k, v in s.items()}
-
-
-def sec_eq(s, t):
-    return sec_clean(s) == sec_clean(t)
+# operators on sections ------------------------------------------------------------
 
 
 class Op:
-    """An operator on sections with a parity, built from a closure."""
+    """An operator on sections (k, v) with a parity: fn(k, v) is the form of
+    the image, whose e-power is k again."""
 
     def __init__(self, name, parity, fn):
-        self.name = name
-        self.parity = parity
-        self.fn = fn
+        self.name, self.parity, self.fn = name, parity, fn
 
-    def __call__(self, s):
-        return sec_clean(self.fn(s))
+    def __call__(self, k, v):
+        return self.fn(k, v)
 
     def commutator(self, other) -> "Op":
-        sign = minus_one_pow(self.parity * other.parity)
+        sign = -minus_one_pow(self.parity * other.parity)
+        f, g = self.fn, other.fn
 
-        def fn(s):
-            return sec_add(self(other(s)), sec_scale(-sign, other(self(s))))
+        def fn(k, v):
+            return Forms.add(f(k, g(k, v)), Forms.scale(sign, g(k, f(k, v))))
 
         return Op(f"[{self.name},{other.name}]", (self.parity + other.parity) % 2, fn)
-
-
-def op_componentwise(name, parity, form_fn):
-    return Op(name, parity, lambda s: {k: form_fn(v) for k, v in s.items()})
-
-
-def op_d2():
-    return op_componentwise("d", 1, F2.d)
-
-
-def op_iota2(field, name="iota"):
-    return op_componentwise(name, 1, lambda v: F2.iota(field, v))
-
-
-def op_lie2(field, name="lie"):
-    return op_componentwise(name, 0, lambda v: F2.lie(field, v))
-
-
-def op_euler():
-    return Op("E", 0, lambda s: {k: F2.scale(k, v) for k, v in s.items()})
-
-
-def op_nabla(a_form):
-    def fn(s):
-        return {
-            k: F2.add(F2.d(v), F2.scale(k, F2.wedge(a_form, v))) for k, v in s.items()
-        }
-
-    return Op("nabla", 1, fn)
 
 
 # the form table and the bracket rule ---------------------------------------------
@@ -256,7 +215,7 @@ def _form_model(
     the degree-cap error.  act_form(P, v) applies basic operator P's
     form-level symbol to a form, and pure_bracket(P, Q) lists [P, Q] as
     (form, op) summands or gives None.  The model's meta["forms"] is the
-    decoding table."""
+    decoding table and meta["algebra"] is algebra."""
     al = Alphabet()
     for fname, form in forms.items():
         if fname:
@@ -338,7 +297,7 @@ def _form_model(
         action,
         max_degree=max_degree,
         commutative=None,
-        meta={**meta, "forms": table},
+        meta={**meta, "forms": table, "algebra": algebra},
     )
 
 
@@ -446,16 +405,6 @@ def make_derham2(
 # geometry checks -----------------------------------------------------------------
 
 
-def _sections_battery(max_degree: int = 2):
-    return [
-        {k: {mask: Poly2.mono(i, j)}}
-        for i in range(max_degree + 1)
-        for j in range(max_degree + 1 - i)
-        for mask in range(4)
-        for k in (0, 1, 2)
-    ]
-
-
 def classical_geometry_checks(model: Model) -> list:
     kind = model.meta.get("kind")
     if kind == "DeRham1":
@@ -465,228 +414,177 @@ def classical_geometry_checks(model: Model) -> list:
     raise ValueError("geometry checks apply to the differential-form models")
 
 
-def _derham1_checks(model: Model) -> list:
-    checks = []
-    forms = model.meta["forms"]
-    battery = [
-        {mask: Poly1.mono(k)} for k in range(model.max_degree + 1) for mask in (0, 1)
-    ]
-    fields = [(Poly1.const(1),), (Poly1.mono(1),), (Poly1.mono(2),)]
-
-    # Cartan formula, with the Lie derivative given by the coefficient oracle
-    ok, cases = True, 0
-    for x in fields:
-        for u in battery:
-            cases += 1
-            if F1.lie(x, u) != w1_lie_oracle(x[0], u):
-                ok = False
-    checks.append(check("cartan", ok, cases=cases))
-
-    # contraction squares to zero
-    ok, cases = True, 0
-    for x in fields:
-        for u in battery:
-            cases += 1
-            if F1.iota(x, F1.iota(x, u)):
-                ok = False
-    checks.append(check("iota-squared", ok, cases=cases))
-
-    # Koszul antisymmetry of the wedge on odd symbol pairs
-    odd = [s for s in model.symbols(("algebra",)) if s.parity == 1]
-    ok, cases = True, 0
-    for a in odd:
-        for b in odd:
-            cases += 1
-            if model.mul(a, b) != -1 * model.mul(b, a):
-                ok = False
-    checks.append(check("koszul-odd-pairs", ok, cases=cases))
-
-    # symbol-table brackets match operator commutators on the form battery
-    ok, cases, skipped = True, 0, 0
-    ops = model.symbols(("lie",))
-    for s in ops:
-        for t in ops:
-            try:
-                table = model.bracket(s, t)
-            except ModelDegreeError:
-                skipped += 1
-                continue
-            for u in battery:
-                cases += 1
-                lhs = _apply_elem1(forms, table, u)
-                rhs = F1.add(
-                    _apply_sym1(forms, s, _apply_sym1(forms, t, u)),
-                    F1.scale(
-                        -minus_one_pow(s.parity * t.parity),
-                        _apply_sym1(forms, t, _apply_sym1(forms, s, u)),
-                    ),
-                )
-                if lhs != rhs:
-                    ok = False
-    checks.append(
-        check("bracket-table-vs-operators", ok, cases=cases, skipped=skipped)
-    )
-    return checks
+def _case_check(cid: str, cases, holds, name, **extra) -> dict:
+    """The one case loop: holds(*case) on each case up to the first that
+    fails, whose name(*case) is the witness; cases counts the cases run."""
+    ran = 0
+    for case in cases:
+        ran += 1
+        if not holds(*case):
+            return check(cid, False, cases=ran, **extra, witness=name(*case))
+    return check(cid, True, cases=ran, **extra)
 
 
-def _apply_sym1(forms, sym, u):
-    # the operator value of a lie symbol, applied to a Forms(1) value
-    op = sym.name[-2:]
-    one = (Poly1.const(1),)
-    if op == "iX":
-        acted = F1.iota(one, u)
-    elif op == "lX":
-        acted = F1.lie(one, u)
-    else:
-        acted = F1.d(u)
-    return F1.wedge(forms[sym.name[:-2]], acted)
+def _case_text(model: Model, k, v, **fields) -> str:
+    """A case's vector fields and its section (k, v), the form named from
+    the model's form table."""
+    form = next((n for n, w in model.meta["forms"].items() if n and w == v), repr(v))
+    section = f"e^{k} {form}" if k else form
+    named = ", ".join(f"{n} = ({', '.join(map(repr, x))})" for n, x in fields.items())
+    return f"{named} on {section}" if named else section
 
 
-def _apply_elem1(forms, elem: Element, u):
+def _operators(model: Model, basic: dict) -> dict:
+    """The Op of every symbol of a form model: w ^ for a form symbol,
+    basic[P] for a basic operator P, and w ^ P for "<form><P>" (every basic
+    operator id has two letters)."""
+    forms, wedge = model.meta["forms"], model.meta["algebra"].wedge
+    ops = dict(basic)
+    for sym in model.symbols():
+        if sym.name not in ops:
+            if sym.kind == "lie":
+                w, p = forms[sym.name[:-2]], basic[sym.name[-2:]].fn
+            else:
+                w, p = forms[sym.name], lambda k, v: v
+            ops[sym.name] = Op(sym.name, sym.parity,
+                               lambda k, v, w=w, p=p: wedge(w, p(k, v)))
+    return ops
+
+
+def _apply_elem(ops: dict, elem: Element, k, v):
+    """A leaf combination of symbols, as operators, on the section (k, v)."""
     out = {}
     for t, c in elem.terms.items():
-        sym = t.symbol
-        if sym.kind == "lie":
-            v = _apply_sym1(forms, sym, u)
-        else:
-            v = F1.wedge(forms[sym.name], u)
-        out = F1.add(out, F1.scale(c, v))
+        out = Forms.add(out, Forms.scale(c, ops[t.symbol.name](k, v)))
     return out
+
+
+def _bracket_table_check(model: Model, basic: dict, pairs, battery) -> dict:
+    """Symbol-table brackets match operator commutators on the battery; a
+    pair whose bracket leaves the degree cap is skipped."""
+    ops = _operators(model, basic)
+    kept, skipped = [], 0
+    for s, t in pairs:
+        try:
+            kept.append((model.bracket(s, t), ops[s.name].commutator(ops[t.name])))
+        except ModelDegreeError:
+            skipped += 1
+    return _case_check(
+        "bracket-table-vs-operators",
+        ((table, comm, k, v) for table, comm in kept for k, v in battery),
+        lambda table, comm, k, v: comm(k, v) == _apply_elem(ops, table, k, v),
+        lambda table, comm, k, v: f"{comm.name} on {_case_text(model, k, v)}",
+        skipped=skipped,
+    )
+
+
+def _derham1_checks(model: Model) -> list:
+    battery = [(0, {mask: Poly1.mono(k)})
+               for k in range(model.max_degree + 1) for mask in (0, 1)]
+    fields = [(Poly1.const(1),), (Poly1.mono(1),), (Poly1.mono(2),)]
+    field_cases = [(x, k, v) for x in fields for k, v in battery]
+    one = fields[0]
+    basic = {"iX": Op("iX", 1, lambda k, v: F1.iota(one, v)),
+             "lX": Op("lX", 0, lambda k, v: F1.lie(one, v)),
+             "dd": Op("dd", 1, lambda k, v: F1.d(v))}
+    odd = [s for s in model.symbols(("algebra",)) if s.parity == 1]
+    lie = model.symbols(("lie",))
+
+    def at(x, k, v):
+        return _case_text(model, k, v, X=x)
+
+    return [
+        # Cartan formula, with the Lie derivative given by the coefficient oracle
+        _case_check("cartan", field_cases,
+                    lambda x, k, v: F1.lie(x, v) == w1_lie_oracle(x[0], v), at),
+        # contraction squares to zero
+        _case_check("iota-squared", field_cases,
+                    lambda x, k, v: not F1.iota(x, F1.iota(x, v)), at),
+        # Koszul antisymmetry of the wedge on odd symbol pairs
+        _case_check("koszul-odd-pairs", product(odd, odd),
+                    lambda a, b: model.mul(a, b) == -1 * model.mul(b, a),
+                    lambda a, b: f"{a.name}, {b.name}"),
+        _bracket_table_check(model, basic, product(lie, lie), battery),
+    ]
 
 
 def _derham2_checks(model: Model) -> list:
-    checks = []
     a1, a2 = model.meta["connection"]
     a_form = _one_form(a1, a2)
-    battery = _sections_battery(min(model.max_degree, 2))
-    nab = op_nabla(a_form)
-    f1, f2 = _FIELDS2.values()
+    top = min(model.max_degree, 2)
+    battery = [(k, {mask: Poly2.mono(i, j)}) for i in range(top + 1)
+               for j in range(top + 1 - i) for mask in range(4) for k in (0, 1, 2)]
 
-    # curvature: nabla^2 = (1/2)[nabla, nabla], and nabla^2 = k F wedge -
-    # with F from the formal-partials oracle
-    f_oracle = curvature_oracle(a1, a2)
-    ok_engine = model.meta["curvature"] == f_oracle
-    ok, cases = True, 0
-    half_sq = nab.commutator(nab)
-    for s in battery:
-        cases += 1
-        two_sq = sec_scale(2, nab(nab(s)))
-        if not sec_eq(half_sq(s), two_sq):
-            ok = False
-        expect = {k: F2.scale(k, F2.wedge(f_oracle, v)) for k, v in s.items()}
-        if not sec_eq(nab(nab(s)), expect):
-            ok = False
-    checks.append(
-        check(
-            "curvature", ok and ok_engine, cases=cases, oracle_matches_engine=ok_engine
-        )
-    )
+    def iota(x, name="iota"):
+        return Op(name, 1, lambda k, v: F2.iota(x, v))
+
+    nabla = Op("nabla", 1, lambda k, v: F2.add(F2.d(v), F2.scale(k, F2.wedge(a_form, v))))
+    basic = {"dd": Op("dd", 1, lambda k, v: F2.d(v)), "nabla": nabla,
+             "ee": Op("ee", 0, lambda k, v: F2.scale(k, v))}
+    for i, x in _FIELDS2.items():
+        basic["iota" + i] = iota(x, "iota" + i)
+        basic["lie" + i] = Op("lie" + i, 0, lambda k, v, x=x: F2.lie(x, v))
+    checks = []
+
+    # curvature: nabla^2 = (1/2)[nabla, nabla], and nabla^2 = k F ^ for F
+    # from the formal-partials oracle and for the engine's F
+    f_oracle, f_engine = curvature_oracle(a1, a2), model.meta["curvature"]
+    square = nabla.commutator(nabla)
+
+    def curvature_holds(k, v):
+        sq = nabla(k, nabla(k, v))
+        return square(k, v) == F2.scale(2, sq) and all(
+            sq == F2.scale(k, F2.wedge(f, v)) for f in (f_oracle, f_engine))
+
+    checks.append(_case_check(
+        "curvature", battery, curvature_holds, lambda k, v: _case_text(model, k, v),
+        oracle_matches_engine=f_engine == f_oracle,
+    ))
+
+    # [nabla, iota_X] for each test field, built once
+    fields = [*_FIELDS2.values(), (Poly2.mono(0, 1), Poly2()),
+              (Poly2(), Poly2.mono(1, 0)), (Poly2.mono(1, 0), Poly2.mono(0, 1))]
+    twisted = [(x, nabla.commutator(iota(x))) for x in fields]
 
     # the twisted-derivative formula: which variant equals [nabla, iota_X]
-    variant_results = {}
-    for variant in ("literal", "contracted"):
-        all_ok = True
-        for fld in (f1, f2, (Poly2.mono(0, 1), Poly2()), (Poly2(), Poly2.mono(1, 0))):
-            ring = nab.commutator(op_iota2(fld))
-            for s in battery:
-                lie_part = {k: F2.lie(fld, v) for k, v in s.items()}
-                if variant == "literal":
-                    extra = {k: F2.scale(k, F2.wedge(v, a_form)) for k, v in s.items()}
-                else:
-                    ia = F2.iota(fld, a_form)
-                    extra = {k: F2.scale(k, F2.wedge(ia, v)) for k, v in s.items()}
-                if not sec_eq(ring(s), sec_add(lie_part, extra)):
-                    all_ok = False
-                    break
-            if not all_ok:
-                break
-        variant_results[variant] = all_ok
-    checks.append(
-        check(
-            "twisted-derivative-variants",
-            any(variant_results.values()),
-            holds=variant_results,
+    # on the first four fields
+    formulas = {
+        "literal": lambda x, v: F2.wedge(v, a_form),
+        "contracted": lambda x, v: F2.wedge(F2.iota(x, a_form), v),
+    }
+    variants = {
+        variant: _case_check(
+            variant,
+            ((x, ring, k, v) for x, ring in twisted[:4] for k, v in battery),
+            lambda x, ring, k, v: ring(k, v)
+            == F2.add(F2.lie(x, v), F2.scale(k, extra(x, v))),
+            lambda x, ring, k, v: _case_text(model, k, v, X=x),
         )
-    )
+        for variant, extra in formulas.items()
+    }
+    holds = {variant: rec["status"] == "pass" for variant, rec in variants.items()}
+    some = any(holds.values())
+    witness = None if some else "; ".join(
+        f"{r['id']}: {r['witness']}" for r in variants.values())
+    checks.append(check("twisted-derivative-variants", some, holds=holds,
+                        witness=witness))
 
     # [twisted_X, iota_Y] = iota_[X,Y] with the vector-field oracle
-    test_fields = [
-        f1,
-        f2,
-        (Poly2.mono(0, 1), Poly2()),
-        (Poly2(), Poly2.mono(1, 0)),
-        (Poly2.mono(1, 0), Poly2.mono(0, 1)),
-    ]
-    ok, cases = True, 0
-    for x_fld in test_fields:
-        ring_x = nab.commutator(op_iota2(x_fld))
-        for y_fld in test_fields:
-            expect = op_iota2(field_bracket(x_fld, y_fld))
-            got = ring_x.commutator(op_iota2(y_fld))
-            for s in battery:
-                cases += 1
-                if not sec_eq(got(s), expect(s)):
-                    ok = False
-    checks.append(check("twisted-contraction-bracket", ok, cases=cases))
+    brackets = [(x, y, ring.commutator(iota(y)), iota(field_bracket(x, y)))
+                for x, ring in twisted for y in fields]
+    checks.append(_case_check(
+        "twisted-contraction-bracket",
+        ((x, y, got, want, k, v) for x, y, got, want in brackets for k, v in battery),
+        lambda x, y, got, want, k, v: got(k, v) == want(k, v),
+        lambda x, y, got, want, k, v: _case_text(model, k, v, X=x, Y=y),
+    ))
 
-    # symbol-table brackets match operator commutators on sections
-    ok, cases, skipped = True, 0, 0
-    op_values = _operators2(model, a_form)
+    # symbol-table brackets: every pair of basic operators, and each basic
+    # operator against a sample of the euler multiples, on about 24 sections
     pure = [model.alphabet.symbol(n) for n in OPS2]
     euler_mults = [s for s in model.symbols(("lie",)) if s.name not in OPS2]
     euler_mults = euler_mults[:: max(1, len(euler_mults) // 8)]
-    pairs = [(s, t) for s in pure for t in pure]
-    pairs += [(s, t) for s in pure for t in euler_mults]
-    for s, t in pairs:
-        try:
-            table = model.bracket(s, t)
-        except ModelDegreeError:
-            skipped += 1
-            continue
-        comm = op_values[s.name].commutator(op_values[t.name])
-        for sec in battery[:: max(1, len(battery) // 24)]:
-            cases += 1
-            if not sec_eq(comm(sec), _apply_elem2(model, op_values, table, sec)):
-                ok = False
-    checks.append(
-        check("bracket-table-vs-operators", ok, cases=cases, skipped=skipped)
-    )
+    pairs = [*product(pure, pure), *product(pure, euler_mults)]
+    checks.append(_bracket_table_check(
+        model, basic, pairs, battery[:: max(1, len(battery) // 24)]))
     return checks
-
-
-def _operators2(model, a_form) -> dict:
-    """The operator value of every lie symbol of a DeRham2Conn model."""
-    f1, f2 = _FIELDS2.values()
-    out = {
-        "iota1": op_iota2(f1, "iota1"),
-        "iota2": op_iota2(f2, "iota2"),
-        "dd": op_d2(),
-        "nabla": op_nabla(a_form),
-        "lie1": op_lie2(f1, "lie1"),
-        "lie2": op_lie2(f2, "lie2"),
-        "ee": op_euler(),
-    }
-    forms, euler = model.meta["forms"], out["ee"]
-    for sym in model.symbols(("lie",)):
-        if sym.name not in out:
-            # euler is even, so the multiple's parity is the form's
-            w = forms[sym.name[:-2]]
-            out[sym.name] = Op(
-                sym.name,
-                sym.parity,
-                lambda s, w=w: {k: F2.wedge(w, v) for k, v in euler(s).items()},
-            )
-    return out
-
-
-def _apply_elem2(model, op_values, elem: Element, sec):
-    out = {}
-    for t, c in elem.terms.items():
-        sym = t.symbol
-        if sym.kind == "lie":
-            v = op_values[sym.name](sec)
-        else:
-            w = model.meta["forms"][sym.name]
-            v = {k: F2.wedge(w, f) for k, f in sec.items()}
-        out = sec_add(out, sec_scale(c, v))
-    return out

@@ -115,12 +115,13 @@ class SheafContext:
         if not plateau.subset_of(support):
             raise SupportError(f"plateau of bump {name} leaves its support")
         support = support.closure()
+        # the pure bump is the unit dressed by one factor; the alphabet
+        # rejects a redefined support before any declaration changes
+        sym = Symbol(name, 0, Q(0), "algebra", support)
+        self.alphabet.add(sym)
         self._bumps[name] = BumpDeclaration(name, support, plateau.closure())
         self._table = None
         self._minted = {}
-        # the pure bump is the unit dressed by one factor
-        sym = Symbol(name, 0, Q(0), "algebra", support)
-        self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(self.alphabet.unit.name, (name,), support)
         return sym
 

@@ -1,10 +1,17 @@
 """The exterior algebra Forms(n): random sparse forms over small Poly1 and
-Poly2 coefficients obey the identities that fix every sign table."""
+Poly2 coefficients obey the identities that fix every sign table.  The
+operator path: Op commutators are graded antisymmetric and obey the graded
+Jacobi identity, and each geometry check fails, naming its input, when the
+statement it probes is broken."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from vertexalg.models.geometry import Forms, w1_lie_oracle
+from vertexalg.models import geometry
+from vertexalg.models.base import Model
+from vertexalg.models.geometry import F1, F2, Forms, Op, w1_lie_oracle
 from vertexalg.models.polys import Poly1, Poly2
+from vertexalg.suites import run_suite
 
 ALGEBRAS = {1: Forms(1), 2: Forms(2)}
 
@@ -129,3 +136,106 @@ def test_signs_on_the_plane():
     assert F.wedge({2: one}, {1: one}) == {3: -one}
     assert F.d({1: Poly2.mono(0, 1)}) == {3: -one}
     assert F.iota((Poly2(), one), {3: one}) == {1: -one}
+
+
+# -- the operator path ------------------------------------------------------------
+
+
+def operators():
+    """d, iota_X or L_X on Forms(2) values, X a random polynomial field."""
+    return st.one_of(
+        st.just(Op("d", 1, lambda k, v: F2.d(v))),
+        fields(2).map(lambda x: Op("iota", 1, lambda k, v: F2.iota(x, v))),
+        fields(2).map(lambda x: Op("lie", 0, lambda k, v: F2.lie(x, v))),
+    )
+
+
+SECTIONS = st.tuples(st.integers(0, 3), forms(2))
+
+
+@EXAMPLES
+@given(operators(), operators(), SECTIONS)
+def test_commutator_is_graded_antisymmetric(a, b, section):
+    # [A, B] = -(-1)^{|A||B|} [B, A], with parity |A| + |B|
+    ab, ba = a.commutator(b), b.commutator(a)
+    assert ab.parity == ba.parity == (a.parity + b.parity) % 2
+    sign = (-1) ** (a.parity * b.parity)
+    assert clean(2, ab(*section)) == clean(2, Forms.scale(-sign, ba(*section)))
+
+
+@EXAMPLES
+@given(operators(), operators(), operators(), SECTIONS)
+def test_commutator_obeys_graded_jacobi(a, b, c, section):
+    # [A, [B, C]] = [[A, B], C] + (-1)^{|A||B|} [B, [A, C]]
+    lhs = a.commutator(b.commutator(c))(*section)
+    sign = (-1) ** (a.parity * b.parity)
+    rhs = Forms.add(
+        a.commutator(b).commutator(c)(*section),
+        Forms.scale(sign, b.commutator(a.commutator(c))(*section)),
+    )
+    assert clean(2, lhs) == clean(2, rhs)
+
+
+# -- geometry mutants -------------------------------------------------------------
+#
+# Each row monkeypatches one fault into the geometry layer at runtime and
+# names the checks of `vertexalg verify geometry` that must fail under it.
+
+
+def _lie_oracle_without_p_prime_g(p, u):
+    # L_{p d/db}(f + g db) with the p' g term of the db slot dropped
+    f, g = u.get(0, Poly1()), u.get(1, Poly1())
+    out = {0: p * f.diff(), 1: p * g.diff()}
+    return {mask: c for mask, c in out.items() if c.c}
+
+
+def _wrap(monkeypatch, owner, name, wrapper):
+    orig = getattr(owner, name)
+    monkeypatch.setattr(owner, name, wrapper(orig))
+
+
+GEOMETRY_MUTANTS = [
+    ("w1_lie_oracle drops p' g",
+     lambda mp: mp.setattr(geometry, "w1_lie_oracle", _lie_oracle_without_p_prime_g),
+     ["derham1-cartan"]),
+    ("curvature_oracle negated",
+     lambda mp: _wrap(mp, geometry, "curvature_oracle", lambda f: lambda a1, a2: {
+         mask: -p for mask, p in f(a1, a2).items()}),
+     ["derham2_b2-curvature", "derham2_lin-curvature"]),
+    ("field_bracket with its arguments swapped",
+     lambda mp: _wrap(mp, geometry, "field_bracket", lambda f: lambda x, y: f(y, x)),
+     ["derham2_b2-twisted-contraction-bracket",
+      "derham2_lin-twisted-contraction-bracket"]),
+    ("bracket table doubled",
+     lambda mp: _wrap(mp, Model, "bracket", lambda f: lambda self, s, t: 2 * f(self, s, t)),
+     ["derham1-bracket-table-vs-operators", "derham2_b2-bracket-table-vs-operators",
+      "derham2_lin-bracket-table-vs-operators"]),
+    # a wedge with no Koszul sign and no db ^ db = 0 commutes on odd forms
+    ("wedge on a line commutes",
+     lambda mp: mp.setattr(F1, "_wedge_sign", [[1, 1], [1, 1]]),
+     ["derham1-koszul-odd-pairs"]),
+    ("F1.iota is the identity",
+     lambda mp: mp.setattr(F1, "iota", lambda field, u: u),
+     ["derham1-iota-squared"]),
+    ("F2.lie is zero",
+     lambda mp: mp.setattr(F2, "lie", lambda field, u: {}),
+     ["derham2_b2-twisted-derivative-variants",
+      "derham2_lin-twisted-derivative-variants"]),
+]
+
+
+@pytest.mark.parametrize("label,patch,killed", GEOMETRY_MUTANTS,
+                         ids=[row[0] for row in GEOMETRY_MUTANTS])
+def test_geometry_mutant_fails_with_a_witness(monkeypatch, label, patch, killed):
+    patch(monkeypatch)
+    checks = {c["id"]: c for c in run_suite("geometry")["checks"]}
+    for cid in killed:
+        rec = checks[cid]
+        assert rec["status"] == "fail", rec
+        assert isinstance(rec["witness"], str) and rec["witness"], rec
+
+
+def test_every_geometry_check_has_a_mutant():
+    ids = {c["id"].split("-", 1)[1] for c in run_suite("geometry")["checks"]}
+    killed = {cid.split("-", 1)[1] for *_, cids in GEOMETRY_MUTANTS for cid in cids}
+    assert len(ids) == 7 and killed == ids

@@ -4,6 +4,7 @@ and as properties of random tagged elements."""
 import random
 from fractions import Fraction as Q
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from vertexalg.intervals import SupportSet
@@ -146,6 +147,21 @@ def test_mint_memo_follows_declare_bump():
     want = fresh._mint("f", ("s2",), window)
     assert want.name == "f|4/3..2"
     assert ctx._mint("f", ("s2",), window) == want
+
+
+def test_a_rejected_bump_leaves_the_context_unchanged():
+    # the s2 symbol pins its support [4/3, 8/3]; a re-declaration with
+    # another support raises and must not leave the new support behind
+    ctx, cover = make_cover_three()
+    with pytest.raises(ValueError, match="redefined inconsistently"):
+        ctx.declare_bump("s2", SupportSet.closed(1, Q(8, 3)))
+    assert ctx._bumps["s2"].support == SupportSet.closed(Q(4, 3), Q(8, 3))
+    fresh, fresh_cover = make_cover_three()
+    pairs = zip(_tagged_pool(ctx, cover), _tagged_pool(fresh, fresh_cover))
+    for sym, want in pairs:
+        assert sym.name == want.name
+        got = semantic_support(Element.sym(ctx.alphabet, sym.name), ctx)
+        assert got == semantic_support(Element.sym(fresh.alphabet, want.name), fresh)
 
 
 def test_semantic_support_and_pi_of_a_deep_tower():
