@@ -35,7 +35,7 @@ from .generators import (
     fam_s,
     truncate,
 )
-from .models.base import check
+from .models.base import case_check, check
 from .models.factory import shipped_model
 from .parsing import to_text
 from .rewrite import RuleSet, reduce_element
@@ -105,12 +105,10 @@ def right_mult_checks(levels=(2, 3, 6), budget: int = 20000) -> list:
     rules = RuleSet(model=model, enabled=COLLAPSE_RULES)
     rep = reduce_element(_right_mult_total(model, max(levels)), rules, budget=budget)
     ok = rep.status == "normal-form" and rep.result == unit
-    witness = None
-    if not ok:
-        witness = (
-            f"{rep.status} after {rep.steps} steps (budget {budget}), "
-            f"residual {to_text(rep.result)}"
-        )
+    witness = None if ok else (
+        f"{rep.status} after {rep.steps} steps (budget {budget}), "
+        f"residual {to_text(rep.result)}"
+    )
     checks.append(
         check(
             "right-mult-unit-reduction",
@@ -230,13 +228,14 @@ def punctured_checks(N: int, level: int = None) -> list:
             fam_e(aNg.D_pow(N - 1 - k), x, m + N - k)._add_into(acc, -c)
         return Q(minus_one_pow(N), factorial(N)) * Element._trusted(al, acc)
 
-    ok3, cases3 = True, 0
-    for x in (g, a):
-        for m in range(-N - 4, 5):
-            cases3 += 1
-            if binom(m + N, N) * aNg.o(m, x) != transfer_rhs(m, x):
-                ok3 = False
-    checks.append(check(f"index-transfer-{tag}", ok3, cases=cases3))
+    def transfer(case):
+        x, m = case
+        if binom(m + N, N) * aNg.o(m, x) == transfer_rhs(m, x):
+            return None
+        return f"m={m} on {to_text(x)}"
+
+    cases3 = [(x, m) for x in (g, a) for m in range(-N - 4, 5)]
+    checks.append(case_check(f"index-transfer-{tag}", cases3, transfer))
 
     window_ok = all(binom(m + N, N) == 0 for m in range(-N, 0))
     checks.append(check(f"binom-window-{tag}", window_ok, window=list(range(-N, 0))))

@@ -26,20 +26,26 @@ def check(cid: str, ok, **extra) -> dict:
     return {"id": cid, "status": status, **kept}
 
 
-def law_check(cid: str, cases, holds) -> dict:
-    """holds(*args) on every case of symbols; degree-cap cases are skipped
-    and counted, and the first failing case is the witness."""
-    total = skipped = 0
-    witness = None
-    for args in cases:
-        total += 1
+def case_check(cid: str, cases, probe, limit: int = None, **extra) -> dict:
+    """The one case loop.  probe(case) is None when the case holds and the
+    witness text when it does not; a case whose probe raises
+    ModelDegreeError is skipped.  The loop stops at the first witness or
+    once limit cases have run, so lazy cases draw nothing unprobed.  The
+    check passes iff no witness was found and at least one case ran."""
+    ran = skipped = 0
+    for case in cases:
         try:
-            if not holds(*args):
-                witness = ", ".join(s.name for s in args)
-                break
+            witness = probe(case)
         except ModelDegreeError:
             skipped += 1
-    return check(cid, witness is None, cases=total, skipped=skipped, witness=witness)
+            continue
+        ran += 1
+        if witness is not None:
+            return check(cid, False, cases=ran, skipped=skipped or None,
+                         witness=witness, **extra)
+        if ran == limit:
+            break
+    return check(cid, ran > 0, cases=ran, skipped=skipped or None, **extra)
 
 
 @dataclass
@@ -176,9 +182,9 @@ class Model:
 
 
 def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> list:
-    """Exhaustive symbol-level law checks; cap-exceeding cases are skipped
-    and counted.  case_cap, when set, stride-samples each check's case list
-    down to that many (large alphabets).  Returns check records."""
+    """Exhaustive symbol-level law checks, one record per law that has
+    cases.  case_cap, when set, stride-samples each check's case list down
+    to that many (large alphabets)."""
     syms = model.symbols()
     if pair_cap is not None:
         syms = syms[:pair_cap]
@@ -230,7 +236,10 @@ def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> 
         cases = list(cases)
         if case_cap is not None and len(cases) > case_cap:
             cases = cases[:: len(cases) // case_cap + 1]
-        checks.append(law_check(cid, cases, holds))
+        if cases:
+            checks.append(case_check(
+                cid, cases, lambda args, holds=holds: None if holds(*args)
+                else ", ".join(s.name for s in args)))
     return checks
 
 

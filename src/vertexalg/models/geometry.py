@@ -33,15 +33,16 @@ geometry checks confirm the tables against operator commutators on section
 batteries, with independent oracles for the Lie derivative, the curvature
 two-form and the vector-field bracket.  Both models take one path:
 _operators gives every symbol its Op, and one bracket-table check compares
-each table bracket with the commutator of those Ops.  Each check stops at
-its first failing case and names it as the record's witness.
+each table bracket with the commutator of those Ops.  Every enumerated
+check is one models.base.case_check call: it stops at its first failing
+case and names it as the record's witness.
 """
 
 from fractions import Fraction
 from itertools import product
 
 from ..terms import Alphabet, Element, Symbol, minus_one_pow
-from .base import Model, ModelDegreeError, check
+from .base import Model, ModelDegreeError, case_check, check
 from .polys import Poly1, Poly2
 
 Q = Fraction
@@ -414,17 +415,6 @@ def classical_geometry_checks(model: Model) -> list:
     raise ValueError("geometry checks apply to the differential-form models")
 
 
-def _case_check(cid: str, cases, holds, name, **extra) -> dict:
-    """The one case loop: holds(*case) on each case up to the first that
-    fails, whose name(*case) is the witness; cases counts the cases run."""
-    ran = 0
-    for case in cases:
-        ran += 1
-        if not holds(*case):
-            return check(cid, False, cases=ran, **extra, witness=name(*case))
-    return check(cid, True, cases=ran, **extra)
-
-
 def _case_text(model: Model, k, v, **fields) -> str:
     """A case's vector fields and its section (k, v), the form named from
     the model's form table."""
@@ -460,21 +450,29 @@ def _apply_elem(ops: dict, elem: Element, k, v):
 
 
 def _bracket_table_check(model: Model, basic: dict, pairs, battery) -> dict:
-    """Symbol-table brackets match operator commutators on the battery; a
-    pair whose bracket leaves the degree cap is skipped."""
+    """Symbol-table brackets match operator commutators on the battery, one
+    symbol pair a case.  A pair whose bracket leaves the degree cap is
+    skipped; a failing pair names the first section where the two differ."""
     ops = _operators(model, basic)
-    kept, skipped = [], 0
-    for s, t in pairs:
-        try:
-            kept.append((model.bracket(s, t), ops[s.name].commutator(ops[t.name])))
-        except ModelDegreeError:
-            skipped += 1
-    return _case_check(
-        "bracket-table-vs-operators",
-        ((table, comm, k, v) for table, comm in kept for k, v in battery),
-        lambda table, comm, k, v: comm(k, v) == _apply_elem(ops, table, k, v),
-        lambda table, comm, k, v: f"{comm.name} on {_case_text(model, k, v)}",
-        skipped=skipped,
+
+    def probe(pair):
+        s, t = pair
+        table = model.bracket(s, t)
+        comm = ops[s.name].commutator(ops[t.name])
+        return next((f"{comm.name} on {_case_text(model, k, v)}" for k, v in battery
+                     if comm(k, v) != _apply_elem(ops, table, k, v)), None)
+
+    return case_check("bracket-table-vs-operators", pairs, probe)
+
+
+def _koszul_check(model: Model) -> dict:
+    """Koszul antisymmetry of the wedge on odd form-symbol pairs; a pair
+    whose product leaves the degree cap is skipped."""
+    odd = [s for s in model.symbols(("algebra",)) if s.parity == 1]
+    return case_check(
+        "koszul-odd-pairs", product(odd, odd),
+        lambda pair: None if model.mul(*pair) == -1 * model.mul(*pair[::-1])
+        else ", ".join(s.name for s in pair),
     )
 
 
@@ -487,23 +485,23 @@ def _derham1_checks(model: Model) -> list:
     basic = {"iX": Op("iX", 1, lambda k, v: F1.iota(one, v)),
              "lX": Op("lX", 0, lambda k, v: F1.lie(one, v)),
              "dd": Op("dd", 1, lambda k, v: F1.d(v))}
-    odd = [s for s in model.symbols(("algebra",)) if s.parity == 1]
     lie = model.symbols(("lie",))
 
-    def at(x, k, v):
-        return _case_text(model, k, v, X=x)
+    def cartan(case):
+        # Cartan formula, with the Lie derivative given by the coefficient oracle
+        x, k, v = case
+        holds = F1.lie(x, v) == w1_lie_oracle(x[0], v)
+        return None if holds else _case_text(model, k, v, X=x)
+
+    def iota_squared(case):
+        x, k, v = case
+        holds = not F1.iota(x, F1.iota(x, v))
+        return None if holds else _case_text(model, k, v, X=x)
 
     return [
-        # Cartan formula, with the Lie derivative given by the coefficient oracle
-        _case_check("cartan", field_cases,
-                    lambda x, k, v: F1.lie(x, v) == w1_lie_oracle(x[0], v), at),
-        # contraction squares to zero
-        _case_check("iota-squared", field_cases,
-                    lambda x, k, v: not F1.iota(x, F1.iota(x, v)), at),
-        # Koszul antisymmetry of the wedge on odd symbol pairs
-        _case_check("koszul-odd-pairs", product(odd, odd),
-                    lambda a, b: model.mul(a, b) == -1 * model.mul(b, a),
-                    lambda a, b: f"{a.name}, {b.name}"),
+        case_check("cartan", field_cases, cartan),
+        case_check("iota-squared", field_cases, iota_squared),
+        _koszul_check(model),
         _bracket_table_check(model, basic, product(lie, lie), battery),
     ]
 
@@ -524,22 +522,18 @@ def _derham2_checks(model: Model) -> list:
     for i, x in _FIELDS2.items():
         basic["iota" + i] = iota(x, "iota" + i)
         basic["lie" + i] = Op("lie" + i, 0, lambda k, v, x=x: F2.lie(x, v))
-    checks = []
 
     # curvature: nabla^2 = (1/2)[nabla, nabla], and nabla^2 = k F ^ for F
     # from the formal-partials oracle and for the engine's F
     f_oracle, f_engine = curvature_oracle(a1, a2), model.meta["curvature"]
     square = nabla.commutator(nabla)
 
-    def curvature_holds(k, v):
+    def curvature(case):
+        k, v = case
         sq = nabla(k, nabla(k, v))
-        return square(k, v) == F2.scale(2, sq) and all(
+        holds = square(k, v) == F2.scale(2, sq) and all(
             sq == F2.scale(k, F2.wedge(f, v)) for f in (f_oracle, f_engine))
-
-    checks.append(_case_check(
-        "curvature", battery, curvature_holds, lambda k, v: _case_text(model, k, v),
-        oracle_matches_engine=f_engine == f_oracle,
-    ))
+        return None if holds else _case_text(model, k, v)
 
     # [nabla, iota_X] for each test field, built once
     fields = [*_FIELDS2.values(), (Poly2.mono(0, 1), Poly2()),
@@ -552,13 +546,17 @@ def _derham2_checks(model: Model) -> list:
         "literal": lambda x, v: F2.wedge(v, a_form),
         "contracted": lambda x, v: F2.wedge(F2.iota(x, a_form), v),
     }
+
+    def twisted_derivative(case):
+        extra, x, ring, k, v = case
+        holds = ring(k, v) == F2.add(F2.lie(x, v), F2.scale(k, extra(x, v)))
+        return None if holds else _case_text(model, k, v, X=x)
+
     variants = {
-        variant: _case_check(
+        variant: case_check(
             variant,
-            ((x, ring, k, v) for x, ring in twisted[:4] for k, v in battery),
-            lambda x, ring, k, v: ring(k, v)
-            == F2.add(F2.lie(x, v), F2.scale(k, extra(x, v))),
-            lambda x, ring, k, v: _case_text(model, k, v, X=x),
+            ((extra, x, ring, k, v) for x, ring in twisted[:4] for k, v in battery),
+            twisted_derivative,
         )
         for variant, extra in formulas.items()
     }
@@ -566,18 +564,14 @@ def _derham2_checks(model: Model) -> list:
     some = any(holds.values())
     witness = None if some else "; ".join(
         f"{r['id']}: {r['witness']}" for r in variants.values())
-    checks.append(check("twisted-derivative-variants", some, holds=holds,
-                        witness=witness))
 
     # [twisted_X, iota_Y] = iota_[X,Y] with the vector-field oracle
     brackets = [(x, y, ring.commutator(iota(y)), iota(field_bracket(x, y)))
                 for x, ring in twisted for y in fields]
-    checks.append(_case_check(
-        "twisted-contraction-bracket",
-        ((x, y, got, want, k, v) for x, y, got, want in brackets for k, v in battery),
-        lambda x, y, got, want, k, v: got(k, v) == want(k, v),
-        lambda x, y, got, want, k, v: _case_text(model, k, v, X=x, Y=y),
-    ))
+
+    def contraction(case):
+        x, y, got, want, k, v = case
+        return None if got(k, v) == want(k, v) else _case_text(model, k, v, X=x, Y=y)
 
     # symbol-table brackets: every pair of basic operators, and each basic
     # operator against a sample of the euler multiples, on about 24 sections
@@ -585,6 +579,17 @@ def _derham2_checks(model: Model) -> list:
     euler_mults = [s for s in model.symbols(("lie",)) if s.name not in OPS2]
     euler_mults = euler_mults[:: max(1, len(euler_mults) // 8)]
     pairs = [*product(pure, pure), *product(pure, euler_mults)]
-    checks.append(_bracket_table_check(
-        model, basic, pairs, battery[:: max(1, len(battery) // 24)]))
-    return checks
+    return [
+        _koszul_check(model),
+        case_check("curvature", battery, curvature,
+                   oracle_matches_engine=f_engine == f_oracle),
+        check("twisted-derivative-variants", some, holds=holds, witness=witness),
+        case_check(
+            "twisted-contraction-bracket",
+            ((x, y, got, want, k, v) for x, y, got, want in brackets
+             for k, v in battery),
+            contraction,
+        ),
+        _bracket_table_check(
+            model, basic, pairs, battery[:: max(1, len(battery) // 24)]),
+    ]

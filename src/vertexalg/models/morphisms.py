@@ -13,7 +13,7 @@ from itertools import product
 
 from ..generators import fam_a, fam_i, fam_s
 from ..terms import Element, Leaf, fold_tree
-from .base import Model, ModelDegreeError, check, law_check
+from .base import Model, ModelDegreeError, case_check, check
 
 Q = Fraction
 
@@ -76,34 +76,29 @@ def identity_morphism(model: Model) -> Morphism:
 
 
 def validate_morphism(phi: Morphism) -> list:
-    """Symbol-level law checks; degree-cap cases are skipped and counted."""
+    """Symbol-level law checks, one record per law with cases; degree-cap
+    cases are skipped and counted."""
     src, tgt = phi.source, phi.target
     img = phi.image_of_symbol
     syms = src.symbols()
     lie = [s for s in syms if s.kind == "lie"]
     comm = [s for s in syms if s.kind in ("algebra", "unit")]
+    laws = (
+        ("unit", [(src.alphabet.unit,)],
+         lambda s: img(s) == Element.unit(tgt.alphabet)),
+        ("bracket", list(product(syms, syms)),
+         lambda s, t: phi.apply(src.bracket(s, t))
+         == tgt.bracket_elem(img(s), img(t))),
+        ("product", list(product(comm, comm)),
+         lambda a, b: phi.apply(src.mul(a, b)) == tgt.mul_elem(img(a), img(b))),
+        ("action", list(product(comm, lie)),
+         lambda a, g: phi.apply(src.act(a, g)) == tgt.act_elem(img(a), img(g))),
+    )
     return [
-        law_check(
-            "unit",
-            [(src.alphabet.unit,)],
-            lambda s: img(s) == Element.unit(tgt.alphabet),
-        ),
-        law_check(
-            "bracket",
-            product(syms, syms),
-            lambda s, t: phi.apply(src.bracket(s, t))
-            == tgt.bracket_elem(img(s), img(t)),
-        ),
-        law_check(
-            "product",
-            product(comm, comm),
-            lambda a, b: phi.apply(src.mul(a, b)) == tgt.mul_elem(img(a), img(b)),
-        ),
-        law_check(
-            "action",
-            product(comm, lie),
-            lambda a, g: phi.apply(src.act(a, g)) == tgt.act_elem(img(a), img(g)),
-        ),
+        case_check(cid, cases, lambda args, holds=holds: None if holds(*args)
+                   else ", ".join(s.name for s in args))
+        for cid, cases, holds in laws
+        if cases
     ]
 
 

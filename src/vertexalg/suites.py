@@ -15,19 +15,21 @@ geometry and sheaf checks use.  Required fields, in this order:
 
 Optional fields follow, present only where they apply:
 
-  samples, cases   how many random instances or enumerated cases ran;
-                   a failing check stops at its first witness
-  skipped          cases left out because a product passed a degree cap;
-                   present only when nonzero
-  witness          the first failing input: a term in the term grammar,
-                   symbol names, or a list of failed laws
-  kind             errata-candidate, display-variant or variant-necessity
-  counts           per-law tallies of a sampled battery
+  cases      cases the one case loop, models.base.case_check, ran (at
+             least one); it stops at the first witness
+  skipped    cases left out because a product passed a degree cap;
+             present only when nonzero
+  witness    the first failing input: a term in the term grammar,
+             symbol names, or a list of failed laws
+  kind       errata-candidate, display-variant or variant-necessity
+  samples    draws of the module-law, functor-law and
+             i-induction-reading-1 batteries, which keep one record
+  counts     per-law tallies of such a battery
 
 and check-specific details (levels, steps, rules, ranks, bounds, ...).
 
-Every random-draw check is one sampled_check call, the one draw loop:
-its cases are a lazy generator over the suite's seeded rng.
+Every check over a list of cases is one case_check call; random draws
+are a lazy generator of cases over the suite's seeded rng.
 
 Each suite is a generator.  It yields one check record, or the list of
 records one producer call returned (model and morphism laws, collapse,
@@ -63,7 +65,7 @@ from .generators import (
     truncate,
 )
 from .intervals import SupportSet
-from .models.base import ModelDegreeError, check, check_module_laws, validate_model
+from .models.base import case_check, check, check_module_laws, validate_model
 from .models.factory import shipped_model
 from .models.geometry import classical_geometry_checks
 from .models.morphisms import (
@@ -85,7 +87,7 @@ from .sheaf import (
     semantic_support,
     sheaf_axiom_check,
 )
-from .terms import Alphabet, Element, Leaf, Symbol, binom, sort_key
+from .terms import Alphabet, Element, Leaf, Node, Symbol, binom, sort_key
 
 SUITE_IDS = (
     "commutative",
@@ -148,28 +150,6 @@ def _witness(lhs: Element, rhs: Element):
     return to_text(Element.of_term(diff.alphabet, t, diff.terms[t]))
 
 
-def sampled_check(cid: str, cases, probe, limit: int = None, **extra) -> dict:
-    """The one draw loop.  probe(case) is None when the case holds and the
-    witness text when it does not; a case whose probe raises
-    ModelDegreeError is skipped.  The loop stops at the first witness or
-    once limit cases have run, so lazy cases draw nothing unprobed.  The
-    check passes iff no witness was found and at least one case ran."""
-    samples = skipped = 0
-    for case in cases:
-        try:
-            witness = probe(case)
-        except ModelDegreeError:
-            skipped += 1
-            continue
-        samples += 1
-        if witness is not None:
-            return check(cid, False, samples=samples, skipped=skipped or None,
-                         witness=witness, **extra)
-        if samples == limit:
-            break
-    return check(cid, samples > 0, samples=samples, skipped=skipped or None, **extra)
-
-
 # -- sampling helpers ----------------------------------------------------------
 
 
@@ -221,7 +201,7 @@ def _suite_commutative(cfg: SuiteConfig):
 
     for fam_id in ("i", "d", "e", "qc", "qa"):
         cases = (draw(fam_id) for _ in range(10 * per))
-        yield sampled_check(f"commutative-{fam_id}", cases, probe, limit=per)
+        yield case_check(f"commutative-{fam_id}", cases, probe, limit=per)
 
 
 # -- bridge-identity suite ---------------------------------------------------
@@ -247,7 +227,7 @@ def _suite_borcherds(cfg: SuiteConfig):
         if ident == "commutator":
             continue  # its own suite, on a fixed index grid
         cases = (_bridge_args(slots, rng, leaf, cfg.index_window) for _ in range(per))
-        yield sampled_check(
+        yield case_check(
             ident, cases, lambda args: _witness(*borcherds_bridge(ident, args, pol))
         )
 
@@ -305,7 +285,7 @@ def _suite_commutator(cfg: SuiteConfig):
                 {"x": leaf(), "y": leaf(), "z": leaf(), "m": m, "n": n}
                 for _ in range(per)
             )
-            yield sampled_check(f"commutator-m{m}-n{n}", cases, probe)
+            yield case_check(f"commutator-m{m}-n{n}", cases, probe)
 
     # semantic form of the same decomposition in the polynomial model
     model = shipped_model("diffpoly")
@@ -327,7 +307,7 @@ def _suite_commutator(cfg: SuiteConfig):
         return f"m={m} n={n}: " + to_text(lhs - rhs)
 
     sem_per = cfg.n_samples(48)
-    yield sampled_check(
+    yield case_check(
         "commutator-semantic-diffpoly",
         (draw() for _ in range(10 * sem_per)),
         semantic_probe,
@@ -339,14 +319,14 @@ def _suite_commutator(cfg: SuiteConfig):
 
 
 def _suite_dong(cfg: SuiteConfig):
-    table = {}
-    ok = True
-    for M in (1, 2, 3):
-        for m in (2 * M, 2 * M + 1, 2 * M + 2):
-            r = dong_rank(M, m)
-            table[f"M{M}-m{m}"] = r
-            ok = ok and r == M
-    yield check("dong-rank-grid", ok, ranks=table)
+    ranks = {(M, m): dong_rank(M, m) for M in (1, 2, 3)
+             for m in (2 * M, 2 * M + 1, 2 * M + 2)}
+    yield case_check(
+        "dong-rank-grid", ranks,
+        lambda Mm: None if ranks[Mm] == Mm[0]
+        else f"M={Mm[0]} m={Mm[1]}: rank {ranks[Mm]}",
+        ranks={f"M{M}-m{m}": r for (M, m), r in ranks.items()},
+    )
 
     frozen = [[Q(1), Q(4)], [Q(1), Q(3)], [Q(1), Q(2)]]
     got = dong_matrix(2, 4)
@@ -363,45 +343,52 @@ def _suite_dong(cfg: SuiteConfig):
     # each matrix row is one commutator decomposition: with both bracket
     # indices past the locality bound the truncated remainder is exactly
     # minus the row
-    ok = True
     M, m = 3, 7
     x, y, z = leaf("u"), leaf("v"), leaf("w")
-    for j in range(M + 1):
+
+    def row_tie(j):
         mj, nj = m - j, m - M + j
         lhs = x.o(mj, y.o(nj, z)) - y.o(nj, x.o(mj, z))
         for k in range(mj + 1):
             lhs = lhs - binom(mj, k) * x.o(k, y).o(2 * m - M - k, z)
         row = dong_row(x, y, z, M, m, j)
-        if truncate(lhs, pol) != truncate(-1 * row, pol):
-            ok = False
-            break
-    yield check("dong-row-commutator-tie", ok, M=M, m=m)
+        diff = _witness(truncate(lhs, pol), truncate(-1 * row, pol))
+        return None if diff is None else f"j={j}: {diff}"
+
+    yield case_check("dong-row-commutator-tie", range(M + 1), row_tie, M=M, m=m)
 
     dt = DongTable(pol)
-    ok = True
-    bounds = {}
-    for r in range(-3, 3):
-        u = x.o(r, y)
-        (tree,) = u.terms
-        got_bound = dt.bound(tree, Leaf(al.symbol("w")))
-        bounds[f"r{r}"] = got_bound
-        if got_bound != max(0, 3 * cfg.locality - r):
-            ok = False
-    yield check("dong-derived-locality-table", ok, bounds=bounds)
+    u, v, w = (Leaf(al.symbol(nm)) for nm in ("u", "v", "w"))
+    bounds = {r: dt.bound(Node(r, u, v), w) for r in range(-3, 3)}
+    yield case_check(
+        "dong-derived-locality-table", bounds,
+        lambda r: None if bounds[r] == max(0, 3 * cfg.locality - r)
+        else f"r={r}: bound {bounds[r]}",
+        bounds={f"r{r}": b for r, b in bounds.items()},
+    )
 
-    ok = True
-    detail = {}
-    for r in (-1, -2, -3):
-        n0 = 3 * cfg.locality - r
-        cert = dong_tail_certificate(x, y, z, r, n0, pol)
-        detail[f"r{r}"] = cert
-        sharp = False
+    def certify(r, n):
+        """The tail certificate at n, or the text of its refusal."""
         try:
-            dong_tail_certificate(x, y, z, r, n0 - 1, pol)
-        except CertificationError:
-            sharp = True
-        ok = ok and sharp and cert.get("generator") == 1
-    yield check("dong-tail-certificates", ok, certificates=detail)
+            return dong_tail_certificate(x, y, z, r, n, pol)
+        except CertificationError as err:
+            return str(err)
+
+    n0 = {r: 3 * cfg.locality - r for r in (-1, -2, -3)}
+    certs = {r: certify(r, n) for r, n in n0.items()}
+
+    def tail(r):
+        cert = certs[r]
+        if isinstance(cert, str) or cert.get("generator") != 1:
+            return f"r={r} n={n0[r]}: {cert}"
+        if isinstance(certify(r, n0[r] - 1), str):
+            return None
+        return f"r={r}: certified below the derived bound, at n={n0[r] - 1}"
+
+    yield case_check(
+        "dong-tail-certificates", certs, tail,
+        certificates={f"r{r}": c for r, c in certs.items()},
+    )
 
 
 # -- projection-injectivity suite ----------------------------------------------
@@ -430,7 +417,7 @@ def _suite_injectivity(cfg: SuiteConfig):
         return None if again == once else to_text(x)
 
     per = cfg.n_samples(200)
-    yield sampled_check(
+    yield case_check(
         "projection-idempotent",
         (_rand_element(model, rng, 4, 3) for _ in range(10 * per)),
         idempotent,
@@ -463,7 +450,7 @@ def _suite_injectivity(cfg: SuiteConfig):
             return None
         return f"{fam_id}: " + to_text(image)
 
-    yield sampled_check("generator-images-no-length-one", generators(), no_length_one)
+    yield case_check("generator-images-no-length-one", generators(), no_length_one)
 
     # the published image table's n=0 row under its string reading vs the
     # structural projection; structural wins, recorded as a variant
@@ -559,7 +546,7 @@ def _suite_sheaf(cfg: SuiteConfig):
         return to_text(x)
 
     per = cfg.n_samples(40)
-    yield sampled_check(
+    yield case_check(
         "projection-idempotent",
         (_rand_tagged(ctx, pool, rng, 4) for _ in range(per)),
         idempotent,
@@ -567,7 +554,7 @@ def _suite_sheaf(cfg: SuiteConfig):
 
     # all-or-nothing on instances over two distinct sections; same-base
     # windowed pairs can cancel class-by-class and are a different statement.
-    # Not a sampled_check: passing also needs both outcomes to occur, and a
+    # Not a case_check: passing also needs both outcomes to occur, and a
     # failure names the first instance pi split, or the outcome never seen
     split = None
     kills = keeps = 0
@@ -623,7 +610,7 @@ def _suite_sheaf(cfg: SuiteConfig):
                 return None
             return f"{p.name}: {to_text(x)}"
 
-        yield sampled_check(
+        yield case_check(
             f"bump-difference-inclusion-{tag}", windowed(), bump_difference
         )
 
@@ -639,7 +626,7 @@ def _suite_sheaf(cfg: SuiteConfig):
                 return None
             return f"{p.name} n={n}: {to_text(x)}"
 
-        yield sampled_check(f"core-weight-transfer-{tag}", transfers(), transfer)
+        yield case_check(f"core-weight-transfer-{tag}", transfers(), transfer)
 
         sub = []
         for trial in range(3):
@@ -663,7 +650,7 @@ def _suite_sheaf(cfg: SuiteConfig):
         return f"k({to_text(x)})"
 
     per = cfg.n_samples(20)
-    yield sampled_check(
+    yield case_check(
         "uniqueness-kernel-probes",
         (_rand_tagged(ctx, pool, rng, 4) for _ in range(per)),
         in_kernel,

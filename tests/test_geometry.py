@@ -214,6 +214,11 @@ GEOMETRY_MUTANTS = [
     ("wedge on a line commutes",
      lambda mp: mp.setattr(F1, "_wedge_sign", [[1, 1], [1, 1]]),
      ["derham1-koszul-odd-pairs"]),
+    # a product that commutes on odd forms: the pair multiplied in name order
+    ("products commute",
+     lambda mp: _wrap(mp, Model, "mul", lambda f: lambda self, a, b: f(
+         self, *sorted((a, b), key=lambda s: s.name))),
+     ["derham2_b2-koszul-odd-pairs", "derham2_lin-koszul-odd-pairs"]),
     ("F1.iota is the identity",
      lambda mp: mp.setattr(F1, "iota", lambda field, u: u),
      ["derham1-iota-squared"]),

@@ -7,8 +7,9 @@ import json
 
 import pytest
 
-from vertexalg.models.base import Model, ModelDegreeError
-from vertexalg.suites import SUITE_IDS, run_suite, sampled_check
+from vertexalg.bridges import DongTable
+from vertexalg.models.base import Model, ModelDegreeError, case_check
+from vertexalg.suites import SUITE_IDS, run_suite
 
 # geometry ignores `samples` and is the slowest suite, so it runs once
 CASES = [
@@ -46,11 +47,17 @@ def _report_digest(report) -> str:
 # records report samples in place of per_patch and the core-weight-transfer
 # records gain samples; every other field is unchanged.  The samples-40
 # sheaf digest is the benchmark's forms-sheaf shape, frozen before the
-# sheaf context tabulated its cells.
+# sheaf context tabulated its cells.  All three were re-frozen when every
+# check went through case_check, as the digests of the earlier reports
+# after this transform: sampled records rename samples to cases; each
+# bracket-table-vs-operators record counts symbol pairs (its old cases
+# divided by its section battery, 8 on the line, 24 on the plane) and
+# drops skipped when it is 0; both derham2 models gain a
+# koszul-odd-pairs record that passes with cases 102 and skipped 42.
 _FROZEN_REPORTS = {
-    ("geometry", ()): "05a5470e3cc9c60d",
-    ("sheaf", (("samples", 5),)): "80515d4ccb13906d",
-    ("sheaf", (("samples", 40),)): "dafb65bf5faaf85e",
+    ("geometry", ()): "20a2be2490913de6",
+    ("sheaf", (("samples", 5),)): "284cea40f630b1b6",
+    ("sheaf", (("samples", 40),)): "23fce9edd4440256",
 }
 
 
@@ -61,10 +68,12 @@ def test_form_and_sheaf_reports_frozen(suite, extra):
 
 
 # frozen before the deep-tail builders shared their derivative towers: the
-# qc/qa tails at the benchmark's truncation level must not see the change
+# qc/qa tails at the benchmark's truncation level must not see the change.
+# Re-frozen when every check went through case_check, as the digests of the
+# earlier reports with each sampled record's samples renamed to cases.
 _FROZEN_DEEP_TAILS = {
-    "borcherds": "88db0cbbfe10db05",
-    "commutator": "e96e870d244faf8a",
+    "borcherds": "a2c579275d5926fb",
+    "commutator": "78bae618a2be654f",
 }
 
 
@@ -92,6 +101,8 @@ def test_report_schema():
         for c in report["checks"]:
             assert list(c)[:3] == ["id", "status", "millis"], (suite, c)
             assert c["status"] in ("pass", "fail"), (suite, c)
+            # a record that counts its cases ran at least one
+            assert c.get("cases", 1) >= 1, (suite, c)
 
 
 def test_projection_budget_exhaustion_fails():
@@ -126,7 +137,9 @@ def test_errata_needs_exact_identity_id():
     assert _errata_check(errata_ok=())["status"] == "fail"
 
 
-# -- the one draw loop ---------------------------------------------------------
+# -- the one case loop ---------------------------------------------------------
+#
+# every sampled check, like every enumerated one, is a models.base.case_check
 
 
 def _over_three(k):
@@ -135,8 +148,8 @@ def _over_three(k):
 
 def test_sampled_check_stops_at_first_witness():
     cases = iter(range(10))
-    rec = sampled_check("c", cases, _over_three)
-    assert rec == {"id": "c", "status": "fail", "samples": 5, "witness": "k=4"}
+    rec = case_check("c", cases, _over_three)
+    assert rec == {"id": "c", "status": "fail", "cases": 5, "witness": "k=4"}
     assert next(cases) == 5  # no case drawn past the witness
 
 
@@ -146,36 +159,36 @@ def test_sampled_check_counts_skips():
             raise ModelDegreeError("past the cap")
         return _over_three(k)
 
-    rec = sampled_check("c", range(4), odd_skips, detail="d")
+    rec = case_check("c", range(4), odd_skips, detail="d")
     assert rec == {
-        "id": "c", "status": "pass", "samples": 2, "skipped": 2, "detail": "d"
+        "id": "c", "status": "pass", "cases": 2, "skipped": 2, "detail": "d"
     }
-    rec = sampled_check("c", range(9), odd_skips)
+    rec = case_check("c", range(9), odd_skips)
     assert rec == {
-        "id": "c", "status": "fail", "samples": 3, "skipped": 2, "witness": "k=4"
+        "id": "c", "status": "fail", "cases": 3, "skipped": 2, "witness": "k=4"
     }
-    assert "skipped" not in sampled_check("c", range(3), _over_three)
+    assert "skipped" not in case_check("c", range(3), _over_three)
 
 
 def test_sampled_check_limit_stops_the_loop():
     cases = iter(range(100))
-    rec = sampled_check("c", cases, lambda k: None, limit=5)
-    assert rec == {"id": "c", "status": "pass", "samples": 5}
+    rec = case_check("c", cases, lambda k: None, limit=5)
+    assert rec == {"id": "c", "status": "pass", "cases": 5}
     assert next(cases) == 5
 
 
 def test_sampled_check_finite_cases_run_out():
-    rec = sampled_check("c", [0, 1, 2], _over_three, limit=10)
-    assert rec == {"id": "c", "status": "pass", "samples": 3}
+    rec = case_check("c", [0, 1, 2], _over_three, limit=10)
+    assert rec == {"id": "c", "status": "pass", "cases": 3}
 
 
 def test_sampled_check_all_skipped_fails():
     def always_skips(k):
         raise ModelDegreeError("past the cap")
 
-    rec = sampled_check("c", range(4), always_skips)
-    assert rec == {"id": "c", "status": "fail", "samples": 0, "skipped": 4}
-    assert sampled_check("c", [], _over_three)["status"] == "fail"
+    rec = case_check("c", range(4), always_skips)
+    assert rec == {"id": "c", "status": "fail", "cases": 0, "skipped": 4}
+    assert case_check("c", [], _over_three)["status"] == "fail"
 
 
 # each sampled sheaf check, with the statement it probes broken, fails and
@@ -224,5 +237,20 @@ def test_all_skipped_semantic_commutator_fails(monkeypatch):
     report = run_suite("commutator", samples=5)
     (rec,) = [c for c in report["checks"] if c["id"] == "commutator-semantic-diffpoly"]
     assert rec["status"] == "fail"
-    assert rec["samples"] == 0
+    assert rec["cases"] == 0
     assert rec["skipped"] == 50
+
+
+def test_dong_tail_certificate_refusal_is_a_witness(monkeypatch):
+    # with the derived bound one too high the certificate at the suite's n
+    # is refused: the check fails and names the refusal, the suite goes on
+    def via_plus_one(self, u, v):
+        M = max(self.bound(u.left, u.right), self.bound(u.left, v),
+                self.bound(u.right, v))
+        return max(0, 3 * M - u.index + 1)
+
+    monkeypatch.setattr(DongTable, "_via", via_plus_one)
+    report = run_suite("dong")
+    (rec,) = [c for c in report["checks"] if c["id"] == "dong-tail-certificates"]
+    assert rec["status"] == "fail", rec
+    assert "below the derived bound 11" in rec["witness"], rec
