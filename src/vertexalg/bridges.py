@@ -3,10 +3,10 @@
 `borcherds_bridge` builds both sides of the equalities that let the family
 presentation emulate the classical axioms: the e-as-sum bridge, the
 index-lowering inductions for d, i, qc and qa, the n-symmetry of qc, and
-the commutator decomposition.  Every infinite tail is cut at one shared
-bound K on both sides, so closed-form identities come back equal as raw
-Elements and tail-carrying ones agree after truncation once K clears the
-locality thresholds.
+the commutator decomposition.  Both sides cut their series at one bound
+K, which each identity's declared tails give through _certified_bound,
+the rule of fam_qc and fam_qa: closed forms come back equal as raw
+Elements, and tail-carrying ones agree after truncation.
 
 Also here: the derived-locality machinery that extends pair locality to
 longer products (binomial rank matrix, memoized bound table, and the tail
@@ -15,11 +15,11 @@ classification certificate for negative product indices).
 
 from fractions import Fraction
 from math import factorial
-from typing import Mapping
 
 from .generators import (
     CertificationError,
     TruncationPolicy,
+    _certified_bound,
     _parity_of,
     fam_d,
     fam_e,
@@ -39,22 +39,9 @@ def _koszul(x: Element, y: Element) -> int:
     return minus_one_pow(_parity_of(x, "bridge arg") * _parity_of(y, "bridge arg"))
 
 
-def _shared_bound(policy: TruncationPolicy, *indices: int) -> int:
-    """Series bound K at which every surviving boundary term is dead.
-
-    The top-of-series terms carry inner indices like n + K, so deadness
-    needs K >= locality + |index|; below that the two sides of an
-    induction identity stop their telescopes at different places.
-    """
-    need = 2 + max((abs(i) for i in indices), default=0)
-    if policy is None:
-        return max(4, need)
-    return max(policy.level, policy.default_locality + need)
-
-
 # identity builders -----------------------------------------------------------
 #
-# Each returns an untruncated (lhs, rhs) pair at the shared bound K.  The
+# Each returns an untruncated (lhs, rhs) pair at the series bound K.  The
 # sign conventions follow the qa/qc family builders, so even-parity
 # arguments reproduce the classical displays verbatim.
 
@@ -99,8 +86,8 @@ def _ii(x: Element, n: int, reading: int, K: int):
 
 
 def _qci(x: Element, y: Element, n: int, K: int):
-    """Lowers the qc index; boundary terms die under truncation for
-    K >= locality - n."""
+    """Lowers the qc index; the two telescopes end one summand apart, on
+    y o_{n-1+k} x, so truncation closes them past the tail (y, x, n - 1)."""
     kosz = _koszul(x, y)
     lhs = n * fam_qc(x, y, n - 1, None, K=K, certify=False)
     rhs = -fam_qc(x.D(), y, n, None, K=K, certify=False) + fam_e(x, y, n)
@@ -112,8 +99,8 @@ def _qci(x: Element, y: Element, n: int, K: int):
 
 
 def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int):
-    """Lowers the first qa index; exact for m >= 0 once K >= m, otherwise
-    the residual tail is truncation-dead."""
+    """Lowers the first qa index; exact for m >= 0 once K >= m.  For m < 0
+    only the boundary summand y o (x o_K z) survives: the tail (x, z, -1)."""
     lhs = m * fam_qa(x, y, z, m - 1, n, None, K=K, certify=False)
     rhs = -fam_qa(x.D(), y, z, m, n, None, K=K, certify=False) + fam_e(
         x, y, m
@@ -130,7 +117,8 @@ def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int):
 
 
 def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int):
-    """Lowers the second qa index; exact for m >= 0, truncated for m < 0."""
+    """Lowers the second qa index; exact for m >= 0 once K >= m, else past
+    the tails (y, z, n - 1) and (x, z, -1) of its f summands."""
     lhs = n * fam_qa(x, y, z, m, n - 1, None, K=K, certify=False)
     rhs = (
         -fam_qa(x, y, z, m, n, None, K=K, certify=False).D()
@@ -152,7 +140,7 @@ def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int):
 
 def _qcs(x: Element, y: Element, n: int, K: int):
     """n-symmetry: y o_n x recovered from the qc generator minus its tail.
-    Definitionally exact at any shared K."""
+    Definitionally exact at any K."""
     lhs = y.o(n, x)
     acc = dict(fam_qc(y, x, n, None, K=K, certify=False).terms)
     sp = _koszul(x, y)
@@ -224,16 +212,24 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
     raise ValueError("commutator decomposition covers m >= -1 only")
 
 
-# identity id -> (argument slots in order, builder)
+# identity id -> (argument slots in order, builder, tails).  tails(**args)
+# is the identity's series in _certified_bound's terms, read off the
+# builder's summands: an int for a closed form, else the leaf-pair groups
+# whose products die past K.  tests/test_bridges.py pins them.
+_XYN, _XYZMN = ("x", "y", "n"), ("x", "y", "z", "m", "n")
 BRIDGES = {
-    "e-bridge": (("x", "y", "n"), _eb),
-    "d-induction": (("x", "y", "n"), _di),
-    "i-induction": (("x", "n", "reading"), _ii),
-    "qc-induction": (("x", "y", "n"), _qci),
-    "qa-m-induction": (("x", "y", "z", "m", "n"), _qami),
-    "qa-n-induction": (("x", "y", "z", "m", "n"), _qani),
-    "qc-symmetry": (("x", "y", "n"), _qcs),
-    "commutator": (("x", "y", "z", "m", "n"), _comm),
+    "e-bridge": (_XYN, _eb, lambda n, **_: abs(n) - 1),
+    "d-induction": (_XYN, _di, lambda **_: 0),
+    "i-induction": (("x", "n", "reading"), _ii, lambda **_: 0),
+    "qc-induction": (_XYN, _qci, lambda x, y, n: [(y, x, n - 1)]),
+    "qa-m-induction": (_XYZMN, _qami, lambda x, z, m, **_: (
+        m if m >= 0 else [(x, z, -1)])),
+    "qa-n-induction": (_XYZMN, _qani, lambda x, y, z, m, n: (
+        m if m >= 0 else [(y, z, n - 1), (x, z, -1)])),
+    "qc-symmetry": (_XYN, _qcs, lambda **_: 0),
+    # at m = -1 the union of its qc and qa summands' own groups
+    "commutator": (_XYZMN, _comm, lambda x, y, z, m, n: (
+        m if m >= 0 else [(x, y, min(n, 0)), (y, z, min(n, 0)), (x, z, -1)])),
 }
 
 BRIDGE_IDS = tuple(BRIDGES)
@@ -242,23 +238,17 @@ BRIDGE_IDS = tuple(BRIDGES)
 def borcherds_bridge(identity_id, args, policy, K=None):
     """Build both sides of the named identity, truncated under `policy`.
 
-    `args` is a mapping over the identity's slots (or a sequence in slot
-    order): x, y, z for elements, m, n for indices, and `reading` for
-    i-induction (defaults to 2, the reading that holds).  `K` overrides
-    the shared series bound, which otherwise comes from the policy level
-    and the index sizes.  Returns (lhs, rhs).
+    `args` maps the identity's slots to values: x, y, z for elements, m, n
+    for indices, and `reading` for i-induction (defaults to 2, the reading
+    that holds).  The series bound is `K` when given, else what
+    _certified_bound makes of the identity's tails; a tail without a
+    policy or over compound arguments then raises.  Returns (lhs, rhs).
     """
     try:
-        names, build = BRIDGES[identity_id]
+        names, build, tails = BRIDGES[identity_id]
     except KeyError:
         raise ValueError(f"unknown bridge identity {identity_id!r}") from None
-    if isinstance(args, Mapping):
-        got = dict(args)
-    else:
-        seq = tuple(args)
-        if len(seq) > len(names):
-            raise ValueError(f"{identity_id} takes at most {len(names)} args")
-        got = dict(zip(names, seq))
+    got = dict(args)
     if identity_id == "i-induction":
         got.setdefault("reading", 2)
     missing = [nm for nm in names if nm not in got]
@@ -268,7 +258,7 @@ def borcherds_bridge(identity_id, args, policy, K=None):
     if extra:
         raise ValueError(f"{identity_id} got unknown args: {', '.join(extra)}")
     if K is None:
-        K = _shared_bound(policy, *(got[nm] for nm in names if nm in ("m", "n")))
+        K = _certified_bound(identity_id, None, policy, False, tails(**got))
     lhs, rhs = build(K=K, **got)
     if policy is not None:
         lhs, rhs = truncate(lhs, policy), truncate(rhs, policy)
@@ -353,15 +343,16 @@ def dong_tail_certificate(
     r: int,
     n: int,
     policy: TruncationPolicy,
-    K: int = None,
 ) -> dict:
     """Certify (x o_r y) o_n z for r < 0 at n at/above the derived bound.
 
-    Expands through the qa generator at bound K and classifies every
-    residual term: `dead` if its inner leaf pair is past locality, or
-    `derived` if its outer index reaches the derived bound of its two
-    factors (the regime the rank argument already covers).  Raises
-    CertificationError if any term is neither.
+    Expands through the qa generator at the bound K that fam_qa certifies
+    for its tails (y, z, n) and (x, z, 0), so every summand past K is
+    truncation-dead, and classifies every summand up to K: `dead` if its
+    inner leaf pair is past locality, or `derived` if its outer index
+    reaches the derived bound of its two factors (the regime the rank
+    argument already covers).  Raises CertificationError if any term is
+    neither.
     """
     if r >= 0:
         raise ValueError("tail certificate applies to r < 0 only")
@@ -376,8 +367,7 @@ def dong_tail_certificate(
         raise CertificationError(
             f"index n={n} is below the derived bound {want}"
         )
-    if K is None:
-        K = max(policy.level, want + abs(r) + 2)
+    K = _certified_bound("dong", None, policy, False, [(y, z, n), (x, z, 0)])
     counts = {"generator": 1, "dead": 0, "derived": 0}
     for k in range(K + 1):
         for head, outer, inner in (

@@ -111,35 +111,37 @@ def _tail_bound_for_pairs(pairs, offset: int, policy: TruncationPolicy) -> int:
     return need
 
 
-def _certified_bound(what, K, policy, certify, groups, finite=None) -> int:
-    """The tail bound of a qc/qa family: K, or max(policy.level, needed)
-    when K is None.
+def _certified_bound(what, K, policy, certify, tails) -> int:
+    """The tail bound K of a qc/qa family or a bridge identity: K when
+    given, else max(policy.level, needed), with level 0 without a policy.
 
-    needed is the smallest bound past which every dropped summand is
-    truncation-dead: `finite` when the tail is finite, else the largest
-    _tail_bound_for_pairs over groups of (left args, right args, offset),
-    which must be leaf combinations.  With certify set, compound arguments
-    or K < needed raise CertificationError."""
-    needed = finite
-    if needed is None and (K is None or certify):
+    `tails` says what needed is: an int for a finite tail, which closes
+    after that summand, else groups of (left args, right args, offset)
+    whose leaf-pair products u o_{offset+k} v must be truncation-dead for
+    every k > K; needed is then the largest _tail_bound_for_pairs over the
+    groups.  Groups need leaf-combination arguments and a policy; without
+    them needed is unknown, which raises CertificationError unless K is
+    given and certify unset.  With certify set, K < needed raises too."""
+    if isinstance(tails, int):
+        needed = tails
+    elif K is not None and not certify:
+        return K
+    elif policy is None:
+        raise CertificationError(f"{what} tail has no policy to certify against")
+    else:
         needed = 0
-        for left, right, offset in groups:
+        for left, right, offset in tails:
             us, vs = _leaf_symbols(left), _leaf_symbols(right)
             if us is None or vs is None:
-                if certify:
-                    raise CertificationError(
-                        f"{what} tail over compound arguments has no leaf-pair "
-                        "certificate"
-                    )
-                needed = None
-                break
+                raise CertificationError(
+                    f"{what} tail over compound arguments has no leaf-pair "
+                    "certificate; give an explicit bound K"
+                )
             pairs = [(u, v) for u in us for v in vs]
             needed = max(needed, _tail_bound_for_pairs(pairs, offset, policy))
     if K is None:
-        if needed is None:
-            raise CertificationError(f"{what} needs an explicit bound K here")
-        return max(policy.level, needed)
-    if certify and needed is not None and K < needed:
+        return max(policy.level if policy is not None else 0, needed)
+    if certify and K < needed:
         raise CertificationError(
             f"{what}: bound K={K} keeps alive dropped terms; need K>={needed}"
         )
@@ -210,11 +212,9 @@ def fam_qa(
     certify: bool = True,
 ) -> Element:
     sign_xy = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
-    groups = [(y, z, n), (x, z, 0)]
     # a tail with m >= 0 is finite: binom(m, k) vanishes past k = m
-    K = _certified_bound(
-        "qa", K, policy, certify, groups, finite=m if m >= 0 else None
-    )
+    tails = m if m >= 0 else [(y, z, n), (x, z, 0)]
+    K = _certified_bound("qa", K, policy, certify, tails)
     acc = dict(x.o(m, y).o(n, z).terms)
     for k in range(K + 1):
         c = binom(m, k) * minus_one_pow(k)

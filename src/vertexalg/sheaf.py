@@ -76,10 +76,10 @@ class SheafContext:
                   cell's partition plan (see cells()).  declare_section,
                   declare_bump, declare_partition and a _mint that mints
                   a new symbol drop it.
-      mint memo   (base, sorted bumps, window) -> the Symbol _mint
-                  returns, or None.  Only declare_section and
-                  declare_bump drop it: a minted symbol or a partition
-                  changes no answer of _mint.
+      mint memo   (symbol name, added bumps, target window) ->
+                  the Symbol _mint returns, or None.  Only
+                  declare_section and declare_bump drop it: a minted
+                  symbol or a partition changes no answer of _mint.
     """
 
     def __init__(self, universe: SupportSet, alphabet: Alphabet = None):
@@ -169,21 +169,25 @@ class SheafContext:
             win = win.intersect(self._bumps[b].support)
         return win
 
-    def _mint(self, base: str, bumps: tuple, window: SupportSet):
-        """Return the Symbol for a dressed, windowed section, or None when
-        the window is degenerate (the section is already zero there).
-        Bumps whose plateau covers the whole window are dropped: they are
-        identically 1 there, so the dressed symbol is the bare one.
-        Answers come from the mint memo once computed."""
-        key = (base, tuple(sorted(bumps)), window)
+    def _mint(self, name: str, bumps: tuple, window: SupportSet):
+        """Return the Symbol for section `name` dressed by the added
+        `bumps` and cut to `window`, or None when the result is degenerate
+        (the section is already zero there).  Bumps whose plateau covers
+        the whole window are dropped: they are identically 1 there, so the
+        dressed symbol is the bare one.  Answers come from the mint memo,
+        keyed on the arguments, so a hit computes no interval."""
+        key = (name, bumps, window)
         try:
             return self._minted[key]
         except KeyError:
             sym = self._minted[key] = self._mint_uncached(*key)
             return sym
 
-    def _mint_uncached(self, base: str, bumps: tuple, window: SupportSet):
-        window = window.intersect(self._natural_window(base, bumps))
+    def _mint_uncached(self, name: str, bumps: tuple, window: SupportSet):
+        info = self.info(name)
+        base, bumps = info.base, tuple(sorted(info.bumps + bumps))
+        window = window.intersect(info.window).intersect(
+            self._natural_window(base, bumps))
         if window.interior().is_empty():
             return None
         kept = tuple(b for b in bumps
@@ -214,8 +218,7 @@ class SheafContext:
         return sym
 
     def restricted_symbol(self, name: str, window: SupportSet):
-        info = self.info(name)
-        return self._mint(info.base, info.bumps, info.window.intersect(window))
+        return self._mint(name, (), window)
 
     # -- cells and pointwise values ------------------------------------------
 
@@ -433,9 +436,7 @@ def sigma_star(sigma, x: Element, context: SheafContext) -> Element:
     bd = context._bumps[name]
 
     def dress(leaf):
-        info = context.info(leaf.symbol)
-        sym = context._mint(info.base, info.bumps + (name,),
-                            info.window.intersect(bd.support))
+        sym = context._mint(leaf.symbol.name, (name,), bd.support)
         return Leaf(sym) if sym is not None else None
 
     return _map_leaves(x, dress)

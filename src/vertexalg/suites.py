@@ -223,7 +223,7 @@ def _suite_borcherds(cfg: SuiteConfig):
     rng = random.Random(cfg.seed)
     per = cfg.n_samples(100)
     leaf = lambda: Element.sym(al, rng.choice(names))
-    for ident, (slots, _) in BRIDGES.items():
+    for ident, (slots, _, _) in BRIDGES.items():
         if ident == "commutator":
             continue  # its own suite, on a fixed index grid
         cases = (_bridge_args(slots, rng, leaf, cfg.index_window) for _ in range(per))

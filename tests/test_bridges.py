@@ -7,6 +7,7 @@ import pytest
 
 from vertexalg.bridges import (
     BRIDGE_IDS,
+    BRIDGES,
     DongTable,
     borcherds_bridge,
     dong_matrix,
@@ -14,7 +15,12 @@ from vertexalg.bridges import (
     dong_row,
     dong_tail_certificate,
 )
-from vertexalg.generators import CertificationError, TruncationPolicy, truncate
+from vertexalg.generators import (
+    CertificationError,
+    TruncationPolicy,
+    _certified_bound,
+    truncate,
+)
 from vertexalg.terms import Alphabet, Element, Leaf, Node, Symbol
 
 
@@ -32,14 +38,38 @@ POL = TruncationPolicy(default_locality=3, level=8)
 POL6 = TruncationPolicy(default_locality=3, level=6)
 
 
+def policy_grid(*names):
+    """Policies at levels 0 and 8 over the named leaves: default locality
+    1 and 3, each pair overridden to locality + 4 and to 8, the first pair
+    exempt at locality + 2; and POL6."""
+    pairs = list(itertools.combinations(names, 2))
+    grid = [POL6]
+    for level, loc in itertools.product((0, 8), (1, 3)):
+        grid.append(TruncationPolicy(loc, level=level))
+        grid += [
+            TruncationPolicy(loc, ((a, b, over),), level=level)
+            for a, b in pairs
+            for over in (loc + 4, 8)
+        ]
+        exempt = frozenset({pairs[0] + (loc + 2,)})
+        grid.append(TruncationPolicy(loc, level=level, exempt=exempt))
+    return grid
+
+
 def S(al, name):
     return Element.sym(al, name)
+
+
+def picked_bound(identity, args, policy):
+    """The series bound borcherds_bridge picks when given no K."""
+    tails = BRIDGES[identity][2]
+    return _certified_bound(identity, None, policy, False, tails(**args))
 
 
 def assert_bridge(identity, args, policy):
     lhs, rhs = borcherds_bridge(identity, args, policy)
     diff = lhs - rhs
-    assert diff.is_zero(), (identity, args, str(diff))
+    assert diff.is_zero(), (identity, args, policy, str(diff))
 
 
 class TestClosedFormBridges:
@@ -49,6 +79,8 @@ class TestClosedFormBridges:
         for n in range(-3, 4):
             lhs, rhs = borcherds_bridge("e-bridge", {"x": u, "y": v, "n": n}, None)
             assert lhs == rhs
+            for pol in policy_grid("u", "v"):
+                assert_bridge("e-bridge", {"x": u, "y": v, "n": n}, pol)
 
     def test_d_induction_exact(self, al):
         u, v = S(al, "u"), S(al, "v")
@@ -57,43 +89,57 @@ class TestClosedFormBridges:
                 "d-induction", {"x": u, "y": v, "n": n}, None
             )
             assert lhs == rhs
+            for pol in policy_grid("u", "v"):
+                assert_bridge("d-induction", {"x": u, "y": v, "n": n}, pol)
 
 
 class TestInductionGrid:
-    # every identity over a small exhaustive index window, both parities
+    # every identity over a small exhaustive index window, both parities,
+    # at the bound borcherds_bridge picks under every policy of the grid
     PAIRS = (("u", "v"), ("p", "q"), ("u", "p"))
 
     @pytest.mark.parametrize("nx,ny", PAIRS)
     def test_qc_induction(self, al, nx, ny):
         x, y = S(al, nx), S(al, ny)
-        for n in range(-3, 4):
-            assert_bridge("qc-induction", {"x": x, "y": y, "n": n}, POL)
+        for pol in policy_grid(nx, ny):
+            for n in range(-4, 5):
+                args = {"x": x, "y": y, "n": n}
+                assert_bridge("qc-induction", args, pol)
+                # tight at level 0: one summand fewer leaves a live residue
+                K = picked_bound("qc-induction", args, pol)
+                if pol.level == 0 and K > 0:
+                    lhs, rhs = borcherds_bridge("qc-induction", args, pol, K=K - 1)
+                    assert lhs != rhs, (args, pol, K)
 
     @pytest.mark.parametrize("nx,ny", PAIRS)
     def test_qc_symmetry(self, al, nx, ny):
         x, y = S(al, nx), S(al, ny)
-        for n in range(-3, 4):
-            assert_bridge("qc-symmetry", {"x": x, "y": y, "n": n}, POL)
+        for pol in policy_grid(nx, ny):
+            for n in range(-3, 4):
+                assert_bridge("qc-symmetry", {"x": x, "y": y, "n": n}, pol)
 
     @pytest.mark.parametrize("nx,ny", PAIRS)
     def test_qa_m_induction(self, al, nx, ny):
         x, y, z = S(al, nx), S(al, ny), S(al, "w")
-        for m, n in itertools.product(range(-2, 3), repeat=2):
-            assert_bridge(
-                "qa-m-induction", {"x": x, "y": y, "z": z, "m": m, "n": n}, POL
-            )
+        for pol in policy_grid(nx, ny, "w"):
+            for m, n in itertools.product(range(-2, 3), repeat=2):
+                assert_bridge(
+                    "qa-m-induction", {"x": x, "y": y, "z": z, "m": m, "n": n}, pol
+                )
 
     @pytest.mark.parametrize("nx,ny", PAIRS)
     def test_qa_n_induction(self, al, nx, ny):
         x, y, z = S(al, nx), S(al, ny), S(al, "w")
-        for m, n in itertools.product(range(-2, 3), repeat=2):
-            assert_bridge(
-                "qa-n-induction", {"x": x, "y": y, "z": z, "m": m, "n": n}, POL
-            )
+        for pol in policy_grid(nx, ny, "w"):
+            for m, n in itertools.product(range(-2, 3), repeat=2):
+                assert_bridge(
+                    "qa-n-induction", {"x": x, "y": y, "z": z, "m": m, "n": n}, pol
+                )
 
     def test_i_induction_default_reading(self, al):
-        for n in range(-3, 4):
-            assert_bridge("i-induction", {"x": S(al, "u"), "n": n}, POL)
+        for pol in policy_grid("u", "v"):
+            for n in range(-3, 4):
+                assert_bridge("i-induction", {"x": S(al, "u"), "n": n}, pol)
 
     def test_i_induction_reading_one_fails_syntactically(self, al):
         # the alternative reading leaves a nonzero residue at some index
@@ -110,10 +156,11 @@ class TestCommutatorBridge:
     @pytest.mark.parametrize("nx,ny", (("u", "v"), ("p", "q")))
     def test_grid(self, al, nx, ny):
         x, y, z = S(al, nx), S(al, ny), S(al, "w")
-        for m, n in itertools.product(range(-1, 3), repeat=2):
-            assert_bridge(
-                "commutator", {"x": x, "y": y, "z": z, "m": m, "n": n}, POL
-            )
+        for pol in policy_grid(nx, ny, "w"):
+            for m, n in itertools.product(range(-1, 3), repeat=2):
+                assert_bridge(
+                    "commutator", {"x": x, "y": y, "z": z, "m": m, "n": n}, pol
+                )
 
     def test_below_range_rejected(self, al):
         x, y, z = S(al, "u"), S(al, "v"), S(al, "w")
@@ -124,8 +171,8 @@ class TestCommutatorBridge:
 
 
 class TestLevelIndependence:
-    # regression: the shared series bound must scale with locality, not
-    # just the policy level, or boundary terms survive at low levels
+    # regression: the series bound must scale with locality, not just the
+    # policy level, or boundary terms survive at low levels
     @pytest.mark.parametrize("identity", ("qc-induction", "qa-n-induction"))
     def test_holds_at_level_six(self, al, identity):
         x, y, z = S(al, "u"), S(al, "v"), S(al, "w")
@@ -139,11 +186,18 @@ class TestLevelIndependence:
 
 
 class TestArgumentHandling:
-    def test_sequence_args(self, al):
+    def test_tail_bound_needs_a_policy_or_K(self, al):
+        # closed forms read the level as 0 without a policy; a tail has
+        # no bound to certify without one, nor over compound arguments
         u, v = S(al, "u"), S(al, "v")
-        a = borcherds_bridge("qc-induction", (u, v, 0), POL)
-        b = borcherds_bridge("qc-induction", {"x": u, "y": v, "n": 0}, POL)
-        assert a == b
+        with pytest.raises(CertificationError, match="no policy"):
+            borcherds_bridge("qc-induction", {"x": u, "y": v, "n": 0}, None)
+        with pytest.raises(CertificationError, match="compound"):
+            borcherds_bridge("qc-induction", {"x": u.o(-1, v), "y": v, "n": 0}, POL)
+        lhs, rhs = borcherds_bridge(
+            "qc-induction", {"x": u.o(-1, v), "y": v, "n": 1}, None, K=3
+        )
+        assert not lhs.is_zero()
 
     def test_unknown_identity(self, al):
         with pytest.raises(ValueError, match="unknown bridge identity"):
@@ -239,6 +293,14 @@ class TestTailCertificate:
         n0 = 9 - r
         with pytest.raises(CertificationError):
             dong_tail_certificate(x, y, z, r, n0 - 1, POL)
+
+    def test_exempt_summand_past_the_level_is_refused(self, al):
+        # u o_30 w stays alive, so the tail must run to k = 30, where the
+        # summand v o_{-21} (u o_30 w) is neither dead nor derived
+        x, y, z = S(al, "u"), S(al, "v"), S(al, "w")
+        pol = TruncationPolicy(3, level=8, exempt=frozenset({("u", "w", 30)}))
+        with pytest.raises(CertificationError, match="k=30"):
+            dong_tail_certificate(x, y, z, -1, 10, pol)
 
     def test_rejects_nonnegative_r(self, al):
         x, y, z = S(al, "u"), S(al, "v"), S(al, "w")

@@ -133,6 +133,22 @@ def test_restricted_symbol_comes_from_the_mint_memo(monkeypatch):
     assert len(minted) == 2
 
 
+def test_a_mint_memo_hit_intersects_no_window(monkeypatch):
+    # the memo is keyed on the caller's arguments, so restriction and
+    # bump dressing find a minted symbol without cutting any window
+    ctx, cover = make_cover_three()
+    x = Element.sym(ctx.alphabet, "g").o(-1, Element.sym(ctx.alphabet, "f"))
+    u = SupportSet.closed(Q(1, 3), Q(5, 2))
+    first = (ctx.restricted_symbol("g", u), sigma_star(cover[1].sigma, x, ctx))
+    calls = []
+    meet = SupportSet.intersect
+    monkeypatch.setattr(SupportSet, "intersect",
+                        lambda a, b: calls.append(1) or meet(a, b))
+    again = (ctx.restricted_symbol("g", u), sigma_star(cover[1].sigma, x, ctx))
+    assert again == first
+    assert calls == []
+
+
 def test_mint_memo_follows_declare_bump():
     # s2 varies on [4/3, 3/2) until it is re-declared with a plateau over
     # its whole support; a bump's support is pinned by its symbol, so the
