@@ -272,7 +272,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="shipped model name or a .json file")
     p.add_argument("--rules", help="comma-separated rule names "
                    f"(from: {', '.join(RULE_ORDER)})")
-    p.add_argument("--budget", type=int, default=10000)
+    p.add_argument("--budget", type=int, default=10000,
+                   help="rule firings allowed")
     common_policy(p)
     p.set_defaults(fn=_cmd_reduce)
 
@@ -321,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=0,
                    help="per-check sample count (0 = suite default)")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--budget", type=int, default=20000)
+    p.add_argument("--budget", type=int, default=20000,
+                   help="firings per reduction; passes per projection")
     p.add_argument("--report", help="write a JSON report here")
     common_policy(p)
     p.set_defaults(fn=_cmd_verify)

@@ -117,12 +117,26 @@ class Model:
     # bilinear extensions ----------------------------------------------
 
     def _bilinear(self, x: Element, y: Element, table) -> Element:
+        # products of stored coefficients are exact already: accumulate
+        # inline, deleting a term the moment it cancels
         acc = {}
+        get = acc.get
         for t1, c1 in x.terms.items():
             for t2, c2 in y.terms.items():
                 if not (isinstance(t1, Leaf) and isinstance(t2, Leaf)):
                     raise ValueError("model tables apply to leaf combinations")
-                table(t1.symbol, t2.symbol)._add_into(acc, c1 * c2)
+                scale = c1 * c2
+                for t, c in table(t1.symbol, t2.symbol).terms.items():
+                    c *= scale
+                    old = get(t)
+                    if old is None:
+                        acc[t] = c
+                        continue
+                    c += old
+                    if c:
+                        acc[t] = c
+                    else:
+                        del acc[t]
         return Element._trusted(self.alphabet, acc)
 
     def bracket_elem(self, x: Element, y: Element) -> Element:
@@ -273,8 +287,15 @@ def check_module_laws(
     comm = model.sample_symbols(("algebra", "unit"))
     everything = model.sample_symbols()
 
+    # one leaf Element per symbol: the trees of a sample share their leaves,
+    # so equality walks and normal-form lookups stop at identity
+    leaf_of = {}
+
     def leaf(sym):
-        return Element.of_term(al, Leaf(sym))
+        x = leaf_of.get(sym)
+        if x is None:
+            x = leaf_of[sym] = Element.of_term(al, Leaf(sym))
+        return x
 
     def rand_monomial():
         kind = rng.randrange(3)

@@ -5,13 +5,28 @@ node innermost-first, trying the enabled rules in the fixed RULE_ORDER.
 reduce_element repeats passes to a fixpoint, bounded by a firing budget,
 and applies the truncation policy after every pass.
 
+Normal-form marks (Baader & Nipkow, Term Rewriting and All That, 1998).
+A RuleSet keeps the set `normal` of nodes on which a pass fired nothing,
+anywhere below them.  A pass does not rebuild a node whose children are
+leaves or marked nodes: it tries the root rules on the node as it stands
+and, when none fires, marks it.  A term already marked is copied through
+without a walk.  Rules are pure functions of the node, the model tables
+and the policy, so a mark holds for as long as its RuleSet lives: one
+R_project call, or one check_module_laws battery.
+
+The budget of reduce_element counts rule firings and is checked at each
+one: a pass gets the allowance left, and a rule match past it is refused,
+its node kept as it is and left unmarked.  The result is budget-exhausted
+iff a firing was refused, so steps <= budget, and a reduction that needs
+exactly `budget` firings reaches its normal form.
+
 R_project is the same engine under the named rule set PROJECTION_RULES:
 the structural projection r of the polynomial-coefficient setting and its
 fixpoint R.  Leaf-pair products at indices 0 and -1 fold into the model
 tables and unit factors at -1 strip; everything else is left alone.  It
 differs from the stock rules in one rule only: unit_left imposes the
 vacuum axiom 1_(n) x = delta_{n,-1} x, while unit_identity rewrites
-1 o_{-1} x to x and keeps 1 o_n x for n != -1.
+1 o_{-1} x to x and keeps 1 o_n x for n != -1.  Its budget counts passes.
 
 A result of 0 certifies ideal membership; a nonzero normal form certifies
 nothing (no confluence claim is made).
@@ -61,6 +76,7 @@ class RuleSet:
             raise ValueError(f"rules {sorted(needs_model)} need a model")
         if "locality_kill" in self.enabled and policy is None:
             raise ValueError("locality_kill needs a truncation policy")
+        self.normal = set()  # nodes no enabled rule fires on, anywhere below
 
     @staticmethod
     def stock(model, policy: TruncationPolicy = None) -> "RuleSet":
@@ -137,35 +153,64 @@ class RuleSet:
         return None
 
 
-def _one_pass(x: Element, rules: RuleSet):
-    """One innermost pass over every term: (result, rule firings)."""
-    al = x.alphabet
-    fired = 0
+def _one_pass(x: Element, rules: RuleSet, allowance: int = None):
+    """One innermost pass over every term: (result, firings, refused).
 
-    # bottom-up: the left subtree, then the right one, then the rules at
-    # every node of the children's product
+    A subtree the pass leaves as it is folds to None.  At most `allowance`
+    rules fire (None: no limit); a match past it is refused, and after a
+    refusal the pass marks nothing, since None no longer means normal."""
+    al = x.alphabet
+    normal = rules.normal
+    fired = 0
+    refused = False
+
+    def fire(t):
+        # the image of t under the first matching root rule; None when none
+        # matches or the match is refused
+        nonlocal fired, refused
+        hit = rules.apply_at_root(t, al)
+        if hit is None:
+            return None
+        if fired == allowance:
+            refused = True
+            return None
+        fired += 1
+        return hit[1]
+
     def leaf(s):
-        return Element._trusted(al, {s: 1})
+        return None
 
     def node(s, left, right):
-        nonlocal fired
+        if left is None and right is None:
+            if s in normal:
+                return None
+            image = fire(s)
+            if image is None and not refused:
+                normal.add(s)
+            return image
+        # a child changed: the rules at every product of the children's terms
         acc = {}
-        for lt, lc in left.terms.items():
-            for rt, rc in right.terms.items():
+        for lt, lc in ({s.left: 1} if left is None else left.terms).items():
+            for rt, rc in ({s.right: 1} if right is None else right.terms).items():
                 product = Node(s.index, lt, rt)
-                hit = rules.apply_at_root(product, al)
-                if hit is None:
+                image = fire(product)
+                if image is None:
                     image = Element._trusted(al, {product: 1})
-                else:
-                    fired += 1
-                    image = hit[1]
                 image._add_into(acc, lc * rc)
         return Element._trusted(al, acc)
 
     acc = {}
     for t, c in x.terms.items():
-        fold_tree(t, leaf, node)._add_into(acc, c)
-    return Element._trusted(al, acc), fired
+        image = None if t in normal else fold_tree(t, leaf, node)
+        if image is None:
+            image = Element._trusted(al, {t: 1})
+        image._add_into(acc, c)
+    return Element._trusted(al, acc), fired, refused
+
+
+def _check_budget(budget: int) -> None:
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
 
 
 def reduce_element(
@@ -173,29 +218,32 @@ def reduce_element(
 ) -> ReductionReport:
     """Innermost fixpoint under the enabled rules, reached at the first
     pass that fires none; truncation after every pass when the rule set
-    carries a policy."""
+    carries a policy.  At most `budget` rules fire; budget-exhausted means
+    one more was due."""
+    _check_budget(budget)
     steps = 0
     current = truncate(x, rules.policy) if rules.policy else x
     while True:
-        nxt, fired = _one_pass(current, rules)
-        if fired == 0:
+        nxt, fired, refused = _one_pass(current, rules, budget - steps)
+        if not (fired or refused):
             return ReductionReport(current, steps, "normal-form")
         steps += fired
         current = truncate(nxt, rules.policy) if rules.policy else nxt
-        if steps > budget:
+        if refused:
             return ReductionReport(current, steps, "budget-exhausted")
 
 
 def R_project(x: Element, model, budget: int = 1000) -> ReductionReport:
-    """Fixpoint of the projection rules; steps and budget count passes.
-    Every firing strictly drops the leaf count of its term, so the loop
-    terminates, and a pass that fires cannot return its input (the largest
-    term it rewrote loses its coefficient): the first pass with no firing
-    is the fixpoint."""
+    """Fixpoint of the projection rules; steps and budget count passes,
+    not firings.  Every firing strictly drops the leaf count of its term,
+    so the loop terminates, and a pass that fires cannot return its input
+    (the largest term it rewrote loses its coefficient): the first pass
+    with no firing is the fixpoint."""
+    _check_budget(budget)
     rules = RuleSet(model, None, PROJECTION_RULES)
     current, steps = x, 0
     while steps < budget:
-        nxt, fired = _one_pass(current, rules)
+        nxt, fired, _ = _one_pass(current, rules)
         steps += 1
         if fired == 0:
             return ReductionReport(current, steps, "normal-form")

@@ -124,6 +124,10 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}; known: {SUITE_IDS}")
         if self.locality < 1 or self.trunc_level < self.locality:
             raise ValueError("need 1 <= locality <= trunc_level")
+        if self.samples < 0:
+            raise ValueError(f"samples must be >= 0, got {self.samples}")
+        if self.budget < 0:
+            raise ValueError(f"budget must be >= 0, got {self.budget}")
 
     def policy(self) -> TruncationPolicy:
         return TruncationPolicy(

@@ -3,6 +3,8 @@
 import json
 from importlib import resources
 
+import pytest
+
 from vertexalg.cli import main
 
 COVER_TWO = str(resources.files("vertexalg") / "data" / "cover_two.json")
@@ -89,6 +91,17 @@ def test_free_symbols_are_the_parser_identifiers(capsys):
     ]
     assert main(["reduce", "o{0}(é, x)"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "o{0}(é, x)"
+
+
+@pytest.mark.parametrize("argv", (
+    ["reduce", "--budget", "-1", "o{-1}(1, b)"],
+    ["verify", "collapse", "--budget", "-1"],
+), ids=("reduce", "verify"))
+def test_negative_budget_is_an_error_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: budget must be >= 0, got -1"]
+    assert captured.out == ""
 
 
 def test_gen_missing_indices_is_an_error_line(capsys):

@@ -4,10 +4,13 @@ import pytest
 
 from vertexalg.collapse import (
     COLLAPSE_RULES,
+    _right_mult_total,
     punctured_checks,
     punctured_policy,
     right_mult_checks,
 )
+from vertexalg.models.factory import shipped_model
+from vertexalg.parsing import to_text
 from vertexalg.suites import run_suite
 
 RIGHT_MULT_IDS = (
@@ -51,10 +54,13 @@ class TestRightMult:
         byid = {c["id"]: c for c in checks}
         red = byid["right-mult-unit-reduction"]
         assert red["status"] == "fail"
-        # one pass already reaches the unit; the pass that would confirm
-        # the fixpoint is past the budget
+        # the budget counts firings: the first match is refused, so the
+        # residual is the unreduced input
+        model = shipped_model("weyl1")
+        unreduced = to_text(_right_mult_total(model, 6))
+        assert red["steps"] == 0
         assert red["witness"] == (
-            f"budget-exhausted after {red['steps']} steps (budget 0), residual 1"
+            f"budget-exhausted after 0 steps (budget 0), residual {unreduced}"
         )
         assert "witness" not in right_mult_checks()[1]
 

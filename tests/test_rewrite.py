@@ -1,22 +1,28 @@
 """Rewrite rules, normal forms, and the structural projection."""
 
+import inspect
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, find, given, settings, strategies as st
 
+from vertexalg import rewrite
+from vertexalg.collapse import COLLAPSE_RULES
 from vertexalg.generators import TruncationPolicy, truncate
+from vertexalg.models.base import ModelDegreeError
 from vertexalg.models.factory import make_model
-from vertexalg.parsing import parse
+from vertexalg.parsing import parse, to_text
 from vertexalg.rewrite import (
+    PROJECTION_RULES,
     RULE_ORDER,
     STOCK_RULES,
     R_project,
+    ReductionReport,
     RuleSet,
     length_one_component,
     reduce_element,
 )
-from vertexalg.terms import Alphabet, Element, Symbol
+from vertexalg.terms import Alphabet, Element, Leaf, Node, Symbol
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +161,40 @@ class TestBudget:
         rep = reduce_element(x, RuleSet.stock(diff), budget=3)
         assert not rep
         assert rep.status == "budget-exhausted"
-        assert rep.steps > 3
+        assert rep.steps == 3
+
+    def test_exact_budget_reaches_the_normal_form(self, diff):
+        # two firings, both in the first pass
+        x = parse("o{-1}(1, o{-1}(1, b))", diff.alphabet)
+        rep = reduce_element(x, RuleSet.stock(diff), budget=2)
+        assert (rep.result, rep.steps, rep.status) == (
+            Element.sym(diff.alphabet, "b"), 2, "normal-form")
+        short = reduce_element(x, RuleSet.stock(diff), budget=1)
+        assert (short.result, short.steps, short.status) == (
+            parse("o{-1}(1, b)", diff.alphabet), 1, "budget-exhausted")
+
+    def test_budget_zero_refuses_the_first_firing(self, diff):
+        x = parse("o{-1}(1, b)", diff.alphabet)
+        rep = reduce_element(x, RuleSet.stock(diff), budget=0)
+        assert (rep.result, rep.steps, rep.status) == (x, 0, "budget-exhausted")
+        done = Element.sym(diff.alphabet, "b")
+        assert reduce_element(done, RuleSet.stock(diff), budget=0).status == (
+            "normal-form")
+
+    def test_projection_budget_counts_passes(self, diff):
+        # one pass folds the whole chain, a second finds nothing to fire
+        x = parse("o{-1}(b, o{-1}(b, b2))", diff.alphabet)
+        assert R_project(x, diff).steps == 2
+        rep = R_project(x, diff, budget=1)
+        assert (rep.steps, rep.status) == (1, "budget-exhausted")
+
+    @pytest.mark.parametrize("reduce", (
+        lambda x, m: reduce_element(x, RuleSet.stock(m), budget=-1),
+        lambda x, m: R_project(x, m, budget=-1),
+    ), ids=("reduce_element", "R_project"))
+    def test_negative_budget_is_an_error(self, diff, reduce):
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            reduce(Element.sym(diff.alphabet, "b"), diff)
 
 
 class TestProjection:
@@ -209,6 +248,153 @@ class TestProjection:
         once = R_project(x, diff8).result
         twice = R_project(once, diff8).result
         assert once == twice
+
+
+# -- normal-form marks ----------------------------------------------------------
+#
+# The engine copies marked nodes through untried.  The reference below has no
+# marks: it rebuilds every node bottom-up, left subtree first, and tries the
+# root rules at every product of its children's images, under the same
+# firing allowance.  On any element, with a fresh RuleSet or with one warmed
+# on earlier reductions, the two must agree on result, steps and status.
+
+
+def _reference_pass(x, rules, allowance):
+    al = x.alphabet
+    fired, refused = 0, False
+
+    def image(t):
+        nonlocal fired, refused
+        if isinstance(t, Leaf):
+            return Element.of_term(al, t)
+        left, right = image(t.left), image(t.right)
+        out = Element.zero(al)
+        for lt, lc in left.terms.items():
+            for rt, rc in right.terms.items():
+                product = Node(t.index, lt, rt)
+                hit = rules.apply_at_root(product, al)
+                if hit is not None and fired == allowance:
+                    refused, hit = True, None
+                if hit is None:
+                    out = out + lc * rc * Element.of_term(al, product)
+                else:
+                    fired += 1
+                    out = out + lc * rc * hit[1]
+        return out
+
+    total = Element.zero(al)
+    for t, c in x.terms.items():
+        total = total + c * image(t)
+    return total, fired, refused
+
+
+def _reference_reduce(x, rules, budget):
+    def cut(y):
+        return truncate(y, rules.policy) if rules.policy else y
+
+    steps, current = 0, cut(x)
+    while True:
+        nxt, fired, refused = _reference_pass(current, rules, budget - steps)
+        if not (fired or refused):
+            return ReductionReport(current, steps, "normal-form")
+        steps += fired
+        current = cut(nxt)
+        if refused:
+            return ReductionReport(current, steps, "budget-exhausted")
+
+
+def _outcome(reduce, x, rules, budget):
+    try:
+        rep = reduce(x, rules, budget)
+    except ModelDegreeError:
+        return "degree cap"
+    return rep.result, rep.steps, rep.status
+
+
+def _mark_faults(make, cases):
+    """Reductions on which the engine and the reference disagree.  Each
+    element is reduced at its budget and then in full, under a fresh
+    RuleSet and under one RuleSet shared with every reduction before."""
+    warm = make()
+    faults = []
+    for x, budget in cases:
+        for b in (budget, 10000):
+            want = _outcome(_reference_reduce, x, make(), b)
+            for rules in (make(), warm):
+                got = _outcome(reduce_element, x, rules, b)
+                if got != want:
+                    faults.append((to_text(x), b, got, want))
+    return faults
+
+
+def _cases(al, names):
+    leaf = st.sampled_from([Leaf(al.symbol(n)) for n in names])
+    tree = st.recursive(
+        leaf, lambda kids: st.builds(Node, st.integers(-3, 1), kids, kids),
+        max_leaves=4)
+    element = st.dictionaries(
+        tree, st.sampled_from((1, -1, 2, Q(1, 2))), min_size=1, max_size=3
+    ).map(lambda terms: Element(al, terms))
+    return st.lists(st.tuples(element, st.integers(0, 5)), min_size=1, max_size=4)
+
+
+@pytest.fixture(scope="module")
+def mark_rule_sets():
+    """name -> (RuleSet factory, alphabet, leaf names)"""
+    diff, weyl = make_model("DiffPoly"), make_model("Weyl1")
+    policy = TruncationPolicy(2, level=4)
+    free = Alphabet()
+    free.add(Symbol("a", 0, Q(1), "lie"))
+    return {
+        "stock": (lambda: RuleSet.stock(diff, policy), diff.alphabet, ("1", "b")),
+        "projection": (lambda: RuleSet(diff, None, PROJECTION_RULES),
+                       diff.alphabet, ("1", "b")),
+        "collapse": (lambda: RuleSet(weyl, None, COLLAPSE_RULES),
+                     weyl.alphabet, ("1", "b", "del", "bdel")),
+        # the unit rules of sheaf._unit_reduce
+        "sheaf-unit": (lambda: RuleSet(None, None, ("unit_left", "unit_strip")),
+                       free, ("1", "a")),
+    }
+
+
+MARK_RULE_SETS = ("stock", "projection", "collapse", "sheaf-unit")
+
+
+class TestNormalFormMarks:
+    @pytest.mark.parametrize("name", MARK_RULE_SETS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_engine_matches_the_mark_free_reference(self, mark_rule_sets, name, data):
+        make, al, names = mark_rule_sets[name]
+        assert _mark_faults(make, data.draw(_cases(al, names))) == []
+
+    def test_marks_outlive_a_reduction(self, diff):
+        rules = RuleSet.stock(diff)
+        x = parse("o{1}(b, b2) + o{-2}(b, 1)", diff.alphabet)
+        reduce_element(x, rules)
+        assert set(x.terms) <= rules.normal
+        assert reduce_element(x, rules).result == x
+
+    # each mutant moves the one place a node is marked
+    MARK_SITE = "if image is None and not refused:"
+
+    @pytest.mark.parametrize("name", MARK_RULE_SETS)
+    @pytest.mark.parametrize("mutant", (
+        "if not refused:",  # marks a node a rule just fired on
+        "if image is None:",  # marks a node after a refusal
+    ), ids=("mark-after-firing", "mark-after-refusal"))
+    def test_mark_mutants_fail_the_property(self, monkeypatch, mark_rule_sets,
+                                            name, mutant):
+        src = inspect.getsource(rewrite._one_pass)
+        assert src.count(self.MARK_SITE) == 1, "the mark site moved"
+        namespace = dict(vars(rewrite))
+        exec(src.replace(self.MARK_SITE, mutant), namespace)
+        monkeypatch.setattr(rewrite, "_one_pass", namespace["_one_pass"])
+        make, al, names = mark_rule_sets[name]
+        cases = find(_cases(al, names), lambda c: bool(_mark_faults(make, c)),
+                     settings=settings(max_examples=500, database=None,
+                                       phases=(Phase.generate,)))
+        assert _mark_faults(make, cases)
 
 
 class TestDeepTerms:

@@ -9,7 +9,7 @@ import pytest
 
 from vertexalg.bridges import DongTable
 from vertexalg.models.base import Model, ModelDegreeError, case_check
-from vertexalg.suites import SUITE_IDS, run_suite
+from vertexalg.suites import SUITE_IDS, SuiteConfig, run_suite
 
 # geometry ignores `samples` and is the slowest suite, so it runs once
 CASES = [
@@ -92,6 +92,13 @@ def test_souped_reductions_obey_the_budget():
     for c in laws:
         assert c["status"] == "fail", c
         assert "-reduction'" in c["witness"], c
+
+
+@pytest.mark.parametrize("field", ("budget", "samples"))
+def test_negative_budget_and_samples_are_refused(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
+        SuiteConfig(suite="collapse", **{field: -1})
+    SuiteConfig(suite="collapse", **{field: 0})
 
 
 def test_report_schema():
