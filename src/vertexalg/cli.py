@@ -12,11 +12,8 @@ import sys
 from fractions import Fraction as Q
 
 from .generators import (
-    FAMILY_ARITY,
-    FAMILY_IDS,
-    FAMILY_INDICES,
+    FAMILIES,
     CertificationError,
-    GeneratorSpec,
     TruncationPolicy,
     build_generator,
 )
@@ -121,35 +118,33 @@ def _cmd_reduce(ns) -> int:
 
 
 def _cmd_gen(ns) -> int:
-    fam = ns.family
-    want = FAMILY_ARITY[fam]
-    if len(ns.args) != want:
-        raise ValueError(f"family {fam} takes {want} --args, got {len(ns.args)}")
+    name, fam = ns.family, FAMILIES[ns.family]
+    if len(ns.args) != fam.arity:
+        raise ValueError(f"family {name} takes {fam.arity} --args, got {len(ns.args)}")
     model = _get_model(ns.model)
     context = None
-    if fam == "k":
+    if "context" in fam.needs:
         if not ns.cover:
-            raise ValueError("k-family needs --cover")
+            raise ValueError(f"{name}-family needs --cover")
         context, _ = load_cover(ns.cover)
         alphabet = context.alphabet
     elif model is not None:
         alphabet = model.alphabet
+    elif "model" in fam.needs:
+        raise ValueError(f"{name}-family needs --model")
     else:
-        if fam in ("s", "a", "am"):
-            raise ValueError(f"{fam}-family needs --model")
         alphabet = free_alphabet(ns.args, _parse_assignments(ns.degrees, Q),
                                  _parse_assignments(ns.parities, int))
     args = tuple(parse(t, alphabet) for t in ns.args)
     given = {"m": ns.m, "n": ns.n}
-    indices = tuple(given[nm] for nm in FAMILY_INDICES[fam])
+    indices = tuple(given[nm] for nm in fam.indices)
     if None in indices:
-        flags = " and ".join(f"--{nm}" for nm in FAMILY_INDICES[fam])
-        raise ValueError(f"family {fam} needs {flags}")
-    spec = GeneratorSpec(fam, args, indices, ns.k_bound)
-    built = build_generator(spec, _policy(ns), model=model, context=context,
-                            certify=not ns.no_certify)
-    print(to_text(built.element))
-    g = grade(built.element)
+        flags = " and ".join(f"--{nm}" for nm in fam.indices)
+        raise ValueError(f"family {name} needs {flags}")
+    el = build_generator(name, args, indices, _policy(ns), K=ns.k_bound,
+                         model=model, context=context, certify=not ns.no_certify)
+    print(to_text(el))
+    g = grade(el)
     print(f"degree: {g.degree if g.degree is not None else 'mixed'}")
     return 0
 
@@ -278,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("gen", help="build one ideal-generator instance")
-    p.add_argument("family", choices=FAMILY_IDS)
+    p.add_argument("family", choices=tuple(FAMILIES))
     p.add_argument("--args", action="append", default=[],
                    help="argument term (repeat per slot)")
     p.add_argument("--n", type=int)

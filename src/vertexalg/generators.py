@@ -3,11 +3,14 @@
 Infinite-tail families (qc, qa) are built up to a finite bound K together
 with a certificate that every dropped summand contains a leaf-pair product
 at or past its locality threshold, so dropping it agrees with truncate().
+FAMILIES describes the ten families once: arity, index names, what else
+the builder needs, and the builder that build_generator calls.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
+from typing import NamedTuple
 
 from .terms import Element, Leaf, Node, binom, minus_one_pow, parity, preorder
 
@@ -237,86 +240,66 @@ def fam_am(a: Element, b: Element, x: Element, model) -> Element:
     return model.mul_elem(a, b).o(-1, x) - a.o(-1, b.o(-1, x))
 
 
-# dispatch -------------------------------------------------------------------
+def fam_k(x: Element, context) -> Element:
+    from .sheaf import k_generator
 
-@dataclass(frozen=True)
-class GeneratorSpec:
-    family: str
-    args: tuple
-    indices: tuple = ()
-    bound: int = None
+    return k_generator(x, context)
 
 
-@dataclass(frozen=True)
-class BuildResult:
-    element: Element
-    family: str
+# the family table ---------------------------------------------------------
+
+class Family(NamedTuple):
+    """One generator family: its element arity, the names of its integer
+    indices in argument order, the keyword arguments its builder takes
+    besides those (policy, K, certify, model, context), and the builder."""
+
+    arity: int
     indices: tuple
-    bound: int = None
+    needs: tuple
+    build: callable
 
 
-FAMILY_ARITY = {"i": 1, "c": 2, "d": 2, "e": 2, "qc": 2, "qa": 3,
-                "s": 2, "a": 2, "am": 3, "k": 1}
-FAMILY_IDS = tuple(FAMILY_ARITY)
-# the names of each family's indices, in GeneratorSpec.indices order
-FAMILY_INDICES = {"i": ("n",), "c": ("n",), "d": ("n",), "e": ("n",), "qc": ("n",),
-                  "qa": ("m", "n"), "s": (), "a": (), "am": (), "k": ()}
+_TAIL = ("policy", "K", "certify")
+
+# builders call fam_* by module-global name when they run, so a wrapper
+# later bound to that name (a tracer) sees every build
+FAMILIES = {
+    "i": Family(1, ("n",), (), lambda *a, **kw: fam_i(*a, **kw)),
+    "c": Family(2, ("n",), ("policy",), lambda *a, **kw: fam_c(*a, **kw)),
+    "d": Family(2, ("n",), (), lambda *a, **kw: fam_d(*a, **kw)),
+    "e": Family(2, ("n",), (), lambda *a, **kw: fam_e(*a, **kw)),
+    "qc": Family(2, ("n",), _TAIL, lambda *a, **kw: fam_qc(*a, **kw)),
+    "qa": Family(3, ("m", "n"), _TAIL, lambda *a, **kw: fam_qa(*a, **kw)),
+    "s": Family(2, (), ("model",), lambda *a, **kw: fam_s(*a, **kw)),
+    "a": Family(2, (), ("model",), lambda *a, **kw: fam_a(*a, **kw)),
+    "am": Family(3, (), ("model",), lambda *a, **kw: fam_am(*a, **kw)),
+    "k": Family(1, (), ("context",), lambda *a, **kw: fam_k(*a, **kw)),
+}
 
 
 def build_generator(
-    spec: GeneratorSpec,
+    family: str,
+    args: tuple,
+    indices: tuple,
     policy: TruncationPolicy,
+    K: int = None,
     model=None,
     context=None,
     certify: bool = True,
-) -> BuildResult:
-    fam, args, idx = spec.family, spec.args, spec.indices
-    if fam == "i":
-        (x,) = args
-        (n,) = idx
-        el = fam_i(x, n)
-    elif fam == "c":
-        u, v = args
-        (n,) = idx
-        el = fam_c(u, v, n, policy)
-    elif fam == "d":
-        x, y = args
-        (n,) = idx
-        el = fam_d(x, y, n)
-    elif fam == "e":
-        x, y = args
-        (n,) = idx
-        el = fam_e(x, y, n)
-    elif fam == "qc":
-        x, y = args
-        (n,) = idx
-        el = fam_qc(x, y, n, policy, K=spec.bound, certify=certify)
-    elif fam == "qa":
-        x, y, z = args
-        m, n = idx
-        el = fam_qa(x, y, z, m, n, policy, K=spec.bound, certify=certify)
-    elif fam == "s":
-        s, t = args
-        el = fam_s(s, t, _need(model, "s"))
-    elif fam == "a":
-        a, s = args
-        el = fam_a(a, s, _need(model, "a"))
-    elif fam == "am":
-        a, b, x = args
-        el = fam_am(a, b, x, _need(model, "am"))
-    elif fam == "k":
-        from .sheaf import k_generator
-
-        (x,) = args
-        if context is None:
-            raise ValueError("k-family needs a sheaf context")
-        el = k_generator(x, context)
-    else:
-        raise ValueError(f"unknown family {fam!r}")
-    return BuildResult(el, fam, idx, spec.bound)
-
-
-def _need(model, fam):
-    if model is None:
-        raise ValueError(f"{fam}-family needs a model")
-    return model
+) -> Element:
+    """The instance of `family` on its element args and its indices, given
+    in FAMILIES[family].indices order; K bounds a qc/qa tail."""
+    fam = FAMILIES.get(family)
+    if fam is None:
+        raise ValueError(f"unknown family {family!r}")
+    if len(args) != fam.arity or len(indices) != len(fam.indices):
+        raise ValueError(
+            f"{family}-family takes {fam.arity} args and indices {fam.indices}"
+        )
+    if "model" in fam.needs and model is None:
+        raise ValueError(f"{family}-family needs a model")
+    if "context" in fam.needs and context is None:
+        raise ValueError(f"{family}-family needs a sheaf context")
+    given = {"policy": policy, "K": K, "certify": certify, "model": model,
+             "context": context}
+    return fam.build(*args, *indices, **{nm: given[nm] for nm in fam.needs})

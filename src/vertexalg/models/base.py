@@ -5,10 +5,12 @@ bilinear extensions, validation, commutative evaluation, module laws.
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 from math import factorial
 
 from ..generators import TruncationPolicy, fam_am, fam_qa, fam_s
+from ..parsing import to_text
 from ..terms import Element, Leaf, Symbol, fold_tree, minus_one_pow
 
 Q = Fraction
@@ -260,6 +262,36 @@ def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> 
 # module laws ----------------------------------------------------------------
 
 
+def battery_check(cid: str, draws, laws: dict, **extra) -> dict:
+    """A battery of laws over shared random draws, as one case_check record.
+
+    A draw is a dict of named values and one case; laws maps each law's
+    name to law(**draw), None when the law holds, else the witness term
+    in the term grammar.  Every law runs on every draw, a law that raises
+    ModelDegreeError is left out of that case, and a draw on which every
+    law was left out is skipped.  The witness is "<law>: <term>" for the
+    first law that failed, and counts gives, per law, the cases on which
+    that law ran and held."""
+    counts = dict.fromkeys(laws, 0)
+
+    def probe(draw):
+        outcomes = {}
+        for name, law in laws.items():
+            try:
+                outcomes[name] = law(**draw)
+            except ModelDegreeError:
+                pass
+        if not outcomes:
+            raise ModelDegreeError("every law left the finite basis")
+        for name, term in outcomes.items():
+            if term is None:
+                counts[name] += 1
+        return next((f"{name}: {term}" for name, term in outcomes.items()
+                     if term is not None), None)
+
+    return case_check(cid, draws, probe, counts=counts, **extra)
+
+
 def check_module_laws(
     model: Model,
     policy: TruncationPolicy = None,
@@ -267,13 +299,15 @@ def check_module_laws(
     seed: int = 0,
     budget: int = 10000,
 ) -> dict:
-    """Both module laws, two ways per law, as one check record with the
-    per-law tallies and the first failures.
+    """Both module laws, two ways per law, over `samples` draws of
+    (s, t, a, b, a leaf x, a compound xc) as one battery_check record.
 
-    Leaf samples are closed by the rewrite rules alone, each reduction
-    within `budget` steps; a reduction that runs out fails its law.
-    Compound samples are certified by an exact generator-combination
-    identity.
+    law1-reduction and law2-reduction close the law on the leaf x by the
+    rewrite rules alone, within `budget` steps; a reduction that does not
+    reach 0 fails, and its witness is what the rules left.
+    law1-certificate and law2-certificate match the law on the compound
+    xc against an exact generator combination; the witness is the
+    difference.
     """
     from ..rewrite import RuleSet, reduce_element
 
@@ -281,21 +315,15 @@ def check_module_laws(
     rng = random.Random(seed)
     rules = RuleSet.stock(model, policy)
     al = model.alphabet
-    lie = [s for s in model.sample_symbols(("lie",))] or model.sample_symbols(
-        ("algebra",)
-    )
+    lie = model.sample_symbols(("lie",)) or model.sample_symbols(("algebra",))
     comm = model.sample_symbols(("algebra", "unit"))
     everything = model.sample_symbols()
 
     # one leaf Element per symbol: the trees of a sample share their leaves,
     # so equality walks and normal-form lookups stop at identity
-    leaf_of = {}
-
+    @cache
     def leaf(sym):
-        x = leaf_of.get(sym)
-        if x is None:
-            x = leaf_of[sym] = Element.of_term(al, Leaf(sym))
-        return x
+        return Element.of_term(al, Leaf(sym))
 
     def rand_monomial():
         kind = rng.randrange(3)
@@ -308,77 +336,38 @@ def check_module_laws(
             return node
         return node.o(rng.randrange(-3, 2), leaf(rng.choice(everything)))
 
-    def koszul(s, t):
-        return minus_one_pow(s.parity * t.parity)
+    def draws():
+        for _ in range(samples):
+            yield dict(s=rng.choice(lie), t=rng.choice(lie), a=rng.choice(comm),
+                       b=rng.choice(comm), x=leaf(rng.choice(everything)),
+                       xc=rand_monomial())
 
-    counts = dict.fromkeys(
-        ("law1_reduced", "law1_exact", "law2_reduced", "law2_exact", "skipped"), 0
-    )
-    failures = []
-    for _ in range(samples):
-        s, t = rng.choice(lie), rng.choice(lie)
-        a, b = rng.choice(comm), rng.choice(comm)
-        x_leaf = leaf(rng.choice(everything))
-        x_cmp = rand_monomial()
+    def reduced(diff):
+        report = reduce_element(diff, rules, budget=budget)
+        if report.status == "normal-form" and report.result.is_zero():
+            return None
+        return to_text(report.result)
 
-        # law 1, leaf closure: [s,t]_0 x = s_0(t_0 x) - koszul t_0(s_0 x)
-        try:
-            lhs = model.bracket(s, t).o(0, x_leaf)
-            rhs = leaf(s).o(0, leaf(t).o(0, x_leaf)) - koszul(s, t) * leaf(t).o(
-                0, leaf(s).o(0, x_leaf)
-            )
-            report = reduce_element(lhs - rhs, rules, budget=budget)
-            if report.status == "normal-form" and report.result.is_zero():
-                counts["law1_reduced"] += 1
-            else:
-                failures.append(("law1-reduction", s.name, t.name))
+    def certified(diff, cert):
+        return None if diff == cert else to_text(diff - cert)
 
-            # law 1, exact certificate on a compound argument
-            diff = (
-                model.bracket(s, t).o(0, x_cmp)
-                - leaf(s).o(0, leaf(t).o(0, x_cmp))
-                + koszul(s, t) * leaf(t).o(0, leaf(s).o(0, x_cmp))
-            )
-            cert = fam_qa(leaf(s), leaf(t), x_cmp, 0, 0, policy) - fam_s(
-                leaf(s), leaf(t), model
-            ).o(0, x_cmp)
-            if diff == cert:
-                counts["law1_exact"] += 1
-            else:
-                failures.append(("law1-certificate", s.name, t.name))
-        except ModelDegreeError:
-            counts["skipped"] += 1
+    # law 1: [s,t]_0 x = s_0(t_0 x) - koszul t_0(s_0 x)
+    def law1(s, t, x):
+        koszul = minus_one_pow(s.parity * t.parity)
+        return (model.bracket(s, t).o(0, x) - leaf(s).o(0, leaf(t).o(0, x))
+                + koszul * leaf(t).o(0, leaf(s).o(0, x)))
 
-        # law 2, leaf closure: (ab)_{-1} x = a_{-1}(b_{-1} x)
-        try:
-            ab = model.mul(a, b)
-        except ModelDegreeError:
-            ab = None
-            counts["skipped"] += 1
-        if ab is not None:
-            try:
-                lhs2 = ab.o(-1, x_leaf)
-                rhs2 = leaf(a).o(-1, leaf(b).o(-1, x_leaf))
-                report2 = reduce_element(lhs2 - rhs2, rules, budget=budget)
-                if report2.status == "normal-form" and report2.result.is_zero():
-                    counts["law2_reduced"] += 1
-                else:
-                    failures.append(("law2-reduction", a.name, b.name))
+    # law 2: (ab)_{-1} x = a_{-1}(b_{-1} x)
+    def law2(a, b, x):
+        return model.mul(a, b).o(-1, x) - leaf(a).o(-1, leaf(b).o(-1, x))
 
-                # law 2, exact certificate
-                diff2 = ab.o(-1, x_cmp) - leaf(a).o(-1, leaf(b).o(-1, x_cmp))
-                cert2 = fam_am(leaf(a), leaf(b), x_cmp, model)
-                if diff2 == cert2:
-                    counts["law2_exact"] += 1
-                else:
-                    failures.append(("law2-certificate", a.name, b.name))
-            except ModelDegreeError:
-                counts["skipped"] += 1
-
-    return check(
-        f"{model.name}-module-laws",
-        not failures,
-        samples=samples,
-        counts=counts,
-        witness=str(failures[:2]) if failures else None,
-    )
+    return battery_check(f"{model.name}-module-laws", draws(), {
+        "law1-reduction": lambda s, t, x, **_: reduced(law1(s, t, x)),
+        "law1-certificate": lambda s, t, xc, **_: certified(
+            law1(s, t, xc),
+            fam_qa(leaf(s), leaf(t), xc, 0, 0, policy)
+            - fam_s(leaf(s), leaf(t), model).o(0, xc)),
+        "law2-reduction": lambda a, b, x, **_: reduced(law2(a, b, x)),
+        "law2-certificate": lambda a, b, xc, **_: certified(
+            law2(a, b, xc), fam_am(leaf(a), leaf(b), xc, model)),
+    })

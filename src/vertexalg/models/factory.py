@@ -293,6 +293,11 @@ def make_model(kind: str, params: dict = None) -> Model:
 def load_model(path: str) -> Model:
     with open(path) as fh:
         cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        shape = json.dumps(cfg)[:40]
+        raise ValueError(f"model file must hold a JSON object, got {shape}")
+    if "kind" not in cfg:
+        raise ValueError("model file has no 'kind' field")
     kind = cfg.pop("kind")
     return make_model(kind, cfg)
 

@@ -4,7 +4,9 @@ A morphism sends each source symbol to an Element of target leaves; the
 induced map sends x o_n y to image(x) o_n image(y).  Validation checks the
 unit, bracket, product, and action laws on all symbol pairs; functor_laws
 checks identity, composition, and that generator-family instances map to
-generator-family instances of the images.
+generator-family instances of the images, as one models.base.battery_check
+record: one case per random draw, witness "<law>: <term>", and counts per
+law of the cases on which it ran and held.
 """
 
 import random
@@ -12,8 +14,9 @@ from fractions import Fraction
 from itertools import product
 
 from ..generators import fam_a, fam_i, fam_s
+from ..parsing import to_text
 from ..terms import Element, Leaf, fold_tree
-from .base import Model, ModelDegreeError, case_check, check
+from .base import Model, battery_check, case_check
 
 Q = Fraction
 
@@ -123,69 +126,48 @@ def random_element(model: Model, rng, max_length: int = 4) -> Element:
 def functor_laws(
     phi: Morphism, psi: Morphism, samples: int = 100, seed: int = 0
 ) -> dict:
-    """Identity, composition, and generator-instance mapping on samples;
-    one check record with the per-law tallies and the first failures."""
+    """Identity, composition, and generator-instance mapping over `samples`
+    draws of (x, n, s, t, a) as one battery_check record.
+
+    identity and composition are checked on x, their witness is x.
+    i-family, s-family and a-family require phi to map the instance on
+    (x, n), (s, t) or (a, s) to the instance on the images; the witness
+    is the source instance."""
     if not (phi.source is phi.target is psi.source is psi.target):
         raise ValueError("functor_laws expects endomorphisms of one model")
     model = phi.source
     rng = random.Random(seed)
     ident = identity_morphism(model)
     comp = phi.compose(psi)
-    lie = [s for s in model.sample_symbols(("lie",))] or model.sample_symbols(
-        ("algebra",)
-    )
+    lie = model.sample_symbols(("lie",)) or model.sample_symbols(("algebra",))
     comm = model.sample_symbols(("algebra", "unit"))
-    counts = {"identity": 0, "composition": 0, "i": 0, "s": 0, "a": 0}
-    skipped = 0
-    failures = []
-    for _ in range(samples):
-        x = random_element(model, rng)
-        if ident.apply(x) == x:
-            counts["identity"] += 1
-        else:
-            failures.append(("identity", repr(x)))
-        if comp.apply(x) == phi.apply(psi.apply(x)):
-            counts["composition"] += 1
-        else:
-            failures.append(("composition", repr(x)))
 
-        # generator instances map to generator instances of the images
-        n = rng.randrange(-3, 3)
-        if phi.apply(fam_i(x, n)) == fam_i(phi.apply(x), n):
-            counts["i"] += 1
-        else:
-            failures.append(("i-family", repr(x)))
-        s, t = rng.choice(lie), rng.choice(lie)
-        s_e = Element.of_term(model.alphabet, Leaf(s))
-        t_e = Element.of_term(model.alphabet, Leaf(t))
-        try:
-            if phi.apply(fam_s(s_e, t_e, model)) == fam_s(
-                phi.apply(s_e), phi.apply(t_e), model
-            ):
-                counts["s"] += 1
-            else:
-                failures.append(("s-family", s.name + "," + t.name))
-        except ModelDegreeError:
-            skipped += 1
-        a = rng.choice(comm)
-        a_e = Element.of_term(model.alphabet, Leaf(a))
-        try:
-            if phi.apply(fam_a(a_e, s_e, model)) == fam_a(
-                phi.apply(a_e), phi.apply(s_e), model
-            ):
-                counts["a"] += 1
-            else:
-                failures.append(("a-family", a.name + "," + s.name))
-        except ModelDegreeError:
-            skipped += 1
-    return check(
-        f"functor-laws-{model.name}",
-        not failures,
-        samples=samples,
-        counts=counts,
-        skipped=skipped,
-        witness=str(failures[:2]) if failures else None,
-    )
+    def leaf(sym):
+        return Element.of_term(model.alphabet, Leaf(sym))
+
+    def draws():
+        for _ in range(samples):
+            yield dict(x=random_element(model, rng), n=rng.randrange(-3, 3),
+                       s=leaf(rng.choice(lie)), t=leaf(rng.choice(lie)),
+                       a=leaf(rng.choice(comm)))
+
+    def unless(holds, term):
+        return None if holds else to_text(term)
+
+    def mapped(instance, image_instance):
+        return unless(phi.apply(instance) == image_instance, instance)
+
+    return battery_check(f"functor-laws-{model.name}", draws(), {
+        "identity": lambda x, **_: unless(ident.apply(x) == x, x),
+        "composition": lambda x, **_: unless(
+            comp.apply(x) == phi.apply(psi.apply(x)), x),
+        "i-family": lambda x, n, **_: mapped(
+            fam_i(x, n), fam_i(phi.apply(x), n)),
+        "s-family": lambda s, t, **_: mapped(
+            fam_s(s, t, model), fam_s(phi.apply(s), phi.apply(t), model)),
+        "a-family": lambda a, s, **_: mapped(
+            fam_a(a, s, model), fam_a(phi.apply(a), phi.apply(s), model)),
+    })
 
 
 # shipped endomorphism pairs -----------------------------------------------------

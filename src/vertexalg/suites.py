@@ -16,15 +16,17 @@ geometry and sheaf checks use.  Required fields, in this order:
 Optional fields follow, present only where they apply:
 
   cases      cases the one case loop, models.base.case_check, ran (at
-             least one); it stops at the first witness
-  skipped    cases left out because a product passed a degree cap;
-             present only when nonzero
-  witness    the first failing input: a term in the term grammar,
-             symbol names, or a list of failed laws
+             least one); it stops at the first witness.  In the
+             module-law and functor-law batteries one case is one draw
+  skipped    cases left out because a product passed a degree cap (in
+             a battery, because every law did); present only when nonzero
+  witness    the first failing input: a term in the term grammar or
+             symbol names; a battery's is "<law>: <term>", its first
+             failing law on the failing draw
   kind       errata-candidate, display-variant or variant-necessity
-  samples    draws of the module-law, functor-law and
-             i-induction-reading-1 batteries, which keep one record
-  counts     per-law tallies of such a battery
+  samples    draws of i-induction-reading-1, which keeps one record
+  counts     per law of a module-law or functor-law battery, the cases
+             on which that law ran and held
 
 and check-specific details (levels, steps, rules, ranks, bounds, ...).
 
@@ -55,10 +57,8 @@ from .bridges import (
 )
 from .collapse import punctured_checks, right_mult_checks
 from .generators import (
-    FAMILY_ARITY,
-    FAMILY_INDICES,
+    FAMILIES,
     CertificationError,
-    GeneratorSpec,
     TruncationPolicy,
     build_generator,
     fam_d,
@@ -124,10 +124,11 @@ class SuiteConfig:
             raise ValueError(f"unknown suite {self.suite!r}; known: {SUITE_IDS}")
         if self.locality < 1 or self.trunc_level < self.locality:
             raise ValueError("need 1 <= locality <= trunc_level")
-        if self.samples < 0:
-            raise ValueError(f"samples must be >= 0, got {self.samples}")
-        if self.budget < 0:
-            raise ValueError(f"budget must be >= 0, got {self.budget}")
+        for field, least in (("samples", 0), ("budget", 0), ("max_len", 1),
+                             ("index_window", 0)):
+            value = getattr(self, field)
+            if value < least:
+                raise ValueError(f"{field} must be >= {least}, got {value}")
 
     def policy(self) -> TruncationPolicy:
         return TruncationPolicy(
@@ -178,9 +179,9 @@ def _rand_element(model, rng, max_len: int, window: int) -> Element:
 
 def _uncertified(fam_id, args, m, n, K) -> Element:
     """fam_id's generator on its leading args; qc/qa tails cut at K unchecked."""
-    idx = tuple({"m": m, "n": n}[nm] for nm in FAMILY_INDICES[fam_id])
-    spec = GeneratorSpec(fam_id, tuple(args[: FAMILY_ARITY[fam_id]]), idx, K)
-    return build_generator(spec, None, certify=False).element
+    fam = FAMILIES[fam_id]
+    idx = tuple({"m": m, "n": n}[nm] for nm in fam.indices)
+    return build_generator(fam_id, args[: fam.arity], idx, None, K=K, certify=False)
 
 
 # -- commutative-model suite -----------------------------------------------------
@@ -442,7 +443,7 @@ def _suite_injectivity(cfg: SuiteConfig):
             for _ in range(per_fam):
                 n = rng.randint(-cfg.index_window, cfg.index_window)
                 m = rng.randint(-cfg.index_window, cfg.index_window)
-                args = [leaf() for _ in range(FAMILY_ARITY[fam_id])]
+                args = [leaf() for _ in range(FAMILIES[fam_id].arity)]
                 yield fam_id, _uncertified(fam_id, args, m, n, K)
 
     def no_length_one(case):
@@ -583,15 +584,15 @@ def _suite_sheaf(cfg: SuiteConfig):
         args = [Element.of_term(al, Leaf(sa)), Element.of_term(al, Leaf(sb))]
         n = rng.randint(-3, 3)
         fam = "d" if trial < len(forced) else rng.choice(("i", "d", "e", "qc"))
-        spec = GeneratorSpec(fam, tuple(args[: FAMILY_ARITY[fam]]), (n,))
-        gen = build_generator(spec, pol).element
+        args = args[: FAMILIES[fam].arity]
+        gen = build_generator(fam, args, (n,), pol)
         p = pi(gen, ctx)
         if p == gen:
             keeps += 1
         elif p.is_zero():
             kills += 1
         else:
-            names = ", ".join(to_text(a) for a in spec.args)
+            names = ", ".join(to_text(a) for a in args)
             split = f"pi({fam}({names}; n={n})) is neither the instance nor 0"
             break
     if split is None and not (kills and keeps):

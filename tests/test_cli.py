@@ -8,6 +8,7 @@ import pytest
 from vertexalg.cli import main
 
 COVER_TWO = str(resources.files("vertexalg") / "data" / "cover_two.json")
+COVER_THREE = str(resources.files("vertexalg") / "data" / "cover_three.json")
 
 
 def test_reduce_prints_normal_form(capsys):
@@ -148,6 +149,67 @@ def test_gen_tail_bound_below_certificate_is_an_error_line(capsys):
     assert err.splitlines() == [
         "error: qa: bound K=0 keeps alive dropped terms; need K>=2"
     ]
+
+
+# the families that only `gen` builds: c on a free alphabet, the model
+# families against a shipped model, k against a cover file
+@pytest.mark.parametrize("argv,first", (
+    (["c", "--args", "u", "--args", "v", "--n", "3"], "o{3}(u, v)"),
+    (["s", "--args", "del", "--args", "bdel", "--model", "weyl1"],
+     "-1*del + o{0}(del, bdel)"),
+    (["a", "--args", "b", "--args", "del", "--model", "weyl1"],
+     "-1*bdel + o{-1}(b, del)"),
+    (["am", "--args", "b", "--args", "b", "--args", "b2", "--model", "diffpoly"],
+     "-1*o{-1}(b, o{-1}(b, b2)) + o{-1}(b2, b2)"),
+    # s1 and s3 are bumps on disjoint windows: pi kills their product
+    (["k", "--args", "o{-1}(s1, s3) + f", "--cover", COVER_THREE], "o{-1}(s1, s3)"),
+), ids=("c", "s", "a", "am", "k"))
+def test_gen_builds_every_family(capsys, argv, first):
+    assert main(["gen"] + argv) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first
+
+
+@pytest.mark.parametrize("argv,error", (
+    (["c", "--args", "u", "--args", "v", "--n", "0"],
+     "c-family needs a dead pair: u o_0 v is below locality 3 or exempt"),
+    (["s", "--args", "g", "--args", "g1"], "s-family needs --model"),
+    (["k", "--args", "f"], "k-family needs --cover"),
+), ids=("c-live-pair", "s-without-model", "k-without-cover"))
+def test_gen_family_refusals_are_error_lines(capsys, argv, error):
+    assert main(["gen"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv,error", (
+    (["borcherds", "--index-window", "-2"], "index_window must be >= 0, got -2"),
+    (["commutative", "--max-len", "0"], "max_len must be >= 1, got 0"),
+), ids=("index-window", "max-len"))
+def test_empty_sampling_ranges_are_error_lines(capsys, argv, error):
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
+    assert captured.out == ""
+
+
+def test_index_window_zero_runs(capsys):
+    assert main(["verify", "borcherds", "--index-window", "0", "--samples", "2"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("suite borcherds: pass")
+
+
+@pytest.mark.parametrize("text,error", (
+    ("[1]", "model file must hold a JSON object, got [1]"),
+    ("null", "model file must hold a JSON object, got null"),
+    ('{"name": "m"}', "model file has no 'kind' field"),
+), ids=("list", "null", "no-kind"))
+def test_malformed_model_file_is_an_error_line(tmp_path, capsys, text, error):
+    path = tmp_path / "model.json"
+    path.write_text(text)
+    assert main(["reduce", "b", "--model", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
+    assert "Traceback" not in captured.err
 
 
 def test_support_prints_syntactic_and_semantic(capsys):

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from vertexalg import generators
 from vertexalg.generators import (
     CertificationError,
-    GeneratorSpec,
     TruncationPolicy,
     _term_is_dead,
     build_generator,
@@ -230,28 +229,29 @@ class TestHomogeneity:
 class TestDispatch:
     def test_indexed_families(self, al):
         x, y = E(al, "x"), E(al, "y")
-        spec = GeneratorSpec("d", (x, y), (1,))
-        assert build_generator(spec, POL).element == fam_d(x, y, 1)
+        assert build_generator("d", (x, y), (1,), POL) == fam_d(x, y, 1)
 
     def test_qa_indices(self, al):
         x, y, z = E(al, "x"), E(al, "y"), E(al, "z")
-        spec = GeneratorSpec("qa", (x, y, z), (2, -1), bound=6)
-        built = build_generator(spec, POL, certify=False)
-        assert built.element == fam_qa(x, y, z, 2, -1, POL, K=6, certify=False)
-        assert built.indices == (2, -1)
+        built = build_generator("qa", (x, y, z), (2, -1), POL, K=6, certify=False)
+        assert built == fam_qa(x, y, z, 2, -1, POL, K=6, certify=False)
 
     def test_unknown_family(self, al):
         with pytest.raises(ValueError, match="unknown family"):
-            build_generator(GeneratorSpec("zz", (E(al, "x"),), (0,)), POL)
+            build_generator("zz", (E(al, "x"),), (0,), POL)
 
     def test_model_families_need_model(self, al):
         x, y = E(al, "x"), E(al, "y")
         with pytest.raises(ValueError, match="model"):
-            build_generator(GeneratorSpec("s", (x, y)), POL)
+            build_generator("s", (x, y), (), POL)
 
     def test_k_family_needs_context(self, al):
         with pytest.raises(ValueError, match="context"):
-            build_generator(GeneratorSpec("k", (E(al, "x"),)), POL)
+            build_generator("k", (E(al, "x"),), (), POL)
+
+    def test_wrong_arity_is_refused(self, al):
+        with pytest.raises(ValueError, match="takes 2 args"):
+            build_generator("d", (E(al, "x"),), (1,), POL)
 
 
 def test_truncate_walks_deep_towers_without_recursion(al):

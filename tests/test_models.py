@@ -10,7 +10,9 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from vertexalg import rewrite
 from vertexalg.generators import TruncationPolicy
+from vertexalg.models import base
 from vertexalg.models.base import (
     ModelDegreeError,
     case_check,
@@ -280,8 +282,43 @@ class TestModuleLaws:
         assert report["id"] == f"{name}-module-laws"
         assert report["status"] == "pass"
         assert "witness" not in report
-        assert report["samples"] == 30
-        assert report["counts"]["law1_exact"] + report["counts"]["law1_reduced"] > 0
+        assert report["cases"] == 30
+        counts = report["counts"]
+        assert counts["law1-certificate"] + counts["law1-reduction"] > 0
+
+    def test_zero_certificate_fails_law2(self, monkeypatch):
+        # with fam_am read as 0 the exact certificate of law 2 no longer
+        # matches (ab)_{-1} x - a_{-1}(b_{-1} x), already on the first draw
+        model = shipped_model("weyl1")
+        monkeypatch.setattr(
+            base, "fam_am", lambda a, b, x, model: Element.zero(model.alphabet)
+        )
+        report = check_module_laws(model, TruncationPolicy(2, level=6),
+                                   samples=30, seed=11)
+        assert report["status"] == "fail"
+        assert report["cases"] == 1
+        assert report["counts"]["law2-certificate"] == 0
+        law, _, term = report["witness"].partition(": ")
+        assert law == "law2-certificate"
+        assert to_text(parse(term, model.alphabet)) == term
+
+    def test_missing_bracket_rule_fails_law1_reduction(self, monkeypatch):
+        # without the bracket rule s_0 t_0 x - t_0 s_0 x is left unreduced;
+        # at seed 2 draws 1-4 have s = t = e1, so it cancels before any
+        # rule fires, and draw 5 (s, t = e2, e1) is the first to fail
+        monkeypatch.setattr(rewrite, "STOCK_RULES",
+                            tuple(r for r in rewrite.STOCK_RULES if r != "bracket"))
+        model = shipped_model("current2")
+        pol = TruncationPolicy(2, level=6)
+        assert check_module_laws(model, pol, samples=4, seed=2)["status"] == "pass"
+        report = check_module_laws(model, pol, samples=30, seed=2)
+        assert report["status"] == "fail"
+        assert report["cases"] == 5
+        assert report["counts"]["law1-reduction"] == 4
+        law, _, term = report["witness"].partition(": ")
+        assert law == "law1-reduction"
+        assert to_text(parse(term, model.alphabet)) == term
+        assert not parse(term, model.alphabet).is_zero()
 
     def test_deterministic_per_seed(self):
         model = shipped_model("diffpoly")

@@ -14,6 +14,7 @@ from vertexalg.models.morphisms import (
     shipped_morphisms,
     validate_morphism,
 )
+from vertexalg.parsing import parse, to_text
 from vertexalg.terms import Element
 
 LAW_IDS = {"unit", "bracket", "product", "action"}
@@ -151,16 +152,31 @@ class TestFunctorLaws:
         assert report["id"] == f"functor-laws-{model_name}"
         assert report["status"] == "pass"
         assert "witness" not in report
-        assert report["samples"] == 25
+        assert report["cases"] == 25
         assert report["counts"]["identity"] == 25
         assert report["counts"]["composition"] == 25
-        assert report["counts"]["i"] == 25
+        assert report["counts"]["i-family"] == 25
 
     def test_deterministic_per_seed(self, diffpoly):
         phi, psi = shipped_morphisms(diffpoly)
         a = functor_laws(phi, psi, samples=10, seed=2)
         b = functor_laws(phi, psi, samples=10, seed=2)
         assert a == b
+
+    def test_scaled_image_fails_the_a_family(self, monkeypatch, diffpoly):
+        # b -> 6b breaks the product law phi(b b') = phi(b) phi(b'), which
+        # the a-family instance a o_{-1} s - a.s sees; at seed 0 draw 6,
+        # (a, s) = (b2, b), is the first it breaks
+        phi, psi = shipped_morphisms(diffpoly)
+        monkeypatch.setitem(phi.table, "b", 3 * phi.table["b"])
+        assert functor_laws(phi, psi, samples=5, seed=0)["status"] == "pass"
+        report = functor_laws(phi, psi, samples=25, seed=0)
+        assert report["status"] == "fail"
+        assert report["cases"] == 6
+        assert report["counts"]["a-family"] == 5
+        law, _, term = report["witness"].partition(": ")
+        assert law == "a-family"
+        assert to_text(parse(term, diffpoly.alphabet)) == term
 
     def test_rejects_mixed_models(self, diffpoly, weyl):
         phi, _ = shipped_morphisms(diffpoly)
