@@ -162,6 +162,9 @@ def fam_i(x: Element, n: int) -> Element:
 
 
 def fam_c(u: Element, v: Element, n: int, policy: TruncationPolicy) -> Element:
+    if policy is None:
+        # unlike the qc/qa tails, deadness has no meaning without a policy
+        raise ValueError("c-family needs a truncation policy")
     us, vs = _leaf_symbols(u), _leaf_symbols(v)
     if us is None or vs is None:
         raise ValueError("c-family arguments must be leaf combinations")

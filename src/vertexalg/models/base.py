@@ -3,15 +3,16 @@ bilinear extensions, validation, commutative evaluation, module laws.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import product
 from math import factorial
+from typing import NamedTuple
 
 from ..generators import TruncationPolicy, fam_am, fam_qa, fam_s
 from ..parsing import to_text
 from ..terms import Element, Leaf, Symbol, fold_tree, minus_one_pow
+from .polys import Poly1
 
 Q = Fraction
 
@@ -50,15 +51,12 @@ def case_check(cid: str, cases, probe, limit: int = None, **extra) -> dict:
     return check(cid, ran > 0, cases=ran, skipped=skipped or None, **extra)
 
 
-@dataclass
-class CommutativeSemantics:
-    zero: callable
-    value: callable  # Symbol -> V
-    add: callable  # (V, V) -> V
-    mul: callable  # (V, V) -> V
-    diff: callable  # V -> V
-    scale: callable  # (int or Fraction, V) -> V
-    to_element: callable  # V -> Element
+class Commutative(NamedTuple):
+    """A model's commutative quotient in one-variable polynomials: value
+    maps a Symbol to its Poly1, to_element maps a Poly1 back."""
+
+    value: callable
+    to_element: callable
 
 
 class Model:
@@ -77,7 +75,7 @@ class Model:
         product,
         action,
         max_degree: int = 0,
-        commutative: CommutativeSemantics = None,
+        commutative: Commutative = None,
         meta: dict = None,
     ):
         self.name = name
@@ -173,25 +171,24 @@ class Model:
     # commutative semantics --------------------------------------------
 
     def evaluate_commutative(self, x: Element) -> Element:
+        """x in the commutative quotient: products at n >= 0 vanish, and
+        u o_{-1-k} v is (d^k u / k!) v."""
         if self.commutative is None:
             raise ValueError(f"model {self.name} has no commutative semantics")
-        cs = self.commutative
-        total = cs.zero()
-        for t, c in x.terms.items():
-            total = cs.add(total, cs.scale(c, self._comm_term(t, cs)))
-        return cs.to_element(total)
+        value, to_element = self.commutative
 
-    def _comm_term(self, t, cs):
-        # products at n >= 0 vanish in the commutative quotient
         def node(n, left, right):
             if n.index >= 0:
-                return cs.zero()
+                return Poly1()
             k = -1 - n.index
             for _ in range(k):
-                left = cs.diff(left)
-            return cs.mul(cs.scale(Q(1, factorial(k)), left), right)
+                left = left.diff()
+            return (left * Q(1, factorial(k))) * right
 
-        return fold_tree(t, lambda s: cs.value(s.symbol), node)
+        total = Poly1()
+        for t, c in x.terms.items():
+            total = total + fold_tree(t, lambda s: value(s.symbol), node) * c
+        return to_element(total)
 
 
 # validation ----------------------------------------------------------------

@@ -5,14 +5,21 @@ Weyl1 (polynomial vector fields on the line acting on polynomials),
 CurrentLie (finite-dimensional Lie algebra from structure constants,
 trivial commutative part), and the differential-form models DeRham1 /
 DeRham2Conn built in the geometry module.
+
+KINDS maps each kind to its maker.  A model file is one JSON object
+{"kind": K, ...} whose other fields are keyword arguments of K's maker;
+a field left out takes the maker's default, so {"kind": "DiffPoly",
+"max_degree": 4} is make_diffpoly(max_degree=4).
 """
 
-import json
+import inspect
 from fractions import Fraction
 
+from ..parsing import read_document
 from ..terms import Alphabet, Element, Symbol
-from .base import CommutativeSemantics, Model, ModelDegreeError
-from .polys import Poly1, Poly2
+from .base import Commutative, Model, ModelDegreeError
+from .geometry import make_derham1, make_derham2
+from .polys import Poly1
 
 Q = Fraction
 
@@ -78,15 +85,7 @@ def make_diffpoly(max_degree: int = 6) -> Model:
     def action(a, s):
         raise ValueError("DiffPoly has no Lie symbols")
 
-    comm = CommutativeSemantics(
-        zero=Poly1,
-        value=lambda s: Poly1.mono(_name_exp(s.name)[0]),
-        add=lambda u, v: u + v,
-        mul=lambda u, v: u * v,
-        diff=lambda u: u.diff(),
-        scale=lambda c, u: u * c,
-        to_element=poly_to_elem,
-    )
+    comm = Commutative(lambda s: Poly1.mono(_name_exp(s.name)[0]), poly_to_elem)
     low = [pow_name(k) for k in range(1, max_degree // 2 + 1)]
     return Model(
         "diffpoly",
@@ -96,7 +95,7 @@ def make_diffpoly(max_degree: int = 6) -> Model:
         action,
         max_degree=max_degree,
         commutative=comm,
-        meta={"kind": "DiffPoly", "locality": 0, "sample_symbols": low},
+        meta={"kind": "DiffPoly", "sample_symbols": low},
     )
 
 
@@ -154,7 +153,7 @@ def make_weyl1(max_degree: int = 6) -> Model:
         action,
         max_degree=max_degree,
         commutative=None,
-        meta={"kind": "Weyl1", "locality": 2, "sample_symbols": low},
+        meta={"kind": "Weyl1", "sample_symbols": low},
     )
 
 
@@ -162,7 +161,7 @@ def make_weyl1(max_degree: int = 6) -> Model:
 
 
 def make_currentlie(
-    name: str, variables: list, structure_constants: list, locality: int = 1
+    variables: list, name: str = "currentlie", structure_constants=()
 ) -> Model:
     """Lie algebra on the given basis with [e_i, e_j] = sum_k c_ijk e_k.
 
@@ -202,100 +201,42 @@ def make_currentlie(
         action,
         max_degree=0,
         commutative=None,
-        meta={"kind": "CurrentLie", "locality": locality},
+        meta={"kind": "CurrentLie"},
     )
 
 
-# polynomial-string parsing for definition files --------------------------------
+# the kind table and the loader ---------------------------------------------------
 
-
-def parse_poly(text: str, variables: tuple):
-    """Parse 'b1*b2 + 3/2*b1^2 - 1' into Poly1 or Poly2.
-
-    variables is ('b',) or ('b1', 'b2'); the grammar is sums of products of
-    powers with a leading rational coefficient.
-    """
-    zero = Poly1() if len(variables) == 1 else Poly2()
-
-    def mono(exps, coeff):
-        if len(variables) == 1:
-            return Poly1.mono(exps[0], coeff)
-        return Poly2.mono(exps[0], exps[1], coeff)
-
-    text = text.replace(" ", "")
-    if text in ("", "0"):
-        return zero
-    total = zero
-    sign = 1
-    pos = 0
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        pos = 1
-    while pos <= len(text):
-        end = pos
-        while end < len(text) and text[end] not in "+-":
-            end += 1
-        piece = text[pos:end]
-        coeff = Q(sign)
-        exps = [0] * len(variables)
-        for factor in piece.split("*"):
-            if not factor:
-                raise ValueError(f"empty factor in {text!r}")
-            if factor[0].isdigit() or factor[0] == "/":
-                coeff *= Q(factor)
-                continue
-            if "^" in factor:
-                var, _, p = factor.partition("^")
-                power = int(p)
-            else:
-                var, power = factor, 1
-            if var not in variables:
-                raise ValueError(f"unknown variable {var!r} in {text!r}")
-            exps[variables.index(var)] += power
-        total = total + mono(exps, coeff)
-        if end == len(text):
-            break
-        sign = -1 if text[end] == "-" else 1
-        pos = end + 1
-    return total
-
-
-# registry and loader ------------------------------------------------------------
+KINDS = {
+    "DiffPoly": make_diffpoly,
+    "Weyl1": make_weyl1,
+    "CurrentLie": make_currentlie,
+    "DeRham1": make_derham1,
+    "DeRham2Conn": make_derham2,
+}
 
 
 def make_model(kind: str, params: dict = None) -> Model:
+    """KINDS[kind](**params).  An unknown kind, a parameter the maker does
+    not take and a missing required parameter are each a ValueError that
+    names the kind and the parameter."""
+    maker = KINDS.get(kind)
+    if maker is None:
+        raise ValueError(f"unknown model kind {kind!r}; kinds: {', '.join(KINDS)}")
     params = params or {}
-    if kind == "DiffPoly":
-        return make_diffpoly(params.get("max_degree", 6))
-    if kind == "Weyl1":
-        return make_weyl1(params.get("max_degree", 6))
-    if kind == "CurrentLie":
-        return make_currentlie(
-            params.get("name", "currentlie"),
-            params["variables"],
-            params.get("structure_constants", []),
-            params.get("locality", 1),
-        )
-    if kind in ("DeRham1", "DeRham2Conn"):
-        from .geometry import make_derham1, make_derham2
-
-        if kind == "DeRham1":
-            return make_derham1(params.get("max_degree", 3))
-        conn = params.get("connection", ["b2", "0"])
-        a1 = parse_poly(conn[0], ("b1", "b2"))
-        a2 = parse_poly(conn[1], ("b1", "b2"))
-        return make_derham2(
-            a1, a2, params.get("max_degree", 2), params.get("name", "derham2")
-        )
-    raise ValueError(f"unknown model kind {kind!r}")
+    takes = inspect.signature(maker).parameters
+    for name in params:
+        if name not in takes:
+            raise ValueError(f"{kind} takes no parameter {name!r}")
+    for name, p in takes.items():
+        if p.default is p.empty and name not in params:
+            raise ValueError(f"{kind} needs the parameter {name!r}")
+    return maker(**params)
 
 
-def load_model(path: str) -> Model:
-    with open(path) as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        shape = json.dumps(cfg)[:40]
-        raise ValueError(f"model file must hold a JSON object, got {shape}")
+def load_model(path) -> Model:
+    """The model a model file describes (see the module docstring)."""
+    cfg = read_document(path, "model file")
     if "kind" not in cfg:
         raise ValueError("model file has no 'kind' field")
     kind = cfg.pop("kind")
@@ -305,21 +246,12 @@ def load_model(path: str) -> Model:
 _SHIPPED = {
     "diffpoly": ("DiffPoly", {}),
     "weyl1": ("Weyl1", {}),
-    "current2": (
-        "CurrentLie",
-        {"name": "current2", "variables": ["e1", "e2"], "structure_constants": []},
-    ),
-    "current3": (
-        "CurrentLie",
-        {
-            "name": "current3",
-            "variables": ["e1", "e2", "e3"],
-            "structure_constants": [[0, 1, 2, "1"]],
-        },
-    ),
+    "current2": ("CurrentLie", {"name": "current2", "variables": ["e1", "e2"]}),
+    "current3": ("CurrentLie", {"name": "current3", "variables": ["e1", "e2", "e3"],
+                                "structure_constants": [[0, 1, 2, "1"]]}),
     "derham1": ("DeRham1", {}),
-    "derham2_b2": ("DeRham2Conn", {"connection": ["b2", "0"], "name": "derham2_b2"}),
-    "derham2_lin": ("DeRham2Conn", {"connection": ["0", "b1"], "name": "derham2_lin"}),
+    "derham2_b2": ("DeRham2Conn", {"connection": ("b2", "0"), "name": "derham2_b2"}),
+    "derham2_lin": ("DeRham2Conn", {"connection": ("0", "b1"), "name": "derham2_lin"}),
 }
 
 
@@ -334,4 +266,4 @@ def shipped_model(name: str) -> Model:
         raise ValueError(
             f"unknown model {name!r}; shipped: {', '.join(shipped_model_names())}"
         ) from None
-    return make_model(kind, dict(params))
+    return make_model(kind, params)

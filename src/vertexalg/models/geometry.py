@@ -43,7 +43,7 @@ from itertools import product
 
 from ..terms import Alphabet, Element, Symbol, minus_one_pow
 from .base import Model, ModelDegreeError, case_check, check
-from .polys import Poly1, Poly2
+from .polys import Poly1, Poly2, parse_poly
 
 Q = Fraction
 
@@ -328,7 +328,7 @@ def make_derham1(max_degree: int = 3) -> Model:
 
     return _form_model(
         "derham1", F1, forms, OPS1, OPS1, max_degree,
-        {"kind": "DeRham1", "locality": 2},
+        {"kind": "DeRham1"},
         act_form=act_form, pure_bracket=pure_bracket,
     )
 
@@ -345,11 +345,13 @@ def _one_form(a1: Poly2, a2: Poly2):
 
 
 def make_derham2(
-    a1: Poly2, a2: Poly2, max_degree: int = 2, name: str = "derham2"
+    connection=("b2", "0"), max_degree: int = 2, name: str = "derham2"
 ) -> Model:
     """Two coordinates, rank-one sections e^k, connection one-form
-    A = a1 db1 + a2 db2.  Operator symbols: the seven basic operators and
-    all form-multiples of the euler counter (the bracket closure)."""
+    A = a1 db1 + a2 db2, with connection = (a1, a2) as polynomial text in
+    b1 and b2.  Operator symbols: the seven basic operators and all
+    form-multiples of the euler counter (the bracket closure)."""
+    a1, a2 = (parse_poly(text, ("b1", "b2")) for text in connection)
     if max(a1.total_degree(), a2.total_degree(), 1) > max_degree:
         raise ValueError("connection coefficients exceed the degree cap")
     forms = {}
@@ -393,7 +395,6 @@ def make_derham2(
 
     meta = {
         "kind": "DeRham2Conn",
-        "locality": 2,
         "connection": (a1, a2),
         "curvature": f_form,
     }

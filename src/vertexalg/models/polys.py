@@ -1,6 +1,7 @@
 """Exact polynomial scratchpads: one and two variables, plus Fraction
-Gaussian elimination and a tiny named-variable polynomial for relation
-checking.  Dict-backed, no dense arrays, no floats.
+Gaussian elimination, a tiny named-variable polynomial for relation
+checking, and parse_poly, which reads Poly1 and Poly2 from text.
+Dict-backed, no dense arrays, no floats.
 
 Coefficients.  Every stored coefficient is an int or a Fraction, never a
 float and never zero.  The public constructors, const, mono, var and
@@ -16,6 +17,7 @@ built that way.  _add_into accumulates (key, coefficient) pairs into such a
 dict and deletes a key as soon as it cancels, so the dict stays trusted.
 """
 
+import re
 from fractions import Fraction
 from operator import add
 
@@ -233,6 +235,35 @@ class PolyVars(_Poly):
         if not self.c:
             return "0"
         return " + ".join(f"{v}*{dict(k)}" for k, v in self.c.items())
+
+
+def parse_poly(text: str, variables: tuple):
+    """Parse 'b1*b2 + 3/2*b1^2 - 1' into Poly1 or Poly2.
+
+    variables is ('b',) or ('b1', 'b2'); the grammar is sums of products of
+    powers with a leading rational coefficient.
+    """
+    total = Poly1() if len(variables) == 1 else Poly2()
+    text = text.replace(" ", "")
+    if text in ("", "0"):
+        return total
+    signed = text if text[0] in "+-" else "+" + text
+    for sign, piece in re.findall(r"([+-])([^+-]*)", signed):
+        coeff = Q(-1 if sign == "-" else 1)
+        exps = [0] * len(variables)
+        for factor in piece.split("*"):
+            if not factor:
+                raise ValueError(f"empty factor in {text!r}")
+            if factor[0].isdigit() or factor[0] == "/":
+                coeff *= Q(factor)
+                continue
+            var, caret, power = factor.partition("^")
+            power = int(power) if caret else 1
+            if var not in variables:
+                raise ValueError(f"unknown variable {var!r} in {text!r}")
+            exps[variables.index(var)] += power
+        total = total + type(total).mono(*exps, coeff)
+    return total
 
 
 def _add_pairs(k1: tuple, k2: tuple) -> tuple:

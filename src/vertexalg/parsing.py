@@ -10,8 +10,12 @@ Grammar:
 The printer orders monomials canonically, so print/parse round-trips exactly.
 Neither the parser nor the printer recurses on nesting depth: a deep tree
 costs time, never RecursionError.
+
+read_document reads the JSON documents the program takes from outside,
+model files and cover files, and refuses one that is not a JSON object.
 """
 
+import json
 from fractions import Fraction
 
 from .terms import Alphabet, Element, render
@@ -202,3 +206,13 @@ def to_text(x: Element) -> str:
         piece = _atom_text(t) if mag == 1 else f"{mag}*{_atom_text(t)}"
         parts.append(lead + piece)
     return "".join(parts)
+
+
+def read_document(path, what: str) -> dict:
+    """The JSON object in the file at path; what ("model file", "cover
+    file") names the document in the ValueError for any other value."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must hold a JSON object, got {json.dumps(doc)[:40]}")
+    return doc

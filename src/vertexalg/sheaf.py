@@ -26,10 +26,12 @@ semantic support or by a unit reduction, then witnesses uniqueness.
 import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
+from pathlib import Path
 
 from .intervals import SupportSet, overlap_core
 from .models.base import check
 from .models.polys import PolyVars
+from .parsing import read_document
 from .rewrite import ReductionReport, RuleSet, reduce_element
 from .terms import Alphabet, Element, Leaf, Node, Symbol, fold_tree, leaves, preorder
 
@@ -548,8 +550,7 @@ def _unit_reduce(x: Element) -> ReductionReport:
     return reduce_element(x, rules)
 
 
-def sheaf_axiom_check(cover, sections, context: SheafContext,
-                      probe: Element = None):
+def sheaf_axiom_check(cover, sections, context: SheafContext):
     """Existence and uniqueness, mechanically.
 
     For each patch the restriction of the glued element is walked to the
@@ -558,9 +559,9 @@ def sheaf_axiom_check(cover, sections, context: SheafContext,
     sum to the unit by the partition relation, and strip the unit by a
     rewrite.  Hops one to three are certified by an empty semantic
     support (membership in the kernel ideal); hop four is a unit_left
-    reduction to zero.  Uniqueness: the probe (default: one Cor-style
-    difference rho o (x - sigma*x)) has empty semantic support, so pi
-    kills it and k returns it whole.
+    reduction to zero.  Uniqueness: the probe, the Cor-style difference
+    rho o (x - sigma*x) on the first patch, has empty semantic support, so
+    pi kills it and k returns it whole.
     """
     problems = check_cover(cover, context)
     checks = [check("cover-geometry", not problems, detail="; ".join(problems))]
@@ -616,11 +617,9 @@ def sheaf_axiom_check(cover, sections, context: SheafContext,
             f"restricts-to-{p.name}", all(hops),
             detail="restrict(glue) = local section modulo the kernel ideal"))
 
-    if probe is None:
-        p0 = cover[0]
-        x0 = sections[0]
-        probe = (Element.sym(al, p0.rho).o(-1, x0)
-                 - Element.sym(al, p0.rho).o(-1, sigma_star(p0.sigma, x0, context)))
+    p0, x0 = cover[0], sections[0]
+    rho0 = Element.sym(al, p0.rho)
+    probe = rho0.o(-1, x0) - rho0.o(-1, sigma_star(p0.sigma, x0, context))
     empty = semantic_support(probe, context).is_empty()
     killed = pi(probe, context) == Element.zero(al)
     whole = k_generator(probe, context) == probe
@@ -655,73 +654,96 @@ def rho_transfer_check(rho, sigma, x: Element, n: int,
 
 # -- shipped covers -------------------------------------------------------------
 
+_DATA = Path(__file__).parent / "data"
+
 
 def make_cover_two():
     """Universe [0,3], two patches overlapping on [1,2], cores split at
     3/2.  Sections f (global), g on [0,2], h on [1,3]."""
-    return load_cover({
-        "universe": [0, 3],
-        "sections": [
-            {"name": "f", "support": [0, 3]},
-            {"name": "g", "support": [0, 2]},
-            {"name": "h", "support": [1, 3]},
-        ],
-        "patches": [
-            {"name": "U1", "window": [0, 2], "core": [0, "3/2"],
-             "sigma": "s1", "rho": "r1"},
-            {"name": "U2", "window": [1, 3], "core": ["3/2", 3],
-             "sigma": "s2", "rho": "r2"},
-        ],
-    })
+    return load_cover(_DATA / "cover_two.json")
 
 
 def make_cover_three():
     """Universe [0,4], three patches in a chain, cores split at 3/2 and
     5/2.  Sections f (global), g on [0,8/3], h on [4/3,4]."""
-    return load_cover({
-        "universe": [0, 4],
-        "sections": [
-            {"name": "f", "support": [0, 4]},
-            {"name": "g", "support": [0, "8/3"]},
-            {"name": "h", "support": ["4/3", 4]},
-        ],
-        "patches": [
-            {"name": "U1", "window": [0, "5/3"], "core": [0, "3/2"],
-             "sigma": "s1", "rho": "r1"},
-            {"name": "U2", "window": ["4/3", "8/3"], "core": ["3/2", "5/2"],
-             "sigma": "s2", "rho": "r2"},
-            {"name": "U3", "window": ["7/3", 4], "core": ["5/2", 4],
-             "sigma": "s3", "rho": "r3"},
-        ],
-    })
+    return load_cover(_DATA / "cover_three.json")
 
 
-def load_cover(source):
-    """Build a context and cover from a JSON description.  Rationals are
-    strings ("3/2"); each patch gives its window, core, and bump names;
-    sections list name and support.  The rho partition is declared
-    automatically."""
-    if isinstance(source, (str, bytes)):
-        with open(source) as fh:
-            data = json.load(fh)
-    else:
-        data = source
-
-    def span(pair):
-        return SupportSet.closed(Q(str(pair[0])), Q(str(pair[1])))
-
-    ctx = SheafContext(span(data["universe"]))
-    for sec in data.get("sections", ()):
-        ctx.declare_section(sec["name"], span(sec["support"]),
-                            parity=int(sec.get("parity", 0)),
-                            degree=Q(str(sec.get("degree", 0))))
+def load_cover(path):
+    """Build a context and cover from a JSON cover file.  Rationals are
+    numbers or strings ("3/2"); each patch gives its window, core, and
+    bump names; sections list name, support and optionally parity (0 or
+    1) and degree.  The rho partition is declared automatically.  A field
+    of the wrong shape is a ValueError naming its JSON path
+    (patches[0].window)."""
+    data = read_document(path, "cover file")
+    ctx = SheafContext(_field(data, "", "universe", _span))
+    for at, sec in _field(data, "", "sections", _objects, ()):
+        ctx.declare_section(_field(sec, at, "name", _name),
+                            _field(sec, at, "support", _span),
+                            parity=_field(sec, at, "parity", _parity, 0),
+                            degree=_field(sec, at, "degree", _rational, 0))
     cover = []
-    for patch in data["patches"]:
-        window = span(patch["window"])
-        core = span(patch["core"])
-        ctx.declare_bump(patch["sigma"], window, core)
-        ctx.declare_bump(patch["rho"], core)
-        cover.append(CoverPatch(patch.get("name", patch["sigma"]),
-                                window, core, patch["sigma"], patch["rho"]))
+    for at, patch in _field(data, "", "patches", _objects):
+        window = _field(patch, at, "window", _span)
+        core = _field(patch, at, "core", _span)
+        sigma = _field(patch, at, "sigma", _name)
+        rho = _field(patch, at, "rho", _name)
+        ctx.declare_bump(sigma, window, core)
+        ctx.declare_bump(rho, core)
+        cover.append(CoverPatch(_field(patch, at, "name", _name, sigma),
+                                window, core, sigma, rho))
     ctx.declare_partition(tuple(p.rho for p in cover))
     return ctx, tuple(cover)
+
+
+# readers of cover-file fields: each takes a JSON value and its path in the
+# document, and returns what it read or raises a ValueError naming the path
+
+_REQUIRED = object()
+
+
+def _field(obj, at, key, read, default=_REQUIRED):
+    """read(obj[key], path) for the field key of the object at path at; a
+    missing field is the default, or refused when there is none."""
+    path = f"{at}.{key}" if at else key
+    if key in obj:
+        return read(obj[key], path)
+    if default is _REQUIRED:
+        raise ValueError(f"{path}: missing")
+    return default
+
+
+def _expect(ok, path, expected, value):
+    if not ok:
+        raise ValueError(f"{path}: expected {expected}, got {json.dumps(value)[:40]}")
+    return value
+
+
+def _rational(value, path):
+    _expect(type(value) in (int, float, str), path, "a rational", value)
+    try:
+        return Q(str(value))
+    except (ValueError, ZeroDivisionError):
+        return _expect(False, path, "a rational", value)
+
+
+def _span(value, path):
+    _expect(type(value) is list and len(value) == 2, path, "[lo, hi]", value)
+    lo, hi = (_rational(v, f"{path}[{i}]") for i, v in enumerate(value))
+    return SupportSet.closed(lo, hi)
+
+
+def _name(value, path):
+    return _expect(type(value) is str, path, "a name", value)
+
+
+def _parity(value, path):
+    return _expect(type(value) is int and value in (0, 1), path, "0 or 1", value)
+
+
+def _objects(value, path):
+    """(path, object) for each entry of a list of objects."""
+    _expect(type(value) is list, path, "a list of objects", value)
+    return [(f"{path}[{i}]", _expect(type(v) is dict, f"{path}[{i}]", "an object", v))
+            for i, v in enumerate(value)]

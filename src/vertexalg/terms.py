@@ -259,12 +259,9 @@ class Alphabet:
     redefinition is an error.  Safe to share between threads as a cache.
     """
 
-    def __init__(self, symbols=(), unit_name: str = "1"):
-        self._by_name = {}
-        self.unit = Symbol(unit_name, 0, Q(0), "unit")
-        self._by_name[unit_name] = self.unit
-        for s in symbols:
-            self.add(s)
+    def __init__(self):
+        self.unit = Symbol("1", 0, Q(0), "unit")
+        self._by_name = {"1": self.unit}
 
     def add(self, sym: Symbol) -> Symbol:
         old = self._by_name.get(sym.name)

@@ -202,7 +202,11 @@ def test_index_window_zero_runs(capsys):
     ("[1]", "model file must hold a JSON object, got [1]"),
     ("null", "model file must hold a JSON object, got null"),
     ('{"name": "m"}', "model file has no 'kind' field"),
-), ids=("list", "null", "no-kind"))
+    ('{"kind": "Octonion"}', "unknown model kind 'Octonion'; kinds: DiffPoly, "
+     "Weyl1, CurrentLie, DeRham1, DeRham2Conn"),
+    ('{"kind": "DiffPoly", "max_degre": 3}', "DiffPoly takes no parameter 'max_degre'"),
+    ('{"kind": "CurrentLie"}', "CurrentLie needs the parameter 'variables'"),
+), ids=("list", "null", "no-kind", "unknown-kind", "misspelt-field", "missing-field"))
 def test_malformed_model_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "model.json"
     path.write_text(text)
@@ -210,6 +214,58 @@ def test_malformed_model_file_is_an_error_line(tmp_path, capsys, text, error):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {error}"]
     assert "Traceback" not in captured.err
+
+
+def _cover_two_with(**fields):
+    with open(COVER_TWO) as fh:
+        return json.dumps({**json.load(fh), **fields})
+
+
+def _section_with(**fields):
+    return [{"name": "f", "support": [0, 3], **fields}]
+
+
+@pytest.mark.parametrize("text,error", (
+    ("[1]", "cover file must hold a JSON object, got [1]"),
+    ('"ab"', 'cover file must hold a JSON object, got "ab"'),
+    ("5", "cover file must hold a JSON object, got 5"),
+    ("null", "cover file must hold a JSON object, got null"),
+    (_cover_two_with(patches=[1]), "patches[0]: expected an object, got 1"),
+    (_cover_two_with(sections=[1]), "sections[0]: expected an object, got 1"),
+    (_cover_two_with(universe=[0]), "universe: expected [lo, hi], got [0]"),
+    (_cover_two_with(sections=5), "sections: expected a list of objects, got 5"),
+    (_cover_two_with(patches="ab"), 'patches: expected a list of objects, got "ab"'),
+    (_cover_two_with(sections=_section_with(parity=[1])),
+     "sections[0].parity: expected 0 or 1, got [1]"),
+    (_cover_two_with(universe=[0, "x"]), 'universe[1]: expected a rational, got "x"'),
+    (_cover_two_with(sections=_section_with(name=7)),
+     "sections[0].name: expected a name, got 7"),
+    (_cover_two_with(patches=[{"window": [0, 3], "core": [0, 3], "sigma": "s1"}]),
+     "patches[0].rho: missing"),
+), ids=("list", "string", "number", "null", "patch-not-object",
+        "section-not-object", "short-universe", "sections-not-list",
+        "patches-not-list", "parity-list", "bound-not-rational", "name-not-string",
+        "rho-missing"))
+def test_malformed_cover_file_is_an_error_line(tmp_path, capsys, text, error):
+    path = tmp_path / "cover.json"
+    path.write_text(text)
+    assert main(["support", "f", "--cover", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
+    assert captured.out == ""
+
+
+def test_grade_reads_degree_and_parity_assignments(capsys):
+    argv = ["grade", "o{-1}(g, a)", "--degrees", "g=1,a=0", "--parities", "a=1"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "degree: 1", "lengths: 2", "shapes: 1",
+    ]
+    # an assigned degree overrides the degree-0 default of a
+    assert main(["grade", "o{-1}(g, a)", "--degrees", "a=5/2"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "degree: 7/2"
+    assert main(["grade", "g", "--degrees", "g"]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: expected name=value, got 'g'"]
 
 
 def test_support_prints_syntactic_and_semantic(capsys):

@@ -249,6 +249,13 @@ class TestDispatch:
         with pytest.raises(ValueError, match="context"):
             build_generator("k", (E(al, "x"),), (), POL)
 
+    def test_c_family_needs_policy(self, al):
+        # deadness is read off the policy, so a missing one is refused
+        # before any pair is looked at
+        x, y = E(al, "x"), E(al, "y")
+        with pytest.raises(ValueError, match="c-family needs a truncation policy"):
+            build_generator("c", (x, y), (4,), None)
+
     def test_wrong_arity_is_refused(self, al):
         with pytest.raises(ValueError, match="takes 2 args"):
             build_generator("d", (E(al, "x"),), (1,), POL)

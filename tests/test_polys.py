@@ -7,7 +7,7 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
-from vertexalg.models.polys import Poly1, Poly2, PolyVars, column_rank
+from vertexalg.models.polys import Poly1, Poly2, PolyVars, column_rank, parse_poly
 
 # -- reference arithmetic over {key: Fraction} dicts ---------------------------
 
@@ -200,6 +200,40 @@ def test_float_is_a_type_error(build):
 def test_exact_non_int_input_becomes_fraction():
     assert Poly1.const("3/2").c == {0: Q(3, 2)}
     assert type(Poly1.const(True).c[0]) is Q
+
+
+# -- text -------------------------------------------------------------------------
+
+B12 = ("b1", "b2")
+
+
+@pytest.mark.parametrize("text,variables,want", (
+    ("3/2*b1^2 - b1*b2 + 1", B12, {(2, 0): Q(3, 2), (1, 1): -1, (0, 0): 1}),
+    ("-b^3 + 2*b", ("b",), {3: -1, 1: 2}),
+    ("+b * b^2 - 1/3", ("b",), {3: 1, 0: Q(-1, 3)}),
+    ("2*3*b2^0 + b2^2*b1", B12, {(0, 0): 6, (1, 2): 1}),
+    ("b1 - b1", B12, {}),
+    ("0", B12, {}),
+    ("", ("b",), {}),
+), ids=("coefficient-power", "signs", "product-of-powers", "several-factors",
+        "cancel", "zero", "empty"))
+def test_parse_poly_reads_the_grammar(text, variables, want):
+    got = parse_poly(text, variables)
+    assert type(got) is (Poly1 if len(variables) == 1 else Poly2)
+    assert got.c == want
+
+
+@pytest.mark.parametrize("text,error", (
+    ("b1 + x", "unknown variable 'x' in 'b1\\+x'"),
+    ("b1^2*b3", "unknown variable 'b3'"),
+    ("b1**2", "empty factor in 'b1\\*\\*2'"),
+    ("b1 +", "empty factor in 'b1\\+'"),
+    ("--b1", "empty factor"),
+), ids=("unknown", "unknown-in-product", "double-star", "trailing-sign",
+        "double-sign"))
+def test_parse_poly_refusals(text, error):
+    with pytest.raises(ValueError, match=error):
+        parse_poly(text, B12)
 
 
 # -- column rank --------------------------------------------------------------------

@@ -2,6 +2,7 @@
 and as properties of random tagged elements."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
@@ -11,7 +12,10 @@ from vertexalg.intervals import SupportSet
 from vertexalg.models.morphisms import random_tree
 from vertexalg.models.polys import PolyVars
 from vertexalg.sheaf import (
+    SupportError,
     _class_key,
+    check_cover,
+    glue,
     make_cover_three,
     make_cover_two,
     pi,
@@ -188,6 +192,50 @@ def test_semantic_support_and_pi_of_a_deep_tower():
     deep = f.D_pow(DEPTH)
     assert semantic_support(deep, ctx) == SupportSet.closed(0, 3)
     assert pi(deep, ctx) == deep
+
+
+# -- cover geometry and gluing on the three-patch cover -------------------------
+
+# U1 has window [0, 5/3] and core [0, 3/2]; s1 lives on U1's window with
+# plateau its core, r1 on its core; U2 and U3 carry s2/r2 and s3/r3
+_BROKEN_COVERS = (
+    (lambda c: (replace(c[0], core=SupportSet.closed(0, 2)),) + c[1:],
+     ["U1: core not inside window", "U1: sigma is not 1 on the core"]),
+    (lambda c: (replace(c[0], sigma="nope"),) + c[1:], ["U1: undeclared bump"]),
+    (lambda c: (replace(c[0], window=SupportSet.closed(0, Q(3, 2))),) + c[1:],
+     ["U1: sigma spills out of the window"]),
+    (lambda c: (replace(c[0], sigma="r1"),) + c[1:], ["U1: sigma is not 1 on the core"]),
+    (lambda c: (replace(c[0], rho="s1"),) + c[1:],
+     ["U1: rho spills out of the core",
+      "the rhos are not a declared partition of unity"]),
+    (lambda c: c[:2],
+     ["cores do not cover the universe",
+      "the rhos are not a declared partition of unity"]),
+)
+
+
+@pytest.mark.parametrize("broken,problems", _BROKEN_COVERS, ids=(
+    "core-outside-window", "undeclared-bump", "sigma-spills", "sigma-not-one",
+    "rho-spills", "cores-short"))
+def test_check_cover_names_each_problem(broken, problems):
+    ctx, cover = make_cover_three()
+    assert check_cover(cover, ctx) == []
+    bad = broken(cover)
+    assert check_cover(bad, ctx) == problems
+    with pytest.raises(SupportError, match="; ".join(problems)):
+        glue(bad, [Element.sym(ctx.alphabet, "f")] * len(bad), ctx)
+
+
+def test_glue_refuses_disagreeing_sections():
+    # f and h differ on U2's overlap with U3, [7/3, 8/3]
+    ctx, cover = make_cover_three()
+    f, h = (Element.sym(ctx.alphabet, n) for n in ("f", "h"))
+    with pytest.raises(SupportError,
+                       match=r"overlap disagreement between U2 and U3 on \[7/3, 8/3\]"):
+        glue(cover, [f, f, h], ctx)
+    with pytest.raises(SupportError, match="one section per patch"):
+        glue(cover, [f, f], ctx)
+    assert not glue(cover, [f, f, f], ctx).is_zero()
 
 
 # -- random tagged elements on the three-patch cover -----------------------------
