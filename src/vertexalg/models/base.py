@@ -4,13 +4,12 @@ bilinear extensions, validation, commutative evaluation, module laws.
 
 import random
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import factorial
 from typing import NamedTuple
 
 from ..generators import TruncationPolicy, fam_am, fam_qa, fam_s
-from ..parsing import to_text
+from ..parsing import expect, to_text
 from ..terms import Element, Leaf, Symbol, fold_tree, minus_one_pow
 from .polys import Poly1
 
@@ -51,6 +50,23 @@ def case_check(cid: str, cases, probe, limit: int = None, **extra) -> dict:
     return check(cid, ran > 0, cases=ran, skipped=skipped or None, **extra)
 
 
+def degree_cap(max_degree) -> int:
+    """A maker's max_degree: a non-negative int, else a ValueError naming
+    the field."""
+    return expect(type(max_degree) is int and max_degree >= 0, "max_degree",
+                  "a non-negative integer", max_degree)
+
+
+def _symbol_pairs(x: Element) -> list:
+    """(symbol, coefficient) for each term of a leaf combination x."""
+    pairs = []
+    for t, c in x.terms.items():
+        if t.__class__ is not Leaf:
+            raise ValueError("model tables apply to leaf combinations")
+        pairs.append((t.symbol, c))
+    return pairs
+
+
 class Commutative(NamedTuple):
     """A model's commutative quotient in one-variable polynomials: value
     maps a Symbol to its Poly1, to_element maps a Poly1 back."""
@@ -87,6 +103,16 @@ class Model:
         self.commutative = commutative
         self.meta = meta or {}
         self._cache = {}
+        self._leaves = {}
+
+    def leaf(self, sym: Symbol) -> Element:
+        """The leaf Element of sym, built once per symbol and shared: trees
+        built from it share their leaves, and the unit shortcuts of mul and
+        act return it."""
+        hit = self._leaves.get(sym)
+        if hit is None:
+            hit = self._leaves[sym] = Element._trusted(self.alphabet, {Leaf(sym): 1})
+        return hit
 
     # symbol-level tables (memoized; tables are pure) --------------------
 
@@ -102,16 +128,16 @@ class Model:
 
     def mul(self, a: Symbol, b: Symbol) -> Element:
         if a.kind == "unit":
-            return Element.of_term(self.alphabet, Leaf(b))
+            return self.leaf(b)
         if b.kind == "unit":
-            return Element.of_term(self.alphabet, Leaf(a))
+            return self.leaf(a)
         return self._memo("m", a, b, self._product)
 
     def act(self, a: Symbol, s: Symbol) -> Element:
         if s.kind in ("algebra", "unit"):
             return self.mul(a, s)
         if a.kind == "unit":
-            return Element.of_term(self.alphabet, Leaf(s))
+            return self.leaf(s)
         return self._memo("a", a, s, self._action)
 
     # bilinear extensions ----------------------------------------------
@@ -119,14 +145,16 @@ class Model:
     def _bilinear(self, x: Element, y: Element, table) -> Element:
         # products of stored coefficients are exact already: accumulate
         # inline, deleting a term the moment it cancels
+        ys = _symbol_pairs(y)
         acc = {}
         get = acc.get
-        for t1, c1 in x.terms.items():
-            for t2, c2 in y.terms.items():
-                if not (isinstance(t1, Leaf) and isinstance(t2, Leaf)):
-                    raise ValueError("model tables apply to leaf combinations")
+        for s1, c1 in _symbol_pairs(x):
+            for s2, c2 in ys:
+                entry = table(s1, s2).terms
+                if not entry:
+                    continue
                 scale = c1 * c2
-                for t, c in table(t1.symbol, t2.symbol).terms.items():
+                for t, c in entry.items():
                     c *= scale
                     old = get(t)
                     if old is None:
@@ -204,8 +232,7 @@ def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> 
     lie = [s for s in syms if s.kind == "lie"]
     comm = [s for s in syms if s.kind in ("algebra", "unit")]
 
-    def leaf(s):
-        return Element.of_term(model.alphabet, Leaf(s))
+    leaf = model.leaf
 
     def bracket_antisym(s, t):
         koszul = minus_one_pow(s.parity * t.parity)
@@ -311,16 +338,13 @@ def check_module_laws(
     policy = policy or TruncationPolicy(default_locality=3)
     rng = random.Random(seed)
     rules = RuleSet.stock(model, policy)
-    al = model.alphabet
     lie = model.sample_symbols(("lie",)) or model.sample_symbols(("algebra",))
     comm = model.sample_symbols(("algebra", "unit"))
     everything = model.sample_symbols()
 
-    # one leaf Element per symbol: the trees of a sample share their leaves,
-    # so equality walks and normal-form lookups stop at identity
-    @cache
-    def leaf(sym):
-        return Element.of_term(al, Leaf(sym))
+    # the trees of a sample share their leaves, so equality walks and
+    # normal-form lookups stop at identity
+    leaf = model.leaf
 
     def rand_monomial():
         kind = rng.randrange(3)

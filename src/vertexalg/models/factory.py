@@ -15,9 +15,9 @@ a field left out takes the maker's default, so {"kind": "DiffPoly",
 import inspect
 from fractions import Fraction
 
-from ..parsing import read_document
+from ..parsing import expect, read_document, read_rational
 from ..terms import Alphabet, Element, Symbol
-from .base import Commutative, Model, ModelDegreeError
+from .base import Commutative, Model, ModelDegreeError, degree_cap
 from .geometry import make_derham1, make_derham2
 from .polys import Poly1
 
@@ -57,6 +57,7 @@ def _name_exp(name: str) -> tuple:
 
 
 def make_diffpoly(max_degree: int = 6) -> Model:
+    max_degree = degree_cap(max_degree)
     al = Alphabet()
     for k in range(1, max_degree + 1):
         al.add(Symbol(pow_name(k), 0, Q(0), "algebra"))
@@ -108,6 +109,7 @@ def make_weyl1(max_degree: int = 6) -> Model:
     [p del, q del] = (p q' - q p') del, [p del, q] = p q', products cap at
     the configured degree.
     """
+    max_degree = degree_cap(max_degree)
     al = Alphabet()
     for k in range(1, max_degree + 1):
         al.add(Symbol(pow_name(k), 0, Q(0), "algebra"))
@@ -167,16 +169,28 @@ def make_currentlie(
 
     Constants are triples-with-coefficient [i, j, k, c] for i < j; the
     antisymmetric closure is taken automatically.  The commutative part is
-    spanned by the unit alone.
+    spanned by the unit alone.  A parameter of the wrong shape is a
+    ValueError naming it (structure_constants[0]).
     """
+    expect(type(name) is str, "name", "a name", name)
+    expect(type(variables) in (list, tuple) and all(type(v) is str for v in variables),
+           "variables", "a list of names", variables)
+    expect(type(structure_constants) in (list, tuple), "structure_constants",
+           "a list of [i, j, k, c]", structure_constants)
     al = Alphabet()
     for v in variables:
         al.add(Symbol(v, 0, Q(0), "lie"))
     table = {}
-    for i, j, k, c in structure_constants:
-        c = Q(c)
+    last = len(variables) - 1
+    for at, entry in enumerate(structure_constants):
+        path = f"structure_constants[{at}]"
+        expect(type(entry) in (list, tuple) and len(entry) == 4
+               and all(type(e) is int and 0 <= e <= last for e in entry[:3]),
+               path, f"[i, j, k, c] with i, j, k in 0..{last}", entry)
+        i, j, k, c = entry
+        c = read_rational(c, f"{path}[3]")
         if i == j:
-            raise ValueError("structure constants need i != j")
+            raise ValueError(f"{path}: needs i != j")
         table.setdefault((variables[i], variables[j]), []).append((variables[k], c))
         table.setdefault((variables[j], variables[i]), []).append((variables[k], -c))
 

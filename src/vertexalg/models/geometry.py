@@ -41,8 +41,9 @@ case and names it as the record's witness.
 from fractions import Fraction
 from itertools import product
 
+from ..parsing import expect
 from ..terms import Alphabet, Element, Symbol, minus_one_pow
-from .base import Model, ModelDegreeError, case_check, check
+from .base import Model, ModelDegreeError, case_check, check, degree_cap
 from .polys import Poly1, Poly2, parse_poly
 
 Q = Fraction
@@ -306,6 +307,7 @@ def make_derham1(max_degree: int = 3) -> Model:
     """Forms f + g db with polynomial coefficients up to the degree cap, and
     the operator family of one vector field: contraction iX, Lie derivative
     lX, exterior derivative dd, with all form-multiples."""
+    max_degree = degree_cap(max_degree)
     forms = {}
     for k in range(max_degree + 1):
         mono = "" if k == 0 else ("b" if k == 1 else f"b{k}")
@@ -351,7 +353,18 @@ def make_derham2(
     A = a1 db1 + a2 db2, with connection = (a1, a2) as polynomial text in
     b1 and b2.  Operator symbols: the seven basic operators and all
     form-multiples of the euler counter (the bracket closure)."""
-    a1, a2 = (parse_poly(text, ("b1", "b2")) for text in connection)
+    expect(type(name) is str, "name", "a name", name)
+    max_degree = degree_cap(max_degree)
+    expect(type(connection) in (list, tuple) and len(connection) == 2
+           and all(type(text) is str for text in connection),
+           "connection", "[a1, a2] as polynomial text", connection)
+    coefficients = []
+    for i, text in enumerate(connection):
+        try:
+            coefficients.append(parse_poly(text, ("b1", "b2")))
+        except ValueError as exc:
+            raise ValueError(f"connection[{i}]: {exc}") from None
+    a1, a2 = coefficients
     if max(a1.total_degree(), a2.total_degree(), 1) > max_degree:
         raise ValueError("connection coefficients exceed the degree cap")
     forms = {}

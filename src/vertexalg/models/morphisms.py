@@ -42,7 +42,7 @@ class Morphism:
 
     def image_of_symbol(self, sym) -> Element:
         if sym.kind == "unit":
-            return Element.unit(self.target.alphabet)
+            return self.target.leaf(self.target.alphabet.unit)
         try:
             return self.table[sym.name]
         except KeyError:
@@ -71,7 +71,7 @@ class Morphism:
 
 def identity_morphism(model: Model) -> Morphism:
     table = {
-        s.name: Element.of_term(model.alphabet, Leaf(s))
+        s.name: model.leaf(s)
         for s in model.symbols()
         if s.kind != "unit"
     }
@@ -142,8 +142,7 @@ def functor_laws(
     lie = model.sample_symbols(("lie",)) or model.sample_symbols(("algebra",))
     comm = model.sample_symbols(("algebra", "unit"))
 
-    def leaf(sym):
-        return Element.of_term(model.alphabet, Leaf(sym))
+    leaf = model.leaf
 
     def draws():
         for _ in range(samples):
@@ -179,30 +178,34 @@ def shipped_morphisms(model: Model) -> tuple:
 
     al = model.alphabet
 
-    def poly_image(k: int, vf: bool, scale_b: Fraction, shift: bool, scale_del=1):
-        # image of b^k (or b^k del) under b -> scale_b*b + (shift ? 1 : 0)
+    def powers(scale_b: Fraction, shift: bool) -> list:
+        # (scale_b*b + (shift ? 1 : 0))^k for k = 0..max_degree, each power
+        # the product of the one before it and the base
         base = Element.sym(al, pow_name(1), scale_b)
         if shift:
             base = base + Element.unit(al)
-        img = Element.unit(al)
-        for _ in range(k):
-            img = model.mul_elem(img, base)
+        out = [Element.unit(al)]
+        for _ in range(model.max_degree):
+            out.append(model.mul_elem(out[-1], base))
+        return out
+
+    def poly_image(power: Element, vf: bool, scale_del=1) -> Element:
+        # image of b^k, or of b^k del, given power, the image of b^k
         if not vf:
-            return img
+            return power
         out = {}
-        for t, c in img.terms.items():
+        for t, c in power.terms.items():
             e = _name_exp(t.symbol.name)[0]
             Element.sym(al, vf_name(e))._add_into(out, c * scale_del)
         return Element._trusted(al, out)
 
     if model.name == "diffpoly":
+        doubled, shifted = powers(Q(2), False), powers(Q(1), True)
         doubling = {
-            s.name: poly_image(_name_exp(s.name)[0], False, Q(2), False)
-            for s in model.symbols(("algebra",))
+            s.name: doubled[_name_exp(s.name)[0]] for s in model.symbols(("algebra",))
         }
         shift = {
-            s.name: poly_image(_name_exp(s.name)[0], False, Q(1), True)
-            for s in model.symbols(("algebra",))
+            s.name: shifted[_name_exp(s.name)[0]] for s in model.symbols(("algebra",))
         }
         return (
             Morphism("double", model, model, doubling),
@@ -210,13 +213,14 @@ def shipped_morphisms(model: Model) -> tuple:
         )
     if model.name == "weyl1":
         # b -> 2b, del -> del/2 and b -> b+1, del -> del
+        scaled, shifted = powers(Q(2), False), powers(Q(1), True)
         scale_table, shift_table = {}, {}
         for s in model.symbols():
             if s.kind == "unit":
                 continue
             k, vf = _name_exp(s.name)
-            scale_table[s.name] = poly_image(k, vf, Q(2), False, Q(1, 2))
-            shift_table[s.name] = poly_image(k, vf, Q(1), True, Q(1))
+            scale_table[s.name] = poly_image(scaled[k], vf, Q(1, 2))
+            shift_table[s.name] = poly_image(shifted[k], vf)
         return (
             Morphism("scale", model, model, scale_table),
             Morphism("shift", model, model, shift_table),

@@ -255,9 +255,14 @@ def parse_poly(text: str, variables: tuple):
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
             if factor[0].isdigit() or factor[0] == "/":
-                coeff *= Q(factor)
+                try:
+                    coeff *= Q(factor)
+                except (ValueError, ZeroDivisionError):
+                    raise ValueError(f"bad coefficient {factor!r} in {text!r}") from None
                 continue
             var, caret, power = factor.partition("^")
+            if caret and not power.isdecimal():
+                raise ValueError(f"bad power {power!r} in {text!r}")
             power = int(power) if caret else 1
             if var not in variables:
                 raise ValueError(f"unknown variable {var!r} in {text!r}")

@@ -13,6 +13,8 @@ costs time, never RecursionError.
 
 read_document reads the JSON documents the program takes from outside,
 model files and cover files, and refuses one that is not a JSON object.
+expect and read_rational check one field of such a document; a field of
+the wrong shape is a ValueError that names its JSON path.
 """
 
 import json
@@ -216,3 +218,21 @@ def read_document(path, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ValueError(f"{what} must hold a JSON object, got {json.dumps(doc)[:40]}")
     return doc
+
+
+def expect(ok, path: str, expected: str, value):
+    """value, when ok; else a ValueError naming the field at path, what it
+    expected and the value it got."""
+    if not ok:
+        got = json.dumps(value, default=repr)[:40]
+        raise ValueError(f"{path}: expected {expected}, got {got}")
+    return value
+
+
+def read_rational(value, path: str) -> Fraction:
+    """The rational a number or a string ("3/2") at path gives."""
+    expect(type(value) in (int, float, str), path, "a rational", value)
+    try:
+        return Q(str(value))
+    except (ValueError, ZeroDivisionError):
+        return expect(False, path, "a rational", value)

@@ -23,7 +23,6 @@ existence chain patch by patch, certifying each hop either by an empty
 semantic support or by a unit reduction, then witnesses uniqueness.
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction as Q
 from pathlib import Path
@@ -31,7 +30,7 @@ from pathlib import Path
 from .intervals import SupportSet, overlap_core
 from .models.base import check
 from .models.polys import PolyVars
-from .parsing import read_document
+from .parsing import expect, read_document, read_rational
 from .rewrite import ReductionReport, RuleSet, reduce_element
 from .terms import Alphabet, Element, Leaf, Node, Symbol, fold_tree, leaves, preorder
 
@@ -682,7 +681,7 @@ def load_cover(path):
         ctx.declare_section(_field(sec, at, "name", _name),
                             _field(sec, at, "support", _span),
                             parity=_field(sec, at, "parity", _parity, 0),
-                            degree=_field(sec, at, "degree", _rational, 0))
+                            degree=_field(sec, at, "degree", read_rational, 0))
     cover = []
     for at, patch in _field(data, "", "patches", _objects):
         window = _field(patch, at, "window", _span)
@@ -714,36 +713,22 @@ def _field(obj, at, key, read, default=_REQUIRED):
     return default
 
 
-def _expect(ok, path, expected, value):
-    if not ok:
-        raise ValueError(f"{path}: expected {expected}, got {json.dumps(value)[:40]}")
-    return value
-
-
-def _rational(value, path):
-    _expect(type(value) in (int, float, str), path, "a rational", value)
-    try:
-        return Q(str(value))
-    except (ValueError, ZeroDivisionError):
-        return _expect(False, path, "a rational", value)
-
-
 def _span(value, path):
-    _expect(type(value) is list and len(value) == 2, path, "[lo, hi]", value)
-    lo, hi = (_rational(v, f"{path}[{i}]") for i, v in enumerate(value))
+    expect(type(value) is list and len(value) == 2, path, "[lo, hi]", value)
+    lo, hi = (read_rational(v, f"{path}[{i}]") for i, v in enumerate(value))
     return SupportSet.closed(lo, hi)
 
 
 def _name(value, path):
-    return _expect(type(value) is str, path, "a name", value)
+    return expect(type(value) is str, path, "a name", value)
 
 
 def _parity(value, path):
-    return _expect(type(value) is int and value in (0, 1), path, "0 or 1", value)
+    return expect(type(value) is int and value in (0, 1), path, "0 or 1", value)
 
 
 def _objects(value, path):
     """(path, object) for each entry of a list of objects."""
-    _expect(type(value) is list, path, "a list of objects", value)
-    return [(f"{path}[{i}]", _expect(type(v) is dict, f"{path}[{i}]", "an object", v))
+    expect(type(value) is list, path, "a list of objects", value)
+    return [(f"{path}[{i}]", expect(type(v) is dict, f"{path}[{i}]", "an object", v))
             for i, v in enumerate(value)]

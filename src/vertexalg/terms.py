@@ -13,6 +13,17 @@ hashing a tree is O(1) and the values are the dataclass values bit for
 bit; dict and set iteration order is unchanged.  Equality short-cuts on
 identity, then on the cached hash, then compares fields.
 
+One leaf per Symbol.  Leaf(symbol) returns the leaf this Symbol object
+already holds; the first call builds it and keeps it on the symbol, set
+with object.__setattr__ as _hash is.  This is sound because a Symbol is
+frozen, so its leaf never goes stale, and because the leaf lives on the
+symbol, with no global table: it goes when the symbol goes.  Equal but
+distinct Symbols (dataclasses.replace(s)) still give distinct leaves,
+equal and hash-equal.  The trees of one alphabet thus share their leaves,
+and a dict lookup on a leaf key stops at the identity check.  Copies and
+pickles are rebuilt from the fields, so a copied symbol gets a leaf of
+its own.  Nodes are not shared this way; each is built fresh.
+
 Tree walks.  Three primitives walk a tree, each on an explicit stack, so
 deep trees cost time but never raise RecursionError: preorder(t) yields
 the subtrees node, left, right; fold_tree(t, leaf, node) folds bottom-up;
@@ -93,6 +104,10 @@ class Symbol:
     def _fields(self) -> tuple:
         return (self.name, self.parity, self.degree, self.kind, self.support)
 
+    def __reduce__(self):
+        # a copy is built from the fields alone, without this symbol's leaf
+        return Symbol, self._fields()
+
     def __hash__(self):
         return self._hash
 
@@ -104,13 +119,27 @@ class Symbol:
         return self._hash == other._hash and self._fields() == other._fields()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Leaf:
     symbol: Symbol
     _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.symbol,)))
+    def __new__(cls, symbol: Symbol):
+        """The one leaf of this Symbol object, built on first use and kept
+        on the symbol."""
+        try:
+            return symbol._leaf
+        except AttributeError:
+            pass
+        leaf = object.__new__(cls)
+        object.__setattr__(leaf, "symbol", symbol)
+        object.__setattr__(leaf, "_hash", hash((symbol,)))
+        object.__setattr__(symbol, "_leaf", leaf)
+        return leaf
+
+    def __reduce__(self):
+        # copy and pickle go through __new__, which needs the symbol
+        return Leaf, (self.symbol,)
 
     def __hash__(self):
         return self._hash

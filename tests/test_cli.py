@@ -206,7 +206,22 @@ def test_index_window_zero_runs(capsys):
      "Weyl1, CurrentLie, DeRham1, DeRham2Conn"),
     ('{"kind": "DiffPoly", "max_degre": 3}', "DiffPoly takes no parameter 'max_degre'"),
     ('{"kind": "CurrentLie"}', "CurrentLie needs the parameter 'variables'"),
-), ids=("list", "null", "no-kind", "unknown-kind", "misspelt-field", "missing-field"))
+    ('{"kind": "DiffPoly", "max_degree": "x"}',
+     'max_degree: expected a non-negative integer, got "x"'),
+    ('{"kind": "CurrentLie", "variables": ["e1", "e2"], '
+     '"structure_constants": [[0, 5, 1, "1"]]}',
+     'structure_constants[0]: expected [i, j, k, c] with i, j, k in 0..1, '
+     'got [0, 5, 1, "1"]'),
+    ('{"kind": "CurrentLie", "variables": ["e1", "e2"], "structure_constants": [[0, 1]]}',
+     "structure_constants[0]: expected [i, j, k, c] with i, j, k in 0..1, got [0, 1]"),
+    ('{"kind": "CurrentLie", "variables": 3}', "variables: expected a list of names, got 3"),
+    ('{"kind": "DeRham2Conn", "connection": [1, 2]}',
+     "connection: expected [a1, a2] as polynomial text, got [1, 2]"),
+    ('{"kind": "DeRham2Conn", "connection": ["1/0", "0"]}',
+     "connection[0]: bad coefficient '1/0' in '1/0'"),
+), ids=("list", "null", "no-kind", "unknown-kind", "misspelt-field", "missing-field",
+        "degree-text", "constant-index", "constant-short", "variables-number",
+        "connection-numbers", "connection-zero-denominator"))
 def test_malformed_model_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "model.json"
     path.write_text(text)

@@ -219,6 +219,29 @@ class TestWeyl1:
         assert rep.result == Element.unit(al)
 
 
+class TestTables:
+    """The bilinear extensions and the shared leaf Elements."""
+
+    @pytest.mark.parametrize("op", ("bracket_elem", "mul_elem", "act_elem"))
+    @pytest.mark.parametrize("compound_left", (True, False), ids=("left", "right"))
+    def test_compound_operand_is_refused(self, weyl, op, compound_left):
+        al = weyl.alphabet
+        compound = Element.sym(al, "b").o(-1, Element.sym(al, "b"))
+        leaf = Element.sym(al, "del")
+        args = (compound, leaf) if compound_left else (leaf, compound)
+        with pytest.raises(ValueError, match="^model tables apply to leaf combinations$"):
+            getattr(weyl, op)(*args)
+
+    def test_one_leaf_element_per_symbol(self, weyl):
+        al = weyl.alphabet
+        b = al.symbol("b")
+        assert weyl.leaf(b) is weyl.leaf(b)
+        assert weyl.leaf(b) == Element.sym(al, "b")
+        assert weyl.mul(al.unit, b) is weyl.leaf(b)
+        assert weyl.mul(b, al.unit) is weyl.leaf(b)
+        assert weyl.act(al.unit, al.symbol("del")) is weyl.leaf(al.symbol("del"))
+
+
 class TestCurrentLie:
     def test_two_generator_abelian(self):
         model = shipped_model("current2")

@@ -5,7 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
-from vertexalg.models.factory import shipped_model
+from vertexalg.models.factory import _name_exp, shipped_model, vf_name
 from vertexalg.models.morphisms import (
     Morphism,
     functor_laws,
@@ -61,6 +61,45 @@ class TestShippedPairs:
         assert checks["product"]["status"] == "fail"
         assert checks["product"]["witness"] == "b, b"
         assert [c["status"] for c in checks.values()].count("fail") == 1
+
+
+def _reference_tables(model) -> dict:
+    """The shipped tables built one power at a time: the image of b^k is k
+    products by the image of b, starting from 1."""
+    al = model.alphabet
+    rules = {"diffpoly": {"double": (Q(2), False, 1), "shift": (Q(1), True, 1)},
+             "weyl1": {"scale": (Q(2), False, Q(1, 2)), "shift": (Q(1), True, Q(1))}}
+
+    def image(k, vf, scale_b, shift, scale_del):
+        base = Element.sym(al, "b", scale_b)
+        if shift:
+            base = base + Element.unit(al)
+        img = Element.unit(al)
+        for _ in range(k):
+            img = model.mul_elem(img, base)
+        if not vf:
+            return img
+        out = Element.zero(al)
+        for t, c in img.terms.items():
+            out = out + Element.sym(al, vf_name(_name_exp(t.symbol.name)[0]), c * scale_del)
+        return out
+
+    return {name: {s.name: image(*_name_exp(s.name), *rule)
+                   for s in model.symbols() if s.kind != "unit"}
+            for name, rule in rules[model.name].items()}
+
+
+@pytest.mark.parametrize("model_name", ("diffpoly", "weyl1"))
+def test_shipped_tables_match_the_power_by_power_rule(model_name):
+    model = shipped_model(model_name)
+    reference = _reference_tables(model)
+    for phi in shipped_morphisms(model):
+        want = reference[phi.name]
+        assert list(phi.table) == list(want)
+        for name, img in phi.table.items():
+            # term for term, in order, with the same coefficient types
+            assert [(t, c, type(c)) for t, c in img.terms.items()] == [
+                (t, c, type(c)) for t, c in want[name].terms.items()], (phi.name, name)
 
 
 class TestImages:

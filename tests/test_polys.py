@@ -229,8 +229,10 @@ def test_parse_poly_reads_the_grammar(text, variables, want):
     ("b1**2", "empty factor in 'b1\\*\\*2'"),
     ("b1 +", "empty factor in 'b1\\+'"),
     ("--b1", "empty factor"),
+    ("1/0*b1", "bad coefficient '1/0' in '1/0\\*b1'"),
+    ("b1^x", "bad power 'x' in 'b1\\^x'"),
 ), ids=("unknown", "unknown-in-product", "double-star", "trailing-sign",
-        "double-sign"))
+        "double-sign", "zero-denominator", "power-text"))
 def test_parse_poly_refusals(text, error):
     with pytest.raises(ValueError, match=error):
         parse_poly(text, B12)

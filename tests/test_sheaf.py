@@ -122,6 +122,21 @@ def test_cells_follow_every_declaration():
         _assert_table_is_fresh(ctx)
 
 
+@pytest.mark.parametrize("members,error", (
+    (("r1", "f"), "partition member f is not a declared bump"),
+    (("r1", "r2"), "partition members do not cover the universe"),
+), ids=("section-as-member", "gap-after-5/2"))
+def test_declare_partition_refusals(members, error):
+    # f is a section, not a bump; r1 and r2 are the cores of U1 and U2,
+    # which leave (5/2, 4] uncovered
+    ctx, _ = make_cover_three()
+    before = list(ctx._partitions)
+    with pytest.raises(SupportError) as info:
+        ctx.declare_partition(members)
+    assert str(info.value) == error
+    assert ctx._partitions == before
+
+
 def test_restricted_symbol_comes_from_the_mint_memo(monkeypatch):
     ctx, _ = make_cover_three()
     minted = []

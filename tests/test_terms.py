@@ -1,5 +1,8 @@
 """Core free-algebra layer: symbols, trees, exact linear combinations."""
 
+import copy
+import dataclasses
+import pickle
 import random
 from fractions import Fraction as Q
 
@@ -352,7 +355,7 @@ class TestCachedHash:
     def test_equality_is_structural(self, a, b):
         def rebuild(t):
             if isinstance(t, Leaf):
-                return Leaf(t.symbol)
+                return Leaf(dataclasses.replace(t.symbol))
             return Node(t.index, rebuild(t.left), rebuild(t.right))
 
         (s,), (t,) = a.terms, b.terms
@@ -360,6 +363,27 @@ class TestCachedHash:
         assert copy is not s and copy == s and hash(copy) == hash(s)
         assert (s == t) == (sort_key(s) == sort_key(t))
 
+
+    def test_one_leaf_per_symbol(self, al):
+        s = al.symbol("x")
+        assert Leaf(s) is Leaf(s)
+        assert next(iter(E(al, "x").terms)) is Leaf(s)
+
+    def test_equal_symbols_give_equal_distinct_leaves(self, al):
+        s = al.symbol("x")
+        twin = dataclasses.replace(s)
+        assert twin is not s and twin == s
+        assert Leaf(twin) is not Leaf(s)
+        assert Leaf(twin) == Leaf(s) and hash(Leaf(twin)) == hash(Leaf(s))
+        assert Leaf(twin).symbol is twin and Leaf(s).symbol is s
+
+    def test_copies_rebuild_their_leaves(self, al):
+        # copy and pickle go through Leaf(symbol), so a copied tree is equal
+        # and holds the one leaf of each copied symbol
+        (t,) = E(al, "x").o(0, E(al, "y")).terms
+        for twin in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin == t and hash(twin) == hash(t)
+            assert twin.left is Leaf(twin.left.symbol) and twin.left.symbol is not t.left.symbol
 
     def test_colliding_hashes_still_compare_fields(self, al):
         # hash(-1) == hash(-2) in CPython, so o_{-1} and o_{-2} over the same
