@@ -21,7 +21,7 @@ from .models.base import ModelDegreeError
 from .models.factory import load_model, shipped_model, shipped_model_names
 from .models.morphisms import shipped_morphisms
 from .parsing import ParseError, parse, to_text, tokens
-from .rewrite import RULE_ORDER, RuleSet, reduce_element
+from .rewrite import RULE_ORDER, UNIT_RULES, RuleSet, reduce_element
 from .sheaf import (
     SupportError,
     load_cover,
@@ -102,14 +102,12 @@ def _policy(ns) -> TruncationPolicy:
 def _cmd_reduce(ns) -> int:
     model = _get_model(ns.model)
     x = _element(ns.term, model)
+    policy = None if ns.locality is None else TruncationPolicy(ns.locality)
     if ns.rules:
-        wanted = tuple(r.strip() for r in ns.rules.split(","))
-        rules = RuleSet(model, _policy(ns) if "locality_kill" in wanted else None,
-                        wanted)
-    elif model is not None:
-        rules = RuleSet.stock(model)
+        enabled = tuple(r.strip() for r in ns.rules.split(","))
     else:
-        rules = RuleSet(None, None, ("unit_left", "unit_strip"))
+        enabled = None if model is not None else UNIT_RULES
+    rules = RuleSet(model, policy, enabled)
     report = reduce_element(x, rules, budget=ns.budget)
     print(to_text(report.result))
     print(f"steps: {report.steps}")
@@ -269,7 +267,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    f"(from: {', '.join(RULE_ORDER)})")
     p.add_argument("--budget", type=int, default=10000,
                    help="rule firings allowed")
-    common_policy(p)
+    p.add_argument("--locality", type=int,
+                   help="truncate under this locality constant before the "
+                   "first pass and after every pass (default: no truncation)")
     p.set_defaults(fn=_cmd_reduce)
 
     p = sub.add_parser("gen", help="build one ideal-generator instance")

@@ -337,7 +337,7 @@ def check_module_laws(
 
     policy = policy or TruncationPolicy(default_locality=3)
     rng = random.Random(seed)
-    rules = RuleSet.stock(model, policy)
+    rules = RuleSet(model, policy)
     lie = model.sample_symbols(("lie",)) or model.sample_symbols(("algebra",))
     comm = model.sample_symbols(("algebra", "unit"))
     everything = model.sample_symbols()

@@ -9,13 +9,14 @@ DeRham2Conn built in the geometry module.
 KINDS maps each kind to its maker.  A model file is one JSON object
 {"kind": K, ...} whose other fields are keyword arguments of K's maker;
 a field left out takes the maker's default, so {"kind": "DiffPoly",
-"max_degree": 4} is make_diffpoly(max_degree=4).
+"max_degree": 4} is make_diffpoly(max_degree=4).  Each shipped model is
+the model file data/<name>.json, read by the same loader.
 """
 
 import inspect
 from fractions import Fraction
 
-from ..parsing import expect, read_document, read_rational
+from ..parsing import DATA_DIR, expect, read_document, read_rational
 from ..terms import Alphabet, Element, Symbol
 from .base import Commutative, Model, ModelDegreeError, degree_cap
 from .geometry import make_derham1, make_derham2
@@ -257,16 +258,9 @@ def load_model(path) -> Model:
     return make_model(kind, cfg)
 
 
-_SHIPPED = {
-    "diffpoly": ("DiffPoly", {}),
-    "weyl1": ("Weyl1", {}),
-    "current2": ("CurrentLie", {"name": "current2", "variables": ["e1", "e2"]}),
-    "current3": ("CurrentLie", {"name": "current3", "variables": ["e1", "e2", "e3"],
-                                "structure_constants": [[0, 1, 2, "1"]]}),
-    "derham1": ("DeRham1", {}),
-    "derham2_b2": ("DeRham2Conn", {"connection": ("b2", "0"), "name": "derham2_b2"}),
-    "derham2_lin": ("DeRham2Conn", {"connection": ("0", "b1"), "name": "derham2_lin"}),
-}
+_SHIPPED = (
+    "current2", "current3", "derham1", "derham2_b2", "derham2_lin", "diffpoly", "weyl1",
+)
 
 
 def shipped_model_names() -> list:
@@ -274,10 +268,8 @@ def shipped_model_names() -> list:
 
 
 def shipped_model(name: str) -> Model:
-    try:
-        kind, params = _SHIPPED[name]
-    except KeyError:
+    if name not in _SHIPPED:
         raise ValueError(
             f"unknown model {name!r}; shipped: {', '.join(shipped_model_names())}"
-        ) from None
-    return make_model(kind, params)
+        )
+    return load_model(DATA_DIR / f"{name}.json")

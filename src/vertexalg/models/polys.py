@@ -248,7 +248,8 @@ def parse_poly(text: str, variables: tuple):
     if text in ("", "0"):
         return total
     signed = text if text[0] in "+-" else "+" + text
-    for sign, piece in re.findall(r"([+-])([^+-]*)", signed):
+    # a sign right after ^ belongs to the power, so b1^-1 reads as a bad power
+    for sign, piece in re.findall(r"([+-])((?:\^[+-]|[^+-])*)", signed):
         coeff = Q(-1 if sign == "-" else 1)
         exps = [0] * len(variables)
         for factor in piece.split("*"):

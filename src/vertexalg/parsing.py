@@ -19,6 +19,7 @@ the wrong shape is a ValueError that names its JSON path.
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 from .terms import Alphabet, Element, render
 
@@ -208,6 +209,9 @@ def to_text(x: Element) -> str:
         piece = _atom_text(t) if mag == 1 else f"{mag}*{_atom_text(t)}"
         parts.append(lead + piece)
     return "".join(parts)
+
+
+DATA_DIR = Path(__file__).parent / "data"  # the shipped model and cover files
 
 
 def read_document(path, what: str) -> dict:

@@ -2,16 +2,18 @@
 
 A RuleSet picks which root rules are active.  One pass rewrites every
 node innermost-first, trying the enabled rules in the fixed RULE_ORDER.
-reduce_element repeats passes to a fixpoint, bounded by a firing budget,
-and applies the truncation policy after every pass.
+reduce_element repeats passes to a fixpoint, bounded by a firing budget.
+A RuleSet's truncation policy is not a rule: reduce_element truncates
+under it before the first pass and after every pass, and truncate is the
+only place a dead product is dropped.
 
 Normal-form marks (Baader & Nipkow, Term Rewriting and All That, 1998).
 A RuleSet keeps the set `normal` of nodes on which a pass fired nothing,
 anywhere below them.  A pass does not rebuild a node whose children are
 leaves or marked nodes: it tries the root rules on the node as it stands
 and, when none fires, marks it.  A term already marked is copied through
-without a walk.  Rules are pure functions of the node, the model tables
-and the policy, so a mark holds for as long as its RuleSet lives: one
+without a walk.  Rules are pure functions of the node and the model
+tables, so a mark holds for as long as its RuleSet lives: one
 R_project call, or one check_module_laws battery.
 
 The budget of reduce_element counts rule firings and is checked at each
@@ -34,7 +36,7 @@ nothing (no confluence claim is made).
 
 from dataclasses import dataclass
 
-from .generators import TruncationPolicy, _term_is_dead, truncate
+from .generators import TruncationPolicy, truncate
 from .terms import Element, Leaf, Node, fold_tree, term_length
 
 RULE_ORDER = (
@@ -43,12 +45,13 @@ RULE_ORDER = (
     "bracket",
     "scalar",
     "unit_strip",
-    "locality_kill",
     "e_orient",
     "right_scalar",
 )
 
-STOCK_RULES = ("unit_left", "bracket", "scalar", "unit_strip", "locality_kill")
+STOCK_RULES = ("unit_left", "bracket", "scalar", "unit_strip")
+
+UNIT_RULES = ("unit_left", "unit_strip")
 
 PROJECTION_RULES = ("unit_identity", "bracket", "scalar", "unit_strip")
 
@@ -64,7 +67,9 @@ class ReductionReport:
 
 
 class RuleSet:
-    def __init__(self, model=None, policy: TruncationPolicy = None, enabled=STOCK_RULES):
+    def __init__(self, model=None, policy: TruncationPolicy = None, enabled=None):
+        # STOCK_RULES is read at each call, not when the class is defined
+        enabled = STOCK_RULES if enabled is None else enabled
         bad = [r for r in enabled if r not in RULE_ORDER]
         if bad:
             raise ValueError(f"unknown rules: {bad}; known: {RULE_ORDER}")
@@ -74,16 +79,7 @@ class RuleSet:
         needs_model = {"bracket", "scalar", "right_scalar"} & set(self.enabled)
         if needs_model and model is None:
             raise ValueError(f"rules {sorted(needs_model)} need a model")
-        if "locality_kill" in self.enabled and policy is None:
-            raise ValueError("locality_kill needs a truncation policy")
         self.normal = set()  # nodes no enabled rule fires on, anywhere below
-
-    @staticmethod
-    def stock(model, policy: TruncationPolicy = None) -> "RuleSet":
-        enabled = STOCK_RULES if policy is not None else tuple(
-            r for r in STOCK_RULES if r != "locality_kill"
-        )
-        return RuleSet(model, policy, enabled)
 
     # one root-level rule application; None when no rule matches
     def apply_at_root(self, t: Node, al):
@@ -122,13 +118,6 @@ class RuleSet:
                     and t.right.symbol.kind == "unit"
                 ):
                     return rule, Element.of_term(al, t.left)
-            elif rule == "locality_kill":
-                if (
-                    isinstance(t.left, Leaf)
-                    and isinstance(t.right, Leaf)
-                    and _term_is_dead(t, self.policy)
-                ):
-                    return rule, Element.zero(al)
             elif rule == "e_orient":
                 # (Dx) o_n y with Dx spelled x o_{-2} unit
                 if (

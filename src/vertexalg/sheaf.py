@@ -25,13 +25,12 @@ semantic support or by a unit reduction, then witnesses uniqueness.
 
 from dataclasses import dataclass
 from fractions import Fraction as Q
-from pathlib import Path
 
 from .intervals import SupportSet, overlap_core
 from .models.base import check
 from .models.polys import PolyVars
-from .parsing import expect, read_document, read_rational
-from .rewrite import ReductionReport, RuleSet, reduce_element
+from .parsing import DATA_DIR, expect, read_document, read_rational
+from .rewrite import UNIT_RULES, ReductionReport, RuleSet, reduce_element
 from .terms import Alphabet, Element, Leaf, Node, Symbol, fold_tree, leaves, preorder
 
 
@@ -545,7 +544,7 @@ def glue(cover, sections, context: SheafContext) -> Element:
 
 
 def _unit_reduce(x: Element) -> ReductionReport:
-    rules = RuleSet(None, None, ("unit_left", "unit_strip"))
+    rules = RuleSet(None, None, UNIT_RULES)
     return reduce_element(x, rules)
 
 
@@ -653,19 +652,16 @@ def rho_transfer_check(rho, sigma, x: Element, n: int,
 
 # -- shipped covers -------------------------------------------------------------
 
-_DATA = Path(__file__).parent / "data"
-
-
 def make_cover_two():
     """Universe [0,3], two patches overlapping on [1,2], cores split at
     3/2.  Sections f (global), g on [0,2], h on [1,3]."""
-    return load_cover(_DATA / "cover_two.json")
+    return load_cover(DATA_DIR / "cover_two.json")
 
 
 def make_cover_three():
     """Universe [0,4], three patches in a chain, cores split at 3/2 and
     5/2.  Sections f (global), g on [0,8/3], h on [4/3,4]."""
-    return load_cover(_DATA / "cover_three.json")
+    return load_cover(DATA_DIR / "cover_three.json")
 
 
 def load_cover(path):

@@ -21,8 +21,10 @@ symbol, with no global table: it goes when the symbol goes.  Equal but
 distinct Symbols (dataclasses.replace(s)) still give distinct leaves,
 equal and hash-equal.  The trees of one alphabet thus share their leaves,
 and a dict lookup on a leaf key stops at the identity check.  Copies and
-pickles are rebuilt from the fields, so a copied symbol gets a leaf of
-its own.  Nodes are not shared this way; each is built fresh.
+pickles of symbols, leaves and nodes are rebuilt through the constructors
+from the fields, so a copied symbol gets a leaf of its own and a pickle
+loaded under another hash seed carries that process's hashes.  Nodes are
+not shared this way; each is built fresh.
 
 Tree walks.  Three primitives walk a tree, each on an explicit stack, so
 deep trees cost time but never raise RecursionError: preorder(t) yields
@@ -161,6 +163,10 @@ class Node:
 
     def __post_init__(self):
         object.__setattr__(self, "_hash", hash((self.index, self.left, self.right)))
+
+    def __reduce__(self):
+        # a pickle rebuilds the cached hash in the loading process
+        return Node, (self.index, self.left, self.right)
 
     def __hash__(self):
         return self._hash

@@ -17,6 +17,30 @@ def test_reduce_prints_normal_form(capsys):
     assert out.splitlines()[0] == "3*u"
 
 
+def test_reduce_with_a_model_runs_the_stock_rules(capsys):
+    # without --locality nothing is truncated; with it, o{5}(b, b2) is dead
+    term = "o{-1}(1, b) + o{5}(b, b2)"
+    assert main(["reduce", term, "--model", "diffpoly"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "b + o{5}(b, b2)"
+    assert main(["reduce", term, "--model", "diffpoly", "--locality", "3"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "b"
+
+
+def test_reduce_refuses_the_retired_locality_rule(capsys):
+    assert main(["reduce", "b", "--model", "diffpoly",
+                 "--rules", "unit_left,locality_kill"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: unknown rules: ['locality_kill']; ")
+
+
+def test_reduce_takes_no_trunc_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["reduce", "b", "--trunc", "8"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trunc 8" in capsys.readouterr().err
+
+
 def test_zero_denominator_is_a_parse_error(capsys):
     assert main(["reduce", "1/0*u"]) == 2
     err = capsys.readouterr().err

@@ -215,7 +215,7 @@ class TestWeyl1:
 
         al = model.alphabet
         x = parse("o{0}(o{0}(del, bdel), b)", al)
-        rep = reduce_element(x, RuleSet.stock(model))
+        rep = reduce_element(x, RuleSet(model))
         assert rep.result == Element.unit(al)
 
 

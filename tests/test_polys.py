@@ -231,8 +231,9 @@ def test_parse_poly_reads_the_grammar(text, variables, want):
     ("--b1", "empty factor"),
     ("1/0*b1", "bad coefficient '1/0' in '1/0\\*b1'"),
     ("b1^x", "bad power 'x' in 'b1\\^x'"),
+    ("b1^-1", "bad power '-1' in 'b1\\^-1'"),
 ), ids=("unknown", "unknown-in-product", "double-star", "trailing-sign",
-        "double-sign", "zero-denominator", "power-text"))
+        "double-sign", "zero-denominator", "power-text", "negative-power"))
 def test_parse_poly_refusals(text, error):
     with pytest.raises(ValueError, match=error):
         parse_poly(text, B12)

@@ -51,7 +51,7 @@ def free():
 
 
 def reduce_text(text, model, rules=None, policy=None):
-    rs = rules or RuleSet.stock(model, policy)
+    rs = rules or RuleSet(model, policy)
     x = parse(text, model.alphabet)
     return reduce_element(x, rs)
 
@@ -116,21 +116,19 @@ class TestOrientRule:
 class TestLocalityRule:
     def test_matches_truncate(self, diff):
         pol = TruncationPolicy(2, level=6)
-        rs = RuleSet(diff, pol, enabled=("locality_kill",))
+        rs = RuleSet(diff, pol, enabled=())
         al = diff.alphabet
         x = parse("o{3}(b, b2) + 5*o{1}(b, b4)", al)
         rep = reduce_element(x, rs)
         assert rep.result == truncate(x, pol)
 
     def test_needs_policy(self, diff):
-        with pytest.raises(ValueError, match="policy"):
+        with pytest.raises(ValueError, match=r"unknown rules: \['locality_kill'\]"):
             RuleSet(diff, None, enabled=("locality_kill",))
 
     def test_stock_drops_kill_without_policy(self, diff):
-        rs = RuleSet.stock(diff)
-        assert "locality_kill" not in rs.enabled
-        rs2 = RuleSet.stock(diff, TruncationPolicy(2))
-        assert "locality_kill" in rs2.enabled
+        assert RuleSet(diff).enabled == STOCK_RULES
+        assert RuleSet(diff, TruncationPolicy(2)).enabled == STOCK_RULES
 
 
 class TestRuleSetValidation:
@@ -158,7 +156,7 @@ class TestBudget:
         x = Element.sym(al, "b")
         for _ in range(12):
             x = Element.unit(al).o(-1, x)
-        rep = reduce_element(x, RuleSet.stock(diff), budget=3)
+        rep = reduce_element(x, RuleSet(diff), budget=3)
         assert not rep
         assert rep.status == "budget-exhausted"
         assert rep.steps == 3
@@ -166,19 +164,19 @@ class TestBudget:
     def test_exact_budget_reaches_the_normal_form(self, diff):
         # two firings, both in the first pass
         x = parse("o{-1}(1, o{-1}(1, b))", diff.alphabet)
-        rep = reduce_element(x, RuleSet.stock(diff), budget=2)
+        rep = reduce_element(x, RuleSet(diff), budget=2)
         assert (rep.result, rep.steps, rep.status) == (
             Element.sym(diff.alphabet, "b"), 2, "normal-form")
-        short = reduce_element(x, RuleSet.stock(diff), budget=1)
+        short = reduce_element(x, RuleSet(diff), budget=1)
         assert (short.result, short.steps, short.status) == (
             parse("o{-1}(1, b)", diff.alphabet), 1, "budget-exhausted")
 
     def test_budget_zero_refuses_the_first_firing(self, diff):
         x = parse("o{-1}(1, b)", diff.alphabet)
-        rep = reduce_element(x, RuleSet.stock(diff), budget=0)
+        rep = reduce_element(x, RuleSet(diff), budget=0)
         assert (rep.result, rep.steps, rep.status) == (x, 0, "budget-exhausted")
         done = Element.sym(diff.alphabet, "b")
-        assert reduce_element(done, RuleSet.stock(diff), budget=0).status == (
+        assert reduce_element(done, RuleSet(diff), budget=0).status == (
             "normal-form")
 
     def test_projection_budget_counts_passes(self, diff):
@@ -189,7 +187,7 @@ class TestBudget:
         assert (rep.steps, rep.status) == (1, "budget-exhausted")
 
     @pytest.mark.parametrize("reduce", (
-        lambda x, m: reduce_element(x, RuleSet.stock(m), budget=-1),
+        lambda x, m: reduce_element(x, RuleSet(m), budget=-1),
         lambda x, m: R_project(x, m, budget=-1),
     ), ids=("reduce_element", "R_project"))
     def test_negative_budget_is_an_error(self, diff, reduce):
@@ -220,7 +218,7 @@ class TestProjection:
         rep = R_project(x, diff)
         assert rep.status == "normal-form"
         assert rep.result == x
-        assert reduce_element(x, RuleSet.stock(diff)).result.is_zero()
+        assert reduce_element(x, RuleSet(diff)).result.is_zero()
 
     def test_leaves_are_fixed(self, diff):
         al = diff.alphabet
@@ -346,7 +344,7 @@ def mark_rule_sets():
     free = Alphabet()
     free.add(Symbol("a", 0, Q(1), "lie"))
     return {
-        "stock": (lambda: RuleSet.stock(diff, policy), diff.alphabet, ("1", "b")),
+        "stock": (lambda: RuleSet(diff, policy), diff.alphabet, ("1", "b")),
         "projection": (lambda: RuleSet(diff, None, PROJECTION_RULES),
                        diff.alphabet, ("1", "b")),
         "collapse": (lambda: RuleSet(weyl, None, COLLAPSE_RULES),
@@ -369,7 +367,7 @@ class TestNormalFormMarks:
         assert _mark_faults(make, data.draw(_cases(al, names))) == []
 
     def test_marks_outlive_a_reduction(self, diff):
-        rules = RuleSet.stock(diff)
+        rules = RuleSet(diff)
         x = parse("o{1}(b, b2) + o{-2}(b, 1)", diff.alphabet)
         reduce_element(x, rules)
         assert set(x.terms) <= rules.normal
@@ -397,12 +395,39 @@ class TestNormalFormMarks:
         assert _mark_faults(make, cases)
 
 
+class TestTruncationCut:
+    # the policy is applied by truncate after every pass, so no reduction
+    # under a policy leaves a product that truncate would drop
+    MODELS = {"diffpoly": ("DiffPoly", ("1", "b", "b2")),
+              "weyl1": ("Weyl1", ("1", "b", "del", "bdel"))}
+
+    @pytest.mark.parametrize("name", tuple(MODELS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_results_are_truncated(self, name, data):
+        kind, names = self.MODELS[name]
+        model = make_model(kind)
+        pol = TruncationPolicy(data.draw(st.integers(0, 3), label="locality"))
+        leaf = st.sampled_from([Leaf(model.alphabet.symbol(n)) for n in names])
+        tree = st.recursive(
+            leaf, lambda kids: st.builds(Node, st.integers(-3, 6), kids, kids),
+            max_leaves=4)
+        x = data.draw(st.dictionaries(tree, st.sampled_from((1, -1, 2)),
+                                      min_size=1, max_size=3)
+                       .map(lambda terms: Element(model.alphabet, terms)))
+        try:
+            r = reduce_element(x, RuleSet(model, pol))
+        except ModelDegreeError:
+            return
+        assert truncate(r.result, pol) == r.result
+
+
 class TestDeepTerms:
     def test_deep_tower_reduces_and_projects(self, diff):
         # a 1500-deep D tower: no rule fires on o_{-2}(x, 1), and the pass
         # engine must not recurse per level to find that out
         x = Element.sym(diff.alphabet, "b").D_pow(1500)
-        for rep in (R_project(x, diff), reduce_element(x, RuleSet.stock(diff))):
+        for rep in (R_project(x, diff), reduce_element(x, RuleSet(diff))):
             assert rep.status == "normal-form"
             assert rep.result == x
 

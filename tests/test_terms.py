@@ -2,13 +2,17 @@
 
 import copy
 import dataclasses
+import os
 import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, strategies as st
 
+import vertexalg
 from vertexalg.models.factory import shipped_model
 from vertexalg.models.morphisms import random_tree, shipped_morphisms
 from vertexalg.terms import (
@@ -384,6 +388,33 @@ class TestCachedHash:
         for twin in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert twin == t and hash(twin) == hash(t)
             assert twin.left is Leaf(twin.left.symbol) and twin.left.symbol is not t.left.symbol
+
+    def test_pickles_load_under_another_hash_seed(self):
+        # a pickled node carries no hash: one written under one string-hash
+        # seed equals the same tree built where it is loaded, and finds it
+        # as a dict key
+        build = (
+            "from vertexalg.terms import Alphabet, Element, Symbol\n"
+            "al = Alphabet()\n"
+            "al.add(Symbol('x'))\n"
+            "x = Element.sym(al, 'x')\n"
+            "(t,) = x.o(0, x).terms\n"
+        )
+        dump = build + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(t))\n"
+        load = build + (
+            "import pickle, sys\n"
+            "u = pickle.loads(sys.stdin.buffer.read())\n"
+            "assert u == t and hash(u) == hash(t), 'unequal'\n"
+            "assert {t: 1}.get(u) == 1, 'lookup missed'\n"
+        )
+        src = os.path.dirname(os.path.dirname(vertexalg.__file__))
+
+        def run(code, seed, data=b""):
+            env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+            return subprocess.run([sys.executable, "-c", code], input=data,
+                                  env=env, capture_output=True, check=True).stdout
+
+        run(load, "2", run(dump, "1"))
 
     def test_colliding_hashes_still_compare_fields(self, al):
         # hash(-1) == hash(-2) in CPython, so o_{-1} and o_{-2} over the same
