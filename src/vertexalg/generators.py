@@ -40,8 +40,15 @@ class TruncationPolicy:
     exempt: frozenset = frozenset()
 
     def __post_init__(self):
+        # a negative locality would truncate products the vacuum axiom needs
+        if self.default_locality < 0:
+            raise ValueError(
+                f"default_locality must be >= 0, got {self.default_locality}")
         table = {}
         for u, v, loc in self.overrides:
+            if int(loc) < 0:
+                raise ValueError(
+                    f"locality override of ({u}, {v}) must be >= 0, got {loc}")
             table[_pair_key(u, v)] = int(loc)
         object.__setattr__(self, "_table", table)
         punct = set()

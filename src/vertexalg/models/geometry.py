@@ -36,6 +36,17 @@ _operators gives every symbol its Op, and one bracket-table check compares
 each table bracket with the commutator of those Ops.  Every enumerated
 check is one models.base.case_check call: it stops at its first failing
 case and names it as the record's witness.
+
+Memo.  A basic operator computes its image of a section once per check.
+Op.image(k, v) reads the Op's memo, keyed by the section's content
+(k, *((mask, *poly.c.items()) for each slot)), never by object identity;
+commutators, form-multiples and _apply_elem read their operands through
+it.  Calling an Op, as a check's top-level probe does, computes without
+storing.  Form-multiples and test-field contractions keep no memo: the
+first are one wedge with a memoised image, the second mostly meet derived
+forms once.  The lifetime is one check: Ops are built inside each
+classical_geometry_checks call, and _derham2_checks empties every memo
+when a check ends ([nabla, iota_X]'s also once X is done).
 """
 
 from fractions import Fraction
@@ -169,19 +180,37 @@ def curvature_oracle(a1: Poly2, a2: Poly2):
 # operators on sections ------------------------------------------------------------
 
 
+def _content(k, v) -> tuple:
+    """The memo key of the section (k, v): its e-power, then each slot's
+    mask and polynomial terms, so sections built apart share a key."""
+    return (k, *((mask, *p.c.items()) for mask, p in v.items()))
+
+
 class Op:
     """An operator on sections (k, v) with a parity: fn(k, v) is the form of
-    the image, whose e-power is k again."""
+    the image, whose e-power is k again.  Calling an Op computes the image
+    afresh; image(k, v) reads it through the Op's memo, keyed by the
+    section's content, unless the Op was built with memo=False."""
 
-    def __init__(self, name, parity, fn):
+    def __init__(self, name, parity, fn, memo=True):
         self.name, self.parity, self.fn = name, parity, fn
+        self.memo = {} if memo else None
 
     def __call__(self, k, v):
         return self.fn(k, v)
 
+    def image(self, k, v):
+        if self.memo is None:
+            return self.fn(k, v)
+        key = _content(k, v)
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = self.fn(k, v)
+        return out
+
     def commutator(self, other) -> "Op":
         sign = -minus_one_pow(self.parity * other.parity)
-        f, g = self.fn, other.fn
+        f, g = self.image, other.image
 
         def fn(k, v):
             return Forms.add(f(k, g(k, v)), Forms.scale(sign, g(k, f(k, v))))
@@ -441,17 +470,20 @@ def _case_text(model: Model, k, v, **fields) -> str:
 def _operators(model: Model, basic: dict) -> dict:
     """The Op of every symbol of a form model: w ^ for a form symbol,
     basic[P] for a basic operator P, and w ^ P for "<form><P>" (every basic
-    operator id has two letters)."""
+    operator id has two letters).  A form-multiple reads P through P's
+    memo and keeps none itself: its image costs one wedge more, and storing
+    it for every multiple raised the check's peak memory by half."""
     forms, wedge = model.meta["forms"], model.meta["algebra"].wedge
     ops = dict(basic)
     for sym in model.symbols():
         if sym.name not in ops:
             if sym.kind == "lie":
-                w, p = forms[sym.name[:-2]], basic[sym.name[-2:]].fn
+                w, p = forms[sym.name[:-2]], basic[sym.name[-2:]].image
             else:
                 w, p = forms[sym.name], lambda k, v: v
             ops[sym.name] = Op(sym.name, sym.parity,
-                               lambda k, v, w=w, p=p: wedge(w, p(k, v)))
+                               lambda k, v, w=w, p=p: wedge(w, p(k, v)),
+                               memo=False)
     return ops
 
 
@@ -459,7 +491,7 @@ def _apply_elem(ops: dict, elem: Element, k, v):
     """A leaf combination of symbols, as operators, on the section (k, v)."""
     out = {}
     for t, c in elem.terms.items():
-        out = Forms.add(out, Forms.scale(c, ops[t.symbol.name](k, v)))
+        out = Forms.add(out, Forms.scale(c, ops[t.symbol.name].image(k, v)))
     return out
 
 
@@ -527,14 +559,16 @@ def _derham2_checks(model: Model) -> list:
     battery = [(k, {mask: Poly2.mono(i, j)}) for i in range(top + 1)
                for j in range(top + 1 - i) for mask in range(4) for k in (0, 1, 2)]
 
-    def iota(x, name="iota"):
-        return Op(name, 1, lambda k, v: F2.iota(x, v))
+    def iota(x):
+        # a test field's contraction mostly meets derived forms that are
+        # not asked for again, so it keeps no memo
+        return Op("iota", 1, lambda k, v: F2.iota(x, v), memo=False)
 
     nabla = Op("nabla", 1, lambda k, v: F2.add(F2.d(v), F2.scale(k, F2.wedge(a_form, v))))
     basic = {"dd": Op("dd", 1, lambda k, v: F2.d(v)), "nabla": nabla,
              "ee": Op("ee", 0, lambda k, v: F2.scale(k, v))}
     for i, x in _FIELDS2.items():
-        basic["iota" + i] = iota(x, "iota" + i)
+        basic["iota" + i] = Op("iota" + i, 1, lambda k, v, x=x: F2.iota(x, v))
         basic["lie" + i] = Op("lie" + i, 0, lambda k, v, x=x: F2.lie(x, v))
 
     # curvature: nabla^2 = (1/2)[nabla, nabla], and nabla^2 = k F ^ for F
@@ -544,7 +578,7 @@ def _derham2_checks(model: Model) -> list:
 
     def curvature(case):
         k, v = case
-        sq = nabla(k, nabla(k, v))
+        sq = nabla.image(k, nabla.image(k, v))
         holds = square(k, v) == F2.scale(2, sq) and all(
             sq == F2.scale(k, F2.wedge(f, v)) for f in (f_oracle, f_engine))
         return None if holds else _case_text(model, k, v)
@@ -552,7 +586,8 @@ def _derham2_checks(model: Model) -> list:
     # [nabla, iota_X] for each test field, built once
     fields = [*_FIELDS2.values(), (Poly2.mono(0, 1), Poly2()),
               (Poly2(), Poly2.mono(1, 0)), (Poly2.mono(1, 0), Poly2.mono(0, 1))]
-    twisted = [(x, nabla.commutator(iota(x))) for x in fields]
+    iotas = [iota(x) for x in fields]
+    twisted = [(x, nabla.commutator(i)) for x, i in zip(fields, iotas)]
 
     # the twisted-derivative formula: which variant equals [nabla, iota_X]
     # on the first four fields
@@ -566,22 +601,26 @@ def _derham2_checks(model: Model) -> list:
         holds = ring(k, v) == F2.add(F2.lie(x, v), F2.scale(k, extra(x, v)))
         return None if holds else _case_text(model, k, v, X=x)
 
-    variants = {
-        variant: case_check(
+    def variants():
+        recs = [case_check(
             variant,
             ((extra, x, ring, k, v) for x, ring in twisted[:4] for k, v in battery),
             twisted_derivative,
-        )
-        for variant, extra in formulas.items()
-    }
-    holds = {variant: rec["status"] == "pass" for variant, rec in variants.items()}
-    some = any(holds.values())
-    witness = None if some else "; ".join(
-        f"{r['id']}: {r['witness']}" for r in variants.values())
+        ) for variant, extra in formulas.items()]
+        holds = {r["id"]: r["status"] == "pass" for r in recs}
+        some = any(holds.values())
+        witness = None if some else "; ".join(f"{r['id']}: {r['witness']}" for r in recs)
+        return check("twisted-derivative-variants", some, holds=holds, witness=witness)
 
     # [twisted_X, iota_Y] = iota_[X,Y] with the vector-field oracle
-    brackets = [(x, y, ring.commutator(iota(y)), iota(field_bracket(x, y)))
-                for x, ring in twisted for y in fields]
+    def brackets():
+        # X outermost: twisted_X's memo serves only X's block, so it is
+        # emptied when the block ends
+        for x, ring in twisted:
+            for y, i in zip(fields, iotas):
+                got, want = ring.commutator(i), iota(field_bracket(x, y))
+                yield from ((x, y, got, want, k, v) for k, v in battery)
+            ring.memo.clear()
 
     def contraction(case):
         x, y, got, want, k, v = case
@@ -593,17 +632,20 @@ def _derham2_checks(model: Model) -> list:
     euler_mults = [s for s in model.symbols(("lie",)) if s.name not in OPS2]
     euler_mults = euler_mults[:: max(1, len(euler_mults) // 8)]
     pairs = [*product(pure, pure), *product(pure, euler_mults)]
-    return [
-        _koszul_check(model),
-        case_check("curvature", battery, curvature,
-                   oracle_matches_engine=f_engine == f_oracle),
-        check("twisted-derivative-variants", some, holds=holds, witness=witness),
-        case_check(
-            "twisted-contraction-bracket",
-            ((x, y, got, want, k, v) for x, y, got, want in brackets
-             for k, v in battery),
-            contraction,
-        ),
-        _bracket_table_check(
+    checks = [
+        lambda: _koszul_check(model),
+        lambda: case_check("curvature", battery, curvature,
+                           oracle_matches_engine=f_engine == f_oracle),
+        variants,
+        lambda: case_check("twisted-contraction-bracket", brackets(), contraction),
+        lambda: _bracket_table_check(
             model, basic, pairs, battery[:: max(1, len(battery) // 24)]),
     ]
+    # every memo is emptied when its check ends, so none outlives it
+    memoised = [*basic.values(), *(ring for _, ring in twisted)]
+    records = []
+    for run in checks:
+        records.append(run())
+        for op in memoised:
+            op.memo.clear()
+    return records

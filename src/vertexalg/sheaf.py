@@ -359,7 +359,12 @@ def _class_cells(members, context):
         for coeff, columns in rows:
             mono = _ONE
             for col in columns:
-                mono = mono * col[i]
+                # values hands out the shared _ONE, which multiplies as 1
+                factor = col[i]
+                if mono is _ONE:
+                    mono = factor
+                elif factor is not _ONE:
+                    mono = mono * factor
                 if not mono.c:
                     break
             else:

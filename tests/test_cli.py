@@ -129,6 +129,21 @@ def test_negative_budget_is_an_error_line(capsys, argv):
     assert captured.out == ""
 
 
+# a negative locality would truncate the products the vacuum axiom needs:
+# o{-1}(1, b) + b2 would reduce to b2
+@pytest.mark.parametrize("argv,error", (
+    (["reduce", "o{-1}(1, b) + b2", "--model", "diffpoly", "--locality", "-1"],
+     "default_locality must be >= 0, got -1"),
+    (["gen", "c", "--args", "u", "--args", "v", "--n", "3", "--locality", "-2"],
+     "default_locality must be >= 0, got -2"),
+), ids=("reduce", "gen"))
+def test_negative_locality_is_an_error_line(capsys, argv, error):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
+    assert captured.out == ""
+
+
 def test_gen_missing_indices_is_an_error_line(capsys):
     assert main(["gen", "e", "--args", "u", "--args", "v"]) == 2
     assert capsys.readouterr().err.splitlines() == ["error: family e needs --n"]

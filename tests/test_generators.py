@@ -50,6 +50,14 @@ POL = TruncationPolicy(default_locality=3, level=8)
 
 
 class TestTruncation:
+    def test_negative_locality_is_refused(self):
+        with pytest.raises(ValueError, match="default_locality must be >= 0, got -1"):
+            TruncationPolicy(-1)
+        with pytest.raises(ValueError,
+                           match=r"locality override of \(x, y\) must be >= 0, got -2"):
+            TruncationPolicy(3, overrides=(("x", "y", -2),))
+        assert TruncationPolicy(0, overrides=(("x", "y", 0),)).locality("x", "y") == 0
+
     def test_dead_leaf_pair_dropped(self, al):
         x, y = E(al, "x"), E(al, "y")
         assert truncate(x.o(3, y), POL).is_zero()

@@ -1,8 +1,11 @@
 """The exterior algebra Forms(n): random sparse forms over small Poly1 and
 Poly2 coefficients obey the identities that fix every sign table.  The
 operator path: Op commutators are graded antisymmetric and obey the graded
-Jacobi identity, and each geometry check fails, naming its input, when the
-statement it probes is broken."""
+Jacobi identity, an Op's memo hands back what fresh Ops compute, and each
+geometry check fails, naming its input, when the statement it probes is
+broken."""
+
+import copy
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -174,6 +177,45 @@ def test_commutator_obeys_graded_jacobi(a, b, c, section):
         Forms.scale(sign, b.commutator(a.commutator(c))(*section)),
     )
     assert clean(2, lhs) == clean(2, rhs)
+
+
+def _fresh(op):
+    return Op(op.name, op.parity, op.fn)
+
+
+@EXAMPLES
+@given(operators(), operators(), operators(), SECTIONS)
+def test_memoised_images_equal_fresh_ones(a, b, c, section):
+    # the memo is keyed by content: a second evaluation, and one on a deep
+    # copy of the section, read stored images; the operator "d" is one
+    # object across examples, so its memo also holds earlier sections
+    nested = a.commutator(b.commutator(c))
+    want = clean(2, _fresh(a).commutator(_fresh(b).commutator(_fresh(c)))(*section))
+    for k, v in (section, section, copy.deepcopy(section)):
+        assert nested(k, v) == want
+        assert nested.image(k, v) == want
+
+
+def test_a_call_computes_and_image_stores_once():
+    runs = []
+    op = Op("d", 1, lambda k, v: runs.append(k) or F2.d(v))
+    v = {0: Poly2.mono(1, 2)}
+    assert op(0, v) == F2.d(v) and not op.memo
+    assert op.image(0, v) == op.image(0, copy.deepcopy(v)) == F2.d(v)
+    assert op.image(1, v) == F2.d(v)
+    assert runs == [0, 0, 1] and len(op.memo) == 2
+    bare = Op("d", 1, op.fn, memo=False)
+    assert bare.image(0, v) == F2.d(v) and bare.memo is None
+
+
+def test_no_memo_outlives_a_run(monkeypatch):
+    # the unpatched run fills memos first; one that outlived it would hand
+    # the patched run images of the true Lie derivative
+    assert run_suite("geometry")["status"] == "pass"
+    monkeypatch.setattr(F2, "lie", lambda field, u: {})
+    checks = {c["id"]: c for c in run_suite("geometry")["checks"]}
+    for name in ("derham2_b2", "derham2_lin"):
+        assert checks[f"{name}-twisted-derivative-variants"]["status"] == "fail"
 
 
 # -- geometry mutants -------------------------------------------------------------
