@@ -90,7 +90,7 @@ def _term_is_dead(t, policy: TruncationPolicy) -> bool:
 
 def truncate(x: Element, policy: TruncationPolicy) -> Element:
     kept = {t: c for t, c in x.terms.items() if not _term_is_dead(t, policy)}
-    return Element(x.alphabet, kept)
+    return Element._trusted(x.alphabet, kept)
 
 
 def _parity_of(x: Element, what: str) -> int:

@@ -113,6 +113,8 @@ class Forms:
     def scale(c, u):
         if not c:
             return {}
+        if c == 1:
+            return u
         return {mask: p * c for mask, p in u.items()}
 
     def wedge(self, u, v):

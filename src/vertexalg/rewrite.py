@@ -242,4 +242,4 @@ def R_project(x: Element, model, budget: int = 1000) -> ReductionReport:
 
 def length_one_component(x: Element) -> Element:
     kept = {t: c for t, c in x.terms.items() if term_length(t) == 1}
-    return Element(x.alphabet, kept)
+    return Element._trusted(x.alphabet, kept)

@@ -190,15 +190,15 @@ class SheafContext:
             self._natural_window(base, bumps))
         if window.interior().is_empty():
             return None
+        unit = self.alphabet.unit.name
         kept = tuple(b for b in bumps
                      if not window.subset_of(self._bumps[b].plateau))
-        if not kept and bumps and base == self.alphabet.unit.name \
-                and window != self.universe:
-            kept = bumps  # a windowed bare unit is not a symbol
+        if base == unit and not kept:
+            if window == self.universe:
+                return self.alphabet.unit
+            kept = bumps  # a windowed bare unit is not the unit symbol
         bumps = kept
-        if base == self.alphabet.unit.name and not bumps:
-            return self.alphabet.unit
-        stem = "*".join(bumps + ((base,) if base != self.alphabet.unit.name else ()))
+        stem = "*".join(bumps + ((base,) if base != unit else ())) or unit
         if window == self._natural_window(base, bumps):
             name = stem
         else:
@@ -206,11 +206,11 @@ class SheafContext:
             name = f"{stem}|{key}"
         if name in self._tags:
             return self.alphabet.symbol(name)
-        if base != self.alphabet.unit.name:
+        if base != unit:
             proto = self.alphabet.symbol(base)
             sym = Symbol(name, proto.parity, proto.degree, proto.kind, window)
         else:
-            # windowed pure bump; constants carry no parity or degree
+            # windowed pure bump or unit; constants carry no parity or degree
             sym = Symbol(name, 0, Q(0), "algebra", window)
         self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(base, bumps, window)
@@ -448,28 +448,39 @@ def sigma_star(sigma, x: Element, context: SheafContext) -> Element:
 
 
 def restrict(x: Element, window: SupportSet, context: SheafContext) -> Element:
-    """Shrink every non-unit leaf window to its trace on the target set,
-    drop slots that die, then project.  Restricting to a set that is not
-    inside the universe is an error, not a clamp."""
+    """Shrink every leaf window to its trace on the target set, drop slots
+    that die, then project.  The bare unit monomial is the unit section and
+    is cut to the window like any section; a unit leaf inside a product
+    stays whole.  Restricting to a set that is not inside the universe is
+    an error, not a clamp."""
     if not window.subset_of(context.universe):
         raise SupportError("restriction target leaves the universe")
 
     def rewindow(leaf):
-        if leaf.symbol.name == context.alphabet.unit.name:
-            return leaf
         sym = context.restricted_symbol(leaf.symbol.name, window)
         return Leaf(sym) if sym is not None else None
 
-    return pi(_map_leaves(x, rewindow), context)
+    def rewindow_slot(leaf):
+        # a unit leaf inside a product stays whole, so the unit rules
+        # (unit_strip, unit_left) still match it
+        if leaf.symbol.name == context.alphabet.unit.name:
+            return leaf
+        return rewindow(leaf)
+
+    return pi(_map_leaves(x, rewindow_slot, rewindow), context)
 
 
-def _map_leaves(x: Element, leaf_map) -> Element:
-    """Rebuild every monomial of x with each leaf replaced by leaf_map(leaf);
-    a monomial with a leaf mapped to None drops out.  Monomials that meet
+def _map_leaves(x: Element, leaf_map, bare_map=None) -> Element:
+    """Rebuild every monomial of x with each leaf replaced by leaf_map(leaf),
+    or by bare_map(leaf) when given and the monomial is that one leaf; a
+    monomial with a leaf mapped to None drops out.  Monomials that meet
     after the map are summed."""
     acc = {}
     for tree, coeff in x.terms.items():
-        moved = fold_tree(tree, leaf_map, _node_unless_dead)
+        if bare_map is not None and tree.__class__ is Leaf:
+            moved = bare_map(tree)
+        else:
+            moved = fold_tree(tree, leaf_map, _node_unless_dead)
         if moved is not None:
             Element.of_term(x.alphabet, moved)._add_into(acc, coeff)
     return Element._trusted(x.alphabet, acc)

@@ -10,8 +10,14 @@ construction, with exactly the formula a frozen dataclass would use:
 hash((name, parity, degree, kind, support)), hash((symbol,)) and
 hash((index, left, right)).  The children's hashes are already cached, so
 hashing a tree is O(1) and the values are the dataclass values bit for
-bit; dict and set iteration order is unchanged.  Equality short-cuts on
-identity, then on the cached hash, then compares fields.
+bit; dict and set iteration order is unchanged.  Node is a plain
+__slots__ class (index, left, right, _hash) rather than a dataclass: its
+one __new__ fills the four slots through the slot descriptors and
+computes the hash, and __setattr__ and __delattr__ raise AttributeError,
+so it is as immutable as before and cheaper to build.  Equality rejects
+on the cached hash, then compares fields.  Two nodes with equal hash and
+index whose children are the same objects are equal at once, with no
+walk; otherwise the walk skips every pair of identical subtrees.
 
 One leaf per Symbol.  Leaf(symbol) returns the leaf this Symbol object
 already holds; the first call builds it and keeps it on the symbol, set
@@ -114,8 +120,6 @@ class Symbol:
         return self._hash
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if other.__class__ is not Symbol:
             return NotImplemented
         return self._hash == other._hash and self._fields() == other._fields()
@@ -154,29 +158,43 @@ class Leaf:
         return self._hash == other._hash and self.symbol == other.symbol
 
 
-@dataclass(frozen=True, slots=True)
 class Node:
-    index: int
-    left: object
-    right: object
-    _hash: int = field(init=False, repr=False, compare=False)
+    """o_index(left, right): an immutable inner node with its hash cached."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash((self.index, self.left, self.right)))
+    __slots__ = ("index", "left", "right", "_hash")
+
+    def __new__(cls, index: int, left, right):
+        node = object.__new__(cls)
+        _set_index(node, index)
+        _set_left(node, left)
+        _set_right(node, right)
+        _set_hash(node, hash((index, left, right)))
+        return node
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Node is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Node is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
         # a pickle rebuilds the cached hash in the loading process
         return Node, (self.index, self.left, self.right)
 
+    def __repr__(self):
+        return f"Node(index={self.index!r}, left={self.left!r}, right={self.right!r})"
+
     def __hash__(self):
         return self._hash
 
     def __eq__(self, other):
-        if self is other:
-            return True
         if other.__class__ is not Node:
             return NotImplemented
-        stack = [(self, other)]
+        if self._hash != other._hash or self.index != other.index:
+            return False
+        if self.left is other.left and self.right is other.right:
+            return True
+        stack = [(self.right, other.right), (self.left, other.left)]
         while stack:
             a, b = stack.pop()
             if a is b:
@@ -192,6 +210,13 @@ class Node:
                 stack.append((a.right, b.right))
                 stack.append((a.left, b.left))
         return True
+
+
+# Node.__new__ fills its slots through their descriptors, past __setattr__
+_set_index = Node.index.__set__
+_set_left = Node.left.__set__
+_set_right = Node.right.__set__
+_set_hash = Node._hash.__set__
 
 
 Term = (Leaf, Node)

@@ -104,6 +104,21 @@ def _assert_table_is_fresh(ctx):
         assert table.values(name) == tuple(_value_at(ctx, name, m) for m in mids), name
 
 
+def test_restricting_the_bare_unit_cuts_it_to_the_window():
+    # the unit alone is the unit section on U, so it lives inside U; a
+    # unit leaf inside a product stays whole for the unit rules
+    ctx, _ = make_cover_three()
+    one, f = Element.unit(ctx.alphabet), Element.sym(ctx.alphabet, "f")
+    u = SupportSet.closed(0, Q(1, 6))
+    cut = restrict(-2 * one, u, ctx)
+    assert cut == -2 * Element.sym(ctx.alphabet, "1|0..1/6")
+    assert semantic_support(cut, ctx) == support(cut, ctx) == u
+    assert restrict(cut, SupportSet.closed(0, 4), ctx) == cut
+    assert restrict(-2 * one, ctx.universe, ctx) == -2 * one
+    (t,) = restrict(f.o(-1, one), u, ctx).terms
+    assert t.right is Leaf(ctx.alphabet.unit)
+
+
 def test_cells_follow_every_declaration():
     # each step adds a breakpoint or a partition family, so a cell table
     # left stale would differ from the midpoint evaluation
@@ -267,15 +282,21 @@ def recipes(draw, max_terms=3):
 
 
 def _tagged_on(ctx, cover, recipe, max_len=4):
-    """A sum of random_tree monomials over the sheaf suite's tagged pool.
-    The pool holds no bare unit: restrict keeps the unit whole, so the unit
-    alone lives on the whole universe."""
+    """A sum of monomials: random_tree products over the sheaf suite's
+    tagged pool and, about one in four, the bare unit, which restrict cuts
+    to its window like any section.  The pool holds no unit, so no product
+    holds a unit leaf: restrict keeps those whole, and a product of units
+    alone would live on the whole universe."""
     seed, coeffs = recipe
     pool = _tagged_pool(ctx, cover)
+    one = Element.unit(ctx.alphabet)
     rng = random.Random(seed)
     x = Element.zero(ctx.alphabet)
     for c in coeffs:
-        x = x + c * random_tree(ctx.alphabet, pool, rng, rng.randint(1, max_len), -3, 3)
+        if rng.randrange(4):
+            x = x + c * random_tree(ctx.alphabet, pool, rng, rng.randint(1, max_len), -3, 3)
+        else:
+            x = x + c * one
     return x
 
 

@@ -428,6 +428,96 @@ class TestCachedHash:
         assert len(Element(al, {s: 1, t: 1})) == 2
 
 
+class TestNode:
+    @pytest.fixture
+    def xy(self, al):
+        return Leaf(al.symbol("x")), Leaf(al.symbol("y"))
+
+    def test_hash_is_the_tuple_formula(self, xy):
+        x, y = xy
+        inner = Node(0, x, y)
+        for n, left, right in ((0, x, y), (-2, inner, x), (3, inner, inner)):
+            assert hash(Node(n, left, right)) == hash((n, left, right))
+
+    def test_fields_cannot_be_assigned_or_deleted(self, xy):
+        node = Node(1, *xy)
+        for name in ("index", "left", "right", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+        assert (node.index, node.left, node.right) == (1, *xy)
+        assert hash(node) == hash((1, *xy))
+
+    def test_copies_and_pickles_are_equal(self, xy):
+        node = Node(-1, Node(0, *xy), xy[0])
+        for twin in (copy.copy(node), copy.deepcopy(node),
+                     pickle.loads(pickle.dumps(node))):
+            assert twin == node and hash(twin) == hash(node)
+            assert isinstance(twin, Node)
+
+    def test_repr_names_the_fields(self, al):
+        x, y = Leaf(al.symbol("x")), Leaf(al.symbol("p"))
+        symbol = ("Leaf(symbol=Symbol(name='{}', parity={}, degree=Fraction(0, 1), "
+                  "kind='generic', support=None))")
+        assert repr(Node(3, x, Node(-2, y, x))) == (
+            f"Node(index=3, left={symbol.format('x', 0)}, right=Node(index=-2, "
+            f"left={symbol.format('p', 1)}, right={symbol.format('x', 0)}))")
+        assert repr(Node(index=0, left=x, right=x)) == repr(Node(0, x, x))
+
+    def test_shared_children_are_equal_at_once(self, xy):
+        x, y = xy
+        inner = Node(0, x, y)
+        assert Node(-2, inner, x) == Node(-2, inner, x)
+        assert Node(-2, inner, x) != Node(-2, x, inner)
+
+    def test_equal_hash_different_index_is_unequal(self, xy):
+        # hash(-1) == hash(-2), so these collide without help
+        x, y = xy
+        s, t = Node(-1, x, y), Node(-2, x, y)
+        assert hash(s) == hash(t) and s != t
+        # and a hash forced equal on indices that do not collide
+        s, t = Node(0, x, y), Node(1, x, y)
+        object.__setattr__(t, "_hash", s._hash)
+        assert s != t and t != s
+
+    def test_a_forced_root_collision_walks_the_children(self, xy):
+        # roots with one hash and index but different children: the walk
+        # must reject a pair of another class, or of another hash
+        x, y = xy
+        s = Node(0, x, Node(1, x, y))
+        for t in (Node(0, x, y), Node(0, y, x)):
+            object.__setattr__(t, "_hash", s._hash)
+            assert s != t and t != s
+
+    def test_colliding_leaf_hashes_compare_symbols(self, xy):
+        # two leaves of different symbols with one hash: the walk must
+        # compare the symbols themselves
+        x, y = xy
+        z = Leaf(Symbol("z"))
+        object.__setattr__(z, "_hash", y._hash)
+        s, t = Node(0, x, y), Node(0, x, z)
+        assert hash(s) == hash(t) and s != t
+
+    def test_a_non_node_is_not_implemented(self, xy):
+        x, y = xy
+        node = Node(0, x, y)
+        assert node.__eq__(x) is NotImplemented
+        assert node.__eq__((0, x, y)) is NotImplemented
+        assert node != x and node != (0, x, y)
+
+    def test_deep_equal_and_unequal_pairs(self, al):
+        # 10^5 levels built twice share only their leaves; the walk is a loop.
+        # o_{-1} and o_{-2} collide in hash at every level, so the unequal
+        # pair is told apart only at the bottom
+        x, y = E(al, "x"), E(al, "y")
+        depth = 10**5
+        (deep,), (again,) = x.D_pow(depth).terms, x.D_pow(depth).terms
+        assert deep is not again and deep == again
+        (s,), (t,) = x.o(-1, y).D_pow(depth).terms, x.o(-2, y).D_pow(depth).terms
+        assert hash(s) == hash(t) and s != t
+
+
 _weyl = shipped_model("weyl1")
 _scale, _shift = shipped_morphisms(_weyl)
 _pool = [s.name for s in _weyl.sample_symbols()]
