@@ -451,8 +451,10 @@ def restrict(x: Element, window: SupportSet, context: SheafContext) -> Element:
     """Shrink every leaf window to its trace on the target set, drop slots
     that die, then project.  The bare unit monomial is the unit section and
     is cut to the window like any section; a unit leaf inside a product
-    stays whole.  Restricting to a set that is not inside the universe is
-    an error, not a clamp."""
+    stays whole.  So restriction does not commute with the unit rules:
+    restrict(1 o_{-1} 1) unit-reduces to the whole unit, restrict(1) is
+    the unit cut to the window.  Restricting to a set that is not inside
+    the universe is an error, not a clamp."""
     if not window.subset_of(context.universe):
         raise SupportError("restriction target leaves the universe")
 
@@ -573,7 +575,9 @@ def sheaf_axiom_check(cover, sections, context: SheafContext):
     sum to the unit by the partition relation, and strip the unit by a
     rewrite.  Hops one to three are certified by an empty semantic
     support (membership in the kernel ideal); hop four is a unit_left
-    reduction to zero.  Uniqueness: the probe, the Cor-style difference
+    reduction whose normal form restricts to zero: a unit the rules lift
+    out of a product is whole, and restricting cuts it to the window as
+    restrict cut the section's own bare unit.  Uniqueness: the probe, the Cor-style difference
     rho o (x - sigma*x) on the first patch, has empty semantic support, so
     pi kills it and k returns it whole.
     """
@@ -621,7 +625,7 @@ def sheaf_axiom_check(cover, sections, context: SheafContext):
                            - restrict(sections[i], p.window, context))
         checks.append(check(
             f"unit-strip-{p.name}",
-            bool(rep) and rep.result == Element.zero(al),
+            bool(rep) and restrict(rep.result, p.window, context).is_zero(),
             detail=f"{rep.steps} rewrite steps"))
 
         hops = [c["status"] == "pass" for c in checks if c["id"] in

@@ -82,6 +82,14 @@ def test_sheaf_check_global_section_passes(capsys):
     assert all(line.startswith("ok   ") for line in lines[:-1])
 
 
+def test_sheaf_check_unit_sections_pass(capsys):
+    argv = ["sheaf", "check", "--cover", COVER_TWO]
+    argv += ["--sections", "1", "--sections", "1"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "13/13 checks passed"
+
+
 def test_sheaf_check_disagreeing_sections_fail(capsys):
     argv = ["sheaf", "check", "--cover", COVER_TWO]
     argv += ["--sections", "f", "--sections", "g"]

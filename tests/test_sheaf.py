@@ -21,6 +21,7 @@ from vertexalg.sheaf import (
     pi,
     restrict,
     semantic_support,
+    sheaf_axiom_check,
     sigma_star,
     support,
 )
@@ -117,6 +118,19 @@ def test_restricting_the_bare_unit_cuts_it_to_the_window():
     assert restrict(-2 * one, ctx.universe, ctx) == -2 * one
     (t,) = restrict(f.o(-1, one), u, ctx).terms
     assert t.right is Leaf(ctx.alphabet.unit)
+
+
+@pytest.mark.parametrize("section", ["1", "f + 1"])
+def test_the_unit_as_every_section_passes_the_axiom_check(section):
+    # restrict cuts the section's bare unit to the window, while the unit
+    # that unit_left lifts out of 1 o_{-1} 1 is whole; the unit-strip hop
+    # must still see the two as equal on the window
+    ctx, cover = make_cover_three()
+    one, f = Element.unit(ctx.alphabet), Element.sym(ctx.alphabet, "f")
+    x = one if section == "1" else f + one
+    checks = sheaf_axiom_check(cover, [x] * len(cover), ctx)
+    assert [c["id"] for c in checks if c["status"] != "pass"] == []
+    assert {f"unit-strip-{p.name}" for p in cover} <= {c["id"] for c in checks}
 
 
 def test_cells_follow_every_declaration():
@@ -282,29 +296,29 @@ def recipes(draw, max_terms=3):
 
 
 def _tagged_on(ctx, cover, recipe, max_len=4):
-    """A sum of monomials: random_tree products over the sheaf suite's
-    tagged pool and, about one in four, the bare unit, which restrict cuts
-    to its window like any section.  The pool holds no unit, so no product
-    holds a unit leaf: restrict keeps those whole, and a product of units
-    alone would live on the whole universe."""
+    """A sum of random_tree monomials over the sheaf suite's tagged pool.
+    The pool holds no unit, so no product holds a unit leaf: restrict
+    keeps those whole, and a product of units alone would live on the
+    whole universe."""
     seed, coeffs = recipe
     pool = _tagged_pool(ctx, cover)
-    one = Element.unit(ctx.alphabet)
     rng = random.Random(seed)
     x = Element.zero(ctx.alphabet)
     for c in coeffs:
-        if rng.randrange(4):
-            x = x + c * random_tree(ctx.alphabet, pool, rng, rng.randint(1, max_len), -3, 3)
-        else:
-            x = x + c * one
+        x = x + c * random_tree(ctx.alphabet, pool, rng, rng.randint(1, max_len), -3, 3)
     return x
 
 
 @st.composite
-def tagged(draw, max_terms=3, max_len=4):
-    """A fresh cover_three context and a tagged element on it."""
+def tagged(draw, max_terms=3, max_len=4, unit=False):
+    """A fresh cover_three context and a tagged element on it; with unit,
+    plus a drawn multiple (maybe 0) of the bare unit, which restrict cuts
+    to its window like any section."""
     ctx, cover = make_cover_three()
-    return ctx, _tagged_on(ctx, cover, draw(recipes(max_terms)), max_len)
+    x = _tagged_on(ctx, cover, draw(recipes(max_terms)), max_len)
+    if unit:
+        x = x + draw(st.sampled_from((0, -2, -1, 1, 2))) * Element.unit(ctx.alphabet)
+    return ctx, x
 
 
 @st.composite
@@ -338,7 +352,7 @@ def test_pi_is_idempotent(cx):
 
 
 @EXAMPLES
-@given(tagged(), windows(), windows())
+@given(tagged(unit=True), windows(), windows())
 def test_restricting_twice_is_restricting_to_the_meet(cx, u, v):
     ctx, x = cx
     meet = u.intersect(v)
@@ -347,7 +361,7 @@ def test_restricting_twice_is_restricting_to_the_meet(cx, u, v):
 
 
 @EXAMPLES
-@given(tagged(), windows())
+@given(tagged(unit=True), windows())
 def test_restriction_lives_inside_its_window(cx, u):
     ctx, x = cx
     assert semantic_support(restrict(x, u, ctx), ctx).subset_of(u)
