@@ -12,7 +12,6 @@ from .terms import (
     Alphabet,
     Element,
     GradeReport,
-    Leaf,
     Node,
     Symbol,
     binom,
@@ -26,7 +25,6 @@ __all__ = [
     "Alphabet",
     "Element",
     "GradeReport",
-    "Leaf",
     "Node",
     "ParseError",
     "Piece",

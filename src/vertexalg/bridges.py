@@ -30,7 +30,7 @@ from .generators import (
     truncate,
 )
 from .models.polys import column_rank
-from .terms import Element, Leaf, Node, binom, falling, minus_one_pow
+from .terms import Element, Node, Symbol, binom, falling, minus_one_pow
 
 Q = Fraction
 
@@ -49,7 +49,7 @@ def _eb(x: Element, y: Element, n: int, K: int):
     """e as a qa value plus i-family corrections; exact once K >= |n| - 1."""
     one = Element.unit(x.alphabet)
     lhs = fam_e(x, y, n)
-    acc = dict(fam_qa(x, one, y, -2, n, None, K=K, certify=False).terms)
+    acc = dict(fam_qa(x, one, y, -2, n, None, K=K).terms)
     for k in range(K + 1):
         c = binom(-2, k) * minus_one_pow(k)  # = k + 1
         fix = x.o(-2 - k, fam_i(y, n + k)) - fam_i(x.o(k, y), -2 + n - k)
@@ -89,8 +89,8 @@ def _qci(x: Element, y: Element, n: int, K: int):
     """Lowers the qc index; the two telescopes end one summand apart, on
     y o_{n-1+k} x, so truncation closes them past the tail (y, x, n - 1)."""
     kosz = _koszul(x, y)
-    lhs = n * fam_qc(x, y, n - 1, None, K=K, certify=False)
-    rhs = -fam_qc(x.D(), y, n, None, K=K, certify=False) + fam_e(x, y, n)
+    lhs = n * fam_qc(x, y, n - 1, None, K=K)
+    rhs = -fam_qc(x.D(), y, n, None, K=K) + fam_e(x, y, n)
     acc = dict(rhs.terms)
     for k in range(K + 1):
         c = -kosz * Q(minus_one_pow(n + k), factorial(k))
@@ -101,8 +101,8 @@ def _qci(x: Element, y: Element, n: int, K: int):
 def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int):
     """Lowers the first qa index; exact for m >= 0 once K >= m.  For m < 0
     only the boundary summand y o (x o_K z) survives: the tail (x, z, -1)."""
-    lhs = m * fam_qa(x, y, z, m - 1, n, None, K=K, certify=False)
-    rhs = -fam_qa(x.D(), y, z, m, n, None, K=K, certify=False) + fam_e(
+    lhs = m * fam_qa(x, y, z, m - 1, n, None, K=K)
+    rhs = -fam_qa(x.D(), y, z, m, n, None, K=K) + fam_e(
         x, y, m
     ).o(n, z)
     sp = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
@@ -119,10 +119,10 @@ def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int):
 def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int):
     """Lowers the second qa index; exact for m >= 0 once K >= m, else past
     the tails (y, z, n - 1) and (x, z, -1) of its f summands."""
-    lhs = n * fam_qa(x, y, z, m, n - 1, None, K=K, certify=False)
+    lhs = n * fam_qa(x, y, z, m, n - 1, None, K=K)
     rhs = (
-        -fam_qa(x, y, z, m, n, None, K=K, certify=False).D()
-        + fam_qa(x, y, z.D(), m, n, None, K=K, certify=False)
+        -fam_qa(x, y, z, m, n, None, K=K).D()
+        + fam_qa(x, y, z.D(), m, n, None, K=K)
         + fam_f(x.o(m, y), z, n)
     )
     sp = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
@@ -142,7 +142,7 @@ def _qcs(x: Element, y: Element, n: int, K: int):
     """n-symmetry: y o_n x recovered from the qc generator minus its tail.
     Definitionally exact at any K."""
     lhs = y.o(n, x)
-    acc = dict(fam_qc(y, x, n, None, K=K, certify=False).terms)
+    acc = dict(fam_qc(y, x, n, None, K=K).terms)
     sp = _koszul(x, y)
     for k in range(K + 1):
         c = -sp * Q(minus_one_pow(n + k), factorial(k))
@@ -175,16 +175,16 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
         for k in range(m + 1):
             c = binom(m, k)
             x.o(k, y).o(m + n - k, z)._add_into(lhs, -c)
-            qa = fam_qa(x, y, z, k, m + n - k, None, K=K, certify=False)
+            qa = fam_qa(x, y, z, k, m + n - k, None, K=K)
             qa._add_into(rhs, -c)
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n == -1:
         for k in range(K + 1):
             x.o(k, y).o(-2 - k, z)._add_into(lhs, -minus_one_pow(k))
         rhs = dict((
-            -fam_qa(x, y, z, -1, -1, None, K=K, certify=False)
-            + kosz * fam_qa(y, x, z, -1, -1, None, K=K, certify=False)
-            - kosz * fam_qc(y, x, -1, None, K=K, certify=False).o(-1, z)
+            -fam_qa(x, y, z, -1, -1, None, K=K)
+            + kosz * fam_qa(y, x, z, -1, -1, None, K=K)
+            - kosz * fam_qc(y, x, -1, None, K=K).o(-1, z)
         ).terms)
         for j in range(K + 1):
             tower = _tower(x.o(j, y), j)
@@ -197,9 +197,9 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
             x.o(k, y).o(n - 1 - k, z)._add_into(lhs, -minus_one_pow(k))
         for k in range(n + 1):
             ck = binom(n, k)
-            qa = fam_qa(y, x, z, k, n - 1 - k, None, K=K, certify=False)
+            qa = fam_qa(y, x, z, k, n - 1 - k, None, K=K)
             qa._add_into(rhs, kosz * ck)
-            qc = fam_qc(y, x, k, None, K=K, certify=False)
+            qc = fam_qc(y, x, k, None, K=K)
             qc.o(n - 1 - k, z)._add_into(rhs, -kosz * ck)
             for j in range(1, K + 1):
                 tower = _tower(x.o(k + j, y), j - 1)
@@ -258,7 +258,7 @@ def borcherds_bridge(identity_id, args, policy, K=None):
     if extra:
         raise ValueError(f"{identity_id} got unknown args: {', '.join(extra)}")
     if K is None:
-        K = _certified_bound(identity_id, None, policy, False, tails(**got))
+        K = _certified_bound(identity_id, None, policy, tails(**got))
     lhs, rhs = build(K=K, **got)
     if policy is not None:
         lhs, rhs = truncate(lhs, policy), truncate(rhs, policy)
@@ -293,10 +293,10 @@ def dong_row(x: Element, y: Element, z: Element, M: int, m: int, j: int):
 class DongTable:
     """Memoized derived-locality bounds over trees.
 
-    Leaf pairs read the policy table.  A product u = x o_r y against v gets
-    max(0, 3*M - r) where M is the largest pairwise bound among x, y, v;
-    when both sides are products the smaller of the two decompositions
-    wins, which keeps the table symmetric.
+    A leaf pair's bound is the policy table's.  A product u = x o_r y
+    against v gets max(0, 3*M - r) where M is the largest pairwise bound
+    among x, y, v; when both sides are products the smaller of the two
+    decompositions wins, which keeps the table symmetric.
     """
 
     def __init__(self, policy: TruncationPolicy):
@@ -308,11 +308,11 @@ class DongTable:
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if isinstance(u, Leaf) and isinstance(v, Leaf):
-            out = self.policy.locality(u.symbol, v.symbol)
-        elif isinstance(u, Leaf):
+        if u.__class__ is Symbol and v.__class__ is Symbol:
+            out = self.policy.locality(u, v)
+        elif u.__class__ is Symbol:
             out = self.bound(v, u)
-        elif isinstance(v, Leaf):
+        elif v.__class__ is Symbol:
             out = self._via(u, v)
         else:
             out = min(self._via(u, v), self._via(v, u))
@@ -329,9 +329,9 @@ class DongTable:
         return max(0, 3 * M - u.index)
 
 
-def _only_leaf(x: Element, what: str) -> Leaf:
+def _only_leaf(x: Element, what: str) -> Symbol:
     terms = list(x.terms)
-    if len(terms) == 1 and isinstance(terms[0], Leaf):
+    if len(terms) == 1 and terms[0].__class__ is Symbol:
         return terms[0]
     raise ValueError(f"{what} must be a single leaf")
 
@@ -367,14 +367,14 @@ def dong_tail_certificate(
         raise CertificationError(
             f"index n={n} is below the derived bound {want}"
         )
-    K = _certified_bound("dong", None, policy, False, [(y, z, n), (x, z, 0)])
+    K = _certified_bound("dong", None, policy, [(y, z, n), (x, z, 0)])
     counts = {"generator": 1, "dead": 0, "derived": 0}
     for k in range(K + 1):
         for head, outer, inner in (
             (lx, r - k, Node(n + k, ly, lz)),
             (ly, r + n - k, Node(k, lx, lz)),
         ):
-            if policy.is_dead(inner.left.symbol, inner.right.symbol, inner.index):
+            if policy.is_dead(inner.left, inner.right, inner.index):
                 counts["dead"] += 1
             elif outer >= table.bound(head, inner):
                 counts["derived"] += 1

@@ -140,7 +140,7 @@ def _cmd_gen(ns) -> int:
         flags = " and ".join(f"--{nm}" for nm in fam.indices)
         raise ValueError(f"family {name} needs {flags}")
     el = build_generator(name, args, indices, _policy(ns), K=ns.k_bound,
-                         model=model, context=context, certify=not ns.no_certify)
+                         model=model, context=context)
     print(to_text(el))
     g = grade(el)
     print(f"degree: {g.degree if g.degree is not None else 'mixed'}")
@@ -279,13 +279,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--m", type=int)
     p.add_argument("--k-bound", type=int, dest="k_bound",
-                   help="series bound for qc/qa tails")
+                   help="series bound for qc/qa tails, at least the certified one")
     p.add_argument("--model")
     p.add_argument("--cover", help="cover file (k family)")
     p.add_argument("--degrees", help="free-symbol degrees, e.g. g=1,a=0")
     p.add_argument("--parities", help="free-symbol parities, e.g. p=1")
-    p.add_argument("--no-certify", action="store_true",
-                   help="skip tail-deadness certification")
     common_policy(p)
     p.set_defaults(fn=_cmd_gen)
 

@@ -60,7 +60,7 @@ def _right_mult_total(model, K: int, corrected: bool = True) -> Element:
     ag = model.act_elem(a, g)
     ga = model.bracket_elem(g, a)  # [g, a] = b
 
-    total = fam_qc(a, g, -1, None, K=K, certify=False).o(1, g)
+    total = fam_qc(a, g, -1, None, K=K).o(1, g)
     total = total - fam_a(a, g, model)
     total = total + (g.o(-1, a) - ag)  # the adjoined mirror generator
     total = total - fam_e(g.o(0, a), g, 1)
@@ -266,7 +266,7 @@ def punctured_checks(N: int, level: int = None) -> list:
     def unit_total(bound: int) -> Element:
         total = fam_s(a, g, model) - fam_e(a, g, 1)
         total = total + (a.D() - a.o(-N - 2, aNg)).o(1, g)
-        total = total + fam_qa(a, aNg, g, -N - 2, 1, pol, K=bound, certify=False)
+        total = total + fam_qa(a, aNg, g, -N - 2, 1, None, K=bound)
         acc = dict(total.terms)
         for k in range(bound + 1):
             c = binom(-N - 2, k) * minus_one_pow(k)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .terms import Element, Leaf, Node, binom, minus_one_pow, parity, preorder
+from .terms import Element, Node, Symbol, binom, minus_one_pow, parity, preorder
 
 Q = Fraction
 
@@ -82,8 +82,8 @@ def _term_is_dead(t, policy: TruncationPolicy) -> bool:
     for n in preorder(t):
         if n.__class__ is Node:
             u, v = n.left, n.right
-            if (u.__class__ is Leaf and v.__class__ is Leaf
-                    and policy.is_dead(u.symbol, v.symbol, n.index)):
+            if (u.__class__ is Symbol and v.__class__ is Symbol
+                    and policy.is_dead(u, v, n.index)):
                 return True
     return False
 
@@ -101,12 +101,11 @@ def _parity_of(x: Element, what: str) -> int:
 
 
 def _leaf_symbols(x: Element):
-    """Leaf symbols of x if every monomial is a leaf, else None."""
-    syms = []
-    for t in x.terms:
-        if not isinstance(t, Leaf):
+    """The terms of x if every monomial is a leaf, else None."""
+    syms = list(x.terms)
+    for t in syms:
+        if t.__class__ is not Symbol:
             return None
-        syms.append(t.symbol)
     return syms
 
 
@@ -121,21 +120,23 @@ def _tail_bound_for_pairs(pairs, offset: int, policy: TruncationPolicy) -> int:
     return need
 
 
-def _certified_bound(what, K, policy, certify, tails) -> int:
-    """The tail bound K of a qc/qa family or a bridge identity: K when
-    given, else max(policy.level, needed), with level 0 without a policy.
+def _certified_bound(what, K, policy, tails) -> int:
+    """The tail bound K of a qc/qa family or a bridge identity.
+
+    Without a policy a given K is taken as it is; under one it must be at
+    least needed, or CertificationError is raised.  With no K given the
+    bound is max(policy.level, needed), with level 0 without a policy.
 
     `tails` says what needed is: an int for a finite tail, which closes
     after that summand, else groups of (left args, right args, offset)
     whose leaf-pair products u o_{offset+k} v must be truncation-dead for
     every k > K; needed is then the largest _tail_bound_for_pairs over the
-    groups.  Groups need leaf-combination arguments and a policy; without
-    them needed is unknown, which raises CertificationError unless K is
-    given and certify unset.  With certify set, K < needed raises too."""
+    groups.  Groups need a policy and leaf-combination arguments; without
+    them needed is unknown, which raises CertificationError."""
+    if K is not None and policy is None:
+        return K
     if isinstance(tails, int):
         needed = tails
-    elif K is not None and not certify:
-        return K
     elif policy is None:
         raise CertificationError(f"{what} tail has no policy to certify against")
     else:
@@ -151,7 +152,7 @@ def _certified_bound(what, K, policy, certify, tails) -> int:
             needed = max(needed, _tail_bound_for_pairs(pairs, offset, policy))
     if K is None:
         return max(policy.level if policy is not None else 0, needed)
-    if certify and K < needed:
+    if K < needed:
         raise CertificationError(
             f"{what}: bound K={K} keeps alive dropped terms; need K>={needed}"
         )
@@ -203,10 +204,9 @@ def fam_qc(
     n: int,
     policy: TruncationPolicy,
     K: int = None,
-    certify: bool = True,
 ) -> Element:
     sign = minus_one_pow(_parity_of(x, "qc arg x") * _parity_of(y, "qc arg y"))
-    K = _certified_bound("qc", K, policy, certify, [(y, x, n)])
+    K = _certified_bound("qc", K, policy, [(y, x, n)])
     acc = dict(x.o(n, y).terms)
     for k in range(K + 1):
         c = Q(sign * minus_one_pow(n + k), factorial(k))
@@ -222,12 +222,11 @@ def fam_qa(
     n: int,
     policy: TruncationPolicy,
     K: int = None,
-    certify: bool = True,
 ) -> Element:
     sign_xy = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
     # a tail with m >= 0 is finite: binom(m, k) vanishes past k = m
     tails = m if m >= 0 else [(y, z, n), (x, z, 0)]
-    K = _certified_bound("qa", K, policy, certify, tails)
+    K = _certified_bound("qa", K, policy, tails)
     acc = dict(x.o(m, y).o(n, z).terms)
     for k in range(K + 1):
         c = binom(m, k) * minus_one_pow(k)
@@ -261,7 +260,7 @@ def fam_k(x: Element, context) -> Element:
 class Family(NamedTuple):
     """One generator family: its element arity, the names of its integer
     indices in argument order, the keyword arguments its builder takes
-    besides those (policy, K, certify, model, context), and the builder."""
+    besides those (policy, K, model, context), and the builder."""
 
     arity: int
     indices: tuple
@@ -269,7 +268,7 @@ class Family(NamedTuple):
     build: callable
 
 
-_TAIL = ("policy", "K", "certify")
+_TAIL = ("policy", "K")
 
 # builders call fam_* by module-global name when they run, so a wrapper
 # later bound to that name (a tracer) sees every build
@@ -295,7 +294,6 @@ def build_generator(
     K: int = None,
     model=None,
     context=None,
-    certify: bool = True,
 ) -> Element:
     """The instance of `family` on its element args and its indices, given
     in FAMILIES[family].indices order; K bounds a qc/qa tail."""
@@ -310,6 +308,5 @@ def build_generator(
         raise ValueError(f"{family}-family needs a model")
     if "context" in fam.needs and context is None:
         raise ValueError(f"{family}-family needs a sheaf context")
-    given = {"policy": policy, "K": K, "certify": certify, "model": model,
-             "context": context}
+    given = {"policy": policy, "K": K, "model": model, "context": context}
     return fam.build(*args, *indices, **{nm: given[nm] for nm in fam.needs})

@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from ..generators import TruncationPolicy, fam_am, fam_qa, fam_s
 from ..parsing import expect, to_text
-from ..terms import Element, Leaf, Symbol, fold_tree, minus_one_pow
+from ..terms import Element, Symbol, fold_tree, minus_one_pow
 from .polys import Poly1
 
 Q = Fraction
@@ -59,12 +59,10 @@ def degree_cap(max_degree) -> int:
 
 def _symbol_pairs(x: Element) -> list:
     """(symbol, coefficient) for each term of a leaf combination x."""
-    pairs = []
-    for t, c in x.terms.items():
-        if t.__class__ is not Leaf:
+    for t in x.terms:
+        if t.__class__ is not Symbol:
             raise ValueError("model tables apply to leaf combinations")
-        pairs.append((t.symbol, c))
-    return pairs
+    return list(x.terms.items())
 
 
 class Commutative(NamedTuple):
@@ -111,7 +109,7 @@ class Model:
         act return it."""
         hit = self._leaves.get(sym)
         if hit is None:
-            hit = self._leaves[sym] = Element._trusted(self.alphabet, {Leaf(sym): 1})
+            hit = self._leaves[sym] = Element._trusted(self.alphabet, {sym: 1})
         return hit
 
     # symbol-level tables (memoized; tables are pure) --------------------
@@ -215,7 +213,7 @@ class Model:
 
         total = Poly1()
         for t, c in x.terms.items():
-            total = total + fold_tree(t, lambda s: value(s.symbol), node) * c
+            total = total + fold_tree(t, value, node) * c
         return to_element(total)
 
 

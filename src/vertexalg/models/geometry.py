@@ -493,7 +493,7 @@ def _apply_elem(ops: dict, elem: Element, k, v):
     """A leaf combination of symbols, as operators, on the section (k, v)."""
     out = {}
     for t, c in elem.terms.items():
-        out = Forms.add(out, Forms.scale(c, ops[t.symbol.name].image(k, v)))
+        out = Forms.add(out, Forms.scale(c, ops[t.name].image(k, v)))
     return out
 
 

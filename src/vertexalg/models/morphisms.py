@@ -15,7 +15,7 @@ from itertools import product
 
 from ..generators import fam_a, fam_i, fam_s
 from ..parsing import to_text
-from ..terms import Element, Leaf, fold_tree
+from ..terms import Element, fold_tree
 from .base import Model, battery_check, case_check
 
 Q = Fraction
@@ -50,13 +50,10 @@ class Morphism:
 
     def apply(self, x: Element) -> Element:
         acc = {}
-        leaf_image = self._leaf_image
+        leaf_image = self.image_of_symbol
         for t, c in x.terms.items():
             fold_tree(t, leaf_image, _product)._add_into(acc, c)
         return Element._trusted(self.target.alphabet, acc)
-
-    def _leaf_image(self, leaf) -> Element:
-        return self.image_of_symbol(leaf.symbol)
 
     def compose(self, inner: "Morphism") -> "Morphism":
         """self after inner."""
@@ -110,7 +107,7 @@ def random_tree(al, syms, rng, length: int, lo: int, hi: int) -> Element:
     indices from lo..hi.  Draws, in order: the split, the left tree, the
     index, the right tree."""
     if length == 1:
-        return Element.of_term(al, Leaf(rng.choice(syms)))
+        return Element.of_term(al, rng.choice(syms))
     split = rng.randrange(1, length)
     left = random_tree(al, syms, rng, split, lo, hi)
     n = rng.randint(lo, hi)
@@ -195,7 +192,7 @@ def shipped_morphisms(model: Model) -> tuple:
             return power
         out = {}
         for t, c in power.terms.items():
-            e = _name_exp(t.symbol.name)[0]
+            e = _name_exp(t.name)[0]
             Element.sym(al, vf_name(e))._add_into(out, c * scale_del)
         return Element._trusted(al, out)
 

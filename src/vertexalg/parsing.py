@@ -4,10 +4,14 @@ Grammar:
     element  := term (("+" | "-") term)*
     term     := [rational "*"] atom
     atom     := "1" | symbol | "o{" integer "}" "(" element "," element ")"
+    symbol   := identifier | "'" name "'"
     rational := ["-"] digits ["/" digits]
 
 "0" is accepted for the zero element and is what the printer emits for it.
-The printer orders monomials canonically, so print/parse round-trips exactly.
+A symbol name that is not an identifier, such as the sheaf's minted
+'f|0..5/3' or 's1*f', is quoted, with any quote inside it doubled; the
+parser looks a quoted name up in the alphabet like any other.  The printer
+orders monomials canonically, so print/parse round-trips exactly.
 Neither the parser nor the printer recurses on nesting depth: a deep tree
 costs time, never RecursionError.
 
@@ -58,6 +62,18 @@ def tokens(text: str):
                 continue
             yield ("ident", word, i)
             i = j
+            continue
+        if ch == "'":
+            j = i + 1
+            while True:
+                j = text.find("'", j)
+                if j < 0:
+                    raise ParseError("unterminated quoted name", i)
+                if text[j + 1 : j + 2] != "'":
+                    break
+                j += 2  # a doubled quote is a quote inside the name
+            yield ("ident", text[i + 1 : j].replace("''", "'"), i)
+            i = j + 1
             continue
         if ch in "+-*/(),}":
             yield ("op", ch, i)
@@ -194,8 +210,19 @@ def parse(text: str, alphabet: Alphabet) -> Element:
     return out
 
 
+def _name_text(name: str) -> str:
+    """name as the parser reads it back: bare for the unit's 1 or for what
+    tokens reads as one identifier ("_" may stand wherever a letter may),
+    else quoted."""
+    head = name[:1]
+    plain = (head.isalpha() or head == "_") and name.replace("_", "a").isalnum()
+    if plain or name == "1":
+        return name
+    return "'" + name.replace("'", "''") + "'"
+
+
 def _atom_text(t) -> str:
-    return render(t, lambda s: s.symbol.name, lambda n: (f"o{{{n.index}}}(", ", "))
+    return render(t, lambda s: _name_text(s.name), lambda n: (f"o{{{n.index}}}(", ", "))
 
 
 def to_text(x: Element) -> str:

@@ -24,8 +24,8 @@ exactly `budget` firings reaches its normal form.
 
 R_project is the same engine under the named rule set PROJECTION_RULES:
 the structural projection r of the polynomial-coefficient setting and its
-fixpoint R.  Leaf-pair products at indices 0 and -1 fold into the model
-tables and unit factors at -1 strip; everything else is left alone.  It
+fixpoint R.  Products of leaf pairs at indices 0 and -1 fold into the
+model tables and unit factors at -1 strip; everything else is left alone.  It
 differs from the stock rules in one rule only: unit_left imposes the
 vacuum axiom 1_(n) x = delta_{n,-1} x, while unit_identity rewrites
 1 o_{-1} x to x and keeps 1 o_n x for n != -1.  Its budget counts passes.
@@ -37,7 +37,7 @@ nothing (no confluence claim is made).
 from dataclasses import dataclass
 
 from .generators import TruncationPolicy, truncate
-from .terms import Element, Leaf, Node, fold_tree, term_length
+from .terms import Element, Node, Symbol, fold_tree, term_length
 
 RULE_ORDER = (
     "unit_left",
@@ -85,37 +85,37 @@ class RuleSet:
     def apply_at_root(self, t: Node, al):
         for rule in self.enabled:
             if rule == "unit_left":
-                if isinstance(t.left, Leaf) and t.left.symbol.kind == "unit":
+                if t.left.__class__ is Symbol and t.left.kind == "unit":
                     if t.index == -1:
                         return rule, Element.of_term(al, t.right)
                     return rule, Element.zero(al)
             elif rule == "unit_identity":
                 if (
                     t.index == -1
-                    and isinstance(t.left, Leaf)
-                    and t.left.symbol.kind == "unit"
+                    and t.left.__class__ is Symbol
+                    and t.left.kind == "unit"
                 ):
                     return rule, Element.of_term(al, t.right)
             elif rule == "bracket":
                 if (
                     t.index == 0
-                    and isinstance(t.left, Leaf)
-                    and isinstance(t.right, Leaf)
+                    and t.left.__class__ is Symbol
+                    and t.right.__class__ is Symbol
                 ):
-                    return rule, self.model.bracket(t.left.symbol, t.right.symbol)
+                    return rule, self.model.bracket(t.left, t.right)
             elif rule == "scalar":
                 if (
                     t.index == -1
-                    and isinstance(t.left, Leaf)
-                    and isinstance(t.right, Leaf)
-                    and t.left.symbol.kind in ("algebra", "unit")
+                    and t.left.__class__ is Symbol
+                    and t.right.__class__ is Symbol
+                    and t.left.kind in ("algebra", "unit")
                 ):
-                    return rule, self.model.act(t.left.symbol, t.right.symbol)
+                    return rule, self.model.act(t.left, t.right)
             elif rule == "unit_strip":
                 if (
                     t.index == -1
-                    and isinstance(t.right, Leaf)
-                    and t.right.symbol.kind == "unit"
+                    and t.right.__class__ is Symbol
+                    and t.right.kind == "unit"
                 ):
                     return rule, Element.of_term(al, t.left)
             elif rule == "e_orient":
@@ -123,8 +123,8 @@ class RuleSet:
                 if (
                     isinstance(t.left, Node)
                     and t.left.index == -2
-                    and isinstance(t.left.right, Leaf)
-                    and t.left.right.symbol.kind == "unit"
+                    and t.left.right.__class__ is Symbol
+                    and t.left.right.kind == "unit"
                 ):
                     inner = Element.of_term(al, t.left.left)
                     return rule, (-t.index) * inner.o(
@@ -133,12 +133,12 @@ class RuleSet:
             elif rule == "right_scalar":
                 if (
                     t.index == -1
-                    and isinstance(t.left, Leaf)
-                    and isinstance(t.right, Leaf)
-                    and t.right.symbol.kind in ("algebra", "unit")
-                    and t.left.symbol.kind not in ("algebra", "unit")
+                    and t.left.__class__ is Symbol
+                    and t.right.__class__ is Symbol
+                    and t.right.kind in ("algebra", "unit")
+                    and t.left.kind not in ("algebra", "unit")
                 ):
-                    return rule, self.model.act(t.right.symbol, t.left.symbol)
+                    return rule, self.model.act(t.right, t.left)
         return None
 
 

@@ -31,7 +31,7 @@ from .models.base import check
 from .models.polys import PolyVars
 from .parsing import DATA_DIR, expect, read_document, read_rational
 from .rewrite import UNIT_RULES, ReductionReport, RuleSet, reduce_element
-from .terms import Alphabet, Element, Leaf, Node, Symbol, fold_tree, leaves, preorder
+from .terms import Alphabet, Element, Node, Symbol, fold_tree, leaves, preorder
 
 
 class SupportError(ValueError):
@@ -343,7 +343,7 @@ def _class_key(tree, context):
     they have the same shape, indices and leaf bases."""
     out = []
     for t in preorder(tree):
-        out += ("s", context.info(t.symbol).base) if t.__class__ is Leaf else ("n", t.index)
+        out += ("s", context.info(t).base) if t.__class__ is Symbol else ("n", t.index)
     return tuple(out)
 
 
@@ -390,7 +390,7 @@ def _classes(x: Element, context):
 def _term_support(tree, context) -> SupportSet:
     return fold_tree(
         tree,
-        lambda leaf: context.window_of(leaf.symbol),
+        context.window_of,
         lambda node, left, right: overlap_core(left, right),
     )
 
@@ -421,7 +421,7 @@ def pi(x: Element, context: SheafContext) -> Element:
     all-or-nothing because the monomials share one class."""
     kept = {}
     for members in _classes(x, context).values():
-        if members[0][0].__class__ is Leaf or _class_cells(members, context):
+        if members[0][0].__class__ is Symbol or _class_cells(members, context):
             for tree, coeff in members:
                 kept[tree] = coeff
     return Element(x.alphabet, kept)
@@ -440,11 +440,7 @@ def sigma_star(sigma, x: Element, context: SheafContext) -> Element:
         raise SupportError(f"{name} is not a declared bump")
     bd = context._bumps[name]
 
-    def dress(leaf):
-        sym = context._mint(leaf.symbol.name, (name,), bd.support)
-        return Leaf(sym) if sym is not None else None
-
-    return _map_leaves(x, dress)
+    return _map_leaves(x, lambda leaf: context._mint(leaf.name, (name,), bd.support))
 
 
 def restrict(x: Element, window: SupportSet, context: SheafContext) -> Element:
@@ -459,13 +455,12 @@ def restrict(x: Element, window: SupportSet, context: SheafContext) -> Element:
         raise SupportError("restriction target leaves the universe")
 
     def rewindow(leaf):
-        sym = context.restricted_symbol(leaf.symbol.name, window)
-        return Leaf(sym) if sym is not None else None
+        return context.restricted_symbol(leaf.name, window)
 
     def rewindow_slot(leaf):
         # a unit leaf inside a product stays whole, so the unit rules
         # (unit_strip, unit_left) still match it
-        if leaf.symbol.name == context.alphabet.unit.name:
+        if leaf.name == context.alphabet.unit.name:
             return leaf
         return rewindow(leaf)
 
@@ -479,7 +474,7 @@ def _map_leaves(x: Element, leaf_map, bare_map=None) -> Element:
     after the map are summed."""
     acc = {}
     for tree, coeff in x.terms.items():
-        if bare_map is not None and tree.__class__ is Leaf:
+        if bare_map is not None and tree.__class__ is Symbol:
             moved = bare_map(tree)
         else:
             moved = fold_tree(tree, leaf_map, _node_unless_dead)

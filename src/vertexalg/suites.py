@@ -87,7 +87,7 @@ from .sheaf import (
     semantic_support,
     sheaf_axiom_check,
 )
-from .terms import Alphabet, Element, Leaf, Node, Symbol, binom, sort_key
+from .terms import Alphabet, Element, Node, Symbol, binom, sort_key
 
 SUITE_IDS = (
     "commutative",
@@ -181,7 +181,7 @@ def _uncertified(fam_id, args, m, n, K) -> Element:
     """fam_id's generator on its leading args; qc/qa tails cut at K unchecked."""
     fam = FAMILIES[fam_id]
     idx = tuple({"m": m, "n": n}[nm] for nm in fam.indices)
-    return build_generator(fam_id, args[: fam.arity], idx, None, K=K, certify=False)
+    return build_generator(fam_id, args[: fam.arity], idx, None, K=K)
 
 
 # -- commutative-model suite -----------------------------------------------------
@@ -298,7 +298,7 @@ def _suite_commutator(cfg: SuiteConfig):
     mal = model.alphabet
 
     def draw():
-        x, y, z = (Element.of_term(mal, Leaf(rng.choice(syms))) for _ in range(3))
+        x, y, z = (Element.of_term(mal, rng.choice(syms)) for _ in range(3))
         return x, y, z, rng.choice((-1, 0, 1, 2)), rng.choice((-1, 0, 1, 2))
 
     def semantic_probe(case):
@@ -363,7 +363,7 @@ def _suite_dong(cfg: SuiteConfig):
     yield case_check("dong-row-commutator-tie", range(M + 1), row_tie, M=M, m=m)
 
     dt = DongTable(pol)
-    u, v, w = (Leaf(al.symbol(nm)) for nm in ("u", "v", "w"))
+    u, v, w = (al.symbol(nm) for nm in ("u", "v", "w"))
     bounds = {r: dt.bound(Node(r, u, v), w) for r in range(-3, 3)}
     yield case_check(
         "dong-derived-locality-table", bounds,
@@ -404,7 +404,7 @@ def _suite_injectivity(cfg: SuiteConfig):
     rng = random.Random(cfg.seed)
     al = model.alphabet
     syms = model.sample_symbols()
-    leaf = lambda: Element.of_term(al, Leaf(rng.choice(syms)))
+    leaf = lambda: Element.of_term(al, rng.choice(syms))
 
     def project(x):
         """R_project's result under the suite budget; None if it ran out."""
@@ -507,7 +507,7 @@ def _suite_functor(cfg: SuiteConfig):
 
 
 def _tagged_pool(ctx, cover):
-    """Leaf symbols for random tagged elements: the declared sections,
+    """The leaves of random tagged elements: the declared sections,
     their restrictions to patch windows, and two far-apart slivers."""
     al = ctx.alphabet
     pool = [al.symbol(nm) for nm in ("f", "g", "h")]
@@ -581,7 +581,7 @@ def _suite_sheaf(cfg: SuiteConfig):
             sb = rng.choice(
                 [s for s in pool if ctx.info(s).base != ctx.info(sa).base]
             )
-        args = [Element.of_term(al, Leaf(sa)), Element.of_term(al, Leaf(sb))]
+        args = [Element.of_term(al, sa), Element.of_term(al, sb)]
         n = rng.randint(-3, 3)
         fam = "d" if trial < len(forced) else rng.choice(("i", "d", "e", "qc"))
         args = args[: FAMILIES[fam].arity]

@@ -5,32 +5,21 @@ is a named symbol; an inner node o_n(x, y) is the n-th product of its
 children.  The formal derivative is Dx := o_{-2}(x, 1) where 1 is the unit
 leaf.  Everything is immutable; operations build new objects.
 
-Cached hashes.  Symbol, Leaf and Node compute their hash once, at
+Cached hashes.  A leaf is its Symbol: a tree's leaves are the alphabet's
+Symbol objects themselves.  Symbol and Node compute their hash once, at
 construction, with exactly the formula a frozen dataclass would use:
-hash((name, parity, degree, kind, support)), hash((symbol,)) and
-hash((index, left, right)).  The children's hashes are already cached, so
-hashing a tree is O(1) and the values are the dataclass values bit for
-bit; dict and set iteration order is unchanged.  Node is a plain
-__slots__ class (index, left, right, _hash) rather than a dataclass: its
-one __new__ fills the four slots through the slot descriptors and
-computes the hash, and __setattr__ and __delattr__ raise AttributeError,
-so it is as immutable as before and cheaper to build.  Equality rejects
-on the cached hash, then compares fields.  Two nodes with equal hash and
-index whose children are the same objects are equal at once, with no
-walk; otherwise the walk skips every pair of identical subtrees.
-
-One leaf per Symbol.  Leaf(symbol) returns the leaf this Symbol object
-already holds; the first call builds it and keeps it on the symbol, set
-with object.__setattr__ as _hash is.  This is sound because a Symbol is
-frozen, so its leaf never goes stale, and because the leaf lives on the
-symbol, with no global table: it goes when the symbol goes.  Equal but
-distinct Symbols (dataclasses.replace(s)) still give distinct leaves,
-equal and hash-equal.  The trees of one alphabet thus share their leaves,
-and a dict lookup on a leaf key stops at the identity check.  Copies and
-pickles of symbols, leaves and nodes are rebuilt through the constructors
-from the fields, so a copied symbol gets a leaf of its own and a pickle
-loaded under another hash seed carries that process's hashes.  Nodes are
-not shared this way; each is built fresh.
+hash((name, parity, degree, kind, support)) and hash((index, left,
+right)).  The children's hashes are already cached, so hashing a tree is
+O(1).  Node is a plain __slots__ class (index, left, right, _hash)
+rather than a dataclass: its one __new__ fills the four slots through the
+slot descriptors and computes the hash, and __setattr__ and __delattr__
+raise AttributeError, so it is immutable and cheap to build.  Equality
+rejects on the cached hash, then compares fields.  Two nodes with equal
+hash and index whose children are the same objects are equal at once,
+with no walk; otherwise the walk skips every pair of identical subtrees.
+Copies and pickles of symbols and nodes are rebuilt through the
+constructors from the fields, so a pickle loaded under another hash seed
+carries that process's hashes.
 
 Tree walks.  Three primitives walk a tree, each on an explicit stack, so
 deep trees cost time but never raise RecursionError: preorder(t) yields
@@ -63,7 +52,7 @@ result is not memoised.  A caller that needs a whole tower
 x, Dx, ..., D^k x builds it with D, one step per level.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -113,7 +102,7 @@ class Symbol:
         return (self.name, self.parity, self.degree, self.kind, self.support)
 
     def __reduce__(self):
-        # a copy is built from the fields alone, without this symbol's leaf
+        # a pickle rebuilds the cached hash in the loading process
         return Symbol, self._fields()
 
     def __hash__(self):
@@ -125,41 +114,9 @@ class Symbol:
         return self._hash == other._hash and self._fields() == other._fields()
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Leaf:
-    symbol: Symbol
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __new__(cls, symbol: Symbol):
-        """The one leaf of this Symbol object, built on first use and kept
-        on the symbol."""
-        try:
-            return symbol._leaf
-        except AttributeError:
-            pass
-        leaf = object.__new__(cls)
-        object.__setattr__(leaf, "symbol", symbol)
-        object.__setattr__(leaf, "_hash", hash((symbol,)))
-        object.__setattr__(symbol, "_leaf", leaf)
-        return leaf
-
-    def __reduce__(self):
-        # copy and pickle go through __new__, which needs the symbol
-        return Leaf, (self.symbol,)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if other.__class__ is not Leaf:
-            return NotImplemented
-        return self._hash == other._hash and self.symbol == other.symbol
-
-
 class Node:
-    """o_index(left, right): an immutable inner node with its hash cached."""
+    """o_index(left, right): an immutable inner node with its hash cached.
+    Each child is a Symbol (a leaf) or a Node."""
 
     __slots__ = ("index", "left", "right", "_hash")
 
@@ -201,8 +158,8 @@ class Node:
                 continue
             if a.__class__ is not b.__class__ or a._hash != b._hash:
                 return False
-            if a.__class__ is Leaf:
-                if a.symbol != b.symbol:
+            if a.__class__ is Symbol:
+                if a._fields() != b._fields():
                     return False
             elif a.index != b.index:
                 return False
@@ -217,9 +174,6 @@ _set_index = Node.index.__set__
 _set_left = Node.left.__set__
 _set_right = Node.right.__set__
 _set_hash = Node._hash.__set__
-
-
-Term = (Leaf, Node)
 
 
 def preorder(t):
@@ -240,20 +194,20 @@ def sort_key(t) -> tuple:
     trees exactly as the nested key (1, index, key(left), key(right))."""
     out = []
     for s in preorder(t):
-        out += (0, s.symbol.name) if s.__class__ is Leaf else (1, s.index)
+        out += (0, s.name) if s.__class__ is Symbol else (1, s.index)
     return tuple(out)
 
 
 def leaves(t):
-    """Leaf symbols, left to right."""
-    return (s.symbol for s in preorder(t) if s.__class__ is Leaf)
+    """The leaves of t, left to right."""
+    return (s for s in preorder(t) if s.__class__ is Symbol)
 
 
 def fold_tree(t, leaf, node):
-    """Fold t bottom-up: leaf(s) at each Leaf s, then node(n, a, b) at each
+    """Fold t bottom-up: leaf(s) at each leaf s, then node(n, a, b) at each
     Node n whose left and right subtrees folded to a and b.  The walk keeps
     an explicit stack, so a deep tree costs time, never RecursionError."""
-    if t.__class__ is Leaf:
+    if t.__class__ is Symbol:
         return leaf(t)
     order, stack = [], [t]
     while stack:
@@ -264,7 +218,7 @@ def fold_tree(t, leaf, node):
             stack.append(s.right)
     vals = []
     for s in reversed(order):
-        if s.__class__ is Leaf:
+        if s.__class__ is Symbol:
             vals.append(leaf(s))
         else:
             right = vals.pop()
@@ -281,7 +235,7 @@ def term_parity(t) -> int:
 
 
 def render(t, leaf, node) -> str:
-    """In-order text of t: leaf(s) at each Leaf s, and at each Node n, with
+    """In-order text of t: leaf(s) at each leaf s, and at each Node n, with
     (opening, separator) = node(n), the text opening + left + separator +
     right + ")"."""
     out = []
@@ -290,7 +244,7 @@ def render(t, leaf, node) -> str:
         t = stack.pop()
         if t.__class__ is str:
             out.append(t)
-        elif t.__class__ is Leaf:
+        elif t.__class__ is Symbol:
             out.append(leaf(t))
         else:
             opening, separator = node(t)
@@ -302,7 +256,7 @@ def render(t, leaf, node) -> str:
 def term_degree(t) -> Fraction:
     # |o_n(x, y)| = |x| + (-n - 1) + |y|
     return sum(
-        (s.symbol.degree if s.__class__ is Leaf else -s.index - 1 for s in preorder(t)),
+        (s.degree if s.__class__ is Symbol else -s.index - 1 for s in preorder(t)),
         Q(0),
     )
 
@@ -418,11 +372,11 @@ class Element:
 
     @staticmethod
     def sym(alphabet: Alphabet, name: str, coeff=1) -> "Element":
-        return Element.of_term(alphabet, Leaf(alphabet.symbol(name)), coeff)
+        return Element.of_term(alphabet, alphabet.symbol(name), coeff)
 
     @staticmethod
     def unit(alphabet: Alphabet, coeff=1) -> "Element":
-        return Element.of_term(alphabet, Leaf(alphabet.unit), coeff)
+        return Element.of_term(alphabet, alphabet.unit, coeff)
 
     # ring-ish operations
 
@@ -476,7 +430,7 @@ class Element:
         Built once per Element: every later call returns the same object."""
         d = self._d
         if d is None:
-            unit = Leaf(self.alphabet.unit)
+            unit = self.alphabet.unit
             d = self._d = Element._trusted(
                 self.alphabet, {Node(-2, t, unit): c for t, c in self.terms.items()}
             )
@@ -490,7 +444,7 @@ class Element:
             raise ValueError("negative derivative power")
         if not k:
             return self
-        unit = Leaf(self.alphabet.unit)
+        unit = self.alphabet.unit
         terms = {}
         for t, c in self.terms.items():
             for _ in range(k):

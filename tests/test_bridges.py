@@ -21,7 +21,7 @@ from vertexalg.generators import (
     _certified_bound,
     truncate,
 )
-from vertexalg.terms import Alphabet, Element, Leaf, Node, Symbol
+from vertexalg.terms import Alphabet, Element, Node, Symbol
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def S(al, name):
 def picked_bound(identity, args, policy):
     """The series bound borcherds_bridge picks when given no K."""
     tails = BRIDGES[identity][2]
-    return _certified_bound(identity, None, policy, False, tails(**args))
+    return _certified_bound(identity, None, policy, tails(**args))
 
 
 def assert_bridge(identity, args, policy):
@@ -260,20 +260,20 @@ class TestDongMatrix:
 class TestDongTable:
     def test_leaf_pair_reads_policy(self, al):
         table = DongTable(POL)
-        u, v = Leaf(al.symbol("u")), Leaf(al.symbol("v"))
+        u, v = al.symbol("u"), al.symbol("v")
         assert table.bound(u, v) == 3
 
     def test_product_bound_formula(self, al):
         # node u o_r v against leaf w: max(0, 3*M - r) with M = 3
         table = DongTable(POL)
-        u, v, w = (Leaf(al.symbol(nm)) for nm in ("u", "v", "w"))
+        u, v, w = (al.symbol(nm) for nm in ("u", "v", "w"))
         for r in range(-3, 3):
             node = Node(r, u, v)
             assert table.bound(node, w) == max(0, 9 - r)
 
     def test_symmetric(self, al):
         table = DongTable(POL)
-        u, v, w = (Leaf(al.symbol(nm)) for nm in ("u", "v", "w"))
+        u, v, w = (al.symbol(nm) for nm in ("u", "v", "w"))
         node = Node(-2, u, v)
         assert table.bound(node, w) == table.bound(w, node)
 

@@ -124,6 +124,9 @@ def test_free_symbols_are_the_parser_identifiers(capsys):
     ]
     assert main(["reduce", "o{0}(é, x)"]) == 0
     assert capsys.readouterr().out.splitlines()[0] == "o{0}(é, x)"
+    # a quoted name is an identifier too, and prints back quoted
+    assert main(["reduce", "o{0}('f|0..1', x) + 'x'"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "x + o{0}('f|0..1', x)"
 
 
 @pytest.mark.parametrize("argv", (
@@ -196,6 +199,15 @@ def test_gen_tail_bound_below_certificate_is_an_error_line(capsys):
     assert err.splitlines() == [
         "error: qa: bound K=0 keeps alive dropped terms; need K>=2"
     ]
+
+
+def test_gen_takes_no_certify_switch(capsys):
+    # a bound is either certified against the policy or refused
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "qc", "--args", "u", "--args", "v", "--n", "0",
+              "--k-bound", "0", "--no-certify"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-certify" in capsys.readouterr().err
 
 
 # the families that only `gen` builds: c on a free alphabet, the model

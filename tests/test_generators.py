@@ -24,7 +24,6 @@ from vertexalg.generators import (
 from vertexalg.terms import (
     Alphabet,
     Element,
-    Leaf,
     Node,
     Symbol,
     fold_tree,
@@ -150,14 +149,14 @@ class TestCommutatorFamily:
         # hand expansion: head + sum_{k<=1} (-1)^{n+k}/k! D^k(y o_{n+k} x)
         # at n = -1: x o_{-1} y - y o_{-1} x + D(y o_0 x)
         x, y = E(al, "x"), E(al, "y")
-        got = fam_qc(x, y, -1, None, K=1, certify=False)
+        got = fam_qc(x, y, -1, None, K=1)
         want = x.o(-1, y) - y.o(-1, x) + y.o(0, x).D()
         assert got == want
 
     def test_odd_odd_sign_flip(self, al):
         # odd parities multiply the sum through by -1
         p, q = E(al, "p"), E(al, "q")
-        got = fam_qc(p, q, -1, None, K=1, certify=False)
+        got = fam_qc(p, q, -1, None, K=1)
         want = p.o(-1, q) + q.o(-1, p) - q.o(0, p).D()
         assert got == want
 
@@ -167,7 +166,7 @@ class TestCommutatorFamily:
         # all tail terms y o_{-1+k} x with -1+k >= 3 are dead, so the
         # certified build truncates to itself
         assert truncate(gen, POL) == truncate(
-            fam_qc(x, y, -1, None, K=20, certify=False), POL
+            fam_qc(x, y, -1, None, K=20), POL
         )
 
     def test_underestimated_bound_rejected(self, al):
@@ -179,23 +178,26 @@ class TestCommutatorFamily:
         x, y = E(al, "x"), E(al, "y")
         with pytest.raises(CertificationError):
             fam_qc(x.o(-1, y), y, 0, POL)
-        # explicit bound with certification off is allowed
-        got = fam_qc(x.o(-1, y), y, 0, None, K=3, certify=False)
+        # so is an explicit bound under it; without a policy the bound is
+        # taken as given
+        with pytest.raises(CertificationError, match="compound"):
+            fam_qc(x.o(-1, y), y, 0, POL, K=3)
+        got = fam_qc(x.o(-1, y), y, 0, None, K=3)
         assert not got.is_zero()
 
 
 class TestAssociatorFamily:
     def test_head_term_present(self, al):
         x, y, z = E(al, "x"), E(al, "y"), E(al, "z")
-        gen = fam_qa(x, y, z, 2, 1, None, K=6, certify=False)
+        gen = fam_qa(x, y, z, 2, 1, None, K=6)
         (head,) = x.o(2, y).o(1, z).terms
         assert gen.terms.get(head) == Q(1)
 
     def test_nonnegative_m_closes_at_k_equals_m(self, al):
         # for m >= 0 the binomial sum is finite; K beyond m adds nothing
         x, y, z = E(al, "x"), E(al, "y"), E(al, "z")
-        a = fam_qa(x, y, z, 2, -1, None, K=2, certify=False)
-        b = fam_qa(x, y, z, 2, -1, None, K=9, certify=False)
+        a = fam_qa(x, y, z, 2, -1, None, K=2)
+        b = fam_qa(x, y, z, 2, -1, None, K=9)
         assert a == b
 
     def test_certification_rejects_short_tail(self, al):
@@ -228,9 +230,9 @@ class TestHomogeneity:
         elif fam == "e":
             gen = fam_e(x, y, n)
         elif fam == "qc":
-            gen = fam_qc(x, y, n, None, K=6, certify=False)
+            gen = fam_qc(x, y, n, None, K=6)
         else:
-            gen = fam_qa(x, y, z, m, n, None, K=6, certify=False)
+            gen = fam_qa(x, y, z, m, n, None, K=6)
         assert is_homogeneous(gen)
 
 
@@ -241,8 +243,8 @@ class TestDispatch:
 
     def test_qa_indices(self, al):
         x, y, z = E(al, "x"), E(al, "y"), E(al, "z")
-        built = build_generator("qa", (x, y, z), (2, -1), POL, K=6, certify=False)
-        assert built == fam_qa(x, y, z, 2, -1, POL, K=6, certify=False)
+        built = build_generator("qa", (x, y, z), (2, -1), POL, K=6)
+        assert built == fam_qa(x, y, z, 2, -1, POL, K=6)
 
     def test_unknown_family(self, al):
         with pytest.raises(ValueError, match="unknown family"):
@@ -285,17 +287,17 @@ def _dead_by_fold(t, policy) -> bool:
 
     def node(n, left_dead, right_dead):
         u, v = n.left, n.right
-        pair = isinstance(u, Leaf) and isinstance(v, Leaf)
+        pair = isinstance(u, Symbol) and isinstance(v, Symbol)
         return (
             left_dead
             or right_dead
-            or (pair and policy.is_dead(u.symbol, v.symbol, n.index))
+            or (pair and policy.is_dead(u, v, n.index))
         )
 
     return fold_tree(t, lambda leaf: False, node)
 
 
-_SEARCH_LEAVES = [Leaf(Symbol(nm, 0, Q(0), "generic")) for nm in ("x", "y", "z")]
+_SEARCH_LEAVES = [Symbol(nm, 0, Q(0), "generic") for nm in ("x", "y", "z")]
 
 
 @st.composite
@@ -349,16 +351,16 @@ _TIGHT_CASES = [
 ]
 
 
-def _tight_build(al, fam, names, idx, policy, K, certify):
+def _tight_build(al, fam, names, idx, policy, K):
     builder = fam_qc if fam == "qc" else fam_qa
     args = [E(al, nm) for nm in names]
-    return builder(*args, *idx, policy, K=K, certify=certify)
+    return builder(*args, *idx, policy, K=K)
 
 
 def _smallest_certified_bound(build, policy):
     for K in range(20):
         try:
-            build(policy, K, True)
+            build(policy, K)
         except CertificationError:
             continue
         return K
@@ -374,13 +376,13 @@ def _tight_bound_faults(al):
             build = partial(_tight_build, al, *case)
             K = _smallest_certified_bound(build, pol)
             where = (case, pol, K)
-            if build(pol, None, True) != build(None, K, False):
+            if build(pol, None) != build(None, K):
                 faults.append(("the default build is not cut at K", where))
 
             def summand(k):
                 # the k-th tail summand: the build at bound k minus at k - 1
-                head = build(None, k, False)
-                return head - build(None, k - 1, False) if k else head
+                head = build(None, k)
+                return head - build(None, k - 1) if k else head
 
             for k in range(K + 1, K + 5):
                 if not truncate(summand(k), pol).is_zero():

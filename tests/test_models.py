@@ -29,7 +29,7 @@ from vertexalg.models.factory import (
 from vertexalg.models.morphisms import random_tree
 from vertexalg.models.polys import Poly1
 from vertexalg.parsing import parse, to_text
-from vertexalg.terms import Element, Leaf
+from vertexalg.terms import Element, Symbol
 
 SHIPPED = (
     "current2",
@@ -112,8 +112,8 @@ def _comm_ref(t) -> Poly1:
     monomial of degree k, a product at n >= 0 is zero and its subtrees are
     never evaluated, and at n < 0 it is (d/db)^k(left) / k! * right with
     k = -1 - n."""
-    if isinstance(t, Leaf):
-        name = t.symbol.name
+    if isinstance(t, Symbol):
+        name = t.name
         return Poly1.mono(0 if name == "1" else 1 if name == "b" else int(name[1:]))
     if t.index >= 0:
         return Poly1()

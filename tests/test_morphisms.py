@@ -81,7 +81,7 @@ def _reference_tables(model) -> dict:
             return img
         out = Element.zero(al)
         for t, c in img.terms.items():
-            out = out + Element.sym(al, vf_name(_name_exp(t.symbol.name)[0]), c * scale_del)
+            out = out + Element.sym(al, vf_name(_name_exp(t.name)[0]), c * scale_del)
         return out
 
     return {name: {s.name: image(*_name_exp(s.name), *rule)

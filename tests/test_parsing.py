@@ -151,6 +151,9 @@ _ERRORS = [
         "unknown symbol 'nope' (at position 33)",
     ),
     ("1/2", "expected '*', got '' (at position 3)"),
+    ("o{1}(a, 'b)", "unterminated quoted name (at position 8)"),
+    ("'a''", "unterminated quoted name (at position 0)"),
+    ("2*'no pe'", "unknown symbol 'no pe' (at position 2)"),
 ]
 
 
@@ -178,3 +181,26 @@ class TestDeep:
         for _ in range(depth):
             want = Element.sym(al, "a").o(1, want)
         assert parse(text, al) == want
+
+
+class TestQuotedNames:
+    def test_a_quoted_identifier_is_the_bare_one(self, al):
+        assert parse("o{0}('a', 'g2')", al) == parse("o{0}(a, g2)", al)
+        assert parse("'1'", al) == Element.unit(al)
+
+    def test_only_non_identifiers_are_quoted(self):
+        al = Alphabet()
+        for nm in ("_x1", "f|0..1", "it's", "2b", ""):
+            al.add(Symbol(nm))
+        x = Element.sym(al, "_x1").o(0, Element.sym(al, "f|0..1"))
+        assert to_text(x) == "o{0}(_x1, 'f|0..1')"
+        assert to_text(Element.sym(al, "it's")) == "'it''s'"
+        assert to_text(Element.sym(al, "2b") - Element.sym(al, "")) == "-1*'' + '2b'"
+
+    @given(st.text(max_size=6).filter(lambda nm: nm != "1"))
+    def test_any_name_round_trips(self, name):
+        al = Alphabet()
+        al.add(Symbol(name))
+        x = Element.sym(al, name)
+        y = x.o(-2, x) - Q(1, 2) * x + Element.unit(al)
+        assert parse(to_text(y), al) == y

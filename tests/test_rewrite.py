@@ -22,7 +22,7 @@ from vertexalg.rewrite import (
     length_one_component,
     reduce_element,
 )
-from vertexalg.terms import Alphabet, Element, Leaf, Node, Symbol
+from vertexalg.terms import Alphabet, Element, Node, Symbol
 
 
 @pytest.fixture(scope="module")
@@ -263,7 +263,7 @@ def _reference_pass(x, rules, allowance):
 
     def image(t):
         nonlocal fired, refused
-        if isinstance(t, Leaf):
+        if isinstance(t, Symbol):
             return Element.of_term(al, t)
         left, right = image(t.left), image(t.right)
         out = Element.zero(al)
@@ -326,7 +326,7 @@ def _mark_faults(make, cases):
 
 
 def _cases(al, names):
-    leaf = st.sampled_from([Leaf(al.symbol(n)) for n in names])
+    leaf = st.sampled_from([al.symbol(n) for n in names])
     tree = st.recursive(
         leaf, lambda kids: st.builds(Node, st.integers(-3, 1), kids, kids),
         max_leaves=4)
@@ -408,7 +408,7 @@ class TestTruncationCut:
         kind, names = self.MODELS[name]
         model = make_model(kind)
         pol = TruncationPolicy(data.draw(st.integers(0, 3), label="locality"))
-        leaf = st.sampled_from([Leaf(model.alphabet.symbol(n)) for n in names])
+        leaf = st.sampled_from([model.alphabet.symbol(n) for n in names])
         tree = st.recursive(
             leaf, lambda kids: st.builds(Node, st.integers(-3, 6), kids, kids),
             max_leaves=4)

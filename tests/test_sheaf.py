@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from vertexalg.intervals import SupportSet
 from vertexalg.models.morphisms import random_tree
 from vertexalg.models.polys import PolyVars
+from vertexalg.parsing import parse, to_text
 from vertexalg.sheaf import (
     SupportError,
     _class_key,
@@ -26,7 +27,7 @@ from vertexalg.sheaf import (
     support,
 )
 from vertexalg.suites import _tagged_pool
-from vertexalg.terms import Element, Leaf
+from vertexalg.terms import Element, Symbol
 
 DEPTH = 1500
 
@@ -117,7 +118,7 @@ def test_restricting_the_bare_unit_cuts_it_to_the_window():
     assert restrict(cut, SupportSet.closed(0, 4), ctx) == cut
     assert restrict(-2 * one, ctx.universe, ctx) == -2 * one
     (t,) = restrict(f.o(-1, one), u, ctx).terms
-    assert t.right is Leaf(ctx.alphabet.unit)
+    assert t.right is ctx.alphabet.unit
 
 
 @pytest.mark.parametrize("section", ["1", "f + 1"])
@@ -131,6 +132,21 @@ def test_the_unit_as_every_section_passes_the_axiom_check(section):
     checks = sheaf_axiom_check(cover, [x] * len(cover), ctx)
     assert [c["id"] for c in checks if c["status"] != "pass"] == []
     assert {f"unit-strip-{p.name}" for p in cover} <= {c["id"] for c in checks}
+
+
+def test_restricted_names_parse_back():
+    ctx, _ = make_cover_three()
+    x = parse("o{-1}(f, g)", ctx.alphabet)
+    got = restrict(x, SupportSet.closed(0, Q(5, 3)), ctx)
+    assert to_text(got) == "o{-1}('f|0..5/3', 'g|0..5/3')"
+    assert parse(to_text(got), ctx.alphabet) == got
+
+
+def test_dressed_names_parse_back():
+    ctx, _ = make_cover_three()
+    got = sigma_star("s1", Element.sym(ctx.alphabet, "f"), ctx)
+    assert to_text(got) == "'s1*f'"
+    assert parse(to_text(got), ctx.alphabet) == got
 
 
 def test_cells_follow_every_declaration():
@@ -330,8 +346,8 @@ def windows(draw):
 
 
 def _class_key_ref(t, ctx):
-    if isinstance(t, Leaf):
-        return ("s", ctx.info(t.symbol).base)
+    if isinstance(t, Symbol):
+        return ("s", ctx.info(t).base)
     return ("n", t.index) + _class_key_ref(t.left, ctx) + _class_key_ref(t.right, ctx)
 
 
@@ -389,3 +405,14 @@ def test_a_built_cell_table_agrees_with_a_fresh_context(rx, ry, u):
     fresh, fresh_cover = make_cover_three()
     x0 = _tagged_on(fresh, fresh_cover, rx)
     assert got == (semantic_support(x0, fresh), pi(x0, fresh).terms)
+
+
+@EXAMPLES
+@given(tagged(unit=True), windows(), st.sampled_from(("s1", "s2", "s3")))
+def test_minted_names_round_trip(cx, u, sigma):
+    # restricted, dressed and windowed-unit leaves all print as names the
+    # parser finds in the context's alphabet
+    ctx, x = cx
+    y = x + restrict(x, u, ctx) + sigma_star(sigma, x, ctx)
+    y = y + sigma_star(sigma, restrict(x, u, ctx), ctx)
+    assert parse(to_text(y), ctx.alphabet) == y

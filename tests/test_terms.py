@@ -19,7 +19,6 @@ from vertexalg.terms import (
     Alphabet,
     Element,
     GradeReport,
-    Leaf,
     Node,
     Symbol,
     binom,
@@ -34,7 +33,7 @@ from vertexalg.terms import (
     term_degree,
     term_length,
 )
-from vertexalg.parsing import to_text
+from vertexalg.parsing import parse, to_text
 
 
 @pytest.fixture
@@ -257,8 +256,8 @@ class TestDeepTrees:
 
 def _nested_key(t):
     # the recursive reference the flat sort_key must order identically to
-    if isinstance(t, Leaf):
-        return (0, t.symbol.name)
+    if isinstance(t, Symbol):
+        return (0, t.name)
     return (1, t.index, _nested_key(t.left), _nested_key(t.right))
 
 
@@ -292,20 +291,20 @@ def tree_monomials(draw, max_len=6):
 
 
 def _degree_ref(t):
-    if isinstance(t, Leaf):
-        return t.symbol.degree
+    if isinstance(t, Symbol):
+        return t.degree
     return _degree_ref(t.left) + (-t.index - 1) + _degree_ref(t.right)
 
 
 def _shape_ref(t):
-    if isinstance(t, Leaf):
+    if isinstance(t, Symbol):
         return "*"
     return f"({_shape_ref(t.left)}o{t.index}{_shape_ref(t.right)})"
 
 
 def _text_ref(t):
-    if isinstance(t, Leaf):
-        return t.symbol.name
+    if isinstance(t, Symbol):
+        return t.name
     return f"o{{{t.index}}}({_text_ref(t.left)}, {_text_ref(t.right)})"
 
 
@@ -313,7 +312,7 @@ class TestDerivedWalks:
     @given(tree_monomials())
     def test_preorder_is_node_left_right(self, t):
         def ref(t):
-            if isinstance(t, Leaf):
+            if isinstance(t, Symbol):
                 return [t]
             return [t] + ref(t.left) + ref(t.right)
 
@@ -347,10 +346,9 @@ class TestCachedHash:
         stack = [t]
         while stack:
             t = stack.pop()
-            if isinstance(t, Leaf):
-                assert hash(t) == hash((t.symbol,))
-                s = t.symbol
-                assert hash(s) == hash((s.name, s.parity, s.degree, s.kind, s.support))
+            if isinstance(t, Symbol):
+                assert hash(t) == hash(t._fields())
+                assert t._fields() == (t.name, t.parity, t.degree, t.kind, t.support)
             else:
                 assert hash(t) == hash((t.index, t.left, t.right))
                 stack += [t.left, t.right]
@@ -358,8 +356,8 @@ class TestCachedHash:
     @given(monomials(max_len=4), monomials(max_len=4))
     def test_equality_is_structural(self, a, b):
         def rebuild(t):
-            if isinstance(t, Leaf):
-                return Leaf(dataclasses.replace(t.symbol))
+            if isinstance(t, Symbol):
+                return dataclasses.replace(t)
             return Node(t.index, rebuild(t.left), rebuild(t.right))
 
         (s,), (t,) = a.terms, b.terms
@@ -369,25 +367,41 @@ class TestCachedHash:
 
 
     def test_one_leaf_per_symbol(self, al):
+        # a leaf is its Symbol: Element.sym, the unit and the parser all key
+        # their term by the alphabet's own object
         s = al.symbol("x")
-        assert Leaf(s) is Leaf(s)
-        assert next(iter(E(al, "x").terms)) is Leaf(s)
+        assert next(iter(E(al, "x").terms)) is s
+        assert next(iter(Element.unit(al).terms)) is al.unit
+        (t,) = parse("o{0}(x, 1)", al).terms
+        assert t.left is s and t.right is al.unit
+        assert next(iter(parse("x", al).terms)) is s
 
     def test_equal_symbols_give_equal_distinct_leaves(self, al):
-        s = al.symbol("x")
+        s, y = al.symbol("x"), al.symbol("y")
         twin = dataclasses.replace(s)
-        assert twin is not s and twin == s
-        assert Leaf(twin) is not Leaf(s)
-        assert Leaf(twin) == Leaf(s) and hash(Leaf(twin)) == hash(Leaf(s))
-        assert Leaf(twin).symbol is twin and Leaf(s).symbol is s
+        assert twin is not s and twin == s and hash(twin) == hash(s)
+        assert Node(0, twin, y) == Node(0, s, y)
+        assert hash(Node(0, twin, y)) == hash(Node(0, s, y))
 
     def test_copies_rebuild_their_leaves(self, al):
-        # copy and pickle go through Leaf(symbol), so a copied tree is equal
-        # and holds the one leaf of each copied symbol
+        # a copy shares the leaves, a deep copy or pickle rebuilds each
+        # Symbol from its fields; every one is an equal, hash-equal tree
         (t,) = E(al, "x").o(0, E(al, "y")).terms
-        for twin in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert copy.copy(t).left is t.left
+        for twin in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
             assert twin == t and hash(twin) == hash(t)
-            assert twin.left is Leaf(twin.left.symbol) and twin.left.symbol is not t.left.symbol
+            assert twin.left == t.left and hash(twin.left) == hash(t.left)
+        for twin in (copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+            assert twin.left is not t.left
+
+    def test_symbol_fields_cannot_be_assigned_or_deleted(self, al):
+        s = al.symbol("x")
+        for name in ("name", "parity", "degree", "kind", "support", "_hash", "other"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 0)
+            with pytest.raises(AttributeError):
+                delattr(s, name)
+        assert s == Symbol("x", 0, Q(0), "generic") and hash(s) == hash(s._fields())
 
     def test_pickles_load_under_another_hash_seed(self):
         # a pickled node carries no hash: one written under one string-hash
@@ -431,7 +445,7 @@ class TestCachedHash:
 class TestNode:
     @pytest.fixture
     def xy(self, al):
-        return Leaf(al.symbol("x")), Leaf(al.symbol("y"))
+        return al.symbol("x"), al.symbol("y")
 
     def test_hash_is_the_tuple_formula(self, xy):
         x, y = xy
@@ -457,9 +471,9 @@ class TestNode:
             assert isinstance(twin, Node)
 
     def test_repr_names_the_fields(self, al):
-        x, y = Leaf(al.symbol("x")), Leaf(al.symbol("p"))
-        symbol = ("Leaf(symbol=Symbol(name='{}', parity={}, degree=Fraction(0, 1), "
-                  "kind='generic', support=None))")
+        x, y = al.symbol("x"), al.symbol("p")
+        symbol = ("Symbol(name='{}', parity={}, degree=Fraction(0, 1), "
+                  "kind='generic', support=None)")
         assert repr(Node(3, x, Node(-2, y, x))) == (
             f"Node(index=3, left={symbol.format('x', 0)}, right=Node(index=-2, "
             f"left={symbol.format('p', 1)}, right={symbol.format('x', 0)}))")
@@ -494,7 +508,7 @@ class TestNode:
         # two leaves of different symbols with one hash: the walk must
         # compare the symbols themselves
         x, y = xy
-        z = Leaf(Symbol("z"))
+        z = Symbol("z")
         object.__setattr__(z, "_hash", y._hash)
         s, t = Node(0, x, y), Node(0, x, z)
         assert hash(s) == hash(t) and s != t
@@ -555,8 +569,8 @@ def _fold_o(x: Element, n: int, y: Element) -> Element:
 
 
 def _fold_apply(phi, t) -> Element:
-    if isinstance(t, Leaf):
-        return phi.image_of_symbol(t.symbol)
+    if isinstance(t, Symbol):
+        return phi.image_of_symbol(t)
     return _fold_o(_fold_apply(phi, t.left), t.index, _fold_apply(phi, t.right))
 
 
@@ -567,7 +581,7 @@ def weyl_elements(draw, max_len=3):
 
     def tree(k):
         if k == 1:
-            return Leaf(al.symbol(draw(st.sampled_from(_pool))))
+            return al.symbol(draw(st.sampled_from(_pool)))
         split = draw(st.integers(1, k - 1))
         return Node(draw(st.integers(-3, 2)), tree(split), tree(k - split))
 
@@ -582,7 +596,7 @@ def weyl_elements(draw, max_len=3):
 def weyl_leaves(draw):
     al = _weyl.alphabet
     names = draw(st.lists(st.sampled_from(_pool), max_size=3))
-    return Element(al, {Leaf(al.symbol(nm)): draw(st.integers(-2, 2)) for nm in names})
+    return Element(al, {al.symbol(nm): draw(st.integers(-2, 2)) for nm in names})
 
 
 class TestTrustedResults:
@@ -630,7 +644,7 @@ class TestTrustedResults:
         want = _fold(
             _weyl.alphabet,
             [
-                (c1 * c2, _weyl.bracket(s.symbol, t.symbol))
+                (c1 * c2, _weyl.bracket(s, t))
                 for s, c1 in x.terms.items()
                 for t, c2 in y.terms.items()
             ],
@@ -682,7 +696,7 @@ class TestIntCoefficients:
     @given(st.integers(-5, 5).filter(bool), st.integers(1, 7))
     def test_integral_fraction_is_stored_as_int(self, n, d):
         al = _weyl.alphabet
-        t = Leaf(al.symbol(_pool[0]))
+        t = al.symbol(_pool[0])
         (c,) = Element(al, {t: Q(n * d, d)}).terms.values()
         assert type(c) is int and c == n
         (c,) = (Element.of_term(al, t) * Q(n * d, d)).terms.values()
@@ -698,7 +712,7 @@ class TestIntCoefficients:
     @given(weyl_elements(), st.floats(allow_nan=False))
     def test_floats_are_refused(self, x, f):
         al = _weyl.alphabet
-        t = Leaf(al.symbol(_pool[0]))
+        t = al.symbol(_pool[0])
         with pytest.raises(TypeError):
             Element(al, {t: f})
         with pytest.raises(TypeError):
