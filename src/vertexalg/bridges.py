@@ -30,7 +30,7 @@ from .generators import (
     truncate,
 )
 from .models.polys import column_rank
-from .terms import Element, Node, Symbol, binom, falling, minus_one_pow
+from .terms import Element, Node, Symbol, binom, falling, leaf_terms, minus_one_pow
 
 Q = Fraction
 
@@ -240,9 +240,12 @@ def borcherds_bridge(identity_id, args, policy, K=None):
 
     `args` maps the identity's slots to values: x, y, z for elements, m, n
     for indices, and `reading` for i-induction (defaults to 2, the reading
-    that holds).  The series bound is `K` when given, else what
-    _certified_bound makes of the identity's tails; a tail without a
-    policy or over compound arguments then raises.  Returns (lhs, rhs).
+    that holds).  The series bound comes from _certified_bound, the one
+    rule of fam_qc and fam_qa: without a policy a given `K` is taken as
+    given; under one it must reach the bound the identity's tails need, or
+    CertificationError is raised.  With no `K` the bound is that need, at
+    least policy.level; a tail without a policy or over compound arguments
+    then raises.  Returns (lhs, rhs).
     """
     try:
         names, build, tails = BRIDGES[identity_id]
@@ -257,8 +260,7 @@ def borcherds_bridge(identity_id, args, policy, K=None):
     extra = sorted(set(got) - set(names))
     if extra:
         raise ValueError(f"{identity_id} got unknown args: {', '.join(extra)}")
-    if K is None:
-        K = _certified_bound(identity_id, None, policy, tails(**got))
+    K = _certified_bound(identity_id, K, policy, tails(**got))
     lhs, rhs = build(K=K, **got)
     if policy is not None:
         lhs, rhs = truncate(lhs, policy), truncate(rhs, policy)
@@ -329,13 +331,6 @@ class DongTable:
         return max(0, 3 * M - u.index)
 
 
-def _only_leaf(x: Element, what: str) -> Symbol:
-    terms = list(x.terms)
-    if len(terms) == 1 and terms[0].__class__ is Symbol:
-        return terms[0]
-    raise ValueError(f"{what} must be a single leaf")
-
-
 def dong_tail_certificate(
     x: Element,
     y: Element,
@@ -356,11 +351,10 @@ def dong_tail_certificate(
     """
     if r >= 0:
         raise ValueError("tail certificate applies to r < 0 only")
-    lx, ly, lz = (
-        _only_leaf(x, "x"),
-        _only_leaf(y, "y"),
-        _only_leaf(z, "z"),
-    )
+    for what, w in (("x", x), ("y", y), ("z", z)):
+        if len(leaf_terms(w) or ()) != 1:
+            raise ValueError(f"{what} must be a single leaf")
+    (lx,), (ly,), (lz,) = x.terms, y.terms, z.terms
     table = DongTable(policy)
     want = table.bound(Node(r, lx, ly), lz)
     if n < want:

@@ -12,7 +12,9 @@ from fractions import Fraction
 from math import factorial
 from typing import NamedTuple
 
-from .terms import Element, Node, Symbol, binom, minus_one_pow, parity, preorder
+from .terms import (
+    Element, Node, Symbol, binom, leaf_terms, minus_one_pow, parity, preorder,
+)
 
 Q = Fraction
 
@@ -100,15 +102,6 @@ def _parity_of(x: Element, what: str) -> int:
     return p
 
 
-def _leaf_symbols(x: Element):
-    """The terms of x if every monomial is a leaf, else None."""
-    syms = list(x.terms)
-    for t in syms:
-        if t.__class__ is not Symbol:
-            return None
-    return syms
-
-
 def _tail_bound_for_pairs(pairs, offset: int, policy: TruncationPolicy) -> int:
     """Smallest K such that for every (u, v) the product u o_{offset+k} v is
     truncation-dead for all k > K."""
@@ -142,11 +135,12 @@ def _certified_bound(what, K, policy, tails) -> int:
     else:
         needed = 0
         for left, right, offset in tails:
-            us, vs = _leaf_symbols(left), _leaf_symbols(right)
+            us, vs = leaf_terms(left), leaf_terms(right)
             if us is None or vs is None:
                 raise CertificationError(
                     f"{what} tail over compound arguments has no leaf-pair "
-                    "certificate; give an explicit bound K"
+                    "certificate; only policy=None takes an unchecked bound "
+                    "K as given"
                 )
             pairs = [(u, v) for u in us for v in vs]
             needed = max(needed, _tail_bound_for_pairs(pairs, offset, policy))
@@ -173,7 +167,7 @@ def fam_c(u: Element, v: Element, n: int, policy: TruncationPolicy) -> Element:
     if policy is None:
         # unlike the qc/qa tails, deadness has no meaning without a policy
         raise ValueError("c-family needs a truncation policy")
-    us, vs = _leaf_symbols(u), _leaf_symbols(v)
+    us, vs = leaf_terms(u), leaf_terms(v)
     if us is None or vs is None:
         raise ValueError("c-family arguments must be leaf combinations")
     for a in us:

@@ -57,10 +57,9 @@ def _can_merge(a: Piece, b: Piece) -> bool:
 
 
 def _merge(a: Piece, b: Piece) -> Piece:
+    # b starts at or after a (sorted)
     if a.lo < b.lo:
         lo, lc = a.lo, a.lo_closed
-    elif b.lo < a.lo:
-        lo, lc = b.lo, b.lo_closed
     else:
         lo, lc = a.lo, a.lo_closed or b.lo_closed
     if a.hi > b.hi:

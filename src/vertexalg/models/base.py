@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 from ..generators import TruncationPolicy, fam_am, fam_qa, fam_s
 from ..parsing import expect, to_text
-from ..terms import Element, Symbol, fold_tree, minus_one_pow
+from ..terms import Element, Symbol, fold_tree, leaf_terms, minus_one_pow
 from .polys import Poly1
 
 Q = Fraction
@@ -55,14 +55,6 @@ def degree_cap(max_degree) -> int:
     the field."""
     return expect(type(max_degree) is int and max_degree >= 0, "max_degree",
                   "a non-negative integer", max_degree)
-
-
-def _symbol_pairs(x: Element) -> list:
-    """(symbol, coefficient) for each term of a leaf combination x."""
-    for t in x.terms:
-        if t.__class__ is not Symbol:
-            raise ValueError("model tables apply to leaf combinations")
-    return list(x.terms.items())
 
 
 class Commutative(NamedTuple):
@@ -143,10 +135,12 @@ class Model:
     def _bilinear(self, x: Element, y: Element, table) -> Element:
         # products of stored coefficients are exact already: accumulate
         # inline, deleting a term the moment it cancels
-        ys = _symbol_pairs(y)
+        if leaf_terms(x) is None or leaf_terms(y) is None:
+            raise ValueError("model tables apply to leaf combinations")
+        ys = y.terms.items()
         acc = {}
         get = acc.get
-        for s1, c1 in _symbol_pairs(x):
+        for s1, c1 in x.terms.items():
             for s2, c2 in ys:
                 entry = table(s1, s2).terms
                 if not entry:

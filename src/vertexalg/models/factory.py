@@ -64,8 +64,6 @@ def make_diffpoly(max_degree: int = 6) -> Model:
         al.add(Symbol(pow_name(k), 0, Q(0), "algebra"))
 
     def monomial_elem(k: int, coeff) -> Element:
-        if coeff == 0:
-            return Element.zero(al)
         if k == 0:
             return Element.unit(al, coeff)
         if k > max_degree:

@@ -3,13 +3,10 @@ Gaussian elimination, a tiny named-variable polynomial for relation
 checking, and parse_poly, which reads Poly1 and Poly2 from text.
 Dict-backed, no dense arrays, no floats.
 
-Coefficients.  Every stored coefficient is an int or a Fraction, never a
-float and never zero.  The public constructors, const, mono, var and
-scalar * keep ints as ints and Fractions as they are, turn any other exact
-number into a Fraction, and raise TypeError on a float.  Integer arithmetic
-stays integer until a Fraction enters it.  An int compares and hashes equal
-to the Fraction of the same value and prints the same, so equality,
-hashing and printing cannot tell the two apart.
+Coefficients.  The public constructors, const, mono and scalar * store
+each coefficient through terms.as_coeff, the package's one coefficient
+rule, and drop zeros.  column_rank reads its entries through the same
+rule before it eliminates over Fractions.
 
 Trusted construction.  cls._trusted(c) wraps the dict c without copying or
 checking it; every result of +, -, negation, *, diff and substitute is
@@ -21,16 +18,9 @@ import re
 from fractions import Fraction
 from operator import add
 
+from ..terms import as_coeff
+
 Q = Fraction
-
-
-def _coeff(v):
-    """An exact coefficient: int and Fraction as given, float refused."""
-    if v.__class__ is int or isinstance(v, Fraction):
-        return v
-    if isinstance(v, float):
-        raise TypeError("float coefficients are not allowed; use int or Fraction")
-    return Q(v)
 
 
 def _add_into(acc: dict, items) -> None:
@@ -58,7 +48,7 @@ class _Poly:
     def __init__(self, c=None):
         clean = {}
         for k, v in (c or {}).items():
-            v = _coeff(v)
+            v = as_coeff(v)
             if v:
                 clean[k] = v
         self.c = clean
@@ -99,7 +89,7 @@ class _Poly:
         return self._trusted(out)
 
     def _scaled(self, v):
-        v = _coeff(v)
+        v = as_coeff(v)
         if v == 1 or not self.c:
             return self
         if not v:
@@ -290,7 +280,7 @@ def _merge_mono(k1: tuple, k2: tuple) -> tuple:
 def column_rank(rows) -> int:
     """Column rank of a matrix of exact numbers, by Fraction Gaussian
     elimination; a float entry raises TypeError."""
-    mat = [[Q(_coeff(v)) for v in row] for row in rows]
+    mat = [[Q(as_coeff(v)) for v in row] for row in rows]
     if not mat:
         return 0
     ncols = len(mat[0])

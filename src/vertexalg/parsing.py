@@ -7,13 +7,15 @@ Grammar:
     symbol   := identifier | "'" name "'"
     rational := ["-"] digits ["/" digits]
 
-"0" is accepted for the zero element and is what the printer emits for it.
-A symbol name that is not an identifier, such as the sheaf's minted
-'f|0..5/3' or 's1*f', is quoted, with any quote inside it doubled; the
-parser looks a quoted name up in the alphabet like any other.  The printer
-orders monomials canonically, so print/parse round-trips exactly.
-Neither the parser nor the printer recurses on nesting depth: a deep tree
-costs time, never RecursionError.
+digits are ASCII 0-9: another Unicode digit, such as the superscript 2,
+starts no number and is a ParseError.  "0" is accepted for the zero
+element and is what the printer emits for it.  A symbol name that is not
+an identifier, such as the sheaf's minted 'f|0..5/3' or 's1*f', is
+quoted, with any quote inside it doubled; the parser looks a quoted name
+up in the alphabet like any other.  The printer orders monomials
+canonically, so print/parse round-trips exactly.  Neither the parser nor
+the printer recurses on nesting depth: a deep tree costs time, never
+RecursionError.
 
 read_document reads the JSON documents the program takes from outside,
 model files and cover files, and refuses one that is not a JSON object.
@@ -44,9 +46,9 @@ def tokens(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             yield ("num", text[i:j], i)
             i = j

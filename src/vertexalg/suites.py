@@ -102,11 +102,6 @@ SUITE_IDS = (
     "geometry",
 )
 
-# identities where a syntactic failure with a passing semantic oracle is
-# reported as an errata candidate instead of a failure
-ERRATA_OK = ("i-induction",)
-
-
 @dataclass
 class SuiteConfig:
     suite: str
@@ -117,7 +112,6 @@ class SuiteConfig:
     samples: int = 0  # 0 picks the suite default
     seed: int = 0
     budget: int = 20000
-    errata_ok: tuple = ERRATA_OK
 
     def __post_init__(self):
         if self.suite not in SUITE_IDS:
@@ -236,8 +230,9 @@ def _suite_borcherds(cfg: SuiteConfig):
             ident, cases, lambda args: _witness(*borcherds_bridge(ident, args, pol))
         )
 
-    # the other published reading of the i lowering: fails syntactically,
-    # holds under the commutative oracle; reported per the errata contract
+    # the other published reading of the i lowering fails syntactically; it
+    # passes, as an errata candidate, iff the commutative oracle holds on
+    # every draw
     trials = 40
     sides = (
         borcherds_bridge(
@@ -260,15 +255,13 @@ def _suite_borcherds(cfg: SuiteConfig):
         return model.evaluate_commutative(lhs - rhs).is_zero()
 
     sem_ok = all(oracle_holds() for _ in range(20))
-    is_errata = syn_fails > 0 and sem_ok
-    accepted = is_errata and "i-induction" in cfg.errata_ok
     yield check(
         "i-induction-reading-1",
-        syn_fails == 0 or accepted,
+        syn_fails == 0 or sem_ok,
         samples=trials,
         syntactic_failures=syn_fails,
         semantic_oracle="pass" if sem_ok else "fail",
-        kind="errata-candidate" if is_errata else None,
+        kind="errata-candidate" if syn_fails and sem_ok else None,
         witness=witness,
     )
 
@@ -708,11 +701,9 @@ def run_suite(suite_id: str, config: SuiteConfig = None, **kw) -> dict:
             checks.append({"id": c["id"], "status": c["status"], "millis": ms, **c})
     checks.sort(key=lambda c: c["id"])
     counts = {s: sum(c["status"] == s for c in checks) for s in ("pass", "fail")}
-    cfg = asdict(config)
-    cfg["errata_ok"] = list(cfg["errata_ok"])
     return {
         "suite": suite_id,
-        "config": cfg,
+        "config": asdict(config),
         "status": "fail" if counts["fail"] else "pass",
         "counts": counts,
         "checks": checks,
@@ -724,10 +715,3 @@ def emit_report(report: dict, path: str) -> None:
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2, default=str)
         fh.write("\n")
-
-
-def exit_status(reports) -> int:
-    """0 iff no check in any report has status fail."""
-    if isinstance(reports, dict):
-        reports = [reports]
-    return 1 if any(r["status"] == "fail" for r in reports) else 0

@@ -27,19 +27,21 @@ the subtrees node, left, right; fold_tree(t, leaf, node) folds bottom-up;
 render(t, leaf, node) builds the in-order text.  sort_key, leaves,
 term_degree and shape_key are built on them; Node equality, which walks
 two trees in pairs, keeps a loop of its own.  No other module walks a
-tree: the rest of the package calls these.
+tree: the rest of the package calls these.  leaf_terms(x) is the one
+test of whether an Element is a leaf combination.
 
-Coefficients.  Every stored coefficient is a nonzero int or Fraction,
-never a float.  Element(alphabet, terms), scalar * and / and every scale
-accept any exact number: ints stay ints, a Fraction with denominator 1
-becomes its int numerator, other exact numbers become Fractions, and a
-float raises TypeError.  Integer arithmetic stays integer until a Fraction
-enters it.  An int compares and hashes equal to the Fraction of the same
-value and prints the same, so equality, hashing and printing cannot tell
-the two apart.  Element._trusted(alphabet, terms) takes the dict as it is:
-every coefficient must already follow the rule.  Sums are accumulated in
-place with x._add_into(acc, scale), which keeps acc in that trusted form,
-so a loop of n additions costs O(total terms), not O(n^2).
+Coefficients.  as_coeff is the package's one coefficient rule: ints stay
+ints, a Fraction with denominator 1 becomes its int numerator, any other
+exact number becomes a Fraction, and a float raises TypeError.  Every
+stored coefficient is a nonzero int or Fraction made by it, here in
+Element(alphabet, terms), scalar * and / and every scale, and in the
+polynomials of models/polys.py.  Integer arithmetic stays integer until a
+Fraction enters it.  An int compares and hashes equal to the Fraction of
+the same value and prints the same, so equality, hashing and printing
+cannot tell the two apart.  Element._trusted(alphabet, terms) takes the
+dict as it is: every coefficient must already follow the rule.  Sums are
+accumulated in place with x._add_into(acc, scale), which keeps acc in that
+trusted form, so a loop of n additions costs O(total terms), not O(n^2).
 
 Derivatives.  x.D() is built once: the Element keeps it in its _d slot
 and every later call returns that same object, so callers that
@@ -301,7 +303,7 @@ class Alphabet:
         return list(self._by_name)
 
 
-def _as_coeff(c):
+def as_coeff(c):
     """An exact coefficient: an int, or a Fraction whose denominator is not
     1; any other exact number is converted, a float refused."""
     if c.__class__ is int:
@@ -324,7 +326,7 @@ class Element:
         clean = {}
         if terms:
             for t, c in terms.items():
-                c = _as_coeff(c)
+                c = as_coeff(c)
                 if c != 0:
                     clean[t] = c
         self.terms = clean
@@ -342,7 +344,7 @@ class Element:
     def _add_into(self, acc: dict, scale=1) -> None:
         """acc += scale * self, in place.  Terms that cancel are deleted at
         once, so acc stays trusted and keeps the key order of repeated +."""
-        scale = _as_coeff(scale)
+        scale = as_coeff(scale)
         if not scale:
             return
         scaled = scale != 1
@@ -368,7 +370,7 @@ class Element:
 
     @staticmethod
     def of_term(alphabet: Alphabet, t, coeff=1) -> "Element":
-        return Element(alphabet, {t: _as_coeff(coeff)})
+        return Element(alphabet, {t: as_coeff(coeff)})
 
     @staticmethod
     def sym(alphabet: Alphabet, name: str, coeff=1) -> "Element":
@@ -400,7 +402,7 @@ class Element:
         return Element._trusted(self.alphabet, {t: -c for t, c in self.terms.items()})
 
     def __mul__(self, c) -> "Element":
-        c = _as_coeff(c)
+        c = as_coeff(c)
         if not c:
             return Element.zero(self.alphabet)
         return Element._trusted(
@@ -410,7 +412,7 @@ class Element:
     __rmul__ = __mul__
 
     def __truediv__(self, c) -> "Element":
-        return self * (Q(1) / _as_coeff(c))
+        return self * (Q(1) / as_coeff(c))
 
     def o(self, n: int, other: "Element") -> "Element":
         """n-th product, extended bilinearly.  Distinct (t1, t2) pairs give
@@ -483,6 +485,16 @@ class Element:
         from .parsing import to_text
 
         return f"<Element {to_text(self)}>"
+
+
+def leaf_terms(x: Element):
+    """The terms of x, a list of Symbols, if every one is a leaf; else
+    None.  The zero Element gives []."""
+    syms = list(x.terms)
+    for t in syms:
+        if t.__class__ is not Symbol:
+            return None
+    return syms
 
 
 def parity(x: Element):

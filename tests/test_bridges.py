@@ -105,11 +105,14 @@ class TestInductionGrid:
             for n in range(-4, 5):
                 args = {"x": x, "y": y, "n": n}
                 assert_bridge("qc-induction", args, pol)
-                # tight at level 0: one summand fewer leaves a live residue
+                # tight at level 0: under the policy one summand fewer is
+                # refused, and built unchecked it leaves a live residue
                 K = picked_bound("qc-induction", args, pol)
                 if pol.level == 0 and K > 0:
-                    lhs, rhs = borcherds_bridge("qc-induction", args, pol, K=K - 1)
-                    assert lhs != rhs, (args, pol, K)
+                    with pytest.raises(CertificationError):
+                        borcherds_bridge("qc-induction", args, pol, K=K - 1)
+                    lhs, rhs = borcherds_bridge("qc-induction", args, None, K=K - 1)
+                    assert truncate(lhs, pol) != truncate(rhs, pol), (args, pol, K)
 
     @pytest.mark.parametrize("nx,ny", PAIRS)
     def test_qc_symmetry(self, al, nx, ny):
@@ -199,6 +202,22 @@ class TestArgumentHandling:
         )
         assert not lhs.is_zero()
 
+    def test_explicit_bound_under_a_policy_is_checked(self, al):
+        # the one K rule: under a policy a given K must reach the certified
+        # bound; only policy=None takes it unchecked
+        u, v = S(al, "u"), S(al, "v")
+        args = {"x": u, "y": v, "n": 0}
+        K = picked_bound("qc-induction", args, POL)
+        with pytest.raises(CertificationError, match="K=0"):
+            borcherds_bridge("qc-induction", args, POL, K=0)
+        assert_bridge("qc-induction", args, POL)
+        lhs, rhs = borcherds_bridge("qc-induction", args, POL, K=K + 2)
+        assert lhs == rhs
+        lhs, rhs = borcherds_bridge("qc-induction", args, None, K=0)
+        assert truncate(lhs, POL) != truncate(rhs, POL)
+        with pytest.raises(CertificationError, match="only policy=None"):
+            borcherds_bridge("qc-induction", {**args, "x": u.o(-1, v)}, POL, K=5)
+
     def test_unknown_identity(self, al):
         with pytest.raises(ValueError, match="unknown bridge identity"):
             borcherds_bridge("zz", {}, POL)
@@ -277,6 +296,15 @@ class TestDongTable:
         node = Node(-2, u, v)
         assert table.bound(node, w) == table.bound(w, node)
 
+    def test_two_products_take_the_smaller_decomposition(self, al):
+        # through a, M = 8 (b against a leaf: 3*3 - 1); through b, M = 11
+        # (a against a leaf: 3*3 + 2)
+        u, v, w = (al.symbol(nm) for nm in ("u", "v", "w"))
+        a, b = Node(-2, u, v), Node(1, v, w)
+        vias = DongTable(POL)._via(a, b), DongTable(POL)._via(b, a)
+        assert vias == (26, 32)
+        assert DongTable(POL).bound(a, b) == DongTable(POL).bound(b, a) == 26
+
 
 class TestTailCertificate:
     @pytest.mark.parametrize("r", (-1, -2, -3))
@@ -309,5 +337,7 @@ class TestTailCertificate:
 
     def test_rejects_compound_arguments(self, al):
         x, y, z = S(al, "u"), S(al, "v"), S(al, "w")
-        with pytest.raises(ValueError, match="single leaf"):
+        with pytest.raises(ValueError, match="x must be a single leaf"):
             dong_tail_certificate(x.o(0, y), y, z, -1, 12, POL)
+        with pytest.raises(ValueError, match="z must be a single leaf"):
+            dong_tail_certificate(x, y, y + z, -1, 12, POL)

@@ -5,6 +5,7 @@ from importlib import resources
 
 import pytest
 
+from vertexalg.bridges import DongTable
 from vertexalg.cli import main
 
 COVER_TWO = str(resources.files("vertexalg") / "data" / "cover_two.json")
@@ -114,6 +115,23 @@ def test_verify_report_records(tmp_path, capsys):
         for c in rep["checks"]:
             assert {"id", "status", "millis"} <= set(c), c
             assert c["status"] == "pass"
+
+
+def test_verify_prints_the_witness_of_a_failing_check(capsys, monkeypatch):
+    # the derived bound one too high: the tail certificate is refused
+    def via_plus_one(self, u, v):
+        M = max(self.bound(u.left, u.right), self.bound(u.left, v),
+                self.bound(u.right, v))
+        return max(0, 3 * M - u.index + 1)
+
+    monkeypatch.setattr(DongTable, "_via", via_plus_one)
+    assert main(["verify", "dong", "--samples", "5"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    at = next(i for i, line in enumerate(out)
+              if line.startswith("fail   dong:dong-tail-certificates ("))
+    assert out[at + 1].startswith("       witness: ")
+    assert "below the derived bound 11" in out[at + 1]
+    assert out[-1].startswith("suite dong: fail (")
 
 
 def test_free_symbols_are_the_parser_identifiers(capsys):
@@ -233,7 +251,9 @@ def test_gen_builds_every_family(capsys, argv, first):
      "c-family needs a dead pair: u o_0 v is below locality 3 or exempt"),
     (["s", "--args", "g", "--args", "g1"], "s-family needs --model"),
     (["k", "--args", "f"], "k-family needs --cover"),
-), ids=("c-live-pair", "s-without-model", "k-without-cover"))
+    (["i", "--args", "u", "--args", "v", "--n", "0"],
+     "i-family takes 1 args and indices ('n',)"),
+), ids=("c-live-pair", "s-without-model", "k-without-cover", "i-two-args"))
 def test_gen_family_refusals_are_error_lines(capsys, argv, error):
     assert main(["gen"] + argv) == 2
     captured = capsys.readouterr()

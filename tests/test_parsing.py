@@ -154,6 +154,9 @@ _ERRORS = [
     ("o{1}(a, 'b)", "unterminated quoted name (at position 8)"),
     ("'a''", "unterminated quoted name (at position 0)"),
     ("2*'no pe'", "unknown symbol 'no pe' (at position 2)"),
+    # numbers are ASCII digits: other Unicode digits are no number
+    ("\u00b2*1", "unexpected character '\u00b2' (at position 0)"),
+    ("\u0663*1", "unexpected character '\u0663' (at position 0)"),
 ]
 
 

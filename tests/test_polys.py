@@ -7,7 +7,9 @@ from fractions import Fraction as Q
 import pytest
 from hypothesis import given, strategies as st
 
+from vertexalg.models.factory import shipped_model
 from vertexalg.models.polys import Poly1, Poly2, PolyVars, column_rank, parse_poly
+from vertexalg.terms import Alphabet, Element, Symbol
 
 # -- reference arithmetic over {key: Fraction} dicts ---------------------------
 
@@ -199,7 +201,40 @@ def test_float_is_a_type_error(build):
 
 def test_exact_non_int_input_becomes_fraction():
     assert Poly1.const("3/2").c == {0: Q(3, 2)}
-    assert type(Poly1.const(True).c[0]) is Q
+    assert type(Poly1.const(True).c[0]) is int
+
+
+# -- one coefficient rule: terms.as_coeff ---------------------------------------
+
+_AL = Alphabet()
+_AL.add(Symbol("x", 0, Q(0), "generic"))
+
+# each builder stores the one coefficient c of a single monomial
+STORES = {
+    "Element": lambda c: Element.sym(_AL, "x", c).terms.values(),
+    "Poly1": lambda c: Poly1.mono(2, c).c.values(),
+    "Poly2": lambda c: Poly2.mono(1, 2, c).c.values(),
+    "PolyVars": lambda c: PolyVars.const(c).c.values(),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+@pytest.mark.parametrize("given,want", ((Q(4, 2), 2), (True, 1), (Q(3, 2), Q(3, 2))))
+def test_every_builder_stores_by_one_rule(kind, given, want):
+    (got,) = STORES[kind](given)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_every_builder_refuses_a_float(kind):
+    with pytest.raises(TypeError, match="float"):
+        STORES[kind](2.0)
+
+
+def test_parsed_connections_have_int_coefficients():
+    for name in ("derham2_b2", "derham2_lin"):
+        got = [v for a in shipped_model(name).meta["connection"] for v in a.c.values()]
+        assert got and all(type(v) is int for v in got), (name, got)
 
 
 # -- text -------------------------------------------------------------------------

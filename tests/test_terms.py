@@ -25,6 +25,7 @@ from vertexalg.terms import (
     falling,
     grade,
     is_homogeneous,
+    leaf_terms,
     leaves,
     parity,
     preorder,
@@ -142,6 +143,14 @@ class TestTreeShape:
         (t,) = x.o(-2, y).o(1, x).terms
         assert term_length(t) == 3
         assert [s.name for s in leaves(t)] == ["x", "y", "x"]
+
+    def test_leaf_terms(self, al):
+        x, y, p = E(al, "x"), E(al, "y"), E(al, "p")
+        got = leaf_terms(2 * x - y + Element.unit(al, Q(1, 2)))
+        assert got == [al.symbol("x"), al.symbol("y"), al.unit]
+        assert leaf_terms(Element.zero(al)) == []
+        for compound in (x.o(0, y), x + y.o(-1, p), x.D()):
+            assert leaf_terms(compound) is None
 
     def test_sort_key_total_order(self, al):
         x, y = E(al, "x"), E(al, "y")
