@@ -94,6 +94,9 @@ class Model:
         self.meta = meta or {}
         self._cache = {}
         self._leaves = {}
+        # rewrite.R_project's RuleSet, made on first use and kept, like the
+        # table memo, for the model's life: its marks read only pure tables
+        self.projection_rules = None
 
     def leaf(self, sym: Symbol) -> Element:
         """The leaf Element of sym, built once per symbol and shared: trees

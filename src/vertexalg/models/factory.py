@@ -230,10 +230,11 @@ KINDS = {
 
 
 def make_model(kind: str, params: dict = None) -> Model:
-    """KINDS[kind](**params).  An unknown kind, a parameter the maker does
-    not take and a missing required parameter are each a ValueError that
-    names the kind and the parameter."""
-    maker = KINDS.get(kind)
+    """KINDS[kind](**params).  A kind that is not a string, an unknown
+    kind, a parameter the maker does not take and a missing required
+    parameter are each a ValueError that names the kind and the
+    parameter."""
+    maker = KINDS.get(expect(type(kind) is str, "kind", "a model kind", kind))
     if maker is None:
         raise ValueError(f"unknown model kind {kind!r}; kinds: {', '.join(KINDS)}")
     params = params or {}

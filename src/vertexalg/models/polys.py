@@ -18,6 +18,7 @@ import re
 from fractions import Fraction
 from operator import add
 
+from ..parsing import DIGITS
 from ..terms import as_coeff
 
 Q = Fraction
@@ -231,7 +232,10 @@ def parse_poly(text: str, variables: tuple):
     """Parse 'b1*b2 + 3/2*b1^2 - 1' into Poly1 or Poly2.
 
     variables is ('b',) or ('b1', 'b2'); the grammar is sums of products of
-    powers with a leading rational coefficient.
+    powers with a leading rational coefficient.  Digits follow the term
+    grammar's rule, parsing.DIGITS: a power is a run of ASCII digits, and
+    a coefficient is one such run, or two joined by "/" with the second
+    nonzero.
     """
     total = Poly1() if len(variables) == 1 else Poly2()
     text = text.replace(" ", "")
@@ -245,14 +249,15 @@ def parse_poly(text: str, variables: tuple):
         for factor in piece.split("*"):
             if not factor:
                 raise ValueError(f"empty factor in {text!r}")
-            if factor[0].isdigit() or factor[0] == "/":
-                try:
-                    coeff *= Q(factor)
-                except (ValueError, ZeroDivisionError):
-                    raise ValueError(f"bad coefficient {factor!r} in {text!r}") from None
+            if factor[0] == "/" or DIGITS.match(factor):
+                num, slash, den = factor.partition("/")
+                if not (DIGITS.fullmatch(num)
+                        and (not slash or DIGITS.fullmatch(den) and int(den))):
+                    raise ValueError(f"bad coefficient {factor!r} in {text!r}")
+                coeff *= Q(int(num), int(den or 1))
                 continue
             var, caret, power = factor.partition("^")
-            if caret and not power.isdecimal():
+            if caret and not DIGITS.fullmatch(power):
                 raise ValueError(f"bad power {power!r} in {text!r}")
             power = int(power) if caret else 1
             if var not in variables:

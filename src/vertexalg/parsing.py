@@ -24,12 +24,17 @@ the wrong shape is a ValueError that names its JSON path.
 """
 
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
 from .terms import Alphabet, Element, render
 
 Q = Fraction
+
+# the one digit rule, read by tokens and by models.polys.parse_poly: ASCII
+# 0-9 only, since str.isdigit and str.isdecimal take other scripts' digits
+DIGITS = re.compile("[0-9]+")
 
 
 class ParseError(ValueError):
@@ -46,12 +51,10 @@ def tokens(text: str):
         if ch.isspace():
             i += 1
             continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            yield ("num", text[i:j], i)
-            i = j
+        number = DIGITS.match(text, i)
+        if number:
+            yield ("num", number.group(), i)
+            i = number.end()
             continue
         if ch.isalpha() or ch == "_":
             j = i

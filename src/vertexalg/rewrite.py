@@ -12,9 +12,13 @@ A RuleSet keeps the set `normal` of nodes on which a pass fired nothing,
 anywhere below them.  A pass does not rebuild a node whose children are
 leaves or marked nodes: it tries the root rules on the node as it stands
 and, when none fires, marks it.  A term already marked is copied through
-without a walk.  Rules are pure functions of the node and the model
-tables, so a mark holds for as long as its RuleSet lives: one
-R_project call, or one check_module_laws battery.
+without a walk.  Beside the marks a RuleSet keeps `reports`, the
+ReductionReport reduce_element returned for each (element, budget), and
+a repeated call returns it without a pass.  Rules are pure functions of
+the node and the model tables, so marks and reports hold for as long as
+their RuleSet lives: a check_module_laws battery keeps one, and the
+projection RuleSet of R_project lives with its model, as the model's
+table memo does.
 
 The budget of reduce_element counts rule firings and is checked at each
 one: a pass gets the allowance left, and a rule match past it is refused,
@@ -56,7 +60,7 @@ UNIT_RULES = ("unit_left", "unit_strip")
 PROJECTION_RULES = ("unit_identity", "bracket", "scalar", "unit_strip")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReductionReport:
     result: Element
     steps: int
@@ -80,6 +84,7 @@ class RuleSet:
         if needs_model and model is None:
             raise ValueError(f"rules {sorted(needs_model)} need a model")
         self.normal = set()  # nodes no enabled rule fires on, anywhere below
+        self.reports = {}  # (element, budget) -> reduce_element's report
 
     # one root-level rule application; None when no rule matches
     def apply_at_root(self, t: Node, al):
@@ -208,8 +213,22 @@ def reduce_element(
     """Innermost fixpoint under the enabled rules, reached at the first
     pass that fires none; truncation after every pass when the rule set
     carries a policy.  At most `budget` rules fire; budget-exhausted means
-    one more was due."""
+    one more was due.
+
+    The report is stored in rules.reports and a repeated call returns it.
+    Equal elements share a report: steps, status and a normal form do not
+    depend on term order, but under budget exhaustion the refused firings
+    do, so the stored partial result is the first caller's.  A reduction
+    that raises (a table past its degree cap) stores nothing."""
     _check_budget(budget)
+    key = (x, budget)
+    report = rules.reports.get(key)
+    if report is None:
+        report = rules.reports[key] = _reduce(x, rules, budget)
+    return report
+
+
+def _reduce(x: Element, rules: RuleSet, budget: int) -> ReductionReport:
     steps = 0
     current = truncate(x, rules.policy) if rules.policy else x
     while True:
@@ -229,7 +248,9 @@ def R_project(x: Element, model, budget: int = 1000) -> ReductionReport:
     (the largest term it rewrote loses its coefficient): the first pass
     with no firing is the fixpoint."""
     _check_budget(budget)
-    rules = RuleSet(model, None, PROJECTION_RULES)
+    rules = model.projection_rules
+    if rules is None:
+        rules = model.projection_rules = RuleSet(model, None, PROJECTION_RULES)
     current, steps = x, 0
     while steps < budget:
         nxt, fired, _ = _one_pass(current, rules)

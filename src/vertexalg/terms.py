@@ -459,9 +459,6 @@ class Element:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Element)

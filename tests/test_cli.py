@@ -281,6 +281,7 @@ def test_index_window_zero_runs(capsys):
     ("[1]", "model file must hold a JSON object, got [1]"),
     ("null", "model file must hold a JSON object, got null"),
     ('{"name": "m"}', "model file has no 'kind' field"),
+    ('{"kind": []}', "kind: expected a model kind, got []"),
     ('{"kind": "Octonion"}', "unknown model kind 'Octonion'; kinds: DiffPoly, "
      "Weyl1, CurrentLie, DeRham1, DeRham2Conn"),
     ('{"kind": "DiffPoly", "max_degre": 3}', "DiffPoly takes no parameter 'max_degre'"),
@@ -298,8 +299,8 @@ def test_index_window_zero_runs(capsys):
      "connection: expected [a1, a2] as polynomial text, got [1, 2]"),
     ('{"kind": "DeRham2Conn", "connection": ["1/0", "0"]}',
      "connection[0]: bad coefficient '1/0' in '1/0'"),
-), ids=("list", "null", "no-kind", "unknown-kind", "misspelt-field", "missing-field",
-        "degree-text", "constant-index", "constant-short", "variables-number",
+), ids=("list", "null", "no-kind", "kind-list", "unknown-kind", "misspelt-field",
+        "missing-field", "degree-text", "constant-index", "constant-short", "variables-number",
         "connection-numbers", "connection-zero-denominator"))
 def test_malformed_model_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "model.json"

@@ -21,10 +21,13 @@ from vertexalg.models.base import (
     validate_model,
 )
 from vertexalg.models.factory import (
+    _name_exp,
     load_model,
     make_model,
+    pow_name,
     shipped_model,
     shipped_model_names,
+    vf_name,
 )
 from vertexalg.models.morphisms import random_tree
 from vertexalg.models.polys import Poly1
@@ -381,6 +384,13 @@ class TestLoaders:
     def test_make_model_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
             make_model("Octonion")
+
+    def test_symbol_names_read_back(self):
+        # pow_name and vf_name write the names _name_exp reads; b^0 is 1
+        assert [pow_name(k) for k in range(3)] == ["1", "b", "b2"]
+        for k in range(8):
+            assert _name_exp(pow_name(k)) == (k, False)
+            assert _name_exp(vf_name(k)) == (k, True)
 
 
 class TestSampling:

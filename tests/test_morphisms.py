@@ -174,6 +174,11 @@ class TestComposition:
             x = random_element(diffpoly, rng)
             assert comp.apply(x) == phi.apply(psi.apply(x))
 
+    def test_repr_names_the_composite(self, diffpoly):
+        phi, psi = shipped_morphisms(diffpoly)
+        assert repr(phi.compose(psi)) == (
+            "Morphism(double*shift: diffpoly -> diffpoly)")
+
     def test_double_then_shift_on_b(self, diffpoly):
         # (double . shift)(b) = double(b + 1) = 2b + 1
         phi, psi = shipped_morphisms(diffpoly)

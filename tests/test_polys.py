@@ -267,8 +267,17 @@ def test_parse_poly_reads_the_grammar(text, variables, want):
     ("1/0*b1", "bad coefficient '1/0' in '1/0\\*b1'"),
     ("b1^x", "bad power 'x' in 'b1\\^x'"),
     ("b1^-1", "bad power '-1' in 'b1\\^-1'"),
+    ("3/2/5*b1", "bad coefficient '3/2/5'"),
+    ("1.5*b1", "bad coefficient '1.5'"),
+    # ASCII digits only, as in the term grammar
+    ("b1^٣", "bad power '٣' in 'b1\\^٣'"),
+    ("b1^²", "bad power '²' in 'b1\\^²'"),
+    ("²*b1", "unknown variable '²' in '²\\*b1'"),
+    ("3٣*b1", "bad coefficient '3٣'"),
 ), ids=("unknown", "unknown-in-product", "double-star", "trailing-sign",
-        "double-sign", "zero-denominator", "power-text", "negative-power"))
+        "double-sign", "zero-denominator", "power-text", "negative-power",
+        "double-slash", "decimal", "arabic-indic-power", "superscript-power",
+        "superscript-coefficient", "arabic-indic-coefficient"))
 def test_parse_poly_refusals(text, error):
     with pytest.raises(ValueError, match=error):
         parse_poly(text, B12)

@@ -1,6 +1,9 @@
 """Rewrite rules, normal forms, and the structural projection."""
 
+import dataclasses
+import gc
 import inspect
+import weakref
 from fractions import Fraction as Q
 
 import pytest
@@ -312,13 +315,14 @@ def _outcome(reduce, x, rules, budget):
 def _mark_faults(make, cases):
     """Reductions on which the engine and the reference disagree.  Each
     element is reduced at its budget and then in full, under a fresh
-    RuleSet and under one RuleSet shared with every reduction before."""
+    RuleSet and twice under one RuleSet shared with every reduction
+    before, so the second answer comes from its stored reports."""
     warm = make()
     faults = []
     for x, budget in cases:
         for b in (budget, 10000):
             want = _outcome(_reference_reduce, x, make(), b)
-            for rules in (make(), warm):
+            for rules in (make(), warm, warm):
                 got = _outcome(reduce_element, x, rules, b)
                 if got != want:
                     faults.append((to_text(x), b, got, want))
@@ -393,6 +397,45 @@ class TestNormalFormMarks:
                      settings=settings(max_examples=500, database=None,
                                        phases=(Phase.generate,)))
         assert _mark_faults(make, cases)
+
+
+class TestStoredReports:
+    def test_the_budget_is_part_of_the_key(self, diff):
+        rules = RuleSet(diff)
+        x = parse("o{-1}(1, b)", diff.alphabet)
+        short = reduce_element(x, rules, budget=0)
+        assert short.status == "budget-exhausted"
+        assert reduce_element(x, rules, budget=10000).status == "normal-form"
+        assert reduce_element(x, rules, budget=0) is short
+
+    def test_a_degree_cap_stores_nothing(self):
+        model = make_model("DiffPoly", {"max_degree": 4})
+        rules = RuleSet(model)
+        x = parse("o{-1}(b2, b3)", model.alphabet)
+        for _ in range(2):
+            with pytest.raises(ModelDegreeError):
+                reduce_element(x, rules)
+        assert rules.reports == {}
+
+    def test_reports_are_frozen(self, diff):
+        rep = reduce_element(Element.sym(diff.alphabet, "b"), RuleSet(diff))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.steps = 1
+
+    def test_projection_marks_live_with_the_model(self, diff):
+        x = parse("o{1}(b, o{-1}(b, b2)) + o{2}(1, o{-1}(1, b))", diff.alphabet)
+        fixpoint = R_project(x, diff).result
+        assert fixpoint == parse("o{1}(b, b3) + o{2}(1, b)", diff.alphabet)
+        assert set(fixpoint.terms) <= diff.projection_rules.normal
+        assert R_project(fixpoint, diff).steps == 1
+
+    def test_projection_rules_die_with_their_model(self):
+        model = make_model("DiffPoly")
+        ref = weakref.ref(model)
+        R_project(parse("o{1}(b, o{-1}(b, b2))", model.alphabet), model)
+        del model
+        gc.collect()
+        assert ref() is None
 
 
 class TestTruncationCut:
