@@ -32,21 +32,22 @@ image's form; forms store no zero slot, so sections compare with ==.  The
 geometry checks confirm the tables against operator commutators on section
 batteries, with independent oracles for the Lie derivative, the curvature
 two-form and the vector-field bracket.  Both models take one path:
-_operators gives every symbol its Op, and one bracket-table check compares
-each table bracket with the commutator of those Ops.  Every enumerated
-check is one models.base.case_check call: it stops at its first failing
-case and names it as the record's witness.
+_operators gives every operator symbol its Op, and one bracket-table
+check compares each table bracket with the commutator of those Ops.
+Every enumerated check is one models.base.case_check call: it stops at
+its first failing case and names it as the record's witness.
 
-Memo.  A basic operator computes its image of a section once per check.
-Op.image(k, v) reads the Op's memo, keyed by the section's content
-(k, *((mask, *poly.c.items()) for each slot)), never by object identity;
+Memo.  A basic operator or a form-multiple computes its image of a
+section once per check.  Op.image(k, v) reads the Op's memo, keyed by the
+section's content as one flat tuple (k, then each slot's mask and its
+polynomial's (monomial, coefficient) pairs), never by object identity;
 commutators, form-multiples and _apply_elem read their operands through
 it.  Calling an Op, as a check's top-level probe does, computes without
-storing.  Form-multiples and test-field contractions keep no memo: the
-first are one wedge with a memoised image, the second mostly meet derived
+storing.  Test-field contractions keep no memo: they mostly meet derived
 forms once.  The lifetime is one check: Ops are built inside each
-classical_geometry_checks call, and _derham2_checks empties every memo
-when a check ends ([nabla, iota_X]'s also once X is done).
+classical_geometry_checks call, form-multiples inside the bracket-table
+check, and _derham2_checks empties every other memo when a check ends
+([nabla, iota_X]'s also once X is done).
 """
 
 from fractions import Fraction
@@ -183,16 +184,22 @@ def curvature_oracle(a1: Poly2, a2: Poly2):
 
 
 def _content(k, v) -> tuple:
-    """The memo key of the section (k, v): its e-power, then each slot's
-    mask and polynomial terms, so sections built apart share a key."""
-    return (k, *((mask, *p.c.items()) for mask, p in v.items()))
+    """The memo key of the section (k, v), one flat tuple: its e-power, then
+    each slot's mask followed by that polynomial's (monomial, coefficient)
+    pairs, so sections built apart share a key.  A mask is an int and a
+    pair a 2-tuple, so the key is prefix-free: it splits back into slots."""
+    key = [k]
+    for mask, p in v.items():
+        key.append(mask)
+        key += p.c.items()
+    return tuple(key)
 
 
 class Op:
     """An operator on sections (k, v) with a parity: fn(k, v) is the form of
     the image, whose e-power is k again.  Calling an Op computes the image
-    afresh; image(k, v) reads it through the Op's memo, keyed by the
-    section's content, unless the Op was built with memo=False."""
+    afresh; image(k, v) reads it through the Op's memo, keyed by
+    _content(k, v), unless the Op was built with memo=False."""
 
     def __init__(self, name, parity, fn, memo=True):
         self.name, self.parity, self.fn = name, parity, fn
@@ -470,22 +477,20 @@ def _case_text(model: Model, k, v, **fields) -> str:
 
 
 def _operators(model: Model, basic: dict) -> dict:
-    """The Op of every symbol of a form model: w ^ for a form symbol,
-    basic[P] for a basic operator P, and w ^ P for "<form><P>" (every basic
-    operator id has two letters).  A form-multiple reads P through P's
-    memo and keeps none itself: its image costs one wedge more, and storing
-    it for every multiple raised the check's peak memory by half."""
+    """The Op of every operator symbol of a form model: basic[P] for a
+    basic operator P, and w ^ P for "<form><P>" (every basic operator id
+    has two letters).  Form symbols get none: the bracket of two operator
+    symbols is a sum of operator symbols.  A form-multiple reads P through
+    P's memo and keeps its own, so its wedge runs once per section; the
+    Ops are built per call, so their memos end with the check that made
+    them."""
     forms, wedge = model.meta["forms"], model.meta["algebra"].wedge
     ops = dict(basic)
-    for sym in model.symbols():
+    for sym in model.symbols(("lie",)):
         if sym.name not in ops:
-            if sym.kind == "lie":
-                w, p = forms[sym.name[:-2]], basic[sym.name[-2:]].image
-            else:
-                w, p = forms[sym.name], lambda k, v: v
+            w, p = forms[sym.name[:-2]], basic[sym.name[-2:]].image
             ops[sym.name] = Op(sym.name, sym.parity,
-                               lambda k, v, w=w, p=p: wedge(w, p(k, v)),
-                               memo=False)
+                               lambda k, v, w=w, p=p: wedge(w, p(k, v)))
     return ops
 
 

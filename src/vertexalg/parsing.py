@@ -32,9 +32,11 @@ from .terms import Alphabet, Element, render
 
 Q = Fraction
 
-# the one digit rule, read by tokens and by models.polys.parse_poly: ASCII
-# 0-9 only, since str.isdigit and str.isdecimal take other scripts' digits
+# the one digit rule, read by tokens, models.polys.parse_poly and
+# read_rational: ASCII 0-9 only, since str.isdigit, str.isdecimal and
+# Fraction(str) take other scripts' digits
 DIGITS = re.compile("[0-9]+")
+_RATIONAL_TEXT = re.compile(f"-?{DIGITS.pattern}(?:/{DIGITS.pattern})?")
 
 
 class ParseError(ValueError):
@@ -266,8 +268,12 @@ def expect(ok, path: str, expected: str, value):
 
 
 def read_rational(value, path: str) -> Fraction:
-    """The rational a number or a string ("3/2") at path gives."""
+    """The rational a JSON number or a string at path gives.  A string
+    is read by the digit rule: an optional "-", a DIGITS run, and an
+    optional "/" with a nonzero DIGITS run ("3", "-3/2")."""
     expect(type(value) in (int, float, str), path, "a rational", value)
+    if type(value) is str:
+        expect(_RATIONAL_TEXT.fullmatch(value), path, "a rational", value)
     try:
         return Q(str(value))
     except (ValueError, ZeroDivisionError):

@@ -333,14 +333,22 @@ def _section_with(**fields):
     (_cover_two_with(sections=_section_with(parity=[1])),
      "sections[0].parity: expected 0 or 1, got [1]"),
     (_cover_two_with(universe=[0, "x"]), 'universe[1]: expected a rational, got "x"'),
+    # a string bound is read by parsing.DIGITS, not by Fraction's own rule
+    (_cover_two_with(universe=[0, "\u0663"]),
+     'universe[1]: expected a rational, got "\\u0663"'),
+    (_cover_two_with(universe=[0, "1_0"]), 'universe[1]: expected a rational, got "1_0"'),
+    (_cover_two_with(universe=[0, "1e3"]), 'universe[1]: expected a rational, got "1e3"'),
+    (_cover_two_with(universe=[0, " 3"]), 'universe[1]: expected a rational, got " 3"'),
+    (_cover_two_with(universe=[0, "3/0"]), 'universe[1]: expected a rational, got "3/0"'),
     (_cover_two_with(sections=_section_with(name=7)),
      "sections[0].name: expected a name, got 7"),
     (_cover_two_with(patches=[{"window": [0, 3], "core": [0, 3], "sigma": "s1"}]),
      "patches[0].rho: missing"),
 ), ids=("list", "string", "number", "null", "patch-not-object",
         "section-not-object", "short-universe", "sections-not-list",
-        "patches-not-list", "parity-list", "bound-not-rational", "name-not-string",
-        "rho-missing"))
+        "patches-not-list", "parity-list", "bound-not-rational", "bound-other-digit",
+        "bound-underscore", "bound-exponent", "bound-space", "bound-zero-denominator",
+        "name-not-string", "rho-missing"))
 def test_malformed_cover_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "cover.json"
     path.write_text(text)

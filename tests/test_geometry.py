@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from vertexalg.models import geometry
 from vertexalg.models.base import Model
+from vertexalg.models.factory import make_model, shipped_model
 from vertexalg.models.geometry import F1, F2, Forms, Op, w1_lie_oracle
 from vertexalg.models.polys import Poly1, Poly2
 from vertexalg.suites import run_suite
@@ -204,8 +205,51 @@ def test_a_call_computes_and_image_stores_once():
     assert op.image(0, v) == op.image(0, copy.deepcopy(v)) == F2.d(v)
     assert op.image(1, v) == F2.d(v)
     assert runs == [0, 0, 1] and len(op.memo) == 2
+    # a memo=False Op, as a test field's contraction is, computes on every
+    # image call and stores nothing
     bare = Op("d", 1, op.fn, memo=False)
-    assert bare.image(0, v) == F2.d(v) and bare.memo is None
+    assert bare.image(0, v) == bare.image(0, v) == F2.d(v) and bare.memo is None
+    assert runs == [0, 0, 1, 0, 0]
+
+
+def test_content_keys_sections_by_value():
+    x, y = Poly2.mono(1, 0), Poly2.mono(0, 2)
+
+    def section():
+        return 1, {1: x + y * 3, 2: Poly2.const(1)}
+
+    key = geometry._content(*section())
+    assert key == geometry._content(*section())
+    assert hash(key) == hash(geometry._content(*copy.deepcopy(section())))
+    changed = [
+        (2, {1: x + y * 3, 2: Poly2.const(1)}),  # the e-power
+        (1, {1: x + y * 3, 3: Poly2.const(1)}),  # a mask
+        (1, {1: x + y * 2, 2: Poly2.const(1)}),  # a coefficient
+        (1, {1: x, 2: y * 3 + Poly2.const(1)}),  # the split across slots
+    ]
+    assert all(geometry._content(k, v) != key for k, v in changed)
+
+
+def test_a_form_multiple_wedges_once_per_section(monkeypatch):
+    # "bdd" is b ^ dd: six reads of one section's image, half of them on
+    # copies, wedge once
+    v = {0: Poly1.mono(2)}
+    want = F1.wedge({0: Poly1.mono(1)}, F1.d(v))
+    wedges = []
+    monkeypatch.setattr(F1, "wedge", lambda u, w: wedges.append(w) or Forms.wedge(F1, u, w))
+    basic = {name: Op(name, parity, lambda k, v: F1.d(v))
+             for name, parity in geometry.OPS1.items()}
+    multiple = geometry._operators(shipped_model("derham1"), basic)["bdd"]
+    for _ in range(3):
+        assert multiple.image(0, v) == multiple.image(0, copy.deepcopy(v)) == want
+    assert len(wedges) == 1
+
+
+def test_geometry_refusals_name_their_input():
+    with pytest.raises(ValueError, match="connection coefficients exceed the degree cap"):
+        make_model("DeRham2Conn", {"connection": ["b1^3", "0"], "max_degree": 2})
+    with pytest.raises(ValueError, match="geometry checks apply to the differential-form models"):
+        geometry.classical_geometry_checks(shipped_model("weyl1"))
 
 
 def test_no_memo_outlives_a_run(monkeypatch):
