@@ -21,12 +21,12 @@ from .generators import (
     TruncationPolicy,
     _certified_bound,
     _parity_of,
+    _qa_sum,
+    _qc_sum,
     fam_d,
     fam_e,
     fam_f,
     fam_i,
-    fam_qa,
-    fam_qc,
     truncate,
 )
 from .models.polys import column_rank
@@ -41,23 +41,31 @@ def _koszul(x: Element, y: Element) -> int:
 
 # identity builders -----------------------------------------------------------
 #
-# Each returns an untruncated (lhs, rhs) pair at the series bound K.  The
-# sign conventions follow the qa/qc family builders, so even-parity
+# Each takes a policy `cut` and returns an (lhs, rhs) pair at the series
+# bound K.  Every tail summand's base, the product that D^k, a derivative
+# tower, an outer product or an e, f or i family wraps, goes through
+# truncate(base, cut) first, here or in generators._qc_sum and _qa_sum; a
+# summand over an empty base is skipped or comes out empty.  Each wrapper
+# keeps the base's terms as subtrees, so a term built over a dead base
+# term is dead, and truncating the pair under cut gives what truncating
+# the uncut pair would.  With cut=None the pair is the untruncated one.
+# The sign conventions follow the qa/qc family builders, so even-parity
 # arguments reproduce the classical displays verbatim.
 
-def _eb(x: Element, y: Element, n: int, K: int):
+def _eb(x: Element, y: Element, n: int, K: int, cut):
     """e as a qa value plus i-family corrections; exact once K >= |n| - 1."""
     one = Element.unit(x.alphabet)
     lhs = fam_e(x, y, n)
-    acc = dict(fam_qa(x, one, y, -2, n, None, K=K).terms)
+    acc = dict(_qa_sum(x, one, y, -2, n, _koszul(x, one), K, cut).terms)
     for k in range(K + 1):
         c = binom(-2, k) * minus_one_pow(k)  # = k + 1
-        fix = x.o(-2 - k, fam_i(y, n + k)) - fam_i(x.o(k, y), -2 + n - k)
+        fix = (x.o(-2 - k, truncate(fam_i(y, n + k), cut))
+               - fam_i(truncate(x.o(k, y), cut), -2 + n - k))
         fix._add_into(acc, c)
     return lhs, Element._trusted(x.alphabet, acc)
 
 
-def _di(x: Element, y: Element, n: int, K: int):
+def _di(x: Element, y: Element, n: int, K: int, cut):
     """Closed form, K unused: lowers the d index by one."""
     lhs = n * fam_d(x, y, n - 1)
     rhs = (
@@ -69,7 +77,7 @@ def _di(x: Element, y: Element, n: int, K: int):
     return lhs, rhs
 
 
-def _ii(x: Element, n: int, reading: int, K: int):
+def _ii(x: Element, n: int, reading: int, K: int, cut):
     """Closed form, K unused: lowers the i index by one.
 
     The source display applies i to two arguments, which family i does not
@@ -85,68 +93,75 @@ def _ii(x: Element, n: int, reading: int, K: int):
     return lhs, rhs
 
 
-def _qci(x: Element, y: Element, n: int, K: int):
+def _qci(x: Element, y: Element, n: int, K: int, cut):
     """Lowers the qc index; the two telescopes end one summand apart, on
     y o_{n-1+k} x, so truncation closes them past the tail (y, x, n - 1)."""
     kosz = _koszul(x, y)
-    lhs = n * fam_qc(x, y, n - 1, None, K=K)
-    rhs = -fam_qc(x.D(), y, n, None, K=K) + fam_e(x, y, n)
+    lhs = n * _qc_sum(x, y, n - 1, kosz, K, cut)
+    rhs = -_qc_sum(x.D(), y, n, kosz, K, cut) + fam_e(x, y, n)
     acc = dict(rhs.terms)
     for k in range(K + 1):
-        c = -kosz * Q(minus_one_pow(n + k), factorial(k))
-        fam_f(y, x, n + k).D_pow(k)._add_into(acc, c)
+        base = truncate(fam_f(y, x, n + k), cut)
+        if base.terms:
+            c = -kosz * Q(minus_one_pow(n + k), factorial(k))
+            base.D_pow(k)._add_into(acc, c)
     return lhs, Element._trusted(x.alphabet, acc)
 
 
-def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int):
+def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
     """Lowers the first qa index; exact for m >= 0 once K >= m.  For m < 0
     only the boundary summand y o (x o_K z) survives: the tail (x, z, -1)."""
-    lhs = m * fam_qa(x, y, z, m - 1, n, None, K=K)
-    rhs = -fam_qa(x.D(), y, z, m, n, None, K=K) + fam_e(
-        x, y, m
-    ).o(n, z)
-    sp = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
+    kosz = _koszul(x, y)
+    lhs = m * _qa_sum(x, y, z, m - 1, n, kosz, K, cut)
+    rhs = -_qa_sum(x.D(), y, z, m, n, kosz, K, cut) + fam_e(x, y, m).o(n, z)
+    sp = minus_one_pow(m) * kosz
     acc = dict(rhs.terms)
     for k in range(K + 1):
         c = binom(m, k) * minus_one_pow(k)
         if c == 0:
             continue
-        term = fam_e(x, y.o(n + k, z), m - k) - sp * y.o(m + n - k, fam_e(x, z, k))
+        term = (fam_e(x, truncate(y.o(n + k, z), cut), m - k)
+                - sp * y.o(m + n - k, truncate(fam_e(x, z, k), cut)))
         term._add_into(acc, -c)
     return lhs, Element._trusted(x.alphabet, acc)
 
 
-def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int):
+def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
     """Lowers the second qa index; exact for m >= 0 once K >= m, else past
     the tails (y, z, n - 1) and (x, z, -1) of its f summands."""
-    lhs = n * fam_qa(x, y, z, m, n - 1, None, K=K)
+    kosz = _koszul(x, y)
+    lhs = n * _qa_sum(x, y, z, m, n - 1, kosz, K, cut)
     rhs = (
-        -fam_qa(x, y, z, m, n, None, K=K).D()
-        + fam_qa(x, y, z.D(), m, n, None, K=K)
+        -_qa_sum(x, y, z, m, n, kosz, K, cut).D()
+        + _qa_sum(x, y, z.D(), m, n, kosz, K, cut)
         + fam_f(x.o(m, y), z, n)
     )
-    sp = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
+    sp = minus_one_pow(m) * kosz
     acc = dict(rhs.terms)
     for k in range(K + 1):
         c = binom(m, k) * minus_one_pow(k)
         if c == 0:
             continue
-        outer = fam_f(x, y.o(n + k, z), m - k) - sp * fam_f(y, x.o(k, z), m + n - k)
-        inner = x.o(m - k, fam_f(y, z, n + k)) - sp * y.o(m + n - k, fam_f(x, z, k))
+        outer = (fam_f(x, truncate(y.o(n + k, z), cut), m - k)
+                 - sp * fam_f(y, truncate(x.o(k, z), cut), m + n - k))
+        inner = (x.o(m - k, truncate(fam_f(y, z, n + k), cut))
+                 - sp * y.o(m + n - k, truncate(fam_f(x, z, k), cut)))
         outer._add_into(acc, -c)
         inner._add_into(acc, -c)
     return lhs, Element._trusted(x.alphabet, acc)
 
 
-def _qcs(x: Element, y: Element, n: int, K: int):
+def _qcs(x: Element, y: Element, n: int, K: int, cut):
     """n-symmetry: y o_n x recovered from the qc generator minus its tail.
     Definitionally exact at any K."""
     lhs = y.o(n, x)
-    acc = dict(fam_qc(y, x, n, None, K=K).terms)
     sp = _koszul(x, y)
+    acc = dict(_qc_sum(y, x, n, sp, K, cut).terms)
     for k in range(K + 1):
-        c = -sp * Q(minus_one_pow(n + k), factorial(k))
-        x.o(n + k, y).D_pow(k)._add_into(acc, c)
+        base = truncate(x.o(n + k, y), cut)
+        if base.terms:
+            c = -sp * Q(minus_one_pow(n + k), factorial(k))
+            base.D_pow(k)._add_into(acc, c)
     return lhs, Element._trusted(x.alphabet, acc)
 
 
@@ -158,14 +173,15 @@ def _tower(w: Element, k: int) -> list:
     return out
 
 
-def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
+def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
     """Commutator decomposition in three index regimes.
 
     The left side is [x_m, y_n]z minus the binomial sum of products; the
     right side exhibits it inside the ideal.  m >= 0 is closed-form; the
     m = -1 regimes carry tails that die under truncation.  Their double
     sums read D^{j-i}(x o_j y) for every i <= j, so each regime builds the
-    derivative tower of x o_j y once and indexes into it.
+    derivative tower of x o_j y once, over its cut base, and indexes into
+    it.
     """
     kosz = _koszul(x, y)
     al = x.alphabet
@@ -175,34 +191,40 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int):
         for k in range(m + 1):
             c = binom(m, k)
             x.o(k, y).o(m + n - k, z)._add_into(lhs, -c)
-            qa = fam_qa(x, y, z, k, m + n - k, None, K=K)
+            qa = _qa_sum(x, y, z, k, m + n - k, kosz, K, cut)
             qa._add_into(rhs, -c)
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n == -1:
         for k in range(K + 1):
-            x.o(k, y).o(-2 - k, z)._add_into(lhs, -minus_one_pow(k))
+            truncate(x.o(k, y), cut).o(-2 - k, z)._add_into(lhs, -minus_one_pow(k))
         rhs = dict((
-            -fam_qa(x, y, z, -1, -1, None, K=K)
-            + kosz * fam_qa(y, x, z, -1, -1, None, K=K)
-            - kosz * fam_qc(y, x, -1, None, K=K).o(-1, z)
+            -_qa_sum(x, y, z, -1, -1, kosz, K, cut)
+            + kosz * _qa_sum(y, x, z, -1, -1, kosz, K, cut)
+            - kosz * _qc_sum(y, x, -1, kosz, K, cut).o(-1, z)
         ).terms)
         for j in range(K + 1):
-            tower = _tower(x.o(j, y), j)
+            base = truncate(x.o(j, y), cut)
+            if not base.terms:
+                continue
+            tower = _tower(base, j)
             for i in range(j + 1):
                 c = Q(minus_one_pow(j + 1) * factorial(i), factorial(j + 1))
                 fam_e(tower[j - i], z, -1 - i)._add_into(rhs, -c)
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n >= 0:
         for k in range(K + 1):
-            x.o(k, y).o(n - 1 - k, z)._add_into(lhs, -minus_one_pow(k))
+            truncate(x.o(k, y), cut).o(n - 1 - k, z)._add_into(lhs, -minus_one_pow(k))
         for k in range(n + 1):
             ck = binom(n, k)
-            qa = fam_qa(y, x, z, k, n - 1 - k, None, K=K)
+            qa = _qa_sum(y, x, z, k, n - 1 - k, kosz, K, cut)
             qa._add_into(rhs, kosz * ck)
-            qc = fam_qc(y, x, k, None, K=K)
+            qc = _qc_sum(y, x, k, kosz, K, cut)
             qc.o(n - 1 - k, z)._add_into(rhs, -kosz * ck)
             for j in range(1, K + 1):
-                tower = _tower(x.o(k + j, y), j - 1)
+                base = truncate(x.o(k + j, y), cut)
+                if not base.terms:
+                    continue
+                tower = _tower(base, j - 1)
                 for i in range(j):
                     sgn = minus_one_pow(k + j + i)
                     c = Q(ck * sgn * falling(n - 1 - k, i), factorial(j))
@@ -244,8 +266,12 @@ def borcherds_bridge(identity_id, args, policy, K=None):
     rule of fam_qc and fam_qa: without a policy a given `K` is taken as
     given; under one it must reach the bound the identity's tails need, or
     CertificationError is raised.  With no `K` the bound is that need, at
-    least policy.level; a tail without a policy or over compound arguments
-    then raises.  Returns (lhs, rhs).
+    least the policy's level; a tail without a policy or over compound
+    arguments then raises.  The builder gets `policy` as its cut, so the
+    tail summands the truncation would drop are never built past their
+    base product; the sides equal the truncation of the uncut ones at the
+    same K.  Without a policy both sides are returned untruncated.
+    Returns (lhs, rhs).
     """
     try:
         names, build, tails = BRIDGES[identity_id]
@@ -261,10 +287,8 @@ def borcherds_bridge(identity_id, args, policy, K=None):
     if extra:
         raise ValueError(f"{identity_id} got unknown args: {', '.join(extra)}")
     K = _certified_bound(identity_id, K, policy, tails(**got))
-    lhs, rhs = build(K=K, **got)
-    if policy is not None:
-        lhs, rhs = truncate(lhs, policy), truncate(rhs, policy)
-    return lhs, rhs
+    lhs, rhs = build(K=K, cut=policy, **got)
+    return truncate(lhs, policy), truncate(rhs, policy)
 
 
 # derived locality ------------------------------------------------------------

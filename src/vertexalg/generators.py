@@ -3,6 +3,19 @@
 Infinite-tail families (qc, qa) are built up to a finite bound K together
 with a certificate that every dropped summand contains a leaf-pair product
 at or past its locality threshold, so dropping it agrees with truncate().
+truncate(x, None) is x itself, so a caller passes its policy, or None,
+without branching on it.
+
+The qc and qa sums are written once each, in _qc_sum and _qa_sum, which
+take a policy `cut`: each tail summand's base product passes through
+truncate(base, cut) before D^k or an outer product wraps it, and a
+summand whose base is empty is skipped.  Wrapping keeps every subtree,
+so a term built over a dead base term is dead itself, and cutting early
+then truncating the sum equals truncating the uncut sum, for any deadness
+rule.  fam_qc and fam_qa certify K and call the sums with cut=None, so
+every generator instance keeps its dead tail summands; the bridge
+identities, which truncate their sides anyway, pass their policy.
+
 FAMILIES describes the ten families once: arity, index names, what else
 the builder needs, and the builder that build_generator calls.
 """
@@ -91,6 +104,9 @@ def _term_is_dead(t, policy: TruncationPolicy) -> bool:
 
 
 def truncate(x: Element, policy: TruncationPolicy) -> Element:
+    """x without its dead terms under policy; x itself if policy is None."""
+    if policy is None:
+        return x
     kept = {t: c for t, c in x.terms.items() if not _term_is_dead(t, policy)}
     return Element._trusted(x.alphabet, kept)
 
@@ -192,6 +208,37 @@ def fam_f(x: Element, y: Element, n: int) -> Element:
     return fam_d(x, y, n) + fam_e(x, y, n)
 
 
+def _qc_sum(x, y, n: int, sign: int, K: int, cut) -> Element:
+    """x o_n y plus sign * sum_{k<=K} (-1)^{n+k}/k! D^k(y o_{n+k} x), each
+    base y o_{n+k} x cut under `cut` before D^k wraps it."""
+    acc = dict(x.o(n, y).terms)
+    for k in range(K + 1):
+        base = truncate(y.o(n + k, x), cut)
+        if base.terms:
+            c = Q(sign * minus_one_pow(n + k), factorial(k))
+            base.D_pow(k)._add_into(acc, c)
+    return Element._trusted(x.alphabet, acc)
+
+
+def _qa_sum(x, y, z, m: int, n: int, sign: int, K: int, cut) -> Element:
+    """(x o_m y) o_n z minus the qa tail up to K; sign is the Koszul sign
+    of (x, y).  Each inner product is cut under `cut` before the outer
+    product wraps it."""
+    sign_xy = minus_one_pow(m) * sign
+    acc = dict(x.o(m, y).o(n, z).terms)
+    for k in range(K + 1):
+        c = binom(m, k) * minus_one_pow(k)
+        if c == 0:
+            continue
+        inner = truncate(y.o(n + k, z), cut)
+        if inner.terms:
+            x.o(m - k, inner)._add_into(acc, -c)
+        inner = truncate(x.o(k, z), cut)
+        if inner.terms:
+            y.o(m + n - k, inner)._add_into(acc, c * sign_xy)
+    return Element._trusted(x.alphabet, acc)
+
+
 def fam_qc(
     x: Element,
     y: Element,
@@ -201,11 +248,7 @@ def fam_qc(
 ) -> Element:
     sign = minus_one_pow(_parity_of(x, "qc arg x") * _parity_of(y, "qc arg y"))
     K = _certified_bound("qc", K, policy, [(y, x, n)])
-    acc = dict(x.o(n, y).terms)
-    for k in range(K + 1):
-        c = Q(sign * minus_one_pow(n + k), factorial(k))
-        y.o(n + k, x).D_pow(k)._add_into(acc, c)
-    return Element._trusted(x.alphabet, acc)
+    return _qc_sum(x, y, n, sign, K, None)
 
 
 def fam_qa(
@@ -217,18 +260,11 @@ def fam_qa(
     policy: TruncationPolicy,
     K: int = None,
 ) -> Element:
-    sign_xy = minus_one_pow(m + _parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
+    sign = minus_one_pow(_parity_of(x, "qa arg x") * _parity_of(y, "qa arg y"))
     # a tail with m >= 0 is finite: binom(m, k) vanishes past k = m
     tails = m if m >= 0 else [(y, z, n), (x, z, 0)]
     K = _certified_bound("qa", K, policy, tails)
-    acc = dict(x.o(m, y).o(n, z).terms)
-    for k in range(K + 1):
-        c = binom(m, k) * minus_one_pow(k)
-        if c == 0:
-            continue
-        x.o(m - k, y.o(n + k, z))._add_into(acc, -c)
-        y.o(m + n - k, x.o(k, z))._add_into(acc, c * sign_xy)
-    return Element._trusted(x.alphabet, acc)
+    return _qa_sum(x, y, z, m, n, sign, K, None)
 
 
 def fam_s(s: Element, t: Element, model) -> Element:

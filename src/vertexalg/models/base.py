@@ -50,11 +50,19 @@ def case_check(cid: str, cases, probe, limit: int = None, **extra) -> dict:
     return check(cid, ran > 0, cases=ran, skipped=skipped or None, **extra)
 
 
+# the makers build their alphabets eagerly up to max_degree, so a model
+# file may not ask for more; at 64 make_derham2, the largest, builds about
+# 15k symbols, and the shipped models stay at 6 or below
+MAX_DEGREE = 64
+
+
 def degree_cap(max_degree) -> int:
-    """A maker's max_degree: a non-negative int, else a ValueError naming
-    the field."""
-    return expect(type(max_degree) is int and max_degree >= 0, "max_degree",
-                  "a non-negative integer", max_degree)
+    """A maker's max_degree: an int from 0 to MAX_DEGREE, else a ValueError
+    naming the field."""
+    expect(type(max_degree) is int and max_degree >= 0, "max_degree",
+           "a non-negative integer", max_degree)
+    return expect(max_degree <= MAX_DEGREE, "max_degree",
+                  f"at most {MAX_DEGREE}", max_degree)
 
 
 class Commutative(NamedTuple):

@@ -230,13 +230,13 @@ def reduce_element(
 
 def _reduce(x: Element, rules: RuleSet, budget: int) -> ReductionReport:
     steps = 0
-    current = truncate(x, rules.policy) if rules.policy else x
+    current = truncate(x, rules.policy)
     while True:
         nxt, fired, refused = _one_pass(current, rules, budget - steps)
         if not (fired or refused):
             return ReductionReport(current, steps, "normal-form")
         steps += fired
-        current = truncate(nxt, rules.policy) if rules.policy else nxt
+        current = truncate(nxt, rules.policy)
         if refused:
             return ReductionReport(current, steps, "budget-exhausted")
 

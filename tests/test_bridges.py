@@ -19,9 +19,13 @@ from vertexalg.generators import (
     CertificationError,
     TruncationPolicy,
     _certified_bound,
+    fam_qa,
+    fam_qc,
     truncate,
 )
 from vertexalg.terms import Alphabet, Element, Node, Symbol
+
+from test_generators import _dead_one_early
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +175,72 @@ class TestCommutatorBridge:
             borcherds_bridge(
                 "commutator", {"x": x, "y": y, "z": z, "m": -2, "n": 0}, POL
             )
+
+
+def _cut_cases(al):
+    """(identity, args, leaf names) for every identity over a small index
+    window, with even and odd (x, y)."""
+    cases = [("i-induction", {"x": S(al, "u"), "n": n}, ("u", "v"))
+             for n in range(-3, 3)]
+    for nx, ny in (("u", "v"), ("p", "q")):
+        x, y, z = S(al, nx), S(al, ny), S(al, "w")
+        cases += [
+            (ident, {"x": x, "y": y, "n": n}, (nx, ny))
+            for ident in ("e-bridge", "d-induction", "qc-induction", "qc-symmetry")
+            for n in range(-3, 3)
+        ]
+        cases += [
+            (ident, {"x": x, "y": y, "z": z, "m": m, "n": n}, (nx, ny, "w"))
+            for ident in ("qa-m-induction", "qa-n-induction", "commutator")
+            for m, n in itertools.product((-1, 0, 1), repeat=2)
+        ]
+    assert {ident for ident, _, _ in cases} == set(BRIDGE_IDS)
+    return cases
+
+
+def _cut_faults(al):
+    """Every case and policy of the grid where the sides borcherds_bridge
+    builds, cutting each tail summand's base under the policy, differ from
+    the truncation of the uncut sides at the same K, term order included."""
+    faults = []
+    for ident, args, names in _cut_cases(al):
+        for pol in policy_grid(*names):
+            K = picked_bound(ident, args, pol)
+            got = borcherds_bridge(ident, args, pol)
+            uncut = borcherds_bridge(ident, args, None, K=K)
+            want = tuple(truncate(side, pol) for side in uncut)
+            if [list(side.terms.items()) for side in got] != [
+                    list(side.terms.items()) for side in want]:
+                faults.append((ident, args, pol, K))
+    return faults
+
+
+class TestCutAsBuilt:
+    # a term built over a dead base term is dead, so cutting the bases
+    # early leaves the truncated sides as they are, under any deadness rule
+    def test_cut_sides_equal_the_truncated_uncut_sides(self, al):
+        assert _cut_faults(al) == []
+
+    def test_equal_under_a_deadness_mutant(self, al, monkeypatch):
+        _dead_one_early(monkeypatch)
+        assert _cut_faults(al) == []
+
+    def test_truncate_without_a_policy_is_the_identity(self, al):
+        x = S(al, "u").o(5, S(al, "v")) + S(al, "w")
+        assert truncate(x, None) is x
+
+    def test_the_families_keep_their_dead_tail_summands(self, al):
+        # only the bridges cut: generator instances are the full sums at
+        # the certified bound, dead summands included
+        u, v, w = S(al, "u"), S(al, "v"), S(al, "w")
+        (dead,) = v.o(3, u).D_pow(4).terms
+        qc = fam_qc(u, v, -1, POL)
+        assert qc.terms[dead] == Q(-1, 24)
+        assert truncate(qc, POL) != qc
+        (dead,) = u.o(-5, v.o(3, w)).terms
+        qa = fam_qa(u, v, w, -1, -1, POL)
+        assert qa.terms[dead] == -1
+        assert truncate(qa, POL) != qa
 
 
 class TestLevelIndependence:

@@ -100,6 +100,18 @@ def test_sheaf_check_disagreeing_sections_fail(capsys):
     assert out[-1] == "1/2 checks passed"
 
 
+@pytest.mark.parametrize("extra,error", (
+    (["--sections", "f"], "cover has 2 patches, got 1 sections"),
+    (["--sections", "f"] * 3, "cover has 2 patches, got 3 sections"),
+    ([], "sheaf check needs --sections or --global"),
+), ids=("one-section", "three-sections", "no-sections"))
+def test_sheaf_check_refusal_is_an_error_line(capsys, extra, error):
+    assert main(["sheaf", "check", "--cover", COVER_TWO, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [f"error: {error}"]
+    assert captured.out == ""
+
+
 def test_verify_report_records(tmp_path, capsys):
     path = tmp_path / "report.json"
     argv = ["verify", "dong", "sheaf", "--samples", "5", "--report", str(path)]
@@ -288,6 +300,11 @@ def test_index_window_zero_runs(capsys):
     ('{"kind": "CurrentLie"}', "CurrentLie needs the parameter 'variables'"),
     ('{"kind": "DiffPoly", "max_degree": "x"}',
      'max_degree: expected a non-negative integer, got "x"'),
+    # the makers build every symbol up to max_degree, so 2**70 would not end
+    ('{"kind": "Weyl1", "max_degree": 1180591620717411303424}',
+     "max_degree: expected at most 64, got 1180591620717411303424"),
+    ('{"kind": "DeRham2Conn", "max_degree": 65}',
+     "max_degree: expected at most 64, got 65"),
     ('{"kind": "CurrentLie", "variables": ["e1", "e2"], '
      '"structure_constants": [[0, 5, 1, "1"]]}',
      'structure_constants[0]: expected [i, j, k, c] with i, j, k in 0..1, '
@@ -300,7 +317,8 @@ def test_index_window_zero_runs(capsys):
     ('{"kind": "DeRham2Conn", "connection": ["1/0", "0"]}',
      "connection[0]: bad coefficient '1/0' in '1/0'"),
 ), ids=("list", "null", "no-kind", "kind-list", "unknown-kind", "misspelt-field",
-        "missing-field", "degree-text", "constant-index", "constant-short", "variables-number",
+        "missing-field", "degree-text", "degree-huge", "degree-derham2",
+        "constant-index", "constant-short", "variables-number",
         "connection-numbers", "connection-zero-denominator"))
 def test_malformed_model_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "model.json"

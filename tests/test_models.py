@@ -385,6 +385,16 @@ class TestLoaders:
         with pytest.raises(ValueError, match="kind"):
             make_model("Octonion")
 
+    @pytest.mark.parametrize("kind", ("DiffPoly", "Weyl1", "DeRham1", "DeRham2Conn"))
+    def test_each_maker_builds_at_the_degree_ceiling(self, kind):
+        # the ceiling is a bound the makers meet, not one they fall short of;
+        # one past it is refused by name
+        model = make_model(kind, {"max_degree": base.MAX_DEGREE})
+        assert model.max_degree == base.MAX_DEGREE
+        with pytest.raises(ValueError, match=f"max_degree: expected at most "
+                           f"{base.MAX_DEGREE}, got {base.MAX_DEGREE + 1}"):
+            make_model(kind, {"max_degree": base.MAX_DEGREE + 1})
+
     def test_symbol_names_read_back(self):
         # pow_name and vf_name write the names _name_exp reads; b^0 is 1
         assert [pow_name(k) for k in range(3)] == ["1", "b", "b2"]

@@ -152,10 +152,30 @@ class TestImages:
         assert phi.apply(one) == one
         assert psi.apply(one) == one
 
-
     def test_images_must_be_over_the_target(self, diffpoly, weyl):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^images of \['b'\] are not over "
+                           "the target alphabet$"):
             Morphism("bad", weyl, weyl, {"b": Element.sym(diffpoly.alphabet, "b")})
+
+
+class TestRefusals:
+    def test_the_unit_is_no_table_key(self, diffpoly):
+        one = Element.unit(diffpoly.alphabet)
+        with pytest.raises(ValueError, match="^the unit maps to the unit; leave it out$"):
+            Morphism("bad", diffpoly, diffpoly, {one.alphabet.unit.name: one})
+
+    def test_a_symbol_without_an_image_is_a_key_error(self, diffpoly):
+        partial = Morphism("partial", diffpoly, diffpoly, {})
+        with pytest.raises(KeyError) as exc:
+            partial.image_of_symbol(diffpoly.alphabet.symbol("b"))
+        assert exc.value.args == ("morphism partial has no image for 'b'",)
+
+    def test_compose_needs_matching_models(self, diffpoly, weyl):
+        phi, _ = shipped_morphisms(diffpoly)
+        psi, _ = shipped_morphisms(weyl)
+        with pytest.raises(ValueError,
+                           match="^composition needs inner.target == self.source$"):
+            phi.compose(psi)
 
 
 class TestComposition:
