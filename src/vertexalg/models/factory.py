@@ -1,10 +1,11 @@
 """Shipped coefficient models and the model-definition file loader.
 
-Kinds: DiffPoly (rational polynomials in one variable, zero bracket),
-Weyl1 (polynomial vector fields on the line acting on polynomials),
-CurrentLie (finite-dimensional Lie algebra from structure constants,
-trivial commutative part), and the differential-form models DeRham1 /
-DeRham2Conn built in the geometry module.
+Kinds: Weyl1 (polynomials b^k and vector fields b^k del on the line),
+DiffPoly (Weyl1's function part: the b^k alone, zero bracket, with the
+commutative quotient; one maker builds both, so their shared tables
+agree entry for entry), CurrentLie (finite-dimensional Lie algebra from
+structure constants, trivial commutative part), and the differential-form
+models DeRham1 / DeRham2Conn built in the geometry module.
 
 KINDS maps each kind to its maker.  A model file is one JSON object
 {"kind": K, ...} whose other fields are keyword arguments of K's maker;
@@ -54,68 +55,28 @@ def _name_exp(name: str) -> tuple:
     return int(core[1:]), vf
 
 
-# DiffPoly ---------------------------------------------------------------------
+# DiffPoly and Weyl1 -----------------------------------------------------------
 
 
-def make_diffpoly(max_degree: int = 6) -> Model:
-    max_degree = degree_cap(max_degree)
-    al = Alphabet()
-    for k in range(1, max_degree + 1):
-        al.add(Symbol(pow_name(k), 0, Q(0), "algebra"))
-
-    def monomial_elem(k: int, coeff) -> Element:
-        if k == 0:
-            return Element.unit(al, coeff)
-        if k > max_degree:
-            raise ModelDegreeError(f"b^{k} exceeds the degree cap {max_degree}")
-        return Element.sym(al, pow_name(k), coeff)
-
-    def poly_to_elem(p: Poly1) -> Element:
-        out = Element.zero(al)
-        for k, c in p.c.items():
-            out = out + monomial_elem(k, c)
-        return out
-
-    def bracket(s, t):
-        return Element.zero(al)
-
-    def product(a, b):
-        return monomial_elem(_name_exp(a.name)[0] + _name_exp(b.name)[0], 1)
-
-    def action(a, s):
-        raise ValueError("DiffPoly has no Lie symbols")
-
-    comm = Commutative(lambda s: Poly1.mono(_name_exp(s.name)[0]), poly_to_elem)
-    low = [pow_name(k) for k in range(1, max_degree // 2 + 1)]
-    return Model(
-        "diffpoly",
-        al,
-        bracket,
-        product,
-        action,
-        max_degree=max_degree,
-        commutative=comm,
-        meta={"kind": "DiffPoly", "sample_symbols": low},
-    )
-
-
-# Weyl1 ------------------------------------------------------------------------
-
-
-def make_weyl1(max_degree: int = 6) -> Model:
-    """Polynomials b^k and vector fields b^k del on the line.
+def _line_model(max_degree: int, fields: bool) -> Model:
+    """Polynomials b^k on the line, and with fields the vector fields
+    b^k del acting on them.
 
     [p del, q del] = (p q' - q p') del, [p del, q] = p q', products cap at
-    the configured degree.
+    the configured degree.  Without fields there is no Lie symbol, every
+    bracket is zero, and the model carries its commutative quotient.
     """
     max_degree = degree_cap(max_degree)
     al = Alphabet()
     for k in range(1, max_degree + 1):
         al.add(Symbol(pow_name(k), 0, Q(0), "algebra"))
-    for k in range(0, max_degree + 1):
-        al.add(Symbol(vf_name(k), 0, Q(0), "lie"))
+    low = [pow_name(k) for k in range(1, max_degree // 2 + 1)]
+    if fields:
+        for k in range(0, max_degree + 1):
+            al.add(Symbol(vf_name(k), 0, Q(0), "lie"))
+        low += [vf_name(k) for k in range(0, max_degree // 2 + 1)]
 
-    def monomial_elem(k: int, coeff, vf: bool) -> Element:
+    def monomial_elem(k: int, coeff, vf: bool = False) -> Element:
         if coeff == 0:
             return Element.zero(al)
         if k > max_degree:
@@ -132,30 +93,46 @@ def make_weyl1(max_degree: int = 6) -> Model:
             return monomial_elem(i + j - 1, j - i, True)
         if s_vf and not t_vf:
             # p q' with p = b^i, q = b^j
-            return monomial_elem(i + j - 1, j, False)
+            return monomial_elem(i + j - 1, j)
         if t_vf and not s_vf:
-            return monomial_elem(i + j - 1, -i, False)
+            return monomial_elem(i + j - 1, -i)
         return Element.zero(al)
 
     def product(a, b):
-        return monomial_elem(_name_exp(a.name)[0] + _name_exp(b.name)[0], 1, False)
+        return monomial_elem(_name_exp(a.name)[0] + _name_exp(b.name)[0], 1)
 
     def action(a, s):
         return monomial_elem(_name_exp(a.name)[0] + _name_exp(s.name)[0], 1, True)
 
-    low = [pow_name(k) for k in range(1, max_degree // 2 + 1)] + [
-        vf_name(k) for k in range(0, max_degree // 2 + 1)
-    ]
+    def poly_to_elem(p: Poly1) -> Element:
+        out = Element.zero(al)
+        for k, c in p.c.items():
+            out = out + monomial_elem(k, c)
+        return out
+
+    comm = None if fields else Commutative(
+        lambda s: Poly1.mono(_name_exp(s.name)[0]), poly_to_elem)
+    name, kind = ("weyl1", "Weyl1") if fields else ("diffpoly", "DiffPoly")
     return Model(
-        "weyl1",
+        name,
         al,
         bracket,
         product,
         action,
         max_degree=max_degree,
-        commutative=None,
-        meta={"kind": "Weyl1", "sample_symbols": low},
+        commutative=comm,
+        meta={"kind": kind, "sample_symbols": low},
     )
+
+
+def make_diffpoly(max_degree: int = 6) -> Model:
+    """Weyl1's function part: b^k alone, zero bracket, commutative quotient."""
+    return _line_model(max_degree, fields=False)
+
+
+def make_weyl1(max_degree: int = 6) -> Model:
+    """Polynomials b^k and vector fields b^k del on the line."""
+    return _line_model(max_degree, fields=True)
 
 
 # CurrentLie -------------------------------------------------------------------

@@ -170,17 +170,19 @@ def functor_laws(
 
 
 def shipped_morphisms(model: Model) -> tuple:
-    """Two nontrivial endomorphisms of diffpoly or weyl1."""
+    """Two nontrivial endomorphisms of diffpoly or weyl1, by one rule over
+    the non-unit symbols: b -> 2b with del -> del/2 (named "double" on
+    diffpoly, "scale" on weyl1), and the shift b -> b+1, del -> del."""
     from .factory import _name_exp, pow_name, vf_name
 
+    first = {"diffpoly": "double", "weyl1": "scale"}.get(model.name)
+    if first is None:
+        raise ValueError(f"no shipped morphisms for model {model.name!r}")
     al = model.alphabet
 
-    def powers(scale_b: Fraction, shift: bool) -> list:
-        # (scale_b*b + (shift ? 1 : 0))^k for k = 0..max_degree, each power
-        # the product of the one before it and the base
-        base = Element.sym(al, pow_name(1), scale_b)
-        if shift:
-            base = base + Element.unit(al)
+    def powers(base: Element) -> list:
+        # base^k for k = 0..max_degree, each power the product of the one
+        # before it and the base
         out = [Element.unit(al)]
         for _ in range(model.max_degree):
             out.append(model.mul_elem(out[-1], base))
@@ -196,30 +198,16 @@ def shipped_morphisms(model: Model) -> tuple:
             Element.sym(al, vf_name(e))._add_into(out, c * scale_del)
         return Element._trusted(al, out)
 
-    if model.name == "diffpoly":
-        doubled, shifted = powers(Q(2), False), powers(Q(1), True)
-        doubling = {
-            s.name: doubled[_name_exp(s.name)[0]] for s in model.symbols(("algebra",))
-        }
-        shift = {
-            s.name: shifted[_name_exp(s.name)[0]] for s in model.symbols(("algebra",))
-        }
-        return (
-            Morphism("double", model, model, doubling),
-            Morphism("shift", model, model, shift),
-        )
-    if model.name == "weyl1":
-        # b -> 2b, del -> del/2 and b -> b+1, del -> del
-        scaled, shifted = powers(Q(2), False), powers(Q(1), True)
-        scale_table, shift_table = {}, {}
-        for s in model.symbols():
-            if s.kind == "unit":
-                continue
-            k, vf = _name_exp(s.name)
-            scale_table[s.name] = poly_image(scaled[k], vf, Q(1, 2))
-            shift_table[s.name] = poly_image(shifted[k], vf)
-        return (
-            Morphism("scale", model, model, scale_table),
-            Morphism("shift", model, model, shift_table),
-        )
-    raise ValueError(f"no shipped morphisms for model {model.name!r}")
+    b = Element.sym(al, pow_name(1))
+    scaled, shifted = powers(2 * b), powers(b + Element.unit(al))
+    scale_table, shift_table = {}, {}
+    for s in model.symbols():
+        if s.kind == "unit":
+            continue
+        k, vf = _name_exp(s.name)
+        scale_table[s.name] = poly_image(scaled[k], vf, Q(1, 2))
+        shift_table[s.name] = poly_image(shifted[k], vf)
+    return (
+        Morphism(first, model, model, scale_table),
+        Morphism("shift", model, model, shift_table),
+    )

@@ -195,6 +195,16 @@ def test_gen_missing_indices_is_an_error_line(capsys):
     ]
 
 
+# diffpoly is weyl1's function part, built by the same maker, so a
+# product past the degree cap is refused in the same words
+@pytest.mark.parametrize("model", ("diffpoly", "weyl1"))
+def test_degree_cap_is_one_error_line(capsys, model):
+    assert main(["reduce", "o{-1}(b6, b)", "--model", model]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: degree 7 exceeds the cap 6"]
+    assert captured.out == ""
+
+
 def test_models_lists_shipped_models(capsys):
     assert main(["models"]) == 0
     lines = capsys.readouterr().out.splitlines()
@@ -265,7 +275,13 @@ def test_gen_builds_every_family(capsys, argv, first):
     (["k", "--args", "f"], "k-family needs --cover"),
     (["i", "--args", "u", "--args", "v", "--n", "0"],
      "i-family takes 1 args and indices ('n',)"),
-), ids=("c-live-pair", "s-without-model", "k-without-cover", "i-two-args"))
+    # a current algebra's commutative part is the unit alone
+    (["am", "--args", "e1", "--args", "e2", "--args", "e1", "--model", "current2"],
+     "current2 has no commutative symbols beyond the unit"),
+    (["a", "--args", "e1", "--args", "e2", "--model", "current2"],
+     "current2: only the unit acts"),
+), ids=("c-live-pair", "s-without-model", "k-without-cover", "i-two-args",
+        "am-on-current", "a-on-current"))
 def test_gen_family_refusals_are_error_lines(capsys, argv, error):
     assert main(["gen"] + argv) == 2
     captured = capsys.readouterr()
@@ -281,6 +297,13 @@ def test_empty_sampling_ranges_are_error_lines(capsys, argv, error):
     assert main(["verify"] + argv) == 2
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {error}"]
+    assert captured.out == ""
+
+
+def test_locality_above_the_truncation_level_is_an_error_line(capsys):
+    assert main(["verify", "borcherds", "--locality", "4", "--trunc", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["error: need 1 <= locality <= trunc_level"]
     assert captured.out == ""
 
 
@@ -311,6 +334,9 @@ def test_index_window_zero_runs(capsys):
      'got [0, 5, 1, "1"]'),
     ('{"kind": "CurrentLie", "variables": ["e1", "e2"], "structure_constants": [[0, 1]]}',
      "structure_constants[0]: expected [i, j, k, c] with i, j, k in 0..1, got [0, 1]"),
+    ('{"kind": "CurrentLie", "variables": ["e1", "e2"], '
+     '"structure_constants": [[0, 0, 1, "1"]]}',
+     "structure_constants[0]: needs i != j"),
     ('{"kind": "CurrentLie", "variables": 3}', "variables: expected a list of names, got 3"),
     ('{"kind": "DeRham2Conn", "connection": [1, 2]}',
      "connection: expected [a1, a2] as polynomial text, got [1, 2]"),
@@ -318,7 +344,7 @@ def test_index_window_zero_runs(capsys):
      "connection[0]: bad coefficient '1/0' in '1/0'"),
 ), ids=("list", "null", "no-kind", "kind-list", "unknown-kind", "misspelt-field",
         "missing-field", "degree-text", "degree-huge", "degree-derham2",
-        "constant-index", "constant-short", "variables-number",
+        "constant-index", "constant-short", "constant-diagonal", "variables-number",
         "connection-numbers", "connection-zero-denominator"))
 def test_malformed_model_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "model.json"
@@ -327,6 +353,14 @@ def test_malformed_model_file_is_an_error_line(tmp_path, capsys, text, error):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {error}"]
     assert "Traceback" not in captured.err
+
+
+def test_unknown_shipped_model_is_an_error_line(capsys):
+    assert main(["reduce", "b", "--model", "nope"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown model 'nope'; shipped: current2, current3, derham1, "
+        "derham2_b2, derham2_lin, diffpoly, weyl1"
+    ]
 
 
 def _cover_two_with(**fields):

@@ -1,10 +1,12 @@
 """Concrete models: construction, law validation, evaluation oracles."""
 
+import functools
 import hashlib
 import json
 import random
 from fractions import Fraction as Q
 from importlib import resources
+from itertools import product
 from math import factorial
 
 import pytest
@@ -12,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from vertexalg import rewrite
 from vertexalg.generators import TruncationPolicy
-from vertexalg.models import base
+from vertexalg.models import base, factory
 from vertexalg.models.base import (
     ModelDegreeError,
     case_check,
@@ -29,9 +31,10 @@ from vertexalg.models.factory import (
     shipped_model_names,
     vf_name,
 )
-from vertexalg.models.morphisms import random_tree
+from vertexalg.models.morphisms import random_tree, shipped_morphisms
 from vertexalg.models.polys import Poly1
 from vertexalg.parsing import parse, to_text
+from vertexalg.suites import run_suite
 from vertexalg.terms import Element, Symbol
 
 SHIPPED = (
@@ -220,6 +223,62 @@ class TestWeyl1:
         x = parse("o{0}(o{0}(del, bdel), b)", al)
         rep = reduce_element(x, RuleSet(model))
         assert rep.result == Element.unit(al)
+
+
+class TestFunctionPart:
+    """DiffPoly is Weyl1's function part: one maker builds both, so every
+    table entry over the functions b^k is the same in the two models."""
+
+    def test_alphabet_and_sample_pool_are_the_algebra_prefix(self, diffpoly, weyl):
+        names, fields = diffpoly.alphabet.names(), weyl.alphabet.names()
+        assert fields[:len(names)] == names
+        assert {weyl.alphabet.symbol(n).kind for n in fields[len(names):]} == {"lie"}
+        assert [s.name for s in diffpoly.sample_symbols()] == [
+            s.name for s in weyl.sample_symbols(("algebra", "unit"))]
+
+    def test_every_shared_entry_agrees(self, diffpoly, weyl):
+        def entry(model, op, s, t):
+            sym = model.alphabet.symbol
+            try:
+                return to_text(getattr(model, op)(sym(s.name), sym(t.name)))
+            except ModelDegreeError:
+                return ModelDegreeError
+        cases = [(op, s, t) for op in ("mul", "bracket")
+                 for s, t in product(diffpoly.symbols(), repeat=2)]
+        assert len(cases) == 98
+        for op, s, t in cases:
+            assert entry(diffpoly, op, s, t) == entry(weyl, op, s, t), (op, s, t)
+
+    def test_only_the_function_part_has_a_commutative_quotient(self, diffpoly, weyl):
+        assert diffpoly.commutative is not None
+        assert weyl.commutative is None
+
+    def test_shipped_morphisms_agree_on_the_functions(self, diffpoly, weyl):
+        for phi, psi in zip(shipped_morphisms(diffpoly), shipped_morphisms(weyl)):
+            assert list(phi.table) == list(psi.table)[:len(phi.table)]
+            for name, img in phi.table.items():
+                assert to_text(img) == to_text(psi.table[name]), (phi.name, name)
+
+
+def test_doubled_vector_field_bracket_fails_souped(monkeypatch):
+    # the shared bracket stays checkable: with every [b^i del, b^j del]
+    # doubled, the derivation law of the souped suite names a witness
+    make = factory.KINDS["Weyl1"]
+
+    # make_model reads the maker's signature, which wraps carries over
+    @functools.wraps(make)
+    def doubled(**params):
+        model = make(**params)
+        bracket = model._bracket
+        model._bracket = lambda s, t: (
+            2 * bracket(s, t) if s.kind == t.kind == "lie" else bracket(s, t))
+        return model
+
+    monkeypatch.setitem(factory.KINDS, "Weyl1", doubled)
+    report = run_suite("souped", samples=5, seed=0)
+    failed = {c["id"]: c for c in report["checks"] if c["status"] == "fail"}
+    assert set(failed) == {"weyl1-bracket-derivation-compat", "weyl1-module-laws"}
+    assert failed["weyl1-bracket-derivation-compat"]["witness"] == "del, b, b3del"
 
 
 class TestTables:

@@ -177,6 +177,11 @@ class TestRefusals:
                            match="^composition needs inner.target == self.source$"):
             phi.compose(psi)
 
+    def test_a_model_without_shipped_morphisms_is_refused(self):
+        with pytest.raises(ValueError,
+                           match="^no shipped morphisms for model 'current2'$"):
+            shipped_morphisms(shipped_model("current2"))
+
 
 class TestComposition:
     def test_identity_fixes_everything(self, diffpoly):

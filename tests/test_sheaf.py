@@ -13,6 +13,7 @@ from vertexalg.models.morphisms import random_tree
 from vertexalg.models.polys import PolyVars
 from vertexalg.parsing import parse, to_text
 from vertexalg.sheaf import (
+    SheafContext,
     SupportError,
     _class_key,
     check_cover,
@@ -180,6 +181,54 @@ def test_declare_partition_refusals(members, error):
         ctx.declare_partition(members)
     assert str(info.value) == error
     assert ctx._partitions == before
+
+
+def _on_zero_three():
+    return SheafContext(SupportSet.closed(0, 3))
+
+
+def _overlapping_plateaus():
+    # r3 sits on its plateau everywhere, and r1 on its own over [0, 1]:
+    # two members equal to 1 there cannot sum to 1
+    ctx = _on_zero_three()
+    ctx.declare_bump("r1", SupportSet.closed(0, 1), SupportSet.closed(0, 1))
+    ctx.declare_bump("r3", SupportSet.closed(0, 3), SupportSet.closed(0, 3))
+    ctx.declare_partition(("r1", "r3"))
+
+
+def _restrict_past_the_universe():
+    ctx, _ = make_cover_three()
+    restrict(Element.sym(ctx.alphabet, "f"), SupportSet.closed(0, 5), ctx)
+
+
+def _dress_by_a_section():
+    ctx, _ = make_cover_three()
+    sigma_star("f", Element.sym(ctx.alphabet, "f"), ctx)
+
+
+@pytest.mark.parametrize("refused,error", (
+    (lambda: SheafContext(SupportSet.open(0, 3)),
+     "universe must be a nonempty closed set"),
+    (lambda: SheafContext(SupportSet.empty()),
+     "universe must be a nonempty closed set"),
+    (lambda: _on_zero_three().declare_section("f", SupportSet.closed(0, 4)),
+     "support of f leaves the universe"),
+    (lambda: _on_zero_three().declare_bump("s", SupportSet.closed(-1, 3)),
+     "support of bump s leaves the universe"),
+    (lambda: _on_zero_three().declare_bump(
+        "s", SupportSet.closed(0, 1), SupportSet.closed(0, 2)),
+     "plateau of bump s leaves its support"),
+    (lambda: _on_zero_three().info("nobody"), "leaf nobody carries no support tag"),
+    (_overlapping_plateaus, "partition ('r1', 'r3') cannot sum to 1 near 1/2"),
+    (_restrict_past_the_universe, "restriction target leaves the universe"),
+    (_dress_by_a_section, "f is not a declared bump"),
+), ids=("open-universe", "empty-universe", "section-support", "bump-support",
+        "plateau", "untagged-leaf", "partition-two-ones", "restrict-outside",
+        "sigma-not-a-bump"))
+def test_sheaf_refusals_name_the_problem(refused, error):
+    with pytest.raises(SupportError) as info:
+        refused()
+    assert str(info.value) == error
 
 
 def test_restricted_symbol_comes_from_the_mint_memo(monkeypatch):
