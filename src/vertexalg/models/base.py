@@ -79,6 +79,11 @@ class Model:
     bracket(s, t) is defined on all symbol pairs, product(a, b) on the
     commutative part, action(a, g) for commutative a on Lie g.  All three
     return Elements; bilinear extensions accept leaf combinations.
+
+    Each table entry is computed once: the memo keeps the Element, or the
+    text of the ModelDegreeError the entry raised, and every call raises
+    a fresh ModelDegreeError with that text.  The bilinear extensions read
+    the memo inline and call the table only on a miss or a refusal.
     """
 
     def __init__(
@@ -117,43 +122,60 @@ class Model:
 
     # symbol-level tables (memoized; tables are pure) --------------------
 
+    # _cache maps (tag, s.name, t.name) to the entry's Element, or to the
+    # text of its refusal; _bilinear reads it inline under the same tags
+    _BRACKET, _MUL, _ACT = "b", "m", "a"
+
     def _memo(self, tag, s, t, fn):
         key = (tag, s.name, t.name)
         hit = self._cache.get(key)
         if hit is None:
-            hit = self._cache[key] = fn(s, t)
+            try:
+                hit = fn(s, t)
+            except ModelDegreeError as exc:
+                hit = str(exc)
+            self._cache[key] = hit
+        if hit.__class__ is str:
+            raise ModelDegreeError(hit)
         return hit
 
     def bracket(self, s: Symbol, t: Symbol) -> Element:
-        return self._memo("b", s, t, self._bracket)
+        return self._memo(self._BRACKET, s, t, self._bracket)
 
     def mul(self, a: Symbol, b: Symbol) -> Element:
         if a.kind == "unit":
             return self.leaf(b)
         if b.kind == "unit":
             return self.leaf(a)
-        return self._memo("m", a, b, self._product)
+        return self._memo(self._MUL, a, b, self._product)
 
     def act(self, a: Symbol, s: Symbol) -> Element:
         if s.kind in ("algebra", "unit"):
             return self.mul(a, s)
         if a.kind == "unit":
             return self.leaf(s)
-        return self._memo("a", a, s, self._action)
+        return self._memo(self._ACT, a, s, self._action)
 
     # bilinear extensions ----------------------------------------------
 
-    def _bilinear(self, x: Element, y: Element, table) -> Element:
+    def _bilinear(self, x: Element, y: Element, tag, table) -> Element:
         # products of stored coefficients are exact already: accumulate
-        # inline, deleting a term the moment it cancels
+        # inline, deleting a term the moment it cancels.  A memo hit is an
+        # Element; a miss, a refusal, or a pair the table answers without
+        # the memo (the unit, act on a function) goes through the table
         if leaf_terms(x) is None or leaf_terms(y) is None:
             raise ValueError("model tables apply to leaf combinations")
         ys = y.terms.items()
         acc = {}
         get = acc.get
+        memo = self._cache.get
         for s1, c1 in x.terms.items():
+            name = s1.name
             for s2, c2 in ys:
-                entry = table(s1, s2).terms
+                entry = memo((tag, name, s2.name))
+                if entry.__class__ is not Element:
+                    entry = table(s1, s2)
+                entry = entry.terms
                 if not entry:
                     continue
                 scale = c1 * c2
@@ -171,13 +193,13 @@ class Model:
         return Element._trusted(self.alphabet, acc)
 
     def bracket_elem(self, x: Element, y: Element) -> Element:
-        return self._bilinear(x, y, self.bracket)
+        return self._bilinear(x, y, self._BRACKET, self.bracket)
 
     def mul_elem(self, x: Element, y: Element) -> Element:
-        return self._bilinear(x, y, self.mul)
+        return self._bilinear(x, y, self._MUL, self.mul)
 
     def act_elem(self, x: Element, y: Element) -> Element:
-        return self._bilinear(x, y, self.act)
+        return self._bilinear(x, y, self._ACT, self.act)
 
     def symbols(self, kinds=None) -> list:
         out = []

@@ -16,7 +16,9 @@ from vertexalg import rewrite
 from vertexalg.generators import TruncationPolicy
 from vertexalg.models import base, factory
 from vertexalg.models.base import (
+    Model,
     ModelDegreeError,
+    battery_check,
     case_check,
     check,
     check_module_laws,
@@ -35,7 +37,7 @@ from vertexalg.models.morphisms import random_tree, shipped_morphisms
 from vertexalg.models.polys import Poly1
 from vertexalg.parsing import parse, to_text
 from vertexalg.suites import run_suite
-from vertexalg.terms import Element, Symbol
+from vertexalg.terms import Element, Symbol, fold_tree
 
 SHIPPED = (
     "current2",
@@ -302,6 +304,110 @@ class TestTables:
         assert weyl.mul(al.unit, b) is weyl.leaf(b)
         assert weyl.mul(b, al.unit) is weyl.leaf(b)
         assert weyl.act(al.unit, al.symbol("del")) is weyl.leaf(al.symbol("del"))
+
+
+class TestTableMemo:
+    """Each table entry is computed once, a refusal included, and the
+    bilinear extensions read the memo inline."""
+
+    CAP = "^degree 7 exceeds the cap 6$"
+
+    def test_a_refusal_is_stored_once_and_raised_fresh(self):
+        model = make_model("Weyl1")
+        b6, b = model.alphabet.symbol("b6"), model.alphabet.symbol("b")
+        before = len(model._cache)
+        with pytest.raises(ModelDegreeError, match=self.CAP) as first:
+            model.mul(b6, b)
+        with pytest.raises(ModelDegreeError, match=self.CAP) as second:
+            model.mul(b6, b)
+        assert len(model._cache) == before + 1
+        # a fresh exception per raise, so no traceback grows across calls
+        assert first.value is not second.value
+        with pytest.raises(ModelDegreeError, match=self.CAP):
+            model.mul_elem(model.leaf(b6), model.leaf(b))
+
+    def test_warm_pairs_are_read_without_a_table_call(self, monkeypatch):
+        # _bilinear's inline read and _memo key entries by the same tag, so
+        # once an entry is stored the extensions never call the table
+        model = make_model("Weyl1")
+        b, b2, dl = (model.leaf(model.alphabet.symbol(n)) for n in ("b", "b2", "del"))
+        calls = []
+
+        def counted(name):
+            method = getattr(Model, name)
+
+            def table(self, s, t):
+                calls.append(name)
+                return method(self, s, t)
+            return table
+
+        for name in ("bracket", "mul", "act"):
+            monkeypatch.setattr(Model, name, counted(name))
+        for op, x, y in (("bracket_elem", dl + b, b + b2), ("mul_elem", b, b + b2),
+                         ("act_elem", b + b2, dl)):
+            getattr(model, op)(x, y)
+            before = len(calls)
+            getattr(model, op)(x, y)
+            assert len(calls) == before, op
+
+    @given(st.data())
+    def test_bilinear_extensions_match_a_double_loop(self, weyl, data):
+        al = weyl.alphabet
+        coeffs = st.one_of(
+            st.integers(-3, 3), st.fractions(-2, 2, max_denominator=3)
+        ).filter(bool)
+        x, y = (
+            Element(al, data.draw(st.dictionaries(
+                st.sampled_from(weyl.symbols()), coeffs, max_size=3)))
+            for _ in range(2)
+        )
+        for op, table in (("bracket_elem", weyl.bracket), ("mul_elem", weyl.mul),
+                          ("act_elem", weyl.act)):
+            try:
+                want = Element.zero(al)
+                for s, c in x.terms.items():
+                    for t, d in y.terms.items():
+                        want = want + table(s, t) * (c * d)
+            except ModelDegreeError:
+                with pytest.raises(ModelDegreeError):
+                    getattr(weyl, op)(x, y)
+                continue
+            assert getattr(weyl, op)(x, y) == want
+
+    @pytest.mark.parametrize("coeff", (1, -1, Q(1, 2), 3))
+    def test_one_term_apply_equals_the_accumulated_image(self, weyl, coeff):
+        # the accumulated path apply takes for more than one term: each
+        # term's folded image added into one dict, scaled by its coefficient
+        al = weyl.alphabet
+        rng = random.Random(0)
+        for mor in shipped_morphisms(weyl):
+            for length in (1, 2, 3):
+                x = random_tree(al, weyl.symbols(), rng, length, -3, 2) * coeff
+                acc = {}
+                for t, c in x.terms.items():
+                    fold_tree(t, mor.image_of_symbol,
+                              lambda n, a, b: a.o(n.index, b))._add_into(acc, c)
+                got = mor.apply(x)
+                assert [(t, c, type(c)) for t, c in got.terms.items()] == [
+                    (t, c, type(c)) for t, c in acc.items()]
+
+
+class TestBatteryCheck:
+    @staticmethod
+    def refuse(**_):
+        raise ModelDegreeError("over the cap")
+
+    def test_draws_on_which_every_law_raises_are_skipped(self):
+        got = battery_check("battery", [{"x": 1}, {"x": 2}],
+                            {"p": self.refuse, "q": self.refuse})
+        assert got == {"id": "battery", "status": "fail", "cases": 0,
+                       "skipped": 2, "counts": {"p": 0, "q": 0}}
+
+    def test_a_law_that_always_raises_counts_no_case(self):
+        got = battery_check("battery", [{"x": 1}, {"x": 2}],
+                            {"refused": self.refuse, "holds": lambda **_: None})
+        assert got == {"id": "battery", "status": "pass", "cases": 2,
+                       "counts": {"refused": 0, "holds": 2}}
 
 
 class TestCurrentLie:

@@ -62,6 +62,20 @@ class TestShippedPairs:
         assert checks["product"]["witness"] == "b, b"
         assert [c["status"] for c in checks.values()].count("fail") == 1
 
+    def test_doubled_vector_field_fails_bracket_and_action(self, weyl):
+        # the identity except del -> 2 del: [b, del] = -1 maps to -1, not
+        # [b, 2 del] = -2, and b.del = b del maps to b del, not 2 b del.
+        # The unit law cannot fail: the unit's image is fixed, not a key
+        table = dict(identity_morphism(weyl).table)
+        table["del"] = 2 * Element.sym(weyl.alphabet, "del")
+        checks = {c["id"]: c for c in validate_morphism(
+            Morphism("bad", weyl, weyl, table))}
+        assert checks["bracket"] == {
+            "id": "bracket", "status": "fail", "cases": 22, "witness": "b, del"}
+        assert checks["action"] == {
+            "id": "action", "status": "fail", "cases": 8, "witness": "b, del"}
+        assert checks["unit"]["status"] == checks["product"]["status"] == "pass"
+
 
 def _reference_tables(model) -> dict:
     """The shipped tables built one power at a time: the image of b^k is k

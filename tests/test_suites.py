@@ -7,10 +7,12 @@ import json
 
 import pytest
 
-from vertexalg.bridges import DongTable
+from vertexalg.bridges import DongTable, borcherds_bridge
+from vertexalg.generators import TruncationPolicy, fam_qc
 from vertexalg.models.base import Model, ModelDegreeError, case_check
+from vertexalg.models.factory import shipped_model
 from vertexalg.suites import SUITE_IDS, SuiteConfig, run_suite
-from vertexalg.terms import Element
+from vertexalg.terms import Element, Symbol
 
 # geometry ignores `samples` and is the slowest suite, so it runs once
 CASES = [
@@ -102,6 +104,34 @@ def test_negative_budget_and_samples_are_refused(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
         SuiteConfig(suite="collapse", **{field: -1})
     SuiteConfig(suite="collapse", **{field: 0})
+
+
+def _b_on_derham1():
+    return Element.sym(shipped_model("derham1").alphabet, "b")
+
+
+def _qc_of_mixed_parity():
+    b = _b_on_derham1()
+    return fam_qc(b + Element.sym(b.alphabet, "db"), b, 0, None, K=2)
+
+
+@pytest.mark.parametrize("refused,message", [
+    (lambda: borcherds_bridge(
+        "i-induction", {"x": _b_on_derham1(), "n": 0, "reading": 3},
+        TruncationPolicy(default_locality=3)),
+     "i-induction reading must be 1 or 2"),
+    (_qc_of_mixed_parity, "qc arg x is parity-inhomogeneous"),
+    (lambda: Symbol("x", 2), "parity must be 0 or 1, got 2"),
+    (lambda: Symbol("x", 0, 0, "bogus"), "unknown symbol kind 'bogus'"),
+    (lambda: _b_on_derham1().D_pow(-1), "negative derivative power"),
+    (lambda: run_suite("borcherds", SuiteConfig(suite="dong")),
+     "config.suite does not match suite_id"),
+], ids=("bridge-reading", "qc-parity", "symbol-parity", "symbol-kind",
+        "negative-D-power", "config-suite"))
+def test_refusals_name_their_cause(refused, message):
+    with pytest.raises(ValueError) as err:
+        refused()
+    assert str(err.value) == message
 
 
 def test_report_schema():
