@@ -176,19 +176,13 @@ def make_currentlie(
             out = out + Element.sym(al, k_name, c)
         return out
 
-    def product(a, b):
-        # only the unit lives in the commutative part; Model.mul handles it
-        raise ValueError(f"{name} has no commutative symbols beyond the unit")
-
-    def action(a, s):
-        raise ValueError(f"{name}: only the unit acts")
-
+    # the unit is the only function, and Model.mul and Model.act answer it
     return Model(
         name,
         al,
         bracket,
-        product,
-        action,
+        None,
+        None,
         max_degree=0,
         commutative=None,
         meta={"kind": "CurrentLie"},

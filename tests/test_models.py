@@ -37,7 +37,7 @@ from vertexalg.models.morphisms import random_tree, shipped_morphisms
 from vertexalg.models.polys import Poly1
 from vertexalg.parsing import parse, to_text
 from vertexalg.suites import run_suite
-from vertexalg.terms import Element, Symbol, fold_tree
+from vertexalg.terms import Element, Symbol, fold_tree, leaf_terms
 
 SHIPPED = (
     "current2",
@@ -363,14 +363,17 @@ class TestTableMemo:
         )
         for op, table in (("bracket_elem", weyl.bracket), ("mul_elem", weyl.mul),
                           ("act_elem", weyl.act)):
+            # a pair past the degree cap or outside the table's domain is
+            # refused, by the same exception class on both sides
             try:
                 want = Element.zero(al)
                 for s, c in x.terms.items():
                     for t, d in y.terms.items():
                         want = want + table(s, t) * (c * d)
-            except ModelDegreeError:
-                with pytest.raises(ModelDegreeError):
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
                     getattr(weyl, op)(x, y)
+                assert got.type is type(exc), op
                 continue
             assert getattr(weyl, op)(x, y) == want
 
@@ -517,6 +520,77 @@ class TestModuleLaws:
         a = check_module_laws(model, pol, samples=15, seed=3)
         b = check_module_laws(model, pol, samples=15, seed=3)
         assert a == b
+
+    @staticmethod
+    def _listed_draws(monkeypatch) -> list:
+        # the battery's draws, listed before it runs; the laws draw nothing
+        # from the rng, so listing them first changes no draw
+        listed = []
+        real = base.battery_check
+
+        def listing(cid, draws, laws, **extra):
+            listed.extend(draws)
+            return real(cid, listed, laws, **extra)
+
+        monkeypatch.setattr(base, "battery_check", listing)
+        return listed
+
+    def test_each_law_runs_once_per_distinct_draw(self, monkeypatch):
+        # current2's only function is the unit, so a and b are always the
+        # unit and law2-certificate's arguments repeat whenever xc does
+        model = shipped_model("current2")
+        draws = self._listed_draws(monkeypatch)
+        calls = []
+        real = base.fam_am
+
+        def counted(a, b, x, model):
+            calls.append((a, b, x))
+            return real(a, b, x, model)
+
+        monkeypatch.setattr(base, "fam_am", counted)
+        report = check_module_laws(model, TruncationPolicy(2, level=6),
+                                   samples=200, seed=0)
+        assert report["status"] == "pass"
+        assert report["counts"]["law2-certificate"] == report["cases"] == 200
+        leaf = model.leaf
+        distinct = {(leaf(d["a"]), leaf(d["b"]), d["xc"]) for d in draws}
+        assert len(calls) == len(distinct) < len(draws) == 200
+        assert set(calls) == distinct
+
+    def test_a_kept_refusal_is_raised_on_every_repeat(self, monkeypatch):
+        # both reductions refuse every draw and both certificates refuse a
+        # leaf xc: a draw with a leaf xc is skipped however often its
+        # arguments repeat, and every other draw counts for the certificates
+        model = shipped_model("current2")
+        draws = self._listed_draws(monkeypatch)
+
+        def past_the_cap(*args, **kw):
+            raise ModelDegreeError("past the cap")
+
+        refused = []
+
+        def refusing(real):
+            def fam(x, y, z, *rest):
+                if leaf_terms(z) is not None:
+                    refused.append((x, y, z))
+                    past_the_cap()
+                return real(x, y, z, *rest)
+            return fam
+
+        monkeypatch.setattr(rewrite, "reduce_element", past_the_cap)
+        monkeypatch.setattr(base, "fam_qa", refusing(base.fam_qa))
+        monkeypatch.setattr(base, "fam_am", refusing(base.fam_am))
+        report = check_module_laws(model, TruncationPolicy(2, level=6),
+                                   samples=200, seed=0)
+        leafy = [d for d in draws if leaf_terms(d["xc"]) is not None]
+        held = len(draws) - len(leafy)
+        assert report == {
+            "id": "current2-module-laws", "status": "pass", "cases": held,
+            "skipped": len(leafy), "counts": {
+                "law1-reduction": 0, "law1-certificate": held,
+                "law2-reduction": 0, "law2-certificate": held},
+        }
+        assert len(refused) == len(set(refused)) < len(leafy) < len(draws)
 
 
 class TestLoaders:

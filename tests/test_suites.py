@@ -72,6 +72,23 @@ def test_form_and_sheaf_reports_frozen(suite, extra):
     assert _report_digest(report) == _FROZEN_REPORTS[(suite, extra)]
 
 
+# frozen before check_module_laws kept each law's outcome by its arguments:
+# the module laws must read the same on the benchmark's rewrite shape at
+# both its seeds, at the suite's defaults, and with the budget exhausted
+_FROZEN_SOUPED = {
+    (("samples", 200), ("seed", 0)): "8496b9a64c57341a",
+    (("samples", 200), ("seed", 13)): "d3bca47e6f1d16e4",
+    (): "13e25657b90106ea",
+    (("budget", 0), ("samples", 5)): "d5776edda7671196",
+}
+
+
+@pytest.mark.parametrize("extra", sorted(_FROZEN_SOUPED))
+def test_souped_reports_frozen(extra):
+    report = run_suite("souped", **dict(extra))
+    assert _report_digest(report) == _FROZEN_SOUPED[extra]
+
+
 # frozen before the deep-tail builders shared their derivative towers: the
 # qc/qa tails at the benchmark's truncation level must not see the change.
 # Re-frozen when every check went through case_check, as the digests of the
@@ -104,6 +121,12 @@ def test_negative_budget_and_samples_are_refused(field):
     with pytest.raises(ValueError, match=f"{field} must be >= 0, got -1"):
         SuiteConfig(suite="collapse", **{field: -1})
     SuiteConfig(suite="collapse", **{field: 0})
+
+
+def test_unknown_suite_is_refused_by_name():
+    # the CLI's choices refuse an unknown suite first; the API refuses it here
+    with pytest.raises(ValueError, match="unknown suite 'nope'; known: "):
+        SuiteConfig(suite="nope")
 
 
 def _b_on_derham1():
