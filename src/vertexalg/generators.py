@@ -16,8 +16,19 @@ rule.  fam_qc and fam_qa certify K and call the sums with cut=None, so
 every generator instance keeps its dead tail summands; the bridge
 identities, which truncate their sides anyway, pass their policy.
 
+TruncationPolicy.is_dead(u, v, n) is the one deadness rule: n at or past
+the pair's locality and not exempt.  Each policy keeps a pair table,
+_pairs, filled on first use of a pair with its (locality, exempt
+indices).  The table is sound because locality and exempt_indices read
+only the frozen fields, so an entry never goes stale.  It takes no part
+in ==, hash or repr, and dataclasses.replace builds a new policy with an
+empty table.  Truncation asks policy.is_dead on every call, through
+terms.any_leaf_pair, so a rule patched onto the class is seen.
+
 FAMILIES describes the ten families once: arity, index names, what else
-the builder needs, and the builder that build_generator calls.
+the builder needs, the builder that build_generator calls, and the slots
+that take functions only (FUNCTION_KINDS, the tuple the model tables
+read too), which build_generator checks by name.
 """
 
 from dataclasses import dataclass
@@ -26,7 +37,7 @@ from math import factorial
 from typing import NamedTuple
 
 from .terms import (
-    Element, Node, Symbol, binom, leaf_terms, minus_one_pow, parity, preorder,
+    Element, any_leaf_pair, binom, leaf_terms, minus_one_pow, parity,
 )
 
 Q = Fraction
@@ -70,6 +81,7 @@ class TruncationPolicy:
         for u, v, n in self.exempt:
             punct.add(_pair_key(u, v) + (int(n),))
         object.__setattr__(self, "_punct", frozenset(punct))
+        object.__setattr__(self, "_pairs", {})
 
     def locality(self, u, v) -> int:
         u = u.name if not isinstance(u, str) else u
@@ -82,7 +94,14 @@ class TruncationPolicy:
         return _pair_key(u, v) + (n,) in self._punct
 
     def is_dead(self, u, v, n: int) -> bool:
-        return n >= self.locality(u, v) and not self.is_exempt(u, v, n)
+        """Whether u o_n v is truncated: n at or past the pair's locality,
+        and not exempt.  Names and Symbols alike; each pair's (locality,
+        exempt indices) is read from the fields once and kept in _pairs."""
+        hit = self._pairs.get((u, v))
+        if hit is None:
+            hit = self._pairs[(u, v)] = (
+                self.locality(u, v), frozenset(self.exempt_indices(u, v)))
+        return n >= hit[0] and n not in hit[1]
 
     def exempt_indices(self, u, v) -> list:
         u = u.name if not isinstance(u, str) else u
@@ -93,14 +112,9 @@ class TruncationPolicy:
 
 def _term_is_dead(t, policy: TruncationPolicy) -> bool:
     """Whether t holds a leaf-pair product that policy truncates; the
-    preorder search stops at the first such product."""
-    for n in preorder(t):
-        if n.__class__ is Node:
-            u, v = n.left, n.right
-            if (u.__class__ is Symbol and v.__class__ is Symbol
-                    and policy.is_dead(u, v, n.index)):
-                return True
-    return False
+    preorder search stops at the first such product.  policy.is_dead is
+    looked up on each call, so a rule patched onto the class is seen."""
+    return any_leaf_pair(t, policy.is_dead)
 
 
 def truncate(x: Element, policy: TruncationPolicy) -> Element:
@@ -287,15 +301,23 @@ def fam_k(x: Element, context) -> Element:
 
 # the family table ---------------------------------------------------------
 
+# the symbol kinds of a model's functions: the domain of its product, what
+# may act, and what the function slots of the a and am families take
+FUNCTION_KINDS = ("algebra", "unit")
+
+
 class Family(NamedTuple):
     """One generator family: its element arity, the names of its integer
     indices in argument order, the keyword arguments its builder takes
-    besides those (policy, K, model, context), and the builder."""
+    besides those (policy, K, model, context), the builder, and the slots
+    whose leaves must be of given kinds, as (position, slot name, kinds);
+    every other slot takes any kind."""
 
     arity: int
     indices: tuple
     needs: tuple
     build: callable
+    kinds: tuple = ()
 
 
 _TAIL = ("policy", "K")
@@ -310,8 +332,10 @@ FAMILIES = {
     "qc": Family(2, ("n",), _TAIL, lambda *a, **kw: fam_qc(*a, **kw)),
     "qa": Family(3, ("m", "n"), _TAIL, lambda *a, **kw: fam_qa(*a, **kw)),
     "s": Family(2, (), ("model",), lambda *a, **kw: fam_s(*a, **kw)),
-    "a": Family(2, (), ("model",), lambda *a, **kw: fam_a(*a, **kw)),
-    "am": Family(3, (), ("model",), lambda *a, **kw: fam_am(*a, **kw)),
+    "a": Family(2, (), ("model",), lambda *a, **kw: fam_a(*a, **kw),
+                ((0, "a", FUNCTION_KINDS),)),
+    "am": Family(3, (), ("model",), lambda *a, **kw: fam_am(*a, **kw),
+                 ((0, "a", FUNCTION_KINDS), (1, "b", FUNCTION_KINDS))),
     "k": Family(1, (), ("context",), lambda *a, **kw: fam_k(*a, **kw)),
 }
 
@@ -338,5 +362,13 @@ def build_generator(
         raise ValueError(f"{family}-family needs a model")
     if "context" in fam.needs and context is None:
         raise ValueError(f"{family}-family needs a sheaf context")
+    for pos, slot, kinds in fam.kinds:
+        # a compound argument is left to the model, which takes leaf
+        # combinations only
+        for sym in leaf_terms(args[pos]) or ():
+            if sym.kind not in kinds:
+                raise ValueError(
+                    f"{family}-family slot {slot} takes kind "
+                    f"{' or '.join(kinds)}, not {sym.name} of kind {sym.kind}")
     given = {"policy": policy, "K": K, "model": model, "context": context}
     return fam.build(*args, *indices, **{nm: given[nm] for nm in fam.needs})

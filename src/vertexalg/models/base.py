@@ -9,7 +9,9 @@ from math import factorial
 from operator import itemgetter
 from typing import NamedTuple
 
-from ..generators import TruncationPolicy, fam_am, fam_qa, fam_s
+from ..generators import (
+    FUNCTION_KINDS, TruncationPolicy, fam_am, fam_qa, fam_s,
+)
 from ..parsing import expect, to_text
 from ..terms import Element, Symbol, fold_tree, leaf_terms, minus_one_pow
 from .polys import Poly1
@@ -64,11 +66,6 @@ def degree_cap(max_degree) -> int:
            "a non-negative integer", max_degree)
     return expect(max_degree <= MAX_DEGREE, "max_degree",
                   f"at most {MAX_DEGREE}", max_degree)
-
-
-# the symbol kinds of a model's functions: the domain of its product, and
-# what may act
-_FUNCTIONS = ("algebra", "unit")
 
 
 class Commutative(NamedTuple):
@@ -152,7 +149,7 @@ class Model:
         return self._memo(self._BRACKET, s, t, self._bracket)
 
     def mul(self, a: Symbol, b: Symbol) -> Element:
-        if a.kind not in _FUNCTIONS or b.kind not in _FUNCTIONS:
+        if a.kind not in FUNCTION_KINDS or b.kind not in FUNCTION_KINDS:
             raise ValueError(
                 f"{self.name}: no product of {a.name} and {b.name}; "
                 "both must be functions")
@@ -163,11 +160,11 @@ class Model:
         return self._memo(self._MUL, a, b, self._product)
 
     def act(self, a: Symbol, s: Symbol) -> Element:
-        if a.kind not in _FUNCTIONS:
+        if a.kind not in FUNCTION_KINDS:
             raise ValueError(
                 f"{self.name}: {a.name} cannot act on {s.name}; "
                 "only a function acts")
-        if s.kind in _FUNCTIONS:
+        if s.kind in FUNCTION_KINDS:
             return self.mul(a, s)
         if a.kind == "unit":
             return self.leaf(s)
@@ -272,7 +269,7 @@ def validate_model(model: Model, pair_cap: int = None, case_cap: int = None) -> 
     if pair_cap is not None:
         syms = syms[:pair_cap]
     lie = [s for s in syms if s.kind == "lie"]
-    comm = [s for s in syms if s.kind in _FUNCTIONS]
+    comm = [s for s in syms if s.kind in FUNCTION_KINDS]
 
     leaf = model.leaf
 
@@ -413,7 +410,7 @@ def check_module_laws(
     rng = random.Random(seed)
     rules = RuleSet(model, policy)
     lie = model.sample_symbols(("lie",)) or model.sample_symbols(("algebra",))
-    comm = model.sample_symbols(_FUNCTIONS)
+    comm = model.sample_symbols(FUNCTION_KINDS)
     everything = model.sample_symbols()
 
     # the trees of a sample share their leaves, so equality walks and

@@ -21,14 +21,18 @@ Copies and pickles of symbols and nodes are rebuilt through the
 constructors from the fields, so a pickle loaded under another hash seed
 carries that process's hashes.
 
-Tree walks.  Three primitives walk a tree, each on an explicit stack, so
+Tree walks.  Four primitives walk a tree, each on an explicit stack, so
 deep trees cost time but never raise RecursionError: preorder(t) yields
 the subtrees node, left, right; fold_tree(t, leaf, node) folds bottom-up;
-render(t, leaf, node) builds the in-order text.  sort_key, leaves,
-term_degree and shape_key are built on them; Node equality, which walks
-two trees in pairs, keeps a loop of its own.  No other module walks a
-tree: the rest of the package calls these.  leaf_terms(x) is the one
-test of whether an Element is a leaf combination.
+render(t, leaf, node) builds the in-order text; any_leaf_pair(t, test)
+tries each product of two leaves, o_n(u, v), in preorder and stops at the
+first with test(u, v, n), pushing only Nodes and making no generator, so
+truncation's deadness search costs one call of test per leaf pair.
+sort_key, leaves, term_degree and shape_key are built on them; Node
+equality, which walks two trees in pairs, keeps a loop of its own.  No
+other module walks a tree: the rest of the package calls these.
+leaf_terms(x) is the one test of whether an Element is a leaf
+combination.
 
 Coefficients.  as_coeff is the package's one coefficient rule: ints stay
 ints, a Fraction with denominator 1 becomes its int numerator, any other
@@ -42,6 +46,12 @@ cannot tell the two apart.  Element._trusted(alphabet, terms) takes the
 dict as it is: every coefficient must already follow the rule.  Sums are
 accumulated in place with x._add_into(acc, scale), which keeps acc in that
 trusted form, so a loop of n additions costs O(total terms), not O(n^2).
+
+Products.  x.o(n, y) checks the alphabets and wraps its dict the way
+_trusted does, inline.  A one-term by one-term product, the common shape
+in the bridge tails and the model tables, builds its one Node with no
+comprehension; the result, term order and coefficient type included, is
+that of the general bilinear path.
 
 Derivatives.  x.D() is built once: the Element keeps it in its _d slot
 and every later call returns that same object, so callers that
@@ -188,6 +198,27 @@ def preorder(t):
         if t.__class__ is Node:
             stack.append(t.right)
             stack.append(t.left)
+
+
+def any_leaf_pair(t, test) -> bool:
+    """Whether t holds a product of two leaves, o_n(u, v), with test(u, v,
+    n).  The products are tried in preorder and the walk stops at the
+    first that passes; only Nodes go on the stack."""
+    if t.__class__ is not Node:
+        return False
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        u, v = t.left, t.right
+        if u.__class__ is Node:
+            if v.__class__ is Node:
+                stack.append(v)
+            stack.append(u)
+        elif v.__class__ is Node:
+            stack.append(v)
+        elif test(u, v, t.index):
+            return True
+    return False
 
 
 def sort_key(t) -> tuple:
@@ -416,16 +447,26 @@ class Element:
 
     def o(self, n: int, other: "Element") -> "Element":
         """n-th product, extended bilinearly.  Distinct (t1, t2) pairs give
-        distinct trees, so nothing collects or cancels."""
-        self._check(other)
-        return Element._trusted(
-            self.alphabet,
-            {
+        distinct trees, so nothing collects or cancels.  See Products in
+        the module docstring for the inline fast path."""
+        alphabet = self.alphabet
+        if alphabet is not other.alphabet:
+            raise ValueError("elements over different alphabets")
+        a, b = self.terms, other.terms
+        out = object.__new__(Element)
+        out.alphabet = alphabet
+        out._d = None
+        if len(a) == 1 and len(b) == 1:
+            (t1, c1), = a.items()
+            (t2, c2), = b.items()
+            out.terms = {Node(n, t1, t2): c1 * c2}
+        else:
+            out.terms = {
                 Node(n, t1, t2): c1 * c2
-                for t1, c1 in self.terms.items()
-                for t2, c2 in other.terms.items()
-            },
-        )
+                for t1, c1 in a.items()
+                for t2, c2 in b.items()
+            }
+        return out
 
     def D(self) -> "Element":
         """x o_{-2} 1; the unit's coefficient is 1, so coefficients carry over.

@@ -277,20 +277,24 @@ def test_gen_builds_every_family(capsys, argv, first):
      "i-family takes 1 args and indices ('n',)"),
     # a current algebra's commutative part is the unit alone
     (["am", "--args", "e1", "--args", "e2", "--args", "e1", "--model", "current2"],
-     "current2: no product of e1 and e2; both must be functions"),
+     "am-family slot a takes kind algebra or unit, not e1 of kind lie"),
     (["a", "--args", "e1", "--args", "e2", "--model", "current2"],
-     "current2: e1 cannot act on e2; only a function acts"),
-    # the product takes two functions and only a function acts, on every
-    # model: a vector field is in neither domain
+     "a-family slot a takes kind algebra or unit, not e1 of kind lie"),
+    # the a and am families' function slots take functions on every model,
+    # refused by slot before any table is read: a vector field is none
     (["a", "--args", "del", "--args", "b", "--model", "weyl1"],
-     "weyl1: del cannot act on b; only a function acts"),
+     "a-family slot a takes kind algebra or unit, not del of kind lie"),
     (["a", "--args", "del", "--args", "del", "--model", "weyl1"],
-     "weyl1: del cannot act on del; only a function acts"),
+     "a-family slot a takes kind algebra or unit, not del of kind lie"),
     (["am", "--args", "del", "--args", "b", "--args", "b", "--model", "weyl1"],
-     "weyl1: no product of del and b; both must be functions"),
+     "am-family slot a takes kind algebra or unit, not del of kind lie"),
+    (["am", "--args", "b", "--args", "b + del", "--args", "b", "--model",
+      "weyl1"],
+     "am-family slot b takes kind algebra or unit, not del of kind lie"),
 ), ids=("c-live-pair", "s-without-model", "k-without-cover", "i-two-args",
         "am-on-current", "a-on-current", "a-field-on-function",
-        "a-field-on-field", "am-field-times-function"))
+        "a-field-on-field", "am-field-times-function",
+        "am-function-times-field-term"))
 def test_gen_family_refusals_are_error_lines(capsys, argv, error):
     assert main(["gen"] + argv) == 2
     captured = capsys.readouterr()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from vertexalg import collapse
 from vertexalg.collapse import (
     COLLAPSE_RULES,
     _right_mult_total,
@@ -91,6 +92,17 @@ class TestPunctured:
     def test_level_floor(self):
         with pytest.raises(ValueError, match="N \\+ 2"):
             punctured_checks(3, level=4)
+
+    def test_index_transfer_fault_has_a_witness(self, monkeypatch):
+        # fam_e with coefficient n + 1 breaks the transfer at its first
+        # case, g = del at m = -N - 4
+        monkeypatch.setattr(
+            collapse, "fam_e",
+            lambda x, y, n: x.D().o(n, y) + (n + 1) * x.o(n - 1, y))
+        byid = {c["id"]: c for c in punctured_checks(2)}
+        rec = byid["index-transfer-N2"]
+        assert rec["status"] == "fail", rec
+        assert rec["witness"] == "m=-6 on del"
 
     def test_level_independent(self):
         a = {c["id"]: c["status"] for c in punctured_checks(1, level=7)}

@@ -1,5 +1,6 @@
 """Ideal generator families, truncation, and certified tail bounds."""
 
+import dataclasses
 from fractions import Fraction as Q
 from functools import partial
 
@@ -7,11 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vertexalg import generators
+from vertexalg.models import base
+from vertexalg.models.factory import shipped_model
 from vertexalg.generators import (
+    FAMILIES,
+    FUNCTION_KINDS,
     CertificationError,
     TruncationPolicy,
     _term_is_dead,
     build_generator,
+    fam_a,
     fam_c,
     fam_d,
     fam_e,
@@ -270,6 +276,42 @@ class TestDispatch:
         with pytest.raises(ValueError, match="takes 2 args"):
             build_generator("d", (E(al, "x"),), (1,), POL)
 
+    def test_function_slots_share_the_models_kinds(self):
+        # one tuple of function kinds, read by the tables and the families
+        assert base.FUNCTION_KINDS is FUNCTION_KINDS
+        slots = {nm: [(pos, slot) for pos, slot, kinds in fam.kinds]
+                 for nm, fam in FAMILIES.items() if fam.kinds}
+        assert slots == {"a": [(0, "a")], "am": [(0, "a"), (1, "b")]}
+        for fam in FAMILIES.values():
+            assert all(kinds is FUNCTION_KINDS for _, _, kinds in fam.kinds)
+
+    @pytest.mark.parametrize("family,names,error", (
+        ("a", ("del", "b"), "a-family slot a takes kind algebra or unit, "
+         "not del of kind lie"),
+        ("am", ("del", "b", "b"), "am-family slot a takes kind algebra or "
+         "unit, not del of kind lie"),
+        ("am", ("b", "bdel", "b"), "am-family slot b takes kind algebra or "
+         "unit, not bdel of kind lie"),
+    ))
+    def test_function_slots_refuse_other_kinds_by_name(self, family, names,
+                                                       error):
+        weyl = shipped_model("weyl1")
+        args = tuple(Element.sym(weyl.alphabet, nm) for nm in names)
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            build_generator(family, args, (), POL, model=weyl)
+
+    def test_every_term_of_a_function_slot_is_checked(self):
+        weyl = shipped_model("weyl1")
+        b, dl = (Element.sym(weyl.alphabet, nm) for nm in ("b", "del"))
+        with pytest.raises(ValueError, match="slot a takes .* not del"):
+            build_generator("a", (b + 2 * dl, b), (), POL, model=weyl)
+        # other slots take any kind, and a compound argument is left to
+        # the model, which refuses it by its own rule
+        assert build_generator("a", (b, dl), (), POL, model=weyl) == fam_a(
+            b, dl, weyl)
+        with pytest.raises(ValueError, match="leaf combinations"):
+            build_generator("a", (b.o(-1, dl), b), (), POL, model=weyl)
+
 
 def test_truncate_walks_deep_towers_without_recursion(al):
     # a D tower 1500 levels deep over a live and over a dead leaf pair
@@ -326,6 +368,39 @@ _policies = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_term_is_dead_matches_the_reference_fold(t, policy):
     assert _term_is_dead(t, policy) == _dead_by_fold(t, policy)
+
+
+def _dead_by_fields(policy, u, v, n) -> bool:
+    return n >= policy.locality(u, v) and not policy.is_exempt(u, v, n)
+
+
+@given(_policies, st.lists(st.tuples(st.sampled_from(_SEARCH_LEAVES),
+                                     st.sampled_from(_SEARCH_LEAVES),
+                                     st.integers(-1, 5)), max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_is_dead_reads_its_pair_table_like_the_fields(policy, cases):
+    # each case asked by Symbol and by name, with the table cold and warm
+    for _ in range(2):
+        for u, v, n in cases:
+            want = _dead_by_fields(policy, u, v, n)
+            assert _dead_by_fields(policy, u.name, v.name, n) == want
+            assert policy.is_dead(u, v, n) == want
+            assert policy.is_dead(u.name, v.name, n) == want
+
+
+def test_a_filled_pair_table_is_invisible():
+    pol = TruncationPolicy(default_locality=2, overrides=(("x", "y", 4),),
+                           exempt=frozenset({("y", "x", 5)}))
+    fresh = dataclasses.replace(pol)
+    before = (hash(pol), repr(pol))
+    x, y = _SEARCH_LEAVES[:2]
+    assert pol.is_dead(x, y, 4) and not pol.is_dead("y", "x", 5)
+    assert pol._pairs
+    assert (hash(pol), repr(pol)) == before
+    assert pol == fresh and fresh._pairs == {}
+    # replace builds a new policy, whose table starts empty
+    again = dataclasses.replace(pol, level=3)
+    assert again._pairs == {} and again.is_dead("x", "y", 4)
 
 
 # Certified truncation at its tight bound.  With level 0 the certificate

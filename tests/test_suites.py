@@ -4,13 +4,16 @@ while its semantic oracle holds."""
 
 import hashlib
 import json
+import re
 
 import pytest
 
+from vertexalg import suites
 from vertexalg.bridges import DongTable, borcherds_bridge
 from vertexalg.generators import TruncationPolicy, fam_qc
 from vertexalg.models.base import Model, ModelDegreeError, case_check
 from vertexalg.models.factory import shipped_model
+from vertexalg.parsing import to_text
 from vertexalg.suites import SUITE_IDS, SuiteConfig, run_suite
 from vertexalg.terms import Element, Symbol
 
@@ -323,3 +326,56 @@ def test_dong_tail_certificate_refusal_is_a_witness(monkeypatch):
     (rec,) = [c for c in report["checks"] if c["id"] == "dong-tail-certificates"]
     assert rec["status"] == "fail", rec
     assert "below the derived bound 11" in rec["witness"], rec
+
+
+# Faults patched in at runtime, one per witness formatter that the passing
+# suites never reach: each record must fail and say where.
+
+
+def _record(report, check_id):
+    (rec,) = [c for c in report["checks"] if c["id"] == check_id]
+    assert rec["status"] == "fail", rec
+    return rec
+
+
+def test_semantic_commutator_fault_has_a_witness(monkeypatch):
+    # an evaluation that forgets to evaluate leaves the free difference
+    monkeypatch.setattr(Model, "evaluate_commutative", lambda self, x: x)
+    rec = _record(run_suite("commutator", samples=5),
+                  "commutator-semantic-diffpoly")
+    assert rec["cases"] == 1
+    assert re.fullmatch(r"m=-?\d n=-?\d: \S.*", rec["witness"]), rec
+
+
+def test_dong_rank_fault_has_a_witness(monkeypatch):
+    # one rank too high at m = 2M + 1
+    rank = suites.dong_rank
+    monkeypatch.setattr(suites, "dong_rank",
+                        lambda M, m: rank(M, m) + (m == 2 * M + 1))
+    rec = _record(run_suite("dong"), "dong-rank-grid")
+    assert rec["witness"] == "M=1 m=3: rank 2"
+
+
+def test_dong_tail_certified_below_the_bound_has_a_witness(monkeypatch):
+    # a certificate that reasons one index up accepts n one below the
+    # derived bound 3 * 3 + 1
+    cert = suites.dong_tail_certificate
+    monkeypatch.setattr(suites, "dong_tail_certificate",
+                        lambda x, y, z, r, n, pol: cert(x, y, z, r, n + 1, pol))
+    rec = _record(run_suite("dong"), "dong-tail-certificates")
+    assert rec["witness"] == "r=-1: certified below the derived bound, at n=9"
+
+
+def test_length_one_image_fault_has_a_witness(monkeypatch):
+    # a length-one filter that keeps every length: the first nonzero image
+    # is the witness
+    seen = []
+
+    def keep_all(image):
+        seen.append(image)
+        return image
+
+    monkeypatch.setattr(suites, "length_one_component", keep_all)
+    rec = _record(run_suite("injectivity", samples=5),
+                  "generator-images-no-length-one")
+    assert rec["witness"] == "i: " + to_text(seen[0])

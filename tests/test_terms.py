@@ -21,6 +21,7 @@ from vertexalg.terms import (
     GradeReport,
     Node,
     Symbol,
+    any_leaf_pair,
     binom,
     falling,
     grade,
@@ -730,3 +731,93 @@ class TestIntCoefficients:
         with pytest.raises(TypeError):
             Element.of_term(al, t)._add_into(acc, f)
         assert acc == x.terms
+
+
+# the leaf-pair walk and the one-term product ---------------------------------
+
+
+def _leaf_pairs(t) -> list:
+    """Reference: every product of two leaves in t, as (left, right, index),
+    in preorder."""
+    return [
+        (n.left, n.right, n.index)
+        for n in preorder(t)
+        if isinstance(n, Node) and isinstance(n.left, Symbol)
+        and isinstance(n.right, Symbol)
+    ]
+
+
+class TestAnyLeafPair:
+    @given(tree_monomials(), st.integers(1, 6))
+    def test_stops_at_the_first_passing_pair_in_preorder(self, t, j):
+        # the j-th call passes: the walk must make exactly the reference's
+        # first j calls, in order, and then stop
+        calls = []
+
+        def test(u, v, n):
+            calls.append((u, v, n))
+            return len(calls) == j
+
+        pairs = _leaf_pairs(t)
+        assert any_leaf_pair(t, test) == (j <= len(pairs))
+        assert calls == pairs[:j]
+
+    @given(tree_monomials(), st.integers(-3, 4))
+    def test_agrees_with_the_preorder_reference(self, t, k):
+        def test(u, v, n):
+            return n >= k and u.parity == v.parity
+
+        assert any_leaf_pair(t, test) == any(test(*p) for p in _leaf_pairs(t))
+
+    def test_a_leaf_has_no_pair(self, al):
+        def never(u, v, n):
+            raise AssertionError("a leaf has no product to test")
+
+        assert not any_leaf_pair(al.symbol("x"), never)
+
+
+def _general_o(x: Element, n: int, y: Element) -> dict:
+    """The bilinear product as one comprehension, every term shape alike."""
+    return {
+        Node(n, t1, t2): c1 * c2
+        for t1, c1 in x.terms.items()
+        for t2, c2 in y.terms.items()
+    }
+
+
+_coeffs = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(2, 4)),
+)
+
+
+class TestOneTermProduct:
+    @given(tree_monomials(), tree_monomials(), _coeffs, _coeffs, st.integers(-3, 3))
+    def test_one_term_path_equals_the_general_path(self, t1, t2, c1, c2, n):
+        x, y = Element.of_term(_gal, t1, c1), Element.of_term(_gal, t2, c2)
+        got = x.o(n, y)
+        want = _general_o(x, n, y)
+        # same terms in the same order, with the same coefficient types
+        assert [(t, c, type(c)) for t, c in got.terms.items()] == [
+            (t, c, type(c)) for t, c in want.items()
+        ]
+        assert got.alphabet is _gal
+        assert got.D() == got.o(-2, Element.unit(_gal))
+
+    @given(weyl_elements(), weyl_elements(), st.integers(-3, 2))
+    def test_every_shape_equals_the_general_path(self, a, b, n):
+        got = a.o(n, b)
+        assert [(t, c, type(c)) for t, c in got.terms.items()] == [
+            (t, c, type(c)) for t, c in _general_o(a, n, b).items()
+        ]
+
+    def test_products_across_alphabets_raise(self, al):
+        other = Alphabet()
+        other.add(Symbol("x", 0, Q(0), "generic"))
+        one, two = E(al, "x"), E(al, "x") + E(al, "y")
+        for x in (one, two):
+            for y in (Element.sym(other, "x"), Element.zero(other)):
+                with pytest.raises(ValueError, match="^elements over different alphabets$"):
+                    x.o(0, y)
+                with pytest.raises(ValueError, match="^elements over different alphabets$"):
+                    y.o(0, x)
