@@ -312,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="per-check sample count (0 = suite default)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--budget", type=int, default=20000,
-                   help="firings per reduction; passes per projection")
+                   help="rule firings per reduction or projection")
     p.add_argument("--report", help="write a JSON report here")
     common_policy(p)
     p.set_defaults(fn=_cmd_verify)

@@ -3,8 +3,8 @@
 A morphism sends each source symbol to an Element of target leaves; the
 induced map sends x o_n y to image(x) o_n image(y), and a one-term
 Element goes to its term's image times its coefficient.  Validation pairs
-each symbol with its image once and checks the unit, bracket, product,
-and action laws on all symbol pairs, witness "<s>, <t>"; functor_laws
+each symbol with its image once and checks the bracket, product and
+action laws on all symbol pairs, witness "<s>, <t>"; functor_laws
 checks identity, composition, and that generator-family instances map to
 generator-family instances of the images, as one models.base.battery_check
 record: one case per random draw, witness "<law>: <term>", and counts per
@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
-from ..generators import fam_a, fam_i, fam_s
+from ..generators import FUNCTION_KINDS, fam_a, fam_i, fam_s
 from ..parsing import to_text
 from ..terms import Element, fold_tree
 from .base import Model, battery_check, case_check
@@ -91,13 +91,7 @@ def validate_morphism(phi: Morphism) -> list:
     src, tgt = phi.source, phi.target
     pairs = [(s, phi.image_of_symbol(s)) for s in src.symbols()]
     lie = [p for p in pairs if p[0].kind == "lie"]
-    comm = [p for p in pairs if p[0].kind in ("algebra", "unit")]
-    unit = [(p,) for p in pairs if p[0].kind == "unit"]
-    unit_image = Element.unit(tgt.alphabet)
-
-    def unit_law(case):
-        ((s, x),) = case
-        return None if x == unit_image else s.name
+    comm = [p for p in pairs if p[0].kind in FUNCTION_KINDS]
 
     def law(source_table, target_table):
         # phi(s . t) == phi(s) . phi(t), witness "<s>, <t>"
@@ -109,7 +103,6 @@ def validate_morphism(phi: Morphism) -> list:
         return probe
 
     laws = (
-        ("unit", unit, unit_law),
         ("bracket", list(product(pairs, pairs)),
          law(src.bracket, tgt.bracket_elem)),
         ("product", list(product(comm, comm)), law(src.mul, tgt.mul_elem)),
@@ -153,7 +146,7 @@ def functor_laws(
     ident = identity_morphism(model)
     comp = phi.compose(psi)
     lie = model.sample_symbols(("lie",)) or model.sample_symbols(("algebra",))
-    comm = model.sample_symbols(("algebra", "unit"))
+    comm = model.sample_symbols(FUNCTION_KINDS)
 
     leaf = model.leaf
 

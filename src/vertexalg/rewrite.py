@@ -1,38 +1,39 @@
-"""Rule-driven reduction and the structural projection, on one pass engine.
+"""Rule-driven reduction and the structural projection, on one pass engine
+and one driver.
 
 A RuleSet picks which root rules are active.  One pass rewrites every
 node innermost-first, trying the enabled rules in the fixed RULE_ORDER.
-reduce_element repeats passes to a fixpoint, bounded by a firing budget.
-A RuleSet's truncation policy is not a rule: reduce_element truncates
-under it before the first pass and after every pass, and truncate is the
-only place a dead product is dropped.
+reduce_element, the one driver, repeats passes to a fixpoint, bounded by
+a firing budget.  A RuleSet's truncation policy is not a rule:
+reduce_element truncates under it before the first pass and after every
+pass, and truncate is the only place a dead product is dropped.
 
 Normal-form marks (Baader & Nipkow, Term Rewriting and All That, 1998).
 A RuleSet keeps the set `normal` of nodes on which a pass fired nothing,
 anywhere below them.  A pass does not rebuild a node whose children are
 leaves or marked nodes: it tries the root rules on the node as it stands
 and, when none fires, marks it.  A term already marked is copied through
-without a walk.  Beside the marks a RuleSet keeps `reports`, the
-ReductionReport reduce_element returned for each (element, budget), and
-a repeated call returns it without a pass.  Rules are pure functions of
-the node and the model tables, so marks and reports hold for as long as
-their RuleSet lives: a check_module_laws battery keeps one, and the
-projection RuleSet of R_project lives with its model, as the model's
-table memo does.
+without a walk.  Rules are pure functions of the node and the model
+tables, so the marks hold for as long as their RuleSet lives: a
+check_module_laws battery keeps one, and the projection RuleSet of
+R_project lives with its model, as the model's table memo does.  A
+RuleSet stores no reports: a repeated reduction runs again, over marked
+terms.
 
-The budget of reduce_element counts rule firings and is checked at each
-one: a pass gets the allowance left, and a rule match past it is refused,
-its node kept as it is and left unmarked.  The result is budget-exhausted
-iff a firing was refused, so steps <= budget, and a reduction that needs
-exactly `budget` firings reaches its normal form.
+Every budget counts rule firings and is checked at each one: a pass gets
+the allowance left, and a rule match past it is refused, its node kept as
+it is and left unmarked.  The result is budget-exhausted iff a firing was
+refused, so steps <= budget, and a reduction that needs exactly `budget`
+firings reaches its normal form; an input already in normal form reaches
+it at budget 0, with 0 steps.
 
-R_project is the same engine under the named rule set PROJECTION_RULES:
+R_project is reduce_element under the named rule set PROJECTION_RULES:
 the structural projection r of the polynomial-coefficient setting and its
 fixpoint R.  Products of leaf pairs at indices 0 and -1 fold into the
 model tables and unit factors at -1 strip; everything else is left alone.  It
 differs from the stock rules in one rule only: unit_left imposes the
 vacuum axiom 1_(n) x = delta_{n,-1} x, while unit_identity rewrites
-1 o_{-1} x to x and keeps 1 o_n x for n != -1.  Its budget counts passes.
+1 o_{-1} x to x and keeps 1 o_n x for n != -1.
 
 A result of 0 certifies ideal membership; a nonzero normal form certifies
 nothing (no confluence claim is made).
@@ -40,7 +41,7 @@ nothing (no confluence claim is made).
 
 from dataclasses import dataclass
 
-from .generators import TruncationPolicy, truncate
+from .generators import FUNCTION_KINDS, TruncationPolicy, truncate
 from .terms import Element, Node, Symbol, fold_tree, term_length
 
 RULE_ORDER = (
@@ -84,7 +85,6 @@ class RuleSet:
         if needs_model and model is None:
             raise ValueError(f"rules {sorted(needs_model)} need a model")
         self.normal = set()  # nodes no enabled rule fires on, anywhere below
-        self.reports = {}  # (element, budget) -> reduce_element's report
 
     # one root-level rule application; None when no rule matches
     def apply_at_root(self, t: Node, al):
@@ -113,7 +113,7 @@ class RuleSet:
                     t.index == -1
                     and t.left.__class__ is Symbol
                     and t.right.__class__ is Symbol
-                    and t.left.kind in ("algebra", "unit")
+                    and t.left.kind in FUNCTION_KINDS
                 ):
                     return rule, self.model.act(t.left, t.right)
             elif rule == "unit_strip":
@@ -140,19 +140,19 @@ class RuleSet:
                     t.index == -1
                     and t.left.__class__ is Symbol
                     and t.right.__class__ is Symbol
-                    and t.right.kind in ("algebra", "unit")
-                    and t.left.kind not in ("algebra", "unit")
+                    and t.right.kind in FUNCTION_KINDS
+                    and t.left.kind not in FUNCTION_KINDS
                 ):
                     return rule, self.model.act(t.right, t.left)
         return None
 
 
-def _one_pass(x: Element, rules: RuleSet, allowance: int = None):
+def _one_pass(x: Element, rules: RuleSet, allowance: int):
     """One innermost pass over every term: (result, firings, refused).
 
     A subtree the pass leaves as it is folds to None.  At most `allowance`
-    rules fire (None: no limit); a match past it is refused, and after a
-    refusal the pass marks nothing, since None no longer means normal."""
+    rules fire; a match past it is refused, and after a refusal the pass
+    marks nothing, since None no longer means normal."""
     al = x.alphabet
     normal = rules.normal
     fired = 0
@@ -202,33 +202,18 @@ def _one_pass(x: Element, rules: RuleSet, allowance: int = None):
     return Element._trusted(al, acc), fired, refused
 
 
-def _check_budget(budget: int) -> None:
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-
-
 def reduce_element(
     x: Element, rules: RuleSet, budget: int = 10000
 ) -> ReductionReport:
-    """Innermost fixpoint under the enabled rules, reached at the first
-    pass that fires none; truncation after every pass when the rule set
-    carries a policy.  At most `budget` rules fire; budget-exhausted means
-    one more was due.
-
-    The report is stored in rules.reports and a repeated call returns it.
-    Equal elements share a report: steps, status and a normal form do not
-    depend on term order, but under budget exhaustion the refused firings
-    do, so the stored partial result is the first caller's.  A reduction
-    that raises (a table past its degree cap) stores nothing."""
-    _check_budget(budget)
-    key = (x, budget)
-    report = rules.reports.get(key)
-    if report is None:
-        report = rules.reports[key] = _reduce(x, rules, budget)
-    return report
-
-
-def _reduce(x: Element, rules: RuleSet, budget: int) -> ReductionReport:
+    """The one reduction driver: innermost fixpoint under the enabled
+    rules, reached at the first pass that fires none; truncation after
+    every pass when the rule set carries a policy.  At most `budget` rules
+    fire, and steps counts the firings; budget-exhausted means one more was
+    due.  Nothing is stored but the RuleSet's marks: a repeated call runs
+    again, and a reduction that raises (a table past its degree cap)
+    raises on every call."""
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     steps = 0
     current = truncate(x, rules.policy)
     while True:
@@ -241,24 +226,14 @@ def _reduce(x: Element, rules: RuleSet, budget: int) -> ReductionReport:
             return ReductionReport(current, steps, "budget-exhausted")
 
 
-def R_project(x: Element, model, budget: int = 1000) -> ReductionReport:
-    """Fixpoint of the projection rules; steps and budget count passes,
-    not firings.  Every firing strictly drops the leaf count of its term,
-    so the loop terminates, and a pass that fires cannot return its input
-    (the largest term it rewrote loses its coefficient): the first pass
-    with no firing is the fixpoint."""
-    _check_budget(budget)
+def R_project(x: Element, model, budget: int = 10000) -> ReductionReport:
+    """reduce_element under PROJECTION_RULES, on the RuleSet the model
+    keeps.  Every firing strictly drops the leaf count of its term, so the
+    projection terminates."""
     rules = model.projection_rules
     if rules is None:
         rules = model.projection_rules = RuleSet(model, None, PROJECTION_RULES)
-    current, steps = x, 0
-    while steps < budget:
-        nxt, fired, _ = _one_pass(current, rules)
-        steps += 1
-        if fired == 0:
-            return ReductionReport(current, steps, "normal-form")
-        current = nxt
-    return ReductionReport(current, steps, "budget-exhausted")
+    return reduce_element(x, rules, budget)
 
 
 def length_one_component(x: Element) -> Element:

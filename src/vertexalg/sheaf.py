@@ -30,7 +30,7 @@ from .intervals import SupportSet, overlap_core
 from .models.base import check
 from .models.polys import PolyVars
 from .parsing import DATA_DIR, expect, read_document, read_rational
-from .rewrite import UNIT_RULES, ReductionReport, RuleSet, reduce_element
+from .rewrite import UNIT_RULES, RuleSet, reduce_element
 from .terms import Alphabet, Element, Node, Symbol, fold_tree, leaves, preorder
 
 
@@ -556,11 +556,6 @@ def glue(cover, sections, context: SheafContext) -> Element:
     return out
 
 
-def _unit_reduce(x: Element) -> ReductionReport:
-    rules = RuleSet(None, None, UNIT_RULES)
-    return reduce_element(x, rules)
-
-
 def sheaf_axiom_check(cover, sections, context: SheafContext):
     """Existence and uniqueness, mechanically.
 
@@ -616,8 +611,9 @@ def sheaf_axiom_check(cover, sections, context: SheafContext):
             semantic_support(gi2 - gi3, context).is_empty(),
             detail="sum of rhos is 1"))
 
-        rep = _unit_reduce(restrict(gi3, p.window, context)
-                           - restrict(sections[i], p.window, context))
+        rep = reduce_element(restrict(gi3, p.window, context)
+                             - restrict(sections[i], p.window, context),
+                             RuleSet(None, None, UNIT_RULES))
         checks.append(check(
             f"unit-strip-{p.name}",
             bool(rep) and restrict(rep.result, p.window, context).is_zero(),

@@ -17,7 +17,7 @@ from vertexalg.models.morphisms import (
 from vertexalg.parsing import parse, to_text
 from vertexalg.terms import Element
 
-LAW_IDS = {"unit", "bracket", "product", "action"}
+LAW_IDS = {"bracket", "product", "action"}
 
 
 @pytest.fixture(scope="module")
@@ -64,8 +64,7 @@ class TestShippedPairs:
 
     def test_doubled_vector_field_fails_bracket_and_action(self, weyl):
         # the identity except del -> 2 del: [b, del] = -1 maps to -1, not
-        # [b, 2 del] = -2, and b.del = b del maps to b del, not 2 b del.
-        # The unit law cannot fail: the unit's image is fixed, not a key
+        # [b, 2 del] = -2, and b.del = b del maps to b del, not 2 b del
         table = dict(identity_morphism(weyl).table)
         table["del"] = 2 * Element.sym(weyl.alphabet, "del")
         checks = {c["id"]: c for c in validate_morphism(
@@ -74,7 +73,7 @@ class TestShippedPairs:
             "id": "bracket", "status": "fail", "cases": 22, "witness": "b, del"}
         assert checks["action"] == {
             "id": "action", "status": "fail", "cases": 8, "witness": "b, del"}
-        assert checks["unit"]["status"] == checks["product"]["status"] == "pass"
+        assert checks["product"]["status"] == "pass"
 
 
 def _reference_tables(model) -> dict:

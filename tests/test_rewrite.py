@@ -179,15 +179,22 @@ class TestBudget:
         rep = reduce_element(x, RuleSet(diff), budget=0)
         assert (rep.result, rep.steps, rep.status) == (x, 0, "budget-exhausted")
         done = Element.sym(diff.alphabet, "b")
-        assert reduce_element(done, RuleSet(diff), budget=0).status == (
-            "normal-form")
+        rep = reduce_element(done, RuleSet(diff), budget=0)
+        assert (rep.result, rep.steps, rep.status) == (done, 0, "normal-form")
 
-    def test_projection_budget_counts_passes(self, diff):
-        # one pass folds the whole chain, a second finds nothing to fire
+    def test_projection_budget_counts_firings(self, diff):
+        # one pass folds the whole chain in two firings; a budget of one
+        # stops it after the inner product
         x = parse("o{-1}(b, o{-1}(b, b2))", diff.alphabet)
         assert R_project(x, diff).steps == 2
         rep = R_project(x, diff, budget=1)
-        assert (rep.steps, rep.status) == (1, "budget-exhausted")
+        assert (rep.result, rep.steps, rep.status) == (
+            parse("o{-1}(b, b3)", diff.alphabet), 1, "budget-exhausted")
+
+    def test_a_projected_normal_form_needs_no_budget(self, diff):
+        x = parse("o{1}(b, b2)", diff.alphabet)
+        rep = R_project(x, diff, budget=0)
+        assert (rep.result, rep.steps, rep.status) == (x, 0, "normal-form")
 
     @pytest.mark.parametrize("reduce", (
         lambda x, m: reduce_element(x, RuleSet(m), budget=-1),
@@ -229,7 +236,7 @@ class TestProjection:
             x = Element.sym(al, nm)
             rep = R_project(x, diff)
             assert rep.result == x
-            assert rep.steps == 1
+            assert rep.steps == 0
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 30))
@@ -304,6 +311,21 @@ def _reference_reduce(x, rules, budget):
             return ReductionReport(current, steps, "budget-exhausted")
 
 
+def _reference_project(x, model, budget=1000):
+    """The projection as its own pass-counting loop, over the mark-free
+    reference pass: steps and budget count passes, and the first pass that
+    fires nothing is the fixpoint."""
+    rules = RuleSet(model, None, PROJECTION_RULES)
+    current, steps = x, 0
+    while steps < budget:
+        nxt, fired, _ = _reference_pass(current, rules, None)
+        steps += 1
+        if fired == 0:
+            return ReductionReport(current, steps, "normal-form")
+        current = nxt
+    return ReductionReport(current, steps, "budget-exhausted")
+
+
 def _outcome(reduce, x, rules, budget):
     try:
         rep = reduce(x, rules, budget)
@@ -316,7 +338,7 @@ def _mark_faults(make, cases):
     """Reductions on which the engine and the reference disagree.  Each
     element is reduced at its budget and then in full, under a fresh
     RuleSet and twice under one RuleSet shared with every reduction
-    before, so the second answer comes from its stored reports."""
+    before, so the later answers run over its marks."""
     warm = make()
     faults = []
     for x, budget in cases:
@@ -329,15 +351,19 @@ def _mark_faults(make, cases):
     return faults
 
 
-def _cases(al, names):
+def _elements(al, names):
     leaf = st.sampled_from([al.symbol(n) for n in names])
     tree = st.recursive(
         leaf, lambda kids: st.builds(Node, st.integers(-3, 1), kids, kids),
         max_leaves=4)
-    element = st.dictionaries(
+    return st.dictionaries(
         tree, st.sampled_from((1, -1, 2, Q(1, 2))), min_size=1, max_size=3
     ).map(lambda terms: Element(al, terms))
-    return st.lists(st.tuples(element, st.integers(0, 5)), min_size=1, max_size=4)
+
+
+def _cases(al, names):
+    return st.lists(st.tuples(_elements(al, names), st.integers(0, 5)),
+                    min_size=1, max_size=4)
 
 
 @pytest.fixture(scope="module")
@@ -353,7 +379,7 @@ def mark_rule_sets():
                        diff.alphabet, ("1", "b")),
         "collapse": (lambda: RuleSet(weyl, None, COLLAPSE_RULES),
                      weyl.alphabet, ("1", "b", "del", "bdel")),
-        # the unit rules of sheaf._unit_reduce
+        # the unit rules of sheaf_axiom_check's unit-strip hop
         "sheaf-unit": (lambda: RuleSet(None, None, ("unit_left", "unit_strip")),
                        free, ("1", "a")),
     }
@@ -399,23 +425,52 @@ class TestNormalFormMarks:
         assert _mark_faults(make, cases)
 
 
+class TestProjectionDriver:
+    # R_project is reduce_element on the model's kept projection RuleSet,
+    # warmed here across examples; at a budget neither side exhausts it
+    # must agree with the pass-counting loop on result and status
+    MODELS = {"diffpoly": ("DiffPoly", ("1", "b", "b2")),
+              "weyl1": ("Weyl1", ("1", "b", "del", "bdel"))}
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        return {name: make_model(kind) for name, (kind, _) in self.MODELS.items()}
+
+    @pytest.mark.parametrize("name", tuple(MODELS))
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_projection_matches_the_pass_counting_loop(self, models, name, data):
+        model = models[name]
+        x = data.draw(_elements(model.alphabet, self.MODELS[name][1]))
+        outcomes = []
+        for project in (R_project, _reference_project):
+            try:
+                rep = project(x, model)
+            except ModelDegreeError:
+                outcomes.append("degree cap")
+            else:
+                assert rep.status == "normal-form"
+                outcomes.append(rep.result)
+        assert outcomes[0] == outcomes[1]
+
+
 class TestStoredReports:
-    def test_the_budget_is_part_of_the_key(self, diff):
+    # a RuleSet keeps its marks between calls and no report: a repeated
+    # call runs again under its own budget
+    def test_a_repeated_call_obeys_its_budget(self, diff):
         rules = RuleSet(diff)
         x = parse("o{-1}(1, b)", diff.alphabet)
-        short = reduce_element(x, rules, budget=0)
-        assert short.status == "budget-exhausted"
+        assert reduce_element(x, rules, budget=0).status == "budget-exhausted"
         assert reduce_element(x, rules, budget=10000).status == "normal-form"
-        assert reduce_element(x, rules, budget=0) is short
+        assert reduce_element(x, rules, budget=0).status == "budget-exhausted"
 
-    def test_a_degree_cap_stores_nothing(self):
+    def test_a_degree_cap_raises_on_every_call(self):
         model = make_model("DiffPoly", {"max_degree": 4})
         rules = RuleSet(model)
         x = parse("o{-1}(b2, b3)", model.alphabet)
         for _ in range(2):
             with pytest.raises(ModelDegreeError):
                 reduce_element(x, rules)
-        assert rules.reports == {}
 
     def test_reports_are_frozen(self, diff):
         rep = reduce_element(Element.sym(diff.alphabet, "b"), RuleSet(diff))
@@ -427,7 +482,7 @@ class TestStoredReports:
         fixpoint = R_project(x, diff).result
         assert fixpoint == parse("o{1}(b, b3) + o{2}(1, b)", diff.alphabet)
         assert set(fixpoint.terms) <= diff.projection_rules.normal
-        assert R_project(fixpoint, diff).steps == 1
+        assert R_project(fixpoint, diff).steps == 0
 
     def test_projection_rules_die_with_their_model(self):
         model = make_model("DiffPoly")

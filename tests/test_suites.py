@@ -172,8 +172,8 @@ def test_report_schema():
 
 
 def test_projection_budget_exhaustion_fails():
-    # with no passes allowed R_project returns its input unreduced; that
-    # must fail the check rather than read as a fixpoint
+    # with no firings allowed R_project refuses the first rule that
+    # matches; that must fail the check rather than read as a fixpoint
     report = run_suite("injectivity", budget=0, samples=5)
     checks = {c["id"]: c for c in report["checks"]}
     idem = checks["projection-idempotent"]
