@@ -47,7 +47,9 @@ storing.  Test-field contractions keep no memo: they mostly meet derived
 forms once.  The lifetime is one check: Ops are built inside each
 classical_geometry_checks call, form-multiples inside the bracket-table
 check, and _derham2_checks empties every other memo when a check ends
-([nabla, iota_X]'s also once X is done).
+([nabla, iota_X]'s also once X is done).  Every Op is linear, so image
+hands the zero form back as it is, before it builds a key or calls the
+operator.
 """
 
 from fractions import Fraction
@@ -197,9 +199,10 @@ def _content(k, v) -> tuple:
 
 class Op:
     """An operator on sections (k, v) with a parity: fn(k, v) is the form of
-    the image, whose e-power is k again.  Calling an Op computes the image
-    afresh; image(k, v) reads it through the Op's memo, keyed by
-    _content(k, v), unless the Op was built with memo=False."""
+    the image, whose e-power is k again, and is linear in v.  Calling an
+    Op computes the image afresh; image(k, v) hands the zero form v back
+    without calling fn, and reads any other image through the Op's memo,
+    keyed by _content(k, v), unless the Op was built with memo=False."""
 
     def __init__(self, name, parity, fn, memo=True):
         self.name, self.parity, self.fn = name, parity, fn
@@ -209,6 +212,8 @@ class Op:
         return self.fn(k, v)
 
     def image(self, k, v):
+        if not v:
+            return v
         if self.memo is None:
             return self.fn(k, v)
         key = _content(k, v)

@@ -74,8 +74,10 @@ class SheafContext:
 
       cell table  the cells, each symbol's value on every cell and each
                   cell's partition plan (see cells()).  declare_section,
-                  declare_bump, declare_partition and a _mint that mints
-                  a new symbol drop it.
+                  declare_bump, declare_partition and a _mint whose window
+                  adds a breakpoint drop it; a minted symbol whose window
+                  adds none gets its values from the kept table on first
+                  use.
       mint memo   (symbol name, added bumps, target window) ->
                   the Symbol _mint returns, or None.  Only
                   declare_section and declare_bump drop it: a minted
@@ -214,7 +216,11 @@ class SheafContext:
             sym = Symbol(name, 0, Q(0), "algebra", window)
         self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(base, bumps, window)
-        self._table = None
+        # the cells, classes and plans read only the breakpoints, the bumps
+        # and the partitions, so a window on the table's points keeps it
+        if self._table is not None and not self._table.points.issuperset(
+                window.breakpoints()):
+            self._table = None
         return sym
 
     def restricted_symbol(self, name: str, window: SupportSet):
@@ -222,13 +228,20 @@ class SheafContext:
 
     # -- cells and pointwise values ------------------------------------------
 
-    def _cells_raw(self) -> tuple:
+    def _breakpoints(self) -> frozenset:
+        """The boundary points of the universe, of every bump's support
+        and plateau, and of every symbol's window."""
         pts = set(self.universe.breakpoints())
         for bd in self._bumps.values():
             pts.update(bd.support.breakpoints())
             pts.update(bd.plateau.breakpoints())
         for info in self._tags.values():
             pts.update(info.window.breakpoints())
+        return frozenset(pts)
+
+    def _cut_cells(self, pts) -> tuple:
+        """The open intervals between consecutive points of pts whose
+        midpoint lies in the universe."""
         pts = sorted(pts)
         return tuple(
             (lo, hi)
@@ -242,11 +255,15 @@ class SheafContext:
         so one midpoint decides membership for the whole cell.
 
         The cells are the first entry of the cell table, which is built
-        once per state of the declarations and also holds each symbol's
-        value on every cell and each cell's partition plan.  Every writer
-        of _tags, _bumps or _partitions drops the table: declare_section,
+        once per state of the breakpoints, bumps and partitions and holds
+        each symbol's value on every cell and each cell's partition plan.
+        Every writer of _bumps or _partitions drops the table, and so does
+        a writer of _tags that adds a breakpoint: declare_section,
         declare_bump, declare_partition (the plans read the partitions,
-        the cells do not) and a _mint that mints a new symbol."""
+        the cells do not) and a _mint whose window adds a breakpoint.  A
+        minted window on the table's points leaves every cell, class and
+        plan as it was, so the table is kept and values() reads the new
+        name on its first use."""
         return self._cell_table().cells
 
     def _cell_table(self) -> "_CellTable":
@@ -260,9 +277,12 @@ _ZERO = PolyVars.const(0)
 
 
 class _CellTable:
-    """Per-cell facts of one state of the declarations, read at each
-    cell's midpoint:
+    """Per-cell facts of one state of the breakpoints, bumps and
+    partitions, read at each cell's midpoint:
 
+      points  the breakpoints the cells were cut from; the table outlives
+              a _mint whose window adds no breakpoint, and a _mint whose
+              window adds one drops it
       cells   the cells, in order
       plans   per cell, one (eliminated bump, replacement) pair for each
               partition family with a member free to vary there, in
@@ -276,7 +296,8 @@ class _CellTable:
 
     def __init__(self, context: SheafContext):
         self._context = context
-        self.cells = context._cells_raw()
+        self.points = context._breakpoints()
+        self.cells = context._cut_cells(self.points)
         self._mids = tuple((lo + hi) / 2 for lo, hi in self.cells)
         self._class = {
             name: tuple("one" if bd.plateau.contains_point(mid)

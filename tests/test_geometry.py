@@ -212,6 +212,19 @@ def test_a_call_computes_and_image_stores_once():
     assert runs == [0, 0, 1, 0, 0]
 
 
+def test_the_zero_form_is_its_own_image():
+    # every Op is linear, so image hands {} back without calling fn, with
+    # or without a memo, and stores nothing; a commutator is such an Op
+    def fn(k, v):
+        raise AssertionError(f"fn called on {v}")
+
+    zero = {}
+    for op in (Op("boom", 1, fn), Op("boom", 1, fn, memo=False)):
+        assert op.image(2, zero) is zero
+        assert not op.memo
+        assert op.commutator(op).image(0, zero) is zero
+
+
 def test_content_keys_sections_by_value():
     x, y = Poly2.mono(1, 0), Poly2.mono(0, 2)
 

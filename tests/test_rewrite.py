@@ -25,7 +25,7 @@ from vertexalg.rewrite import (
     length_one_component,
     reduce_element,
 )
-from vertexalg.terms import Alphabet, Element, Node, Symbol
+from vertexalg.terms import Alphabet, Element, Node, Symbol, term_length
 
 
 @pytest.fixture(scope="module")
@@ -541,3 +541,10 @@ class TestLengthOne:
     def test_zero_passthrough(self, diff):
         z = Element.zero(diff.alphabet)
         assert length_one_component(z).is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_keeps_the_one_leaf_terms_in_order(self, diff, data):
+        x = data.draw(_elements(diff.alphabet, ("1", "b", "b2")))
+        want = [(t, c) for t, c in x.terms.items() if term_length(t) == 1]
+        assert list(length_one_component(x).terms.items()) == want

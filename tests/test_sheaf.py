@@ -15,6 +15,7 @@ from vertexalg.parsing import parse, to_text
 from vertexalg.sheaf import (
     SheafContext,
     SupportError,
+    _CellTable,
     _class_key,
     check_cover,
     glue,
@@ -100,7 +101,8 @@ def _plan_at(ctx, mid):
 
 def _assert_table_is_fresh(ctx):
     table = ctx._cell_table()
-    assert table.cells == ctx.cells() == ctx._cells_raw()
+    assert table.points == ctx._breakpoints()
+    assert table.cells == ctx.cells() == ctx._cut_cells(table.points)
     mids = [(lo + hi) / 2 for lo, hi in table.cells]
     assert table.plans == tuple(_plan_at(ctx, m) for m in mids)
     for name in (ctx.alphabet.unit.name, *ctx._tags):
@@ -166,6 +168,28 @@ def test_cells_follow_every_declaration():
         step()
         assert (ctx.cells(), ctx._cell_table().plans) != before
         _assert_table_is_fresh(ctx)
+
+
+def test_a_window_on_the_breakpoints_keeps_the_cell_table():
+    # each patch window is a sigma's support, so f restricted to it mints a
+    # symbol whose window adds no breakpoint
+    ctx, cover = make_cover_three()
+    table = ctx._cell_table()
+    for p in cover:
+        tags = len(ctx._tags)
+        ctx.restricted_symbol("f", p.window)
+        assert len(ctx._tags) == tags + 1
+        assert ctx._cell_table() is table
+        _assert_table_is_fresh(ctx)
+
+
+def test_a_window_with_a_new_breakpoint_drops_the_cell_table():
+    ctx, _ = make_cover_three()
+    table = ctx._cell_table()
+    ctx.restricted_symbol("f", SupportSet.closed(Q(1, 9), Q(5, 3)))
+    assert ctx._table is None
+    assert Q(1, 9) in ctx._cell_table().points - table.points
+    _assert_table_is_fresh(ctx)
 
 
 @pytest.mark.parametrize("members,error", (
@@ -454,6 +478,26 @@ def test_a_built_cell_table_agrees_with_a_fresh_context(rx, ry, u):
     fresh, fresh_cover = make_cover_three()
     x0 = _tagged_on(fresh, fresh_cover, rx)
     assert got == (semantic_support(x0, fresh), pi(x0, fresh).terms)
+
+
+@EXAMPLES
+@given(tagged(unit=True), st.lists(
+    st.one_of(windows(), st.sampled_from(("s1", "s2", "s3"))), min_size=1, max_size=6))
+def test_a_kept_cell_table_agrees_with_a_new_one(cx, steps):
+    # each step restricts to a window or dresses by a bump, and may mint
+    # symbols that keep the table or drop it; either way it must read as a
+    # table built on the context as it now stands
+    ctx, x = cx
+    for step in steps:
+        if isinstance(step, SupportSet):
+            x = x + restrict(x, step, ctx)
+        else:
+            x = x + sigma_star(step, x, ctx)
+        _assert_table_is_fresh(ctx)
+        table, new = ctx._cell_table(), _CellTable(ctx)
+        assert (table.points, table.cells, table.plans) == (new.points, new.cells, new.plans)
+        for name in (ctx.alphabet.unit.name, *ctx._tags):
+            assert table.values(name) == new.values(name), name
 
 
 @EXAMPLES
