@@ -17,12 +17,13 @@ every generator instance keeps its dead tail summands; the bridge
 identities, which truncate their sides anyway, pass their policy.
 
 TruncationPolicy.is_dead(u, v, n) is the one deadness rule: n at or past
-the pair's locality and not exempt.  Each policy keeps a pair table,
-_pairs, filled on first use of a pair with its (locality, exempt
-indices).  The table is sound because locality and exempt_indices read
-only the frozen fields, so an entry never goes stale.  It takes no part
-in ==, hash or repr, and dataclasses.replace builds a new policy with an
-empty table.  Truncation asks policy.is_dead on every call, through
+the pair's locality and not exempt.  Each policy builds one rule table,
+_rules, from its frozen fields: (name, name) -> (locality, exempt
+indices), under both orders of each pair the fields name.  locality, exempt_indices and
+is_dead read it through _pairs, filled on first use of a pair, names or
+Symbols as given, so an entry never goes stale.  Neither table takes part
+in ==, hash or repr, and dataclasses.replace builds a new policy with
+new tables.  Truncation asks policy.is_dead on every call, through
 terms.any_leaf_pair, so a rule patched onto the class is seen.
 
 FAMILIES describes the ten families once: arity, index names, what else
@@ -47,10 +48,6 @@ class CertificationError(ValueError):
     pass
 
 
-def _pair_key(u: str, v: str) -> tuple:
-    return (u, v) if u <= v else (v, u)
-
-
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Locality assignments plus the default tail bound (level).
@@ -70,44 +67,39 @@ class TruncationPolicy:
         if self.default_locality < 0:
             raise ValueError(
                 f"default_locality must be >= 0, got {self.default_locality}")
-        table = {}
+        rules = {}  # (name, name) -> (locality, exempt indices), both orders
         for u, v, loc in self.overrides:
             if int(loc) < 0:
                 raise ValueError(
                     f"locality override of ({u}, {v}) must be >= 0, got {loc}")
-            table[_pair_key(u, v)] = int(loc)
-        object.__setattr__(self, "_table", table)
-        punct = set()
+            rules[u, v] = rules[v, u] = (int(loc), frozenset())
         for u, v, n in self.exempt:
-            punct.add(_pair_key(u, v) + (int(n),))
-        object.__setattr__(self, "_punct", frozenset(punct))
+            loc, ns = rules.get((u, v), (self.default_locality, frozenset()))
+            rules[u, v] = rules[v, u] = (loc, ns | {int(n)})
+        object.__setattr__(self, "_rules", rules)
         object.__setattr__(self, "_pairs", {})
 
-    def locality(self, u, v) -> int:
-        u = u.name if not isinstance(u, str) else u
-        v = v.name if not isinstance(v, str) else v
-        return self._table.get(_pair_key(u, v), self.default_locality)
+    def _pair(self, u, v) -> tuple:
+        """(locality, exempt indices) of the pair u, v, names or Symbols
+        alike: read from _rules once and kept in _pairs."""
+        hit = self._pairs.get((u, v))
+        if hit is None:
+            key = (getattr(u, "name", u), getattr(v, "name", v))
+            hit = self._pairs[(u, v)] = self._rules.get(
+                key, (self.default_locality, frozenset()))
+        return hit
 
-    def is_exempt(self, u, v, n: int) -> bool:
-        u = u.name if not isinstance(u, str) else u
-        v = v.name if not isinstance(v, str) else v
-        return _pair_key(u, v) + (n,) in self._punct
+    def locality(self, u, v) -> int:
+        return self._pair(u, v)[0]
 
     def is_dead(self, u, v, n: int) -> bool:
         """Whether u o_n v is truncated: n at or past the pair's locality,
-        and not exempt.  Names and Symbols alike; each pair's (locality,
-        exempt indices) is read from the fields once and kept in _pairs."""
-        hit = self._pairs.get((u, v))
-        if hit is None:
-            hit = self._pairs[(u, v)] = (
-                self.locality(u, v), frozenset(self.exempt_indices(u, v)))
+        and not exempt."""
+        hit = self._pairs.get((u, v)) or self._pair(u, v)
         return n >= hit[0] and n not in hit[1]
 
     def exempt_indices(self, u, v) -> list:
-        u = u.name if not isinstance(u, str) else u
-        v = v.name if not isinstance(v, str) else v
-        key = _pair_key(u, v)
-        return sorted(n for (a, b, n) in self._punct if (a, b) == key)
+        return sorted(self._pair(u, v)[1])
 
 
 def _term_is_dead(t, policy: TruncationPolicy) -> bool:

@@ -19,6 +19,7 @@ from ..generators import FUNCTION_KINDS, fam_a, fam_i, fam_s
 from ..parsing import to_text
 from ..terms import Element, fold_tree
 from .base import Model, battery_check, case_check
+from .factory import _name_exp, pow_name, vf_name
 
 Q = Fraction
 
@@ -182,8 +183,6 @@ def shipped_morphisms(model: Model) -> tuple:
     """Two nontrivial endomorphisms of diffpoly or weyl1, by one rule over
     the non-unit symbols: b -> 2b with del -> del/2 (named "double" on
     diffpoly, "scale" on weyl1), and the shift b -> b+1, del -> del."""
-    from .factory import _name_exp, pow_name, vf_name
-
     first = {"diffpoly": "double", "weyl1": "scale"}.get(model.name)
     if first is None:
         raise ValueError(f"no shipped morphisms for model {model.name!r}")

@@ -1,8 +1,8 @@
 """Rule-driven reduction and the structural projection, on one pass engine
 and one driver.
 
-A RuleSet picks which root rules are active.  One pass rewrites every
-node innermost-first, trying the enabled rules in the fixed RULE_ORDER.
+A RuleSet enables entries of RULES, the one table of root rules, and one
+pass rewrites every node innermost-first, trying them in RULES order.
 reduce_element, the one driver, repeats passes to a fixpoint, bounded by
 a firing budget.  A RuleSet's truncation policy is not a rule:
 reduce_element truncates under it before the first pass and after every
@@ -44,15 +44,62 @@ from dataclasses import dataclass
 from .generators import FUNCTION_KINDS, TruncationPolicy, truncate
 from .terms import Element, Node, Symbol, fold_tree
 
-RULE_ORDER = (
-    "unit_left",
-    "unit_identity",
-    "bracket",
-    "scalar",
-    "unit_strip",
-    "e_orient",
-    "right_scalar",
-)
+
+def _unit_left(t: Node, al, model):
+    # the vacuum axiom 1_(n) x = delta_{n,-1} x
+    if t.left.__class__ is Symbol and t.left.kind == "unit":
+        return Element.of_term(al, t.right) if t.index == -1 else Element.zero(al)
+
+
+def _unit_identity(t: Node, al, model):
+    if t.index == -1 and t.left.__class__ is Symbol and t.left.kind == "unit":
+        return Element.of_term(al, t.right)
+
+
+def _bracket(t: Node, al, model):
+    if t.index == 0 and t.left.__class__ is t.right.__class__ is Symbol:
+        return model.bracket(t.left, t.right)
+
+
+def _scalar(t: Node, al, model):
+    if (t.index == -1 and t.left.__class__ is t.right.__class__ is Symbol
+            and t.left.kind in FUNCTION_KINDS):
+        return model.act(t.left, t.right)
+
+
+def _unit_strip(t: Node, al, model):
+    if t.index == -1 and t.right.__class__ is Symbol and t.right.kind == "unit":
+        return Element.of_term(al, t.left)
+
+
+def _e_orient(t: Node, al, model):
+    # (Dx) o_n y with Dx spelled x o_{-2} unit
+    dx = t.left
+    if (isinstance(dx, Node) and dx.index == -2 and dx.right.__class__ is Symbol
+            and dx.right.kind == "unit"):
+        inner = Element.of_term(al, dx.left)
+        return (-t.index) * inner.o(t.index - 1, Element.of_term(al, t.right))
+
+
+def _right_scalar(t: Node, al, model):
+    if (t.index == -1 and t.left.__class__ is t.right.__class__ is Symbol
+            and t.right.kind in FUNCTION_KINDS and t.left.kind not in FUNCTION_KINDS):
+        return model.act(t.right, t.left)
+
+
+# name -> (root rule, whether it reads the model tables), in pass order; a
+# root rule maps a product node t to its image, or falls through to None
+RULES = {
+    "unit_left": (_unit_left, False),
+    "unit_identity": (_unit_identity, False),
+    "bracket": (_bracket, True),
+    "scalar": (_scalar, True),
+    "unit_strip": (_unit_strip, False),
+    "e_orient": (_e_orient, False),
+    "right_scalar": (_right_scalar, True),
+}
+
+RULE_ORDER = tuple(RULES)
 
 STOCK_RULES = ("unit_left", "bracket", "scalar", "unit_strip")
 
@@ -75,76 +122,25 @@ class RuleSet:
     def __init__(self, model=None, policy: TruncationPolicy = None, enabled=None):
         # STOCK_RULES is read at each call, not when the class is defined
         enabled = STOCK_RULES if enabled is None else enabled
-        bad = [r for r in enabled if r not in RULE_ORDER]
+        bad = [r for r in enabled if r not in RULES]
         if bad:
             raise ValueError(f"unknown rules: {bad}; known: {RULE_ORDER}")
         self.model = model
         self.policy = policy
-        self.enabled = tuple(r for r in RULE_ORDER if r in enabled)
-        needs_model = {"bracket", "scalar", "right_scalar"} & set(self.enabled)
+        self.enabled = tuple(r for r in RULES if r in enabled)
+        needs_model = [r for r in self.enabled if RULES[r][1]]
         if needs_model and model is None:
             raise ValueError(f"rules {sorted(needs_model)} need a model")
+        self._rules = tuple((r, RULES[r][0]) for r in self.enabled)
         self.normal = set()  # nodes no enabled rule fires on, anywhere below
 
     # one root-level rule application; None when no rule matches
     def apply_at_root(self, t: Node, al):
-        for rule in self.enabled:
-            if rule == "unit_left":
-                if t.left.__class__ is Symbol and t.left.kind == "unit":
-                    if t.index == -1:
-                        return rule, Element.of_term(al, t.right)
-                    return rule, Element.zero(al)
-            elif rule == "unit_identity":
-                if (
-                    t.index == -1
-                    and t.left.__class__ is Symbol
-                    and t.left.kind == "unit"
-                ):
-                    return rule, Element.of_term(al, t.right)
-            elif rule == "bracket":
-                if (
-                    t.index == 0
-                    and t.left.__class__ is Symbol
-                    and t.right.__class__ is Symbol
-                ):
-                    return rule, self.model.bracket(t.left, t.right)
-            elif rule == "scalar":
-                if (
-                    t.index == -1
-                    and t.left.__class__ is Symbol
-                    and t.right.__class__ is Symbol
-                    and t.left.kind in FUNCTION_KINDS
-                ):
-                    return rule, self.model.act(t.left, t.right)
-            elif rule == "unit_strip":
-                if (
-                    t.index == -1
-                    and t.right.__class__ is Symbol
-                    and t.right.kind == "unit"
-                ):
-                    return rule, Element.of_term(al, t.left)
-            elif rule == "e_orient":
-                # (Dx) o_n y with Dx spelled x o_{-2} unit
-                if (
-                    isinstance(t.left, Node)
-                    and t.left.index == -2
-                    and t.left.right.__class__ is Symbol
-                    and t.left.right.kind == "unit"
-                ):
-                    inner = Element.of_term(al, t.left.left)
-                    return rule, (-t.index) * inner.o(
-                        t.index - 1, Element.of_term(al, t.right)
-                    )
-            elif rule == "right_scalar":
-                if (
-                    t.index == -1
-                    and t.left.__class__ is Symbol
-                    and t.right.__class__ is Symbol
-                    and t.right.kind in FUNCTION_KINDS
-                    and t.left.kind not in FUNCTION_KINDS
-                ):
-                    return rule, self.model.act(t.right, t.left)
-        return None
+        model = self.model
+        for rule, apply in self._rules:
+            image = apply(t, al, model)
+            if image is not None:
+                return rule, image
 
 
 def _one_pass(x: Element, rules: RuleSet, allowance: int):

@@ -701,17 +701,20 @@ def load_cover(path):
     numbers or strings ("3/2"); each patch gives its window, core, and
     bump names; sections list name, support and optionally parity (0 or
     1) and degree.  The rho partition is declared automatically.  A field
-    of the wrong shape is a ValueError naming its JSON path
-    (patches[0].window)."""
+    of the wrong shape, and a field no reader reads, is a ValueError
+    naming its JSON path (patches[0].window, patches[0].corr)."""
     data = read_document(path, "cover file")
+    _known(data, "", "universe", "sections", "patches")
     ctx = SheafContext(_field(data, "", "universe", _span))
     for at, sec in _field(data, "", "sections", _objects, ()):
+        _known(sec, at, "name", "support", "parity", "degree")
         ctx.declare_section(_field(sec, at, "name", _name),
                             _field(sec, at, "support", _span),
                             parity=_field(sec, at, "parity", _parity, 0),
                             degree=_field(sec, at, "degree", read_rational, 0))
     cover = []
     for at, patch in _field(data, "", "patches", _objects):
+        _known(patch, at, "name", "window", "core", "sigma", "rho")
         window = _field(patch, at, "window", _span)
         core = _field(patch, at, "core", _span)
         sigma = _field(patch, at, "sigma", _name)
@@ -739,6 +742,13 @@ def _field(obj, at, key, read, default=_REQUIRED):
     if default is _REQUIRED:
         raise ValueError(f"{path}: missing")
     return default
+
+
+def _known(obj, at, *keys):
+    """Refuse the first field of the object at path at that is not in keys."""
+    for key in obj:
+        if key not in keys:
+            raise ValueError(f"{at + '.' if at else ''}{key}: unknown field")
 
 
 def _span(value, path):

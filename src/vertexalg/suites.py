@@ -161,6 +161,12 @@ def _bridge_alphabet() -> Alphabet:
     return al
 
 
+def _bridge_leaf(rng):
+    al = _bridge_alphabet()
+    names = [nm for nm in al.names() if al.symbol(nm).kind != "unit"]
+    return lambda: Element.sym(al, rng.choice(names))
+
+
 def _rand_element(model, rng, max_len: int, window: int) -> Element:
     al, syms = model.alphabet, model.sample_symbols()
     out = random_tree(al, syms, rng, rng.randint(1, max_len), -window, window)
@@ -216,12 +222,10 @@ def _bridge_args(slots, rng, leaf, window):
 
 
 def _suite_borcherds(cfg: SuiteConfig):
-    al = _bridge_alphabet()
-    names = [nm for nm in al.names() if al.symbol(nm).kind != "unit"]
     pol = cfg.policy()
     rng = random.Random(cfg.seed)
     per = cfg.n_samples(100)
-    leaf = lambda: Element.sym(al, rng.choice(names))
+    leaf = _bridge_leaf(rng)
     for ident, (slots, _, _) in BRIDGES.items():
         if ident == "commutator":
             continue  # its own suite, on a fixed index grid
@@ -270,12 +274,10 @@ def _suite_borcherds(cfg: SuiteConfig):
 
 
 def _suite_commutator(cfg: SuiteConfig):
-    al = _bridge_alphabet()
-    names = [nm for nm in al.names() if al.symbol(nm).kind != "unit"]
     pol = cfg.policy()
     rng = random.Random(cfg.seed)
     per = max(3, cfg.n_samples(48) // 16)
-    leaf = lambda: Element.sym(al, rng.choice(names))
+    leaf = _bridge_leaf(rng)
     probe = lambda args: _witness(*borcherds_bridge("commutator", args, pol))
     for m in (-1, 0, 1, 2):
         for n in (-1, 0, 1, 2):

@@ -409,11 +409,19 @@ def _section_with(**fields):
      "sections[0].name: expected a name, got 7"),
     (_cover_two_with(patches=[{"window": [0, 3], "core": [0, 3], "sigma": "s1"}]),
      "patches[0].rho: missing"),
+    # a field no reader reads is refused, not dropped
+    (_cover_two_with(sectoins=_section_with()), "sectoins: unknown field"),
+    (_cover_two_with(sections=_section_with(degre=1)),
+     "sections[0].degre: unknown field"),
+    (_cover_two_with(patches=[{"window": [0, 3], "core": [0, 3], "sigma": "s1",
+                               "rho": "r1", "corr": [0, 3]}]),
+     "patches[0].corr: unknown field"),
 ), ids=("list", "string", "number", "null", "patch-not-object",
         "section-not-object", "short-universe", "sections-not-list",
         "patches-not-list", "parity-list", "bound-not-rational", "bound-other-digit",
         "bound-underscore", "bound-exponent", "bound-space", "bound-zero-denominator",
-        "name-not-string", "rho-missing"))
+        "name-not-string", "rho-missing", "unknown-top-field",
+        "unknown-section-field", "unknown-patch-field"))
 def test_malformed_cover_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "cover.json"
     path.write_text(text)

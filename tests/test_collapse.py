@@ -83,8 +83,9 @@ class TestPunctured:
     def test_policy_shape(self):
         pol = punctured_policy(2, 8)
         assert pol.default_locality == 1
-        assert pol.is_exempt("b", "del", 2)
-        assert pol.is_exempt("del", "b", 2)
+        assert pol.exempt_indices("b", "del") == [2]
+        assert pol.exempt_indices("del", "b") == [2]
+        assert not pol.is_dead("del", "b", 2)
         assert pol.is_dead("b", "del", 1)
         assert pol.is_dead("b", "del", 3)
         assert not pol.is_dead("b", "del", 2)

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import inspect
+import re
 import weakref
 from fractions import Fraction as Q
 
@@ -11,13 +12,14 @@ from hypothesis import Phase, find, given, settings, strategies as st
 
 from vertexalg import rewrite
 from vertexalg.collapse import COLLAPSE_RULES
-from vertexalg.generators import TruncationPolicy, truncate
+from vertexalg.generators import FUNCTION_KINDS, TruncationPolicy, truncate
 from vertexalg.models.base import ModelDegreeError
-from vertexalg.models.factory import make_model
+from vertexalg.models.factory import make_model, shipped_model
 from vertexalg.parsing import parse, to_text
 from vertexalg.rewrite import (
     PROJECTION_RULES,
     RULE_ORDER,
+    RULES,
     STOCK_RULES,
     R_project,
     ReductionReport,
@@ -132,6 +134,90 @@ class TestLocalityRule:
     def test_stock_drops_kill_without_policy(self, diff):
         assert RuleSet(diff).enabled == STOCK_RULES
         assert RuleSet(diff, TruncationPolicy(2)).enabled == STOCK_RULES
+
+
+# -- the rule table ---------------------------------------------------------------
+#
+# The reference is the root-rule chain RULES replaced, one branch per rule
+# name: every entry of RULES must give the image it gives, or None, on every
+# product of an enumerated grid.
+
+
+def _reference_root(rule, t, al, model):
+    if rule == "unit_left":
+        if t.left.__class__ is Symbol and t.left.kind == "unit":
+            if t.index == -1:
+                return Element.of_term(al, t.right)
+            return Element.zero(al)
+    elif rule == "unit_identity":
+        if t.index == -1 and t.left.__class__ is Symbol and t.left.kind == "unit":
+            return Element.of_term(al, t.right)
+    elif rule == "bracket":
+        if (t.index == 0 and t.left.__class__ is Symbol
+                and t.right.__class__ is Symbol):
+            return model.bracket(t.left, t.right)
+    elif rule == "scalar":
+        if (t.index == -1 and t.left.__class__ is Symbol
+                and t.right.__class__ is Symbol and t.left.kind in FUNCTION_KINDS):
+            return model.act(t.left, t.right)
+    elif rule == "unit_strip":
+        if t.index == -1 and t.right.__class__ is Symbol and t.right.kind == "unit":
+            return Element.of_term(al, t.left)
+    elif rule == "e_orient":
+        # (Dx) o_n y with Dx spelled x o_{-2} unit
+        if (isinstance(t.left, Node) and t.left.index == -2
+                and t.left.right.__class__ is Symbol
+                and t.left.right.kind == "unit"):
+            inner = Element.of_term(al, t.left.left)
+            return (-t.index) * inner.o(t.index - 1, Element.of_term(al, t.right))
+    elif rule == "right_scalar":
+        if (t.index == -1 and t.left.__class__ is Symbol
+                and t.right.__class__ is Symbol
+                and t.right.kind in FUNCTION_KINDS
+                and t.left.kind not in FUNCTION_KINDS):
+            return model.act(t.right, t.left)
+    else:
+        raise AssertionError(f"no reference for rule {rule!r}")
+    return None
+
+
+def _root_outcome(apply, *args):
+    try:
+        return apply(*args)
+    except ModelDegreeError:
+        return "degree cap"
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("name", ("diffpoly", "weyl1"))
+    def test_every_rule_matches_the_reference_chain(self, name):
+        model = shipped_model(name)
+        al = model.alphabet
+        syms = [al.symbol(nm) for nm in al.names()]
+        lefts = syms + list(parse("o{-2}(b, 1)", al).terms)
+        grid = [Node(n, x, y) for x in lefts for y in syms for n in range(-3, 3)]
+        fired = dict.fromkeys(RULES, 0)
+        for rule, (apply, _) in RULES.items():
+            for t in grid:
+                want = _root_outcome(_reference_root, rule, t, al, model)
+                got = _root_outcome(apply, t, al, model)
+                assert got == want, (rule, t)
+                fired[rule] += want is not None
+        # the grid reaches every rule, right_scalar only where vector fields are
+        assert [r for r, k in fired.items() if not k] == (
+            ["right_scalar"] if name == "diffpoly" else [])
+
+    def test_order_and_model_needs_come_from_the_table(self):
+        assert RULE_ORDER == tuple(RULES)
+        for rule, (_, reads_model) in RULES.items():
+            if reads_model:
+                need = re.escape(f"rules ['{rule}'] need a model")
+                with pytest.raises(ValueError, match=need):
+                    RuleSet(None, None, (rule,))
+            else:
+                assert RuleSet(None, None, (rule,)).enabled == (rule,)
+        assert {r for r, (_, m) in RULES.items() if m} == {
+            "bracket", "scalar", "right_scalar"}
 
 
 class TestRuleSetValidation:
