@@ -22,6 +22,7 @@ from .generators import (
     _certified_bound,
     _parity_of,
     _qa_sum,
+    _qa_tail,
     _qc_sum,
     fam_d,
     fam_e,
@@ -44,11 +45,11 @@ def _koszul(x: Element, y: Element) -> int:
 # Each takes a policy `cut` and returns an (lhs, rhs) pair at the series
 # bound K.  Every tail summand's base, the product that D^k, a derivative
 # tower, an outer product or an e, f or i family wraps, goes through
-# truncate(base, cut) first, here or in generators._qc_sum and _qa_sum; a
-# summand over an empty base is skipped or comes out empty.  Each wrapper
-# keeps the base's terms as subtrees, so a term built over a dead base
-# term is dead, and truncating the pair under cut gives what truncating
-# the uncut pair would.  With cut=None the pair is the untruncated one.
+# truncate(base, cut) first, here or in generators._qc_sum and _qa_sum; in
+# every builder a summand over an empty base is skipped.  Each wrapper keeps
+# the base's terms as subtrees, so a term built over a dead base term is
+# dead, and truncating the pair under cut gives what truncating the uncut
+# pair would.  With cut=None the pair is the untruncated one.
 # The sign conventions follow the qa/qc family builders, so even-parity
 # arguments reproduce the classical displays verbatim.
 
@@ -59,9 +60,12 @@ def _eb(x: Element, y: Element, n: int, K: int, cut):
     acc = dict(_qa_sum(x, one, y, -2, n, _koszul(x, one), K, cut).terms)
     for k in range(K + 1):
         c = binom(-2, k) * minus_one_pow(k)  # = k + 1
-        fix = (x.o(-2 - k, truncate(fam_i(y, n + k), cut))
-               - fam_i(truncate(x.o(k, y), cut), -2 + n - k))
-        fix._add_into(acc, c)
+        base = truncate(fam_i(y, n + k), cut)
+        if base.terms:
+            x.o(-2 - k, base)._add_into(acc, c)
+        base = truncate(x.o(k, y), cut)
+        if base.terms:
+            fam_i(base, -2 + n - k)._add_into(acc, -c)
     return lhs, Element._trusted(x.alphabet, acc)
 
 
@@ -116,13 +120,14 @@ def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
     rhs = -_qa_sum(x.D(), y, z, m, n, kosz, K, cut) + fam_e(x, y, m).o(n, z)
     sp = minus_one_pow(m) * kosz
     acc = dict(rhs.terms)
-    for k in range(K + 1):
+    for k in _qa_tail(m, K):
         c = binom(m, k) * minus_one_pow(k)
-        if c == 0:
-            continue
-        term = (fam_e(x, truncate(y.o(n + k, z), cut), m - k)
-                - sp * y.o(m + n - k, truncate(fam_e(x, z, k), cut)))
-        term._add_into(acc, -c)
+        base = truncate(y.o(n + k, z), cut)
+        if base.terms:
+            fam_e(x, base, m - k)._add_into(acc, -c)
+        base = truncate(fam_e(x, z, k), cut)
+        if base.terms:
+            y.o(m + n - k, base)._add_into(acc, c * sp)
     return lhs, Element._trusted(x.alphabet, acc)
 
 
@@ -138,16 +143,20 @@ def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
     )
     sp = minus_one_pow(m) * kosz
     acc = dict(rhs.terms)
-    for k in range(K + 1):
+    for k in _qa_tail(m, K):
         c = binom(m, k) * minus_one_pow(k)
-        if c == 0:
-            continue
-        outer = (fam_f(x, truncate(y.o(n + k, z), cut), m - k)
-                 - sp * fam_f(y, truncate(x.o(k, z), cut), m + n - k))
-        inner = (x.o(m - k, truncate(fam_f(y, z, n + k), cut))
-                 - sp * y.o(m + n - k, truncate(fam_f(x, z, k), cut)))
-        outer._add_into(acc, -c)
-        inner._add_into(acc, -c)
+        base = truncate(y.o(n + k, z), cut)
+        if base.terms:
+            fam_f(x, base, m - k)._add_into(acc, -c)
+        base = truncate(x.o(k, z), cut)
+        if base.terms:
+            fam_f(y, base, m + n - k)._add_into(acc, c * sp)
+        base = truncate(fam_f(y, z, n + k), cut)
+        if base.terms:
+            x.o(m - k, base)._add_into(acc, -c)
+        base = truncate(fam_f(x, z, k), cut)
+        if base.terms:
+            y.o(m + n - k, base)._add_into(acc, c * sp)
     return lhs, Element._trusted(x.alphabet, acc)
 
 
@@ -196,7 +205,9 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n == -1:
         for k in range(K + 1):
-            truncate(x.o(k, y), cut).o(-2 - k, z)._add_into(lhs, -minus_one_pow(k))
+            base = truncate(x.o(k, y), cut)
+            if base.terms:
+                base.o(-2 - k, z)._add_into(lhs, -minus_one_pow(k))
         rhs = dict((
             -_qa_sum(x, y, z, -1, -1, kosz, K, cut)
             + kosz * _qa_sum(y, x, z, -1, -1, kosz, K, cut)
@@ -213,7 +224,9 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n >= 0:
         for k in range(K + 1):
-            truncate(x.o(k, y), cut).o(n - 1 - k, z)._add_into(lhs, -minus_one_pow(k))
+            base = truncate(x.o(k, y), cut)
+            if base.terms:
+                base.o(n - 1 - k, z)._add_into(lhs, -minus_one_pow(k))
         for k in range(n + 1):
             ck = binom(n, k)
             qa = _qa_sum(y, x, z, k, n - 1 - k, kosz, K, cut)

@@ -14,7 +14,10 @@ so a term built over a dead base term is dead itself, and cutting early
 then truncating the sum equals truncating the uncut sum, for any deadness
 rule.  fam_qc and fam_qa certify K and call the sums with cut=None, so
 every generator instance keeps its dead tail summands; the bridge
-identities, which truncate their sides anyway, pass their policy.
+identities, which truncate their sides anyway, pass their policy.  A qa
+tail with m >= 0 is finite, since binom(m, k) vanishes past k = m: every
+qa loop runs over _qa_tail(m, K), which stops there.  fam_f is d + e in
+closed form, without the (Dx) o_n y summands that cancel between them.
 
 TruncationPolicy.is_dead(u, v, n) is the one deadness rule: n at or past
 the pair's locality and not exempt.  Each policy builds one rule table,
@@ -48,6 +51,12 @@ class CertificationError(ValueError):
     pass
 
 
+def _need_int(what: str, value) -> None:
+    # a bool is an int to Python, but True as a locality is a slip
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Locality assignments plus the default tail bound (level).
@@ -63,19 +72,23 @@ class TruncationPolicy:
     exempt: frozenset = frozenset()
 
     def __post_init__(self):
+        _need_int("default_locality", self.default_locality)
+        _need_int("level", self.level)
         # a negative locality would truncate products the vacuum axiom needs
         if self.default_locality < 0:
             raise ValueError(
                 f"default_locality must be >= 0, got {self.default_locality}")
         rules = {}  # (name, name) -> (locality, exempt indices), both orders
-        for u, v, loc in self.overrides:
-            if int(loc) < 0:
+        for i, (u, v, loc) in enumerate(self.overrides):
+            _need_int(f"overrides[{i}]: locality", loc)
+            if loc < 0:
                 raise ValueError(
                     f"locality override of ({u}, {v}) must be >= 0, got {loc}")
-            rules[u, v] = rules[v, u] = (int(loc), frozenset())
+            rules[u, v] = rules[v, u] = (loc, frozenset())
         for u, v, n in self.exempt:
+            _need_int(f"exempt ({u}, {v}): index", n)
             loc, ns = rules.get((u, v), (self.default_locality, frozenset()))
-            rules[u, v] = rules[v, u] = (loc, ns | {int(n)})
+            rules[u, v] = rules[v, u] = (loc, ns | {n})
         object.__setattr__(self, "_rules", rules)
         object.__setattr__(self, "_pairs", {})
 
@@ -211,7 +224,8 @@ def fam_e(x: Element, y: Element, n: int) -> Element:
 
 
 def fam_f(x: Element, y: Element, n: int) -> Element:
-    return fam_d(x, y, n) + fam_e(x, y, n)
+    # d + e, with the (Dx) o_n y summands of the two cancelled
+    return x.o(n, y).D() - x.o(n, y.D()) + n * x.o(n - 1, y)
 
 
 def _qc_sum(x, y, n: int, sign: int, K: int, cut) -> Element:
@@ -226,16 +240,20 @@ def _qc_sum(x, y, n: int, sign: int, K: int, cut) -> Element:
     return Element._trusted(x.alphabet, acc)
 
 
+def _qa_tail(m: int, K: int) -> range:
+    """The k of a qa tail up to K: binom(m, k) vanishes past k = m >= 0,
+    so a finite tail stops there."""
+    return range(K + 1 if m < 0 else min(K, m) + 1)
+
+
 def _qa_sum(x, y, z, m: int, n: int, sign: int, K: int, cut) -> Element:
     """(x o_m y) o_n z minus the qa tail up to K; sign is the Koszul sign
     of (x, y).  Each inner product is cut under `cut` before the outer
     product wraps it."""
     sign_xy = minus_one_pow(m) * sign
     acc = dict(x.o(m, y).o(n, z).terms)
-    for k in range(K + 1):
+    for k in _qa_tail(m, K):
         c = binom(m, k) * minus_one_pow(k)
-        if c == 0:
-            continue
         inner = truncate(y.o(n + k, z), cut)
         if inner.terms:
             x.o(m - k, inner)._add_into(acc, -c)

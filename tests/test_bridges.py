@@ -5,6 +5,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+from vertexalg import bridges
 from vertexalg.bridges import (
     BRIDGE_IDS,
     BRIDGES,
@@ -23,6 +24,7 @@ from vertexalg.generators import (
     fam_qc,
     truncate,
 )
+from vertexalg.suites import run_suite
 from vertexalg.terms import Alphabet, Element, Node, Symbol
 
 from test_generators import _dead_one_early
@@ -157,6 +159,24 @@ class TestInductionGrid:
             )
             results.append((lhs - rhs).is_zero())
         assert not all(results)
+
+
+# fam_f in closed form with one slip each, patched where the bridges call it
+F_MUTANTS = {
+    "last-coefficient-n+1": lambda x, y, n: (
+        x.o(n, y).D() - x.o(n, y.D()) + (n + 1) * x.o(n - 1, y)),
+    "y-derivative-dropped": lambda x, y, n: (
+        x.o(n, y).D() + n * x.o(n - 1, y)),
+}
+
+
+@pytest.mark.parametrize("mutant", F_MUTANTS.values(), ids=F_MUTANTS)
+def test_f_mutants_fail_the_inductions_through_f(monkeypatch, mutant):
+    monkeypatch.setattr(bridges, "fam_f", mutant)
+    report = run_suite("borcherds", samples=5, seed=0)
+    status = {c["id"]: c["status"] for c in report["checks"]}
+    for ident in ("qc-induction", "qa-n-induction", "i-induction"):
+        assert status[ident] == "fail", ident
 
 
 class TestCommutatorBridge:

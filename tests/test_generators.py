@@ -1,6 +1,8 @@
 """Ideal generator families, truncation, and certified tail bounds."""
 
 import dataclasses
+import random
+import re
 from fractions import Fraction as Q
 from functools import partial
 
@@ -10,11 +12,13 @@ from hypothesis import given, settings, strategies as st
 from vertexalg import generators
 from vertexalg.models import base
 from vertexalg.models.factory import shipped_model
+from vertexalg.suites import _rand_element
 from vertexalg.generators import (
     FAMILIES,
     FUNCTION_KINDS,
     CertificationError,
     TruncationPolicy,
+    _qa_sum,
     _term_is_dead,
     build_generator,
     fam_a,
@@ -62,6 +66,19 @@ class TestTruncation:
                            match=r"locality override of \(x, y\) must be >= 0, got -2"):
             TruncationPolicy(3, overrides=(("x", "y", -2),))
         assert TruncationPolicy(0, overrides=(("x", "y", 0),)).locality("x", "y") == 0
+
+    # one row per int field; a bool is an int to Python, and refused too
+    @pytest.mark.parametrize("fields,message", [
+        ({"default_locality": 2.5}, "default_locality must be an int, got 2.5"),
+        ({"level": True}, "level must be an int, got True"),
+        ({"overrides": (("x", "y", 2.5),)},
+         "overrides[0]: locality must be an int, got 2.5"),
+        ({"exempt": frozenset({("x", "y", True)})},
+         "exempt (x, y): index must be an int, got True"),
+    ], ids=("default_locality", "level", "overrides", "exempt"))
+    def test_a_field_that_is_not_an_int_is_refused(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TruncationPolicy(**fields)
 
     def test_dead_leaf_pair_dropped(self, al):
         x, y = E(al, "x"), E(al, "y")
@@ -132,6 +149,25 @@ class TestDerivationFamilies:
     def test_f_is_d_plus_e(self, al):
         x, y = E(al, "x"), E(al, "y")
         assert fam_f(x, y, -2) == fam_d(x, y, -2) + fam_e(x, y, -2)
+
+
+_WEYL1 = shipped_model("weyl1")
+
+
+def _weyl1_element(seed: int) -> Element:
+    # the suites' random element, with a second draw added so that most
+    # elements have several terms
+    rng = random.Random(seed)
+    return _rand_element(_WEYL1, rng, 3, 4) + _rand_element(_WEYL1, rng, 3, 4)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1), st.integers(-4, 4))
+@settings(max_examples=200, deadline=None)
+def test_closed_form_f_is_d_plus_e(sx, sy, n):
+    # values only: the closed form never builds the cancelling
+    # (Dx) o_n y summands, so its term order may differ from d + e's
+    x, y = _weyl1_element(sx), _weyl1_element(sy)
+    assert fam_f(x, y, n) == fam_d(x, y, n) + fam_e(x, y, n)
 
 
 class TestDeadPairFamily:
@@ -210,6 +246,21 @@ class TestAssociatorFamily:
         x, y, z = E(al, "x"), E(al, "y"), E(al, "z")
         with pytest.raises(CertificationError):
             fam_qa(x, y, z, -1, -1, POL, K=1)
+
+    @pytest.mark.parametrize("cut", (None, POL), ids=("uncut", "cut"))
+    @pytest.mark.parametrize("m", range(4))
+    def test_a_finite_sum_is_the_same_past_k_equals_m(self, al, m, cut):
+        # the loop stops at k = m, so a larger K builds nothing more, and
+        # the sum comes out term for term in the same order
+        x, y, z = E(al, "x"), E(al, "y"), E(al, "z")
+        for n in (-2, 0, 1):
+            short = _qa_sum(x, y, z, m, n, 1, m, cut)
+            long = _qa_sum(x, y, z, m, n, 1, m + 8, cut)
+            assert list(short.terms.items()) == list(long.terms.items())
+            if cut is None:
+                # the summand at k = m itself is built
+                (last,) = y.o(n, x.o(m, z)).terms
+                assert short.terms[last] == 1
 
 
 class TestHomogeneity:
