@@ -6,7 +6,7 @@ commutative and operator semantics, interval-supported section algebra,
 and a batch verification CLI.
 """
 
-from .intervals import Piece, SupportSet, overlap_core, piece
+from .intervals import Piece, SupportSet, overlap_core
 from .parsing import ParseError, parse, to_text
 from .terms import (
     Alphabet,
@@ -37,6 +37,5 @@ __all__ = [
     "overlap_core",
     "parity",
     "parse",
-    "piece",
     "to_text",
 ]

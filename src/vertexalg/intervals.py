@@ -1,113 +1,42 @@
-"""Exact interval algebra over the rationals.
+"""Exact closed-interval algebra over the rationals.
 
-Support sets are finite unions of intervals with Fraction endpoints and
-open/closed endpoint flags, normalized to sorted disjoint pieces.  All
-operations are exact; nothing here ever touches a float.
+Every set the package keeps is closed: the sheaf's universe, windows,
+bump supports and plateaus, and cells.  A support set is a finite union
+of closed intervals [lo, hi] with Fraction endpoints and lo <= hi, where
+lo == hi is a point, normalized to sorted pieces that neither overlap nor
+touch.  The one operation whose exact result need not be closed, minus,
+returns the closure of the difference.  All operations are exact; nothing
+here ever touches a float.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 
-def _frac(x):
-    return x if isinstance(x, Fraction) else Fraction(x)
-
-
 @dataclass(frozen=True)
 class Piece:
+    """The closed interval [lo, hi]; a point when lo == hi."""
+
     lo: Fraction
     hi: Fraction
-    lo_closed: bool
-    hi_closed: bool
-
-    def is_empty(self) -> bool:
-        if self.lo > self.hi:
-            return True
-        if self.lo == self.hi:
-            return not (self.lo_closed and self.hi_closed)
-        return False
 
     def contains_point(self, p) -> bool:
-        p = _frac(p)
-        if self.lo < p < self.hi:
-            return True
-        if p == self.lo and self.lo_closed:
-            return True
-        if p == self.hi and self.hi_closed:
-            return True
-        return False
+        return self.lo <= p <= self.hi
 
     def __str__(self) -> str:
-        left = "[" if self.lo_closed else "("
-        right = "]" if self.hi_closed else ")"
-        return f"{left}{self.lo}, {self.hi}{right}"
-
-
-def piece(lo, hi, lo_closed=True, hi_closed=True) -> Piece:
-    return Piece(_frac(lo), _frac(hi), lo_closed, hi_closed)
-
-
-def _can_merge(a: Piece, b: Piece) -> bool:
-    # b starts at or after a (sorted); merge on overlap or closed touch
-    if b.lo < a.hi:
-        return True
-    if b.lo == a.hi and (a.hi_closed or b.lo_closed):
-        return True
-    return False
-
-
-def _merge(a: Piece, b: Piece) -> Piece:
-    # b starts at or after a (sorted)
-    if a.lo < b.lo:
-        lo, lc = a.lo, a.lo_closed
-    else:
-        lo, lc = a.lo, a.lo_closed or b.lo_closed
-    if a.hi > b.hi:
-        hi, hc = a.hi, a.hi_closed
-    elif b.hi > a.hi:
-        hi, hc = b.hi, b.hi_closed
-    else:
-        hi, hc = a.hi, a.hi_closed or b.hi_closed
-    return Piece(lo, hi, lc, hc)
+        return f"[{self.lo}, {self.hi}]"
 
 
 def _normalize(pieces) -> tuple:
-    kept = [p for p in pieces if not p.is_empty()]
-    kept.sort(key=lambda p: (p.lo, not p.lo_closed, p.hi, p.hi_closed))
+    """The pieces with lo <= hi, sorted, overlapping or touching ones merged."""
     out = []
-    for p in kept:
-        if out and _can_merge(out[-1], p):
-            out[-1] = _merge(out[-1], p)
+    for p in sorted((p for p in pieces if p.lo <= p.hi), key=lambda p: p.lo):
+        if out and p.lo <= out[-1].hi:
+            if p.hi > out[-1].hi:
+                out[-1] = Piece(out[-1].lo, p.hi)
         else:
             out.append(p)
     return tuple(out)
-
-
-def _intersect_pieces(a: Piece, b: Piece) -> Piece:
-    if a.lo > b.lo:
-        lo, lc = a.lo, a.lo_closed
-    elif b.lo > a.lo:
-        lo, lc = b.lo, b.lo_closed
-    else:
-        lo, lc = a.lo, a.lo_closed and b.lo_closed
-    if a.hi < b.hi:
-        hi, hc = a.hi, a.hi_closed
-    elif b.hi < a.hi:
-        hi, hc = b.hi, b.hi_closed
-    else:
-        hi, hc = a.hi, a.hi_closed and b.hi_closed
-    return Piece(lo, hi, lc, hc)
-
-
-def _complement_pieces(p: Piece, universe: Piece) -> list:
-    # universe minus p, as pieces
-    out = []
-    left = Piece(universe.lo, p.lo, universe.lo_closed, not p.lo_closed)
-    right = Piece(p.hi, universe.hi, not p.hi_closed, universe.hi_closed)
-    for q in (left, right):
-        if not q.is_empty():
-            out.append(_intersect_pieces(q, universe))
-    return out
 
 
 @dataclass(frozen=True)
@@ -123,48 +52,38 @@ class SupportSet:
 
     @staticmethod
     def closed(lo, hi) -> "SupportSet":
-        return SupportSet((piece(lo, hi, True, True),))
-
-    @staticmethod
-    def open(lo, hi) -> "SupportSet":
-        return SupportSet((piece(lo, hi, False, False),))
-
-    @staticmethod
-    def point(p) -> "SupportSet":
-        return SupportSet((piece(p, p, True, True),))
+        """[lo, hi]; empty when lo > hi."""
+        return SupportSet((Piece(Fraction(lo), Fraction(hi)),))
 
     def is_empty(self) -> bool:
         return not self.pieces
+
+    def has_interior(self) -> bool:
+        """Whether some piece has positive length."""
+        return any(p.lo < p.hi for p in self.pieces)
 
     def union(self, other: "SupportSet") -> "SupportSet":
         return SupportSet(self.pieces + other.pieces)
 
     def intersect(self, other: "SupportSet") -> "SupportSet":
-        out = []
-        for a in self.pieces:
-            for b in other.pieces:
-                c = _intersect_pieces(a, b)
-                if not c.is_empty():
-                    out.append(c)
-        return SupportSet(tuple(out))
+        return SupportSet(tuple(Piece(max(a.lo, b.lo), min(a.hi, b.hi))
+                                for a in self.pieces for b in other.pieces))
 
     def minus(self, other: "SupportSet") -> "SupportSet":
-        result = [self]
+        """The closure of the difference.  Each piece b of other leaves of
+        every piece a the part below b, closed at b.lo, when a reaches
+        below b.lo, and the part above b, closed at b.hi, when a reaches
+        above b.hi."""
+        pieces = self.pieces
         for b in other.pieces:
-            nxt = []
-            for s in result:
-                for a in s.pieces:
-                    nxt.extend(_complement_pieces(b, a))
-            result = [SupportSet(tuple(nxt))]
-        return result[0]
-
-    def interior(self) -> "SupportSet":
-        opened = tuple(Piece(p.lo, p.hi, False, False) for p in self.pieces)
-        return SupportSet(opened)
-
-    def closure(self) -> "SupportSet":
-        closed = tuple(Piece(p.lo, p.hi, True, True) for p in self.pieces)
-        return SupportSet(closed)
+            cut = []
+            for a in pieces:
+                if a.lo < b.lo:
+                    cut.append(Piece(a.lo, min(a.hi, b.lo)))
+                if a.hi > b.hi:
+                    cut.append(Piece(max(a.lo, b.hi), a.hi))
+            pieces = cut
+        return SupportSet(tuple(pieces))
 
     def subset_of(self, other: "SupportSet") -> bool:
         return self.minus(other).is_empty()
@@ -186,9 +105,10 @@ class SupportSet:
 
 
 def overlap_core(a: SupportSet, b: SupportSet) -> SupportSet:
-    """Closure of the intersection of interiors.
+    """The pieces of a cap b with positive length: the closure of the
+    intersection of the interiors.
 
     This is the support rule for a product of two local factors: touching
     boundaries contribute nothing, interior overlap survives closed.
     """
-    return a.interior().intersect(b.interior()).closure()
+    return SupportSet(tuple(p for p in a.intersect(b).pieces if p.lo < p.hi))

@@ -62,7 +62,13 @@ class CoverPatch:
 
 
 class SheafContext:
-    """Registry of tagged symbols over one closed universe.
+    """Registry of tagged symbols over one universe.
+
+    Every set the context keeps is closed, as every SupportSet is: the
+    universe, the windows, and the bump supports and plateaus.  A window
+    stands for the open set it is the closure of, so a window with no
+    interior holds no section (_mint returns None) and two windows overlap
+    when their meet has interior.
 
     Declared sections and bumps get stable names; products of restriction
     and bump dressing mint derived symbols with canonical names, so the
@@ -85,7 +91,7 @@ class SheafContext:
     """
 
     def __init__(self, universe: SupportSet, alphabet: Alphabet = None):
-        if universe.is_empty() or universe != universe.closure():
+        if universe.is_empty():
             raise SupportError("universe must be a nonempty closed set")
         self.universe = universe
         self.alphabet = alphabet if alphabet is not None else Alphabet()
@@ -101,7 +107,6 @@ class SheafContext:
                         degree=0, kind: str = "algebra") -> Symbol:
         if not support.subset_of(self.universe):
             raise SupportError(f"support of {name} leaves the universe")
-        support = support.closure()
         sym = Symbol(name, parity, Q(degree), kind, support)
         self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(name, (), support)
@@ -116,12 +121,11 @@ class SheafContext:
             raise SupportError(f"support of bump {name} leaves the universe")
         if not plateau.subset_of(support):
             raise SupportError(f"plateau of bump {name} leaves its support")
-        support = support.closure()
         # the pure bump is the unit dressed by one factor; the alphabet
         # rejects a redefined support before any declaration changes
         sym = Symbol(name, 0, Q(0), "algebra", support)
         self.alphabet.add(sym)
-        self._bumps[name] = BumpDeclaration(name, support, plateau.closure())
+        self._bumps[name] = BumpDeclaration(name, support, plateau)
         self._table = None
         self._minted = {}
         self._tags[name] = TaggedInfo(self.alphabet.unit.name, (name,), support)
@@ -190,7 +194,7 @@ class SheafContext:
         base, bumps = info.base, tuple(sorted(info.bumps + bumps))
         window = window.intersect(info.window).intersect(
             self._natural_window(base, bumps))
-        if window.interior().is_empty():
+        if not window.has_interior():
             return None
         unit = self.alphabet.unit.name
         kept = tuple(b for b in bumps
@@ -551,7 +555,7 @@ def _overlaps(cover, sections, context: SheafContext):
     for i in range(len(cover)):
         for j in range(i + 1, len(cover)):
             meet = cover[i].window.intersect(cover[j].window)
-            if not meet.interior().is_empty():
+            if meet.has_interior():
                 agree = (restrict(sections[i], meet, context)
                          == restrict(sections[j], meet, context))
                 yield cover[i], cover[j], meet, agree
@@ -569,6 +573,11 @@ def glue(cover, sections, context: SheafContext) -> Element:
         if not agree:
             raise SupportError(
                 f"overlap disagreement between {p.name} and {q.name} on {meet}")
+    return _glued(cover, sections, context)
+
+
+def _glued(cover, sections, context: SheafContext) -> Element:
+    """sum_j rho_j o_{-1} (sigma_j * x_j), unchecked."""
     al = context.alphabet
     out = Element.zero(al)
     for p, x in zip(cover, sections):
@@ -591,7 +600,12 @@ def sheaf_axiom_check(cover, sections, context: SheafContext):
     restrict cut the section's own bare unit.  Uniqueness: the probe, the Cor-style difference
     rho o (x - sigma*x) on the first patch, has empty semantic support, so
     pi kills it and k returns it whole.
+
+    The cover and overlap checks are records here, so the glued element
+    is built by _glued, which does not repeat them.
     """
+    if len(sections) != len(cover):
+        raise SupportError("one section per patch required")
     problems = check_cover(cover, context)
     checks = [check("cover-geometry", not problems, detail="; ".join(problems))]
 
@@ -602,7 +616,7 @@ def sheaf_axiom_check(cover, sections, context: SheafContext):
         return checks
 
     al = context.alphabet
-    glued = glue(cover, sections, context)
+    glued = _glued(cover, sections, context)
 
     def rho_sum(parts):
         out = Element.zero(al)
@@ -663,10 +677,11 @@ def sheaf_axiom_check(cover, sections, context: SheafContext):
 
 def bump_support_check(sigma, x: Element, window: SupportSet,
                        core: SupportSet, context: SheafContext) -> bool:
-    """x - sigma*x lives on cl(int(window) - core) when every slot of x
-    lives inside the window and sigma is 1 on the core."""
+    """x - sigma*x lives on window.minus(core), the closure of window -
+    core, when every slot of x lives inside the window and sigma is 1 on
+    the core."""
     diff = x - sigma_star(sigma, x, context)
-    region = window.interior().minus(core).closure()
+    region = window.minus(core)
     return semantic_support(diff, context).subset_of(region)
 
 
@@ -754,6 +769,7 @@ def _known(obj, at, *keys):
 def _span(value, path):
     expect(type(value) is list and len(value) == 2, path, "[lo, hi]", value)
     lo, hi = (read_rational(v, f"{path}[{i}]") for i, v in enumerate(value))
+    expect(lo <= hi, path, "[lo, hi] with lo <= hi", value)
     return SupportSet.closed(lo, hi)
 
 

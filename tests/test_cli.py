@@ -416,12 +416,22 @@ def _section_with(**fields):
     (_cover_two_with(patches=[{"window": [0, 3], "core": [0, 3], "sigma": "s1",
                                "rho": "r1", "corr": [0, 3]}]),
      "patches[0].corr: unknown field"),
+    # a reversed span is refused, not read as the empty set
+    (_cover_two_with(universe=[3, 0]),
+     "universe: expected [lo, hi] with lo <= hi, got [3, 0]"),
+    (_cover_two_with(sections=[{"name": "f", "support": [0, 3]},
+                               {"name": "g", "support": [2, 0]}]),
+     "sections[1].support: expected [lo, hi] with lo <= hi, got [2, 0]"),
+    (_cover_two_with(patches=[{"window": [0, 3], "core": ["3/2", "1/2"],
+                               "sigma": "s1", "rho": "r1"}]),
+     'patches[0].core: expected [lo, hi] with lo <= hi, got ["3/2", "1/2"]'),
 ), ids=("list", "string", "number", "null", "patch-not-object",
         "section-not-object", "short-universe", "sections-not-list",
         "patches-not-list", "parity-list", "bound-not-rational", "bound-other-digit",
         "bound-underscore", "bound-exponent", "bound-space", "bound-zero-denominator",
         "name-not-string", "rho-missing", "unknown-top-field",
-        "unknown-section-field", "unknown-patch-field"))
+        "unknown-section-field", "unknown-patch-field", "reversed-universe",
+        "reversed-support", "reversed-core"))
 def test_malformed_cover_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "cover.json"
     path.write_text(text)

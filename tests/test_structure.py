@@ -39,6 +39,16 @@ def _names_a_deadness_test(node) -> bool:
     return isinstance(node, ast.alias) and node.name in _DEADNESS_TESTS
 
 
+_OPEN_SET_NAMES = {"interior", "closure", "lo_closed", "hi_closed"}
+
+
+def _names_an_open_set_tool(node) -> bool:
+    """A name, attribute, definition, parameter, keyword or import named
+    after an open or half-open set."""
+    return any(getattr(node, field, None) in _OPEN_SET_NAMES
+               for field in ("id", "attr", "name", "arg"))
+
+
 class Rule(NamedTuple):
     name: str
     files: tuple
@@ -55,6 +65,9 @@ RULES = (
     Rule("Locality is cut only by truncate",
          _modules_but("generators.py"), _names_a_deadness_test,
          "from .generators import _term_is_dead\n"),
+    # every SupportSet is closed, so no interior or closure is ever taken
+    Rule("Supports are closed", _modules_but(), _names_an_open_set_tool,
+         "inner = s.interior()\n"),
 )
 
 
