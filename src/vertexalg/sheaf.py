@@ -16,11 +16,17 @@ Two readings of "where does this element live" coexist:
                     relations.  Cancellation between a section and its
                     bump-dressed copy is visible here and not above.
 
+Every declared support has interior: the universe, each section's
+support and each bump's support (a plateau may be empty or a point), since
+a set without interior holds no section.  A name is a section or a bump,
+never both.
+
 pi keeps leaves and the classes alive somewhere; k = id - pi spans the
 kernel ideal used by the gluing argument.  glue assembles bump-weighted
-restricted sections over a cover, and sheaf_axiom_check replays the
-existence chain patch by patch, certifying each hop either by an empty
-semantic support or by a unit reduction, then witnesses uniqueness.
+restricted sections over a cover by _rho_sum, which builds every sum of
+the existence chain too, and sheaf_axiom_check replays that chain patch
+by patch, certifying each hop either by an empty semantic support or by
+a unit reduction, then witnesses uniqueness.
 """
 
 from dataclasses import dataclass
@@ -68,7 +74,10 @@ class SheafContext:
     universe, the windows, and the bump supports and plateaus.  A window
     stands for the open set it is the closure of, so a window with no
     interior holds no section (_mint returns None) and two windows overlap
-    when their meet has interior.
+    when their meet has interior.  So the universe and every declared
+    section or bump support must have interior, and a declaration
+    without it is refused, as is a section or bump named like one of the
+    other kind; a bump may be declared again.
 
     Declared sections and bumps get stable names; products of restriction
     and bump dressing mint derived symbols with canonical names, so the
@@ -91,8 +100,8 @@ class SheafContext:
     """
 
     def __init__(self, universe: SupportSet, alphabet: Alphabet = None):
-        if universe.is_empty():
-            raise SupportError("universe must be a nonempty closed set")
+        if not universe.has_interior():
+            raise SupportError(f"universe {universe} has no interior")
         self.universe = universe
         self.alphabet = alphabet if alphabet is not None else Alphabet()
         self._tags = {}        # symbol name -> TaggedInfo
@@ -107,6 +116,10 @@ class SheafContext:
                         degree=0, kind: str = "algebra") -> Symbol:
         if not support.subset_of(self.universe):
             raise SupportError(f"support of {name} leaves the universe")
+        if not support.has_interior():
+            raise SupportError(f"support {support} of {name} has no interior")
+        if name in self._bumps:
+            raise SupportError(f"section {name} already names a bump")
         sym = Symbol(name, parity, Q(degree), kind, support)
         self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(name, (), support)
@@ -119,8 +132,12 @@ class SheafContext:
         plateau = plateau if plateau is not None else SupportSet.empty()
         if not support.subset_of(self.universe):
             raise SupportError(f"support of bump {name} leaves the universe")
+        if not support.has_interior():
+            raise SupportError(f"support {support} of bump {name} has no interior")
         if not plateau.subset_of(support):
             raise SupportError(f"plateau of bump {name} leaves its support")
+        if name in self._tags and name not in self._bumps:
+            raise SupportError(f"bump {name} already names a section")
         # the pure bump is the unit dressed by one factor; the alphabet
         # rejects a redefined support before any declaration changes
         sym = Symbol(name, 0, Q(0), "algebra", support)
@@ -573,16 +590,16 @@ def glue(cover, sections, context: SheafContext) -> Element:
         if not agree:
             raise SupportError(
                 f"overlap disagreement between {p.name} and {q.name} on {meet}")
-    return _glued(cover, sections, context)
+    return _rho_sum(cover, [sigma_star(p.sigma, x, context)
+                            for p, x in zip(cover, sections)], context)
 
 
-def _glued(cover, sections, context: SheafContext) -> Element:
-    """sum_j rho_j o_{-1} (sigma_j * x_j), unchecked."""
+def _rho_sum(cover, parts, context: SheafContext) -> Element:
+    """sum_j rho_j o_{-1} parts_j, unchecked."""
     al = context.alphabet
     out = Element.zero(al)
-    for p, x in zip(cover, sections):
-        rho_leaf = Element.sym(al, p.rho)
-        out = out + rho_leaf.o(-1, sigma_star(p.sigma, x, context))
+    for p, x in zip(cover, parts):
+        out = out + Element.sym(al, p.rho).o(-1, x)
     return out
 
 
@@ -597,12 +614,15 @@ def sheaf_axiom_check(cover, sections, context: SheafContext):
     support (membership in the kernel ideal); hop four is a unit_left
     reduction whose normal form restricts to zero: a unit the rules lift
     out of a product is whole, and restricting cuts it to the window as
-    restrict cut the section's own bare unit.  Uniqueness: the probe, the Cor-style difference
+    restrict cut the section's own bare unit.  The strip-sigma hop is
+    shared by every patch, and restricts-to-<patch> passes when all four
+    of its hops do.  Uniqueness: the probe, the Cor-style difference
     rho o (x - sigma*x) on the first patch, has empty semantic support, so
     pi kills it and k returns it whole.
 
     The cover and overlap checks are records here, so the glued element
-    is built by _glued, which does not repeat them.
+    and every sum of the chain are built by _rho_sum, which does not
+    repeat them.
     """
     if len(sections) != len(cover):
         raise SupportError("one section per patch required")
@@ -616,49 +636,36 @@ def sheaf_axiom_check(cover, sections, context: SheafContext):
         return checks
 
     al = context.alphabet
-    glued = _glued(cover, sections, context)
-
-    def rho_sum(parts):
-        out = Element.zero(al)
-        for p, x in zip(cover, parts):
-            out = out + Element.sym(al, p.rho).o(-1, x)
-        return out
-
-    g0 = glued
-    g1 = rho_sum([sigma_star(p.sigma, x, context)
-                  for p, x in zip(cover, sections)])
-    checks.append(check("glue-definition", g0 == g1))
-
-    g2 = rho_sum(sections)
-    checks.append(check("strip-sigma", semantic_support(g1 - g2, context).is_empty(),
-                        detail="rho kills x - sigma*x"))
+    glued = _rho_sum(cover, [sigma_star(p.sigma, x, context)
+                             for p, x in zip(cover, sections)], context)
+    g2 = _rho_sum(cover, sections, context)
+    stripped = semantic_support(glued - g2, context).is_empty()
+    checks.append(check("strip-sigma", stripped, detail="rho kills x - sigma*x"))
 
     for i, p in enumerate(cover):
-        gi2 = rho_sum([sections[i]] * len(cover))
+        gi2 = _rho_sum(cover, [sections[i]] * len(cover), context)
         d = restrict(g2 - gi2, p.window, context)
+        swapped = semantic_support(d, context).is_empty()
         checks.append(check(
-            f"swap-to-{p.name}", semantic_support(d, context).is_empty(),
+            f"swap-to-{p.name}", swapped,
             detail="neighbour sections agree under each rho inside this window"))
 
         gi3 = Element.unit(al).o(-1, sections[i])
+        collapsed = semantic_support(gi2 - gi3, context).is_empty()
         checks.append(check(
-            f"partition-collapse-{p.name}",
-            semantic_support(gi2 - gi3, context).is_empty(),
-            detail="sum of rhos is 1"))
+            f"partition-collapse-{p.name}", collapsed, detail="sum of rhos is 1"))
 
         rep = reduce_element(restrict(gi3, p.window, context)
                              - restrict(sections[i], p.window, context),
                              RuleSet(None, None, UNIT_RULES))
+        unit_stripped = bool(rep) and restrict(rep.result, p.window, context).is_zero()
         checks.append(check(
-            f"unit-strip-{p.name}",
-            bool(rep) and restrict(rep.result, p.window, context).is_zero(),
+            f"unit-strip-{p.name}", unit_stripped,
             detail=f"{rep.steps} rewrite steps"))
 
-        hops = [c["status"] == "pass" for c in checks if c["id"] in
-                ("glue-definition", "strip-sigma", f"swap-to-{p.name}",
-                 f"partition-collapse-{p.name}", f"unit-strip-{p.name}")]
         checks.append(check(
-            f"restricts-to-{p.name}", all(hops),
+            f"restricts-to-{p.name}",
+            stripped and swapped and collapsed and unit_stripped,
             detail="restrict(glue) = local section modulo the kernel ideal"))
 
     p0, x0 = cover[0], sections[0]

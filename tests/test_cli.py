@@ -1,10 +1,15 @@
 """Command-line front end: malformed input ends in an error line, exit 2."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import vertexalg
 from vertexalg.bridges import DongTable
 from vertexalg.cli import main
 
@@ -79,7 +84,7 @@ def test_sheaf_check_global_section_passes(capsys):
     argv = ["sheaf", "check", "--cover", COVER_TWO, "--global", "o{-1}(f, g)"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "13/13 checks passed"
+    assert lines[-1] == "12/12 checks passed"
     assert all(line.startswith("ok   ") for line in lines[:-1])
 
 
@@ -88,7 +93,7 @@ def test_sheaf_check_unit_sections_pass(capsys):
     argv += ["--sections", "1", "--sections", "1"]
     assert main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-1] == "13/13 checks passed"
+    assert lines[-1] == "12/12 checks passed"
 
 
 def test_sheaf_check_disagreeing_sections_fail(capsys):
@@ -368,6 +373,20 @@ def test_malformed_model_file_is_an_error_line(tmp_path, capsys, text, error):
     assert "Traceback" not in captured.err
 
 
+def test_python_m_vertexalg_exits_2_with_one_error_line(tmp_path):
+    # the __main__ path: main()'s return code becomes the process's
+    path = tmp_path / "kind.json"
+    path.write_text('{"kind": []}')
+    src = Path(vertexalg.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run(
+        [sys.executable, "-m", "vertexalg", "reduce", "b", "--model", str(path)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 2
+    assert done.stderr.splitlines() == ["error: kind: expected a model kind, got []"]
+    assert done.stdout == ""
+
+
 def test_unknown_shipped_model_is_an_error_line(capsys):
     assert main(["reduce", "b", "--model", "nope"]) == 2
     assert capsys.readouterr().err.splitlines() == [
@@ -425,13 +444,26 @@ def _section_with(**fields):
     (_cover_two_with(patches=[{"window": [0, 3], "core": ["3/2", "1/2"],
                                "sigma": "s1", "rho": "r1"}]),
      'patches[0].core: expected [lo, hi] with lo <= hi, got ["3/2", "1/2"]'),
+    # a set without interior holds no section
+    (_cover_two_with(universe=[1, 1]), "universe [1, 1] has no interior"),
+    (_cover_two_with(sections=[{"name": "f", "support": [0, 3]},
+                               {"name": "p", "support": [1, 1]}]),
+     "support [1, 1] of p has no interior"),
+    (_cover_two_with(patches=[{"window": [0, 3], "core": [1, 1],
+                               "sigma": "s1", "rho": "r1"}]),
+     "support [1, 1] of bump r1 has no interior"),
+    # a section is not silently taken over by a patch's bump
+    (_cover_two_with(sections=[{"name": "f", "support": [0, 3]},
+                               {"name": "s1", "support": [0, 2]}]),
+     "bump s1 already names a section"),
 ), ids=("list", "string", "number", "null", "patch-not-object",
         "section-not-object", "short-universe", "sections-not-list",
         "patches-not-list", "parity-list", "bound-not-rational", "bound-other-digit",
         "bound-underscore", "bound-exponent", "bound-space", "bound-zero-denominator",
         "name-not-string", "rho-missing", "unknown-top-field",
         "unknown-section-field", "unknown-patch-field", "reversed-universe",
-        "reversed-support", "reversed-core"))
+        "reversed-support", "reversed-core", "point-universe", "point-support",
+        "point-core", "section-named-like-a-bump"))
 def test_malformed_cover_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "cover.json"
     path.write_text(text)

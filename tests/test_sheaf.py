@@ -12,6 +12,7 @@ from vertexalg.intervals import SupportSet
 from vertexalg.models.morphisms import random_tree
 from vertexalg.models.polys import PolyVars
 from vertexalg.parsing import parse, to_text
+from vertexalg.rewrite import ReductionReport
 from vertexalg.sheaf import (
     SheafContext,
     SupportError,
@@ -137,6 +138,18 @@ def test_the_unit_as_every_section_passes_the_axiom_check(section):
     assert {f"unit-strip-{p.name}" for p in cover} <= {c["id"] for c in checks}
 
 
+def test_restricts_to_fails_with_its_unit_strip_hop(monkeypatch):
+    # a unit strip that never reaches a normal form fails each patch's
+    # unit-strip hop, and restricts-to that patch with it
+    ctx, cover = make_cover_two()
+    f = Element.sym(ctx.alphabet, "f")
+    monkeypatch.setattr("vertexalg.sheaf.reduce_element",
+                        lambda x, rules: ReductionReport(x, 0, "budget-exhausted"))
+    checks = sheaf_axiom_check(cover, [restrict(f, p.window, ctx) for p in cover], ctx)
+    assert {c["id"] for c in checks if c["status"] == "fail"} == {
+        f"{hop}-{p.name}" for p in cover for hop in ("unit-strip", "restricts-to")}
+
+
 def test_restricted_names_parse_back():
     ctx, _ = make_cover_three()
     x = parse("o{-1}(f, g)", ctx.alphabet)
@@ -230,9 +243,27 @@ def _dress_by_a_section():
     sigma_star("f", Element.sym(ctx.alphabet, "f"), ctx)
 
 
+def _bump_named_like_a_section():
+    ctx = _on_zero_three()
+    ctx.declare_section("s1", SupportSet.closed(0, 2))
+    ctx.declare_bump("s1", SupportSet.closed(0, 2), SupportSet.closed(0, 1))
+
+
+def _section_named_like_a_bump():
+    ctx = _on_zero_three()
+    ctx.declare_bump("s1", SupportSet.closed(0, 2), SupportSet.closed(0, 1))
+    ctx.declare_section("s1", SupportSet.closed(0, 2))
+
+
 @pytest.mark.parametrize("refused,error", (
-    (lambda: SheafContext(SupportSet.empty()),
-     "universe must be a nonempty closed set"),
+    (lambda: SheafContext(SupportSet.empty()), "universe {} has no interior"),
+    (lambda: SheafContext(SupportSet.closed(1, 1)), "universe [1, 1] has no interior"),
+    (lambda: _on_zero_three().declare_section("p", SupportSet.closed(1, 1)),
+     "support [1, 1] of p has no interior"),
+    (lambda: _on_zero_three().declare_bump("s", SupportSet.closed(1, 1)),
+     "support [1, 1] of bump s has no interior"),
+    (_bump_named_like_a_section, "bump s1 already names a section"),
+    (_section_named_like_a_bump, "section s1 already names a bump"),
     (lambda: _on_zero_three().declare_section("f", SupportSet.closed(0, 4)),
      "support of f leaves the universe"),
     (lambda: _on_zero_three().declare_bump("s", SupportSet.closed(-1, 3)),
@@ -244,13 +275,22 @@ def _dress_by_a_section():
     (_overlapping_plateaus, "partition ('r1', 'r3') cannot sum to 1 near 1/2"),
     (_restrict_past_the_universe, "restriction target leaves the universe"),
     (_dress_by_a_section, "f is not a declared bump"),
-), ids=("empty-universe", "section-support", "bump-support",
+), ids=("empty-universe", "point-universe", "point-section", "point-bump",
+        "bump-named-like-a-section", "section-named-like-a-bump",
+        "section-support", "bump-support",
         "plateau", "untagged-leaf", "partition-two-ones", "restrict-outside",
         "sigma-not-a-bump"))
 def test_sheaf_refusals_name_the_problem(refused, error):
     with pytest.raises(SupportError) as info:
         refused()
     assert str(info.value) == error
+
+
+def test_a_plateau_may_be_empty_or_a_point():
+    ctx = _on_zero_three()
+    ctx.declare_bump("s", SupportSet.closed(0, 2))
+    ctx.declare_bump("t", SupportSet.closed(0, 2), SupportSet.closed(1, 1))
+    assert ctx._bumps["t"].plateau == SupportSet.closed(1, 1)
 
 
 def test_restricted_symbol_comes_from_the_mint_memo(monkeypatch):

@@ -62,10 +62,14 @@ def _report_digest(report) -> str:
 # koszul-odd-pairs record that passes with cases 102 and skipped 42.  All
 # five digests here were re-frozen when the config lost its errata_ok
 # entry, as the digests of the earlier reports with that key deleted.
+# Both sheaf digests were re-frozen when the existence chain lost its
+# glue-definition record, which compared a sum with itself, as the digests
+# of the earlier reports with hops - 3 on both existence-chain records
+# (three sheaf_axiom_check runs each).
 _FROZEN_REPORTS = {
     ("geometry", ()): "74863f82ebf8ece5",
-    ("sheaf", (("samples", 5),)): "0e71581318677671",
-    ("sheaf", (("samples", 40),)): "6aee53ff74071c17",
+    ("sheaf", (("samples", 5),)): "9e0feec99aea6cf7",
+    ("sheaf", (("samples", 40),)): "fe53b37e3c444160",
 }
 
 
