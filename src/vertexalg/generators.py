@@ -22,12 +22,13 @@ closed form, without the (Dx) o_n y summands that cancel between them.
 TruncationPolicy.is_dead(u, v, n) is the one deadness rule: n at or past
 the pair's locality and not exempt.  Each policy builds one rule table,
 _rules, from its frozen fields: (name, name) -> (locality, exempt
-indices), under both orders of each pair the fields name.  locality, exempt_indices and
-is_dead read it through _pairs, filled on first use of a pair, names or
-Symbols as given, so an entry never goes stale.  Neither table takes part
-in ==, hash or repr, and dataclasses.replace builds a new policy with
-new tables.  Truncation asks policy.is_dead on every call, through
-terms.any_leaf_pair, so a rule patched onto the class is seen.
+indices), under both orders of each pair the fields name.  locality,
+exempt_indices and is_dead read it by name, for a name or a Symbol
+alike, and a pair it does not hold has the default locality and no
+exempt index.  The table takes no part in ==, hash or repr, and
+dataclasses.replace builds a new policy with a new table.  Truncation
+asks policy.is_dead on every call, through terms.any_leaf_pair, so a
+rule patched onto the class is seen.
 
 FAMILIES describes the ten families once: arity, index names, what else
 the builder needs, the builder that build_generator calls, and the slots
@@ -90,29 +91,22 @@ class TruncationPolicy:
             loc, ns = rules.get((u, v), (self.default_locality, frozenset()))
             rules[u, v] = rules[v, u] = (loc, ns | {n})
         object.__setattr__(self, "_rules", rules)
-        object.__setattr__(self, "_pairs", {})
-
-    def _pair(self, u, v) -> tuple:
-        """(locality, exempt indices) of the pair u, v, names or Symbols
-        alike: read from _rules once and kept in _pairs."""
-        hit = self._pairs.get((u, v))
-        if hit is None:
-            key = (getattr(u, "name", u), getattr(v, "name", v))
-            hit = self._pairs[(u, v)] = self._rules.get(
-                key, (self.default_locality, frozenset()))
-        return hit
 
     def locality(self, u, v) -> int:
-        return self._pair(u, v)[0]
+        hit = self._rules.get((getattr(u, "name", u), getattr(v, "name", v)))
+        return self.default_locality if hit is None else hit[0]
 
     def is_dead(self, u, v, n: int) -> bool:
         """Whether u o_n v is truncated: n at or past the pair's locality,
         and not exempt."""
-        hit = self._pairs.get((u, v)) or self._pair(u, v)
+        hit = self._rules.get((getattr(u, "name", u), getattr(v, "name", v)))
+        if hit is None:
+            return n >= self.default_locality
         return n >= hit[0] and n not in hit[1]
 
     def exempt_indices(self, u, v) -> list:
-        return sorted(self._pair(u, v)[1])
+        hit = self._rules.get((getattr(u, "name", u), getattr(v, "name", v)))
+        return [] if hit is None else sorted(hit[1])
 
 
 def _term_is_dead(t, policy: TruncationPolicy) -> bool:

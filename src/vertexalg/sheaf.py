@@ -1,9 +1,11 @@
 """Supports on a rational interval, section contexts, and the gluing check.
 
-Symbols get a support tag: a window (where the section may be nonzero)
-plus a list of bump factors, each a named function with a support set and
-a plateau where it is identically 1.  Products propagate supports by the
-closed-overlap rule supp(x o_n y) = cl(int supp x  cap  int supp y).
+A SheafContext tags each symbol it knows with a TaggedInfo: a window
+(where the section may be nonzero) plus a list of bump factors, each a
+named function with a support set and a plateau where it is identically
+1.  The tag lives in the context only; a Symbol carries no support.
+Products propagate supports by the closed-overlap rule
+supp(x o_n y) = cl(int supp x  cap  int supp y).
 
 Two readings of "where does this element live" coexist:
 
@@ -16,10 +18,12 @@ Two readings of "where does this element live" coexist:
                     relations.  Cancellation between a section and its
                     bump-dressed copy is visible here and not above.
 
-Every declared support has interior: the universe, each section's
-support and each bump's support (a plateau may be empty or a point), since
-a set without interior holds no section.  A name is a section or a bump,
-never both.
+A context's declarations are fixed when it is built: its constructor
+takes every section, bump and partition of unity.  Every declared support
+has interior: the universe, each section's support and each bump's
+support (a plateau may be empty or a point), since a set without interior
+holds no section.  A name is declared once, as a section or a bump, and
+never holds "|" or "*", which join the parts of minted names.
 
 pi keeps leaves and the classes alive somewhere; k = id - pi spans the
 kernel ideal used by the gluing argument.  glue assembles bump-weighted
@@ -42,6 +46,14 @@ from .terms import Alphabet, Element, Node, Symbol, fold_tree, leaves, preorder
 
 class SupportError(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class SectionDeclaration:
+    name: str
+    support: SupportSet
+    parity: int = 0
+    degree: Q = 0
 
 
 @dataclass(frozen=True)
@@ -68,7 +80,12 @@ class CoverPatch:
 
 
 class SheafContext:
-    """Registry of tagged symbols over one universe.
+    """Registry of tagged symbols over one universe, fixed when built.
+
+    The constructor takes every declaration, and no method adds one: the
+    sections, the bumps, and the partitions of unity, each a tuple of bump
+    names imposing sum = 1 on the whole universe.  The unit is a record
+    like any other, the unit section on the universe.
 
     Every set the context keeps is closed, as every SupportSet is: the
     universe, the windows, and the bump supports and plateaus.  A window
@@ -76,108 +93,86 @@ class SheafContext:
     interior holds no section (_mint returns None) and two windows overlap
     when their meet has interior.  So the universe and every declared
     section or bump support must have interior, and a declaration
-    without it is refused, as is a section or bump named like one of the
-    other kind; a bump may be declared again.
+    without it is refused.  A name is declared once, as a section or as
+    a bump, and holds neither character minted names are joined with.  A
+    partition is accepted only when the geometry can carry it: its members
+    are declared bumps that cover the universe, and on every cell either
+    some member is free to vary, or exactly one sits on its plateau.
 
     Declared sections and bumps get stable names; products of restriction
     and bump dressing mint derived symbols with canonical names, so the
     same section restricted along two different paths to the same window
     is the same Symbol and element equality stays exact.
 
-    Two caches live on the context, each kept for one state of the
-    declarations it reads:
+    Two caches live on the context:
 
       cell table  the cells, each symbol's value on every cell and each
-                  cell's partition plan (see cells()).  declare_section,
-                  declare_bump, declare_partition and a _mint whose window
-                  adds a breakpoint drop it; a minted symbol whose window
-                  adds none gets its values from the kept table on first
-                  use.
+                  cell's partition plan (see cells()).  Only a _mint
+                  whose window adds a breakpoint drops it.
       mint memo   (symbol name, added bumps, target window) ->
-                  the Symbol _mint returns, or None.  Only
-                  declare_section and declare_bump drop it: a minted
-                  symbol or a partition changes no answer of _mint.
+                  the Symbol _mint returns, or None.  Nothing drops it:
+                  the declarations are fixed, and a minted symbol changes
+                  no answer of _mint.
     """
 
-    def __init__(self, universe: SupportSet, alphabet: Alphabet = None):
+    def __init__(self, universe: SupportSet, sections=(), bumps=(), partitions=()):
         if not universe.has_interior():
             raise SupportError(f"universe {universe} has no interior")
         self.universe = universe
-        self.alphabet = alphabet if alphabet is not None else Alphabet()
-        self._tags = {}        # symbol name -> TaggedInfo
+        self.alphabet = Alphabet()
+        unit = self.alphabet.unit.name
+        self._tags = {unit: TaggedInfo(unit, (), universe)}  # name -> TaggedInfo
         self._bumps = {}       # bump name -> BumpDeclaration
-        self._partitions = []  # tuples of bump names summing to 1 on the universe
-        self._table = None     # the _CellTable of the current declarations
+        self._table = None     # the _CellTable of the current breakpoints
         self._minted = {}      # the mint memo
-
-    # -- declarations ------------------------------------------------------
-
-    def declare_section(self, name: str, support: SupportSet, parity: int = 0,
-                        degree=0, kind: str = "algebra") -> Symbol:
-        if not support.subset_of(self.universe):
-            raise SupportError(f"support of {name} leaves the universe")
-        if not support.has_interior():
-            raise SupportError(f"support {support} of {name} has no interior")
-        if name in self._bumps:
-            raise SupportError(f"section {name} already names a bump")
-        sym = Symbol(name, parity, Q(degree), kind, support)
-        self.alphabet.add(sym)
-        self._tags[name] = TaggedInfo(name, (), support)
-        self._table = None
-        self._minted = {}
-        return sym
-
-    def declare_bump(self, name: str, support: SupportSet,
-                     plateau: SupportSet = None) -> Symbol:
-        plateau = plateau if plateau is not None else SupportSet.empty()
-        if not support.subset_of(self.universe):
-            raise SupportError(f"support of bump {name} leaves the universe")
-        if not support.has_interior():
-            raise SupportError(f"support {support} of bump {name} has no interior")
-        if not plateau.subset_of(support):
-            raise SupportError(f"plateau of bump {name} leaves its support")
-        if name in self._tags and name not in self._bumps:
-            raise SupportError(f"bump {name} already names a section")
-        # the pure bump is the unit dressed by one factor; the alphabet
-        # rejects a redefined support before any declaration changes
-        sym = Symbol(name, 0, Q(0), "algebra", support)
-        self.alphabet.add(sym)
-        self._bumps[name] = BumpDeclaration(name, support, plateau)
-        self._table = None
-        self._minted = {}
-        self._tags[name] = TaggedInfo(self.alphabet.unit.name, (name,), support)
-        return sym
-
-    def declare_partition(self, members) -> None:
-        """Impose sum(members) = 1 on the whole universe.
-
-        Only accepted when the geometry can carry it: on every cell either
-        some member is free to vary, or exactly one sits on its plateau.
-        """
-        members = tuple(members)
-        for m in members:
-            if m not in self._bumps:
-                raise SupportError(f"partition member {m} is not a declared bump")
-        cover = SupportSet.empty()
-        for m in members:
-            cover = cover.union(self._bumps[m].support)
-        if not self.universe.subset_of(cover):
-            raise SupportError("partition members do not cover the universe")
+        for sec in sections:
+            self._check_declaration(sec.name, sec.support, "")
+            self.alphabet.add(Symbol(sec.name, sec.parity, sec.degree, "algebra"))
+            self._tags[sec.name] = TaggedInfo(sec.name, (), sec.support)
+        for bd in bumps:
+            self._check_declaration(bd.name, bd.support, "bump ")
+            if not bd.plateau.subset_of(bd.support):
+                raise SupportError(f"plateau of bump {bd.name} leaves its support")
+            # the pure bump is the unit dressed by one factor
+            self.alphabet.add(Symbol(bd.name, 0, Q(0), "algebra"))
+            self._bumps[bd.name] = bd
+            self._tags[bd.name] = TaggedInfo(unit, (bd.name,), bd.support)
+        self._partitions = tuple(tuple(members) for members in partitions)
+        for members in self._partitions:
+            cover = SupportSet.empty()
+            for m in members:
+                if m not in self._bumps:
+                    raise SupportError(f"partition member {m} is not a declared bump")
+                cover = cover.union(self._bumps[m].support)
+            if not self.universe.subset_of(cover):
+                raise SupportError("partition members do not cover the universe")
         table = self._cell_table()
-        for i, (lo, hi) in enumerate(table.cells):
-            ones, free = table.split(members, i)
-            if ones > 1 or (not free and ones != 1):
+        for members in self._partitions:
+            for i, (lo, hi) in enumerate(table.cells):
+                ones, free = table.split(members, i)
+                if ones > 1 or (not free and ones != 1):
+                    raise SupportError(
+                        f"partition {members} cannot sum to 1 near {(lo + hi) / 2}")
+
+    def _check_declaration(self, name: str, support: SupportSet, kind: str) -> None:
+        """Refuse a section or bump (kind "" or "bump ") whose support
+        leaves the universe or has no interior, or whose name is taken or
+        holds a character of minted names."""
+        if not support.subset_of(self.universe):
+            raise SupportError(f"support of {kind}{name} leaves the universe")
+        if not support.has_interior():
+            raise SupportError(f"support {support} of {kind}{name} has no interior")
+        if name in self._tags:
+            raise SupportError(f"{name} is declared twice")
+        for ch in "|*":  # the characters minted names join their parts with
+            if ch in name:
                 raise SupportError(
-                    f"partition {members} cannot sum to 1 near {(lo + hi) / 2}")
-        self._partitions.append(members)
-        self._table = None
+                    f"{kind}name {name} holds {ch!r}, which minted names use")
 
     # -- tagged symbol minting ---------------------------------------------
 
     def info(self, sym) -> TaggedInfo:
         name = sym.name if isinstance(sym, Symbol) else sym
-        if name == self.alphabet.unit.name:
-            return TaggedInfo(name, (), self.universe)
         try:
             return self._tags[name]
         except KeyError:
@@ -231,10 +226,10 @@ class SheafContext:
             return self.alphabet.symbol(name)
         if base != unit:
             proto = self.alphabet.symbol(base)
-            sym = Symbol(name, proto.parity, proto.degree, proto.kind, window)
+            sym = Symbol(name, proto.parity, proto.degree, proto.kind)
         else:
             # windowed pure bump or unit; constants carry no parity or degree
-            sym = Symbol(name, 0, Q(0), "algebra", window)
+            sym = Symbol(name, 0, Q(0), "algebra")
         self.alphabet.add(sym)
         self._tags[name] = TaggedInfo(base, bumps, window)
         # the cells, classes and plans read only the breakpoints, the bumps
@@ -275,16 +270,13 @@ class SheafContext:
         the universe.  No declared set has a boundary point inside a cell,
         so one midpoint decides membership for the whole cell.
 
-        The cells are the first entry of the cell table, which is built
-        once per state of the breakpoints, bumps and partitions and holds
-        each symbol's value on every cell and each cell's partition plan.
-        Every writer of _bumps or _partitions drops the table, and so does
-        a writer of _tags that adds a breakpoint: declare_section,
-        declare_bump, declare_partition (the plans read the partitions,
-        the cells do not) and a _mint whose window adds a breakpoint.  A
-        minted window on the table's points leaves every cell, class and
-        plan as it was, so the table is kept and values() reads the new
-        name on its first use."""
+        The cells are the first entry of the cell table, which holds each
+        symbol's value on every cell and each cell's partition plan.  The
+        bumps and partitions are fixed when the context is built, so one
+        rule keeps the table: only a _mint whose window adds a breakpoint
+        drops it.  A minted window on the table's points leaves every
+        cell, class and plan as it was, so the table is kept and values()
+        reads the new name on its first use."""
         return self._cell_table().cells
 
     def _cell_table(self) -> "_CellTable":
@@ -298,8 +290,8 @@ _ZERO = PolyVars.const(0)
 
 
 class _CellTable:
-    """Per-cell facts of one state of the breakpoints, bumps and
-    partitions, read at each cell's midpoint:
+    """Per-cell facts of one set of breakpoints, read at each cell's
+    midpoint:
 
       points  the breakpoints the cells were cut from; the table outlives
               a _mint whose window adds no breakpoint, and a _mint whose
@@ -313,7 +305,7 @@ class _CellTable:
 
     Every bump is classed once per cell as "one" (on its plateau), "free"
     (inside its support, off the plateau) or "off"; the leaf values, the
-    plans and declare_partition's solvability check all read that class."""
+    plans and the constructor's partition check all read that class."""
 
     def __init__(self, context: SheafContext):
         self._context = context
@@ -355,12 +347,9 @@ class _CellTable:
     def values(self, name: str) -> tuple:
         vals = self._values.get(name)
         if vals is None:
-            if name == self._context.alphabet.unit.name:
-                vals = (_ONE,) * len(self.cells)
-            else:
-                info = self._context.info(name)
-                vals = tuple(self._value(info, i) for i in range(len(self.cells)))
-            self._values[name] = vals
+            info = self._context.info(name)
+            vals = self._values[name] = tuple(
+                self._value(info, i) for i in range(len(self.cells)))
         return vals
 
     def _value(self, info: TaggedInfo, i: int) -> PolyVars:
@@ -727,25 +716,26 @@ def load_cover(path):
     naming its JSON path (patches[0].window, patches[0].corr)."""
     data = read_document(path, "cover file")
     _known(data, "", "universe", "sections", "patches")
-    ctx = SheafContext(_field(data, "", "universe", _span))
+    universe = _field(data, "", "universe", _span)
+    sections = []
     for at, sec in _field(data, "", "sections", _objects, ()):
         _known(sec, at, "name", "support", "parity", "degree")
-        ctx.declare_section(_field(sec, at, "name", _name),
-                            _field(sec, at, "support", _span),
-                            parity=_field(sec, at, "parity", _parity, 0),
-                            degree=_field(sec, at, "degree", read_rational, 0))
-    cover = []
+        sections.append(SectionDeclaration(
+            _field(sec, at, "name", _name), _field(sec, at, "support", _span),
+            _field(sec, at, "parity", _parity, 0),
+            _field(sec, at, "degree", read_rational, 0)))
+    cover, bumps = [], []
     for at, patch in _field(data, "", "patches", _objects):
         _known(patch, at, "name", "window", "core", "sigma", "rho")
         window = _field(patch, at, "window", _span)
         core = _field(patch, at, "core", _span)
         sigma = _field(patch, at, "sigma", _name)
         rho = _field(patch, at, "rho", _name)
-        ctx.declare_bump(sigma, window, core)
-        ctx.declare_bump(rho, core)
+        bumps += (BumpDeclaration(sigma, window, core),
+                  BumpDeclaration(rho, core, SupportSet.empty()))
         cover.append(CoverPatch(_field(patch, at, "name", _name, sigma),
                                 window, core, sigma, rho))
-    ctx.declare_partition(tuple(p.rho for p in cover))
+    ctx = SheafContext(universe, sections, bumps, (tuple(p.rho for p in cover),))
     return ctx, tuple(cover)
 
 

@@ -8,7 +8,7 @@ leaf.  Everything is immutable; operations build new objects.
 Cached hashes.  A leaf is its Symbol: a tree's leaves are the alphabet's
 Symbol objects themselves.  Symbol and Node compute their hash once, at
 construction, with exactly the formula a frozen dataclass would use:
-hash((name, parity, degree, kind, support)) and hash((index, left,
+hash((name, parity, degree, kind)) and hash((index, left,
 right)).  The children's hashes are already cached, so hashing a tree is
 O(1).  Node is a plain __slots__ class (index, left, right, _hash)
 rather than a dataclass: its one __new__ fills the four slots through the
@@ -68,8 +68,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .intervals import SupportSet
-
 Q = Fraction
 
 
@@ -100,7 +98,6 @@ class Symbol:
     parity: int = 0
     degree: Fraction = Q(0)
     kind: str = "generic"  # unit | algebra | lie | generic
-    support: SupportSet = None
 
     def __post_init__(self):
         if self.parity not in (0, 1):
@@ -111,7 +108,7 @@ class Symbol:
         object.__setattr__(self, "_hash", hash(self._fields()))
 
     def _fields(self) -> tuple:
-        return (self.name, self.parity, self.degree, self.kind, self.support)
+        return (self.name, self.parity, self.degree, self.kind)
 
     def __reduce__(self):
         # a pickle rebuilds the cached hash in the loading process

@@ -8,10 +8,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import vertexalg
 from vertexalg.bridges import DongTable
 from vertexalg.cli import main
+from vertexalg.parsing import DATA_DIR
 
 COVER_TWO = str(resources.files("vertexalg") / "data" / "cover_two.json")
 COVER_THREE = str(resources.files("vertexalg") / "data" / "cover_three.json")
@@ -455,7 +457,15 @@ def _section_with(**fields):
     # a section is not silently taken over by a patch's bump
     (_cover_two_with(sections=[{"name": "f", "support": [0, 3]},
                                {"name": "s1", "support": [0, 2]}]),
-     "bump s1 already names a section"),
+     "s1 is declared twice"),
+    # a section is not taken for the restriction its name spells
+    (_cover_two_with(sections=[{"name": "f", "support": [0, 3]},
+                               {"name": "g", "support": [0, 2]},
+                               {"name": "g|1..2", "support": [1, 2], "parity": 1}]),
+     "name g|1..2 holds '|', which minted names use"),
+    (_cover_two_with(patches=[{"window": [0, 3], "core": [0, 3], "sigma": "s1*f",
+                               "rho": "r1"}]),
+     "bump name s1*f holds '*', which minted names use"),
 ), ids=("list", "string", "number", "null", "patch-not-object",
         "section-not-object", "short-universe", "sections-not-list",
         "patches-not-list", "parity-list", "bound-not-rational", "bound-other-digit",
@@ -463,7 +473,8 @@ def _section_with(**fields):
         "name-not-string", "rho-missing", "unknown-top-field",
         "unknown-section-field", "unknown-patch-field", "reversed-universe",
         "reversed-support", "reversed-core", "point-universe", "point-support",
-        "point-core", "section-named-like-a-bump"))
+        "point-core", "section-named-like-a-bump", "section-named-like-a-restriction",
+        "bump-named-like-a-dressing"))
 def test_malformed_cover_file_is_an_error_line(tmp_path, capsys, text, error):
     path = tmp_path / "cover.json"
     path.write_text(text)
@@ -471,6 +482,94 @@ def test_malformed_cover_file_is_an_error_line(tmp_path, capsys, text, error):
     captured = capsys.readouterr()
     assert captured.err.splitlines() == [f"error: {error}"]
     assert captured.out == ""
+
+
+# -- malformed documents never raise --------------------------------------------
+
+_SHIPPED_DOCS = tuple(json.loads(p.read_text()) for p in sorted(DATA_DIR.glob("*.json")))
+_COVER_DOCS = tuple(doc for doc in _SHIPPED_DOCS if "kind" not in doc)
+_MODEL_DOCS = tuple(doc for doc in _SHIPPED_DOCS if "kind" in doc)
+
+# every field name a shipped document or a model maker reads
+_FIELDS = sorted({k for doc in _SHIPPED_DOCS for k in doc}
+                 | {"name", "support", "parity", "degree", "window", "core",
+                    "sigma", "rho", "max_degree"})
+
+# integers stay small: a model's max_degree of 64 builds some 15k symbols
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6)
+    | st.floats(-4, 4, allow_nan=False)
+    | st.sampled_from(("f", "g", "s1", "r1", "3/2", "1", "b", "e1", "Weyl1",
+                       "CurrentLie", "DeRham2Conn", "g|1..2"))
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+def _positions(doc, at=()):
+    """The path of every value in doc, doc itself first."""
+    yield at
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+            yield from _positions(value, at + (key,))
+
+
+@st.composite
+def _mutants(draw):
+    """A shipped cover or model document, as often one as the other, with
+    one field replaced, deleted or added.  A new value is as often one of
+    the document's own values of the replaced value's type as a random
+    one, so many mutants still load."""
+    doc = draw(st.sampled_from(_COVER_DOCS) | st.sampled_from(_MODEL_DOCS))
+    doc = json.loads(json.dumps(doc))
+    positions = list(_positions(doc))
+    at = draw(st.sampled_from(positions))
+    alike = [json.dumps(_at(doc, p)) for p in positions
+             if type(_at(doc, p)) is type(_at(doc, at))]
+    value = draw(_JSON | st.sampled_from(alike).map(json.loads))
+    if not at:
+        return value
+    parent = _at(doc, at[:-1])
+    action = draw(st.sampled_from(("replace", "delete", "add")))
+    if action == "delete":
+        del parent[at[-1]]
+    elif action == "add" and isinstance(parent[at[-1]], dict):
+        parent[at[-1]][draw(st.sampled_from(_FIELDS))] = value
+    else:
+        parent[at[-1]] = value
+    return doc
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+# DOC stands for the document's path
+_DOCUMENT_COMMANDS = (
+    ["support", "f", "--cover", "DOC"],
+    ["sheaf", "check", "--cover", "DOC", "--global", "f"],
+    ["gen", "k", "--cover", "DOC", "--args", "f"],
+    ["reduce", "o{-1}(1, 1)", "--model", "DOC"],
+    ["gen", "s", "--model", "DOC", "--args", "1", "--args", "1"],
+)
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("docs") / "doc.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mutants() | _JSON)
+def test_a_malformed_document_never_raises(doc_path, doc):
+    # each command reads the document as a cover or as a model file: a
+    # verdict or an error line, never an exception
+    doc_path.write_text(json.dumps(doc))
+    for argv in _DOCUMENT_COMMANDS:
+        assert main([str(doc_path) if a == "DOC" else a for a in argv]) in (0, 1, 2)
 
 
 def test_grade_reads_degree_and_parity_assignments(capsys):

@@ -1,6 +1,5 @@
 """Ideal generator families, truncation, and certified tail bounds."""
 
-import dataclasses
 import random
 import re
 from fractions import Fraction as Q
@@ -446,21 +445,6 @@ def test_is_dead_reads_its_pair_table_like_the_fields(policy, cases):
             assert _dead_by_fields(policy, u.name, v.name, n) == want
             assert policy.is_dead(u, v, n) == want
             assert policy.is_dead(u.name, v.name, n) == want
-
-
-def test_a_filled_pair_table_is_invisible():
-    pol = TruncationPolicy(default_locality=2, overrides=(("x", "y", 4),),
-                           exempt=frozenset({("y", "x", 5)}))
-    fresh = dataclasses.replace(pol)
-    before = (hash(pol), repr(pol))
-    x, y = _SEARCH_LEAVES[:2]
-    assert pol.is_dead(x, y, 4) and not pol.is_dead("y", "x", 5)
-    assert pol._pairs
-    assert (hash(pol), repr(pol)) == before
-    assert pol == fresh and fresh._pairs == {}
-    # replace builds a new policy, whose table starts empty
-    again = dataclasses.replace(pol, level=3)
-    assert again._pairs == {} and again.is_dead("x", "y", 4)
 
 
 # Certified truncation at its tight bound.  With level 0 the certificate

@@ -14,6 +14,8 @@ from vertexalg.models.polys import PolyVars
 from vertexalg.parsing import parse, to_text
 from vertexalg.rewrite import ReductionReport
 from vertexalg.sheaf import (
+    BumpDeclaration,
+    SectionDeclaration,
     SheafContext,
     SupportError,
     _CellTable,
@@ -68,8 +70,6 @@ def test_sigma_star_deep_tower():
 
 def _value_at(ctx, name, mid):
     """name's value at mid, read off the declarations."""
-    if name == ctx.alphabet.unit.name:
-        return PolyVars.const(1)
     info = ctx.info(name)
     if not info.window.contains_point(mid):
         return PolyVars.const(0)
@@ -106,7 +106,7 @@ def _assert_table_is_fresh(ctx):
     assert table.cells == ctx.cells() == ctx._cut_cells(table.points)
     mids = [(lo + hi) / 2 for lo, hi in table.cells]
     assert table.plans == tuple(_plan_at(ctx, m) for m in mids)
-    for name in (ctx.alphabet.unit.name, *ctx._tags):
+    for name in ctx._tags:
         assert table.values(name) == tuple(_value_at(ctx, name, m) for m in mids), name
 
 
@@ -165,22 +165,39 @@ def test_dressed_names_parse_back():
     assert parse(to_text(got), ctx.alphabet) == got
 
 
-def test_cells_follow_every_declaration():
-    # each step adds a breakpoint or a partition family, so a cell table
-    # left stale would differ from the midpoint evaluation
+def _three_with(sections=(), bumps=(), partitions=(), flat=()):
+    """cover_three's context built with more declarations; each bump
+    named in flat has a plateau over its whole support."""
     ctx, _ = make_cover_three()
-    _assert_table_is_fresh(ctx)
-    steps = (
-        lambda: ctx.declare_section("k", SupportSet.closed(Q(1, 5), 4)),
-        lambda: ctx.declare_bump("s4", SupportSet.closed(Q(1, 7), 4)),
-        lambda: ctx.restricted_symbol("f", SupportSet.closed(Q(1, 9), Q(7, 2))),
-        lambda: ctx.declare_partition(("s1", "s4")),
+    declared = [SectionDeclaration(n, ctx.window_of(n)) for n in ("f", "g", "h")]
+    kept = [replace(b, plateau=b.support) if b.name in flat else b
+            for b in ctx._bumps.values()]
+    return SheafContext(ctx.universe, declared + list(sections), kept + list(bumps),
+                        ctx._partitions + tuple(partitions))
+
+
+def test_cells_follow_every_declaration():
+    # each context adds a breakpoint or a partition family to the one
+    # before, so a cell table that missed a declaration would differ from
+    # the midpoint evaluation
+    k = SectionDeclaration("k", SupportSet.closed(Q(1, 5), 4))
+    s4 = BumpDeclaration("s4", SupportSet.closed(Q(1, 7), 4), SupportSet.empty())
+    contexts = (
+        _three_with(),
+        _three_with((k,)),
+        _three_with((k,), (s4,)),
+        _three_with((k,), (s4,), (("s1", "s4"),)),
     )
-    for step in steps:
-        before = (ctx.cells(), ctx._cell_table().plans)
-        step()
-        assert (ctx.cells(), ctx._cell_table().plans) != before
+    for before, ctx in zip(contexts, contexts[1:]):
+        assert (ctx.cells(), ctx._cell_table().plans) != (
+            before.cells(), before._cell_table().plans)
         _assert_table_is_fresh(ctx)
+    # a minted window that adds a breakpoint drops the table
+    ctx = contexts[-1]
+    before = ctx.cells()
+    ctx.restricted_symbol("f", SupportSet.closed(Q(1, 9), Q(7, 2)))
+    assert ctx.cells() != before
+    _assert_table_is_fresh(ctx)
 
 
 def test_a_window_on_the_breakpoints_keeps_the_cell_table():
@@ -212,25 +229,21 @@ def test_a_window_with_a_new_breakpoint_drops_the_cell_table():
 def test_declare_partition_refusals(members, error):
     # f is a section, not a bump; r1 and r2 are the cores of U1 and U2,
     # which leave (5/2, 4] uncovered
-    ctx, _ = make_cover_three()
-    before = list(ctx._partitions)
     with pytest.raises(SupportError) as info:
-        ctx.declare_partition(members)
+        _three_with(partitions=(members,))
     assert str(info.value) == error
-    assert ctx._partitions == before
 
 
-def _on_zero_three():
-    return SheafContext(SupportSet.closed(0, 3))
+_ZERO_THREE = SupportSet.closed(0, 3)
 
 
-def _overlapping_plateaus():
-    # r3 sits on its plateau everywhere, and r1 on its own over [0, 1]:
-    # two members equal to 1 there cannot sum to 1
-    ctx = _on_zero_three()
-    ctx.declare_bump("r1", SupportSet.closed(0, 1), SupportSet.closed(0, 1))
-    ctx.declare_bump("r3", SupportSet.closed(0, 3), SupportSet.closed(0, 3))
-    ctx.declare_partition(("r1", "r3"))
+def _sections(*sections):
+    return lambda: SheafContext(_ZERO_THREE, [SectionDeclaration(*s) for s in sections])
+
+
+def _bumps(*bumps, partitions=()):
+    return lambda: SheafContext(
+        _ZERO_THREE, (), [BumpDeclaration(*b) for b in bumps], partitions)
 
 
 def _restrict_past_the_universe():
@@ -243,40 +256,42 @@ def _dress_by_a_section():
     sigma_star("f", Element.sym(ctx.alphabet, "f"), ctx)
 
 
-def _bump_named_like_a_section():
-    ctx = _on_zero_three()
-    ctx.declare_section("s1", SupportSet.closed(0, 2))
-    ctx.declare_bump("s1", SupportSet.closed(0, 2), SupportSet.closed(0, 1))
+def _span(lo, hi):
+    return SupportSet.closed(lo, hi)
 
 
-def _section_named_like_a_bump():
-    ctx = _on_zero_three()
-    ctx.declare_bump("s1", SupportSet.closed(0, 2), SupportSet.closed(0, 1))
-    ctx.declare_section("s1", SupportSet.closed(0, 2))
+_NONE = SupportSet.empty()
 
 
 @pytest.mark.parametrize("refused,error", (
     (lambda: SheafContext(SupportSet.empty()), "universe {} has no interior"),
     (lambda: SheafContext(SupportSet.closed(1, 1)), "universe [1, 1] has no interior"),
-    (lambda: _on_zero_three().declare_section("p", SupportSet.closed(1, 1)),
-     "support [1, 1] of p has no interior"),
-    (lambda: _on_zero_three().declare_bump("s", SupportSet.closed(1, 1)),
-     "support [1, 1] of bump s has no interior"),
-    (_bump_named_like_a_section, "bump s1 already names a section"),
-    (_section_named_like_a_bump, "section s1 already names a bump"),
-    (lambda: _on_zero_three().declare_section("f", SupportSet.closed(0, 4)),
-     "support of f leaves the universe"),
-    (lambda: _on_zero_three().declare_bump("s", SupportSet.closed(-1, 3)),
-     "support of bump s leaves the universe"),
-    (lambda: _on_zero_three().declare_bump(
-        "s", SupportSet.closed(0, 1), SupportSet.closed(0, 2)),
-     "plateau of bump s leaves its support"),
-    (lambda: _on_zero_three().info("nobody"), "leaf nobody carries no support tag"),
-    (_overlapping_plateaus, "partition ('r1', 'r3') cannot sum to 1 near 1/2"),
+    (_sections(("p", _span(1, 1))), "support [1, 1] of p has no interior"),
+    (_bumps(("s", _span(1, 1), _NONE)), "support [1, 1] of bump s has no interior"),
+    (lambda: SheafContext(_ZERO_THREE, [SectionDeclaration("s1", _span(0, 2))],
+                          [BumpDeclaration("s1", _span(0, 2), _span(0, 1))]),
+     "s1 is declared twice"),
+    (_bumps(("s1", _span(0, 2), _span(0, 1)), ("s1", _span(0, 2), _span(0, 1))),
+     "s1 is declared twice"),
+    (_sections(("f", _span(0, 3)), ("f", _span(0, 2))), "f is declared twice"),
+    (_sections(("1", _span(0, 3))), "1 is declared twice"),
+    (_sections(("g|1..2", _span(1, 2), 1)), "name g|1..2 holds '|', which minted names use"),
+    (_bumps(("s1*f", _span(0, 2), _NONE)),
+     "bump name s1*f holds '*', which minted names use"),
+    (_sections(("f", _span(0, 4))), "support of f leaves the universe"),
+    (_bumps(("s", _span(-1, 3), _NONE)), "support of bump s leaves the universe"),
+    (_bumps(("s", _span(0, 1), _span(0, 2))), "plateau of bump s leaves its support"),
+    (lambda: SheafContext(_ZERO_THREE).info("nobody"), "leaf nobody carries no support tag"),
+    # r3 sits on its plateau everywhere, and r1 on its own over [0, 1]:
+    # two members equal to 1 there cannot sum to 1
+    (_bumps(("r1", _span(0, 1), _span(0, 1)), ("r3", _span(0, 3), _span(0, 3)),
+            partitions=(("r1", "r3"),)),
+     "partition ('r1', 'r3') cannot sum to 1 near 1/2"),
     (_restrict_past_the_universe, "restriction target leaves the universe"),
     (_dress_by_a_section, "f is not a declared bump"),
 ), ids=("empty-universe", "point-universe", "point-section", "point-bump",
-        "bump-named-like-a-section", "section-named-like-a-bump",
+        "bump-named-like-a-section", "bump-named-twice", "section-named-twice", "section-named-like-the-unit",
+        "section-named-like-a-restriction", "bump-named-like-a-dressing",
         "section-support", "bump-support",
         "plateau", "untagged-leaf", "partition-two-ones", "restrict-outside",
         "sigma-not-a-bump"))
@@ -287,9 +302,7 @@ def test_sheaf_refusals_name_the_problem(refused, error):
 
 
 def test_a_plateau_may_be_empty_or_a_point():
-    ctx = _on_zero_three()
-    ctx.declare_bump("s", SupportSet.closed(0, 2))
-    ctx.declare_bump("t", SupportSet.closed(0, 2), SupportSet.closed(1, 1))
+    ctx = _bumps(("s", _span(0, 2), _NONE), ("t", _span(0, 2), _span(1, 1)))()
     assert ctx._bumps["t"].plateau == SupportSet.closed(1, 1)
 
 
@@ -325,34 +338,13 @@ def test_a_mint_memo_hit_intersects_no_window(monkeypatch):
 
 
 def test_mint_memo_follows_declare_bump():
-    # s2 varies on [4/3, 3/2) until it is re-declared with a plateau over
-    # its whole support; a bump's support is pinned by its symbol, so the
-    # plateau is what a declare_bump can change
+    # s2 varies on [4/3, 3/2) unless it is declared with a plateau over
+    # its whole support, and then it is 1 on the window and drops out
     window = SupportSet.closed(Q(4, 3), 2)
-    s2 = SupportSet.closed(Q(4, 3), Q(8, 3))
     ctx, _ = make_cover_three()
     assert ctx._mint("f", ("s2",), window).name == "s2*f|4/3..2"
-    ctx.declare_bump("s2", s2, s2)
-    fresh, _ = make_cover_three()
-    fresh.declare_bump("s2", s2, s2)
-    want = fresh._mint("f", ("s2",), window)
-    assert want.name == "f|4/3..2"
-    assert ctx._mint("f", ("s2",), window) == want
-
-
-def test_a_rejected_bump_leaves_the_context_unchanged():
-    # the s2 symbol pins its support [4/3, 8/3]; a re-declaration with
-    # another support raises and must not leave the new support behind
-    ctx, cover = make_cover_three()
-    with pytest.raises(ValueError, match="redefined inconsistently"):
-        ctx.declare_bump("s2", SupportSet.closed(1, Q(8, 3)))
-    assert ctx._bumps["s2"].support == SupportSet.closed(Q(4, 3), Q(8, 3))
-    fresh, fresh_cover = make_cover_three()
-    pairs = zip(_tagged_pool(ctx, cover), _tagged_pool(fresh, fresh_cover))
-    for sym, want in pairs:
-        assert sym.name == want.name
-        got = semantic_support(Element.sym(ctx.alphabet, sym.name), ctx)
-        assert got == semantic_support(Element.sym(fresh.alphabet, want.name), fresh)
+    flat = _three_with(flat=("s2",))
+    assert flat._mint("f", ("s2",), window).name == "f|4/3..2"
 
 
 def test_semantic_support_and_pi_of_a_deep_tower():
@@ -534,7 +526,7 @@ def test_a_kept_cell_table_agrees_with_a_new_one(cx, steps):
         _assert_table_is_fresh(ctx)
         table, new = ctx._cell_table(), _CellTable(ctx)
         assert (table.points, table.cells, table.plans) == (new.points, new.cells, new.plans)
-        for name in (ctx.alphabet.unit.name, *ctx._tags):
+        for name in ctx._tags:
             assert table.values(name) == new.values(name), name
 
 

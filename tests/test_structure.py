@@ -175,7 +175,26 @@ def _second_rule_table(node) -> bool:
                 and any(isinstance(n, ast.Constant) and isinstance(n.value, str)
                         for n in sides))
     name = _name_of(node) or ""
-    return "_punct" in name or "is_exempt" in name or name.endswith("_table")
+    return ("_punct" in name or "is_exempt" in name or name.endswith("_table")
+            or name == "_pairs")
+
+
+_DECLARERS = {"declare_section", "declare_bump", "declare_partition"}
+
+
+def _adds_a_declaration(node) -> bool:
+    """A def, call or attribute named after a declaration mutator."""
+    return (isinstance(node, (ast.FunctionDef, ast.Name, ast.Attribute))
+            and _name_of(node) in _DECLARERS)
+
+
+def _knows_supports(node) -> bool:
+    """An import from the intervals module, or the name support."""
+    if isinstance(node, ast.ImportFrom):
+        return (node.module or "").split(".")[-1] == "intervals"
+    if isinstance(node, ast.Import):
+        return any(a.name.split(".")[-1] == "intervals" for a in node.names)
+    return _name_of(node) == "support"
 
 
 class Rule(NamedTuple):
@@ -241,7 +260,23 @@ RULES = (
          (PKG / "rewrite.py", PKG / "generators.py"),
          _node_hits(_second_rule_table),
          ("if rule == \"unit_strip\":\n    pass\n", "_punctured = {}\n",
-          "pair_table = {}\n", "def is_exempt(pair, index):\n    pass\n")),
+          "pair_table = {}\n", "def is_exempt(pair, index):\n    pass\n",
+          "hit = self._pairs.get((u, v))\n")),
+    # a SheafContext takes every declaration in its constructor, so its
+    # caches never see a declaration arrive
+    Rule("Sheaf contexts are fixed when built",
+         tuple(p for top in ("src", "tests") for p in sorted((ROOT / top).rglob("*.py"))),
+         _node_hits(_adds_a_declaration),
+         ("def declare_section(self, name, support):\n    pass\n",
+          "ctx.declare_bump(\"s\", window, core)\n",
+          "declare_partition((\"r1\", \"r2\"))\n")),
+    # a Symbol is its name, parity, degree and kind; windows live in
+    # sheaf.TaggedInfo
+    Rule("The term layer knows nothing of supports", (PKG / "terms.py",),
+         _node_hits(_knows_supports),
+         ("from .intervals import SupportSet\n",
+          "import vertexalg.intervals\n",
+          "support: object = None\n", "x = sym.support\n")),
     # every SupportSet is closed, so no interior or closure is ever taken
     Rule("Supports are closed", _modules_but(), _node_hits(_names_an_open_set_tool),
          ("inner = s.interior()\n",)),

@@ -358,7 +358,7 @@ class TestCachedHash:
             t = stack.pop()
             if isinstance(t, Symbol):
                 assert hash(t) == hash(t._fields())
-                assert t._fields() == (t.name, t.parity, t.degree, t.kind, t.support)
+                assert t._fields() == (t.name, t.parity, t.degree, t.kind)
             else:
                 assert hash(t) == hash((t.index, t.left, t.right))
                 stack += [t.left, t.right]
@@ -406,7 +406,7 @@ class TestCachedHash:
 
     def test_symbol_fields_cannot_be_assigned_or_deleted(self, al):
         s = al.symbol("x")
-        for name in ("name", "parity", "degree", "kind", "support", "_hash", "other"):
+        for name in ("name", "parity", "degree", "kind", "_hash", "other"):
             with pytest.raises(AttributeError):
                 setattr(s, name, 0)
             with pytest.raises(AttributeError):
@@ -482,8 +482,7 @@ class TestNode:
 
     def test_repr_names_the_fields(self, al):
         x, y = al.symbol("x"), al.symbol("p")
-        symbol = ("Symbol(name='{}', parity={}, degree=Fraction(0, 1), "
-                  "kind='generic', support=None)")
+        symbol = "Symbol(name='{}', parity={}, degree=Fraction(0, 1), kind='generic')"
         assert repr(Node(3, x, Node(-2, y, x))) == (
             f"Node(index=3, left={symbol.format('x', 0)}, right=Node(index=-2, "
             f"left={symbol.format('p', 1)}, right={symbol.format('x', 0)}))")
