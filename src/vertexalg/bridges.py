@@ -20,6 +20,7 @@ from .generators import (
     CertificationError,
     TruncationPolicy,
     _certified_bound,
+    _cut_o,
     _parity_of,
     _qa_sum,
     _qa_tail,
@@ -44,12 +45,15 @@ def _koszul(x: Element, y: Element) -> int:
 #
 # Each takes a policy `cut` and returns an (lhs, rhs) pair at the series
 # bound K.  Every tail summand's base, the product that D^k, a derivative
-# tower, an outer product or an e, f or i family wraps, goes through
-# truncate(base, cut) first, here or in generators._qc_sum and _qa_sum; in
-# every builder a summand over an empty base is skipped.  Each wrapper keeps
-# the base's terms as subtrees, so a term built over a dead base term is
-# dead, and truncating the pair under cut gives what truncating the uncut
-# pair would.  With cut=None the pair is the untruncated one.
+# tower, an outer product or an e, f or i family wraps, is built under cut,
+# here or in generators._qc_sum and _qa_sum: a product base by
+# generators._cut_o, a family base by fam_e, fam_f or fam_i given cut.
+# Either is truncate(base, cut), but a leaf pair that cut kills costs one
+# is_dead call and no Node.  In every builder a summand over an empty base
+# is skipped.  A wrapper around a cut base is built uncut.  Each wrapper
+# keeps the base's terms as subtrees, so a term built over a dead base term
+# is dead, and truncating the pair under cut gives what truncating the
+# uncut pair would.  With cut=None the pair is the untruncated one.
 # The sign conventions follow the qa/qc family builders, so even-parity
 # arguments reproduce the classical displays verbatim.
 
@@ -60,10 +64,10 @@ def _eb(x: Element, y: Element, n: int, K: int, cut):
     acc = dict(_qa_sum(x, one, y, -2, n, _koszul(x, one), K, cut).terms)
     for k in range(K + 1):
         c = binom(-2, k) * minus_one_pow(k)  # = k + 1
-        base = truncate(fam_i(y, n + k), cut)
+        base = fam_i(y, n + k, cut)
         if base.terms:
             x.o(-2 - k, base)._add_into(acc, c)
-        base = truncate(x.o(k, y), cut)
+        base = _cut_o(x, k, y, cut)
         if base.terms:
             fam_i(base, -2 + n - k)._add_into(acc, -c)
     return lhs, Element._trusted(x.alphabet, acc)
@@ -105,7 +109,7 @@ def _qci(x: Element, y: Element, n: int, K: int, cut):
     rhs = -_qc_sum(x.D(), y, n, kosz, K, cut) + fam_e(x, y, n)
     acc = dict(rhs.terms)
     for k in range(K + 1):
-        base = truncate(fam_f(y, x, n + k), cut)
+        base = fam_f(y, x, n + k, cut)
         if base.terms:
             c = -kosz * Q(minus_one_pow(n + k), factorial(k))
             base.D_pow(k)._add_into(acc, c)
@@ -122,10 +126,10 @@ def _qami(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
     acc = dict(rhs.terms)
     for k in _qa_tail(m, K):
         c = binom(m, k) * minus_one_pow(k)
-        base = truncate(y.o(n + k, z), cut)
+        base = _cut_o(y, n + k, z, cut)
         if base.terms:
             fam_e(x, base, m - k)._add_into(acc, -c)
-        base = truncate(fam_e(x, z, k), cut)
+        base = fam_e(x, z, k, cut)
         if base.terms:
             y.o(m + n - k, base)._add_into(acc, c * sp)
     return lhs, Element._trusted(x.alphabet, acc)
@@ -145,16 +149,16 @@ def _qani(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
     acc = dict(rhs.terms)
     for k in _qa_tail(m, K):
         c = binom(m, k) * minus_one_pow(k)
-        base = truncate(y.o(n + k, z), cut)
+        base = _cut_o(y, n + k, z, cut)
         if base.terms:
             fam_f(x, base, m - k)._add_into(acc, -c)
-        base = truncate(x.o(k, z), cut)
+        base = _cut_o(x, k, z, cut)
         if base.terms:
             fam_f(y, base, m + n - k)._add_into(acc, c * sp)
-        base = truncate(fam_f(y, z, n + k), cut)
+        base = fam_f(y, z, n + k, cut)
         if base.terms:
             x.o(m - k, base)._add_into(acc, -c)
-        base = truncate(fam_f(x, z, k), cut)
+        base = fam_f(x, z, k, cut)
         if base.terms:
             y.o(m + n - k, base)._add_into(acc, c * sp)
     return lhs, Element._trusted(x.alphabet, acc)
@@ -167,7 +171,7 @@ def _qcs(x: Element, y: Element, n: int, K: int, cut):
     sp = _koszul(x, y)
     acc = dict(_qc_sum(y, x, n, sp, K, cut).terms)
     for k in range(K + 1):
-        base = truncate(x.o(n + k, y), cut)
+        base = _cut_o(x, n + k, y, cut)
         if base.terms:
             c = -sp * Q(minus_one_pow(n + k), factorial(k))
             base.D_pow(k)._add_into(acc, c)
@@ -205,7 +209,7 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n == -1:
         for k in range(K + 1):
-            base = truncate(x.o(k, y), cut)
+            base = _cut_o(x, k, y, cut)
             if base.terms:
                 base.o(-2 - k, z)._add_into(lhs, -minus_one_pow(k))
         rhs = dict((
@@ -214,7 +218,7 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
             - kosz * _qc_sum(y, x, -1, kosz, K, cut).o(-1, z)
         ).terms)
         for j in range(K + 1):
-            base = truncate(x.o(j, y), cut)
+            base = _cut_o(x, j, y, cut)
             if not base.terms:
                 continue
             tower = _tower(base, j)
@@ -224,7 +228,7 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
         return Element._trusted(al, lhs), Element._trusted(al, rhs)
     if m == -1 and n >= 0:
         for k in range(K + 1):
-            base = truncate(x.o(k, y), cut)
+            base = _cut_o(x, k, y, cut)
             if base.terms:
                 base.o(n - 1 - k, z)._add_into(lhs, -minus_one_pow(k))
         for k in range(n + 1):
@@ -234,7 +238,7 @@ def _comm(x: Element, y: Element, z: Element, m: int, n: int, K: int, cut):
             qc = _qc_sum(y, x, k, kosz, K, cut)
             qc.o(n - 1 - k, z)._add_into(rhs, -kosz * ck)
             for j in range(1, K + 1):
-                base = truncate(x.o(k + j, y), cut)
+                base = _cut_o(x, k + j, y, cut)
                 if not base.terms:
                     continue
                 tower = _tower(base, j - 1)

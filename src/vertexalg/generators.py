@@ -7,17 +7,27 @@ truncate(x, None) is x itself, so a caller passes its policy, or None,
 without branching on it.
 
 The qc and qa sums are written once each, in _qc_sum and _qa_sum, which
-take a policy `cut`: each tail summand's base product passes through
-truncate(base, cut) before D^k or an outer product wraps it, and a
-summand whose base is empty is skipped.  Wrapping keeps every subtree,
-so a term built over a dead base term is dead itself, and cutting early
-then truncating the sum equals truncating the uncut sum, for any deadness
+take a policy `cut`: each tail summand's base product is built under the
+cut, by _cut_o, before D^k or an outer product wraps it, and a summand
+whose base is empty is skipped.  _cut_o(x, n, y, cut) is
+truncate(x.o(n, y), cut), term order included, but it asks cut.is_dead
+of a product of two leaves before building its Node, so a dead leaf-pair
+base costs one is_dead call and nothing else; any other product is built
+and kept unless _term_is_dead.  Wrapping keeps every subtree, so a term
+built over a dead base term is dead itself, and cutting early then
+truncating the sum equals truncating the uncut sum, for any deadness
 rule.  fam_qc and fam_qa certify K and call the sums with cut=None, so
 every generator instance keeps its dead tail summands; the bridge
 identities, which truncate their sides anyway, pass their policy.  A qa
 tail with m >= 0 is finite, since binom(m, k) vanishes past k = m: every
 qa loop runs over _qa_tail(m, K), which stops there.  fam_f is d + e in
 closed form, without the (Dx) o_n y summands that cancel between them.
+
+fam_i, fam_e and fam_f take a policy `cut` too, default None: each of
+their products is built by _cut_o, and fam_i at n = -1 subtracts x
+truncated, so with a cut each returns truncate(fam_X(...), cut), term
+order included.  The bridges build their family bases this way; as
+generator instances (FAMILIES, build_generator) they are built uncut.
 
 TruncationPolicy.is_dead(u, v, n) is the one deadness rule: n at or past
 the pair's locality and not exempt.  Each policy builds one rule table,
@@ -27,8 +37,9 @@ exempt_indices and is_dead read it by name, for a name or a Symbol
 alike, and a pair it does not hold has the default locality and no
 exempt index.  The table takes no part in ==, hash or repr, and
 dataclasses.replace builds a new policy with a new table.  Truncation
-asks policy.is_dead on every call, through terms.any_leaf_pair, so a
-rule patched onto the class is seen.
+asks policy.is_dead on every call, through terms.any_leaf_pair, and
+_cut_o looks it up on every call too, so a rule patched onto the class
+is seen.
 
 FAMILIES describes the ten families once: arity, index names, what else
 the builder needs, the builder that build_generator calls, and the slots
@@ -42,7 +53,8 @@ from math import factorial
 from typing import NamedTuple
 
 from .terms import (
-    Element, any_leaf_pair, binom, leaf_terms, minus_one_pow, parity,
+    Element, Node, Symbol, any_leaf_pair, binom, leaf_terms, minus_one_pow,
+    parity,
 )
 
 Q = Fraction
@@ -124,6 +136,31 @@ def truncate(x: Element, policy: TruncationPolicy) -> Element:
     return Element._trusted(x.alphabet, kept)
 
 
+def _cut_o(x: Element, n: int, y: Element, cut) -> Element:
+    """truncate(x.o(n, y), cut): the same terms, in the same order, with
+    the same coefficients; x.o(n, y) if cut is None.  A product of two
+    leaves is built only if cut.is_dead, looked up on each call, keeps it
+    alive; any other product is built and dropped if _term_is_dead."""
+    if cut is None:
+        return x.o(n, y)
+    alphabet = x.alphabet
+    if alphabet is not y.alphabet:
+        raise ValueError("elements over different alphabets")
+    is_dead = cut.is_dead
+    kept = {}
+    for t1, c1 in x.terms.items():
+        leaf = t1.__class__ is Symbol
+        for t2, c2 in y.terms.items():
+            if leaf and t2.__class__ is Symbol:
+                if not is_dead(t1, t2, n):
+                    kept[Node(n, t1, t2)] = c1 * c2
+            else:
+                t = Node(n, t1, t2)
+                if not _term_is_dead(t, cut):
+                    kept[t] = c1 * c2
+    return Element._trusted(alphabet, kept)
+
+
 def _parity_of(x: Element, what: str) -> int:
     p = parity(x)
     if p is None:
@@ -184,11 +221,11 @@ def _certified_bound(what, K, policy, tails) -> int:
 
 # family builders ------------------------------------------------------------
 
-def fam_i(x: Element, n: int) -> Element:
+def fam_i(x: Element, n: int, cut=None) -> Element:
     unit = Element.unit(x.alphabet)
-    out = unit.o(n, x)
+    out = _cut_o(unit, n, x, cut)
     if n == -1:
-        out = out - x
+        out = out - truncate(x, cut)
     return out
 
 
@@ -213,21 +250,22 @@ def fam_d(x: Element, y: Element, n: int) -> Element:
     return x.o(n, y).D() - x.D().o(n, y) - x.o(n, y.D())
 
 
-def fam_e(x: Element, y: Element, n: int) -> Element:
-    return x.D().o(n, y) + n * x.o(n - 1, y)
+def fam_e(x: Element, y: Element, n: int, cut=None) -> Element:
+    return _cut_o(x.D(), n, y, cut) + n * _cut_o(x, n - 1, y, cut)
 
 
-def fam_f(x: Element, y: Element, n: int) -> Element:
+def fam_f(x: Element, y: Element, n: int, cut=None) -> Element:
     # d + e, with the (Dx) o_n y summands of the two cancelled
-    return x.o(n, y).D() - x.o(n, y.D()) + n * x.o(n - 1, y)
+    return (_cut_o(x, n, y, cut).D() - _cut_o(x, n, y.D(), cut)
+            + n * _cut_o(x, n - 1, y, cut))
 
 
 def _qc_sum(x, y, n: int, sign: int, K: int, cut) -> Element:
     """x o_n y plus sign * sum_{k<=K} (-1)^{n+k}/k! D^k(y o_{n+k} x), each
-    base y o_{n+k} x cut under `cut` before D^k wraps it."""
+    base y o_{n+k} x built under `cut` before D^k wraps it."""
     acc = dict(x.o(n, y).terms)
     for k in range(K + 1):
-        base = truncate(y.o(n + k, x), cut)
+        base = _cut_o(y, n + k, x, cut)
         if base.terms:
             c = Q(sign * minus_one_pow(n + k), factorial(k))
             base.D_pow(k)._add_into(acc, c)
@@ -242,16 +280,16 @@ def _qa_tail(m: int, K: int) -> range:
 
 def _qa_sum(x, y, z, m: int, n: int, sign: int, K: int, cut) -> Element:
     """(x o_m y) o_n z minus the qa tail up to K; sign is the Koszul sign
-    of (x, y).  Each inner product is cut under `cut` before the outer
+    of (x, y).  Each inner product is built under `cut` before the outer
     product wraps it."""
     sign_xy = minus_one_pow(m) * sign
     acc = dict(x.o(m, y).o(n, z).terms)
     for k in _qa_tail(m, K):
         c = binom(m, k) * minus_one_pow(k)
-        inner = truncate(y.o(n + k, z), cut)
+        inner = _cut_o(y, n + k, z, cut)
         if inner.terms:
             x.o(m - k, inner)._add_into(acc, -c)
-        inner = truncate(x.o(k, z), cut)
+        inner = _cut_o(x, k, z, cut)
         if inner.terms:
             y.o(m + n - k, inner)._add_into(acc, c * sign_xy)
     return Element._trusted(x.alphabet, acc)

@@ -27,7 +27,7 @@ from vertexalg.generators import (
 from vertexalg.suites import run_suite
 from vertexalg.terms import Alphabet, Element, Node, Symbol
 
-from test_generators import _dead_one_early
+from test_generators import POL6, _dead_one_early, policy_grid
 
 
 @pytest.fixture(scope="module")
@@ -41,25 +41,6 @@ def al():
 
 
 POL = TruncationPolicy(default_locality=3, level=8)
-POL6 = TruncationPolicy(default_locality=3, level=6)
-
-
-def policy_grid(*names):
-    """Policies at levels 0 and 8 over the named leaves: default locality
-    1 and 3, each pair overridden to locality + 4 and to 8, the first pair
-    exempt at locality + 2; and POL6."""
-    pairs = list(itertools.combinations(names, 2))
-    grid = [POL6]
-    for level, loc in itertools.product((0, 8), (1, 3)):
-        grid.append(TruncationPolicy(loc, level=level))
-        grid += [
-            TruncationPolicy(loc, ((a, b, over),), level=level)
-            for a, b in pairs
-            for over in (loc + 4, 8)
-        ]
-        exempt = frozenset({pairs[0] + (loc + 2,)})
-        grid.append(TruncationPolicy(loc, level=level, exempt=exempt))
-    return grid
 
 
 def S(al, name):
@@ -161,12 +142,13 @@ class TestInductionGrid:
         assert not all(results)
 
 
-# fam_f in closed form with one slip each, patched where the bridges call it
+# fam_f in closed form with one slip each, patched where the bridges call
+# it; like fam_f, each takes the bridges' cut
 F_MUTANTS = {
-    "last-coefficient-n+1": lambda x, y, n: (
-        x.o(n, y).D() - x.o(n, y.D()) + (n + 1) * x.o(n - 1, y)),
-    "y-derivative-dropped": lambda x, y, n: (
-        x.o(n, y).D() + n * x.o(n - 1, y)),
+    "last-coefficient-n+1": lambda x, y, n, cut=None: truncate(
+        x.o(n, y).D() - x.o(n, y.D()) + (n + 1) * x.o(n - 1, y), cut),
+    "y-derivative-dropped": lambda x, y, n, cut=None: truncate(
+        x.o(n, y).D() + n * x.o(n - 1, y), cut),
 }
 
 
@@ -199,18 +181,23 @@ class TestCommutatorBridge:
 
 def _cut_cases(al):
     """(identity, args, leaf names) for every identity over a small index
-    window, with even and odd (x, y)."""
-    cases = [("i-induction", {"x": S(al, "u"), "n": n}, ("u", "v"))
+    window, with even and odd (x, y), and with x and y two-term leaf
+    combinations, so that cut products of several terms keep their order."""
+    uv, pq = S(al, "u") + 2 * S(al, "v"), S(al, "p") - S(al, "q")
+    cases = [("i-induction", {"x": x, "n": n}, names)
+             for x, names in ((S(al, "u"), ("u", "v")), (uv, ("u", "1")))
              for n in range(-3, 3)]
-    for nx, ny in (("u", "v"), ("p", "q")):
-        x, y, z = S(al, nx), S(al, ny), S(al, "w")
+    for x, y, names in ((S(al, "u"), S(al, "v"), ("u", "v")),
+                        (S(al, "p"), S(al, "q"), ("p", "q")),
+                        (uv, pq, ("u", "p"))):
+        z = S(al, "w")
         cases += [
-            (ident, {"x": x, "y": y, "n": n}, (nx, ny))
+            (ident, {"x": x, "y": y, "n": n}, names)
             for ident in ("e-bridge", "d-induction", "qc-induction", "qc-symmetry")
             for n in range(-3, 3)
         ]
         cases += [
-            (ident, {"x": x, "y": y, "z": z, "m": m, "n": n}, (nx, ny, "w"))
+            (ident, {"x": x, "y": y, "z": z, "m": m, "n": n}, names + ("w",))
             for ident in ("qa-m-induction", "qa-n-induction", "commutator")
             for m, n in itertools.product((-1, 0, 1), repeat=2)
         ]

@@ -1,5 +1,6 @@
 """Ideal generator families, truncation, and certified tail bounds."""
 
+import itertools
 import random
 import re
 from fractions import Fraction as Q
@@ -17,6 +18,7 @@ from vertexalg.generators import (
     FUNCTION_KINDS,
     CertificationError,
     TruncationPolicy,
+    _cut_o,
     _qa_sum,
     _term_is_dead,
     build_generator,
@@ -55,6 +57,25 @@ def E(al, name):
 
 
 POL = TruncationPolicy(default_locality=3, level=8)
+POL6 = TruncationPolicy(default_locality=3, level=6)
+
+
+def policy_grid(*names):
+    """Policies at levels 0 and 8 over the named leaves: default locality
+    1 and 3, each pair overridden to locality + 4 and to 8, the first pair
+    exempt at locality + 2; and POL6."""
+    pairs = list(itertools.combinations(names, 2))
+    grid = [POL6]
+    for level, loc in itertools.product((0, 8), (1, 3)):
+        grid.append(TruncationPolicy(loc, level=level))
+        grid += [
+            TruncationPolicy(loc, ((a, b, over),), level=level)
+            for a, b in pairs
+            for over in (loc + 4, 8)
+        ]
+        exempt = frozenset({pairs[0] + (loc + 2,)})
+        grid.append(TruncationPolicy(loc, level=level, exempt=exempt))
+    return grid
 
 
 class TestTruncation:
@@ -533,3 +554,85 @@ def _dead_one_early(monkeypatch):
 def test_certificate_mutants_are_caught(al, monkeypatch, mutant):
     mutant(monkeypatch)
     assert _tight_bound_faults(al)
+
+
+# Products built under the cut.  Leaf combinations of one to three terms
+# over even and odd leaves and the unit, with int and Fraction
+# coefficients, and compound operands built from them.
+_CUT_AL = Alphabet()
+for _nm, _parity in (("x", 0), ("y", 0), ("z", 0), ("p", 1), ("q", 1)):
+    _CUT_AL.add(Symbol(_nm, _parity, Q(0), "generic"))
+_CUT_GRID = policy_grid("x", "p", "1")
+
+_coeffs = st.one_of(
+    st.integers(-3, 3).filter(bool),
+    st.builds(Q, st.integers(-3, 3).filter(bool), st.integers(2, 4)),
+)
+
+
+@st.composite
+def _leaf_combinations(draw):
+    names = draw(st.lists(st.sampled_from(("x", "y", "z", "p", "q", "1")),
+                          min_size=1, max_size=3, unique=True))
+    return Element(_CUT_AL, {_CUT_AL.symbol(nm): draw(_coeffs) for nm in names})
+
+
+@st.composite
+def _cut_operands(draw):
+    """A leaf combination, its derivative, a product of two, or such a
+    product plus a leaf combination."""
+    u = draw(_leaf_combinations())
+    shape = draw(st.sampled_from(("leaves", "D", "o", "o+leaves")))
+    if shape == "leaves":
+        return u
+    if shape == "D":
+        return u.D()
+    w = u.o(draw(st.integers(-3, 4)), draw(_leaf_combinations()))
+    return w if shape == "o" else w + draw(_leaf_combinations())
+
+
+def _listed(x: Element) -> list:
+    return list(x.terms.items())
+
+
+def _cut_build_faults(x, y, n) -> list:
+    """Every policy of the grid under which a product or family built under
+    the cut differs from the truncation of the one built uncut, term order
+    included."""
+    faults = []
+    for pol in _CUT_GRID:
+        builds = {
+            "o": (_cut_o(x, n, y, pol), x.o(n, y)),
+            "i": (fam_i(x, n, pol), fam_i(x, n)),
+            "e": (fam_e(x, y, n, pol), fam_e(x, y, n)),
+            "f": (fam_f(x, y, n, pol), fam_f(x, y, n)),
+        }
+        faults += [(what, pol) for what, (cut, uncut) in builds.items()
+                   if _listed(cut) != _listed(truncate(uncut, pol))]
+    return faults
+
+
+@pytest.mark.parametrize("mutant", (None, _dead_one_early),
+                         ids=("honest", "dead-one-early"))
+@given(_cut_operands(), _cut_operands(), st.integers(-4, 8))
+@settings(max_examples=60, deadline=None)
+def test_builds_under_the_cut_are_the_truncated_builds(mutant, x, y, n):
+    # a rule patched onto the class is seen, so the equality holds under
+    # any deadness rule
+    with pytest.MonkeyPatch.context() as mp:
+        if mutant is not None:
+            mutant(mp)
+        assert _cut_build_faults(x, y, n) == []
+    assert _cut_o(x, n, y, None) == x.o(n, y)
+
+
+def test_a_dead_leaf_pair_is_never_built(al, monkeypatch):
+    def no_node(*args):
+        raise AssertionError("a Node was built")
+
+    monkeypatch.setattr(generators, "Node", no_node)
+    x, y = E(al, "x"), E(al, "y")
+    assert _cut_o(x, 3, y, POL).is_zero()
+    assert _cut_o(2 * x, 5, y - E(al, "z"), POL).is_zero()
+    with pytest.raises(AssertionError, match="a Node was built"):
+        _cut_o(x, 2, y, POL)

@@ -76,6 +76,17 @@ def _names_a_deadness_test(node) -> bool:
     return isinstance(node, ast.alias) and node.name in _DEADNESS_TESTS
 
 
+_CUT_BUILDS = ("o", "fam_i", "fam_e", "fam_f")
+
+
+def _truncates_a_built_base(node) -> bool:
+    """truncate(...) whose first argument is a call of .o, fam_i, fam_e or
+    fam_f: a base built whole, then cut."""
+    return (isinstance(node, ast.Call) and _is_named(node.func, "truncate")
+            and bool(node.args) and isinstance(node.args[0], ast.Call)
+            and any(_is_named(node.args[0].func, nm) for nm in _CUT_BUILDS))
+
+
 _OPEN_SET_NAMES = {"interior", "closure", "lo_closed", "hi_closed"}
 
 
@@ -230,10 +241,18 @@ RULES = (
     Rule("Leaf combinations are read by leaf_terms", _modules_but("terms.py"),
          _node_hits(_leaf_test),
          ("flat = all(t.__class__ is not Symbol for t in x.terms)\n",)),
-    # generators.truncate is the one place a dead product is dropped
+    # generators.py is where a dead product is dropped: by truncate, and
+    # from the bases _cut_o builds
     Rule("Locality is cut only by truncate",
          _modules_but("generators.py"), _node_hits(_names_a_deadness_test),
          ("from .generators import _term_is_dead\n",)),
+    # a tail base is built under the cut, by _cut_o or a family given the
+    # cut, so a leaf pair the policy kills is never built
+    Rule("Tail bases are built under the cut",
+         (PKG / "bridges.py", PKG / "generators.py"),
+         _node_hits(_truncates_a_built_base),
+         ("base = truncate(y.o(n + k, x), cut)\n",
+          "base = truncate(fam_f(y, x, n + k), cut)\n")),
     # ids are reused once a form is freed, so a memo keyed by id() hands
     # back stale images
     Rule("Operator memos are keyed by content", (PKG / "models" / "geometry.py",),
